@@ -27,8 +27,7 @@ double RackOverflowOfTargets(const RegionScenario& sim, const SolverConfig& conf
       }
       rack_rru[topo.server(id).rack] += spec->ValueOfType(topo.server(id).type);
     }
-    double alpha_k = config.rack_alpha_factor / static_cast<double>(topo.num_racks());
-    double threshold = std::max(alpha_k * spec->capacity_rru, config.min_spread_threshold_rru);
+    const double threshold = RackSpreadThreshold(*spec, config, topo);
     for (const auto& [rack, rru] : rack_rru) {
       total_overflow += std::max(0.0, rru - threshold);
     }

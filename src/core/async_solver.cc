@@ -134,8 +134,7 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
   outcome.stats.ran = true;
   outcome.stats.timings.ras_build_s = snapshot_seconds;
 
-  const bool cache_on =
-      phase > 0 && config_.incremental_resolve && config_.backend == SolverBackend::kMip;
+  const bool cache_on = phase > 0 && config_.incremental_resolve;
   ResolveEntry* entry = cache_on ? &resolve_cache_.entry(phase, resolve_shard_) : nullptr;
 
   // Solver build: patch the cached model in place when this round is
@@ -170,165 +169,135 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
 
   std::vector<double> local_solution;
   const std::vector<double>* solution = nullptr;
-  std::vector<double> skip_counts;
   SimplexBasis new_root_basis;
   const double gap = mip_options.absolute_gap;
 
   // Skip-solve fast path, checked before the greedy initial state so a
-  // skipped round pays for neither the greedy construction nor the MIP. Two
-  // regimes share the path:
-  //   - Exactly-empty delta (the default knob, 0 changed servers): the input
-  //     is bitwise the cached round's input, and the cold pipeline is
-  //     deterministic — re-solving would recompute exactly the cached
-  //     incumbent. Returning it is parity-exact with no proof needed, even
-  //     when the cached solve was node-limited (kFeasible); the round reports
-  //     the cached round's true MIP status.
-  //   - Trivial non-empty delta (knob raised): an approximation, allowed only
-  //     when the shifted incumbent revalidates against the cached proven
-  //     bound within the configured gap.
-  if (patched && delta.reservations_resized == 0 &&
-      delta.delta_servers() <= config_.skip_solve_max_delta_servers) {
+  // skipped round pays for neither the greedy construction nor the MIP. An
+  // empty delta means the input is bitwise the cached round's input, and the
+  // cold pipeline is deterministic — re-solving would recompute exactly the
+  // cached incumbent. Returning it is parity-exact with no proof needed, even
+  // when the cached solve was node-limited (kFeasible); the round reports the
+  // cached round's true MIP status.
+  if (patched && delta.empty()) {
     t0 = util::MonotonicSeconds();
-    const bool exact_delta = delta.delta_servers() == 0;
-    std::vector<double> shifted;
-    if (ShiftIncumbentCounts(*entry, classes, &shifted)) {
-      std::vector<double> shifted_warm = MakeWarmStart(input, classes, built, shifted);
-      const double shifted_obj = built.model.Objective(shifted_warm);
-      if (built.model.IsFeasible(shifted_warm, mip_options.integrality_tol * 10) &&
-          (exact_delta || shifted_obj <= entry->best_bound + gap)) {
-        local_solution = std::move(shifted_warm);
-        solution = &local_solution;
-        skip_counts = std::move(shifted);
-        outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
-        outcome.stats.mip_status = exact_delta ? entry->mip_status : MipStatus::kOptimal;
-        outcome.stats.nodes = 0;
-        outcome.stats.objective = shifted_obj;
-        outcome.stats.warm_start_objective = shifted_obj;
-        outcome.stats.best_bound = entry->best_bound;
-        outcome.stats.solve_skipped = true;
-      }
+    std::vector<double> cached = MakeWarmStart(input, classes, built, entry->counts);
+    if (built.model.IsFeasible(cached, mip_options.integrality_tol * 10)) {
+      const double cached_obj = built.model.Objective(cached);
+      local_solution = std::move(cached);
+      solution = &local_solution;
+      outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
+      outcome.stats.mip_status = entry->mip_status;
+      outcome.stats.nodes = 0;
+      outcome.stats.objective = cached_obj;
+      outcome.stats.warm_start_objective = cached_obj;
+      outcome.stats.best_bound = entry->best_bound;
+      outcome.stats.solve_skipped = true;
     }
   }
 
   if (solution == nullptr) {
     // Initial state: greedy warm start, polished by a short local search (the
-    // two backends compose — the search's relocate moves fix spread cheaply,
-    // and the MIP then starts from, and can only improve on, that incumbent).
-    // Computed identically whether the model was patched or rebuilt: the
-    // bound-gated path below hands exactly this incumbent back when the root
-    // bound prunes, which is also what the cold branch-and-bound returns, so
-    // incremental and cold rounds produce identical targets.
+    // search's relocate moves fix spread cheaply, and the MIP then starts
+    // from, and can only improve on, that incumbent). Computed identically
+    // whether the model was patched or rebuilt: the bound-gated path below
+    // hands exactly this incumbent back when the root bound prunes, which is
+    // also what the cold branch-and-bound returns, so incremental and cold
+    // rounds produce identical targets.
     t0 = util::MonotonicSeconds();
     std::vector<double> counts = BuildInitialCounts(input, classes, built);
-    if (config_.backend == SolverBackend::kMip) {
-      LocalSearchOptions polish;
-      polish.time_limit_seconds = std::min(1.0, mip_options.time_limit_seconds * 0.1);
-      polish.seed = 17;
-      // The greedy start is already move-minimal; cap the rejected-proposal
-      // patience so a polish with nothing to find exits in ~ms instead of
-      // grinding its full proposal budget (identical knob on every pipeline).
-      polish.stall_limit = config_.polish_stall_limit;
-      counts = LocalSearchOptimize(input, classes, built, counts, polish).counts;
-    }
+    LocalSearchOptions polish;
+    polish.time_limit_seconds = std::min(1.0, mip_options.time_limit_seconds * 0.1);
+    polish.seed = 17;
+    // The greedy start is already move-minimal; cap the rejected-proposal
+    // patience so a polish with nothing to find exits in ~ms instead of
+    // grinding its full proposal budget (identical knob on every pipeline).
+    polish.stall_limit = config_.polish_stall_limit;
+    counts = LocalSearchOptimize(input, classes, built, counts, polish).counts;
     std::vector<double> warm = MakeWarmStart(input, classes, built, counts);
     const double warm_obj = built.model.Objective(warm);
     outcome.stats.warm_start_objective = warm_obj;
     outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
 
-    // Optimize (Section 6: the backend is pluggable; MIP is the paper's
-    // choice for RAS, local search the near-realtime alternative).
     t0 = util::MonotonicSeconds();
-    if (config_.backend == SolverBackend::kLocalSearch) {
-      LocalSearchOptions ls_options;
-      ls_options.time_limit_seconds = mip_options.time_limit_seconds;
-      LocalSearchResult ls = LocalSearchOptimize(input, classes, built, counts, ls_options);
-      local_solution = MakeWarmStart(input, classes, built, ls.counts);
-      solution = &local_solution;
-      outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
-      outcome.stats.mip_status = MipStatus::kFeasible;  // No optimality proof.
-      outcome.stats.nodes = ls.proposals;
-      outcome.stats.objective = ls.final_objective;
-      outcome.stats.best_bound = -kInf;
-    } else {
-      const int effective_threads = std::max(mip_options.threads, config_.solver_threads);
-
-      // Bound-gated fast path: re-solve only the root LP, restarting from the
-      // cached basis, and compare its bound against the greedy incumbent. When
-      // the bound prunes (the serial branch-and-bound's first decision, taken
-      // before any heuristic or branching), the B&B would return the warm
-      // incumbent untouched — so return it here without opening the tree,
-      // replacing the entire cold root solve + search with one basis
-      // refactorization and a few pivots. When the bound does not prune, the
-      // probe is discarded and the MIP below runs exactly as if cold. Serial
-      // solves only: the parallel search runs its heuristic before the root
-      // prune, so its pruned outcome is not the plain warm incumbent. Gated
-      // on the cached round's own gap: when last round's incumbent already
-      // sat far above its LP bound (the structural integer-ceil regime), this
-      // round's root bound cannot prune either — the probe would be a wasted
-      // refactorization every round.
-      if (patched && effective_threads == 1 && !entry->root_basis.empty() &&
-          entry->objective - entry->best_bound <= 2 * gap &&
-          built.model.IsFeasible(warm, mip_options.integrality_tol * 10)) {
-        SimplexSolver probe{LpOptions()};
-        if (probe.ImportBasis(built.model, entry->root_basis)) {
-          LpResult root = probe.ResolveWithBasis(built.model, {});
-          outcome.stats.dual_iterations += root.dual_iterations;
-          if (root.used_dual_simplex) {
-            ++outcome.stats.dual_resolves;
-          }
-          if (root.status == LpStatus::kOptimal && root.objective > warm_obj - gap) {
-            solution = &warm;
-            new_root_basis = probe.ExportBasis();
-            outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
-            outcome.stats.mip_status = MipStatus::kOptimal;
-            outcome.stats.nodes = 1;
-            outcome.stats.objective = warm_obj;
-            // Proven within gap: reported as the objective, matching the
-            // cold B&B's accounting for a root prune.
-            outcome.stats.best_bound = warm_obj;
-            outcome.stats.basis_reused = true;
-          }
+    // Bound-gated fast path: re-solve only the root LP, restarting from the
+    // cached basis, and compare its bound against the greedy incumbent. When
+    // the bound prunes (the branch-and-bound's first decision at every thread
+    // count, taken before any heuristic or branching), the B&B would return
+    // the warm incumbent untouched — so return it here without opening the
+    // tree, replacing the entire cold root solve + search with one basis
+    // refactorization and a few pivots. When the bound does not prune, the
+    // probe is discarded and the MIP below runs exactly as if cold. Gated on
+    // the cached round's own gap: when last round's incumbent already sat far
+    // above its LP bound (the structural integer-ceil regime), this round's
+    // root bound cannot prune either — the probe would be a wasted
+    // refactorization every round.
+    if (patched && !entry->root_basis.empty() &&
+        entry->objective - entry->best_bound <= 2 * gap &&
+        built.model.IsFeasible(warm, mip_options.integrality_tol * 10)) {
+      SimplexSolver probe{LpOptions()};
+      if (probe.ImportBasis(built.model, entry->root_basis)) {
+        LpResult root = probe.ResolveWithBasis(built.model, {});
+        outcome.stats.dual_iterations += root.dual_iterations;
+        if (root.used_dual_simplex) {
+          ++outcome.stats.dual_resolves;
+        }
+        if (root.status == LpStatus::kOptimal && root.objective > warm_obj - gap) {
+          solution = &warm;
+          new_root_basis = probe.ExportBasis();
+          outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
+          outcome.stats.mip_status = MipStatus::kOptimal;
+          outcome.stats.nodes = 1;
+          outcome.stats.objective = warm_obj;
+          // Proven within gap: reported as the objective, matching the cold
+          // B&B's accounting for a root prune.
+          outcome.stats.best_bound = warm_obj;
+          outcome.stats.basis_reused = true;
         }
       }
+    }
 
-      if (solution == nullptr) {
-        MipOptions options = mip_options;
-        options.lp = LpOptions();
-        options.threads = effective_threads;
-        options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
-        if (patched && !config_.resolve_strict_parity) {
-          options.root_basis = entry->root_basis;
-        }
-        MipSolver solver(options);
-        MipResult mip = solver.Solve(built.model, &warm);
-        outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
-        outcome.stats.mip_status = mip.status;
-        outcome.stats.nodes = mip.nodes;
-        outcome.stats.basis_reused = mip.root_basis_used;
-        outcome.stats.dual_resolves += mip.dual_resolves;
-        outcome.stats.dual_iterations += mip.lp_dual_iterations;
-        outcome.stats.presolve_rows_removed += mip.presolve_rows_removed;
-        new_root_basis = std::move(mip.root_basis);
-        if (mip.status == MipStatus::kOptimal || mip.status == MipStatus::kFeasible) {
-          local_solution = std::move(mip.x);
-          solution = &local_solution;
-          outcome.stats.objective = mip.objective;
-          outcome.stats.best_bound = mip.best_bound;
-        } else {
-          // MIP produced nothing usable: ship the greedy initial state,
-          // exactly the paper's posture that a timed-out solve must still
-          // yield a valid (possibly suboptimal) assignment.
-          RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
-                            << "; falling back to the greedy initial state";
-          local_solution = std::move(warm);
-          solution = &local_solution;
-          outcome.stats.objective = outcome.stats.warm_start_objective;
-          outcome.stats.best_bound = mip.best_bound;
-        }
-      } else if (solution == &warm) {
+    if (solution == nullptr) {
+      MipOptions options = mip_options;
+      options.lp = LpOptions();
+      // Degraded rungs run the single-worker search: a failing round is
+      // exactly when reproducibility is worth more than node throughput.
+      if (phase == 0) {
+        options.threads = 1;
+      }
+      options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
+      if (patched && !config_.resolve_strict_parity) {
+        options.root_basis = entry->root_basis;
+      }
+      MipSolver solver(options);
+      MipResult mip = solver.Solve(built.model, &warm);
+      outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
+      outcome.stats.mip_status = mip.status;
+      outcome.stats.nodes = mip.nodes;
+      outcome.stats.basis_reused = mip.root_basis_used;
+      outcome.stats.dual_resolves += mip.dual_resolves;
+      outcome.stats.dual_iterations += mip.lp_dual_iterations;
+      outcome.stats.presolve_rows_removed += mip.presolve_rows_removed;
+      new_root_basis = std::move(mip.root_basis);
+      if (mip.status == MipStatus::kOptimal || mip.status == MipStatus::kFeasible) {
+        local_solution = std::move(mip.x);
+        solution = &local_solution;
+        outcome.stats.objective = mip.objective;
+        outcome.stats.best_bound = mip.best_bound;
+      } else {
+        // MIP produced nothing usable: ship the greedy initial state,
+        // exactly the paper's posture that a timed-out solve must still
+        // yield a valid (possibly suboptimal) assignment.
+        RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
+                          << "; falling back to the greedy initial state";
         local_solution = std::move(warm);
         solution = &local_solution;
+        outcome.stats.objective = outcome.stats.warm_start_objective;
+        outcome.stats.best_bound = mip.best_bound;
       }
+    } else if (solution == &warm) {
+      local_solution = std::move(warm);
+      solution = &local_solution;
     }
   }
 
@@ -351,15 +320,13 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
     if (!usable) {
       entry->valid = false;
     } else {
-      if (outcome.stats.solve_skipped) {
-        entry->counts = std::move(skip_counts);
-      } else {
+      // A skipped round keeps the cached counts and basis (the model is
+      // unchanged); every other round replaces them.
+      if (!outcome.stats.solve_skipped) {
         entry->counts.resize(built.assignment_vars.size());
         for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
           entry->counts[k] = (*solution)[static_cast<size_t>(built.assignment_vars[k].var)];
         }
-        // A skipped round keeps the cached basis (the model is unchanged
-        // within the skip tolerance); every other round replaces it.
         entry->root_basis = std::move(new_root_basis);
       }
       entry->input = input;
@@ -416,11 +383,7 @@ std::vector<double> AsyncSolver::RackOverflow(const SolveInput& input,
   }
   std::vector<double> overflow(input.reservations.size(), 0.0);
   for (size_t r = 0; r < input.reservations.size(); ++r) {
-    const ReservationSpec& spec = input.reservations[r];
-    double alpha_k = spec.rack_spread_alpha > 0.0
-                         ? spec.rack_spread_alpha
-                         : config_.rack_alpha_factor / static_cast<double>(topo.num_racks());
-    double threshold = std::max(alpha_k * spec.capacity_rru, config_.min_spread_threshold_rru);
+    const double threshold = RackSpreadThreshold(input.reservations[r], config_, topo);
     for (const auto& [rack, rru] : rack_rru[r]) {
       overflow[r] += std::max(0.0, rru - threshold);
     }
@@ -641,12 +604,13 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   ShardDemand demand = SplitDemand(input, plan);
 
   // Each shard runs this solver's monolithic path on its sub-input.
-  // shard_count = 1 terminates the recursion; solver_threads = 1 keeps every
-  // per-shard solve serial and deterministic — the shards themselves are the
+  // shard_count = 1 terminates the recursion; one branch-and-bound worker
+  // keeps every per-shard solve deterministic — the shards themselves are the
   // parallelism axis.
   SolverConfig sub_config = config_;
   sub_config.shard_count = 1;
-  sub_config.solver_threads = 1;
+  sub_config.phase1_mip.threads = 1;
+  sub_config.phase2_mip.threads = 1;
 
   // Persistent per-shard solvers: shard k's sub-solver (and the resolve cache
   // inside it) survives across rounds while the plan signature holds, so a
@@ -697,11 +661,12 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   // region-wide, across shard boundaries.
   StitchRepairOptions repair_options;
   repair_options.max_moves = config_.shard_repair_max_moves;
-  // Spread rebalance uses the same Ψ_F threshold the model charges beta
+  // Spread rebalance uses the same Ψ_F thresholds the model charges beta
   // against, so repair moves pay down exactly the penalty the merge created.
-  repair_options.msb_spread_fraction =
-      config_.msb_alpha_factor / static_cast<double>(input.topology->num_msbs());
-  repair_options.min_spread_threshold_rru = config_.min_spread_threshold_rru;
+  for (const ReservationSpec& spec : input.reservations) {
+    repair_options.msb_spread_thresholds.push_back(
+        MsbSpreadThreshold(spec, config_, *input.topology));
+  }
   StitchRepairStats repair = RepairShortfalls(input, outcome.merged.targets, repair_options);
   stats.repair_moves = repair.moves();
   stats.repair_shortfall_before_rru = repair.shortfall_before_rru;

@@ -36,11 +36,7 @@ AssignmentExplanation ExplainAssignment(const ResourceBroker& broker,
   }
   out.effective_rru = out.total_rru - out.worst_msb_rru;
   out.shortfall_rru = std::max(0.0, out.capacity_rru - out.effective_rru);
-  double alpha_f = spec->msb_spread_alpha > 0.0
-                       ? spec->msb_spread_alpha
-                       : config.msb_alpha_factor / static_cast<double>(topo.num_msbs());
-  out.spread_threshold =
-      std::max(alpha_f * spec->capacity_rru, config.min_spread_threshold_rru);
+  out.spread_threshold = MsbSpreadThreshold(*spec, config, topo);
   for (const auto& [msb, rru] : out.by_msb) {
     out.msbs_over_threshold += rru > out.spread_threshold + 1e-9 ? 1 : 0;
   }

@@ -6,14 +6,14 @@
 // but a local-search-based solver for Shard Manager because Shard Manager
 // needs to perform near-realtime allocation in seconds."
 //
-// This is that alternative backend, specialized to the RAS assignment
-// structure: single-unit moves of equivalence-class servers between
-// reservations (or the free pool), greedily accepted on exact incremental
-// objective deltas over the same cost model the MIP optimizes (Expressions
-// 1-7 plus the repo's anti-hoarding term). It trades solution quality for
-// strictly bounded runtime — use it where solve latency matters more than
-// the last few percent of objective (AsyncSolver exposes it via
-// SolverConfig::backend).
+// This is that local search, specialized to the RAS assignment structure:
+// single-unit moves of equivalence-class servers between reservations (or
+// the free pool), greedily accepted on exact incremental objective deltas
+// over the same cost model the MIP optimizes (Expressions 1-7 plus the
+// repo's anti-hoarding term). It trades solution quality for strictly
+// bounded runtime. The AsyncSolver runs it as a short polish of the greedy
+// warm start before the MIP; bench/ablation_backend compares it, run to its
+// own time limit, against the MIP.
 
 #ifndef RAS_SRC_CORE_LOCAL_SEARCH_H_
 #define RAS_SRC_CORE_LOCAL_SEARCH_H_

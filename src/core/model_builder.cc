@@ -29,6 +29,22 @@ size_t BuiltModel::EstimatedMemoryBytes() const {
   return ModelMemoryBytes() + m * m * sizeof(double);
 }
 
+double MsbSpreadThreshold(const ReservationSpec& spec, const SolverConfig& config,
+                          const RegionTopology& topo) {
+  const double alpha_f = spec.msb_spread_alpha > 0.0
+                             ? spec.msb_spread_alpha
+                             : config.msb_alpha_factor / static_cast<double>(topo.num_msbs());
+  return std::max(alpha_f * spec.capacity_rru, config.min_spread_threshold_rru);
+}
+
+double RackSpreadThreshold(const ReservationSpec& spec, const SolverConfig& config,
+                           const RegionTopology& topo) {
+  const double alpha_k = spec.rack_spread_alpha > 0.0
+                             ? spec.rack_spread_alpha
+                             : config.rack_alpha_factor / static_cast<double>(topo.num_racks());
+  return std::max(alpha_k * spec.capacity_rru, config.min_spread_threshold_rru);
+}
+
 BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                          const SolverConfig& config, bool include_rack_spread,
                          const std::vector<int>& reservation_subset) {
@@ -166,10 +182,7 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
     model.AddCoefficient(hoard_row, hoard, -1.0);
 
     // Expression (3): MSB spread overflow at beta per RRU over alpha_F * C_r.
-    double alpha_f = spec.msb_spread_alpha > 0.0
-                         ? spec.msb_spread_alpha
-                         : config.msb_alpha_factor / static_cast<double>(topo.num_msbs());
-    double msb_threshold = std::max(alpha_f * capacity, config.min_spread_threshold_rru);
+    const double msb_threshold = MsbSpreadThreshold(spec, config, topo);
     for (const auto& [group, vars] : msb_groups[r].by_group) {
       VarId w = model.AddContinuous(0, kInf, config.spread_penalty_beta);
       RowId row = model.AddRow(-kInf, msb_threshold);  // sum_G V*n - w <= thr.
@@ -183,10 +196,7 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
 
     // Expression (2): rack spread, phase 2 only.
     if (include_rack_spread) {
-      double alpha_k = spec.rack_spread_alpha > 0.0
-                           ? spec.rack_spread_alpha
-                           : config.rack_alpha_factor / static_cast<double>(topo.num_racks());
-      double rack_threshold = std::max(alpha_k * capacity, config.min_spread_threshold_rru);
+      const double rack_threshold = RackSpreadThreshold(spec, config, topo);
       for (const auto& [group, vars] : rack_groups[r].by_group) {
         VarId w = model.AddContinuous(0, kInf, config.spread_penalty_beta);
         RowId row = model.AddRow(-kInf, rack_threshold);
@@ -340,18 +350,12 @@ bool PatchRasModel(BuiltModel& built, const SolveInput& input,
   // --- Spread / quorum / affinity thresholds (all scale with C_r) ---
   for (auto& term : built.msb_spread_terms) {
     const ReservationSpec& spec = input.reservations[static_cast<size_t>(term.reservation_index)];
-    double alpha_f = spec.msb_spread_alpha > 0.0
-                         ? spec.msb_spread_alpha
-                         : config.msb_alpha_factor / static_cast<double>(topo.num_msbs());
-    term.threshold = std::max(alpha_f * spec.capacity_rru, config.min_spread_threshold_rru);
+    term.threshold = MsbSpreadThreshold(spec, config, topo);
     model.UpdateRowBounds(term.row, -kInf, term.threshold);
   }
   for (auto& term : built.rack_spread_terms) {
     const ReservationSpec& spec = input.reservations[static_cast<size_t>(term.reservation_index)];
-    double alpha_k = spec.rack_spread_alpha > 0.0
-                         ? spec.rack_spread_alpha
-                         : config.rack_alpha_factor / static_cast<double>(topo.num_racks());
-    term.threshold = std::max(alpha_k * spec.capacity_rru, config.min_spread_threshold_rru);
+    term.threshold = RackSpreadThreshold(spec, config, topo);
     model.UpdateRowBounds(term.row, -kInf, term.threshold);
   }
   for (auto& term : built.quorum_terms) {

@@ -28,15 +28,7 @@
 
 namespace ras {
 
-// Which optimization backend the Async Solver uses (Section 6: ReBalancer
-// picks a MIP solver for RAS and local search for near-realtime clients).
-enum class SolverBackend {
-  kMip,          // LP-relaxation branch-and-bound (the paper's choice for RAS).
-  kLocalSearch,  // Greedy single-unit moves; bounded seconds, lower quality.
-};
-
 struct SolverConfig {
-  SolverBackend backend = SolverBackend::kMip;
   // Expression (1): Ms. In-use servers cost 10x idle ones to move, which is
   // why ~10x more unused servers move in practice (Figure 16).
   double move_cost_in_use = 1000.0;
@@ -67,7 +59,7 @@ struct SolverConfig {
   double rack_alpha_factor = 2.0;
   // Floor on spread thresholds (in RRUs): tiny reservations (e.g. per-type
   // shared buffers) would otherwise pay junk penalties for placing even a
-  // single server anywhere.
+  // single server anywhere. MsbSpreadThreshold / RackSpreadThreshold apply it.
   double min_spread_threshold_rru = 4.0;
 
   // Phase-2 selection (Section 3.5.2): take the reservations with the worst
@@ -92,33 +84,19 @@ struct SolverConfig {
 
   // --- Cross-round incremental re-solve (src/core/resolve_cache.h) ---
   // Reuses the previous round's model (patched in place), root simplex basis,
-  // and incumbent when consecutive snapshots are structurally equal. With the
-  // two sub-knobs at their defaults the reuse paths only short-circuit work a
-  // cold solve would provably repeat, so disabling this changes timings, not
+  // and incumbent when consecutive snapshots are structurally equal; an
+  // unchanged round skips the MIP and returns the cached incumbent. With
+  // strict parity (below) the reuse paths only short-circuit work a cold
+  // solve would provably repeat, so disabling this changes timings, not
   // targets.
   bool incremental_resolve = true;
-  // A round whose server delta (state changes + adds + removes) is at most
-  // this many servers may skip the MIP entirely when the shifted cached
-  // incumbent revalidates within the phase's absolute gap. 0 (default)
-  // restricts the skip to unchanged rounds, where the cached incumbent is
-  // exactly what the deterministic cold solve would recompute. Values > 0
-  // trade exactness for speed: results stay feasible and within the gap of
-  // the cached bound, but need not be bit-identical to a cold solve.
-  int skip_solve_max_delta_servers = 0;
   // Strict parity (default): the cached basis is only used for a separate
-  // root-bound probe whose fired outcome equals the cold serial root prune;
+  // root-bound probe whose fired outcome equals the cold search's root prune;
   // when the probe does not fire, the MIP runs exactly as if cold. false
   // additionally seeds that fallback MIP's root LP from the cached basis —
   // faster, but alternate LP optima can steer branching differently, so
   // targets may (validly) differ from a cold solve.
   bool resolve_strict_parity = true;
-
-  // Branch-and-bound workers for both MIP phases (MipOptions::threads).
-  // 1 = the deterministic serial solver; the SolverSupervisor also drops back
-  // to 1 on degraded ladder rungs so retries after a failure are
-  // reproducible. Raising either phase's MipOptions::threads directly wins
-  // over this knob.
-  int solver_threads = 1;
 
   // Rejected-proposal patience for the local-search polish of the greedy
   // warm start (LocalSearchOptions::stall_limit). The greedy start is
@@ -128,6 +106,9 @@ struct SolverConfig {
   // and incremental), so it shifts timings, never parity.
   int64_t polish_stall_limit = 4000;
 
+  // Per-phase branch-and-bound settings. Their `threads` apply to healthy
+  // monolithic rounds only: degraded ladder rungs and per-shard sub-solves
+  // always run the single-worker search, so they stay reproducible.
   MipOptions phase1_mip;
   MipOptions phase2_mip;
 
@@ -242,6 +223,16 @@ inline constexpr RowId kNoRow = -1;
 BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                          const SolverConfig& config, bool include_rack_spread,
                          const std::vector<int>& reservation_subset = {});
+
+// Spread thresholds in RRUs, shared by the builder, the patcher and every
+// caller that scores spread against them: the reservation's own alpha
+// (msb_spread_alpha for Expression (3), rack_spread_alpha for Expression (2))
+// or else the config's multiple of the uniform share, times C_r, floored at
+// min_spread_threshold_rru.
+double MsbSpreadThreshold(const ReservationSpec& spec, const SolverConfig& config,
+                          const RegionTopology& topo);
+double RackSpreadThreshold(const ReservationSpec& spec, const SolverConfig& config,
+                           const RegionTopology& topo);
 
 // Computes the auxiliary-variable values (move-outs, spread overflows, buffer
 // max, slacks) consistent with the given assignment counts, producing a fully

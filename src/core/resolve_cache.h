@@ -7,8 +7,7 @@
 // against the cached snapshot and, when the model structure survives
 // (RoundDelta::patchable), re-targets the cached model in place
 // (PatchRasModel), restarts the root LP from the cached basis, and — when the
-// delta is empty-or-trivial and the shifted incumbent revalidates within the
-// configured gap — skips the MIP entirely.
+// delta is empty — skips the MIP entirely and returns the cached incumbent.
 //
 // Lifetime rules (see DESIGN.md "Incremental re-solve"): the cache lives
 // inside an AsyncSolver and survives exactly as long as consecutive healthy
@@ -67,18 +66,6 @@ class ResolveCache {
  private:
   std::map<std::pair<int, int>, ResolveEntry> entries_;
 };
-
-// Shifts the cached incumbent through a round delta: re-reads the cached
-// assignment counts (index-aligned — requires class structural equality),
-// clamps each to the new class size, and deterministically drains classes
-// that ended up over-full. The result feeds MakeWarmStart, which rebuilds
-// every auxiliary variable consistently, so the shifted point is feasible by
-// construction; callers still validate with Model::IsFeasible and fall back
-// to the greedy warm start when validation fails. Returns false when the
-// cached counts cannot align with the new structure.
-bool ShiftIncumbentCounts(const ResolveEntry& entry,
-                          const std::vector<EquivalenceClass>& classes,
-                          std::vector<double>* counts);
 
 }  // namespace ras
 

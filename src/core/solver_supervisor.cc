@@ -220,19 +220,16 @@ SupervisedRound SolverSupervisor::RunRound() {
   if (!served) {
     RAS_LOG(kWarning) << "round " << round << ": full solve failed after " << out.retries
                       << " retries (" << error.ToString() << "); degrading to phase-1-only";
-    // Degraded rungs run the serial deterministic solver: a failing round is
-    // exactly when reproducibility is worth more than node throughput. They
-    // may also raise the shard count — K small MIPs are cheaper and likelier
-    // to finish than one big one, and per-shard solves stay deterministic.
-    int saved_threads = solver_->config().solver_threads;
+    // Degraded rungs may raise the shard count — K small MIPs are cheaper and
+    // likelier to finish than one big one. The AsyncSolver runs every
+    // degraded and per-shard solve with one branch-and-bound worker, so the
+    // rung stays deterministic either way.
     int saved_shards = solver_->config().shard_count;
-    solver_->mutable_config().solver_threads = 1;
     if (config_.degraded_shard_count > 1) {
       solver_->mutable_config().shard_count =
           std::max(saved_shards, config_.degraded_shard_count);
     }
     Status status = AttemptSolve(SolveMode::kPhase1Only, &out.stats);
-    solver_->mutable_config().solver_threads = saved_threads;
     solver_->mutable_config().shard_count = saved_shards;
     if (status.ok()) {
       out.rung = LadderRung::kPhase1Only;

@@ -1,6 +1,7 @@
 #include "src/shard/stitch_repair.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <map>
 #include <unordered_map>
@@ -177,20 +178,17 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
   // current != r, so relocating them costs no stability) in the hot MSB
   // against free servers of at-least-equal RRU value in the coolest MSBs —
   // capacity never decreases, and valley-filling never raises the buffer.
-  if (options.msb_spread_fraction > 0.0) {
-    auto threshold_of = [&options](const ReservationSpec& spec) {
-      return std::max(options.min_spread_threshold_rru,
-                      options.msb_spread_fraction * spec.capacity_rru);
-    };
+  const std::vector<double>& thresholds = options.msb_spread_thresholds;
+  if (!thresholds.empty()) {
+    assert(thresholds.size() == input.reservations.size());
     for (size_t r = 0; r < input.reservations.size(); ++r) {
       for (const auto& [msb, rru] : book.per_msb[r]) {
-        stats.spread_over_before_rru +=
-            std::max(0.0, rru - threshold_of(input.reservations[r]));
+        stats.spread_over_before_rru += std::max(0.0, rru - thresholds[r]);
       }
     }
     for (size_t r = 0; r < input.reservations.size() && budget > 0; ++r) {
       const ReservationSpec& spec = input.reservations[r];
-      const double threshold = threshold_of(spec);
+      const double threshold = thresholds[r];
       while (budget > 0) {
         // Hottest over-threshold MSB for r (ties -> lowest MSB id).
         MsbId hot = 0;
@@ -286,8 +284,7 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
     }
     for (size_t r = 0; r < input.reservations.size(); ++r) {
       for (const auto& [msb, rru] : book.per_msb[r]) {
-        stats.spread_over_after_rru +=
-            std::max(0.0, rru - threshold_of(input.reservations[r]));
+        stats.spread_over_after_rru += std::max(0.0, rru - thresholds[r]);
       }
     }
   }

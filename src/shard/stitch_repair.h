@@ -28,13 +28,12 @@ struct StitchRepairOptions {
   // Third pass (spread rebalance): per-shard solves cannot see each other's
   // MSB loads, so the merged assignment can pile one reservation's capacity
   // into an MSB beyond the region-wide Ψ_F threshold even though every shard
-  // respected its own. When > 0, servers the round freshly acquired for an
+  // respected its own. Servers the round freshly acquired for an
   // over-threshold (reservation, MSB) pair are swapped against free servers
-  // in the least-loaded MSBs. The threshold mirrors the model's:
-  // max(min_spread_threshold_rru, msb_spread_fraction * C_r) — callers pass
-  // msb_alpha_factor / num_msbs. <= 0 disables the pass.
-  double msb_spread_fraction = 0.0;
-  double min_spread_threshold_rru = 4.0;
+  // in the least-loaded MSBs. One threshold in RRUs per reservation index of
+  // the input — callers pass the model's (MsbSpreadThreshold). Empty disables
+  // the pass.
+  std::vector<double> msb_spread_thresholds;
 };
 
 struct StitchRepairStats {

@@ -48,9 +48,6 @@ int32_t MostFractional(const Model& model, const std::vector<double>& x, double 
       continue;
     }
     double frac = std::fabs(x[j] - std::round(x[j]));
-    // Distance from the nearest half-integer measures branching value.
-    double score = 0.5 - std::fabs(frac - 0.5);
-    (void)score;
     if (frac > best_frac) {
       best_frac = frac;
       best = static_cast<int32_t>(j);
@@ -169,11 +166,78 @@ bool TryFixAndSolve(const Model& model, const std::vector<BoundOverride>& node_o
   return true;
 }
 
+// Search state the branch-and-bound workers share. Node LPs and heuristics
+// (the expensive part) run outside `mu`, each on the worker's own
+// SimplexSolver, so warm starts chain along that worker's node sequence.
+struct SharedSearch {
+  Mutex mu;
+  CondVar cv;
+  std::deque<Node> open GUARDED_BY(mu);
+  int busy GUARDED_BY(mu) = 0;       // Workers currently expanding a node.
+  bool stop GUARDED_BY(mu) = false;  // Budget hit or unbounded: wind down.
+  bool unbounded GUARDED_BY(mu) = false;
+  int64_t nodes_since_improve GUARDED_BY(mu) = 0;
+  bool have_incumbent GUARDED_BY(mu) = false;
+  std::vector<double> incumbent GUARDED_BY(mu);
+  double incumbent_obj GUARDED_BY(mu) = kInf;
+  double root_bound GUARDED_BY(mu) = -kInf;  // Root LP objective once solved.
+  // Node and LP counters, the time-limit flag and the root basis.
+  MipResult result GUARDED_BY(mu);
+
+  void Install(std::vector<double> x, double obj) REQUIRES(mu) {
+    incumbent = std::move(x);
+    incumbent_obj = obj;
+    have_incumbent = true;
+    nodes_since_improve = 0;
+  }
+
+  // Derives the proven bound and the status once the search has stopped.
+  // Queued nodes price the bound by their parent's LP value (a node that
+  // never had one inherits the root bound), and the incumbent caps it.
+  MipResult Conclude(const MipOptions& options) REQUIRES(mu) {
+    MipResult out = std::move(result);
+    if (unbounded) {
+      out.status = MipStatus::kUnbounded;
+      out.best_bound = -kInf;
+      return out;
+    }
+    if (open.empty()) {
+      out.best_bound = have_incumbent ? incumbent_obj : kInf;
+    } else {
+      double open_bound = kInf;
+      for (const Node& n : open) {
+        open_bound = std::min(open_bound, n.parent_bound);
+      }
+      if (open_bound == -kInf) {
+        open_bound = root_bound;
+      }
+      out.best_bound = have_incumbent ? std::min(open_bound, incumbent_obj) : open_bound;
+    }
+    if (have_incumbent) {
+      out.x = std::move(incumbent);
+      out.objective = incumbent_obj;
+      bool proven = open.empty() || out.objective - out.best_bound <= options.absolute_gap ||
+                    (std::fabs(out.objective) > 1 &&
+                     (out.objective - out.best_bound) / std::fabs(out.objective) <=
+                         options.relative_gap);
+      out.status = proven ? MipStatus::kOptimal : MipStatus::kFeasible;
+      if (proven) {
+        out.best_bound = out.objective;
+      }
+    } else if (open.empty() && out.nodes > 0 && !out.hit_time_limit &&
+               out.nodes < options.max_nodes) {
+      out.status = MipStatus::kInfeasible;
+    } else {
+      out.status = MipStatus::kNoSolutionFound;
+    }
+    return out;
+  }
+};
+
 }  // namespace
 
 MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_start) {
-  MipResult result = options_.threads > 1 ? SolveParallel(model, warm_start)
-                                          : SolveSerial(model, warm_start);
+  MipResult result = Search(model, warm_start);
   obs::MetricRegistry& reg = obs::MetricRegistry::Default();
   static obs::Counter& solves = reg.counter("ras_mip_solves_total", "Branch-and-bound runs.");
   static obs::Counter& nodes =
@@ -206,276 +270,56 @@ MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_s
   return result;
 }
 
-MipResult MipSolver::SolveSerial(const Model& model, const std::vector<double>* warm_start) {
+MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_start) {
   const double start_time = util::MonotonicSeconds();
   auto elapsed = [start_time]() { return util::MonotonicSeconds() - start_time; };
 
-  MipResult result;
-  result.best_bound = -kInf;
-
-  bool have_incumbent = false;
-  std::vector<double> incumbent;
-  double incumbent_obj = kInf;
-  if (warm_start != nullptr && model.IsFeasible(*warm_start, options_.integrality_tol * 10)) {
-    incumbent = *warm_start;
-    incumbent_obj = model.Objective(incumbent);
-    have_incumbent = true;
-  }
-
-  SimplexSolver lp_solver(options_.lp);
-  // Separate solver for the fix-and-solve heuristic: consecutive heuristic
-  // LPs have near-identical bounds, so they warm-start each other, and the
-  // node chain's basis in lp_solver is never disturbed.
-  SimplexSolver heuristic_solver(options_.lp);
-  // Cross-round seed: start the root LP from the cached basis when it still
-  // fits this model; otherwise the root solves cold as before.
-  const bool root_seeded =
-      !options_.root_basis.empty() && lp_solver.ImportBasis(model, options_.root_basis);
-  result.root_basis_used = root_seeded;
-
-  // Depth-first with a deque: children of the most recent node are explored
-  // first (good for finding incumbents fast), while `parent_bound` prunes
-  // against the incumbent. Root node has no overrides.
-  std::deque<Node> open;
-  open.push_back(Node{{}, -kInf, 0});
-  double best_open_bound = -kInf;  // Root LP bound once known.
-  bool root_solved = false;
-  bool unbounded = false;
-  int64_t nodes_since_improve = 0;
-
-  while (!open.empty()) {
-    if (result.nodes >= options_.max_nodes || elapsed() > options_.time_limit_seconds) {
-      result.hit_time_limit = elapsed() > options_.time_limit_seconds;
-      break;
-    }
-    // Stall patience: with an incumbent in hand and a long run of nodes that
-    // failed to improve it, stop searching instead of draining max_nodes.
-    if (options_.stall_node_limit > 0 && have_incumbent &&
-        nodes_since_improve >= options_.stall_node_limit) {
-      break;
-    }
-    Node node = std::move(open.back());
-    open.pop_back();
-
-    // Prune by parent bound before paying for an LP solve.
-    if (have_incumbent && node.parent_bound > incumbent_obj - options_.absolute_gap) {
-      continue;
-    }
-
-    ++result.nodes;
-    ++nodes_since_improve;
-    // Children differ from their parent by one bound; reuse the last basis.
-    // A seeded root also goes through the warm path (the imported basis is
-    // exactly "the last basis").
-    LpResult lp = result.nodes == 1 && !root_seeded
-                      ? lp_solver.Solve(model, node.overrides)
-                      : lp_solver.ResolveWithBasis(model, node.overrides);
-    result.lp_iterations += lp.iterations;
-    result.lp_dual_iterations += lp.dual_iterations;
-    result.presolve_rows_removed += lp.presolve_rows_removed;
-    if (lp.used_dual_simplex) {
-      ++result.dual_resolves;
-    }
-    if (lp.status == LpStatus::kInfeasible) {
-      continue;
-    }
-    if (lp.status == LpStatus::kUnbounded) {
-      unbounded = true;
-      break;
-    }
-    if (lp.status != LpStatus::kOptimal) {
-      // Numerical trouble or iteration limit on one node: skip it. The
-      // incumbent (if any) remains valid; the bound becomes approximate.
-      continue;
-    }
-    if (!root_solved) {
-      best_open_bound = lp.objective;
-      root_solved = true;
-      result.root_basis = lp_solver.ExportBasis();
-    }
-    if (have_incumbent && lp.objective > incumbent_obj - options_.absolute_gap) {
-      continue;  // Bound prune.
-    }
-
-    int32_t branch_var = MostFractional(model, lp.x, options_.integrality_tol);
-    if (branch_var < 0) {
-      // Integer feasible.
-      double obj = lp.objective;
-      if (!have_incumbent || obj < incumbent_obj) {
-        incumbent = lp.x;
-        // Snap integers exactly.
-        for (size_t j = 0; j < model.num_variables(); ++j) {
-          if (model.variable(j).is_integer) {
-            incumbent[j] = std::round(incumbent[j]);
-          }
-        }
-        incumbent_obj = model.Objective(incumbent);
-        have_incumbent = true;
-        nodes_since_improve = 0;
-      }
-      continue;
-    }
-
-    // Fix-and-solve heuristic at shallow depths and periodically deeper in
-    // the tree: turns the fractional LP point into a feasible incumbent.
-    if (node.depth <= 2 || result.nodes % 16 == 0) {
-      std::vector<double> rounded;
-      bool produced =
-          options_.heuristic
-              ? options_.heuristic(model, lp.x, &rounded)
-              : TryFixAndSolve(model, node.overrides, lp.x, heuristic_solver, &rounded);
-      if (produced && model.IsFeasible(rounded, options_.integrality_tol * 100)) {
-        double obj = model.Objective(rounded);
-        if (!have_incumbent || obj < incumbent_obj) {
-          incumbent = std::move(rounded);
-          incumbent_obj = obj;
-          have_incumbent = true;
-          nodes_since_improve = 0;
-        }
-      }
-    }
-
-    double lp_value = lp.x[branch_var];
-    double floor_val = std::floor(lp_value);
-    double lb, ub;
-    EffectiveBounds(model, node.overrides, branch_var, &lb, &ub);
-
-    Node down{node.overrides, lp.objective, node.depth + 1};
-    down.overrides.push_back(BoundOverride{branch_var, lb, floor_val});
-    Node up{node.overrides, lp.objective, node.depth + 1};
-    up.overrides.push_back(BoundOverride{branch_var, floor_val + 1.0, ub});
-
-    // Explore the child nearest the LP value first (pushed last => popped first).
-    if (lp_value - floor_val > 0.5) {
-      open.push_back(std::move(down));
-      open.push_back(std::move(up));
-    } else {
-      open.push_back(std::move(up));
-      open.push_back(std::move(down));
-    }
-  }
-
-  result.solve_seconds = elapsed();
-
-  if (unbounded) {
-    result.status = MipStatus::kUnbounded;
-    return result;
-  }
-
-  // Best proven bound: min over open nodes' parent bounds and the incumbent.
-  double open_bound = kInf;
-  for (const Node& n : open) {
-    open_bound = std::min(open_bound, n.parent_bound);
-  }
-  if (open.empty()) {
-    result.best_bound = have_incumbent ? incumbent_obj : kInf;
-  } else {
-    // Unexplored nodes with unknown bounds inherit the root bound.
-    if (open_bound == -kInf) {
-      open_bound = root_solved ? best_open_bound : -kInf;
-    }
-    result.best_bound = have_incumbent ? std::min(open_bound, incumbent_obj) : open_bound;
-  }
-
-  if (have_incumbent) {
-    result.x = std::move(incumbent);
-    result.objective = incumbent_obj;
-    bool proven = open.empty() ||
-                  result.objective - result.best_bound <= options_.absolute_gap ||
-                  (std::fabs(result.objective) > 1 &&
-                   (result.objective - result.best_bound) / std::fabs(result.objective) <=
-                       options_.relative_gap);
-    result.status = proven ? MipStatus::kOptimal : MipStatus::kFeasible;
-    if (proven) {
-      result.best_bound = result.objective;
-    }
-  } else if (open.empty() && result.nodes > 0 && !result.hit_time_limit &&
-             result.nodes < options_.max_nodes) {
-    result.status = MipStatus::kInfeasible;
-  } else {
-    result.status = MipStatus::kNoSolutionFound;
-  }
-  return result;
-}
-
-MipResult MipSolver::SolveParallel(const Model& model, const std::vector<double>* warm_start) {
-  const double start_time = util::MonotonicSeconds();
-  auto elapsed = [start_time]() { return util::MonotonicSeconds() - start_time; };
-
-  // All search state shared by the workers lives behind one mutex; node LP
-  // solves (the expensive part) run outside it, each on the worker's own
-  // SimplexSolver so warm starts chain along each worker's node sequence.
-  struct Shared {
-    Mutex mu;
-    CondVar cv;
-    std::deque<Node> open GUARDED_BY(mu);
-    int busy GUARDED_BY(mu) = 0;       // Workers currently expanding a node.
-    bool stop GUARDED_BY(mu) = false;  // Limit hit or unbounded: wind down.
-    bool unbounded GUARDED_BY(mu) = false;
-    bool hit_time_limit GUARDED_BY(mu) = false;
-    int64_t nodes GUARDED_BY(mu) = 0;
-    int64_t lp_iterations GUARDED_BY(mu) = 0;
-    int64_t lp_dual_iterations GUARDED_BY(mu) = 0;
-    int64_t dual_resolves GUARDED_BY(mu) = 0;
-    int64_t presolve_rows_removed GUARDED_BY(mu) = 0;
-    int64_t nodes_since_improve GUARDED_BY(mu) = 0;
-    bool have_incumbent GUARDED_BY(mu) = false;
-    std::vector<double> incumbent GUARDED_BY(mu);
-    double incumbent_obj GUARDED_BY(mu) = kInf;
-    bool root_solved GUARDED_BY(mu) = false;
-    double root_bound GUARDED_BY(mu) = -kInf;
-    SimplexBasis root_basis GUARDED_BY(mu);
-    bool root_basis_used GUARDED_BY(mu) = false;
-  } sh;
-
+  SharedSearch sh;
   {
     MutexLock lock(&sh.mu);  // No workers yet; satisfies the static analysis.
     if (warm_start != nullptr && model.IsFeasible(*warm_start, options_.integrality_tol * 10)) {
-      sh.incumbent = *warm_start;
-      sh.incumbent_obj = model.Objective(sh.incumbent);
-      sh.have_incumbent = true;
+      sh.Install(*warm_start, model.Objective(*warm_start));
     }
+    // Depth-first with a deque: children of the most recent node are explored
+    // first (good for finding incumbents fast), while `parent_bound` prunes
+    // against the incumbent. The root node has no overrides.
     sh.open.push_back(Node{{}, -kInf, 0});
   }
 
   auto worker = [&]() {
     SimplexSolver lp_solver(options_.lp);
-    // Separate solver for the fix-and-solve heuristic (same rationale as the
-    // serial path: heuristic LPs warm-start each other and never disturb the
-    // node chain's basis).
+    // Separate solver for the fix-and-solve heuristic: consecutive heuristic
+    // LPs have near-identical bounds, so they warm-start each other, and the
+    // node chain's basis in lp_solver is never disturbed.
     SimplexSolver heuristic_solver(options_.lp);
-    // Cross-round seed: each worker's chain starts from the cached root
-    // basis when it imports cleanly (ResolveWithBasis then warm-starts the
-    // worker's first node); failures just leave that worker cold.
+    // Cross-round seed: the worker's chain starts from the cached root basis
+    // when it imports cleanly; otherwise its first LP solves cold.
     const bool seeded =
         !options_.root_basis.empty() && lp_solver.ImportBasis(model, options_.root_basis);
 
     sh.mu.Lock();
     if (seeded) {
-      sh.root_basis_used = true;
+      sh.result.root_basis_used = true;
     }
     for (;;) {
+      // An empty queue ends the search only once no worker is expanding a
+      // node: an expanding worker may still push children.
       while (sh.open.empty() && !sh.stop && sh.busy > 0) {
         sh.cv.Wait(sh.mu);
       }
       if (sh.stop || sh.open.empty()) {
-        // Done: budget exhausted, or no open nodes and nobody is expanding
-        // one (an expanding worker could still push children, so an empty
-        // queue alone is not termination).
         break;
       }
-      if (sh.nodes >= options_.max_nodes || elapsed() > options_.time_limit_seconds) {
-        sh.hit_time_limit = elapsed() > options_.time_limit_seconds;
+      if (sh.result.nodes >= options_.max_nodes || elapsed() > options_.time_limit_seconds) {
+        sh.result.hit_time_limit = elapsed() > options_.time_limit_seconds;
         sh.stop = true;  // Leave remaining nodes queued: they price the bound.
-        sh.cv.NotifyAll();
         break;
       }
-      // Stall patience (same semantics as the serial search, best-effort
-      // across workers: in-flight nodes may still land an improvement).
+      // Stall patience: with an incumbent in hand and a long run of nodes that
+      // failed to improve it, stop searching instead of draining max_nodes.
       if (options_.stall_node_limit > 0 && sh.have_incumbent &&
           sh.nodes_since_improve >= options_.stall_node_limit) {
         sh.stop = true;
-        sh.cv.NotifyAll();
         break;
       }
       Node node = std::move(sh.open.back());
@@ -485,115 +329,99 @@ MipResult MipSolver::SolveParallel(const Model& model, const std::vector<double>
       if (sh.have_incumbent && node.parent_bound > sh.incumbent_obj - options_.absolute_gap) {
         continue;
       }
-      ++sh.nodes;
+      const int64_t node_id = ++sh.result.nodes;
       ++sh.nodes_since_improve;
-      int64_t node_id = sh.nodes;
       ++sh.busy;
       sh.mu.Unlock();
 
-      // ResolveWithBasis falls back to a cold solve on each worker's first
-      // node, then warm-starts down that worker's chain.
+      // Children differ from their parent by one bound, so each LP re-solves
+      // from the worker's last basis; a fresh solver (no basis yet) solves
+      // cold, and a seeded one restarts from the imported basis.
       LpResult lp = lp_solver.ResolveWithBasis(model, node.overrides);
-
-      bool push_children = false;
-      int32_t branch_var = -1;
-      if (lp.status == LpStatus::kOptimal) {
-        branch_var = MostFractional(model, lp.x, options_.integrality_tol);
-        push_children = branch_var >= 0;
-      }
-
-      // Run the (expensive) primal heuristic outside the lock; incumbent
-      // acceptance happens under it afterwards.
-      bool have_candidate = false;
-      std::vector<double> candidate;
-      if (push_children && (node.depth <= 2 || node_id % 16 == 0)) {
-        bool produced =
-            options_.heuristic
-                ? options_.heuristic(model, lp.x, &candidate)
-                : TryFixAndSolve(model, node.overrides, lp.x, heuristic_solver, &candidate);
-        have_candidate = produced && model.IsFeasible(candidate, options_.integrality_tol * 100);
-      }
+      const int32_t branch_var = lp.status == LpStatus::kOptimal
+                                     ? MostFractional(model, lp.x, options_.integrality_tol)
+                                     : -1;
 
       sh.mu.Lock();
-      --sh.busy;
-      sh.lp_iterations += lp.iterations;
-      sh.lp_dual_iterations += lp.dual_iterations;
-      sh.presolve_rows_removed += lp.presolve_rows_removed;
+      sh.result.lp_iterations += lp.iterations;
+      sh.result.lp_dual_iterations += lp.dual_iterations;
+      sh.result.presolve_rows_removed += lp.presolve_rows_removed;
       if (lp.used_dual_simplex) {
-        ++sh.dual_resolves;
+        ++sh.result.dual_resolves;
       }
       if (lp.status == LpStatus::kUnbounded) {
         sh.unbounded = true;
         sh.stop = true;
-        sh.cv.NotifyAll();
-        continue;  // Loop exits via stop.
       }
-      if (lp.status != LpStatus::kOptimal) {
-        // Infeasible, or numerical trouble / iteration limit: drop the node
-        // (same posture as the serial search).
-        sh.cv.NotifyAll();
-        continue;
-      }
-      if (node.depth == 0) {
+      if (lp.status == LpStatus::kOptimal && node.depth == 0) {
         sh.root_bound = lp.objective;
-        sh.root_solved = true;
-        sh.root_basis = lp_solver.ExportBasis();
+        sh.result.root_basis = lp_solver.ExportBasis();
       }
-      if (have_candidate) {
-        double obj = model.Objective(candidate);
-        if (!sh.have_incumbent || obj < sh.incumbent_obj) {
-          sh.incumbent = std::move(candidate);
-          sh.incumbent_obj = obj;
-          sh.have_incumbent = true;
-          sh.nodes_since_improve = 0;
+      // Infeasible nodes, and nodes with numerical trouble or an iteration
+      // limit, are dropped: the incumbent stays valid, the bound approximate.
+      // Optimal nodes are bound-pruned against the incumbent.
+      bool expand = lp.status == LpStatus::kOptimal &&
+                    !(sh.have_incumbent && lp.objective > sh.incumbent_obj - options_.absolute_gap);
+      if (expand && branch_var < 0) {
+        // Integer feasible: snap the integers exactly.
+        if (!sh.have_incumbent || lp.objective < sh.incumbent_obj) {
+          for (size_t j = 0; j < model.num_variables(); ++j) {
+            if (model.variable(j).is_integer) {
+              lp.x[j] = std::round(lp.x[j]);
+            }
+          }
+          const double obj = model.Objective(lp.x);
+          sh.Install(std::move(lp.x), obj);
         }
+        expand = false;
       }
-      if (sh.have_incumbent && lp.objective > sh.incumbent_obj - options_.absolute_gap) {
-        sh.cv.NotifyAll();
-        continue;  // Bound prune.
-      }
-      if (branch_var < 0) {
-        // Integer feasible.
-        std::vector<double> point = std::move(lp.x);
-        for (size_t j = 0; j < model.num_variables(); ++j) {
-          if (model.variable(j).is_integer) {
-            point[j] = std::round(point[j]);
+      if (expand) {
+        // Fix-and-solve heuristic at shallow depths and periodically deeper in
+        // the tree: turns the fractional LP point into a feasible incumbent.
+        if (node.depth <= 2 || node_id % 16 == 0) {
+          sh.mu.Unlock();
+          std::vector<double> rounded;
+          bool produced =
+              options_.heuristic
+                  ? options_.heuristic(model, lp.x, &rounded)
+                  : TryFixAndSolve(model, node.overrides, lp.x, heuristic_solver, &rounded);
+          produced = produced && model.IsFeasible(rounded, options_.integrality_tol * 100);
+          const double obj = produced ? model.Objective(rounded) : kInf;
+          sh.mu.Lock();
+          if (produced && (!sh.have_incumbent || obj < sh.incumbent_obj)) {
+            sh.Install(std::move(rounded), obj);
           }
         }
-        double obj = model.Objective(point);
-        if (!sh.have_incumbent || obj < sh.incumbent_obj) {
-          sh.incumbent = std::move(point);
-          sh.incumbent_obj = obj;
-          sh.have_incumbent = true;
-          sh.nodes_since_improve = 0;
-        }
-        sh.cv.NotifyAll();
-        continue;
-      }
 
-      double lp_value = lp.x[branch_var];
-      double floor_val = std::floor(lp_value);
-      double lb, ub;
-      EffectiveBounds(model, node.overrides, branch_var, &lb, &ub);
-      Node down{node.overrides, lp.objective, node.depth + 1};
-      down.overrides.push_back(BoundOverride{branch_var, lb, floor_val});
-      Node up{node.overrides, lp.objective, node.depth + 1};
-      up.overrides.push_back(BoundOverride{branch_var, floor_val + 1.0, ub});
-      // The child nearest the LP value is pushed last => popped first.
-      if (lp_value - floor_val > 0.5) {
-        sh.open.push_back(std::move(down));
-        sh.open.push_back(std::move(up));
-      } else {
-        sh.open.push_back(std::move(up));
-        sh.open.push_back(std::move(down));
+        const double lp_value = lp.x[branch_var];
+        const double floor_val = std::floor(lp_value);
+        double lb, ub;
+        EffectiveBounds(model, node.overrides, branch_var, &lb, &ub);
+        Node down{node.overrides, lp.objective, node.depth + 1};
+        down.overrides.push_back(BoundOverride{branch_var, lb, floor_val});
+        Node up{std::move(node.overrides), lp.objective, node.depth + 1};
+        up.overrides.push_back(BoundOverride{branch_var, floor_val + 1.0, ub});
+        // Explore the child nearest the LP value first (pushed last => popped
+        // first).
+        if (lp_value - floor_val > 0.5) {
+          sh.open.push_back(std::move(down));
+          sh.open.push_back(std::move(up));
+        } else {
+          sh.open.push_back(std::move(up));
+          sh.open.push_back(std::move(down));
+        }
       }
+      --sh.busy;
       sh.cv.NotifyAll();
     }
     sh.cv.NotifyAll();
     sh.mu.Unlock();
   };
 
-  {
+  // A single worker runs inline on the calling thread; more share a pool.
+  if (options_.threads <= 1) {
+    worker();
+  } else {
     ThreadPool pool(options_.threads);
     for (int t = 0; t < options_.threads; ++t) {
       pool.Submit(worker);
@@ -601,60 +429,9 @@ MipResult MipSolver::SolveParallel(const Model& model, const std::vector<double>
     pool.Wait();
   }
 
-  MutexLock lock(&sh.mu);  // Workers are joined; reads would race otherwise anyway.
-  MipResult result;
-  result.best_bound = -kInf;
-  result.nodes = sh.nodes;
-  result.lp_iterations = sh.lp_iterations;
-  result.lp_dual_iterations = sh.lp_dual_iterations;
-  result.dual_resolves = sh.dual_resolves;
-  result.presolve_rows_removed = sh.presolve_rows_removed;
-  result.hit_time_limit = sh.hit_time_limit;
-  result.solve_seconds = elapsed();
-  result.root_basis = std::move(sh.root_basis);
-  result.root_basis_used = sh.root_basis_used;
-
-  if (sh.unbounded) {
-    result.status = MipStatus::kUnbounded;
-    return result;
-  }
-
-  // Best proven bound: min over open nodes' parent bounds and the incumbent
-  // (identical accounting to the serial search; nodes in flight when a limit
-  // tripped were left on the queue).
-  double open_bound = kInf;
-  for (const Node& n : sh.open) {
-    open_bound = std::min(open_bound, n.parent_bound);
-  }
-  if (sh.open.empty()) {
-    result.best_bound = sh.have_incumbent ? sh.incumbent_obj : kInf;
-  } else {
-    if (open_bound == -kInf) {
-      open_bound = sh.root_solved ? sh.root_bound : -kInf;
-    }
-    result.best_bound =
-        sh.have_incumbent ? std::min(open_bound, sh.incumbent_obj) : open_bound;
-  }
-
-  if (sh.have_incumbent) {
-    result.x = std::move(sh.incumbent);
-    result.objective = sh.incumbent_obj;
-    bool proven = sh.open.empty() ||
-                  result.objective - result.best_bound <= options_.absolute_gap ||
-                  (std::fabs(result.objective) > 1 &&
-                   (result.objective - result.best_bound) / std::fabs(result.objective) <=
-                       options_.relative_gap);
-    result.status = proven ? MipStatus::kOptimal : MipStatus::kFeasible;
-    if (proven) {
-      result.best_bound = result.objective;
-    }
-  } else if (sh.open.empty() && sh.nodes > 0 && !sh.hit_time_limit &&
-             sh.nodes < options_.max_nodes) {
-    result.status = MipStatus::kInfeasible;
-  } else {
-    result.status = MipStatus::kNoSolutionFound;
-  }
-  return result;
+  MutexLock lock(&sh.mu);  // Workers are done; satisfies the static analysis.
+  sh.result.solve_seconds = elapsed();
+  return sh.Conclude(options_);
 }
 
 }  // namespace ras

@@ -42,12 +42,13 @@ struct MipOptions {
   double integrality_tol = 1e-6;
   double absolute_gap = 1e-6;
   double relative_gap = 1e-6;
-  // Branch-and-bound worker threads. 1 (the default) runs the deterministic
-  // serial search. Higher values explore open nodes concurrently: each worker
-  // owns its own SimplexSolver (warm-started along its own node chain) and
-  // shares the open-node queue, incumbent, and node/time budgets. The
-  // returned incumbent can differ between runs (whichever worker improves it
-  // first wins ties), but any proven-optimal objective is the same.
+  // Branch-and-bound workers. Every worker runs the same node loop, owns its
+  // own SimplexSolver (warm-started along its own node chain), and shares the
+  // open-node queue, incumbent, and node/time/stall budgets. 1 (the default)
+  // runs that one worker inline on the calling thread: a deterministic search.
+  // With more workers the returned incumbent can differ between runs
+  // (whichever worker improves it first wins ties), but any proven-optimal
+  // objective is the same.
   int threads = 1;
   LpOptions lp;
   // When set, used instead of the built-in generic fix-and-solve rounding.
@@ -105,8 +106,7 @@ class MipSolver {
   MipResult Solve(const Model& model, const std::vector<double>* warm_start = nullptr);
 
  private:
-  MipResult SolveSerial(const Model& model, const std::vector<double>* warm_start);
-  MipResult SolveParallel(const Model& model, const std::vector<double>* warm_start);
+  MipResult Search(const Model& model, const std::vector<double>* warm_start);
 
   MipOptions options_;
 };

@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
 
-#include "src/core/async_solver.h"
 #include "src/core/initial_assignment.h"
 #include "src/fleet/fleet_gen.h"
 
@@ -116,31 +114,6 @@ TEST(LocalSearchTest, RespectsProposalBudget) {
   options.max_proposals = 100;
   LocalSearchResult result = LocalSearchOptimize(b.input, b.classes, b.built, counts, options);
   EXPECT_LE(result.proposals, 100);
-}
-
-TEST(LocalSearchBackendTest, AsyncSolverWorksWithLocalSearch) {
-  SearchEnv env;
-  ReservationId a = env.Add("a", 30);
-  SolverConfig config;
-  config.backend = SolverBackend::kLocalSearch;
-  AsyncSolver solver(config);
-  auto stats = solver.SolveOnce(*env.broker, env.registry, env.fleet.catalog);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NEAR(stats->total_shortfall_rru, 0.0, 1e-6);
-  // Capacity + buffer granted and spread, as with the MIP backend.
-  std::map<MsbId, double> per_msb;
-  double total = 0;
-  for (ServerId s = 0; s < env.broker->num_servers(); ++s) {
-    if (env.broker->record(s).target == a) {
-      per_msb[env.fleet.topology.server(s).msb] += 1;
-      total += 1;
-    }
-  }
-  double worst = 0;
-  for (auto& [msb, count] : per_msb) {
-    worst = std::max(worst, count);
-  }
-  EXPECT_GE(total - worst, 30.0 - 1e-6);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Resolve cache: the patch path must reproduce a fresh build field-for-field,
-// and incumbent shifting must stay supply-feasible and deterministic.
+// and cache entries are keyed by (phase, shard).
 
 #include "src/core/resolve_cache.h"
 
@@ -7,7 +7,6 @@
 
 #include <cmath>
 
-#include "src/core/initial_assignment.h"
 #include "src/fleet/fleet_gen.h"
 
 namespace ras {
@@ -165,82 +164,6 @@ TEST(ResolveCacheTest, EntriesAreKeyedAndInvalidateDropsAll) {
   EXPECT_TRUE(cache.empty());
   // First touch after invalidation is cold.
   EXPECT_FALSE(cache.entry(1, -1).valid);
-}
-
-struct ShiftFixture {
-  TestRegion region;
-  SolverConfig config;
-  SolveInput input;
-  std::vector<EquivalenceClass> classes;
-  ResolveEntry entry;
-
-  ShiftFixture() {
-    EXPECT_TRUE(
-        region.registry.Create(AnyTypeReservation(region.fleet.catalog, "svc", 12)).ok());
-    input = region.Snapshot();
-    classes = BuildEquivalenceClasses(input, Scope::kMsb);
-    entry.input = input;
-    entry.classes = classes;
-    entry.built = BuildRasModel(input, classes, config, /*include_rack_spread=*/false);
-    entry.counts = BuildInitialCounts(input, classes, entry.built);
-    entry.valid = true;
-  }
-};
-
-TEST(ResolveCacheTest, ShiftIsIdentityOnUnchangedClasses) {
-  ShiftFixture f;
-  std::vector<double> shifted;
-  ASSERT_TRUE(ShiftIncumbentCounts(f.entry, f.classes, &shifted));
-  EXPECT_EQ(shifted, f.entry.counts);
-}
-
-TEST(ResolveCacheTest, ShiftClampsAndDrainsShrunkenClasses) {
-  ShiftFixture f;
-  // Find a class the incumbent actually uses, then shrink it to one server.
-  size_t cls = f.classes.size();
-  for (size_t c = 0; c < f.classes.size(); ++c) {
-    double total = 0.0;
-    for (int k : f.entry.built.class_to_vars[c]) {
-      total += f.entry.counts[static_cast<size_t>(k)];
-    }
-    if (total >= 2.0 && f.classes[c].count() >= 2) {
-      cls = c;
-      break;
-    }
-  }
-  ASSERT_LT(cls, f.classes.size());
-  std::vector<EquivalenceClass> shrunk = f.classes;
-  shrunk[cls].servers.resize(1);
-
-  std::vector<double> shifted;
-  ASSERT_TRUE(ShiftIncumbentCounts(f.entry, shrunk, &shifted));
-  // Per-class supply feasibility after the shift.
-  for (size_t c = 0; c < shrunk.size(); ++c) {
-    double total = 0.0;
-    for (int k : f.entry.built.class_to_vars[c]) {
-      double v = shifted[static_cast<size_t>(k)];
-      EXPECT_GE(v, 0.0);
-      total += v;
-    }
-    EXPECT_LE(total, static_cast<double>(shrunk[c].count()) + 1e-9) << "class " << c;
-  }
-  // Deterministic: the same shift twice is bit-identical.
-  std::vector<double> again;
-  ASSERT_TRUE(ShiftIncumbentCounts(f.entry, shrunk, &again));
-  EXPECT_EQ(shifted, again);
-}
-
-TEST(ResolveCacheTest, ShiftRefusesMisalignedStructures) {
-  ShiftFixture f;
-  std::vector<double> shifted;
-  // Wrong class count.
-  std::vector<EquivalenceClass> fewer = f.classes;
-  fewer.pop_back();
-  EXPECT_FALSE(ShiftIncumbentCounts(f.entry, fewer, &shifted));
-  // Counts misaligned with the cached model.
-  ResolveEntry broken = f.entry;
-  broken.counts.pop_back();
-  EXPECT_FALSE(ShiftIncumbentCounts(broken, f.classes, &shifted));
 }
 
 }  // namespace

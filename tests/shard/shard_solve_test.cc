@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 
@@ -251,6 +252,54 @@ TEST(StitchRepairTest, MoveBudgetIsRespected) {
   StitchRepairStats stats = RepairShortfalls(input, targets, opts);
   EXPECT_EQ(stats.moves(), 5u);
   EXPECT_GT(stats.shortfall_after_rru, 0.0);  // Budget too small to finish.
+}
+
+TEST(StitchRepairTest, SpreadRebalanceHonorsReservationAlpha) {
+  TestRegion region(SmallFleetOptions());  // 6 MSBs of 48 servers.
+  ReservationSpec tight = AnyTypeReservation(region.fleet.catalog, "tight", 24);
+  tight.needs_correlated_buffer = false;
+  tight.msb_spread_alpha = 0.15;  // 3.6 RRU, floored to 4 per MSB.
+  ReservationSpec loose = AnyTypeReservation(region.fleet.catalog, "loose", 24);
+  loose.needs_correlated_buffer = false;
+  loose.msb_spread_alpha = 0.5;  // 12 RRU per MSB.
+  const ReservationId tight_id = *region.registry.Create(tight);
+  const ReservationId loose_id = *region.registry.Create(loose);
+  SolveInput input = region.Snapshot();
+  const RegionTopology& topo = region.fleet.topology;
+
+  // Each reservation freshly acquires 12 servers in each of the first two
+  // MSBs. The config default (1.3 / 6 of C_r = 5.2 RRU) is looser than
+  // "tight"'s own threshold and tighter than "loose"'s.
+  std::vector<std::pair<ServerId, ReservationId>> targets;
+  std::map<MsbId, int> taken;
+  for (ServerId id = 0; id < input.servers.size(); ++id) {
+    const MsbId msb = topo.server(id).msb;
+    ReservationId res = kUnassigned;
+    if (msb < 2 && taken[msb] < 24) {
+      res = taken[msb] % 2 == 0 ? tight_id : loose_id;
+      ++taken[msb];
+    }
+    targets.emplace_back(id, res);
+  }
+  StitchRepairOptions opts;
+  for (const ReservationSpec& spec : input.reservations) {
+    opts.msb_spread_thresholds.push_back(MsbSpreadThreshold(spec, SolverConfig(), topo));
+  }
+  StitchRepairStats stats = RepairShortfalls(input, targets, opts);
+  EXPECT_GT(stats.moves_spread, 0u);
+  EXPECT_NEAR(stats.spread_over_after_rru, 0.0, 1e-9);
+  std::map<ReservationId, std::map<MsbId, double>> per_msb;
+  for (const auto& [server, res] : targets) {
+    per_msb[res][topo.server(server).msb] += 1.0;
+  }
+  for (const auto& [msb, rru] : per_msb[tight_id]) {
+    EXPECT_LE(rru, 4.0) << "tight over its own threshold in MSB " << msb;
+  }
+  // Within its own 12-RRU threshold, "loose" is left where it was.
+  EXPECT_EQ(per_msb[loose_id].size(), 2u);
+  for (const auto& [msb, rru] : per_msb[loose_id]) {
+    EXPECT_EQ(rru, 12.0) << "loose rebalanced in MSB " << msb;
+  }
 }
 
 TEST(SupervisorShardTest, DegradedRungRaisesShardCountAndRestoresIt) {
