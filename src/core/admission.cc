@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/core/buffer_policy.h"
+#include "src/core/model_builder.h"
 
 namespace ras {
 
@@ -67,7 +68,7 @@ AdmissionReport CheckGrantable(const ReservationSpec& spec, const RegionTopology
         dc_rru += spec.ValueOfType(topology.server(id).type);
       }
     }
-    double needed = std::max(0.0, share - spec.affinity_theta) * spec.capacity_rru;
+    const double needed = AffinityBand(spec, share).lo;
     if (dc_rru < needed) {
       std::snprintf(buf, sizeof(buf),
                     "affinity wants %.1f RRU in datacenter %u but only %.1f RRU of "

@@ -60,6 +60,27 @@ double ComputeShortfall(const SolveInput& input,
   return shortfall;
 }
 
+// Shared tail of every solve path: counts the moves `targets` make against
+// the snapshot into `stats`, scores the targets' shortfall, and hands them
+// out with the same move counts.
+void FinishTargets(const SolveInput& input, std::vector<std::pair<ServerId, ReservationId>> targets,
+                   SolveStats& stats, DecodedAssignment* decoded_out) {
+  for (const auto& [server, res] : targets) {
+    const ServerSolveState& before = input.servers[server];
+    if (before.current != res) {
+      ++stats.moves_total;
+      (before.in_use ? stats.moves_in_use : stats.moves_idle)++;
+    }
+  }
+  stats.total_shortfall_rru = ComputeShortfall(input, targets);
+  if (decoded_out != nullptr) {
+    decoded_out->targets = std::move(targets);
+    decoded_out->moves_total = stats.moves_total;
+    decoded_out->moves_in_use = stats.moves_in_use;
+    decoded_out->moves_idle = stats.moves_idle;
+  }
+}
+
 // Round-level reuse summary: reuse "held" for the round when every phase that
 // ran reused that way; the delta is phase 1's (region-wide) server delta.
 void SummarizeReuse(SolveStats& stats) {
@@ -137,8 +158,9 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
   const bool cache_on = phase > 0 && config_.incremental_resolve;
   ResolveEntry* entry = cache_on ? &resolve_cache_.entry(phase, resolve_shard_) : nullptr;
 
-  // Solver build: patch the cached model in place when this round is
-  // structurally equal to the cached one, else full symmetry-reduced
+  // Solver build: when the cached model's layout fits this round (same phase
+  // shape and subset, RoundDelta::patchable), SetRoundBounds re-targets it in
+  // place; else, or when it refuses a bound, full symmetry-reduced
   // construction (the Figure-8 solver_build step the patch path eliminates).
   double t0 = util::MonotonicSeconds();
   RoundDelta delta;
@@ -150,9 +172,7 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
     delta.classes_structurally_equal =
         delta.reservations_structurally_equal && ClassStructureEqual(entry->classes, classes);
     have_delta = true;
-    if (delta.patchable()) {
-      patched = PatchRasModel(entry->built, input, classes, config_, include_rack_spread, subset);
-    }
+    patched = delta.patchable() && SetRoundBounds(entry->built, input, classes, config_);
   }
   BuiltModel fresh;
   if (!patched) {
@@ -457,20 +477,10 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
     stats.phase1.objective = built.model.Objective(warm);
     stats.phase1.warm_start_objective = stats.phase1.objective;
     stats.phase1.best_bound = -kInf;
-    DecodedAssignment decoded = DecodeAssignment(input, classes, built, warm);
-    for (const auto& [server, res] : decoded.targets) {
-      const ServerSolveState& before = input.servers[server];
-      if (before.current != res) {
-        ++stats.moves_total;
-        (before.in_use ? stats.moves_in_use : stats.moves_idle)++;
-      }
-    }
-    stats.total_shortfall_rru = ComputeShortfall(input, decoded.targets);
+    FinishTargets(input, DecodeAssignment(input, classes, built, warm).targets, stats,
+                  decoded_out);
     stats.total_seconds = util::MonotonicSeconds() - start;
     RecordSolveMetrics(stats);
-    if (decoded_out != nullptr) {
-      *decoded_out = std::move(decoded);
-    }
     return stats;
   }
 
@@ -488,23 +498,10 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
 
   // ---- Phase 2: rack granularity for the worst rack offenders ----
   if (mode == SolveMode::kPhase1Only) {
-    for (const auto& [server, res] : final_targets) {
-      const ServerSolveState& before = input.servers[server];
-      if (before.current != res) {
-        ++stats.moves_total;
-        (before.in_use ? stats.moves_in_use : stats.moves_idle)++;
-      }
-    }
-    stats.total_shortfall_rru = ComputeShortfall(input, final_targets);
+    FinishTargets(input, std::move(final_targets), stats, decoded_out);
     stats.total_seconds = util::MonotonicSeconds() - start;
     SummarizeReuse(stats);
     RecordSolveMetrics(stats);
-    if (decoded_out != nullptr) {
-      decoded_out->targets = std::move(final_targets);
-      decoded_out->moves_total = stats.moves_total;
-      decoded_out->moves_in_use = stats.moves_in_use;
-      decoded_out->moves_idle = stats.moves_idle;
-    }
     return stats;
   }
   t0 = util::MonotonicSeconds();
@@ -570,24 +567,10 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
   }
 
   // ---- Final accounting against the original snapshot ----
-  for (const auto& [server, res] : final_targets) {
-    const ServerSolveState& before = input.servers[server];
-    if (before.current != res) {
-      ++stats.moves_total;
-      (before.in_use ? stats.moves_in_use : stats.moves_idle)++;
-    }
-  }
-  stats.total_shortfall_rru = ComputeShortfall(input, final_targets);
+  FinishTargets(input, std::move(final_targets), stats, decoded_out);
   stats.total_seconds = util::MonotonicSeconds() - start;
   SummarizeReuse(stats);
   RecordSolveMetrics(stats);
-
-  if (decoded_out != nullptr) {
-    decoded_out->targets = std::move(final_targets);
-    decoded_out->moves_total = stats.moves_total;
-    decoded_out->moves_in_use = stats.moves_in_use;
-    decoded_out->moves_idle = stats.moves_idle;
-  }
   return stats;
 }
 
@@ -671,14 +654,7 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   stats.repair_moves = repair.moves();
   stats.repair_shortfall_before_rru = repair.shortfall_before_rru;
 
-  for (const auto& [server, res] : outcome.merged.targets) {
-    const ServerSolveState& before = input.servers[server];
-    if (before.current != res) {
-      ++stats.moves_total;
-      (before.in_use ? stats.moves_in_use : stats.moves_idle)++;
-    }
-  }
-  stats.total_shortfall_rru = ComputeShortfall(input, outcome.merged.targets);
+  FinishTargets(input, std::move(outcome.merged.targets), stats, decoded_out);
   stats.total_seconds = util::MonotonicSeconds() - start;
   RecordSolveMetrics(stats);
   {
@@ -689,13 +665,6 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
         reg.counter("ras_shard_repair_moves_total", "Moves made by cross-shard stitch repair.");
     failed.Add(static_cast<int64_t>(stats.failed_shards));
     repair.Add(static_cast<int64_t>(stats.repair_moves));
-  }
-
-  if (decoded_out != nullptr) {
-    decoded_out->targets = std::move(outcome.merged.targets);
-    decoded_out->moves_total = stats.moves_total;
-    decoded_out->moves_in_use = stats.moves_in_use;
-    decoded_out->moves_idle = stats.moves_idle;
   }
   return stats;
 }

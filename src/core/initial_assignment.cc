@@ -142,7 +142,7 @@ std::vector<double> RepairCounts(const SolveInput& input,
     // anti-hoarding term may charge for the extra capacity, but the affinity
     // slack it avoids costs two orders of magnitude more.
     for (const auto& [dc, share] : spec.dc_affinity) {
-      double floor_rru = std::max(0.0, share - spec.affinity_theta) * spec.capacity_rru;
+      const double floor_rru = AffinityBand(spec, share).lo;
       auto dc_rru = [&]() {
         double sum = 0.0;
         for (const auto& [msb, rru] : msb_rru[r]) {

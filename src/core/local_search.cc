@@ -47,7 +47,8 @@ class ObjectiveState {
     for (const auto& term : built.msb_spread_terms) {
       spread_beta_[static_cast<size_t>(term.reservation_index)] =
           built.model.variable(term.var).cost;
-      spread_threshold_[static_cast<size_t>(term.reservation_index)] = term.threshold;
+      spread_threshold_[static_cast<size_t>(term.reservation_index)] =
+          built.model.row(term.row).ub;
     }
     affinity_of_.assign(num_res, {});
     for (size_t i = 0; i < built.affinity_terms.size(); ++i) {
@@ -114,18 +115,22 @@ class ObjectiveState {
       }
     }
     if (hoard_cost_[r] > 0.0) {
-      cost += hoard_cost_[r] * std::max(0.0, effective - built_.hoard_limits[r]);
+      const double limit = built_.model.row(built_.hoard_rows[r]).ub;
+      cost += hoard_cost_[r] * std::max(0.0, effective - limit);
     }
     for (int i : affinity_of_[r]) {
       const auto& term = built_.affinity_terms[static_cast<size_t>(i)];
       double rru = term.dc < dc_rru_[r].size() ? dc_rru_[r][term.dc] : 0.0;
-      cost += built_.model.variable(term.lo_slack).cost * std::max(0.0, term.lo - rru);
-      cost += built_.model.variable(term.hi_slack).cost * std::max(0.0, rru - term.hi);
+      const double lo = built_.model.row(term.lo_row).lb;
+      const double hi = built_.model.row(term.hi_row).ub;
+      cost += built_.model.variable(term.lo_slack).cost * std::max(0.0, lo - rru);
+      cost += built_.model.variable(term.hi_slack).cost * std::max(0.0, rru - hi);
     }
     for (int i : quorum_of_[r]) {
       const auto& term = built_.quorum_terms[static_cast<size_t>(i)];
       double rru = msb_rru_[r][term.group];
-      cost += built_.model.variable(term.slack).cost * std::max(0.0, rru - term.limit);
+      const double limit = built_.model.row(term.row).ub;
+      cost += built_.model.variable(term.slack).cost * std::max(0.0, rru - limit);
     }
     return cost;
   }

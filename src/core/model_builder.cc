@@ -45,19 +45,24 @@ double RackSpreadThreshold(const ReservationSpec& spec, const SolverConfig& conf
   return std::max(alpha_k * spec.capacity_rru, config.min_spread_threshold_rru);
 }
 
+RruBand AffinityBand(const ReservationSpec& spec, double share) {
+  return RruBand{std::max(0.0, share - spec.affinity_theta) * spec.capacity_rru,
+                 (share + spec.affinity_theta) * spec.capacity_rru};
+}
+
 BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                          const SolverConfig& config, bool include_rack_spread,
                          const std::vector<int>& reservation_subset) {
   assert(input.topology != nullptr && input.catalog != nullptr);
-  const RegionTopology& topo = *input.topology;
   const size_t num_res = input.reservations.size();
 
+  // Layout pass. Every bound SetRoundBounds owns is added open here: rows as
+  // (-inf, inf), variables as [0, inf).
   BuiltModel built;
   Model& model = built.model;
   built.shortfall_vars.assign(num_res, kNoVar);
   built.buffer_vars.assign(num_res, kNoVar);
   built.hoard_vars.assign(num_res, kNoVar);
-  built.hoard_limits.assign(num_res, 0.0);
   built.class_to_vars.resize(classes.size());
   built.capacity_rows.assign(num_res, kNoRow);
   built.hoard_rows.assign(num_res, kNoRow);
@@ -77,8 +82,7 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
 
   for (size_t c = 0; c < classes.size(); ++c) {
     const EquivalenceClass& cls = classes[c];
-    const double cls_count = static_cast<double>(cls.count());
-    RowId supply = model.AddRow(-kInf, cls_count);
+    RowId supply = model.AddRow(-kInf, kInf);
     built.supply_rows.push_back(supply);
     for (size_t r = 0; r < num_res; ++r) {
       if (!in_subset[r]) {
@@ -89,21 +93,19 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
       if (value <= 0.0) {
         continue;
       }
-      double acquire = (cls.current == spec.id) ? 0.0 : config.acquire_cost;
-      VarId n = model.AddInteger(0, cls_count, acquire);
+      const bool holds = cls.current == spec.id;
+      VarId n = model.AddInteger(0, kInf, holds ? 0.0 : config.acquire_cost);
       model.AddCoefficient(supply, n, 1.0);
       int var_index = static_cast<int>(built.assignment_vars.size());
       built.assignment_vars.push_back(
           BuiltModel::AssignmentVar{n, static_cast<int>(c), static_cast<int>(r)});
       built.class_to_vars[c].push_back(var_index);
 
-      double initial = (cls.current == spec.id) ? cls_count : 0.0;
-      built.initial_counts.push_back(initial);
-      if (initial > 0.0) {
+      if (holds && cls.count() > 0) {
         // o >= X - n, at Ms per server (Expression 1).
         double ms = cls.in_use ? config.move_cost_in_use : config.move_cost_idle;
-        VarId o = model.AddContinuous(0, initial, ms);
-        RowId move_row = model.AddRow(initial, kInf);
+        VarId o = model.AddContinuous(0, kInf, ms);
+        RowId move_row = model.AddRow(-kInf, kInf);
         model.AddCoefficient(move_row, n, 1.0);
         model.AddCoefficient(move_row, o, 1.0);
         built.move_vars.push_back(o);
@@ -127,13 +129,11 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
       continue;
     }
     const ReservationSpec& spec = input.reservations[r];
-    const double capacity = spec.capacity_rru;
 
     // Softened capacity slack: keeps the model feasible when the region
     // cannot satisfy the request; its cost dominates everything else so the
     // solver fixes capacity before optimizing spread or stability.
-    VarId shortfall = model.AddContinuous(0, std::max(capacity, 0.0),
-                                          config.capacity_soften_cost);
+    VarId shortfall = model.AddContinuous(0, kInf, config.capacity_soften_cost);
     built.shortfall_vars[r] = shortfall;
 
     // Expression (4): m_r tracks the worst-MSB exposure; tau minimizes it.
@@ -151,7 +151,7 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
     }
 
     // Expression (6): total RRUs minus the worst MSB must cover C_r.
-    RowId cap_row = model.AddRow(capacity, kInf);
+    RowId cap_row = model.AddRow(-kInf, kInf);
     built.capacity_rows[r] = cap_row;
     for (const auto& [group, vars] : msb_groups[r].by_group) {
       for (const auto& [n, value] : vars) {
@@ -165,11 +165,9 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
 
     // Anti-hoarding: h >= total RRU - m_r - (1 + allowance) * C_r, at
     // hoarding_cost per RRU. Keeps granted capacity near C_r + buffer.
-    double hoard_limit = (1.0 + config.hoarding_allowance) * capacity;
     VarId hoard = model.AddContinuous(0, kInf, config.hoarding_cost);
     built.hoard_vars[r] = hoard;
-    built.hoard_limits[r] = hoard_limit;
-    RowId hoard_row = model.AddRow(-kInf, hoard_limit);
+    RowId hoard_row = model.AddRow(-kInf, kInf);
     built.hoard_rows[r] = hoard_row;
     for (const auto& [group, vars] : msb_groups[r].by_group) {
       for (const auto& [n, value] : vars) {
@@ -182,57 +180,52 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
     model.AddCoefficient(hoard_row, hoard, -1.0);
 
     // Expression (3): MSB spread overflow at beta per RRU over alpha_F * C_r.
-    const double msb_threshold = MsbSpreadThreshold(spec, config, topo);
     for (const auto& [group, vars] : msb_groups[r].by_group) {
       VarId w = model.AddContinuous(0, kInf, config.spread_penalty_beta);
-      RowId row = model.AddRow(-kInf, msb_threshold);  // sum_G V*n - w <= thr.
+      RowId row = model.AddRow(-kInf, kInf);  // sum_G V*n - w <= thr.
       for (const auto& [n, value] : vars) {
         model.AddCoefficient(row, n, value);
       }
       model.AddCoefficient(row, w, -1.0);
       built.msb_spread_terms.push_back(
-          BuiltModel::SpreadTerm{w, static_cast<int>(r), group, msb_threshold, row});
+          BuiltModel::SpreadTerm{w, static_cast<int>(r), group, row});
     }
 
     // Expression (2): rack spread, phase 2 only.
     if (include_rack_spread) {
-      const double rack_threshold = RackSpreadThreshold(spec, config, topo);
       for (const auto& [group, vars] : rack_groups[r].by_group) {
         VarId w = model.AddContinuous(0, kInf, config.spread_penalty_beta);
-        RowId row = model.AddRow(-kInf, rack_threshold);
+        RowId row = model.AddRow(-kInf, kInf);
         for (const auto& [n, value] : vars) {
           model.AddCoefficient(row, n, value);
         }
         model.AddCoefficient(row, w, -1.0);
         built.rack_spread_terms.push_back(
-            BuiltModel::SpreadTerm{w, static_cast<int>(r), group, rack_threshold, row});
+            BuiltModel::SpreadTerm{w, static_cast<int>(r), group, row});
       }
     }
 
     // Storage quorum spread (Section 3.3.2): near-hard per-MSB cap so enough
     // replicas survive any single-MSB loss.
     if (spec.max_msb_fraction_hard > 0.0) {
-      double limit = spec.max_msb_fraction_hard * capacity;
       for (const auto& [group, vars] : msb_groups[r].by_group) {
         VarId slack = model.AddContinuous(0, kInf, config.quorum_soften_cost);
-        RowId row = model.AddRow(-kInf, limit);  // sum_G V*n - slack <= limit.
+        RowId row = model.AddRow(-kInf, kInf);  // sum_G V*n - slack <= limit.
         for (const auto& [n, value] : vars) {
           model.AddCoefficient(row, n, value);
         }
         model.AddCoefficient(row, slack, -1.0);
         built.quorum_terms.push_back(
-            BuiltModel::QuorumTerm{slack, static_cast<int>(r), group, limit, row});
+            BuiltModel::QuorumTerm{slack, static_cast<int>(r), group, row});
       }
     }
 
     // Expression (7): network affinity, softened per Section 3.5.1.
     for (const auto& [dc, share] : spec.dc_affinity) {
-      double lo = std::max(0.0, (share - spec.affinity_theta)) * capacity;
-      double hi = (share + spec.affinity_theta) * capacity;
       VarId lo_slack = model.AddContinuous(0, kInf, config.affinity_soften_cost);
       VarId hi_slack = model.AddContinuous(0, kInf, config.affinity_soften_cost);
-      RowId lo_row = model.AddRow(lo, kInf);  // sum_dc V*n + s_lo >= lo.
-      RowId hi_row = model.AddRow(-kInf, hi);  // sum_dc V*n - s_hi <= hi.
+      RowId lo_row = model.AddRow(-kInf, kInf);  // sum_dc V*n + s_lo >= lo.
+      RowId hi_row = model.AddRow(-kInf, kInf);  // sum_dc V*n - s_hi <= hi.
       auto it = dc_groups[r].by_group.find(dc);
       if (it != dc_groups[r].by_group.end()) {
         for (const auto& [n, value] : it->second) {
@@ -242,146 +235,97 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
       }
       model.AddCoefficient(lo_row, lo_slack, 1.0);
       model.AddCoefficient(hi_row, hi_slack, -1.0);
-      built.affinity_terms.push_back(BuiltModel::AffinityTerm{lo_slack, hi_slack,
-                                                              static_cast<int>(r), dc, lo, hi,
-                                                              lo_row, hi_row});
+      built.affinity_terms.push_back(
+          BuiltModel::AffinityTerm{lo_slack, hi_slack, static_cast<int>(r), dc, lo_row, hi_row});
     }
   }
 
+  // Bound pass. On a fresh layout it can only refuse a crossed affinity band,
+  // from a spec no registry write path accepts; it still writes that band as
+  // given, so the build goes ahead.
+  (void)SetRoundBounds(built, input, classes, config);
+
   // Warm the compressed-column cache: every LP solver over this model now
-  // copies the cached form instead of rebuilding it, and PatchRasModel's
+  // copies the cached form instead of rebuilding it, and SetRoundBounds'
   // bound-only updates keep it valid across rounds.
   built.model.EnsureCompressedCache();
   return built;
 }
 
-bool PatchRasModel(BuiltModel& built, const SolveInput& input,
-                   const std::vector<EquivalenceClass>& classes, const SolverConfig& config,
-                   bool include_rack_spread, const std::vector<int>& reservation_subset) {
-  assert(input.topology != nullptr && input.catalog != nullptr);
+bool SetRoundBounds(BuiltModel& built, const SolveInput& input,
+                    const std::vector<EquivalenceClass>& classes, const SolverConfig& config) {
+  assert(input.topology != nullptr);
   const RegionTopology& topo = *input.topology;
-  const size_t num_res = input.reservations.size();
-  Model& model = built.model;
-
   if (built.supply_rows.size() != classes.size() ||
-      built.class_to_vars.size() != classes.size() || built.shortfall_vars.size() != num_res ||
-      built.capacity_rows.size() != num_res ||
-      built.move_rows.size() != built.assignment_vars.size() ||
-      (!include_rack_spread && !built.rack_spread_terms.empty())) {
+      built.shortfall_vars.size() != input.reservations.size()) {
     return false;
   }
+  Model& model = built.model;
+  // Every write is attempted; any refusal fails the whole pass.
+  bool ok = true;
+  auto row = [&](RowId id, double lb, double ub) { ok = model.UpdateRowBounds(id, lb, ub) && ok; };
+  auto var = [&](VarId id, double lb, double ub) {
+    ok = model.UpdateVariableBounds(id, lb, ub) && ok;
+  };
+  auto spec_of = [&input](int reservation_index) -> const ReservationSpec& {
+    return input.reservations[static_cast<size_t>(reservation_index)];
+  };
 
-  std::vector<bool> in_subset(num_res, reservation_subset.empty());
-  for (int r : reservation_subset) {
-    if (r < 0 || static_cast<size_t>(r) >= num_res) {
-      return false;
-    }
-    in_subset[static_cast<size_t>(r)] = true;
-  }
-
-  // --- Assignment variables: re-derive the builder's (class, reservation)
-  // sequence; any divergence from the recorded sequence means the structure
-  // changed and the caller must rebuild. ---
-  size_t k = 0;
+  // Expression (5) supply, n <= |class|, and X = |class| where the class sits
+  // in r, with Expression (1)'s move-out o <= X and n + o >= X.
   for (size_t c = 0; c < classes.size(); ++c) {
-    const EquivalenceClass& cls = classes[c];
-    const double cls_count = static_cast<double>(cls.count());
-    model.UpdateRowBounds(built.supply_rows[c], -kInf, cls_count);
-    for (size_t r = 0; r < num_res; ++r) {
-      if (!in_subset[r]) {
-        continue;
-      }
-      const ReservationSpec& spec = input.reservations[r];
-      double value = spec.ValueOfType(cls.type);
-      if (value <= 0.0) {
-        continue;
-      }
-      if (k >= built.assignment_vars.size() ||
-          built.assignment_vars[k].class_index != static_cast<int>(c) ||
-          built.assignment_vars[k].reservation_index != static_cast<int>(r)) {
-        return false;
-      }
-      const VarId n = built.assignment_vars[k].var;
-      model.UpdateVariableBounds(n, 0, cls_count);
-      model.UpdateObjectiveCost(n, (cls.current == spec.id) ? 0.0 : config.acquire_cost);
-      const double initial = (cls.current == spec.id) ? cls_count : 0.0;
-      built.initial_counts[k] = initial;
-      const bool has_move = built.move_vars[k] != kNoVar;
-      if ((initial > 0.0) != has_move || (built.move_rows[k] != kNoRow) != has_move) {
-        return false;  // A move-out row exists iff the class currently sits in r.
-      }
-      if (has_move) {
-        double ms = cls.in_use ? config.move_cost_in_use : config.move_cost_idle;
-        model.UpdateVariableBounds(built.move_vars[k], 0, initial);
-        model.UpdateObjectiveCost(built.move_vars[k], ms);
-        model.UpdateRowBounds(built.move_rows[k], initial, kInf);
-      }
-      ++k;
-    }
+    row(built.supply_rows[c], -kInf, static_cast<double>(classes[c].count()));
   }
-  if (k != built.assignment_vars.size()) {
-    return false;
+  built.initial_counts.resize(built.assignment_vars.size());
+  for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
+    const BuiltModel::AssignmentVar& av = built.assignment_vars[k];
+    const EquivalenceClass& cls = classes[static_cast<size_t>(av.class_index)];
+    const double count = static_cast<double>(cls.count());
+    var(av.var, 0, count);
+    const double initial = cls.current == spec_of(av.reservation_index).id ? count : 0.0;
+    built.initial_counts[k] = initial;
+    if (built.move_vars[k] != kNoVar) {
+      var(built.move_vars[k], 0, initial);
+      row(built.move_rows[k], initial, kInf);
+    }
   }
 
-  // --- Per-reservation size-dependent bounds ---
-  size_t expected_affinity_terms = 0;
-  for (size_t r = 0; r < num_res; ++r) {
-    if (!in_subset[r]) {
-      if (built.shortfall_vars[r] != kNoVar) {
-        return false;
-      }
-      continue;
+  // Capacity (6), its shortfall slack, and the anti-hoarding limit.
+  for (size_t r = 0; r < input.reservations.size(); ++r) {
+    if (built.shortfall_vars[r] == kNoVar) {
+      continue;  // Outside the subset.
     }
-    const ReservationSpec& spec = input.reservations[r];
-    const double capacity = spec.capacity_rru;
-    if (built.shortfall_vars[r] == kNoVar || built.capacity_rows[r] == kNoRow ||
-        built.hoard_rows[r] == kNoRow ||
-        spec.needs_correlated_buffer != (built.buffer_vars[r] != kNoVar)) {
-      return false;
-    }
-    expected_affinity_terms += spec.dc_affinity.size();
-    model.UpdateVariableBounds(built.shortfall_vars[r], 0, std::max(capacity, 0.0));
-    model.UpdateRowBounds(built.capacity_rows[r], capacity, kInf);
-    const double hoard_limit = (1.0 + config.hoarding_allowance) * capacity;
-    built.hoard_limits[r] = hoard_limit;
-    model.UpdateRowBounds(built.hoard_rows[r], -kInf, hoard_limit);
+    const double capacity = input.reservations[r].capacity_rru;
+    var(built.shortfall_vars[r], 0, std::max(capacity, 0.0));
+    row(built.capacity_rows[r], capacity, kInf);
+    row(built.hoard_rows[r], -kInf, (1.0 + config.hoarding_allowance) * capacity);
   }
 
-  // --- Spread / quorum / affinity thresholds (all scale with C_r) ---
-  for (auto& term : built.msb_spread_terms) {
-    const ReservationSpec& spec = input.reservations[static_cast<size_t>(term.reservation_index)];
-    term.threshold = MsbSpreadThreshold(spec, config, topo);
-    model.UpdateRowBounds(term.row, -kInf, term.threshold);
+  for (const auto& term : built.msb_spread_terms) {
+    row(term.row, -kInf, MsbSpreadThreshold(spec_of(term.reservation_index), config, topo));
   }
-  for (auto& term : built.rack_spread_terms) {
-    const ReservationSpec& spec = input.reservations[static_cast<size_t>(term.reservation_index)];
-    term.threshold = RackSpreadThreshold(spec, config, topo);
-    model.UpdateRowBounds(term.row, -kInf, term.threshold);
+  for (const auto& term : built.rack_spread_terms) {
+    row(term.row, -kInf, RackSpreadThreshold(spec_of(term.reservation_index), config, topo));
   }
-  for (auto& term : built.quorum_terms) {
-    const ReservationSpec& spec = input.reservations[static_cast<size_t>(term.reservation_index)];
-    if (spec.max_msb_fraction_hard <= 0.0) {
-      return false;  // Hard cap vanished: the row set no longer matches.
-    }
-    term.limit = spec.max_msb_fraction_hard * spec.capacity_rru;
-    model.UpdateRowBounds(term.row, -kInf, term.limit);
+  for (const auto& term : built.quorum_terms) {
+    const ReservationSpec& spec = spec_of(term.reservation_index);
+    row(term.row, -kInf, spec.max_msb_fraction_hard * spec.capacity_rru);
   }
-  if (built.affinity_terms.size() != expected_affinity_terms) {
-    return false;  // Affinity keys were added or removed.
-  }
-  for (auto& term : built.affinity_terms) {
-    const ReservationSpec& spec = input.reservations[static_cast<size_t>(term.reservation_index)];
+  for (const auto& term : built.affinity_terms) {
+    const ReservationSpec& spec = spec_of(term.reservation_index);
     auto it = spec.dc_affinity.find(term.dc);
     if (it == spec.dc_affinity.end()) {
       return false;
     }
-    const double capacity = spec.capacity_rru;
-    term.lo = std::max(0.0, it->second - spec.affinity_theta) * capacity;
-    term.hi = (it->second + spec.affinity_theta) * capacity;
-    model.UpdateRowBounds(term.lo_row, term.lo, kInf);
-    model.UpdateRowBounds(term.hi_row, -kInf, term.hi);
+    const RruBand band = AffinityBand(spec, it->second);
+    // A crossed band comes only from a negative theta or C_r, which no
+    // registry write accepts. Each row alone takes it, but no assignment
+    // meets both rows without paying slack.
+    ok = ok && band.lo <= band.hi;
+    row(term.lo_row, band.lo, kInf);
+    row(term.hi_row, -kInf, band.hi);
   }
-  return true;
+  return ok;
 }
 
 std::vector<double> MakeWarmStart(const SolveInput& input,
@@ -436,8 +380,9 @@ std::vector<double> MakeWarmStart(const SolveInput& input,
     double effective = total_rru[r] - buffer_value[r];
     x[built.shortfall_vars[r]] = std::clamp(capacity - effective, 0.0, std::max(capacity, 0.0));
     if (built.hoard_vars[r] != kNoVar) {
-      // Mirrors the builder's row: h >= total - m - hoard_limit.
-      x[built.hoard_vars[r]] = std::max(0.0, effective - built.hoard_limits[r]);
+      // Mirrors the builder's row: h >= total - m - hoard limit.
+      const double limit = built.model.row(built.hoard_rows[r]).ub;
+      x[built.hoard_vars[r]] = std::max(0.0, effective - limit);
     }
   }
 
@@ -446,13 +391,13 @@ std::vector<double> MakeWarmStart(const SolveInput& input,
     auto it = msb_rru[static_cast<size_t>(term.reservation_index)].find(term.group);
     double rru = it == msb_rru[static_cast<size_t>(term.reservation_index)].end() ? 0.0
                                                                                   : it->second;
-    x[term.var] = std::max(0.0, rru - term.threshold);
+    x[term.var] = std::max(0.0, rru - built.model.row(term.row).ub);
   }
   for (const auto& term : built.rack_spread_terms) {
     auto it = rack_rru[static_cast<size_t>(term.reservation_index)].find(term.group);
     double rru = it == rack_rru[static_cast<size_t>(term.reservation_index)].end() ? 0.0
                                                                                    : it->second;
-    x[term.var] = std::max(0.0, rru - term.threshold);
+    x[term.var] = std::max(0.0, rru - built.model.row(term.row).ub);
   }
 
   // Storage quorum slacks.
@@ -460,7 +405,7 @@ std::vector<double> MakeWarmStart(const SolveInput& input,
     auto it = msb_rru[static_cast<size_t>(term.reservation_index)].find(term.group);
     double rru = it == msb_rru[static_cast<size_t>(term.reservation_index)].end() ? 0.0
                                                                                   : it->second;
-    x[term.slack] = std::max(0.0, rru - term.limit);
+    x[term.slack] = std::max(0.0, rru - built.model.row(term.row).ub);
   }
 
   // Affinity slacks.
@@ -468,8 +413,8 @@ std::vector<double> MakeWarmStart(const SolveInput& input,
     auto it = dc_rru[static_cast<size_t>(term.reservation_index)].find(term.dc);
     double rru = it == dc_rru[static_cast<size_t>(term.reservation_index)].end() ? 0.0
                                                                                  : it->second;
-    x[term.lo_slack] = std::max(0.0, term.lo - rru);
-    x[term.hi_slack] = std::max(0.0, rru - term.hi);
+    x[term.lo_slack] = std::max(0.0, built.model.row(term.lo_row).lb - rru);
+    x[term.hi_slack] = std::max(0.0, rru - built.model.row(term.hi_row).ub);
   }
 
   return x;

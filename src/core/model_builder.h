@@ -151,23 +151,22 @@ struct BuiltModel {
   std::vector<VarId> shortfall_vars;
   // Per reservation index: the max-MSB buffer variable m_r, or kNoVar.
   std::vector<VarId> buffer_vars;
-  // Per reservation index: hoarding overflow variable, or kNoVar, and the
-  // corresponding RRU limit (1 + allowance) * C_r.
+  // Per reservation index: hoarding overflow variable, or kNoVar.
   std::vector<VarId> hoard_vars;
-  std::vector<double> hoard_limits;
   // X values (initial counts) aligned with assignment_vars.
   std::vector<double> initial_counts;
   // Move-out variables o (Expression 1), aligned with assignment_vars; kNoVar
   // where X == 0.
   std::vector<VarId> move_vars;
 
-  // Bookkeeping for warm-start construction.
+  // Bookkeeping for warm-start construction. Each term's round-dependent
+  // bound (spread threshold, quorum cap, affinity band) lives only in the
+  // model, on the term's row(s).
   struct SpreadTerm {
     VarId var;  // Overflow variable w >= (group RRU) - threshold.
     int reservation_index;
     uint32_t group;
-    double threshold;
-    RowId row = -1;  // sum_G V*n - w <= threshold; patched when C_r resizes.
+    RowId row = -1;  // sum_G V*n - w <= threshold.
   };
   std::vector<SpreadTerm> msb_spread_terms;
   std::vector<SpreadTerm> rack_spread_terms;
@@ -176,10 +175,8 @@ struct BuiltModel {
     VarId hi_slack;
     int reservation_index;
     DatacenterId dc;
-    double lo;  // (A - theta) * C_r
-    double hi;  // (A + theta) * C_r
-    RowId lo_row = -1;
-    RowId hi_row = -1;
+    RowId lo_row = -1;  // sum_dc V*n + s_lo >= AffinityBand().lo.
+    RowId hi_row = -1;  // sum_dc V*n - s_hi <= AffinityBand().hi.
   };
   std::vector<AffinityTerm> affinity_terms;
   // Storage quorum caps: per (reservation, MSB) slack above the hard limit.
@@ -187,18 +184,17 @@ struct BuiltModel {
     VarId slack;
     int reservation_index;
     uint32_t group;  // MSB.
-    double limit;    // max_msb_fraction_hard * C_r.
-    RowId row = -1;
+    RowId row = -1;  // sum_G V*n - slack <= max_msb_fraction_hard * C_r.
   };
   std::vector<QuorumTerm> quorum_terms;
 
-  // Row bookkeeping for in-place patching (PatchRasModel): every row whose
-  // bounds depend on class counts or reservation sizes. Rows not present in
-  // this build (no move-out, reservation outside the subset) hold kNoRow.
+  // Row bookkeeping for SetRoundBounds: every row whose bounds depend on
+  // class counts or reservation sizes. Rows not present in this build (no
+  // move-out, reservation outside the subset) hold kNoRow.
   std::vector<RowId> supply_rows;    // Per class: sum_r n <= |class|.
   std::vector<RowId> move_rows;      // Aligned with assignment_vars: n + o >= X.
   std::vector<RowId> capacity_rows;  // Per reservation index: Expression (6).
-  std::vector<RowId> hoard_rows;     // Per reservation index.
+  std::vector<RowId> hoard_rows;     // Per reservation index: h >= RRU - m_r - limit.
 
   size_t num_assignment_variables() const { return assignment_vars.size(); }
   // Model-build memory (variables, rows, nonzeros, decode bookkeeping):
@@ -214,8 +210,10 @@ struct BuiltModel {
 inline constexpr VarId kNoVar = -1;
 inline constexpr RowId kNoRow = -1;
 
-// Builds the model over `classes`.
-//  - granularity: the location scope the classes were built at.
+// Builds the model over `classes` in two passes: a layout pass adds every
+// variable, row, coefficient and objective cost (all fixed by the class keys,
+// the reservation structure and `config`), then SetRoundBounds writes the
+// bounds that depend on the round.
 //  - include_rack_spread: phase 2 adds Expression (2); requires rack classes.
 //  - reservation_subset: when non-empty (phase 2), capacity/spread/buffer
 //    constraints are emitted only for these reservation indices; classes are
@@ -224,15 +222,38 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
                          const SolverConfig& config, bool include_rack_spread,
                          const std::vector<int>& reservation_subset = {});
 
-// Spread thresholds in RRUs, shared by the builder, the patcher and every
-// caller that scores spread against them: the reservation's own alpha
-// (msb_spread_alpha for Expression (3), rack_spread_alpha for Expression (2))
-// or else the config's multiple of the uniform share, times C_r, floored at
+// Writes every round-dependent bound of `built` from (input, classes): class
+// supply and n upper bounds, initial counts X with the move-out bounds, the
+// shortfall bound, capacity and hoard rows, spread thresholds, quorum caps
+// and affinity bands. It walks the recorded bookkeeping and touches only
+// bounds, through the Model's cache-preserving Update mutators, so it is
+// both the last step of BuildRasModel and the whole cross-round patch: on a
+// model whose layout matches this round (RoundDelta::patchable) the result is
+// identical to a fresh build by construction. Returns false when the class or
+// reservation count disagrees with the layout, an affinity key is missing, an
+// affinity band is crossed (lo > hi), or an Update call refuses its range;
+// `built` must then be rebuilt for this round.
+[[nodiscard]] bool SetRoundBounds(BuiltModel& built, const SolveInput& input,
+                                  const std::vector<EquivalenceClass>& classes,
+                                  const SolverConfig& config);
+
+// Spread thresholds in RRUs, shared by the model and every caller that scores
+// spread against them: the reservation's own alpha (msb_spread_alpha for
+// Expression (3), rack_spread_alpha for Expression (2)) or else the config's
+// multiple of the uniform share, times C_r, floored at
 // min_spread_threshold_rru.
 double MsbSpreadThreshold(const ReservationSpec& spec, const SolverConfig& config,
                           const RegionTopology& topo);
 double RackSpreadThreshold(const ReservationSpec& spec, const SolverConfig& config,
                            const RegionTopology& topo);
+
+// Expression (7)'s band for one datacenter share A, in RRUs:
+// [max(0, A - theta) * C_r, (A + theta) * C_r].
+struct RruBand {
+  double lo;
+  double hi;
+};
+RruBand AffinityBand(const ReservationSpec& spec, double share);
 
 // Computes the auxiliary-variable values (move-outs, spread overflows, buffer
 // max, slacks) consistent with the given assignment counts, producing a fully
@@ -241,22 +262,6 @@ double RackSpreadThreshold(const ReservationSpec& spec, const SolverConfig& conf
 std::vector<double> MakeWarmStart(const SolveInput& input,
                                   const std::vector<EquivalenceClass>& classes,
                                   const BuiltModel& built, const std::vector<double>& counts);
-
-// In-place re-targets `built` (previously produced by BuildRasModel with the
-// same config / include_rack_spread / reservation_subset) at a new round's
-// (input, classes), without touching the constraint matrix: class-count
-// supply and move bounds, initial counts, capacity / hoard / spread / quorum
-// / affinity row bounds and thresholds — all through the Model's
-// cache-preserving Update mutators, so the compressed-column cache built for
-// the previous round stays valid. Requires structural equality between the
-// old and new rounds (same class keys per index, same reservation layout —
-// what RoundDelta::classes_structurally_equal certifies); the walk re-derives
-// the builder's variable/row sequence and returns false, leaving `built`
-// unusable for this round, on any mismatch. On success the patched model is
-// field-for-field identical to a fresh BuildRasModel of the new round.
-bool PatchRasModel(BuiltModel& built, const SolveInput& input,
-                   const std::vector<EquivalenceClass>& classes, const SolverConfig& config,
-                   bool include_rack_spread, const std::vector<int>& reservation_subset = {});
 
 }  // namespace ras
 

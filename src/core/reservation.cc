@@ -1,10 +1,18 @@
 #include "src/core/reservation.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace ras {
 
-Result<ReservationId> ReservationRegistry::Create(ReservationSpec spec) {
+namespace {
+
+// The checks every registry write path (Create, Update, Restore) applies, so
+// no spec the model builder cannot bound ever reaches a solve.
+Status ValidateSpec(const ReservationSpec& spec) {
+  if (!std::isfinite(spec.capacity_rru)) {
+    return Status::InvalidArgument("reservation capacity must be finite: " + spec.name);
+  }
   if (!spec.is_elastic && spec.capacity_rru <= 0.0) {
     return Status::InvalidArgument("reservation capacity must be positive: " + spec.name);
   }
@@ -16,13 +24,27 @@ Result<ReservationId> ReservationRegistry::Create(ReservationSpec spec) {
   if (!any_positive) {
     return Status::InvalidArgument("reservation accepts no hardware type: " + spec.name);
   }
-  for (auto& [dc, share] : spec.dc_affinity) {
+  for (const auto& [dc, share] : spec.dc_affinity) {
     // Shares are relative to C_r and may exceed 1: a reservation whose data
     // lives entirely in one datacenter wants capacity *plus its embedded
     // buffer* there, i.e. A ~ 1.1-1.4.
     if (share < 0.0 || share > 2.0) {
       return Status::InvalidArgument("affinity shares must be in [0,2]: " + spec.name);
     }
+  }
+  // A negative tolerance crosses every affinity band (A + theta < A - theta).
+  if (!(spec.affinity_theta >= 0.0)) {
+    return Status::InvalidArgument("affinity theta must be non-negative: " + spec.name);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<ReservationId> ReservationRegistry::Create(ReservationSpec spec) {
+  Status valid = ValidateSpec(spec);
+  if (!valid.ok()) {
+    return valid;
   }
   ReservationId id = next_id_++;
   spec.id = id;
@@ -37,6 +59,10 @@ Result<ReservationId> ReservationRegistry::Restore(ReservationSpec spec) {
   if (specs_.count(spec.id) != 0) {
     return Status::AlreadyExists("id already present: " + std::to_string(spec.id));
   }
+  Status valid = ValidateSpec(spec);
+  if (!valid.ok()) {
+    return valid;
+  }
   ReservationId id = spec.id;
   specs_[id] = std::move(spec);
   if (id >= next_id_) {
@@ -49,6 +75,10 @@ Status ReservationRegistry::Update(const ReservationSpec& spec) {
   auto it = specs_.find(spec.id);
   if (it == specs_.end()) {
     return Status::NotFound("no reservation with id " + std::to_string(spec.id));
+  }
+  Status valid = ValidateSpec(spec);
+  if (!valid.ok()) {
+    return valid;
   }
   it->second = spec;
   return Status::Ok();

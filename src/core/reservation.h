@@ -88,8 +88,11 @@ struct ReservationSpec {
 // lifetime of the registry (deleted ids are not reused).
 class ReservationRegistry {
  public:
-  // Assigns the id. Rejects non-positive capacity for non-elastic requests
-  // and empty RRU vectors.
+  // Every write path validates the spec the same way: capacity finite and,
+  // for non-elastic requests, positive; some hardware type with a positive
+  // RRU value; affinity shares in [0, 2]; affinity theta >= 0.
+  //
+  // Assigns the id.
   Result<ReservationId> Create(ReservationSpec spec);
   // Inserts a spec under its existing id (state restore); rejects duplicates
   // and keeps future Create() ids above the restored ones.

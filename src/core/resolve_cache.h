@@ -6,7 +6,7 @@
 // assignment counts, and proven bound. The next round computes a RoundDelta
 // against the cached snapshot and, when the model structure survives
 // (RoundDelta::patchable), re-targets the cached model in place
-// (PatchRasModel), restarts the root LP from the cached basis, and — when the
+// (SetRoundBounds, the same bound pass every fresh build ends with), restarts the root LP from the cached basis, and — when the
 // delta is empty — skips the MIP entirely and returns the cached incumbent.
 //
 // Lifetime rules (see DESIGN.md "Incremental re-solve"): the cache lives

@@ -5,7 +5,7 @@
 // (health / binding / in-use flips, fleet growth), reservation churn (added /
 // removed / resized / restructured) — and certifies whether the previous
 // round's model structure survives, which is what gates the incremental
-// re-solve layer: model patching (PatchRasModel), basis + incumbent reuse
+// re-solve layer: model patching (SetRoundBounds), basis + incumbent reuse
 // (ResolveCache), and the skip-solve fast path.
 
 #ifndef RAS_SRC_CORE_ROUND_DELTA_H_
@@ -27,7 +27,7 @@ struct RoundDelta {
   int servers_removed = 0;
 
   // Reservation-level churn, matched by id (both snapshots are id-ordered).
-  // "Resized" changes only bounds the model patcher can re-target (capacity,
+  // "Resized" changes only bounds SetRoundBounds re-targets (capacity,
   // spread alphas, affinity theta / shares, quorum magnitude); a
   // "restructured" reservation changed something that alters the constraint
   // matrix itself (value table, buffer flag, affinity key set, quorum cap
@@ -60,7 +60,8 @@ struct RoundDelta {
            reservations_resized == 0 && reservations_restructured == 0 && same_region;
   }
 
-  // The previous round's BuiltModel can be re-targeted in place.
+  // The layout gate: the previous round's BuiltModel keeps its variables,
+  // rows, coefficients and costs, so SetRoundBounds can re-target it in place.
   bool patchable() const {
     return same_region && reservations_structurally_equal && classes_structurally_equal;
   }

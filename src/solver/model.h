@@ -75,12 +75,14 @@ class Model {
   // In-place patch mutators for cross-round model reuse. They are the same
   // operations as the Set* calls above but carry an API contract: they never
   // touch the constraint matrix, so the cached column-major form (see
-  // EnsureCompressedCache) stays valid across any number of them. The model
-  // patcher (PatchRasModel) uses only these between rounds. Unlike the Set*
-  // calls (which assert), a crossed range (lb > ub) is rejected — the model
-  // is left untouched and false is returned — so a bad patch from corrupted
-  // round input cannot poison the cached model.
-  bool UpdateVariableBounds(VarId var, double lb, double ub) {
+  // EnsureCompressedCache) stays valid across any number of them. The RAS
+  // bound pass (SetRoundBounds) uses only these, on a fresh build and between
+  // rounds alike. Unlike the Set* calls (which assert), a crossed range
+  // (lb > ub) is rejected — the bound is left untouched and false is
+  // returned — so a bad patch from corrupted round input is reported, never
+  // silently kept. Under the build's -Werror=unused-result, ignoring the
+  // result is a compile error.
+  [[nodiscard]] bool UpdateVariableBounds(VarId var, double lb, double ub) {
     if (lb > ub) {
       return false;
     }
@@ -88,7 +90,7 @@ class Model {
     variables_[var].ub = ub;
     return true;
   }
-  bool UpdateRowBounds(RowId row, double lb, double ub) {
+  [[nodiscard]] bool UpdateRowBounds(RowId row, double lb, double ub) {
     if (lb > ub) {
       return false;
     }
@@ -96,7 +98,6 @@ class Model {
     rows_[row].ub = ub;
     return true;
   }
-  void UpdateObjectiveCost(VarId var, double cost) { SetObjectiveCost(var, cost); }
 
   size_t num_variables() const { return variables_.size(); }
   size_t num_rows() const { return rows_.size(); }

@@ -82,6 +82,18 @@ TEST(CapacityPortalTest, ResizeGrowReAdmits) {
   EXPECT_EQ(env.registry.Find(*id)->capacity_rru, 60.0);
 }
 
+TEST(CapacityPortalTest, ResizeToNegativeCapacityRejected) {
+  PortalEnv env;
+  ReservationSpec spec = env.AnySpec("aff", 40);
+  spec.dc_affinity[0] = 0.5;
+  auto id = env.portal->SubmitRequest(spec);
+  ASSERT_TRUE(id.ok());
+  // A shrink skips admission, so the registry's own check must catch it: a
+  // negative C_r would cross the affinity band of every later build.
+  EXPECT_EQ(env.portal->ResizeRequest(*id, -5).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(env.registry.Find(*id)->capacity_rru, 40.0);
+}
+
 TEST(CapacityPortalTest, DeleteRecordsHistory) {
   PortalEnv env;
   auto id = env.portal->SubmitRequest(env.AnySpec("svc", 30));

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace ras {
 namespace {
 
@@ -24,22 +29,50 @@ TEST(ReservationRegistryTest, CreateAssignsIds) {
 }
 
 TEST(ReservationRegistryTest, RejectsBadSpecs) {
+  std::vector<std::pair<std::string, ReservationSpec>> bad;
+  bad.emplace_back("no_capacity", ValidSpec());
+  bad.back().second.capacity_rru = 0;
+  bad.emplace_back("negative_capacity", ValidSpec());
+  bad.back().second.capacity_rru = -5;
+  bad.emplace_back("infinite_capacity", ValidSpec());
+  bad.back().second.capacity_rru = std::numeric_limits<double>::infinity();
+  bad.emplace_back("nan_capacity", ValidSpec());
+  bad.back().second.capacity_rru = std::numeric_limits<double>::quiet_NaN();
+  bad.emplace_back("infinite_elastic_capacity", ValidSpec());
+  bad.back().second.is_elastic = true;
+  bad.back().second.capacity_rru = std::numeric_limits<double>::infinity();
+  bad.emplace_back("no_rru", ValidSpec());
+  bad.back().second.rru_per_type.clear();
+  bad.emplace_back("all_zero", ValidSpec());
+  bad.back().second.rru_per_type = {0.0, 0.0};
+  bad.emplace_back("bad_affinity", ValidSpec());
+  bad.back().second.dc_affinity[0] = 2.5;
+  bad.emplace_back("negative_theta", ValidSpec());
+  bad.back().second.dc_affinity[0] = 0.5;
+  bad.back().second.affinity_theta = -0.1;
+
+  // Every write path applies the same checks, and a rejected write leaves
+  // the registry as it was.
+  for (const auto& [name, spec] : bad) {
+    SCOPED_TRACE(name);
+    ReservationRegistry registry;
+    EXPECT_FALSE(registry.Create(spec).ok());
+    EXPECT_EQ(registry.size(), 0u);
+
+    ReservationSpec restored = spec;
+    restored.id = 7;
+    EXPECT_FALSE(registry.Restore(restored).ok());
+    EXPECT_EQ(registry.Find(7), nullptr);
+
+    auto id = registry.Create(ValidSpec());
+    ASSERT_TRUE(id.ok());
+    ReservationSpec updated = spec;
+    updated.id = *id;
+    EXPECT_FALSE(registry.Update(updated).ok());
+    EXPECT_EQ(registry.Find(*id)->capacity_rru, ValidSpec().capacity_rru);
+  }
+
   ReservationRegistry registry;
-  ReservationSpec no_capacity = ValidSpec();
-  no_capacity.capacity_rru = 0;
-  EXPECT_FALSE(registry.Create(no_capacity).ok());
-
-  ReservationSpec no_rru = ValidSpec();
-  no_rru.rru_per_type.clear();
-  EXPECT_FALSE(registry.Create(no_rru).ok());
-
-  ReservationSpec all_zero = ValidSpec();
-  all_zero.rru_per_type = {0.0, 0.0};
-  EXPECT_FALSE(registry.Create(all_zero).ok());
-
-  ReservationSpec bad_affinity = ValidSpec();
-  bad_affinity.dc_affinity[0] = 2.5;
-  EXPECT_FALSE(registry.Create(bad_affinity).ok());
   ReservationSpec buffer_affinity = ValidSpec("with-buffer-share");
   buffer_affinity.dc_affinity[0] = 1.3;  // Capacity + buffer in one DC: legal.
   EXPECT_TRUE(registry.Create(buffer_affinity).ok());

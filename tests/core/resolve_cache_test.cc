@@ -1,11 +1,14 @@
-// Resolve cache: the patch path must reproduce a fresh build field-for-field,
-// and cache entries are keyed by (phase, shard).
+// Resolve cache: the patch path (SetRoundBounds on a cached model) must
+// reproduce a fresh build field-for-field, and cache entries are keyed by
+// (phase, shard).
 
 #include "src/core/resolve_cache.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <functional>
+#include <string>
+#include <unordered_set>
 
 #include "src/fleet/fleet_gen.h"
 
@@ -71,6 +74,22 @@ void ExpectModelsEqual(const Model& a, const Model& b) {
   }
 }
 
+bool SameBounds(const Model& a, const Model& b) {
+  for (VarId v = 0; v < static_cast<VarId>(a.num_variables()); ++v) {
+    if (a.variable(v).lb != b.variable(v).lb || a.variable(v).ub != b.variable(v).ub) {
+      return false;
+    }
+  }
+  for (RowId r = 0; r < static_cast<RowId>(a.num_rows()); ++r) {
+    if (a.row(r).lb != b.row(r).lb || a.row(r).ub != b.row(r).ub) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The full model plus every piece of layout bookkeeping decode, warm start
+// and the next patch read.
 void ExpectBuiltModelsEqual(const BuiltModel& a, const BuiltModel& b) {
   ExpectModelsEqual(a.model, b.model);
   ASSERT_EQ(a.assignment_vars.size(), b.assignment_vars.size());
@@ -79,58 +98,202 @@ void ExpectBuiltModelsEqual(const BuiltModel& a, const BuiltModel& b) {
     EXPECT_EQ(a.assignment_vars[k].class_index, b.assignment_vars[k].class_index);
     EXPECT_EQ(a.assignment_vars[k].reservation_index, b.assignment_vars[k].reservation_index);
   }
+  EXPECT_EQ(a.class_to_vars, b.class_to_vars);
+  EXPECT_EQ(a.shortfall_vars, b.shortfall_vars);
+  EXPECT_EQ(a.buffer_vars, b.buffer_vars);
+  EXPECT_EQ(a.hoard_vars, b.hoard_vars);
   EXPECT_EQ(a.initial_counts, b.initial_counts);
-  EXPECT_EQ(a.hoard_limits, b.hoard_limits);
-  ASSERT_EQ(a.msb_spread_terms.size(), b.msb_spread_terms.size());
-  for (size_t k = 0; k < a.msb_spread_terms.size(); ++k) {
-    EXPECT_EQ(a.msb_spread_terms[k].threshold, b.msb_spread_terms[k].threshold);
-  }
+  EXPECT_EQ(a.move_vars, b.move_vars);
+  EXPECT_EQ(a.supply_rows, b.supply_rows);
+  EXPECT_EQ(a.move_rows, b.move_rows);
+  EXPECT_EQ(a.capacity_rows, b.capacity_rows);
+  EXPECT_EQ(a.hoard_rows, b.hoard_rows);
+  auto spread_eq = [](const std::vector<BuiltModel::SpreadTerm>& x,
+                      const std::vector<BuiltModel::SpreadTerm>& y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (size_t k = 0; k < x.size(); ++k) {
+      EXPECT_EQ(x[k].var, y[k].var);
+      EXPECT_EQ(x[k].reservation_index, y[k].reservation_index);
+      EXPECT_EQ(x[k].group, y[k].group);
+      EXPECT_EQ(x[k].row, y[k].row);
+    }
+  };
+  spread_eq(a.msb_spread_terms, b.msb_spread_terms);
+  spread_eq(a.rack_spread_terms, b.rack_spread_terms);
   ASSERT_EQ(a.affinity_terms.size(), b.affinity_terms.size());
   for (size_t k = 0; k < a.affinity_terms.size(); ++k) {
-    EXPECT_EQ(a.affinity_terms[k].lo, b.affinity_terms[k].lo);
-    EXPECT_EQ(a.affinity_terms[k].hi, b.affinity_terms[k].hi);
+    EXPECT_EQ(a.affinity_terms[k].lo_slack, b.affinity_terms[k].lo_slack);
+    EXPECT_EQ(a.affinity_terms[k].hi_slack, b.affinity_terms[k].hi_slack);
+    EXPECT_EQ(a.affinity_terms[k].reservation_index, b.affinity_terms[k].reservation_index);
+    EXPECT_EQ(a.affinity_terms[k].dc, b.affinity_terms[k].dc);
+    EXPECT_EQ(a.affinity_terms[k].lo_row, b.affinity_terms[k].lo_row);
+    EXPECT_EQ(a.affinity_terms[k].hi_row, b.affinity_terms[k].hi_row);
+  }
+  ASSERT_EQ(a.quorum_terms.size(), b.quorum_terms.size());
+  for (size_t k = 0; k < a.quorum_terms.size(); ++k) {
+    EXPECT_EQ(a.quorum_terms[k].slack, b.quorum_terms[k].slack);
+    EXPECT_EQ(a.quorum_terms[k].reservation_index, b.quorum_terms[k].reservation_index);
+    EXPECT_EQ(a.quorum_terms[k].group, b.quorum_terms[k].group);
+    EXPECT_EQ(a.quorum_terms[k].row, b.quorum_terms[k].row);
   }
 }
 
-TEST(ResolveCacheTest, PatchedModelEqualsFreshRebuildAfterResize) {
+// A region whose three reservations carry every round-dependent term: plain
+// capacity ("svc"), a two-datacenter affinity ("aff") and a storage quorum
+// cap ("quorum"). Each of the first three MSBs is bound to one of them, in
+// use or idle, so move-out rows of both cost tiers exist; the last is free.
+struct PatchRegion {
   TestRegion region;
-  auto svc = region.registry.Create(AnyTypeReservation(region.fleet.catalog, "svc", 12));
-  ASSERT_TRUE(svc.ok());
-  ReservationSpec aff = AnyTypeReservation(region.fleet.catalog, "aff", 8);
-  aff.dc_affinity[0] = 0.5;
-  aff.dc_affinity[1] = 0.5;
-  ASSERT_TRUE(region.registry.Create(aff).ok());
+  SolveInput base;
 
-  SolverConfig config;
-  SolveInput prev = region.Snapshot();
-  std::vector<EquivalenceClass> classes = BuildEquivalenceClasses(prev, Scope::kMsb);
-  BuiltModel patched = BuildRasModel(prev, classes, config, /*include_rack_spread=*/false);
-  patched.model.EnsureCompressedCache();
-
-  // Resize both reservations and kill one server of a populous class: bound
-  // changes only, so the cached model patches forward.
-  SolveInput next = prev;
-  next.reservations[0].capacity_rru = 18;
-  next.reservations[1].capacity_rru = 6;
-  ServerId victim = 0;
-  for (const EquivalenceClass& cls : classes) {
-    if (cls.count() >= 2) {
-      victim = cls.servers[0];
-      break;
+  PatchRegion() {
+    const HardwareCatalog& catalog = region.fleet.catalog;
+    EXPECT_TRUE(region.registry.Create(AnyTypeReservation(catalog, "svc", 12)).ok());
+    ReservationSpec aff = AnyTypeReservation(catalog, "aff", 8);
+    aff.dc_affinity[0] = 0.5;
+    aff.dc_affinity[1] = 0.5;
+    EXPECT_TRUE(region.registry.Create(aff).ok());
+    ReservationSpec quorum = AnyTypeReservation(catalog, "quorum", 10);
+    quorum.is_storage = true;
+    quorum.max_msb_fraction_hard = 0.4;
+    EXPECT_TRUE(region.registry.Create(quorum).ok());
+    base = region.Snapshot();
+    const RegionTopology& topo = region.fleet.topology;
+    for (size_t s = 0; s < base.servers.size(); ++s) {
+      const size_t msb = topo.server(static_cast<ServerId>(s)).msb;
+      if (msb < 3) {
+        base.servers[s].current = base.reservations[msb].id;
+        base.servers[s].in_use = msb != 1;
+      }
     }
   }
-  next.servers[victim].available = false;
-  std::vector<EquivalenceClass> next_classes = BuildEquivalenceClasses(next, Scope::kMsb);
-  ASSERT_TRUE(ClassStructureEqual(classes, next_classes));
+};
 
-  ASSERT_TRUE(PatchRasModel(patched, next, next_classes, config,
-                            /*include_rack_spread=*/false));
-  // Patching goes exclusively through the Update* mutators: the CSC cache
-  // built before the patch must still be valid.
-  EXPECT_TRUE(patched.model.compressed_cache_valid());
+// Phase 1: MSB classes over every reservation. Phase 2: rack classes and
+// rack spread over a two-reservation subset, as AsyncSolver builds them.
+struct PhaseShape {
+  const char* name;
+  bool include_rack_spread;
+  std::vector<int> subset;
 
-  BuiltModel fresh = BuildRasModel(next, next_classes, config, /*include_rack_spread=*/false);
-  ExpectBuiltModelsEqual(patched, fresh);
+  std::vector<EquivalenceClass> Classes(const SolveInput& input) const {
+    if (!include_rack_spread) {
+      return BuildEquivalenceClasses(input, Scope::kMsb);
+    }
+    std::unordered_set<ReservationId> ids;
+    for (int r : subset) {
+      ids.insert(input.reservations[static_cast<size_t>(r)].id);
+    }
+    ClassFilter filter;
+    filter.reservations = &ids;
+    return BuildEquivalenceClasses(input, Scope::kRack, filter);
+  }
+};
+
+const std::vector<PhaseShape>& Phases() {
+  static const std::vector<PhaseShape> phases = {
+      {"phase1", false, {}},
+      {"phase2", true, {1, 2}},
+  };
+  return phases;
+}
+
+// One round-over-round edit that RoundDelta certifies patchable. `classes`
+// are the previous round's, for edits that pick a server.
+struct BoundEdit {
+  const char* name;
+  std::function<void(SolveInput&, const std::vector<EquivalenceClass>&)> apply;
+};
+
+TEST(ResolveCacheTest, PatchedModelEqualsFreshRebuildForEveryBound) {
+  const std::vector<BoundEdit> edits = {
+      {"capacity",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         in.reservations[0].capacity_rru = 18;
+         in.reservations[1].capacity_rru = 6;
+         in.reservations[2].capacity_rru = 14;
+       }},
+      {"spread_alphas",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         for (ReservationSpec& spec : in.reservations) {
+           spec.msb_spread_alpha = 0.6;
+           spec.rack_spread_alpha = 0.5;
+         }
+       }},
+      {"affinity_share",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         in.reservations[1].dc_affinity[0] = 0.7;
+       }},
+      {"affinity_theta",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         in.reservations[1].affinity_theta = 0.2;
+       }},
+      {"quorum_magnitude",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         in.reservations[2].max_msb_fraction_hard = 0.25;
+       }},
+      {"availability_flip",
+       [](SolveInput& in, const std::vector<EquivalenceClass>& classes) {
+         // Kill one server of a populous bound class: its supply, n bound,
+         // X and move-out bounds all shrink, the class survives.
+         for (const EquivalenceClass& cls : classes) {
+           if (cls.count() >= 2 && cls.current != kUnassigned) {
+             in.servers[cls.servers[0]].available = false;
+             return;
+           }
+         }
+         ADD_FAILURE() << "no populous bound class";
+       }},
+  };
+
+  PatchRegion region;
+  SolverConfig config;
+  for (const PhaseShape& phase : Phases()) {
+    for (const BoundEdit& edit : edits) {
+      SCOPED_TRACE(std::string(phase.name) + " / " + edit.name);
+      const SolveInput& prev = region.base;
+      std::vector<EquivalenceClass> classes = phase.Classes(prev);
+      BuiltModel patched =
+          BuildRasModel(prev, classes, config, phase.include_rack_spread, phase.subset);
+      const BuiltModel before = patched;
+
+      SolveInput next = prev;
+      edit.apply(next, classes);
+      std::vector<EquivalenceClass> next_classes = phase.Classes(next);
+      RoundDelta delta = ComputeRoundDelta(prev, next);
+      delta.classes_structurally_equal = ClassStructureEqual(classes, next_classes);
+      ASSERT_TRUE(delta.patchable());
+
+      ASSERT_TRUE(SetRoundBounds(patched, next, next_classes, config));
+      // Patching goes exclusively through the Update* mutators: the CSC
+      // cache built with the model must still be valid.
+      EXPECT_TRUE(patched.model.compressed_cache_valid());
+
+      BuiltModel fresh =
+          BuildRasModel(next, next_classes, config, phase.include_rack_spread, phase.subset);
+      ExpectBuiltModelsEqual(patched, fresh);
+      // The edit must reach the model, or the comparison proves nothing.
+      EXPECT_FALSE(SameBounds(before.model, fresh.model));
+    }
+  }
+}
+
+TEST(ResolveCacheTest, PatchRefusesCrossedAffinityBand) {
+  PatchRegion region;
+  SolverConfig config;
+  for (const PhaseShape& phase : Phases()) {
+    SCOPED_TRACE(phase.name);
+    std::vector<EquivalenceClass> classes = phase.Classes(region.base);
+    BuiltModel built =
+        BuildRasModel(region.base, classes, config, phase.include_rack_spread, phase.subset);
+
+    // A negative theta crosses "aff"'s band: (0.5 + 0.1) * 8 > (0.5 - 0.1) * 8.
+    // The delta calls it a resize, so only the bound pass can catch it.
+    SolveInput next = region.base;
+    next.reservations[1].affinity_theta = -0.1;
+    ASSERT_TRUE(ComputeRoundDelta(region.base, next).reservations_structurally_equal);
+    EXPECT_FALSE(SetRoundBounds(built, next, phase.Classes(next), config));
+  }
 }
 
 TEST(ResolveCacheTest, PatchRefusesStructuralMismatch) {
@@ -141,13 +304,11 @@ TEST(ResolveCacheTest, PatchRefusesStructuralMismatch) {
   std::vector<EquivalenceClass> classes = BuildEquivalenceClasses(prev, Scope::kMsb);
   BuiltModel built = BuildRasModel(prev, classes, config, /*include_rack_spread=*/false);
 
-  // A second reservation changes the variable layout: the patch walk must
-  // detect the mismatch and refuse.
+  // A second reservation changes the layout: the bound pass must refuse.
   ASSERT_TRUE(region.registry.Create(AnyTypeReservation(region.fleet.catalog, "extra", 4)).ok());
   SolveInput next = region.Snapshot();
   std::vector<EquivalenceClass> next_classes = BuildEquivalenceClasses(next, Scope::kMsb);
-  EXPECT_FALSE(PatchRasModel(built, next, next_classes, config,
-                             /*include_rack_spread=*/false));
+  EXPECT_FALSE(SetRoundBounds(built, next, next_classes, config));
 }
 
 TEST(ResolveCacheTest, EntriesAreKeyedAndInvalidateDropsAll) {

@@ -158,7 +158,7 @@ TEST(ModelTest, MemoryBytesGrowsWithSize) {
 }
 
 TEST(ModelTest, UpdateBoundsAfterCompressedCacheKeepsCacheAndSolverCurrent) {
-  // PatchRasModel mutates bounds on a model whose CSC cache was already
+  // SetRoundBounds mutates bounds on a model whose CSC cache was already
   // built by a previous solve. The cache covers coefficients only, so it
   // must stay valid, and a fresh solve must see the new bounds.
   Model m;

@@ -134,8 +134,8 @@ TEST(WarmResolveTest, MatchesColdSolveAfterRowBoundChange) {
       for (const RowEntry& e : m.row_entries(r)) {
         activity += e.coeff * ref[static_cast<size_t>(e.var)];
       }
-      m.UpdateRowBounds(static_cast<RowId>(r), activity - rng.Uniform(0.3, 3),
-                        activity + rng.Uniform(0.3, 3));
+      ASSERT_TRUE(m.UpdateRowBounds(static_cast<RowId>(r), activity - rng.Uniform(0.3, 3),
+                                    activity + rng.Uniform(0.3, 3)));
     }
 
     LpResult warm = warm_solver.ResolveWithBasis(m, {});
@@ -149,10 +149,9 @@ TEST(WarmResolveTest, MatchesColdSolveAfterRowBoundChange) {
 }
 
 TEST(WarmResolveTest, MatchesColdSolveAfterObjectiveChange) {
-  // Acquire costs flip between 0 and config.acquire_cost when a class's
-  // current holder changes round-over-round (Model::UpdateObjectiveCost);
-  // bases stay primal-feasible under any cost change, so the warm resolve is
-  // pure phase-2 pivoting and must match a cold solve.
+  // A cost change (Model::SetObjectiveCost) keeps the coefficients, so the
+  // basis stays primal-feasible; the warm resolve is pure phase-2 pivoting
+  // and must match a cold solve.
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> ref;
     Model m = RandomLp(7500 + static_cast<uint64_t>(trial), 10, 7, &ref);
@@ -162,7 +161,7 @@ TEST(WarmResolveTest, MatchesColdSolveAfterObjectiveChange) {
     Rng rng(7600 + static_cast<uint64_t>(trial));
     for (size_t j = 0; j < m.num_variables(); ++j) {
       if (rng.Bernoulli(0.4)) {
-        m.UpdateObjectiveCost(static_cast<VarId>(j), rng.Uniform(-3, 3));
+        m.SetObjectiveCost(static_cast<VarId>(j), rng.Uniform(-3, 3));
       }
     }
 
@@ -255,7 +254,7 @@ TEST(WarmResolveTest, ChainOfResolves) {
 }
 
 TEST(WarmResolveTest, DualSimplexResolveMatchesFreshPrimalFieldForField) {
-  // The PatchRasModel shape: solve, mutate row bounds in place (costs
+  // The cross-round patch shape (SetRoundBounds): solve, mutate row bounds in place (costs
   // untouched, so the optimal basis stays dual-feasible), warm-resolve. The
   // dual kernel must run, take pivots, and land on exactly the answer a
   // fresh primal solve of the patched model produces — status, objective,
@@ -276,8 +275,8 @@ TEST(WarmResolveTest, DualSimplexResolveMatchesFreshPrimalFieldForField) {
       for (const RowEntry& e : m.row_entries(r)) {
         activity += e.coeff * ref[static_cast<size_t>(e.var)];
       }
-      m.UpdateRowBounds(static_cast<RowId>(r), activity - rng.Uniform(0.1, 0.8),
-                        activity + rng.Uniform(0.1, 0.8));
+      ASSERT_TRUE(m.UpdateRowBounds(static_cast<RowId>(r), activity - rng.Uniform(0.1, 0.8),
+                                    activity + rng.Uniform(0.1, 0.8)));
     }
 
     LpResult warm = warm_solver.ResolveWithBasis(m, {});
@@ -316,7 +315,7 @@ TEST(WarmResolveTest, DualSimplexDeclinedAfterCostChangeYetCorrect) {
 
   Rng rng(9301);
   for (size_t j = 0; j < m.num_variables(); ++j) {
-    m.UpdateObjectiveCost(static_cast<VarId>(j), rng.Uniform(-3, 3));
+    m.SetObjectiveCost(static_cast<VarId>(j), rng.Uniform(-3, 3));
   }
   // Also perturb one row so the basis is primal-infeasible too — the gate
   // must reject on dual-infeasibility even when a dual start is "needed".
@@ -324,7 +323,7 @@ TEST(WarmResolveTest, DualSimplexDeclinedAfterCostChangeYetCorrect) {
   for (const RowEntry& e : m.row_entries(0)) {
     activity += e.coeff * ref[static_cast<size_t>(e.var)];
   }
-  m.UpdateRowBounds(0, activity - 0.2, activity + 0.2);
+  ASSERT_TRUE(m.UpdateRowBounds(0, activity - 0.2, activity + 0.2));
 
   LpResult warm = warm_solver.ResolveWithBasis(m, {});
   EXPECT_FALSE(warm.used_dual_simplex);
@@ -351,7 +350,7 @@ TEST(WarmResolveTest, DualResolveDisabledByOption) {
     for (const RowEntry& e : m.row_entries(r)) {
       activity += e.coeff * ref[static_cast<size_t>(e.var)];
     }
-    m.UpdateRowBounds(static_cast<RowId>(r), activity - 0.3, activity + 0.3);
+    ASSERT_TRUE(m.UpdateRowBounds(static_cast<RowId>(r), activity - 0.3, activity + 0.3));
   }
   LpResult warm = solver.ResolveWithBasis(m, {});
   ASSERT_EQ(warm.status, LpStatus::kOptimal);
