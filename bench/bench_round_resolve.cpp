@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   fleet_options.seed = 4242;
   Fleet fleet = GenerateFleet(fleet_options);
   const size_t num_servers = fleet.topology.num_servers();
-  std::printf("region: %zu servers, %zu racks, %u MSBs\n", num_servers,
+  std::printf("region: %zu servers, %zu racks, %zu MSBs\n", num_servers,
               fleet.topology.num_racks(), fleet.topology.num_msbs());
 
   ResourceBroker broker(&fleet.topology);

@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   fleet_options.servers_per_rack = small ? 8 : 36;
   fleet_options.seed = 4242;
   Fleet fleet = GenerateFleet(fleet_options);
-  std::printf("region: %zu servers, %zu racks, %u MSBs\n", fleet.topology.num_servers(),
+  std::printf("region: %zu servers, %zu racks, %zu MSBs\n", fleet.topology.num_servers(),
               fleet.topology.num_racks(), fleet.topology.num_msbs());
 
   ResourceBroker broker(&fleet.topology);

@@ -1,14 +1,12 @@
 // Solver-kernel scaling bench: the perf-regression anchor for the Async
 // Solver's MIP engine (the machinery behind Figures 7 and 10).
 //
-// Runs the phase-1 RAS MIP over a set of synthetic regions under four solver
-// configurations:
+// Runs the phase-1 RAS MIP over a set of synthetic regions under three solver
+// configurations of the one LP kernel (sparse LU basis factorization, partial
+// pricing, adaptive refactorization):
 //
-//   seed-dense  : the original serial dense simplex (full Dantzig pricing,
-//                 fixed refactor cadence) — the reference the repo grew from.
-//   sparse      : CSC kernels + partial pricing + adaptive refactorization,
-//                 serial branch-and-bound.
-//   sparse-t2/4 : sparse kernels with 2 / 4 branch-and-bound workers.
+//   sparse      : serial branch-and-bound.
+//   sparse-t2/4 : 2 / 4 branch-and-bound workers.
 //
 // Prints a comparison table and writes BENCH_solver.json (via the common
 // bench_json emitter) with wall time, simplex iterations, nodes, gap, and
@@ -58,13 +56,12 @@ struct ConfigResult {
 };
 
 ConfigResult RunConfig(const std::vector<Workload*>& workloads, const SolverConfig& config,
-                       bool use_sparse, int threads) {
+                       int threads) {
   ConfigResult out;
   for (size_t w = 0; w < workloads.size(); ++w) {
     Workload& wl = *workloads[w];
     MipOptions options = config.phase1_mip;
     options.lp = LpOptions();
-    options.lp.use_sparse_kernels = use_sparse;
     options.threads = threads;
     options.heuristic = MakeLpRoundingHeuristic(wl.input, wl.classes, wl.built);
     MipSolver solver(options);
@@ -96,7 +93,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintHeader("Solver scaling: sparse simplex kernels + parallel branch-and-bound",
+  PrintHeader("Solver scaling: sparse LU simplex kernel + parallel branch-and-bound",
               "continuous region-wide re-optimization must be as fast as the hardware "
               "allows (Figs. 7/10 measure allocation time and setup scaling)");
 
@@ -149,28 +146,26 @@ int main(int argc, char** argv) {
 
   struct Config {
     const char* name;
-    bool sparse;
     int threads;
   };
   const Config kConfigs[] = {
-      {"seed-dense", false, 1},
-      {"sparse", true, 1},
-      {"sparse-t2", true, 2},
-      {"sparse-t4", true, 4},
+      {"sparse", 1},
+      {"sparse-t2", 2},
+      {"sparse-t4", 4},
   };
 
   BenchJsonWriter json("solver_scaling");
   AddStandardMeta(json);
   std::printf("\n%-12s %10s %12s %8s %12s %10s %9s\n", "config", "wall_s", "lp_iters",
               "nodes", "objective", "gap", "speedup");
-  double dense_wall = 0.0;
+  double serial_wall = 0.0;
   double t4_speedup = 0.0;
   for (const Config& c : kConfigs) {
-    ConfigResult r = RunConfig(ptrs, config, c.sparse, c.threads);
-    if (c.threads == 1 && !c.sparse) {
-      dense_wall = r.wall_s;
+    ConfigResult r = RunConfig(ptrs, config, c.threads);
+    if (c.threads == 1) {
+      serial_wall = r.wall_s;
     }
-    double speedup = dense_wall > 0 ? dense_wall / r.wall_s : 1.0;
+    double speedup = serial_wall > 0 ? serial_wall / r.wall_s : 1.0;
     if (c.threads == 4) {
       t4_speedup = speedup;
     }
@@ -179,7 +174,6 @@ int main(int argc, char** argv) {
                 r.objective, r.gap, speedup);
     json.AddRecord()
         .Set("config", c.name)
-        .Set("sparse_kernels", c.sparse)
         .Set("threads", c.threads)
         .Set("wall_s", r.wall_s)
         .Set("iterations", r.lp_iterations)
@@ -187,14 +181,14 @@ int main(int argc, char** argv) {
         .Set("objective", r.objective)
         .Set("gap", r.gap)
         .Set("status", MipStatusName(r.status))
-        .Set("speedup_vs_dense", speedup)
+        .Set("speedup_vs_serial", speedup)
         .Set("workloads", static_cast<int64_t>(kWorkloads));
   }
 
-  // threads=1 determinism: two runs of the sparse serial config must produce
+  // threads=1 determinism: two runs of the serial config must produce
   // bitwise-identical solution vectors.
-  ConfigResult d1 = RunConfig(ptrs, config, /*use_sparse=*/true, /*threads=*/1);
-  ConfigResult d2 = RunConfig(ptrs, config, /*use_sparse=*/true, /*threads=*/1);
+  ConfigResult d1 = RunConfig(ptrs, config, /*threads=*/1);
+  ConfigResult d2 = RunConfig(ptrs, config, /*threads=*/1);
   bool deterministic = d1.first_x == d2.first_x;
   std::printf("\nthreads=1 determinism (bitwise, repeated run): %s\n",
               deterministic ? "OK" : "MISMATCH");
@@ -204,7 +198,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
-  std::printf("sparse-t4 speedup vs seed-dense: %.2fx (target >= 2x on the default region)\n",
-              t4_speedup);
+  std::printf("sparse-t4 speedup vs serial: %.2fx\n", t4_speedup);
   return deterministic ? 0 : 1;
 }

@@ -13,7 +13,7 @@ double Now() {
 
 }  // namespace
 
-SetupMeasurement MeasureSetup(SweepRegion& region) {
+SetupMeasurement MeasureSetup(SweepRegion& region, bool solve_root_lp) {
   SetupMeasurement out;
   out.servers = region.broker->num_servers();
   SolverConfig config;
@@ -27,8 +27,11 @@ SetupMeasurement MeasureSetup(SweepRegion& region) {
   auto warm1 = MakeWarmStart(input, classes1, built1, counts1);
   out.phase1_setup_s = Now() - t0;
   out.phase1_vars = built1.num_assignment_variables();
+  out.phase1_rows = built1.model.num_rows();
   out.phase1_model_bytes = built1.ModelMemoryBytes();
-  out.phase1_full_bytes = built1.EstimatedMemoryBytes();
+  if (solve_root_lp) {
+    out.phase1_basis_nonzeros = SimplexSolver().Solve(built1.model).factor_nonzeros;
+  }
 
   // ---- Phase 2 setup: worst 10% of reservations at rack granularity ----
   t0 = Now();
@@ -49,7 +52,9 @@ SetupMeasurement MeasureSetup(SweepRegion& region) {
   out.phase2_setup_s = Now() - t0;
   out.phase2_vars = built2.num_assignment_variables();
   out.phase2_model_bytes = built2.ModelMemoryBytes();
-  out.phase2_full_bytes = built2.EstimatedMemoryBytes();
+  if (solve_root_lp) {
+    out.phase2_basis_nonzeros = SimplexSolver().Solve(built2.model).factor_nonzeros;
+  }
   (void)warm1;
   (void)warm2;
   return out;

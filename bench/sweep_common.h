@@ -1,7 +1,8 @@
 // Shared region-size sweep for the Figure 10 / Figure 11 scaling benches:
 // builds progressively larger regions and runs the setup pipeline (snapshot,
 // equivalence classes, model build, initial state) for both phases, without
-// the MIP step.
+// the MIP step. Figure 11 additionally solves each phase's root LP to read
+// the simplex basis footprint.
 
 #ifndef RAS_BENCH_SWEEP_COMMON_H_
 #define RAS_BENCH_SWEEP_COMMON_H_
@@ -60,17 +61,22 @@ struct SweepRegion {
 struct SetupMeasurement {
   size_t phase1_vars = 0;
   size_t phase2_vars = 0;
+  size_t phase1_rows = 0;
   double phase1_setup_s = 0.0;
   double phase2_setup_s = 0.0;
   size_t phase1_model_bytes = 0;
   size_t phase2_model_bytes = 0;
-  size_t phase1_full_bytes = 0;
-  size_t phase2_full_bytes = 0;
+  // Root-LP basis factorization (L + U + eta) nonzeros per phase; zero
+  // unless requested.
+  int64_t phase1_basis_nonzeros = 0;
+  int64_t phase2_basis_nonzeros = 0;
   size_t servers = 0;
 };
 
 // Runs the phase-1 and phase-2 setup pipelines (no MIP) and measures them.
-SetupMeasurement MeasureSetup(SweepRegion& region);
+// With `solve_root_lp`, also solves each phase's root LP relaxation (timed
+// outside the setup figures) and records its basis footprint.
+SetupMeasurement MeasureSetup(SweepRegion& region, bool solve_root_lp = false);
 
 }  // namespace bench
 }  // namespace ras

@@ -185,7 +185,7 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
   outcome.stats.assignment_variables = built.num_assignment_variables();
   outcome.stats.model_rows = built.model.num_rows();
   outcome.stats.model_variables = built.model.num_variables();
-  outcome.stats.memory_bytes = built.EstimatedMemoryBytes();
+  outcome.stats.memory_bytes = built.ModelMemoryBytes();
 
   std::vector<double> local_solution;
   const std::vector<double>* solution = nullptr;
@@ -467,7 +467,7 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
     stats.phase1.assignment_variables = built.num_assignment_variables();
     stats.phase1.model_rows = built.model.num_rows();
     stats.phase1.model_variables = built.model.num_variables();
-    stats.phase1.memory_bytes = built.EstimatedMemoryBytes();
+    stats.phase1.memory_bytes = built.ModelMemoryBytes();
     t0 = util::MonotonicSeconds();
     std::vector<double> counts = BuildInitialCounts(input, classes, built);
     std::vector<double> warm = MakeWarmStart(input, classes, built, counts);

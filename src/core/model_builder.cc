@@ -24,11 +24,6 @@ size_t BuiltModel::ModelMemoryBytes() const {
          assignment_vars.size() * sizeof(AssignmentVar);
 }
 
-size_t BuiltModel::EstimatedMemoryBytes() const {
-  size_t m = model.num_rows();
-  return ModelMemoryBytes() + m * m * sizeof(double);
-}
-
 double MsbSpreadThreshold(const ReservationSpec& spec, const SolverConfig& config,
                           const RegionTopology& topo) {
   const double alpha_f = spec.msb_spread_alpha > 0.0

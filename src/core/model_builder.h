@@ -201,10 +201,6 @@ struct BuiltModel {
   // linear in the number of assignment variables, the quantity comparable to
   // the paper's Figure 11.
   size_t ModelMemoryBytes() const;
-  // Full working-set estimate including the simplex's dense basis inverse
-  // (quadratic in rows — an artifact of this repo's from-scratch LP engine;
-  // commercial solvers keep a sparse factorization instead).
-  size_t EstimatedMemoryBytes() const;
 };
 
 inline constexpr VarId kNoVar = -1;

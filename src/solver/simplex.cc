@@ -7,6 +7,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/solver/presolve.h"
+#include "src/util/monotonic_time.h"
 
 namespace ras {
 namespace {
@@ -20,13 +21,16 @@ void RecordLpMetrics(const LpResult& result) {
   static obs::Counter& iterations =
       reg.counter("ras_simplex_iterations_total", "Simplex pivots across all solves.");
   static obs::Counter& refactorizations = reg.counter(
-      "ras_simplex_refactorizations_total", "Basis inverse rebuilds across all solves.");
+      "ras_simplex_refactorizations_total", "Basis refactorizations across all solves.");
   static obs::Counter& dual_resolves = reg.counter(
       "ras_simplex_dual_resolves_total", "Warm resolves served by the dual simplex kernel.");
   static obs::Counter& dual_iterations =
       reg.counter("ras_simplex_dual_iterations_total", "Dual simplex pivots across all solves.");
   static obs::Counter& presolve_rows = reg.counter(
       "ras_simplex_presolve_rows_removed_total", "Rows removed by presolve across cold solves.");
+  static obs::Histogram& refactor_seconds =
+      reg.histogram("ras_simplex_refactor_seconds",
+                    "Basis factorization wall time of one LP solve.", 0.0, 0.05, 100);
   solves.Add();
   iterations.Add(result.iterations);
   refactorizations.Add(result.refactorizations);
@@ -35,6 +39,7 @@ void RecordLpMetrics(const LpResult& result) {
   }
   dual_iterations.Add(result.dual_iterations);
   presolve_rows.Add(result.presolve_rows_removed);
+  refactor_seconds.Observe(result.refactor_seconds);
 }
 
 }  // namespace
@@ -106,91 +111,29 @@ void SimplexSolver::InitializeBasis() {
       value_[j] = 0.0;
     }
   }
-  // All-slack basis. B = -I so B^-1 = -I.
-  binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
+  // All-slack basis: B = -I, whose factorization cannot fail.
   for (int32_t i = 0; i < m_; ++i) {
     int32_t col = n_ + i;
     basis_[i] = col;
     basis_pos_[col] = i;
     status_[col] = ColStatus::kBasic;
-    binv_[static_cast<size_t>(i) * m_ + i] = -1.0;
   }
+  Refactorize();
   ComputeBasicValues();
 }
 
 bool SimplexSolver::Refactorize() {
-  // Dense Gauss-Jordan inversion of the basis matrix with partial pivoting.
-  // O(m^3); called periodically to cap inverse drift.
-  std::vector<double> mat(static_cast<size_t>(m_) * m_, 0.0);
-  for (int32_t pos = 0; pos < m_; ++pos) {
-    int32_t col = basis_[pos];
-    if (col >= n_) {
-      mat[static_cast<size_t>(col - n_) * m_ + pos] = -1.0;  // Slack column -e_i.
-    } else {
-      for (int32_t k = csc_starts_[col]; k < csc_starts_[col + 1]; ++k) {
-        mat[static_cast<size_t>(csc_rows_[k]) * m_ + pos] = csc_values_[k];
-      }
-    }
-  }
-  std::vector<double> inv(static_cast<size_t>(m_) * m_, 0.0);
-  for (int32_t i = 0; i < m_; ++i) {
-    inv[static_cast<size_t>(i) * m_ + i] = 1.0;
-  }
-  for (int32_t col = 0; col < m_; ++col) {
-    // Pivot search in column `col` at or below the diagonal.
-    int32_t pivot_row = -1;
-    double best = 1e-11;
-    for (int32_t r = col; r < m_; ++r) {
-      double v = std::fabs(mat[static_cast<size_t>(r) * m_ + col]);
-      if (v > best) {
-        best = v;
-        pivot_row = r;
-      }
-    }
-    if (pivot_row < 0) {
-      return false;  // Singular basis.
-    }
-    if (pivot_row != col) {
-      for (int32_t c = 0; c < m_; ++c) {
-        std::swap(mat[static_cast<size_t>(pivot_row) * m_ + c],
-                  mat[static_cast<size_t>(col) * m_ + c]);
-        std::swap(inv[static_cast<size_t>(pivot_row) * m_ + c],
-                  inv[static_cast<size_t>(col) * m_ + c]);
-      }
-    }
-    double pivot = mat[static_cast<size_t>(col) * m_ + col];
-    double inv_pivot = 1.0 / pivot;
-    double* mat_row = &mat[static_cast<size_t>(col) * m_];
-    double* inv_row = &inv[static_cast<size_t>(col) * m_];
-    for (int32_t c = 0; c < m_; ++c) {
-      mat_row[c] *= inv_pivot;
-      inv_row[c] *= inv_pivot;
-    }
-    for (int32_t r = 0; r < m_; ++r) {
-      if (r == col) {
-        continue;
-      }
-      double factor = mat[static_cast<size_t>(r) * m_ + col];
-      if (factor == 0.0) {
-        continue;
-      }
-      double* mr = &mat[static_cast<size_t>(r) * m_];
-      double* ir = &inv[static_cast<size_t>(r) * m_];
-      for (int32_t c = 0; c < m_; ++c) {
-        mr[c] -= factor * mat_row[c];
-        ir[c] -= factor * inv_row[c];
-      }
-    }
-  }
-  binv_ = std::move(inv);
-  etas_since_refactor_ = 0;
-  return true;
+  double start = util::MonotonicSeconds();
+  bool ok = factor_.Factor(m_, n_, basis_, csc_starts_, csc_rows_, csc_values_);
+  refactor_seconds_ += util::MonotonicSeconds() - start;
+  return ok;
 }
 
 void SimplexSolver::ComputeBasicValues() {
   // x_B = B^-1 * r where r_i = -(sum over nonbasic j of a_ij x_j). The rhs is
   // zero because every row's constant lives in its slack bounds.
-  std::vector<double> r(m_, 0.0);
+  std::vector<double>& r = solve_rhs_;
+  r.assign(m_, 0.0);
   for (int32_t j = 0; j < n_; ++j) {
     if (status_[j] == ColStatus::kBasic || value_[j] == 0.0) {
       continue;
@@ -206,42 +149,38 @@ void SimplexSolver::ComputeBasicValues() {
       r[i] += value_[col];  // Slack column is -e_i, so -(-1 * x) = +x.
     }
   }
+  std::vector<double> x;
+  factor_.Ftran(r, x);
   for (int32_t pos = 0; pos < m_; ++pos) {
-    const double* row = &binv_[static_cast<size_t>(pos) * m_];
-    double sum = 0.0;
-    for (int32_t i = 0; i < m_; ++i) {
-      sum += row[i] * r[i];
-    }
-    value_[basis_[pos]] = sum;
+    value_[basis_[pos]] = x[pos];
   }
 }
 
-void SimplexSolver::Ftran(int32_t col, std::vector<double>& alpha,
-                          std::vector<int32_t>* nz) const {
+void SimplexSolver::Ftran(int32_t col, std::vector<double>& alpha, std::vector<int32_t>& nz) {
   // alpha = B^-1 * A_col.
-  alpha.assign(m_, 0.0);
+  solve_rhs_.assign(m_, 0.0);
   if (col >= n_) {
-    int32_t r = col - n_;
-    for (int32_t pos = 0; pos < m_; ++pos) {
-      alpha[pos] = -binv_[static_cast<size_t>(pos) * m_ + r];
-    }
+    solve_rhs_[col - n_] = -1.0;
   } else {
     for (int32_t k = csc_starts_[col]; k < csc_starts_[col + 1]; ++k) {
-      int32_t r = csc_rows_[k];
-      double v = csc_values_[k];
-      for (int32_t pos = 0; pos < m_; ++pos) {
-        alpha[pos] += binv_[static_cast<size_t>(pos) * m_ + r] * v;
-      }
+      solve_rhs_[csc_rows_[k]] = csc_values_[k];
     }
   }
-  if (nz != nullptr) {
-    nz->clear();
-    for (int32_t pos = 0; pos < m_; ++pos) {
-      if (alpha[pos] != 0.0) {
-        nz->push_back(pos);
-      }
+  factor_.Ftran(solve_rhs_, alpha);
+  nz.clear();
+  for (int32_t pos = 0; pos < m_; ++pos) {
+    if (alpha[pos] != 0.0) {
+      nz.push_back(pos);
     }
   }
+}
+
+void SimplexSolver::TrueCostDuals(std::vector<double>& y) {
+  solve_rhs_.resize(m_);
+  for (int32_t pos = 0; pos < m_; ++pos) {
+    solve_rhs_[pos] = cost_[basis_[pos]];
+  }
+  factor_.Btran(solve_rhs_, y);
 }
 
 double SimplexSolver::TotalInfeasibility() const {
@@ -277,6 +216,7 @@ void SimplexSolver::RefreshBounds(const Model& model, const std::vector<BoundOve
 }
 
 LpResult SimplexSolver::Solve(const Model& model, const std::vector<BoundOverride>& overrides) {
+  refactor_seconds_ = 0.0;
   LpResult result;
   bool solved = false;
   if (options_.presolve && model.num_rows() > 0) {
@@ -333,6 +273,8 @@ LpResult SimplexSolver::Solve(const Model& model, const std::vector<BoundOverrid
   if (!solved) {
     result = SolveDirect(model, overrides);
   }
+  result.refactor_seconds = refactor_seconds_;
+  result.factor_nonzeros = factor_.nonzeros();
   RecordLpMetrics(result);
   return result;
 }
@@ -366,6 +308,7 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
       prepared_vars_ != model.num_variables() || prepared_nonzeros_ != model.num_nonzeros()) {
     return Solve(model, overrides);
   }
+  refactor_seconds_ = 0.0;
   RefreshBounds(model, overrides);
   for (int32_t j = 0; j < total_; ++j) {
     if (lb_[j] > ub_[j]) {
@@ -375,7 +318,7 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
     }
   }
   // Re-snap nonbasic variables onto their (possibly moved) bounds; the basis
-  // matrix is untouched, so binv_ remains exact.
+  // matrix is untouched, so its factorization remains exact.
   for (int32_t j = 0; j < total_; ++j) {
     switch (status_[j]) {
       case ColStatus::kBasic:
@@ -420,7 +363,7 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
       DualFeasibleBasis(options_.optimality_tol)) {
     used_dual = true;
     if (!RunDualSimplex(&dual_accum)) {
-      // Basis inverse broke down mid-flight: rebuild from scratch.
+      // Basis factorization broke down mid-flight: rebuild from scratch.
       return Solve(model, overrides);
     }
   }
@@ -430,6 +373,8 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
   result.refactorizations += dual_accum.refactorizations;
   result.adaptive_refactorizations += dual_accum.adaptive_refactorizations;
   result.eta_nonzeros += dual_accum.eta_nonzeros;
+  result.refactor_seconds = refactor_seconds_;
+  result.factor_nonzeros = factor_.nonzeros();
   basis_valid_ = result.status == LpStatus::kOptimal;
   RecordLpMetrics(result);
   return result;
@@ -526,19 +471,23 @@ bool SimplexSolver::ImportBasisInternal(const Model& model, const SimplexBasis& 
   return true;
 }
 
-bool SimplexSolver::DualFeasibleBasis(double tol) const {
-  // y = cB^T B^-1 with the TRUE costs (row-axpy skipping zero basic costs).
-  std::vector<double> y(m_, 0.0);
-  for (int32_t pos = 0; pos < m_; ++pos) {
-    double c = cost_[basis_[pos]];
-    if (c == 0.0) {
-      continue;
-    }
-    const double* row = &binv_[static_cast<size_t>(pos) * m_];
-    for (int32_t i = 0; i < m_; ++i) {
-      y[i] += c * row[i];
-    }
+bool SimplexSolver::NeedRefactor(double pivot, double column_max, bool* adaptive) const {
+  *adaptive = false;
+  if (factor_.num_etas() >= options_.refactor_interval) {
+    return true;
   }
+  // Adaptive cadence: refactor early once the eta file's fill rivals the
+  // factor it updates, or when a small pivot (relative to its column)
+  // signals that the updates are drifting.
+  *adaptive = static_cast<double>(factor_.eta_nonzeros()) >
+                  options_.eta_growth_limit * static_cast<double>(m_) ||
+              std::fabs(pivot) < options_.drift_refactor_tol * (1.0 + column_max);
+  return *adaptive;
+}
+
+bool SimplexSolver::DualFeasibleBasis(double tol) {
+  std::vector<double> y;
+  TrueCostDuals(y);
   for (int32_t j = 0; j < total_; ++j) {
     if (status_[j] == ColStatus::kBasic || lb_[j] == ub_[j]) {
       continue;  // Fixed columns cannot move: any reduced-cost sign is fine.
@@ -586,11 +535,10 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
   const int64_t max_iters = 50 + 2LL * m_;
 
   std::vector<double> y(m_);
+  std::vector<double> rho_row(m_);
   std::vector<double> alpha_col(m_);
   std::vector<int32_t> alpha_nz;
   alpha_nz.reserve(m_);
-  int pivots_since_refactor = 0;
-  double eta_fill = 0.0;
 
   for (int64_t iter = 0; iter < max_iters; ++iter) {
     // --- Leaving: the most primal-violated basic position. ---
@@ -616,22 +564,13 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
     }
     ++accum->dual_iterations;
 
-    // The BTRAN row for the leaving position is a row of the dense inverse —
-    // free with an explicit B^-1. Reduced costs are re-priced from scratch
-    // each pivot (same row-axpy as the primal loop) rather than updated
+    // The pivot row rho = e_r^T B^-1 is one BTRAN. Reduced costs are
+    // re-priced from scratch each pivot (one more BTRAN) rather than updated
     // incrementally; at this iteration budget, exactness beats bookkeeping.
-    const double* rho_row = &binv_[static_cast<size_t>(leaving_pos) * m_];
-    std::fill(y.begin(), y.end(), 0.0);
-    for (int32_t pos = 0; pos < m_; ++pos) {
-      double c = cost_[basis_[pos]];
-      if (c == 0.0) {
-        continue;
-      }
-      const double* row = &binv_[static_cast<size_t>(pos) * m_];
-      for (int32_t i = 0; i < m_; ++i) {
-        y[i] += c * row[i];
-      }
-    }
+    solve_rhs_.assign(m_, 0.0);
+    solve_rhs_[leaving_pos] = 1.0;
+    factor_.Btran(solve_rhs_, rho_row);
+    TrueCostDuals(y);
 
     // --- Bounded-variable dual ratio test. The leaving variable moves to its
     // violated bound; entering j must move the right way, which fixes the
@@ -683,10 +622,10 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
       return true;
     }
 
-    Ftran(entering, alpha_col, &alpha_nz);
+    Ftran(entering, alpha_col, alpha_nz);
     double pivot = alpha_col[leaving_pos];
     if (std::fabs(pivot) < ptol) {
-      // FTRAN disagrees with the BTRAN row: the inverse has drifted. Bail to
+      // FTRAN disagrees with the BTRAN row: the factor has drifted. Bail to
       // the primal verifier, which starts with its own clean refactorization.
       return true;
     }
@@ -710,39 +649,11 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
     status_[entering] = ColStatus::kBasic;
 
     // Product-form eta update, identical cadence to the primal loop.
-    double* pivot_row = &binv_[static_cast<size_t>(leaving_pos) * m_];
-    double inv_pivot = 1.0 / pivot;
-    for (int32_t i = 0; i < m_; ++i) {
-      pivot_row[i] *= inv_pivot;
-    }
-    for (int32_t pos : alpha_nz) {
-      if (pos == leaving_pos) {
-        continue;
-      }
-      double factor = alpha_col[pos];
-      double* row = &binv_[static_cast<size_t>(pos) * m_];
-      for (int32_t i = 0; i < m_; ++i) {
-        row[i] -= factor * pivot_row[i];
-      }
-    }
-    eta_fill += static_cast<double>(alpha_nz.size());
+    factor_.AddEta(leaving_pos, alpha_col, alpha_nz);
     accum->eta_nonzeros += static_cast<int64_t>(alpha_nz.size());
-    ++etas_since_refactor_;
 
-    bool need_refactor = ++pivots_since_refactor >= options_.refactor_interval;
     bool adaptive = false;
-    if (!need_refactor) {
-      if (eta_fill > options_.eta_growth_limit * static_cast<double>(m_)) {
-        need_refactor = true;
-        adaptive = true;
-      } else if (std::fabs(pivot) < options_.drift_refactor_tol * (1.0 + best_mag)) {
-        need_refactor = true;
-        adaptive = true;
-      }
-    }
-    if (need_refactor) {
-      pivots_since_refactor = 0;
-      eta_fill = 0.0;
+    if (NeedRefactor(pivot, best_mag, &adaptive)) {
       ++accum->refactorizations;
       if (adaptive) {
         ++accum->adaptive_refactorizations;
@@ -761,14 +672,13 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
   LpResult result;
   const double ftol = options_.feasibility_tol;
   const double dtol = options_.optimality_tol;
-  const bool sparse = options_.use_sparse_kernels;
   int64_t max_iters = options_.max_iterations > 0
                           ? options_.max_iterations
                           : 200 + 40LL * (static_cast<int64_t>(m_) + total_);
 
   std::vector<double> y(m_);        // Pricing duals.
   std::vector<double> alpha(m_);    // FTRAN result.
-  std::vector<int32_t> alpha_nz;    // FTRAN nonzero positions (sparse path).
+  std::vector<int32_t> alpha_nz;    // FTRAN nonzero positions.
   alpha_nz.reserve(m_);
   std::vector<double> cb(m_);       // Basic costs for the current phase.
   std::vector<int32_t> candidates;  // Partial-pricing candidate list.
@@ -778,8 +688,6 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
   bool last_phase1 = false;
   int degenerate_run = 0;
   bool bland = false;
-  int pivots_since_refactor = 0;
-  double eta_fill = 0.0;  // Nonzeros pushed through eta updates since refactor.
 
   int64_t iter = 0;
   for (; iter < max_iters; ++iter) {
@@ -800,7 +708,8 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
       last_phase1 = phase1;
     }
 
-    // --- Pricing: y = cB^T B^-1, then reduced costs per nonbasic column. ---
+    // --- Pricing: y = cB^T B^-1 (one BTRAN), then reduced costs per
+    // nonbasic column. ---
     for (int32_t pos = 0; pos < m_; ++pos) {
       int32_t col = basis_[pos];
       if (phase1) {
@@ -816,32 +725,7 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
         cb[pos] = cost_[col];
       }
     }
-    if (sparse) {
-      // BTRAN as row-axpy: skip every basic position with zero phase cost. In
-      // phase 2, most basic columns are zero-cost slacks/auxiliaries, so this
-      // is O(nnz(cb) * m) instead of O(m^2).
-      std::fill(y.begin(), y.end(), 0.0);
-      for (int32_t pos = 0; pos < m_; ++pos) {
-        double c = cb[pos];
-        if (c == 0.0) {
-          continue;
-        }
-        const double* row = &binv_[static_cast<size_t>(pos) * m_];
-        for (int32_t i = 0; i < m_; ++i) {
-          y[i] += c * row[i];
-        }
-      }
-    } else {
-      for (int32_t i = 0; i < m_; ++i) {
-        double sum = 0.0;
-        for (int32_t pos = 0; pos < m_; ++pos) {
-          if (cb[pos] != 0.0) {
-            sum += cb[pos] * binv_[static_cast<size_t>(pos) * m_ + i];
-          }
-        }
-        y[i] = sum;
-      }
-    }
+    factor_.Btran(cb, y);
 
     // Reduced-cost pricing of one column: returns its violation (0 when not
     // an improving direction) and the movement direction.
@@ -899,11 +783,9 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
           entering = j;
           entering_dir = dir;
         }
-        if (sparse) {
-          scored.push_back({violation, j});
-        }
+        scored.push_back({violation, j});
       }
-      if (sparse && !bland) {
+      if (!bland) {
         // Keep the most violated columns as the next candidate list.
         size_t keep = std::min(scored.size(),
                                static_cast<size_t>(std::max(1, options_.pricing_candidates)));
@@ -916,7 +798,7 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
       }
     };
 
-    if (!sparse || bland) {
+    if (bland) {
       full_scan();
     } else if (refresh_candidates || candidates.empty() ||
                (options_.pricing_refresh_interval > 0 &&
@@ -953,9 +835,9 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     }
 
     if (entering < 0) {
-      // No improving direction for the current phase objective. On the sparse
-      // path this is only ever reached after a full scan, so the optimality /
-      // infeasibility claim has the same strength as the dense reference.
+      // No improving direction for the current phase objective. This is only
+      // ever reached after a full scan, so the optimality / infeasibility
+      // claim has the strength of full Dantzig pricing.
       if (phase1) {
         result.status = LpStatus::kInfeasible;
         result.iterations = iter;
@@ -964,7 +846,7 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
       break;  // Optimal.
     }
 
-    Ftran(entering, alpha, sparse ? &alpha_nz : nullptr);
+    Ftran(entering, alpha, alpha_nz);
 
     // --- Ratio test. Basic k changes at rate -dir * alpha_k per unit of the
     // entering variable's movement. In phase 1, an infeasible basic blocks
@@ -1018,14 +900,8 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
         best_pivot_mag = std::fabs(a);
       }
     };
-    if (sparse) {
-      for (int32_t pos : alpha_nz) {
-        ratio_test(pos);
-      }
-    } else {
-      for (int32_t pos = 0; pos < m_; ++pos) {
-        ratio_test(pos);
-      }
+    for (int32_t pos : alpha_nz) {
+      ratio_test(pos);
     }
 
     // Entering variable's own bound range can also limit the step.
@@ -1056,16 +932,8 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     // --- Apply the move. ---
     double delta = static_cast<double>(entering_dir) * step;
     if (delta != 0.0) {
-      if (sparse) {
-        for (int32_t pos : alpha_nz) {
-          value_[basis_[pos]] -= alpha[pos] * delta;
-        }
-      } else {
-        for (int32_t pos = 0; pos < m_; ++pos) {
-          if (alpha[pos] != 0.0) {
-            value_[basis_[pos]] -= alpha[pos] * delta;
-          }
-        }
+      for (int32_t pos : alpha_nz) {
+        value_[basis_[pos]] -= alpha[pos] * delta;
       }
       value_[entering] += delta;
     }
@@ -1090,62 +958,13 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     basis_pos_[entering] = leaving_pos;
     status_[entering] = ColStatus::kBasic;
 
-    // Product-form update of the dense inverse: row ops with the eta column.
+    // Product-form update: append the eta for this basis change.
     double pivot = alpha[leaving_pos];
-    double* pivot_row = &binv_[static_cast<size_t>(leaving_pos) * m_];
-    double inv_pivot = 1.0 / pivot;
-    for (int32_t i = 0; i < m_; ++i) {
-      pivot_row[i] *= inv_pivot;
-    }
-    if (sparse) {
-      for (int32_t pos : alpha_nz) {
-        if (pos == leaving_pos) {
-          continue;
-        }
-        double factor = alpha[pos];
-        double* row = &binv_[static_cast<size_t>(pos) * m_];
-        for (int32_t i = 0; i < m_; ++i) {
-          row[i] -= factor * pivot_row[i];
-        }
-      }
-      eta_fill += static_cast<double>(alpha_nz.size());
-      result.eta_nonzeros += static_cast<int64_t>(alpha_nz.size());
-    } else {
-      int64_t touched = 0;
-      for (int32_t pos = 0; pos < m_; ++pos) {
-        if (pos == leaving_pos || alpha[pos] == 0.0) {
-          continue;
-        }
-        double factor = alpha[pos];
-        double* row = &binv_[static_cast<size_t>(pos) * m_];
-        for (int32_t i = 0; i < m_; ++i) {
-          row[i] -= factor * pivot_row[i];
-        }
-        ++touched;
-      }
-      eta_fill += static_cast<double>(touched + 1);
-      result.eta_nonzeros += touched + 1;
-    }
-    ++etas_since_refactor_;
+    factor_.AddEta(leaving_pos, alpha, alpha_nz);
+    result.eta_nonzeros += static_cast<int64_t>(alpha_nz.size());
 
-    bool need_refactor = ++pivots_since_refactor >= options_.refactor_interval;
     bool adaptive = false;
-    if (sparse && !need_refactor) {
-      // Adaptive cadence: refactor early once the accumulated eta fill-in
-      // rivals the O(m^2) of a rebuild's payoff, or when a small pivot
-      // (relative to its column) signals the inverse is drifting.
-      if (eta_fill > options_.eta_growth_limit * static_cast<double>(m_)) {
-        need_refactor = true;
-        adaptive = true;
-      } else if (std::fabs(pivot) <
-                 options_.drift_refactor_tol * (1.0 + best_pivot_mag)) {
-        need_refactor = true;
-        adaptive = true;
-      }
-    }
-    if (need_refactor) {
-      pivots_since_refactor = 0;
-      eta_fill = 0.0;
+    if (NeedRefactor(pivot, best_pivot_mag, &adaptive)) {
       ++result.refactorizations;
       if (adaptive) {
         ++result.adaptive_refactorizations;
@@ -1165,15 +984,15 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     return result;
   }
 
-  // Clean pass: refactorize and recompute values to wash out inverse drift,
-  // then verify primal feasibility of the claimed optimum. A warm re-solve
-  // that took only a handful of pivots since the last rebuild carries
-  // negligible drift — far under what the in-loop adaptive cadence tolerates
-  // between rebuilds — so the O(m^3) refactorization is skipped when the
-  // feasibility check already passes on the current inverse. This is what
-  // keeps a one-pivot dual re-solve cheaper than the model rebuild it avoids.
+  // Clean pass: refactorize and recompute values to wash out eta drift, then
+  // verify primal feasibility of the claimed optimum. A warm re-solve whose
+  // eta file holds only a handful of pivots carries negligible drift — far
+  // under what the in-loop adaptive cadence tolerates between rebuilds — so
+  // the refactorization is skipped when the feasibility check already passes
+  // on the current factor. This is what keeps a one-pivot dual re-solve
+  // cheaper than the model rebuild it avoids.
   bool clean = options_.clean_pass_eta_limit > 0 &&
-               etas_since_refactor_ <= options_.clean_pass_eta_limit &&
+               factor_.num_etas() <= options_.clean_pass_eta_limit &&
                TotalInfeasibility() <= 1e-5;
   if (!clean) {
     ++result.refactorizations;
@@ -1197,19 +1016,8 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     result.x[j] = value_[j];
   }
   result.objective = model.Objective(result.x);
-  // Final duals priced with the true costs (row-axpy; cost_ is sparse over
-  // the basis in both kernel modes).
-  result.duals.assign(m_, 0.0);
-  for (int32_t pos = 0; pos < m_; ++pos) {
-    double c = cost_[basis_[pos]];
-    if (c == 0.0) {
-      continue;
-    }
-    const double* row = &binv_[static_cast<size_t>(pos) * m_];
-    for (int32_t i = 0; i < m_; ++i) {
-      result.duals[i] += c * row[i];
-    }
-  }
+  // Final duals priced with the true costs.
+  TrueCostDuals(result.duals);
   return result;
 }
 

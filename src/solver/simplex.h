@@ -5,9 +5,17 @@
 // right-hand side is identically zero and the all-slack basis is trivially
 // invertible. Infeasibility is driven out with a composite phase-1 objective
 // (unit cost per violated basic bound), then phase 2 minimizes the true
-// objective. The basis inverse is kept as a dense matrix with product-form
-// row updates and periodic refactorization; Dantzig pricing with a Bland
-// fallback guards against cycling.
+// objective. Pricing is partial over a candidate list, with Dantzig full
+// scans to refresh it and to declare optimality, and a Bland fallback
+// against cycling.
+//
+// The basis is held as a sparse LU factorization plus a product-form eta
+// file (src/solver/lu_factor.h): every solve with the basis — basic values,
+// the entering column's FTRAN, pricing duals, the dual simplex's pivot row —
+// is a sparse triangular solve, and each pivot appends one eta. The factor is
+// rebuilt on a pivot cadence, when the eta file's fill outgrows the basis, or
+// on a drifting pivot. There is no dense-inverse path; the dense reference
+// simplex lives in tests/solver/ as the differential oracle.
 //
 // This is the LP engine underneath the branch-and-bound MIP solver
 // (src/solver/mip.h), which together substitute for the commercial MIP
@@ -19,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/solver/lu_factor.h"
 #include "src/solver/model.h"
 
 namespace ras {
@@ -43,32 +52,25 @@ struct LpOptions {
   // Consecutive degenerate pivots before switching to Bland's rule.
   int bland_trigger = 60;
 
-  // Sparse kernel path (the default): CSC column storage, zero-skipping
-  // BTRAN/eta updates, partial pricing over a candidate list, and adaptive
-  // refactorization. `false` selects the original dense reference
-  // implementation: full Dantzig pricing every iteration and a fixed
-  // refactor_interval cadence.
-  bool use_sparse_kernels = true;
   // Partial pricing: size of the candidate list kept from each full scan.
   int pricing_candidates = 64;
   // Periodic full Dantzig scan cadence (iterations); keeps the candidate list
   // from going stale. Optimality is only ever declared after a full scan, so
   // this is a quality knob, not a correctness one. <= 0 disables the refresh.
   int pricing_refresh_interval = 100;
-  // Adaptive refactorization (sparse path): rebuild the inverse early when the
-  // accumulated product-form eta nonzeros exceed eta_growth_limit * m —
-  // product-form updates smear numerical dust through the inverse, densifying
-  // every later FTRAN — or when a pivot magnitude falls below
+  // Refactorization cadence: rebuild the LU once the eta file holds
+  // refactor_interval etas, early when its nonzeros exceed eta_growth_limit *
+  // m — every FTRAN and BTRAN walks the whole file, so fill makes each solve
+  // dearer than a fresh factor — or when a pivot magnitude falls below
   // drift_refactor_tol relative to its column, a numerical-drift red flag.
   double eta_growth_limit = 8.0;
   double drift_refactor_tol = 1e-8;
-  // The optimality clean pass rebuilds the inverse to wash out eta drift
-  // before declaring the optimum. A warm re-solve that took at most this many
-  // pivots since the last rebuild skips the O(m^3) refactorization — the same
-  // drift budget the in-loop adaptive cadence prices dozens of pivots through
-  // — provided the feasibility check passes on the current inverse (when it
-  // does not, the full clean pass runs after all). 0 restores the
-  // unconditional rebuild.
+  // The optimality clean pass refactors to wash out eta drift before
+  // declaring the optimum. A warm re-solve whose eta file holds at most this
+  // many etas skips the refactorization — the same drift budget the in-loop
+  // cadence prices dozens of pivots through — provided the feasibility check
+  // passes on the current factor (when it does not, the full clean pass runs
+  // after all). 0 restores the unconditional rebuild.
   int clean_pass_eta_limit = 8;
 
   // Dual simplex warm re-solve: when ResolveWithBasis holds a basis that is
@@ -99,14 +101,20 @@ struct LpResult {
   std::vector<double> duals;
 
   // --- Kernel instrumentation (reset every solve) ---
-  // Basis inverse rebuilds, total and the subset forced by numerical drift
+  // Basis refactorizations, total and the subset forced by numerical drift
   // or eta fill-in rather than the fixed pivot cadence.
   int refactorizations = 0;
   int adaptive_refactorizations = 0;
-  // Accumulated nonzeros pushed through product-form eta updates.
+  // Wall seconds spent factoring the basis during this call (every
+  // factorization, including the presolve path's inner solve).
+  double refactor_seconds = 0.0;
+  // Nonzeros of L, U and the eta file when the call returned: the basis
+  // footprint, linear in the factor's fill rather than quadratic in rows.
+  int64_t factor_nonzeros = 0;
+  // Accumulated nonzeros appended to the eta file.
   int64_t eta_nonzeros = 0;
-  // Full Dantzig pricing scans (every iteration on the dense path; only
-  // refresh/verification scans under partial pricing).
+  // Full Dantzig pricing scans (refresh and optimality-verification scans
+  // under partial pricing; every iteration under Bland's rule).
   int64_t full_pricing_scans = 0;
   // Dual simplex warm re-solve (LpOptions::dual_resolve): pivots taken by the
   // dual kernel before the primal verifier ran, and whether it ran at all.
@@ -152,7 +160,7 @@ class SimplexSolver {
 
   // Re-solves the SAME model with different bound overrides, starting from
   // the final basis of the previous call. Bound changes leave the basis
-  // matrix (and its inverse) valid; only primal values shift, and the
+  // matrix (and its factorization) valid; only primal values shift, and the
   // composite phase 1 drives out any new violations in a few pivots. This is
   // what makes branch-and-bound nodes cheap: each child differs from its
   // parent by one integer bound. Falls back to a cold solve when no
@@ -164,8 +172,8 @@ class SimplexSolver {
   SimplexBasis ExportBasis() const;
 
   // Installs `basis` as the retained warm-start basis for `model`, as if this
-  // solver had just solved it: builds the column structure, refactorizes the
-  // basis inverse from scratch, and validates it. Returns false — leaving the
+  // solver had just solved it: builds the column structure, factors the
+  // basis from scratch, and validates it. Returns false — leaving the
   // solver cold, so the next call simply solves from scratch — when the shape
   // fingerprint mismatches, the snapshot is malformed, or the basis matrix is
   // singular against the current model (a stale basis must be detected here,
@@ -182,12 +190,18 @@ class SimplexSolver {
   // the column structure (warm path).
   void RefreshBounds(const Model& model, const std::vector<BoundOverride>& overrides);
   void InitializeBasis();
-  bool Refactorize();  // Rebuilds binv_ from basis_; false if singular.
+  // Factors basis_ from scratch (clearing the eta file); false if singular.
+  bool Refactorize();
   void ComputeBasicValues();
-  // alpha = B^-1 A_col. When `nz` is non-null it receives the positions of
-  // the nonzero entries (the sparse path's ratio test and eta update iterate
-  // this list instead of scanning all m rows).
-  void Ftran(int32_t col, std::vector<double>& alpha, std::vector<int32_t>* nz = nullptr) const;
+  // alpha = B^-1 A_col; `nz` receives the positions of its nonzero entries
+  // (the ratio test, value update and eta iterate this list).
+  void Ftran(int32_t col, std::vector<double>& alpha, std::vector<int32_t>& nz);
+  // y^T = c_B^T B^-1 with the true costs: the duals of the current basis.
+  void TrueCostDuals(std::vector<double>& y);
+  // Refactor trigger after a pivot on `pivot` whose FTRAN column peaked at
+  // `column_max`: the eta file reached refactor_interval etas, or (setting
+  // *adaptive) its fill or the pivot's drift calls for an early rebuild.
+  bool NeedRefactor(double pivot, double column_max, bool* adaptive) const;
   double TotalInfeasibility() const;
 
   LpResult RunSimplex(const Model& model);
@@ -203,12 +217,12 @@ class SimplexSolver {
   // True when every nonbasic column's reduced cost, priced with the true
   // objective, has the sign its status requires (within tol): the retained
   // basis can be re-optimized with dual pivots.
-  bool DualFeasibleBasis(double tol) const;
+  bool DualFeasibleBasis(double tol);
   // Bounded-variable dual simplex from the current (dual-feasible) basis:
   // picks the most-violated basic variable, prices its BTRAN row against all
   // nonbasic columns with the dual ratio test, and pivots until primal
   // feasibility or a conservative iteration budget. Counters accumulate into
-  // `accum`. Returns false only when the basis inverse broke down
+  // `accum`. Returns false only when the basis factorization broke down
   // mid-flight (the caller must fall back to a cold solve); early exits for
   // budget/stall reasons return true and leave a valid basis for the primal
   // verifier to finish from.
@@ -235,11 +249,15 @@ class SimplexSolver {
   std::vector<ColStatus> status_;   // Per column.
   std::vector<int32_t> basis_pos_;  // Column -> row position (or -1).
   std::vector<double> value_;       // Current value per column.
-  std::vector<double> binv_;        // Dense m_ x m_ row-major basis inverse.
-  // Product-form eta updates applied to binv_ since its last full rebuild
-  // (across calls — a warm resolve inherits the previous solve's drift).
-  // Drives the clean-pass skip (LpOptions::clean_pass_eta_limit).
-  int64_t etas_since_refactor_ = 0;
+  // LU of the basis plus the etas appended since it was factored. The eta
+  // file persists across calls — a warm resolve inherits the previous
+  // solve's updates — and drives the refactor cadence and the clean-pass
+  // skip (LpOptions::clean_pass_eta_limit).
+  LuFactor factor_;
+  // Scratch for FTRAN/BTRAN right-hand sides (indexed by row or position).
+  std::vector<double> solve_rhs_;
+  // Factorization seconds accumulated since the current public call began.
+  double refactor_seconds_ = 0.0;
 
   // Warm-start validity: set after a successful solve; identifies the model
   // shape the retained basis belongs to.

@@ -52,7 +52,7 @@ TEST(ModelBuilderTest, VariableAndRowCountsSane) {
   EXPECT_NE(built.shortfall_vars[0], kNoVar);
   EXPECT_NE(built.buffer_vars[0], kNoVar);  // Guaranteed reservations are buffered.
   EXPECT_GT(built.model.num_rows(), classes.size());  // Supply + capacity + spread...
-  EXPECT_GT(built.EstimatedMemoryBytes(), 0u);
+  EXPECT_GT(built.ModelMemoryBytes(), 0u);
 }
 
 TEST(ModelBuilderTest, WarmStartIsFeasible) {

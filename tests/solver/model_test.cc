@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/solver/simplex.h"
+#include "tests/solver/dense_simplex_oracle.h"
 
 namespace ras {
 namespace {
@@ -119,8 +120,8 @@ TEST(ModelTest, CompressedColumnsSumsDuplicatePairs) {
 
 TEST(ModelTest, DuplicateCoefficientsSolveIdenticallyDenseAndSparse) {
   // min -x - y  s.t.  (1+1)x + y <= 4, y <= 2, with the x coefficient split
-  // across two AddCoefficient calls. Dense and CSC paths must both see the
-  // merged coefficient: optimum at x = 1, y = 2.
+  // across two AddCoefficient calls. The dense reference and the sparse LU
+  // kernel must both see the merged coefficient: optimum at x = 1, y = 2.
   auto build = [] {
     Model m;
     VarId x = m.AddContinuous(0, 10, -1.0);
@@ -133,9 +134,7 @@ TEST(ModelTest, DuplicateCoefficientsSolveIdenticallyDenseAndSparse) {
   };
   Model m = build();
   for (bool sparse : {false, true}) {
-    LpOptions options;
-    options.use_sparse_kernels = sparse;
-    LpResult result = SimplexSolver(options).Solve(m);
+    LpResult result = sparse ? SimplexSolver().Solve(m) : SolveDenseReference(m);
     ASSERT_EQ(result.status, LpStatus::kOptimal) << "sparse=" << sparse;
     EXPECT_NEAR(result.x[0], 1.0, 1e-9) << "sparse=" << sparse;
     EXPECT_NEAR(result.x[1], 2.0, 1e-9) << "sparse=" << sparse;

@@ -11,6 +11,7 @@
 #include "src/solver/presolve.h"
 #include "src/solver/simplex.h"
 #include "src/util/rng.h"
+#include "tests/solver/dense_simplex_oracle.h"
 
 namespace ras {
 namespace {
@@ -243,13 +244,9 @@ TEST(PresolveTest, FuzzPresolveMatchesUnreducedDenseOracle) {
   for (int trial = 0; trial < 140; ++trial) {
     Model m = RandomReducibleLp(rng);
 
-    LpOptions oracle_options;
-    oracle_options.use_sparse_kernels = false;
-    oracle_options.presolve = false;
-    oracle_options.dual_resolve = false;
-    LpResult oracle = SimplexSolver(oracle_options).Solve(m);
+    LpResult oracle = SolveDenseReference(m);
 
-    LpOptions pre_options;  // Defaults: sparse kernels + presolve on.
+    LpOptions pre_options;  // Defaults: presolve on.
     LpResult pre = SimplexSolver(pre_options).Solve(m);
 
     ASSERT_EQ(oracle.status, pre.status)

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "src/solver/lu_factor.h"
 #include "src/util/rng.h"
+#include "tests/solver/dense_simplex_oracle.h"
 
 namespace ras {
 namespace {
@@ -259,6 +262,223 @@ TEST_P(RandomLpTest, FeasibleAndBeatsReferencePoint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomLpTest, ::testing::Range(0, 40));
+
+// --- Sparse LU basis factorization (src/solver/lu_factor.h) ---
+
+// An m x n sparse matrix in CSC form whose leading m x m block is column
+// diagonally dominant (diagonal 4..6, at most three off-diagonals in
+// (-1, 1)). A basis of structural columns J within the first m plus the
+// slacks of the rows outside J is therefore nonsingular: eliminating the
+// slacks leaves a principal submatrix of that block. Columns past m are
+// random sparse entering candidates.
+struct CscFixture {
+  int32_t m = 0;
+  int32_t n = 0;
+  std::vector<int32_t> starts{0};
+  std::vector<int32_t> rows;
+  std::vector<double> values;
+
+  CscFixture(int32_t m_rows, int32_t n_cols, uint64_t seed) : m(m_rows), n(n_cols) {
+    Rng rng(seed);
+    for (int32_t j = 0; j < n; ++j) {
+      std::vector<double> col(m, 0.0);
+      if (j < m) {
+        col[j] = rng.Uniform(4.0, 6.0);
+      }
+      for (int k = 0; k < 3; ++k) {
+        int32_t r = static_cast<int32_t>(rng.UniformInt(0, m - 1));
+        if (r != j) {
+          col[r] = rng.Uniform(-1.0, 1.0);
+        }
+      }
+      for (int32_t r = 0; r < m; ++r) {
+        if (col[r] != 0.0) {
+          rows.push_back(r);
+          values.push_back(col[r]);
+        }
+      }
+      starts.push_back(static_cast<int32_t>(rows.size()));
+    }
+  }
+
+  // B x, for x indexed by basis position (slack columns are -e_r).
+  std::vector<double> Multiply(const std::vector<int32_t>& basis,
+                               const std::vector<double>& x) const {
+    std::vector<double> out(m, 0.0);
+    for (int32_t pos = 0; pos < m; ++pos) {
+      int32_t col = basis[pos];
+      if (col >= n) {
+        out[col - n] -= x[pos];
+        continue;
+      }
+      for (int32_t k = starts[col]; k < starts[col + 1]; ++k) {
+        out[rows[k]] += values[k] * x[pos];
+      }
+    }
+    return out;
+  }
+
+  // y . B[:, pos].
+  double Dot(const std::vector<int32_t>& basis, int32_t pos, const std::vector<double>& y) const {
+    int32_t col = basis[pos];
+    if (col >= n) {
+      return -y[col - n];
+    }
+    double sum = 0.0;
+    for (int32_t k = starts[col]; k < starts[col + 1]; ++k) {
+      sum += values[k] * y[rows[k]];
+    }
+    return sum;
+  }
+};
+
+// FTRAN solves B x = b and BTRAN solves y^T B = c for random b, c.
+void ExpectSolvesExact(const LuFactor& lu, const CscFixture& a, const std::vector<int32_t>& basis,
+                       Rng& rng) {
+  std::vector<double> b(a.m);
+  std::vector<double> c(a.m);
+  for (int32_t i = 0; i < a.m; ++i) {
+    b[i] = rng.Uniform(-3.0, 3.0);
+    c[i] = rng.Uniform(-3.0, 3.0);
+  }
+  std::vector<double> rhs = b;
+  std::vector<double> x;
+  lu.Ftran(rhs, x);
+  std::vector<double> bx = a.Multiply(basis, x);
+  for (int32_t i = 0; i < a.m; ++i) {
+    EXPECT_NEAR(bx[i], b[i], 1e-9) << "row " << i;
+  }
+  std::vector<double> cc = c;
+  std::vector<double> y;
+  lu.Btran(cc, y);
+  for (int32_t pos = 0; pos < a.m; ++pos) {
+    EXPECT_NEAR(a.Dot(basis, pos, y), c[pos], 1e-9) << "position " << pos;
+  }
+}
+
+// Replaces the basis column at the position of the entering column's largest
+// FTRAN entry, the way a simplex pivot does, and appends the eta.
+void PivotIn(LuFactor& lu, const CscFixture& a, std::vector<int32_t>& basis, int32_t col) {
+  std::vector<double> rhs(a.m, 0.0);
+  for (int32_t k = a.starts[col]; k < a.starts[col + 1]; ++k) {
+    rhs[a.rows[k]] = a.values[k];
+  }
+  std::vector<double> alpha;
+  lu.Ftran(rhs, alpha);
+  std::vector<int32_t> nz;
+  int32_t pos = 0;
+  for (int32_t p = 0; p < a.m; ++p) {
+    if (alpha[p] != 0.0) {
+      nz.push_back(p);
+    }
+    if (std::fabs(alpha[p]) > std::fabs(alpha[pos])) {
+      pos = p;
+    }
+  }
+  ASSERT_GT(std::fabs(alpha[pos]), 1e-6);
+  lu.AddEta(pos, alpha, nz);
+  basis[pos] = col;
+}
+
+TEST(LuFactorTest, AllStructuralBasisFactorsAndSolves) {
+  CscFixture a(12, 18, 31);
+  // Every position holds a structural column, in scrambled order.
+  std::vector<int32_t> basis = {7, 2, 11, 0, 5, 9, 1, 4, 10, 3, 8, 6};
+  LuFactor lu;
+  ASSERT_TRUE(lu.Factor(a.m, a.n, basis, a.starts, a.rows, a.values));
+  EXPECT_EQ(lu.num_etas(), 0);
+  EXPECT_GE(lu.nonzeros(), a.m);
+  Rng rng(5);
+  ExpectSolvesExact(lu, a, basis, rng);
+  // Etas over the factor: every solve stays exact against the updated basis.
+  for (int32_t col = 12; col < 18; ++col) {
+    PivotIn(lu, a, basis, col);
+    ExpectSolvesExact(lu, a, basis, rng);
+  }
+  EXPECT_EQ(lu.num_etas(), 6);
+  // Refactoring the updated basis clears the eta file and still solves.
+  ASSERT_TRUE(lu.Factor(a.m, a.n, basis, a.starts, a.rows, a.values));
+  EXPECT_EQ(lu.num_etas(), 0);
+  ExpectSolvesExact(lu, a, basis, rng);
+}
+
+TEST(LuFactorTest, MixedSlackStructuralBasisFactorsAndSolves) {
+  CscFixture a(10, 14, 47);
+  // Even positions: the slack of that row (column n + r); odd positions:
+  // structural columns.
+  std::vector<int32_t> basis(a.m);
+  for (int32_t pos = 0; pos < a.m; ++pos) {
+    basis[pos] = pos % 2 == 0 ? a.n + pos : pos;
+  }
+  LuFactor lu;
+  ASSERT_TRUE(lu.Factor(a.m, a.n, basis, a.starts, a.rows, a.values));
+  Rng rng(9);
+  ExpectSolvesExact(lu, a, basis, rng);
+  for (int32_t col = 10; col < 14; ++col) {
+    PivotIn(lu, a, basis, col);
+    ExpectSolvesExact(lu, a, basis, rng);
+  }
+}
+
+TEST(LuFactorTest, RankDeficientBasisReportedSingular) {
+  // Columns: e0 + e1, e1 + e2, and their sum — a rank-2 structural set.
+  std::vector<int32_t> starts = {0, 2, 4, 7};
+  std::vector<int32_t> rows = {0, 1, 1, 2, 0, 1, 2};
+  std::vector<double> values = {1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0};
+  LuFactor lu;
+  EXPECT_FALSE(lu.Factor(3, 3, {0, 1, 2}, starts, rows, values));
+  // The same columns with one of them swapped for a slack are fine...
+  EXPECT_TRUE(lu.Factor(3, 3, {0, 1, 3 + 2}, starts, rows, values));
+  // ...but a structural column that lives only in rows the slacks already
+  // cover leaves row 2 without a pivot.
+  EXPECT_FALSE(lu.Factor(3, 3, {3 + 0, 0, 3 + 1}, starts, rows, values));
+}
+
+// Imports `basic` as the warm basis of `m` (nonbasic columns at lower bound)
+// and checks the resolve lands on the dense oracle's optimum.
+void ExpectImportedBasisSolves(const Model& m, const std::vector<int32_t>& basic) {
+  SimplexBasis basis;
+  basis.basic = basic;
+  basis.status.assign(m.num_variables() + m.num_rows(), 1);  // kAtLower.
+  for (int32_t col : basic) {
+    basis.status[col] = 0;  // kBasic.
+  }
+  basis.rows = m.num_rows();
+  basis.vars = m.num_variables();
+  basis.nonzeros = m.num_nonzeros();
+  SimplexSolver solver;
+  ASSERT_TRUE(solver.ImportBasis(m, basis));
+  LpResult warm = solver.ResolveWithBasis(m, {});
+  LpResult oracle = SolveDenseReference(m);
+  ASSERT_EQ(warm.status, oracle.status);
+  ASSERT_EQ(warm.status, LpStatus::kOptimal);
+  EXPECT_NEAR(warm.objective, oracle.objective, 1e-6);
+  EXPECT_TRUE(m.IsFeasible(warm.x, 1e-6));
+  EXPECT_GT(warm.factor_nonzeros, 0);
+}
+
+TEST(LuFactorTest, ImportedAllStructuralAndMixedBasesSolve) {
+  // Three equality rows over five variables; the basis either holds three
+  // structural columns or mixes two structurals with a slack.
+  Model m;
+  for (double cost : {1.0, -2.0, 0.5, 3.0, -1.0}) {
+    m.AddContinuous(0.0, 10.0, cost);
+  }
+  const double coeffs[3][5] = {{2, 1, 0, 1, 0}, {0, 3, 1, 0, 1}, {1, 0, 4, 1, 1}};
+  const double rhs[3] = {6.0, 9.0, 8.0};
+  for (int i = 0; i < 3; ++i) {
+    RowId r = m.AddRow(rhs[i], rhs[i] + (i == 2 ? 4.0 : 0.0));
+    for (int j = 0; j < 5; ++j) {
+      if (coeffs[i][j] != 0.0) {
+        m.AddCoefficient(r, j, coeffs[i][j]);
+      }
+    }
+  }
+  ExpectImportedBasisSolves(m, {0, 1, 2});
+  ExpectImportedBasisSolves(m, {2, 0, 1});
+  ExpectImportedBasisSolves(m, {0, 1, 5 + 2});
+  ExpectImportedBasisSolves(m, {5 + 2, 4, 3});
+}
 
 }  // namespace
 }  // namespace ras

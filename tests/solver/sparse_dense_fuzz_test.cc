@@ -1,5 +1,6 @@
-// Randomized differential test: the sparse kernel path (CSC storage, partial
-// pricing, adaptive refactorization) against the dense reference simplex.
+// Randomized differential test: the production kernel (sparse LU basis
+// factorization with an eta file, partial pricing, adaptive refactorization)
+// against the dense reference simplex in tests/solver/dense_simplex_oracle.h.
 // Both are exact algorithms over the same model, so on every instance they
 // must agree on status, and on optimal instances on the objective to within
 // numerical tolerance (the optimal vertex itself may differ under degeneracy).
@@ -12,6 +13,7 @@
 #include "src/solver/model.h"
 #include "src/solver/simplex.h"
 #include "src/util/rng.h"
+#include "tests/solver/dense_simplex_oracle.h"
 
 namespace ras {
 namespace {
@@ -74,12 +76,9 @@ TEST(SparseDenseFuzzTest, SparseKernelsMatchDenseReference) {
   for (int trial = 0; trial < 120; ++trial) {
     Model m = RandomLp(rng);
 
-    LpOptions dense_options;
-    dense_options.use_sparse_kernels = false;
-    LpResult dense = SimplexSolver(dense_options).Solve(m);
+    LpResult dense = SolveDenseReference(m);
 
     LpOptions sparse_options;
-    sparse_options.use_sparse_kernels = true;
     // Tiny candidate list and frequent refresh: maximize partial-pricing
     // churn (stale candidates, forced full-scan fallbacks).
     sparse_options.pricing_candidates = 4;
@@ -116,12 +115,9 @@ TEST(SparseDenseFuzzTest, AdaptiveRefactorizationTriggersAndStaysCorrect) {
   for (int trial = 0; trial < 20; ++trial) {
     Model m = RandomLp(rng);
 
-    LpOptions dense_options;
-    dense_options.use_sparse_kernels = false;
-    LpResult dense = SimplexSolver(dense_options).Solve(m);
+    LpResult dense = SolveDenseReference(m);
 
     LpOptions tight;
-    tight.use_sparse_kernels = true;
     tight.eta_growth_limit = 0.0;
     LpResult sparse = SimplexSolver(tight).Solve(m);
 
@@ -139,13 +135,14 @@ TEST(SparseDenseFuzzTest, AdaptiveRefactorizationTriggersAndStaysCorrect) {
 TEST(SparseDenseFuzzTest, InstrumentationCountersPopulated) {
   Rng rng(4242);
   Model m = RandomLp(rng);
-  LpOptions options;
-  options.use_sparse_kernels = true;
-  LpResult result = SimplexSolver(options).Solve(m);
+  LpResult result = SimplexSolver().Solve(m);
   if (result.status == LpStatus::kOptimal) {
     EXPECT_GE(result.refactorizations, 1);  // The initial factorization counts.
     EXPECT_GE(result.full_pricing_scans, 1);
     EXPECT_GE(result.eta_nonzeros, 0);
+    EXPECT_GE(result.refactor_seconds, 0.0);
+    // At least the diagonal of U: one entry per row.
+    EXPECT_GE(result.factor_nonzeros, static_cast<int64_t>(m.num_rows()));
   }
 }
 

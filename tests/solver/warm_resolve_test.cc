@@ -7,6 +7,7 @@
 
 #include "src/solver/simplex.h"
 #include "src/util/rng.h"
+#include "tests/solver/dense_simplex_oracle.h"
 
 namespace ras {
 namespace {
@@ -211,6 +212,88 @@ TEST(WarmResolveTest, SingularStaleBasisDetectedOnImport) {
   ASSERT_EQ(reference.status, LpStatus::kOptimal);
   EXPECT_NEAR(after.objective, reference.objective, 1e-6);
   EXPECT_TRUE(m.IsFeasible(after.x, 1e-6));
+}
+
+TEST(WarmResolveTest, RankDeficientImportedBasesRefusedAndSolverStaysCold) {
+  // Rows: x0 + x1 + x2 <= 8, x0 + x1 + x3 <= 9, 2x0 + 2x1 + x2 + x3 <= 15.
+  // Columns x0 and x1 are copies of one another, and x2 + x3 equals x0 (and
+  // x1) on every row: both bases below are singular though each names
+  // distinct columns with consistent statuses.
+  Model m;
+  for (double cost : {-1.0, -1.5, -0.5, -0.7}) {
+    m.AddContinuous(0.0, 5.0, cost);
+  }
+  const double coeffs[3][4] = {{1, 1, 1, 0}, {1, 1, 0, 1}, {2, 2, 1, 1}};
+  const double ub[3] = {8.0, 9.0, 15.0};
+  for (int i = 0; i < 3; ++i) {
+    RowId r = m.AddRow(-kInf, ub[i]);
+    for (int j = 0; j < 4; ++j) {
+      if (coeffs[i][j] != 0.0) {
+        m.AddCoefficient(r, j, coeffs[i][j]);
+      }
+    }
+  }
+  const std::vector<std::vector<int32_t>> singular = {
+      {0, 1, 4 + 2},  // Two copies of one column, plus a slack.
+      {0, 2, 3},      // A rank-deficient structural set.
+  };
+  LpResult oracle = SolveDenseReference(m);
+  ASSERT_EQ(oracle.status, LpStatus::kOptimal);
+  for (const std::vector<int32_t>& basic : singular) {
+    SimplexBasis basis;
+    basis.basic = basic;
+    basis.status.assign(m.num_variables() + m.num_rows(), 1);  // kAtLower.
+    for (int32_t col : basic) {
+      basis.status[col] = 0;  // kBasic.
+    }
+    basis.rows = m.num_rows();
+    basis.vars = m.num_variables();
+    basis.nonzeros = m.num_nonzeros();
+
+    SimplexSolver solver;
+    EXPECT_FALSE(solver.ImportBasis(m, basis));
+    EXPECT_TRUE(solver.ExportBasis().empty());
+    LpResult after = solver.ResolveWithBasis(m, {});
+    ASSERT_EQ(after.status, LpStatus::kOptimal);
+    EXPECT_NEAR(after.objective, oracle.objective, 1e-6);
+  }
+}
+
+TEST(WarmResolveTest, LongResolveChainCarriesEtaFileAcrossCalls) {
+  // A warm chain of ResolveWithBasis calls under random bound overrides,
+  // run until it has taken three refactor intervals' worth of pivots: the
+  // eta file, and the refactorizations it triggers, carry across calls.
+  // Every step must match a cold dense-oracle solve.
+  std::vector<double> ref;
+  Model m = RandomLp(4711, 40, 30, &ref);
+  LpOptions options;
+  options.refactor_interval = 16;
+  SimplexSolver solver(options);
+  ASSERT_EQ(solver.Solve(m).status, LpStatus::kOptimal);
+  Rng rng(99);
+  int64_t pivots = 0;
+  int refactorizations = 0;
+  int steps = 0;
+  for (; steps < 400 && pivots < 3 * options.refactor_interval; ++steps) {
+    // Box a few variables around the reference point, which stays feasible,
+    // so the chain never falls back to a cold solve.
+    std::vector<BoundOverride> overrides;
+    for (int k = 0; k < 4; ++k) {
+      VarId var = static_cast<VarId>(rng.UniformInt(0, 39));
+      const ModelVariable& v = m.variable(var);
+      overrides.push_back(BoundOverride{var, std::max(v.lb, ref[var] - rng.Uniform(0.0, 1.5)),
+                                        std::min(v.ub, ref[var] + rng.Uniform(0.0, 1.5))});
+    }
+    LpResult warm = solver.ResolveWithBasis(m, overrides);
+    LpResult cold = SolveDenseReference(m, overrides);
+    ASSERT_EQ(warm.status, cold.status) << "step " << steps;
+    ASSERT_EQ(warm.status, LpStatus::kOptimal) << "step " << steps;
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << "step " << steps;
+    pivots += warm.iterations + warm.dual_iterations;
+    refactorizations += warm.refactorizations;
+  }
+  EXPECT_GE(pivots, 3 * options.refactor_interval);
+  EXPECT_GT(refactorizations, 0);
 }
 
 TEST(WarmResolveTest, ExportedBasisRoundTripsThroughImport) {
