@@ -7,22 +7,26 @@
 // drains and returns rack groups together (Section 5.3's maintenance flow),
 // so at a 1% mean rate with ~3%-of-fleet batches roughly every third round
 // sees an event and the rest are quiet. Quiet rounds exercise the skip-solve
-// fast path; event rounds exercise delta computation, model patching, and
-// incumbent shifting. Every round's snapshot is fed to TWO solvers — one
-// with the resolve cache on, one strictly from scratch — and the per-round
-// wall time is broken down by Figure-8 step (ras_build / solver_build /
-// initial_state / mip) for both.
+// fast path; event rounds exercise delta computation and model patching,
+// followed by the same branch-and-bound a cold round runs. Every round's
+// snapshot is fed to TWO solvers built from the default SolverConfig (only
+// the polish patience is cut, below) —
+// one with the resolve cache on, one strictly from scratch — and the
+// per-round wall time is broken down by Figure-8 step (ras_build /
+// solver_build / initial_state / mip) for both.
 //
-// The incremental solver must (a) produce bitwise-identical targets to the
-// cold solver every round — the cache trades timings, never answers — and
-// (b) beat the cold solver by >= 2x steady-state (rounds after the first,
-// which is cold for both by construction).
+// The incremental solver must produce bitwise-identical targets to the cold
+// solver every round — the cache trades timings, never answers — and any
+// mismatch fails the run. The steady-state speedup (rounds after the first,
+// which is cold for both by construction) is cold wall / incremental wall,
+// so above 1 means the cache is faster; it is reported, not gated. In small
+// mode a churn round (delta_servers > 0) whose incremental wall exceeds 1.1x
+// the cold wall also fails the run.
 //
 // Writes BENCH_resolve.json with one record per round (both wall times, the
 // step breakdowns, and the reuse telemetry: delta_servers, model_patched,
-// basis_reused, solve_skipped), a steady-state summary record, and the
-// uniform determinism record (cache-on vs cache-off targets compared bitwise
-// across all rounds).
+// solve_skipped), a steady-state summary record, and the uniform determinism
+// record (cache-on vs cache-off targets compared bitwise across all rounds).
 //
 // Usage: bench_round_resolve [small] [churn=<percent>] [output.json]
 
@@ -66,9 +70,8 @@ int main(int argc, char** argv) {
 
   PrintHeader("Round re-solve: cross-round incremental warm state (resolve cache)",
               "Section 7 runs the solver continuously; consecutive rounds differ by "
-              "~1% of server state, so patching the cached model and restarting from "
-              "the cached basis/incumbent must beat a from-scratch round >= 2x with "
-              "bitwise-identical targets");
+              "~1% of server state, so patching the cached model and skipping unchanged "
+              "rounds must beat a from-scratch round with bitwise-identical targets");
 
   FleetOptions fleet_options;
   fleet_options.num_datacenters = 2;
@@ -85,9 +88,8 @@ int main(int argc, char** argv) {
   ReservationRegistry registry;
   Rng rng(909);
   const int num_services = small ? 10 : 24;
-  // ~35% count utilisation: comfortable supply keeps the greedy warm start at
-  // the LP bound, the regime where the bound-gated fast path replaces the
-  // cold root solve. Count-based reservations with integral capacities keep
+  // ~35% count utilisation: comfortable supply keeps the greedy warm start
+  // near the LP bound. Count-based reservations with integral capacities keep
   // the LP relaxation tight (no rounding gap) and the equivalence classes
   // populous, so availability churn resizes classes instead of deleting them.
   const double budget = static_cast<double>(num_servers) * 0.35;
@@ -121,25 +123,13 @@ int main(int argc, char** argv) {
 
   SolverConfig inc_config;
   inc_config.incremental_resolve = true;
-  // Seed the fallback MIP's root LP from the cached basis (the dual-simplex
-  // warm re-solve path). Parity is not assumed from the flag: the bench's own
-  // targets_match assertion compares every round bitwise against the cold
-  // solver, and any divergence fails the run.
-  inc_config.resolve_strict_parity = false;
   SolverConfig cold_config;
   cold_config.incremental_resolve = false;
-  // Latency tuning, opted into identically on both pipelines so the cold
-  // baseline stays honest (the speedup is never tuned vs untuned). The RAS
-  // LP relaxation keeps a structural integer-ceil gap to any incumbent, so
-  // the B&B spends its node budget failing to beat the warm incumbent; one
-  // non-improving node is ample patience for this bench's count-based
-  // reservations (the depth-<=2 rounding heuristic lands its improvement at
-  // the first node). Likewise the greedy start is already move-minimal here
-  // — polish accepts nothing across the whole run — so its proposal budget
-  // is cut to a token patience.
+  // The greedy start is already move-minimal here — polish accepts nothing
+  // across the whole run — so its proposal budget is cut to a token
+  // patience, identically on both pipelines so the cold baseline stays
+  // honest (the speedup is never tuned vs untuned).
   for (SolverConfig* cfg : {&inc_config, &cold_config}) {
-    cfg->phase1_mip.stall_node_limit = 1;
-    cfg->phase2_mip.stall_node_limit = 1;
     cfg->polish_stall_limit = 256;
   }
   AsyncSolver inc_solver(inc_config);
@@ -198,8 +188,7 @@ int main(int argc, char** argv) {
     // Phase-1 telemetry: phase 2 re-selects its worst-offender subset every
     // round, so its cache entry legitimately misses under churn; phase 1 is
     // where the region-wide reuse story lives.
-    const char* reuse = inc_stats->phase1.solve_skipped  ? "skipped"
-                        : inc_stats->phase1.basis_reused ? "patched+basis"
+    const char* reuse = inc_stats->phase1.solve_skipped   ? "skipped"
                         : inc_stats->phase1.model_patched ? "patched"
                                                           : "cold";
     double speedup = inc_wall > 0.0 ? cold_wall / inc_wall : 1.0;
@@ -238,7 +227,6 @@ int main(int argc, char** argv) {
         .Set("targets_match", match)
         .Set("delta_servers", inc_stats->delta_servers)
         .Set("model_patched", inc_stats->phase1.model_patched)
-        .Set("basis_reused", inc_stats->phase1.basis_reused)
         .Set("solve_skipped", inc_stats->phase1.solve_skipped)
         .Set("dual_resolves", inc_stats->dual_resolves)
         .Set("dual_iterations", inc_stats->dual_iterations)
@@ -258,8 +246,7 @@ int main(int argc, char** argv) {
         .Set("incremental_nodes", inc_stats->phase1.nodes + inc_stats->phase2.nodes)
         .Set("incremental_p1_mip_s", inc_stats->phase1.timings.mip_s)
         .Set("incremental_p2_mip_s", inc_stats->phase2.timings.mip_s)
-        .Set("p2_model_patched", inc_stats->phase2.model_patched)
-        .Set("p2_basis_reused", inc_stats->phase2.basis_reused);
+        .Set("p2_model_patched", inc_stats->phase2.model_patched);
   }
 
   const int steady_rounds = kRounds - 1;

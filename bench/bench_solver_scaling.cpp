@@ -1,18 +1,12 @@
 // Solver-kernel scaling bench: the perf-regression anchor for the Async
 // Solver's MIP engine (the machinery behind Figures 7 and 10).
 //
-// Runs the phase-1 RAS MIP over a set of synthetic regions under three solver
-// configurations of the one LP kernel (sparse LU basis factorization, partial
-// pricing, adaptive refactorization):
-//
-//   sparse      : serial branch-and-bound.
-//   sparse-t2/4 : 2 / 4 branch-and-bound workers.
-//
-// Prints a comparison table and writes BENCH_solver.json (via the common
-// bench_json emitter) with wall time, simplex iterations, nodes, gap, and
-// threads per configuration, so successive runs can be diffed mechanically.
-// Also verifies that threads=1 is run-to-run deterministic (bitwise-identical
-// solution vectors).
+// Runs the phase-1 RAS MIP (the serial branch-and-bound over the sparse LU
+// simplex kernel) over a set of synthetic regions. Prints one result row and
+// writes BENCH_solver.json (via the common bench_json emitter) with wall
+// time, simplex iterations, nodes, objective and gap, so successive runs can
+// be diffed mechanically. Also verifies that the search is run-to-run
+// deterministic (bitwise-identical solution vectors).
 //
 // Usage: bench_solver_scaling [small] [output.json]
 
@@ -55,14 +49,11 @@ struct ConfigResult {
   std::vector<double> first_x;  // Solution of the first workload (determinism probe).
 };
 
-ConfigResult RunConfig(const std::vector<Workload*>& workloads, const SolverConfig& config,
-                       int threads) {
+ConfigResult RunConfig(const std::vector<Workload*>& workloads, const SolverConfig& config) {
   ConfigResult out;
   for (size_t w = 0; w < workloads.size(); ++w) {
     Workload& wl = *workloads[w];
     MipOptions options = config.phase1_mip;
-    options.lp = LpOptions();
-    options.threads = threads;
     options.heuristic = MakeLpRoundingHeuristic(wl.input, wl.classes, wl.built);
     MipSolver solver(options);
     double t0 = WallNow();
@@ -93,7 +84,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintHeader("Solver scaling: sparse LU simplex kernel + parallel branch-and-bound",
+  PrintHeader("Solver scaling: sparse LU simplex kernel + serial branch-and-bound",
               "continuous region-wide re-optimization must be as fast as the hardware "
               "allows (Figs. 7/10 measure allocation time and setup scaling)");
 
@@ -144,53 +135,29 @@ int main(int argc, char** argv) {
     ptrs.push_back(&w);
   }
 
-  struct Config {
-    const char* name;
-    int threads;
-  };
-  const Config kConfigs[] = {
-      {"sparse", 1},
-      {"sparse-t2", 2},
-      {"sparse-t4", 4},
-  };
-
   BenchJsonWriter json("solver_scaling");
   AddStandardMeta(json);
-  std::printf("\n%-12s %10s %12s %8s %12s %10s %9s\n", "config", "wall_s", "lp_iters",
-              "nodes", "objective", "gap", "speedup");
-  double serial_wall = 0.0;
-  double t4_speedup = 0.0;
-  for (const Config& c : kConfigs) {
-    ConfigResult r = RunConfig(ptrs, config, c.threads);
-    if (c.threads == 1) {
-      serial_wall = r.wall_s;
-    }
-    double speedup = serial_wall > 0 ? serial_wall / r.wall_s : 1.0;
-    if (c.threads == 4) {
-      t4_speedup = speedup;
-    }
-    std::printf("%-12s %10.3f %12lld %8lld %12.1f %10.1f %8.2fx\n", c.name, r.wall_s,
-                static_cast<long long>(r.lp_iterations), static_cast<long long>(r.nodes),
-                r.objective, r.gap, speedup);
-    json.AddRecord()
-        .Set("config", c.name)
-        .Set("threads", c.threads)
-        .Set("wall_s", r.wall_s)
-        .Set("iterations", r.lp_iterations)
-        .Set("nodes", r.nodes)
-        .Set("objective", r.objective)
-        .Set("gap", r.gap)
-        .Set("status", MipStatusName(r.status))
-        .Set("speedup_vs_serial", speedup)
-        .Set("workloads", static_cast<int64_t>(kWorkloads));
-  }
+  ConfigResult r = RunConfig(ptrs, config);
+  std::printf("\n%-12s %10s %12s %8s %12s %10s\n", "config", "wall_s", "lp_iters", "nodes",
+              "objective", "gap");
+  std::printf("%-12s %10.3f %12lld %8lld %12.1f %10.1f\n", "sparse", r.wall_s,
+              static_cast<long long>(r.lp_iterations), static_cast<long long>(r.nodes),
+              r.objective, r.gap);
+  json.AddRecord()
+      .Set("config", "sparse")
+      .Set("wall_s", r.wall_s)
+      .Set("iterations", r.lp_iterations)
+      .Set("nodes", r.nodes)
+      .Set("objective", r.objective)
+      .Set("gap", r.gap)
+      .Set("status", MipStatusName(r.status))
+      .Set("workloads", static_cast<int64_t>(kWorkloads));
 
-  // threads=1 determinism: two runs of the serial config must produce
-  // bitwise-identical solution vectors.
-  ConfigResult d1 = RunConfig(ptrs, config, /*threads=*/1);
-  ConfigResult d2 = RunConfig(ptrs, config, /*threads=*/1);
-  bool deterministic = d1.first_x == d2.first_x;
-  std::printf("\nthreads=1 determinism (bitwise, repeated run): %s\n",
+  // Determinism: a repeated run must produce a bitwise-identical solution
+  // vector.
+  ConfigResult again = RunConfig(ptrs, config);
+  bool deterministic = r.first_x == again.first_x;
+  std::printf("\ndeterminism (bitwise, repeated run): %s\n",
               deterministic ? "OK" : "MISMATCH");
   AddDeterminismRecord(json, "sparse-serial", deterministic);
 
@@ -198,6 +165,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
-  std::printf("sparse-t4 speedup vs serial: %.2fx\n", t4_speedup);
   return deterministic ? 0 : 1;
 }

@@ -86,8 +86,6 @@ void FinishTargets(const SolveInput& input, std::vector<std::pair<ServerId, Rese
 void SummarizeReuse(SolveStats& stats) {
   stats.model_patched = stats.phase1.ran && stats.phase1.model_patched &&
                         (!stats.phase2.ran || stats.phase2.model_patched);
-  stats.basis_reused = stats.phase1.ran && stats.phase1.basis_reused &&
-                       (!stats.phase2.ran || stats.phase2.basis_reused);
   stats.solve_skipped = stats.phase1.ran && stats.phase1.solve_skipped &&
                         (!stats.phase2.ran || stats.phase2.solve_skipped);
   stats.delta_servers = stats.phase1.delta_servers;
@@ -105,8 +103,6 @@ void RecordSolveMetrics(const SolveStats& stats) {
       reg.counter("ras_solver_solves_total", "Completed solves (all modes).");
   static obs::Counter& patched =
       reg.counter("ras_solver_model_patched_total", "Rounds that patched the cached model.");
-  static obs::Counter& basis =
-      reg.counter("ras_solver_basis_reused_total", "Rounds that restarted from a cached basis.");
   static obs::Counter& skipped =
       reg.counter("ras_solver_solves_skipped_total", "Rounds served by the skip-solve fast path.");
   static obs::Counter& moves =
@@ -125,9 +121,6 @@ void RecordSolveMetrics(const SolveStats& stats) {
   solves.Add();
   if (stats.model_patched) {
     patched.Add();
-  }
-  if (stats.basis_reused) {
-    basis.Add();
   }
   if (stats.solve_skipped) {
     skipped.Add();
@@ -189,8 +182,6 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
 
   std::vector<double> local_solution;
   const std::vector<double>* solution = nullptr;
-  SimplexBasis new_root_basis;
-  const double gap = mip_options.absolute_gap;
 
   // Skip-solve fast path, checked before the greedy initial state so a
   // skipped round pays for neither the greedy construction nor the MIP. An
@@ -220,10 +211,9 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
     // Initial state: greedy warm start, polished by a short local search (the
     // search's relocate moves fix spread cheaply, and the MIP then starts
     // from, and can only improve on, that incumbent). Computed identically
-    // whether the model was patched or rebuilt: the bound-gated path below
-    // hands exactly this incumbent back when the root bound prunes, which is
-    // also what the cold branch-and-bound returns, so incremental and cold
-    // rounds produce identical targets.
+    // whether the model was patched or rebuilt, and the MIP below runs
+    // exactly as if cold, so incremental and cold rounds produce identical
+    // targets.
     t0 = util::MonotonicSeconds();
     std::vector<double> counts = BuildInitialCounts(input, classes, built);
     LocalSearchOptions polish;
@@ -235,89 +225,35 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
     polish.stall_limit = config_.polish_stall_limit;
     counts = LocalSearchOptimize(input, classes, built, counts, polish).counts;
     std::vector<double> warm = MakeWarmStart(input, classes, built, counts);
-    const double warm_obj = built.model.Objective(warm);
-    outcome.stats.warm_start_objective = warm_obj;
+    outcome.stats.warm_start_objective = built.model.Objective(warm);
     outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
 
     t0 = util::MonotonicSeconds();
-    // Bound-gated fast path: re-solve only the root LP, restarting from the
-    // cached basis, and compare its bound against the greedy incumbent. When
-    // the bound prunes (the branch-and-bound's first decision at every thread
-    // count, taken before any heuristic or branching), the B&B would return
-    // the warm incumbent untouched — so return it here without opening the
-    // tree, replacing the entire cold root solve + search with one basis
-    // refactorization and a few pivots. When the bound does not prune, the
-    // probe is discarded and the MIP below runs exactly as if cold. Gated on
-    // the cached round's own gap: when last round's incumbent already sat far
-    // above its LP bound (the structural integer-ceil regime), this round's
-    // root bound cannot prune either — the probe would be a wasted
-    // refactorization every round.
-    if (patched && !entry->root_basis.empty() &&
-        entry->objective - entry->best_bound <= 2 * gap &&
-        built.model.IsFeasible(warm, mip_options.integrality_tol * 10)) {
-      SimplexSolver probe{LpOptions()};
-      if (probe.ImportBasis(built.model, entry->root_basis)) {
-        LpResult root = probe.ResolveWithBasis(built.model, {});
-        outcome.stats.dual_iterations += root.dual_iterations;
-        if (root.used_dual_simplex) {
-          ++outcome.stats.dual_resolves;
-        }
-        if (root.status == LpStatus::kOptimal && root.objective > warm_obj - gap) {
-          solution = &warm;
-          new_root_basis = probe.ExportBasis();
-          outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
-          outcome.stats.mip_status = MipStatus::kOptimal;
-          outcome.stats.nodes = 1;
-          outcome.stats.objective = warm_obj;
-          // Proven within gap: reported as the objective, matching the cold
-          // B&B's accounting for a root prune.
-          outcome.stats.best_bound = warm_obj;
-          outcome.stats.basis_reused = true;
-        }
-      }
-    }
-
-    if (solution == nullptr) {
-      MipOptions options = mip_options;
-      options.lp = LpOptions();
-      // Degraded rungs run the single-worker search: a failing round is
-      // exactly when reproducibility is worth more than node throughput.
-      if (phase == 0) {
-        options.threads = 1;
-      }
-      options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
-      if (patched && !config_.resolve_strict_parity) {
-        options.root_basis = entry->root_basis;
-      }
-      MipSolver solver(options);
-      MipResult mip = solver.Solve(built.model, &warm);
-      outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
-      outcome.stats.mip_status = mip.status;
-      outcome.stats.nodes = mip.nodes;
-      outcome.stats.basis_reused = mip.root_basis_used;
-      outcome.stats.dual_resolves += mip.dual_resolves;
-      outcome.stats.dual_iterations += mip.lp_dual_iterations;
-      outcome.stats.presolve_rows_removed += mip.presolve_rows_removed;
-      new_root_basis = std::move(mip.root_basis);
-      if (mip.status == MipStatus::kOptimal || mip.status == MipStatus::kFeasible) {
-        local_solution = std::move(mip.x);
-        solution = &local_solution;
-        outcome.stats.objective = mip.objective;
-        outcome.stats.best_bound = mip.best_bound;
-      } else {
-        // MIP produced nothing usable: ship the greedy initial state,
-        // exactly the paper's posture that a timed-out solve must still
-        // yield a valid (possibly suboptimal) assignment.
-        RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
-                          << "; falling back to the greedy initial state";
-        local_solution = std::move(warm);
-        solution = &local_solution;
-        outcome.stats.objective = outcome.stats.warm_start_objective;
-        outcome.stats.best_bound = mip.best_bound;
-      }
-    } else if (solution == &warm) {
+    MipOptions options = mip_options;
+    options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
+    MipSolver solver(options);
+    MipResult mip = solver.Solve(built.model, &warm);
+    outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
+    outcome.stats.mip_status = mip.status;
+    outcome.stats.nodes = mip.nodes;
+    outcome.stats.dual_resolves = mip.dual_resolves;
+    outcome.stats.dual_iterations = mip.lp_dual_iterations;
+    outcome.stats.presolve_rows_removed = mip.presolve_rows_removed;
+    if (mip.status == MipStatus::kOptimal || mip.status == MipStatus::kFeasible) {
+      local_solution = std::move(mip.x);
+      solution = &local_solution;
+      outcome.stats.objective = mip.objective;
+      outcome.stats.best_bound = mip.best_bound;
+    } else {
+      // MIP produced nothing usable: ship the greedy initial state,
+      // exactly the paper's posture that a timed-out solve must still
+      // yield a valid (possibly suboptimal) assignment.
+      RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
+                        << "; falling back to the greedy initial state";
       local_solution = std::move(warm);
       solution = &local_solution;
+      outcome.stats.objective = outcome.stats.warm_start_objective;
+      outcome.stats.best_bound = mip.best_bound;
     }
   }
 
@@ -331,23 +267,22 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
 
   // Persist this round's warm state for the next: the (possibly freshly
   // built) model moves into the entry, along with the incumbent's assignment
-  // counts, its objective/bound, and the root basis. A round whose MIP
-  // produced nothing trustworthy leaves the entry invalid — the fallback
-  // greedy answer carries no bound worth reusing.
+  // counts, its bound, and its MIP status. A round whose MIP produced nothing
+  // trustworthy leaves the entry invalid — the fallback greedy answer carries
+  // no bound worth reusing.
   if (entry != nullptr) {
     const bool usable = outcome.stats.mip_status == MipStatus::kOptimal ||
                         outcome.stats.mip_status == MipStatus::kFeasible;
     if (!usable) {
       entry->valid = false;
     } else {
-      // A skipped round keeps the cached counts and basis (the model is
-      // unchanged); every other round replaces them.
+      // A skipped round keeps the cached counts (the model is unchanged);
+      // every other round replaces them.
       if (!outcome.stats.solve_skipped) {
         entry->counts.resize(built.assignment_vars.size());
         for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
           entry->counts[k] = (*solution)[static_cast<size_t>(built.assignment_vars[k].var)];
         }
-        entry->root_basis = std::move(new_root_basis);
       }
       entry->input = input;
       entry->classes = classes;
@@ -356,7 +291,6 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
       if (!patched) {
         entry->built = std::move(fresh);
       }
-      entry->objective = outcome.stats.objective;
       entry->best_bound = outcome.stats.best_bound;
       entry->mip_status = outcome.stats.mip_status;
       entry->valid = true;
@@ -586,14 +520,11 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   ShardPlan plan = PlanShards(*input.topology, plan_options);
   ShardDemand demand = SplitDemand(input, plan);
 
-  // Each shard runs this solver's monolithic path on its sub-input.
-  // shard_count = 1 terminates the recursion; one branch-and-bound worker
-  // keeps every per-shard solve deterministic — the shards themselves are the
+  // Each shard runs this solver's monolithic path on its sub-input;
+  // shard_count = 1 terminates the recursion. The shards themselves are the
   // parallelism axis.
   SolverConfig sub_config = config_;
   sub_config.shard_count = 1;
-  sub_config.phase1_mip.threads = 1;
-  sub_config.phase2_mip.threads = 1;
 
   // Persistent per-shard solvers: shard k's sub-solver (and the resolve cache
   // inside it) survives across rounds while the plan signature holds, so a

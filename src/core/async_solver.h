@@ -67,7 +67,6 @@ struct PhaseStats {
   // incremental_resolve). delta_servers is the server-state delta against the
   // cached round, or -1 when there was no cached round to diff against.
   bool model_patched = false;
-  bool basis_reused = false;
   bool solve_skipped = false;
   int delta_servers = -1;
   // Solver-layer re-optimization telemetry (presolve + dual simplex), summed
@@ -99,7 +98,6 @@ struct SolveStats {
   // sharded, every shard) that ran reused that way; delta_servers is phase
   // 1's region-wide delta (summed across shards), -1 on a cold round.
   bool model_patched = false;
-  bool basis_reused = false;
   bool solve_skipped = false;
   int delta_servers = -1;
   // Solver-layer re-optimization totals summed across phases (and shards).

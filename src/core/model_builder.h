@@ -83,20 +83,11 @@ struct SolverConfig {
   size_t shard_repair_max_moves = 2000;
 
   // --- Cross-round incremental re-solve (src/core/resolve_cache.h) ---
-  // Reuses the previous round's model (patched in place), root simplex basis,
-  // and incumbent when consecutive snapshots are structurally equal; an
-  // unchanged round skips the MIP and returns the cached incumbent. With
-  // strict parity (below) the reuse paths only short-circuit work a cold
-  // solve would provably repeat, so disabling this changes timings, not
-  // targets.
+  // Patches the previous round's model in place when consecutive snapshots
+  // are structurally equal, and returns the cached incumbent without a solve
+  // when the snapshot is unchanged. Both only skip work a cold solve would
+  // provably repeat, so disabling this changes timings, not targets.
   bool incremental_resolve = true;
-  // Strict parity (default): the cached basis is only used for a separate
-  // root-bound probe whose fired outcome equals the cold search's root prune;
-  // when the probe does not fire, the MIP runs exactly as if cold. false
-  // additionally seeds that fallback MIP's root LP from the cached basis —
-  // faster, but alternate LP optima can steer branching differently, so
-  // targets may (validly) differ from a cold solve.
-  bool resolve_strict_parity = true;
 
   // Rejected-proposal patience for the local-search polish of the greedy
   // warm start (LocalSearchOptions::stall_limit). The greedy start is
@@ -106,9 +97,7 @@ struct SolverConfig {
   // and incremental), so it shifts timings, never parity.
   int64_t polish_stall_limit = 4000;
 
-  // Per-phase branch-and-bound settings. Their `threads` apply to healthy
-  // monolithic rounds only: degraded ladder rungs and per-shard sub-solves
-  // always run the single-worker search, so they stay reproducible.
+  // Per-phase branch-and-bound settings.
   MipOptions phase1_mip;
   MipOptions phase2_mip;
 
@@ -124,12 +113,6 @@ struct SolverConfig {
     // pruning at this tolerance saves most of the branch-and-bound tail.
     phase1_mip.absolute_gap = move_cost_idle / 2;
     phase2_mip.absolute_gap = move_cost_idle / 2;
-    // stall_node_limit stays at the library default (0 = disabled): the RAS
-    // LP relaxation keeps a structural integer-ceil gap (the tau-weighted
-    // buffer terms) to any incumbent, so an aggressive stall cutoff can
-    // freeze a mid-quality incumbent that more patience would improve.
-    // Latency-sensitive callers (the round-resolve bench) opt in per config,
-    // setting it identically on both pipelines so targets stay comparable.
   }
 };
 

@@ -2,12 +2,14 @@
 // round to the next.
 //
 // Each entry — keyed by (phase, shard) — remembers the previous round's
-// snapshot, equivalence classes, built model, final simplex basis, incumbent
-// assignment counts, and proven bound. The next round computes a RoundDelta
-// against the cached snapshot and, when the model structure survives
-// (RoundDelta::patchable), re-targets the cached model in place
-// (SetRoundBounds, the same bound pass every fresh build ends with), restarts the root LP from the cached basis, and — when the
-// delta is empty — skips the MIP entirely and returns the cached incumbent.
+// snapshot, equivalence classes, built model, incumbent assignment counts,
+// proven bound, and MIP status. The cache does exactly two things. When the
+// next round's RoundDelta against the cached snapshot leaves the model
+// structure intact (RoundDelta::patchable), it re-targets the cached model in
+// place (SetRoundBounds, the same bound pass every fresh build ends with)
+// instead of rebuilding it. When the delta is also empty, it skips the solve
+// and returns the cached incumbent. Every solve that does run is the cold
+// branch-and-bound, so incremental and cold rounds produce identical targets.
 //
 // Lifetime rules (see DESIGN.md "Incremental re-solve"): the cache lives
 // inside an AsyncSolver and survives exactly as long as consecutive healthy
@@ -25,7 +27,6 @@
 #include "src/core/model_builder.h"
 #include "src/core/round_delta.h"
 #include "src/core/solve_input.h"
-#include "src/solver/simplex.h"
 
 namespace ras {
 
@@ -39,16 +40,13 @@ struct ResolveEntry {
   bool include_rack_spread = false;
   std::vector<int> subset;
   // Final incumbent as assignment counts (aligned with
-  // built.assignment_vars), its objective, the best proven bound, and how the
-  // producing solve terminated (kOptimal vs node-limited kFeasible — a
+  // built.assignment_vars), the best proven bound, and how the producing
+  // solve terminated (kOptimal vs node-limited kFeasible — a
   // skipped round must report the cached round's true status, not invent an
   // optimality proof).
   std::vector<double> counts;
-  double objective = 0.0;
   double best_bound = 0.0;
   MipStatus mip_status = MipStatus::kError;
-  // Basis at the round's root LP optimum.
-  SimplexBasis root_basis;
 };
 
 class ResolveCache {

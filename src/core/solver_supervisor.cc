@@ -40,10 +40,9 @@ obs::RoundReport MakeRoundReport(const RoundOutcome& record, const SolveStats& s
   report.moves_in_use = stats.moves_in_use;
   report.shortfall_rru = stats.total_shortfall_rru;
   report.wall_seconds = stats.total_seconds;
-  report.reuse = stats.solve_skipped    ? "skipped"
-                 : stats.basis_reused   ? "patched+basis"
-                 : stats.model_patched  ? "patched"
-                                        : "cold";
+  report.reuse = stats.solve_skipped   ? "skipped"
+                 : stats.model_patched ? "patched"
+                                       : "cold";
   report.delta_servers = stats.delta_servers;
   report.shard_count = stats.shard_count;
   report.failed_shards = stats.failed_shards;

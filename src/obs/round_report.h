@@ -35,7 +35,7 @@ struct RoundReport {
   double shortfall_rru = 0.0;
   double wall_seconds = 0.0;
 
-  // Cross-round reuse: "cold", "patched", "patched+basis", or "skipped".
+  // Cross-round reuse: "cold", "patched", or "skipped".
   std::string reuse = "cold";
   int delta_servers = -1;
 

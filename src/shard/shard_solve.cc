@@ -44,14 +44,12 @@ void AccumulatePhase(PhaseStats& into, const PhaseStats& from) {
   // that way; deltas sum, with any cold shard (-1) making the total unknown.
   if (into.ran) {
     into.model_patched = into.model_patched && from.model_patched;
-    into.basis_reused = into.basis_reused && from.basis_reused;
     into.solve_skipped = into.solve_skipped && from.solve_skipped;
     into.delta_servers = (into.delta_servers < 0 || from.delta_servers < 0)
                              ? -1
                              : into.delta_servers + from.delta_servers;
   } else {
     into.model_patched = from.model_patched;
-    into.basis_reused = from.basis_reused;
     into.solve_skipped = from.solve_skipped;
     into.delta_servers = from.delta_servers;
   }

@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <memory>
 
 #include "src/obs/metrics.h"
 #include "src/util/monotonic_time.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
-#include "src/util/thread_pool.h"
 
 namespace ras {
 
@@ -166,74 +161,6 @@ bool TryFixAndSolve(const Model& model, const std::vector<BoundOverride>& node_o
   return true;
 }
 
-// Search state the branch-and-bound workers share. Node LPs and heuristics
-// (the expensive part) run outside `mu`, each on the worker's own
-// SimplexSolver, so warm starts chain along that worker's node sequence.
-struct SharedSearch {
-  Mutex mu;
-  CondVar cv;
-  std::deque<Node> open GUARDED_BY(mu);
-  int busy GUARDED_BY(mu) = 0;       // Workers currently expanding a node.
-  bool stop GUARDED_BY(mu) = false;  // Budget hit or unbounded: wind down.
-  bool unbounded GUARDED_BY(mu) = false;
-  int64_t nodes_since_improve GUARDED_BY(mu) = 0;
-  bool have_incumbent GUARDED_BY(mu) = false;
-  std::vector<double> incumbent GUARDED_BY(mu);
-  double incumbent_obj GUARDED_BY(mu) = kInf;
-  double root_bound GUARDED_BY(mu) = -kInf;  // Root LP objective once solved.
-  // Node and LP counters, the time-limit flag and the root basis.
-  MipResult result GUARDED_BY(mu);
-
-  void Install(std::vector<double> x, double obj) REQUIRES(mu) {
-    incumbent = std::move(x);
-    incumbent_obj = obj;
-    have_incumbent = true;
-    nodes_since_improve = 0;
-  }
-
-  // Derives the proven bound and the status once the search has stopped.
-  // Queued nodes price the bound by their parent's LP value (a node that
-  // never had one inherits the root bound), and the incumbent caps it.
-  MipResult Conclude(const MipOptions& options) REQUIRES(mu) {
-    MipResult out = std::move(result);
-    if (unbounded) {
-      out.status = MipStatus::kUnbounded;
-      out.best_bound = -kInf;
-      return out;
-    }
-    if (open.empty()) {
-      out.best_bound = have_incumbent ? incumbent_obj : kInf;
-    } else {
-      double open_bound = kInf;
-      for (const Node& n : open) {
-        open_bound = std::min(open_bound, n.parent_bound);
-      }
-      if (open_bound == -kInf) {
-        open_bound = root_bound;
-      }
-      out.best_bound = have_incumbent ? std::min(open_bound, incumbent_obj) : open_bound;
-    }
-    if (have_incumbent) {
-      out.x = std::move(incumbent);
-      out.objective = incumbent_obj;
-      bool proven = open.empty() || out.objective - out.best_bound <= options.absolute_gap ||
-                    (std::fabs(out.objective) > 1 &&
-                     (out.objective - out.best_bound) / std::fabs(out.objective) <=
-                         options.relative_gap);
-      out.status = proven ? MipStatus::kOptimal : MipStatus::kFeasible;
-      if (proven) {
-        out.best_bound = out.objective;
-      }
-    } else if (open.empty() && out.nodes > 0 && !out.hit_time_limit &&
-               out.nodes < options.max_nodes) {
-      out.status = MipStatus::kInfeasible;
-    } else {
-      out.status = MipStatus::kNoSolutionFound;
-    }
-    return out;
-  }
-};
-
 }  // namespace
 
 MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_start) {
@@ -244,8 +171,6 @@ MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_s
       reg.counter("ras_mip_nodes_total", "Nodes explored across branch-and-bound runs.");
   static obs::Counter& lp_iterations =
       reg.counter("ras_mip_lp_iterations_total", "Simplex iterations summed over node LPs.");
-  static obs::Counter& root_basis =
-      reg.counter("ras_mip_root_basis_used_total", "Runs that imported a cached root basis.");
   static obs::Counter& time_limit =
       reg.counter("ras_mip_time_limit_hits_total", "Runs cut off by their time limit.");
   static obs::Counter& dual_resolves = reg.counter(
@@ -260,9 +185,6 @@ MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_s
   lp_iterations.Add(result.lp_iterations);
   dual_resolves.Add(result.dual_resolves);
   presolve_rows.Add(result.presolve_rows_removed);
-  if (result.root_basis_used) {
-    root_basis.Add();
-  }
   if (result.hit_time_limit) {
     time_limit.Add();
   }
@@ -274,164 +196,158 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
   const double start_time = util::MonotonicSeconds();
   auto elapsed = [start_time]() { return util::MonotonicSeconds() - start_time; };
 
-  SharedSearch sh;
-  {
-    MutexLock lock(&sh.mu);  // No workers yet; satisfies the static analysis.
-    if (warm_start != nullptr && model.IsFeasible(*warm_start, options_.integrality_tol * 10)) {
-      sh.Install(*warm_start, model.Objective(*warm_start));
-    }
-    // Depth-first with a deque: children of the most recent node are explored
-    // first (good for finding incumbents fast), while `parent_bound` prunes
-    // against the incumbent. The root node has no overrides.
-    sh.open.push_back(Node{{}, -kInf, 0});
-  }
-
-  auto worker = [&]() {
-    SimplexSolver lp_solver(options_.lp);
-    // Separate solver for the fix-and-solve heuristic: consecutive heuristic
-    // LPs have near-identical bounds, so they warm-start each other, and the
-    // node chain's basis in lp_solver is never disturbed.
-    SimplexSolver heuristic_solver(options_.lp);
-    // Cross-round seed: the worker's chain starts from the cached root basis
-    // when it imports cleanly; otherwise its first LP solves cold.
-    const bool seeded =
-        !options_.root_basis.empty() && lp_solver.ImportBasis(model, options_.root_basis);
-
-    sh.mu.Lock();
-    if (seeded) {
-      sh.result.root_basis_used = true;
-    }
-    for (;;) {
-      // An empty queue ends the search only once no worker is expanding a
-      // node: an expanding worker may still push children.
-      while (sh.open.empty() && !sh.stop && sh.busy > 0) {
-        sh.cv.Wait(sh.mu);
-      }
-      if (sh.stop || sh.open.empty()) {
-        break;
-      }
-      if (sh.result.nodes >= options_.max_nodes || elapsed() > options_.time_limit_seconds) {
-        sh.result.hit_time_limit = elapsed() > options_.time_limit_seconds;
-        sh.stop = true;  // Leave remaining nodes queued: they price the bound.
-        break;
-      }
-      // Stall patience: with an incumbent in hand and a long run of nodes that
-      // failed to improve it, stop searching instead of draining max_nodes.
-      if (options_.stall_node_limit > 0 && sh.have_incumbent &&
-          sh.nodes_since_improve >= options_.stall_node_limit) {
-        sh.stop = true;
-        break;
-      }
-      Node node = std::move(sh.open.back());
-      sh.open.pop_back();
-
-      // Prune by parent bound before paying for an LP solve.
-      if (sh.have_incumbent && node.parent_bound > sh.incumbent_obj - options_.absolute_gap) {
-        continue;
-      }
-      const int64_t node_id = ++sh.result.nodes;
-      ++sh.nodes_since_improve;
-      ++sh.busy;
-      sh.mu.Unlock();
-
-      // Children differ from their parent by one bound, so each LP re-solves
-      // from the worker's last basis; a fresh solver (no basis yet) solves
-      // cold, and a seeded one restarts from the imported basis.
-      LpResult lp = lp_solver.ResolveWithBasis(model, node.overrides);
-      const int32_t branch_var = lp.status == LpStatus::kOptimal
-                                     ? MostFractional(model, lp.x, options_.integrality_tol)
-                                     : -1;
-
-      sh.mu.Lock();
-      sh.result.lp_iterations += lp.iterations;
-      sh.result.lp_dual_iterations += lp.dual_iterations;
-      sh.result.presolve_rows_removed += lp.presolve_rows_removed;
-      if (lp.used_dual_simplex) {
-        ++sh.result.dual_resolves;
-      }
-      if (lp.status == LpStatus::kUnbounded) {
-        sh.unbounded = true;
-        sh.stop = true;
-      }
-      if (lp.status == LpStatus::kOptimal && node.depth == 0) {
-        sh.root_bound = lp.objective;
-        sh.result.root_basis = lp_solver.ExportBasis();
-      }
-      // Infeasible nodes, and nodes with numerical trouble or an iteration
-      // limit, are dropped: the incumbent stays valid, the bound approximate.
-      // Optimal nodes are bound-pruned against the incumbent.
-      bool expand = lp.status == LpStatus::kOptimal &&
-                    !(sh.have_incumbent && lp.objective > sh.incumbent_obj - options_.absolute_gap);
-      if (expand && branch_var < 0) {
-        // Integer feasible: snap the integers exactly.
-        if (!sh.have_incumbent || lp.objective < sh.incumbent_obj) {
-          for (size_t j = 0; j < model.num_variables(); ++j) {
-            if (model.variable(j).is_integer) {
-              lp.x[j] = std::round(lp.x[j]);
-            }
-          }
-          const double obj = model.Objective(lp.x);
-          sh.Install(std::move(lp.x), obj);
-        }
-        expand = false;
-      }
-      if (expand) {
-        // Fix-and-solve heuristic at shallow depths and periodically deeper in
-        // the tree: turns the fractional LP point into a feasible incumbent.
-        if (node.depth <= 2 || node_id % 16 == 0) {
-          sh.mu.Unlock();
-          std::vector<double> rounded;
-          bool produced =
-              options_.heuristic
-                  ? options_.heuristic(model, lp.x, &rounded)
-                  : TryFixAndSolve(model, node.overrides, lp.x, heuristic_solver, &rounded);
-          produced = produced && model.IsFeasible(rounded, options_.integrality_tol * 100);
-          const double obj = produced ? model.Objective(rounded) : kInf;
-          sh.mu.Lock();
-          if (produced && (!sh.have_incumbent || obj < sh.incumbent_obj)) {
-            sh.Install(std::move(rounded), obj);
-          }
-        }
-
-        const double lp_value = lp.x[branch_var];
-        const double floor_val = std::floor(lp_value);
-        double lb, ub;
-        EffectiveBounds(model, node.overrides, branch_var, &lb, &ub);
-        Node down{node.overrides, lp.objective, node.depth + 1};
-        down.overrides.push_back(BoundOverride{branch_var, lb, floor_val});
-        Node up{std::move(node.overrides), lp.objective, node.depth + 1};
-        up.overrides.push_back(BoundOverride{branch_var, floor_val + 1.0, ub});
-        // Explore the child nearest the LP value first (pushed last => popped
-        // first).
-        if (lp_value - floor_val > 0.5) {
-          sh.open.push_back(std::move(down));
-          sh.open.push_back(std::move(up));
-        } else {
-          sh.open.push_back(std::move(up));
-          sh.open.push_back(std::move(down));
-        }
-      }
-      --sh.busy;
-      sh.cv.NotifyAll();
-    }
-    sh.cv.NotifyAll();
-    sh.mu.Unlock();
+  MipResult result;
+  bool unbounded = false;
+  bool have_incumbent = false;
+  std::vector<double> incumbent;
+  double incumbent_obj = kInf;
+  double root_bound = -kInf;  // Root LP objective once solved.
+  auto install = [&](std::vector<double> x, double obj) {
+    incumbent = std::move(x);
+    incumbent_obj = obj;
+    have_incumbent = true;
   };
-
-  // A single worker runs inline on the calling thread; more share a pool.
-  if (options_.threads <= 1) {
-    worker();
-  } else {
-    ThreadPool pool(options_.threads);
-    for (int t = 0; t < options_.threads; ++t) {
-      pool.Submit(worker);
-    }
-    pool.Wait();
+  if (warm_start != nullptr && model.IsFeasible(*warm_start, options_.integrality_tol * 10)) {
+    install(*warm_start, model.Objective(*warm_start));
   }
 
-  MutexLock lock(&sh.mu);  // Workers are done; satisfies the static analysis.
-  sh.result.solve_seconds = elapsed();
-  return sh.Conclude(options_);
+  // Depth-first: children of the most recent node are explored first (good
+  // for finding incumbents fast), while `parent_bound` prunes against the
+  // incumbent. The root node has no overrides.
+  std::vector<Node> open;
+  open.push_back(Node{{}, -kInf, 0});
+  // Children differ from their parent by one bound, so each node LP re-solves
+  // from the basis the previous node left; with no valid basis (the root, or
+  // after an infeasible node) it solves cold.
+  SimplexSolver lp_solver;
+  // Separate solver for the fix-and-solve heuristic: consecutive heuristic
+  // LPs have near-identical bounds, so they warm-start each other, and the
+  // node chain's basis in lp_solver is never disturbed.
+  SimplexSolver heuristic_solver;
+
+  while (!open.empty() && !unbounded) {
+    if (result.nodes >= options_.max_nodes || elapsed() > options_.time_limit_seconds) {
+      result.hit_time_limit = elapsed() > options_.time_limit_seconds;
+      break;  // Leave remaining nodes queued: they price the bound.
+    }
+    Node node = std::move(open.back());
+    open.pop_back();
+
+    // Prune by parent bound before paying for an LP solve.
+    if (have_incumbent && node.parent_bound > incumbent_obj - options_.absolute_gap) {
+      continue;
+    }
+    const int64_t node_id = ++result.nodes;
+
+    LpResult lp = lp_solver.ResolveWithBasis(model, node.overrides);
+    result.lp_iterations += lp.iterations;
+    result.lp_dual_iterations += lp.dual_iterations;
+    result.presolve_rows_removed += lp.presolve_rows_removed;
+    if (lp.used_dual_simplex) {
+      ++result.dual_resolves;
+    }
+    if (lp.status == LpStatus::kUnbounded) {
+      unbounded = true;
+    }
+    if (lp.status == LpStatus::kOptimal && node.depth == 0) {
+      root_bound = lp.objective;
+    }
+    // Infeasible nodes, and nodes with numerical trouble or an iteration
+    // limit, are dropped: the incumbent stays valid, the bound approximate.
+    // Optimal nodes are bound-pruned against the incumbent.
+    if (lp.status != LpStatus::kOptimal ||
+        (have_incumbent && lp.objective > incumbent_obj - options_.absolute_gap)) {
+      continue;
+    }
+    const int32_t branch_var = MostFractional(model, lp.x, options_.integrality_tol);
+    if (branch_var < 0) {
+      // Integer feasible: snap the integers exactly.
+      if (!have_incumbent || lp.objective < incumbent_obj) {
+        for (size_t j = 0; j < model.num_variables(); ++j) {
+          if (model.variable(j).is_integer) {
+            lp.x[j] = std::round(lp.x[j]);
+          }
+        }
+        const double obj = model.Objective(lp.x);
+        install(std::move(lp.x), obj);
+      }
+      continue;
+    }
+
+    // Fix-and-solve heuristic at shallow depths and periodically deeper in
+    // the tree: turns the fractional LP point into a feasible incumbent.
+    if (node.depth <= 2 || node_id % 16 == 0) {
+      std::vector<double> rounded;
+      bool produced = options_.heuristic
+                          ? options_.heuristic(model, lp.x, &rounded)
+                          : TryFixAndSolve(model, node.overrides, lp.x, heuristic_solver, &rounded);
+      produced = produced && model.IsFeasible(rounded, options_.integrality_tol * 100);
+      if (produced) {
+        const double obj = model.Objective(rounded);
+        if (!have_incumbent || obj < incumbent_obj) {
+          install(std::move(rounded), obj);
+        }
+      }
+    }
+
+    const double lp_value = lp.x[branch_var];
+    const double floor_val = std::floor(lp_value);
+    double lb, ub;
+    EffectiveBounds(model, node.overrides, branch_var, &lb, &ub);
+    Node down{node.overrides, lp.objective, node.depth + 1};
+    down.overrides.push_back(BoundOverride{branch_var, lb, floor_val});
+    Node up{std::move(node.overrides), lp.objective, node.depth + 1};
+    up.overrides.push_back(BoundOverride{branch_var, floor_val + 1.0, ub});
+    // Explore the child nearest the LP value first (pushed last => popped
+    // first).
+    if (lp_value - floor_val > 0.5) {
+      open.push_back(std::move(down));
+      open.push_back(std::move(up));
+    } else {
+      open.push_back(std::move(up));
+      open.push_back(std::move(down));
+    }
+  }
+  result.solve_seconds = elapsed();
+
+  // Derive the proven bound and the status. Queued nodes price the bound by
+  // their parent's LP value (a node that never had one inherits the root
+  // bound), and the incumbent caps it.
+  if (unbounded) {
+    result.status = MipStatus::kUnbounded;
+    result.best_bound = -kInf;
+    return result;
+  }
+  if (open.empty()) {
+    result.best_bound = have_incumbent ? incumbent_obj : kInf;
+  } else {
+    double open_bound = kInf;
+    for (const Node& n : open) {
+      open_bound = std::min(open_bound, n.parent_bound);
+    }
+    if (open_bound == -kInf) {
+      open_bound = root_bound;
+    }
+    result.best_bound = have_incumbent ? std::min(open_bound, incumbent_obj) : open_bound;
+  }
+  if (have_incumbent) {
+    result.x = std::move(incumbent);
+    result.objective = incumbent_obj;
+    const double gap = result.objective - result.best_bound;
+    const bool proven = open.empty() || gap <= options_.absolute_gap ||
+                        (std::fabs(result.objective) > 1 &&
+                         gap / std::fabs(result.objective) <= options_.relative_gap);
+    result.status = proven ? MipStatus::kOptimal : MipStatus::kFeasible;
+    if (proven) {
+      result.best_bound = result.objective;
+    }
+  } else if (open.empty() && result.nodes > 0 && !result.hit_time_limit &&
+             result.nodes < options_.max_nodes) {
+    result.status = MipStatus::kInfeasible;
+  } else {
+    result.status = MipStatus::kNoSolutionFound;
+  }
+  return result;
 }
 
 }  // namespace ras

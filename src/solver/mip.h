@@ -5,6 +5,9 @@
 // return (the paper's phase-1 timeout), and reporting of the remaining
 // optimality gap (Figure 9 measures solution quality in units of the model's
 // move / constraint-fix costs).
+//
+// The search is a single-threaded depth-first loop, so the same model, warm
+// start and options give a bitwise-identical result on every run.
 
 #ifndef RAS_SRC_SOLVER_MIP_H_
 #define RAS_SRC_SOLVER_MIP_H_
@@ -42,32 +45,10 @@ struct MipOptions {
   double integrality_tol = 1e-6;
   double absolute_gap = 1e-6;
   double relative_gap = 1e-6;
-  // Branch-and-bound workers. Every worker runs the same node loop, owns its
-  // own SimplexSolver (warm-started along its own node chain), and shares the
-  // open-node queue, incumbent, and node/time/stall budgets. 1 (the default)
-  // runs that one worker inline on the calling thread: a deterministic search.
-  // With more workers the returned incumbent can differ between runs
-  // (whichever worker improves it first wins ties), but any proven-optimal
-  // objective is the same.
-  int threads = 1;
-  LpOptions lp;
   // When set, used instead of the built-in generic fix-and-solve rounding.
   // RAS installs an LP-guided greedy that understands the assignment
-  // structure (src/core/lp_rounding). Must be thread-safe when threads > 1;
-  // the LP-rounding heuristic is (it only reads its captured model state).
+  // structure (src/core/lp_rounding).
   MipHeuristic heuristic;
-  // Cross-round warm start (resolve cache): when non-empty, each node-chain
-  // solver tries to import this basis before its first LP, so the root solve
-  // restarts from the previous round's optimum instead of the all-slack
-  // basis. A basis that fails to import (shape mismatch, singular against
-  // the current model) is ignored and the solve proceeds cold.
-  SimplexBasis root_basis;
-  // Stop the search once this many consecutive nodes have been explored
-  // without improving the incumbent, provided an incumbent exists. The RAS
-  // models sit in a regime where the LP relaxation keeps a structural
-  // integer-ceil gap to any incumbent, so unlimited patience burns the whole
-  // node budget proving nothing; a bounded stall cuts that tail. 0 disables.
-  int64_t stall_node_limit = 0;
 };
 
 struct MipResult {
@@ -76,17 +57,10 @@ struct MipResult {
   double objective = 0.0;     // Incumbent objective.
   double best_bound = 0.0;    // Proven lower bound on the optimum.
   int64_t nodes = 0;
-  // Simplex iterations summed over every node LP (all workers).
+  // Simplex iterations summed over every node LP.
   int64_t lp_iterations = 0;
   double solve_seconds = 0.0;
   bool hit_time_limit = false;
-  // Basis at the root LP optimum (empty when the root never solved to
-  // optimality). The resolve cache persists it to seed the next round via
-  // MipOptions::root_basis.
-  SimplexBasis root_basis;
-  // Whether MipOptions::root_basis was successfully imported by at least one
-  // node-chain solver.
-  bool root_basis_used = false;
   // Solver-layer re-optimization telemetry summed over every node LP: warm
   // resolves served by the dual simplex kernel, the dual pivots they took,
   // and rows presolve removed from cold solves.

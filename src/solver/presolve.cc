@@ -11,6 +11,16 @@ constexpr uint8_t kStBasic = 0;
 constexpr uint8_t kStAtLower = 1;
 constexpr uint8_t kStAtUpper = 2;
 
+// Snap tolerance: bounds this close count as equal (fixed variables,
+// redundant rows, pins to an original bound).
+constexpr double kTol = 1e-9;
+// Sweeps over the reductions; each sweep can expose more (a fold fixes a
+// variable, which empties a row).
+constexpr int kMaxPasses = 4;
+// Reduce() reports failure (the caller solves the original model) unless at
+// least this many rows + variables were removed.
+constexpr int kMinReduction = 1;
+
 // Looser margin for declaring infeasibility from accumulated activity
 // arithmetic: substitution error compounds across passes, so an exact-tol
 // verdict here would be a false positive waiting to happen.
@@ -18,9 +28,7 @@ constexpr double kFeasMargin = 1e-6;
 
 }  // namespace
 
-bool PresolvedLp::Reduce(const Model& model, const std::vector<BoundOverride>& overrides,
-                         const PresolveOptions& options) {
-  tol_ = options.tol;
+bool PresolvedLp::Reduce(const Model& model, const std::vector<BoundOverride>& overrides) {
   n0_ = static_cast<int32_t>(model.num_variables());
   m0_ = static_cast<int32_t>(model.num_rows());
   nnz0_ = model.num_nonzeros();
@@ -95,8 +103,6 @@ bool PresolvedLp::Reduce(const Model& model, const std::vector<BoundOverride>& o
     }
   }
 
-  const double ftol = std::max(tol_, 1e-9);
-
   // Removes var j from the problem at value v, substituting it into every
   // row it appears in (the row's constant moves into its bounds).
   auto fix_var = [&](int32_t j, double v, uint8_t st) {
@@ -123,36 +129,33 @@ bool PresolvedLp::Reduce(const Model& model, const std::vector<BoundOverride>& o
   bool infeasible = false;
   bool changed = true;
   int pass = 0;
-  while (changed && !infeasible && pass < options.max_passes) {
+  while (changed && !infeasible && pass < kMaxPasses) {
     changed = false;
     ++pass;
 
     // --- Fixed (and crossed) variables. ---
-    if (options.remove_fixed_variables) {
-      for (int32_t j = 0; j < n; ++j) {
-        if (!var_alive[j]) {
-          continue;
+    for (int32_t j = 0; j < n; ++j) {
+      if (!var_alive[j]) {
+        continue;
+      }
+      if (vlbf_[j] > vubf_[j] + kTol) {
+        infeasible = true;
+        break;
+      }
+      if (std::isfinite(vlbf_[j]) && std::isfinite(vubf_[j]) && vubf_[j] - vlbf_[j] <= kTol) {
+        double v = 0.5 * (vlbf_[j] + vubf_[j]);
+        uint8_t st = kStAtLower;
+        // Snap to an original bound when possible: the basis import on the
+        // full model places the variable exactly there.
+        if (std::fabs(v - vlb0_[j]) <= kTol) {
+          v = vlb0_[j];
+          st = kStAtLower;
+        } else if (std::fabs(v - vub0_[j]) <= kTol) {
+          v = vub0_[j];
+          st = kStAtUpper;
         }
-        if (vlbf_[j] > vubf_[j] + ftol) {
-          infeasible = true;
-          break;
-        }
-        if (std::isfinite(vlbf_[j]) && std::isfinite(vubf_[j]) &&
-            vubf_[j] - vlbf_[j] <= ftol) {
-          double v = 0.5 * (vlbf_[j] + vubf_[j]);
-          uint8_t st = kStAtLower;
-          // Snap to an original bound when possible: the basis import on the
-          // full model places the variable exactly there.
-          if (std::fabs(v - vlb0_[j]) <= ftol) {
-            v = vlb0_[j];
-            st = kStAtLower;
-          } else if (std::fabs(v - vub0_[j]) <= ftol) {
-            v = vub0_[j];
-            st = kStAtUpper;
-          }
-          fix_var(j, v, st);
-          changed = true;
-        }
+        fix_var(j, v, st);
+        changed = true;
       }
     }
     if (infeasible) {
@@ -160,157 +163,154 @@ bool PresolvedLp::Reduce(const Model& model, const std::vector<BoundOverride>& o
     }
 
     // --- Empty rows: constraint collapsed to rlb' <= 0 <= rub'. ---
-    if (options.remove_empty_rows) {
-      for (int32_t i = 0; i < m; ++i) {
-        if (!row_alive[i] || row_nnz[i] != 0) {
-          continue;
-        }
-        if (rlb[i] > kFeasMargin || rub[i] < -kFeasMargin) {
-          infeasible = true;
-          break;
-        }
-        row_alive[i] = false;
-        ++stats_.rows_removed;
-        changed = true;
+    for (int32_t i = 0; i < m; ++i) {
+      if (!row_alive[i] || row_nnz[i] != 0) {
+        continue;
       }
+      if (rlb[i] > kFeasMargin || rub[i] < -kFeasMargin) {
+        infeasible = true;
+        break;
+      }
+      row_alive[i] = false;
+      ++stats_.rows_removed;
+      changed = true;
     }
     if (infeasible) {
       break;
     }
 
     // --- Singleton rows: a * x[j] in [rlb, rub] folds into x[j]'s bounds. ---
-    if (options.fold_singleton_rows) {
-      for (int32_t i = 0; i < m; ++i) {
-        if (!row_alive[i] || row_nnz[i] != 1) {
-          continue;
-        }
-        int32_t j = -1;
-        double a = 0.0;
-        for (const RowEntry& e : rows[i]) {
-          if (var_alive[e.var]) {
-            j = e.var;
-            a = e.coeff;
-            break;
-          }
-        }
-        if (j < 0) {
-          continue;
-        }
-        double lo, hi;
-        if (a > 0) {
-          lo = rlb[i] / a;
-          hi = rub[i] / a;
-        } else {
-          lo = rub[i] / a;
-          hi = rlb[i] / a;
-        }
-        folds_.push_back({i, j, a, lo, hi});
-        if (lo > vlbf_[j]) {
-          vlbf_[j] = lo;
-          ++stats_.bounds_tightened;
-        }
-        if (hi < vubf_[j]) {
-          vubf_[j] = hi;
-          ++stats_.bounds_tightened;
-        }
-        row_alive[i] = false;
-        ++stats_.rows_removed;
-        ++stats_.singleton_rows_folded;
-        changed = true;
-        if (vlbf_[j] > vubf_[j] + ftol) {
-          infeasible = true;
+    for (int32_t i = 0; i < m; ++i) {
+      if (!row_alive[i] || row_nnz[i] != 1) {
+        continue;
+      }
+      int32_t j = -1;
+      double a = 0.0;
+      for (const RowEntry& e : rows[i]) {
+        if (var_alive[e.var]) {
+          j = e.var;
+          a = e.coeff;
           break;
         }
+      }
+      if (j < 0) {
+        continue;
+      }
+      double lo, hi;
+      if (a > 0) {
+        lo = rlb[i] / a;
+        hi = rub[i] / a;
+      } else {
+        lo = rub[i] / a;
+        hi = rlb[i] / a;
+      }
+      folds_.push_back({i, j, a, lo, hi});
+      if (lo > vlbf_[j]) {
+        vlbf_[j] = lo;
+        ++stats_.bounds_tightened;
+      }
+      if (hi < vubf_[j]) {
+        vubf_[j] = hi;
+        ++stats_.bounds_tightened;
+      }
+      row_alive[i] = false;
+      ++stats_.rows_removed;
+      ++stats_.singleton_rows_folded;
+      changed = true;
+      if (vlbf_[j] > vubf_[j] + kTol) {
+        infeasible = true;
+        break;
       }
     }
     if (infeasible) {
       break;
     }
 
-    // --- Activity-based pass: exact reductions only. ---
-    if (options.tighten_bounds) {
-      for (int32_t i = 0; i < m && !infeasible; ++i) {
-        if (!row_alive[i] || row_nnz[i] == 0) {
+    // --- Activity-based pass: exact reductions only (infeasibility
+    // detection, redundant-row removal, and pinning a variable to one of its
+    // ORIGINAL bounds). Non-pinning tightened bounds are not adopted: they
+    // would make the postsolved basis inexact for no model-size gain. ---
+    for (int32_t i = 0; i < m && !infeasible; ++i) {
+      if (!row_alive[i] || row_nnz[i] == 0) {
+        continue;
+      }
+      // Activity range with explicit infinity counting so removing one
+      // term never produces inf - inf.
+      double fin_min = 0.0, fin_max = 0.0;
+      int inf_min = 0, inf_max = 0;
+      for (const RowEntry& e : rows[i]) {
+        if (!var_alive[e.var]) {
           continue;
         }
-        // Activity range with explicit infinity counting so removing one
-        // term never produces inf - inf.
-        double fin_min = 0.0, fin_max = 0.0;
-        int inf_min = 0, inf_max = 0;
-        for (const RowEntry& e : rows[i]) {
-          if (!var_alive[e.var]) {
-            continue;
-          }
-          double tmin = e.coeff > 0 ? e.coeff * vlbf_[e.var] : e.coeff * vubf_[e.var];
-          double tmax = e.coeff > 0 ? e.coeff * vubf_[e.var] : e.coeff * vlbf_[e.var];
-          if (std::isfinite(tmin)) {
-            fin_min += tmin;
-          } else {
-            ++inf_min;
-          }
-          if (std::isfinite(tmax)) {
-            fin_max += tmax;
-          } else {
-            ++inf_max;
-          }
+        double tmin = e.coeff > 0 ? e.coeff * vlbf_[e.var] : e.coeff * vubf_[e.var];
+        double tmax = e.coeff > 0 ? e.coeff * vubf_[e.var] : e.coeff * vlbf_[e.var];
+        if (std::isfinite(tmin)) {
+          fin_min += tmin;
+        } else {
+          ++inf_min;
         }
-        double min_act = inf_min > 0 ? -kInf : fin_min;
-        double max_act = inf_max > 0 ? kInf : fin_max;
-        if (min_act > rub[i] + kFeasMargin || max_act < rlb[i] - kFeasMargin) {
-          infeasible = true;
-          break;
+        if (std::isfinite(tmax)) {
+          fin_max += tmax;
+        } else {
+          ++inf_max;
         }
-        // Redundant row: the variable bounds alone imply both row bounds.
-        // Its slack goes basic in postsolve — an exact reduction.
-        if (min_act >= rlb[i] - ftol && max_act <= rub[i] + ftol) {
-          row_alive[i] = false;
-          ++stats_.rows_removed;
-          changed = true;
+      }
+      double min_act = inf_min > 0 ? -kInf : fin_min;
+      double max_act = inf_max > 0 ? kInf : fin_max;
+      if (min_act > rub[i] + kFeasMargin || max_act < rlb[i] - kFeasMargin) {
+        infeasible = true;
+        break;
+      }
+      // Redundant row: the variable bounds alone imply both row bounds.
+      // Its slack goes basic in postsolve — an exact reduction.
+      if (min_act >= rlb[i] - kTol && max_act <= rub[i] + kTol) {
+        row_alive[i] = false;
+        ++stats_.rows_removed;
+        changed = true;
+        continue;
+      }
+      // Pin a variable to one of its ORIGINAL bounds when the other terms
+      // force it there; the postsolve status is then exact.
+      for (const RowEntry& e : rows[i]) {
+        int32_t j = e.var;
+        if (!var_alive[j] || std::fabs(e.coeff) < 1e-12) {
           continue;
         }
-        // Pin a variable to one of its ORIGINAL bounds when the other terms
-        // force it there; the postsolve status is then exact.
-        for (const RowEntry& e : rows[i]) {
-          int32_t j = e.var;
-          if (!var_alive[j] || std::fabs(e.coeff) < 1e-12) {
-            continue;
+        double tmin = e.coeff > 0 ? e.coeff * vlbf_[j] : e.coeff * vubf_[j];
+        double tmax = e.coeff > 0 ? e.coeff * vubf_[j] : e.coeff * vlbf_[j];
+        double omin = std::isfinite(tmin) ? (inf_min > 0 ? -kInf : fin_min - tmin)
+                                          : (inf_min > 1 ? -kInf : fin_min);
+        double omax = std::isfinite(tmax) ? (inf_max > 0 ? kInf : fin_max - tmax)
+                                          : (inf_max > 1 ? kInf : fin_max);
+        // rlb - omax <= coeff * x[j] <= rub - omin.
+        double blo =
+            (std::isfinite(rlb[i]) && std::isfinite(omax)) ? rlb[i] - omax : -kInf;
+        double bhi =
+            (std::isfinite(rub[i]) && std::isfinite(omin)) ? rub[i] - omin : kInf;
+        double ilo = e.coeff > 0 ? blo / e.coeff : bhi / e.coeff;
+        double ihi = e.coeff > 0 ? bhi / e.coeff : blo / e.coeff;
+        if (std::isfinite(vubf_[j]) && vubf_[j] == vub0_[j]) {
+          if (ilo > vubf_[j] + kFeasMargin) {
+            infeasible = true;
+            break;
           }
-          double tmin = e.coeff > 0 ? e.coeff * vlbf_[j] : e.coeff * vubf_[j];
-          double tmax = e.coeff > 0 ? e.coeff * vubf_[j] : e.coeff * vlbf_[j];
-          double omin = std::isfinite(tmin) ? (inf_min > 0 ? -kInf : fin_min - tmin)
-                                            : (inf_min > 1 ? -kInf : fin_min);
-          double omax = std::isfinite(tmax) ? (inf_max > 0 ? kInf : fin_max - tmax)
-                                            : (inf_max > 1 ? kInf : fin_max);
-          // rlb - omax <= coeff * x[j] <= rub - omin.
-          double blo =
-              (std::isfinite(rlb[i]) && std::isfinite(omax)) ? rlb[i] - omax : -kInf;
-          double bhi =
-              (std::isfinite(rub[i]) && std::isfinite(omin)) ? rub[i] - omin : kInf;
-          double ilo = e.coeff > 0 ? blo / e.coeff : bhi / e.coeff;
-          double ihi = e.coeff > 0 ? bhi / e.coeff : blo / e.coeff;
-          if (std::isfinite(vubf_[j]) && vubf_[j] == vub0_[j]) {
-            if (ilo > vubf_[j] + kFeasMargin) {
-              infeasible = true;
-              break;
-            }
-            if (ilo >= vubf_[j] - ftol) {
-              fix_var(j, vub0_[j], kStAtUpper);
-              ++stats_.bounds_tightened;
-              changed = true;
-              break;  // Row activity is stale now; next pass rescans.
-            }
+          if (ilo >= vubf_[j] - kTol) {
+            fix_var(j, vub0_[j], kStAtUpper);
+            ++stats_.bounds_tightened;
+            changed = true;
+            break;  // Row activity is stale now; next pass rescans.
           }
-          if (std::isfinite(vlbf_[j]) && vlbf_[j] == vlb0_[j]) {
-            if (ihi < vlbf_[j] - kFeasMargin) {
-              infeasible = true;
-              break;
-            }
-            if (ihi <= vlbf_[j] + ftol) {
-              fix_var(j, vlb0_[j], kStAtLower);
-              ++stats_.bounds_tightened;
-              changed = true;
-              break;
-            }
+        }
+        if (std::isfinite(vlbf_[j]) && vlbf_[j] == vlb0_[j]) {
+          if (ihi < vlbf_[j] - kFeasMargin) {
+            infeasible = true;
+            break;
+          }
+          if (ihi <= vlbf_[j] + kTol) {
+            fix_var(j, vlb0_[j], kStAtLower);
+            ++stats_.bounds_tightened;
+            changed = true;
+            break;
           }
         }
       }
@@ -321,7 +321,7 @@ bool PresolvedLp::Reduce(const Model& model, const std::vector<BoundOverride>& o
   if (infeasible) {
     return true;
   }
-  if (stats_.rows_removed + stats_.vars_removed < options.min_reduction) {
+  if (stats_.rows_removed + stats_.vars_removed < kMinReduction) {
     return false;
   }
 
@@ -348,7 +348,7 @@ bool PresolvedLp::Reduce(const Model& model, const std::vector<BoundOverride>& o
   for (int32_t j : alive_vars_) {
     double lo = vlbf_[j];
     double hi = vubf_[j];
-    if (lo > hi) {  // Within ftol by the checks above; collapse exactly.
+    if (lo > hi) {  // Within kTol by the checks above; collapse exactly.
       lo = hi = 0.5 * (lo + hi);
       vlbf_[j] = vubf_[j] = lo;
     }

@@ -25,22 +25,6 @@
 
 namespace ras {
 
-struct PresolveOptions {
-  bool remove_fixed_variables = true;
-  bool remove_empty_rows = true;
-  bool fold_singleton_rows = true;
-  // Activity-based pass, used only for exact reductions: infeasibility
-  // detection, redundant-row removal, and pinning a variable to one of its
-  // ORIGINAL bounds. Non-pinning tightened bounds are not adopted — they
-  // would make the postsolved basis inexact for no model-size gain.
-  bool tighten_bounds = true;
-  double tol = 1e-9;
-  int max_passes = 4;
-  // Reduce() reports failure (caller solves the original model) unless at
-  // least this many rows + variables were removed.
-  int min_reduction = 1;
-};
-
 struct PresolveStats {
   int32_t rows_removed = 0;
   int32_t vars_removed = 0;
@@ -58,9 +42,8 @@ class PresolvedLp {
   // Reduces `model` viewed through `overrides`. Returns true when the caller
   // should act on the reduction: either stats().infeasible is set, or
   // reduced() holds a strictly smaller model. Returns false when nothing
-  // (or too little, per min_reduction) could be removed.
-  bool Reduce(const Model& model, const std::vector<BoundOverride>& overrides,
-              const PresolveOptions& options);
+  // could be removed.
+  bool Reduce(const Model& model, const std::vector<BoundOverride>& overrides);
 
   const Model& reduced() const { return reduced_; }
   const PresolveStats& stats() const { return stats_; }
@@ -107,7 +90,6 @@ class PresolvedLp {
   std::vector<double> vlb0_, vub0_;   // Original (override-applied) bounds.
   std::vector<double> vlbf_, vubf_;   // Final bounds after folds/pins.
   std::vector<SingletonFold> folds_;
-  double tol_ = 1e-9;
 };
 
 }  // namespace ras

@@ -220,9 +220,8 @@ LpResult SimplexSolver::Solve(const Model& model, const std::vector<BoundOverrid
   LpResult result;
   bool solved = false;
   if (options_.presolve && model.num_rows() > 0) {
-    PresolveOptions popts;
     PresolvedLp pre;
-    if (pre.Reduce(model, overrides, popts)) {
+    if (pre.Reduce(model, overrides)) {
       if (pre.stats().infeasible) {
         // An exact reduction (empty-row range check, crossed bounds after a
         // fold) proved infeasibility without a single pivot.
@@ -302,6 +301,26 @@ LpResult SimplexSolver::SolveDirect(const Model& model,
   return result;
 }
 
+void SimplexSolver::SnapNonbasic() {
+  for (int32_t j = 0; j < total_; ++j) {
+    const bool at_lower = status_[j] == ColStatus::kAtLower;
+    if (!at_lower && status_[j] != ColStatus::kAtUpper) {
+      continue;  // Basic and free columns keep their values.
+    }
+    const double own = at_lower ? lb_[j] : ub_[j];
+    const double other = at_lower ? ub_[j] : lb_[j];
+    if (std::isfinite(own)) {
+      value_[j] = own;
+    } else if (std::isfinite(other)) {
+      status_[j] = at_lower ? ColStatus::kAtUpper : ColStatus::kAtLower;
+      value_[j] = other;
+    } else {
+      status_[j] = ColStatus::kFree;
+      value_[j] = 0.0;
+    }
+  }
+}
+
 LpResult SimplexSolver::ResolveWithBasis(const Model& model,
                                          const std::vector<BoundOverride>& overrides) {
   if (!basis_valid_ || prepared_rows_ != model.num_rows() ||
@@ -319,36 +338,7 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
   }
   // Re-snap nonbasic variables onto their (possibly moved) bounds; the basis
   // matrix is untouched, so its factorization remains exact.
-  for (int32_t j = 0; j < total_; ++j) {
-    switch (status_[j]) {
-      case ColStatus::kBasic:
-        break;
-      case ColStatus::kAtLower:
-        if (std::isfinite(lb_[j])) {
-          value_[j] = lb_[j];
-        } else if (std::isfinite(ub_[j])) {
-          status_[j] = ColStatus::kAtUpper;
-          value_[j] = ub_[j];
-        } else {
-          status_[j] = ColStatus::kFree;
-          value_[j] = 0.0;
-        }
-        break;
-      case ColStatus::kAtUpper:
-        if (std::isfinite(ub_[j])) {
-          value_[j] = ub_[j];
-        } else if (std::isfinite(lb_[j])) {
-          status_[j] = ColStatus::kAtLower;
-          value_[j] = lb_[j];
-        } else {
-          status_[j] = ColStatus::kFree;
-          value_[j] = 0.0;
-        }
-        break;
-      case ColStatus::kFree:
-        break;
-    }
-  }
+  SnapNonbasic();
   ComputeBasicValues();
   // Dual warm re-solve: a bound/RHS-only change leaves the old optimal basis
   // dual-feasible (costs did not move, so neither did the duals), and the
@@ -428,38 +418,10 @@ bool SimplexSolver::ImportBasisInternal(const Model& model, const SimplexBasis& 
     }
     basis_pos_[col] = pos;
   }
-  // Nonbasic columns sit on the bound their status claims; statuses pointing
-  // at an infinite bound (the model's bounds moved under the snapshot) are
-  // re-snapped the same way a cold start would place them.
+  // Nonbasic columns sit on the bound their status claims (the model's
+  // bounds may have moved under the snapshot).
   value_.assign(total_, 0.0);
-  for (int32_t j = 0; j < total_; ++j) {
-    switch (status_[j]) {
-      case ColStatus::kBasic:
-        break;
-      case ColStatus::kAtLower:
-        if (std::isfinite(lb_[j])) {
-          value_[j] = lb_[j];
-        } else if (std::isfinite(ub_[j])) {
-          status_[j] = ColStatus::kAtUpper;
-          value_[j] = ub_[j];
-        } else {
-          status_[j] = ColStatus::kFree;
-        }
-        break;
-      case ColStatus::kAtUpper:
-        if (std::isfinite(ub_[j])) {
-          value_[j] = ub_[j];
-        } else if (std::isfinite(lb_[j])) {
-          status_[j] = ColStatus::kAtLower;
-          value_[j] = lb_[j];
-        } else {
-          status_[j] = ColStatus::kFree;
-        }
-        break;
-      case ColStatus::kFree:
-        break;
-    }
-  }
+  SnapNonbasic();
   if (!Refactorize()) {
     return false;  // Singular against this model: stay cold, caller re-solves.
   }

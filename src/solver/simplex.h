@@ -138,10 +138,9 @@ struct BoundOverride {
 // A portable snapshot of a simplex basis: the basic column in each row
 // position plus every column's status, with the model shape it belongs to.
 // Exported from one solver after an optimal solve and imported into another
-// (possibly freshly constructed) solver over a structurally identical model —
-// the cross-round resolve cache persists one per (phase, shard) so the next
-// round's root LP restarts from the previous optimum instead of the all-slack
-// basis.
+// (possibly freshly constructed) solver over a structurally identical model.
+// Presolve's postsolve uses it to carry the reduced model's optimal basis
+// onto the full model, which the primal loop then verifies.
 struct SimplexBasis {
   std::vector<int32_t> basic;   // Row position -> column (structural or slack).
   std::vector<uint8_t> status;  // Per column; values from SimplexSolver's ColStatus.
@@ -203,6 +202,10 @@ class SimplexSolver {
   // *adaptive) its fill or the pivot's drift calls for an early rebuild.
   bool NeedRefactor(double pivot, double column_max, bool* adaptive) const;
   double TotalInfeasibility() const;
+  // Puts every nonbasic column on the bound its status names; a status that
+  // points at an infinite bound moves to the other bound, or to free at 0
+  // when both are infinite. Basic and free columns are untouched.
+  void SnapNonbasic();
 
   LpResult RunSimplex(const Model& model);
 

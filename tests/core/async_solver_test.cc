@@ -348,50 +348,5 @@ TEST(AsyncSolverTest, SolveStatsTimingsPopulated) {
 }
 
 
-// Degraded rungs and per-shard sub-solves always run one branch-and-bound
-// worker, whatever phaseN_mip.threads asks for: their targets must be
-// bit-identical to the same solve at threads = 1.
-TEST(AsyncSolverTest, DegradedAndShardSolvesIgnoreMipThreads) {
-  TestRegion region(SmallFleetOptions());
-  std::vector<ReservationId> ids;
-  for (int i = 0; i < 6; ++i) {
-    auto id = region.registry.Create(
-        AnyTypeReservation(region.fleet.catalog, "svc-" + std::to_string(i), 9.0 + 5.0 * i));
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-  }
-  // Concentrated pre-existing bindings, some in use, so the search has to
-  // weigh stability against spread and actually branch.
-  for (ServerId id = 0; id < 96; ++id) {
-    region.broker->SetCurrent(id, ids[id % 3]);
-    if (id % 4 == 0) {
-      region.broker->SetHasContainers(id, true);
-    }
-  }
-  const SolveInput input =
-      SnapshotSolveInput(*region.broker, region.registry, region.fleet.catalog);
-
-  auto solve = [&input](int threads, SolveMode mode, int shard_count) {
-    SolverConfig config;
-    config.phase1_mip.threads = threads;
-    config.phase2_mip.threads = threads;
-    config.shard_count = shard_count;
-    AsyncSolver solver(config);
-    DecodedAssignment decoded;
-    EXPECT_TRUE(solver.SolveSnapshot(input, &decoded, mode).ok());
-    return decoded.targets;
-  };
-  const auto phase1_serial = solve(1, SolveMode::kPhase1Only, 1);
-  const auto sharded_serial = solve(1, SolveMode::kFullTwoPhase, 2);
-  ASSERT_FALSE(phase1_serial.empty());
-  ASSERT_FALSE(sharded_serial.empty());
-  // A 4-worker search differs from the serial one only in some runs, so
-  // repeat to make a multi-worker leak show.
-  for (int run = 0; run < 8; ++run) {
-    EXPECT_EQ(solve(4, SolveMode::kPhase1Only, 1), phase1_serial) << "run " << run;
-    EXPECT_EQ(solve(4, SolveMode::kFullTwoPhase, 2), sharded_serial) << "run " << run;
-  }
-}
-
 }  // namespace
 }  // namespace ras

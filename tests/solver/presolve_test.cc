@@ -28,7 +28,7 @@ TEST(PresolveTest, FixedVariableSubstitutedIntoRows) {
   m.AddCoefficient(r, 1, 1.0);
 
   PresolvedLp pre;
-  ASSERT_TRUE(pre.Reduce(m, {}, PresolveOptions()));
+  ASSERT_TRUE(pre.Reduce(m, {}));
   EXPECT_FALSE(pre.stats().infeasible);
   EXPECT_EQ(pre.stats().vars_removed, 1);
   ASSERT_EQ(pre.reduced().num_variables(), 1u);
@@ -51,7 +51,7 @@ TEST(PresolveTest, EmptyRowDroppedWhenSlackCoversZero) {
   m.AddCoefficient(r, 0, 1.0);
 
   PresolvedLp pre;
-  ASSERT_TRUE(pre.Reduce(m, {}, PresolveOptions()));
+  ASSERT_TRUE(pre.Reduce(m, {}));
   EXPECT_FALSE(pre.stats().infeasible);
   EXPECT_GE(pre.stats().rows_removed, 1);
 }
@@ -64,7 +64,7 @@ TEST(PresolveTest, EmptyRowProvesInfeasibility) {
   m.AddCoefficient(r, 0, 1.0);
 
   PresolvedLp pre;
-  ASSERT_TRUE(pre.Reduce(m, {}, PresolveOptions()));
+  ASSERT_TRUE(pre.Reduce(m, {}));
   EXPECT_TRUE(pre.stats().infeasible);
 
   // The solver-level wrapper takes the same shortcut.
@@ -81,7 +81,7 @@ TEST(PresolveTest, CrossedVariableBoundsProveInfeasibility) {
   // Branching-style override with an empty range.
   std::vector<BoundOverride> overrides = {BoundOverride{0, 3.0, 2.0}};
   PresolvedLp pre;
-  ASSERT_TRUE(pre.Reduce(m, overrides, PresolveOptions()));
+  ASSERT_TRUE(pre.Reduce(m, overrides));
   EXPECT_TRUE(pre.stats().infeasible);
 }
 
@@ -98,7 +98,7 @@ TEST(PresolveTest, SingletonRowFoldsIntoVariableBound) {
   m.AddCoefficient(r, 1, 1.0);
 
   PresolvedLp pre;
-  ASSERT_TRUE(pre.Reduce(m, {}, PresolveOptions()));
+  ASSERT_TRUE(pre.Reduce(m, {}));
   EXPECT_GE(pre.stats().singleton_rows_folded, 1);
   EXPECT_GE(pre.stats().rows_removed, 1);
 
@@ -126,7 +126,7 @@ TEST(PresolveTest, MinReductionGateRefusesIrreducibleModel) {
   m.AddCoefficient(r1, 1, -1.0);
 
   PresolvedLp pre;
-  EXPECT_FALSE(pre.Reduce(m, {}, PresolveOptions()));
+  EXPECT_FALSE(pre.Reduce(m, {}));
 }
 
 TEST(PresolveTest, RestoredBasisImportsAndVerifiesInFewPivots) {
@@ -145,7 +145,7 @@ TEST(PresolveTest, RestoredBasisImportsAndVerifiesInFewPivots) {
   m.AddCoefficient(r, 2, 1.0);
 
   PresolvedLp pre;
-  ASSERT_TRUE(pre.Reduce(m, {}, PresolveOptions()));
+  ASSERT_TRUE(pre.Reduce(m, {}));
   ASSERT_FALSE(pre.stats().infeasible);
 
   LpOptions no_presolve;
@@ -176,7 +176,7 @@ TEST(PresolveTest, RestoreBasisRejectsShapeMismatch) {
   m.AddCoefficient(r, 0, 1.0);
 
   PresolvedLp pre;
-  ASSERT_TRUE(pre.Reduce(m, {}, PresolveOptions()));
+  ASSERT_TRUE(pre.Reduce(m, {}));
 
   SimplexBasis wrong;  // Not a basis of the reduced model at all.
   wrong.basic = {0, 1, 2};
@@ -283,7 +283,7 @@ TEST(PresolveTest, FuzzRestorePrimalAndBasisRoundTrip) {
   for (int trial = 0; trial < 200; ++trial) {
     Model m = RandomReducibleLp(rng);
     PresolvedLp pre;
-    if (!pre.Reduce(m, {}, PresolveOptions()) || pre.stats().infeasible) {
+    if (!pre.Reduce(m, {}) || pre.stats().infeasible) {
       continue;
     }
     LpOptions no_presolve;
