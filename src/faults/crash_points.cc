@@ -24,6 +24,10 @@ const char* CrashPointName(CrashPoint point) {
       return "AFTER_JOURNAL_TRUNCATE";
     case CrashPoint::kAfterAdmitApply:
       return "AFTER_ADMIT_APPLY";
+    case CrashPoint::kMidDeltaBatch:
+      return "MID_DELTA_BATCH";
+    case CrashPoint::kLostUnsyncedTail:
+      return "LOST_UNSYNCED_TAIL";
   }
   return "UNKNOWN";
 }

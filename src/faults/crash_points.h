@@ -37,9 +37,12 @@ enum class CrashPoint : uint8_t {
   kAfterJournalTruncate,    // Truncated; old checkpoints not pruned.
   // --- Registry admission ---
   kAfterAdmitApply,  // Reservation created in memory, admit record lost.
+  // --- Group-committed server deltas ---
+  kMidDeltaBatch,     // Process dies at the nth delta append; flushed prefix stays.
+  kLostUnsyncedTail,  // Power loss at RoundBarrier: deltas since the last fsync lost.
 };
 
-inline constexpr int kNumCrashPoints = 10;
+inline constexpr int kNumCrashPoints = 12;
 
 const char* CrashPointName(CrashPoint point);
 

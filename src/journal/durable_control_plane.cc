@@ -77,6 +77,12 @@ Status DecodeTargets(const std::string& payload, size_t num_servers,
   return Status::Ok();
 }
 
+// The group-commit rule. A server delta is only written and flushed; every
+// other record is a commit record, fsynced before its call returns, and its
+// fsync also makes every delta before it durable. The deltas of a round
+// therefore commit at the next persist intent or RoundBarrier digest.
+bool Commits(RecordKind kind) { return kind != RecordKind::kServerDelta; }
+
 }  // namespace
 
 DurableControlPlane::DurableControlPlane(std::string dir, DurableOptions options)
@@ -111,8 +117,14 @@ Status DurableControlPlane::Attach(ResourceBroker* broker, ReservationRegistry* 
   return Status::Ok();
 }
 
-Status DurableControlPlane::DeadStatus() const {
-  return Status::Unavailable("control plane process is dead (injected crash)");
+Status DurableControlPlane::LiveStatus() const {
+  if (dead_) {
+    return Status::Unavailable("control plane process is dead (injected crash)");
+  }
+  if (!opened_) {
+    return Status::FailedPrecondition("durable control plane not open");
+  }
+  return Status::Ok();
 }
 
 bool DurableControlPlane::Crashed(CrashPoint point, Status* out) {
@@ -122,12 +134,12 @@ bool DurableControlPlane::Crashed(CrashPoint point, Status* out) {
   dead_ = true;
   RAS_LOG(kWarning) << "crash point " << CrashPointName(point)
                     << " fired; control plane presumed dead";
-  *out = DeadStatus();
+  *out = LiveStatus();
   return true;
 }
 
 Status DurableControlPlane::Append(RecordKind kind, const std::string& payload) {
-  Result<uint64_t> appended = wal_->Append(kind, payload);
+  Result<uint64_t> appended = wal_->Append(kind, payload, Commits(kind));
   if (!appended.ok()) {
     return appended.status();
   }
@@ -137,6 +149,12 @@ Status DurableControlPlane::Append(RecordKind kind, const std::string& payload) 
 
 void DurableControlPlane::OnBrokerChange(const ServerRecord& record) {
   if (!opened_ || dead_ || suppress_deltas_) {
+    return;
+  }
+  Status crash_status;
+  if (Crashed(CrashPoint::kMidDeltaBatch, &crash_status)) {
+    // The process dies before this delta is written; the flushed deltas
+    // before it survive even though no commit record covers them yet.
     return;
   }
   Status appended = Append(RecordKind::kServerDelta, SerializeServerRecord(record));
@@ -384,11 +402,9 @@ Status DurableControlPlane::Replay(const JournalScan& scan, uint64_t checkpoint_
 }
 
 Result<ReservationId> DurableControlPlane::AdmitReservation(ReservationSpec spec) {
-  if (dead_) {
-    return DeadStatus();
-  }
-  if (!opened_) {
-    return Status::FailedPrecondition("durable control plane not open");
+  Status live = LiveStatus();
+  if (!live.ok()) {
+    return live;
   }
   Result<ReservationId> created = registry_->Create(spec);
   if (!created.ok()) {
@@ -409,8 +425,9 @@ Result<ReservationId> DurableControlPlane::AdmitReservation(ReservationSpec spec
 }
 
 Status DurableControlPlane::UpdateReservation(const ReservationSpec& spec) {
-  if (dead_) {
-    return DeadStatus();
+  Status live = LiveStatus();
+  if (!live.ok()) {
+    return live;
   }
   Status updated = registry_->Update(spec);
   if (!updated.ok()) {
@@ -420,8 +437,9 @@ Status DurableControlPlane::UpdateReservation(const ReservationSpec& spec) {
 }
 
 Status DurableControlPlane::RemoveReservation(ReservationId id) {
-  if (dead_) {
-    return DeadStatus();
+  Status live = LiveStatus();
+  if (!live.ok()) {
+    return live;
   }
   Status removed = registry_->Remove(id);
   if (!removed.ok()) {
@@ -432,11 +450,9 @@ Status DurableControlPlane::RemoveReservation(ReservationId id) {
 
 Status DurableControlPlane::PersistTargets(
     ResourceBroker& broker, const std::vector<std::pair<ServerId, ReservationId>>& targets) {
-  if (dead_) {
-    return DeadStatus();
-  }
-  if (!opened_) {
-    return Status::FailedPrecondition("durable control plane not open");
+  Status live = LiveStatus();
+  if (!live.ok()) {
+    return live;
   }
   Status crash_status;
   if (Crashed(CrashPoint::kBeforeJournalAppend, &crash_status)) {
@@ -501,11 +517,18 @@ Status DurableControlPlane::PersistTargets(
 }
 
 Status DurableControlPlane::RoundBarrier() {
-  if (dead_) {
-    return DeadStatus();
+  Status live = LiveStatus();
+  if (!live.ok()) {
+    return live;
   }
-  if (!opened_) {
-    return Status::FailedPrecondition("durable control plane not open");
+  Status crash_status;
+  if (Crashed(CrashPoint::kLostUnsyncedTail, &crash_status)) {
+    // Power loss before the barrier's digest commits: the round's deltas
+    // were flushed but never fsynced, so the disk keeps only the prefix up
+    // to the last commit record. Crash injection: the truncation is the
+    // simulated fault, so its own status is not the one reported.
+    (void)wal_->DropUnsyncedTail();
+    return crash_status;
   }
   Status appended =
       Append(RecordKind::kDigest, DigestHex(StateDigest(*broker_, *registry_)));
@@ -519,11 +542,9 @@ Status DurableControlPlane::RoundBarrier() {
 }
 
 Status DurableControlPlane::Compact() {
-  if (dead_) {
-    return DeadStatus();
-  }
-  if (!opened_) {
-    return Status::FailedPrecondition("durable control plane not open");
+  Status live = LiveStatus();
+  if (!live.ok()) {
+    return live;
   }
   Status crash_status;
   if (Crashed(CrashPoint::kBeforeCheckpointWrite, &crash_status)) {

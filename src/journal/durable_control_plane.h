@@ -29,6 +29,16 @@
 //  - A digest record (CRC32 of the canonical serialized state) is appended
 //    after every applied batch and at every round barrier; recovery verifies
 //    each one against the replayed state.
+//  - Group commit: server deltas are written and flushed but not fsynced.
+//    Every other record (admit/update/remove, targets/abort, digest) is a
+//    commit record, fsynced before its call returns; since the journal is one
+//    append-only file, that fsync also commits every delta before it. The
+//    Online Mover's deltas of a round thus commit at the RoundBarrier digest
+//    (or the next persist intent). A process death loses no flushed delta. A
+//    power loss loses at most the deltas after the last commit record: the
+//    scan stops cleanly there, every surviving digest covers only durable
+//    deltas, and the targets those moves served are durable in their intent
+//    record, so the next ReconcileAll redoes the lost moves.
 //
 // Recovery: load the newest checkpoint that validates (falling back to older
 // ones — DeserializeRegionState has no partial effects, so a failed
@@ -142,7 +152,9 @@ class DurableControlPlane final : public TargetPersistence {
   // Consults the injector; on fire, marks the instance dead and returns the
   // UNAVAILABLE "process died" status.
   bool Crashed(CrashPoint point, Status* out);
-  Status DeadStatus() const;
+  // UNAVAILABLE once dead, FAILED_PRECONDITION before OpenOrRecover, else OK.
+  // Every public mutation checks it before touching the registry or disk.
+  Status LiveStatus() const;
   void OnBrokerChange(const ServerRecord& record);
   // Replays one journal scan on top of the attached state; fills `report`.
   Status Replay(const JournalScan& scan, uint64_t checkpoint_generation,

@@ -140,11 +140,19 @@ Status WriteAheadJournal::OpenAppend(uint64_t next_generation) {
   if (file_ == nullptr) {
     return Status::Internal("open journal " + path_ + ": " + std::strerror(errno));
   }
+  long end = std::fseek(file_, 0, SEEK_END) == 0 ? std::ftell(file_) : -1;
+  if (end < 0) {
+    Close();
+    return Status::Internal("seek journal " + path_ + ": " + std::strerror(errno));
+  }
+  written_bytes_ = static_cast<size_t>(end);
+  synced_bytes_ = 0;
   next_generation_ = next_generation;
   return Status::Ok();
 }
 
-Result<uint64_t> WriteAheadJournal::Append(RecordKind kind, const std::string& payload) {
+Result<uint64_t> WriteAheadJournal::Append(RecordKind kind, const std::string& payload,
+                                           bool commit) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("journal not open for append: " + path_);
   }
@@ -152,19 +160,45 @@ Result<uint64_t> WriteAheadJournal::Append(RecordKind kind, const std::string& p
   std::string frame = FrameRecord(generation, kind, payload);
   const double t0 = util::MonotonicSeconds();
   if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size() ||
-      std::fflush(file_) != 0 || ::fsync(fileno(file_)) != 0) {
+      std::fflush(file_) != 0) {
     return Status::Internal("journal append failed: " + path_);
+  }
+  written_bytes_ += frame.size();
+  if (commit) {
+    Status synced = Sync();
+    if (!synced.ok()) {
+      return synced;
+    }
   }
   obs::MetricRegistry& reg = obs::MetricRegistry::Default();
   static obs::Counter& appends =
-      reg.counter("ras_journal_appends_total", "Records durably appended to the WAL.");
+      reg.counter("ras_journal_appends_total", "Records written and flushed to the WAL.");
   static obs::Histogram& append_seconds = reg.histogram(
-      "ras_journal_append_seconds", "Write + fsync latency of one WAL append.", 0.0, 0.1, 100);
+      "ras_journal_append_seconds",
+      "Latency of one WAL append: write + flush, plus the fsync when the record commits.", 0.0,
+      0.1, 100);
   appends.Add();
   append_seconds.Observe(util::MonotonicSeconds() - t0);
   ++next_generation_;
   ++records_appended_;
   return generation;
+}
+
+Status WriteAheadJournal::Sync() {
+  if (file_ == nullptr) {
+    return Status::FailedPrecondition("journal not open for append: " + path_);
+  }
+  if (synced_bytes_ == written_bytes_) {
+    return Status::Ok();
+  }
+  if (::fsync(fileno(file_)) != 0) {
+    return Status::Internal("journal fsync failed: " + path_);
+  }
+  static obs::Counter& syncs = obs::MetricRegistry::Default().counter(
+      "ras_journal_syncs_total", "Commit fsyncs of the WAL; each covers every earlier append.");
+  syncs.Add();
+  synced_bytes_ = written_bytes_;
+  return Status::Ok();
 }
 
 Status WriteAheadJournal::AppendTorn(RecordKind kind, const std::string& payload) {
@@ -179,6 +213,14 @@ Status WriteAheadJournal::AppendTorn(RecordKind kind, const std::string& payload
   ::fsync(fileno(file_));
   Close();
   return Status::Ok();
+}
+
+Status WriteAheadJournal::DropUnsyncedTail() {
+  if (file_ == nullptr) {
+    return Status::FailedPrecondition("journal not open for append: " + path_);
+  }
+  Close();
+  return TruncateTo(synced_bytes_);
 }
 
 Status WriteAheadJournal::TruncateTo(size_t valid_bytes) {
@@ -203,6 +245,8 @@ Status WriteAheadJournal::Reset() {
   if (std::fflush(file_) != 0 || ::fsync(fileno(file_)) != 0) {
     return Status::Internal("sync reset journal " + path_);
   }
+  written_bytes_ = 0;
+  synced_bytes_ = 0;
   return Status::Ok();
 }
 

@@ -18,6 +18,13 @@
 // unreachable by design — a journal is only ever appended to, so valid
 // records cannot follow damage except through corruption, and corrupted
 // history must not be replayed.
+//
+// Group commit: every append is written and flushed to the OS before it
+// returns, so a process death loses nothing that was appended. Only a
+// *committing* append also fsyncs. Because the file is append-only, one
+// fsync makes every earlier byte durable too: a power loss can drop only
+// the records appended after the last commit, and they form a clean tail
+// the scan never reaches past.
 
 #ifndef RAS_SRC_JOURNAL_WAL_H_
 #define RAS_SRC_JOURNAL_WAL_H_
@@ -84,13 +91,24 @@ class WriteAheadJournal {
   // `next_generation` up. Creates the file if missing.
   Status OpenAppend(uint64_t next_generation);
 
-  // Appends one record, flushes, and fsyncs. Returns the record's generation.
-  Result<uint64_t> Append(RecordKind kind, const std::string& payload);
+  // Appends one record and flushes it, so it survives a process death.
+  // With `commit`, also fsyncs, which makes it and every record before it
+  // survive a power loss. Returns the record's generation.
+  Result<uint64_t> Append(RecordKind kind, const std::string& payload, bool commit = true);
+
+  // Fsyncs every byte appended since the last fsync. A no-op when nothing
+  // is pending.
+  Status Sync();
 
   // Crash simulation: writes only the first half of the record's bytes (no
   // trailing newline), flushes, and closes the journal — the on-disk state a
   // process death mid-write leaves behind. The journal is unusable after.
   Status AppendTorn(RecordKind kind, const std::string& payload);
+
+  // Crash simulation: a power loss. Truncates the file to the last fsynced
+  // offset, so every record appended since the last commit is gone, and
+  // closes the journal. The journal is unusable after.
+  Status DropUnsyncedTail();
 
   // Truncates the file to `valid_bytes` (drops a torn tail in place).
   // The journal must not be open for append.
@@ -111,6 +129,10 @@ class WriteAheadJournal {
   std::FILE* file_ = nullptr;
   uint64_t next_generation_ = 1;
   size_t records_appended_ = 0;
+  // File length after the last append, and the prefix the last fsync covered.
+  // Bytes already in the file at OpenAppend count as unsynced.
+  size_t written_bytes_ = 0;
+  size_t synced_bytes_ = 0;
 };
 
 }  // namespace journal

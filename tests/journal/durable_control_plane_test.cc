@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/fleet/fleet_gen.h"
+#include "src/obs/metrics.h"
 #include "src/util/file_io.h"
 
 namespace ras {
@@ -231,6 +232,70 @@ TEST(DurableControlPlaneTest, AdmitCrashLosesOnlyTheUnacknowledgedReservation) {
   ASSERT_TRUE(q.report.status.ok());
   ASSERT_EQ(q.registry.size(), 1u);
   EXPECT_EQ(q.registry.All()[0]->name, "acknowledged");
+}
+
+TEST(DurableControlPlaneTest, UnopenedInstanceLeavesTheRegistryUntouched) {
+  std::string dir = FreshDir("unopened");
+  Fleet fleet = GenerateFleet(SmallFleet());
+  ResourceBroker broker(&fleet.topology);
+  ReservationRegistry registry;
+  ReservationSpec spec;
+  spec.name = "svc";
+  spec.capacity_rru = 10;
+  spec.rru_per_type.assign(fleet.catalog.size(), 1.0);
+  Result<ReservationId> id = registry.Create(spec);
+  ASSERT_TRUE(id.ok());
+  spec.id = *id;
+  ReservationSpec resized = spec;
+  resized.capacity_rru = 20;
+
+  DurableControlPlane never_attached(dir);
+  EXPECT_EQ(never_attached.UpdateReservation(resized).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(never_attached.RemoveReservation(*id).code(), StatusCode::kFailedPrecondition);
+
+  DurableControlPlane attached(dir);
+  ASSERT_TRUE(attached.Attach(&broker, &registry).ok());
+  EXPECT_EQ(attached.UpdateReservation(resized).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(attached.RemoveReservation(*id).code(), StatusCode::kFailedPrecondition);
+
+  ASSERT_EQ(registry.size(), 1u);
+  ASSERT_NE(registry.Find(*id), nullptr);
+  EXPECT_EQ(registry.Find(*id)->capacity_rru, 10.0);
+  EXPECT_FALSE(DurableControlPlane::HasState(dir)) << "nothing may reach disk";
+}
+
+TEST(DurableControlPlaneTest, ServerDeltasCommitWithTheNextCommitRecord) {
+  std::string dir = FreshDir("group-commit");
+  uint32_t committed = 0;
+  {
+    Proc p(dir);
+    ReservationId id = p.Admit("svc", 10);
+    ASSERT_TRUE(p.durable->PersistTargets(*p.broker, Batch1(id)).ok());
+    obs::Counter& syncs = obs::MetricRegistry::Default().counter("ras_journal_syncs_total", "");
+    const int64_t before = syncs.Value();
+    for (ServerId s = 0; s < 4; ++s) {
+      p.broker->SetCurrent(s, id);
+    }
+    EXPECT_EQ(syncs.Value(), before) << "server deltas must not fsync";
+    ASSERT_TRUE(p.durable->RoundBarrier().ok());
+    EXPECT_EQ(syncs.Value(), before + 1) << "one fsync commits the whole batch";
+    committed = p.Digest();
+
+    // More deltas, then a power loss at the next barrier: they never
+    // committed, so the disk keeps exactly the state the last digest covered.
+    p.broker->SetCurrent(4, id);
+    p.broker->SetCurrent(5, id);
+    ASSERT_NE(p.Digest(), committed);
+    CrashPointInjector injector;
+    p.durable->SetCrashInjector(&injector);
+    injector.Arm(CrashPoint::kLostUnsyncedTail);
+    EXPECT_EQ(p.durable->RoundBarrier().code(), StatusCode::kUnavailable);
+  }
+  Proc q(dir);
+  ASSERT_TRUE(q.report.status.ok()) << q.report.status.ToString();
+  EXPECT_TRUE(q.report.digest_verified);
+  EXPECT_EQ(q.report.torn_bytes_dropped, 0u) << "a lost tail ends on a record boundary";
+  EXPECT_EQ(q.Digest(), committed);
 }
 
 TEST(DurableControlPlaneTest, AbortedBatchIsNotReplayed) {

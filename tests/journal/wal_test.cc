@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include "src/journal/crc32.h"
+#include "src/obs/metrics.h"
 #include "src/util/file_io.h"
 
 namespace ras {
 namespace journal {
 namespace {
+
+// Commit fsyncs issued by every journal in this process so far.
+int64_t Syncs() {
+  return obs::MetricRegistry::Default().counter("ras_journal_syncs_total", "").Value();
+}
 
 std::string TestPath(const char* name) {
   return ::testing::TempDir() + "/" + name + "." +
@@ -152,6 +158,83 @@ TEST(WalTest, ResetEmptiesButGenerationsContinue) {
   ASSERT_TRUE(scan.ok());
   ASSERT_EQ(scan->records.size(), 1u);
   EXPECT_EQ(scan->records[0].generation, 2u);
+}
+
+TEST(WalTest, BufferedAppendsCommitWithOneSync) {
+  std::string path = TestPath("group-commit");
+  std::remove(path.c_str());
+  WriteAheadJournal wal(path);
+  ASSERT_TRUE(wal.OpenAppend(3).ok());
+  const int64_t syncs = Syncs();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(wal.Append(RecordKind::kServerDelta, "server|" + std::to_string(i),
+                           /*commit=*/false)
+                    .ok());
+  }
+  EXPECT_EQ(Syncs(), syncs) << "buffered appends must not fsync";
+  ASSERT_TRUE(wal.Append(RecordKind::kDigest, "cafef00d", /*commit=*/true).ok());
+  EXPECT_EQ(Syncs(), syncs + 1);
+  wal.Close();
+
+  Result<JournalScan> scan = WriteAheadJournal::Scan(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_FALSE(scan->torn());
+  ASSERT_EQ(scan->records.size(), 5u);
+  for (size_t i = 0; i < scan->records.size(); ++i) {
+    EXPECT_EQ(scan->records[i].generation, 3u + i) << "generations must be contiguous";
+  }
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(scan->records[i].kind, RecordKind::kServerDelta);
+    EXPECT_EQ(scan->records[i].payload, "server|" + std::to_string(i));
+  }
+  EXPECT_EQ(scan->records[4].kind, RecordKind::kDigest);
+}
+
+TEST(WalTest, DroppingTheUnsyncedTailKeepsTheCommittedPrefix) {
+  std::string path = TestPath("power-loss");
+  std::remove(path.c_str());
+  WriteAheadJournal wal(path);
+  ASSERT_TRUE(wal.OpenAppend(1).ok());
+  ASSERT_TRUE(wal.Append(RecordKind::kReservationAdmit, "reservation|1|svc").ok());
+  ASSERT_TRUE(wal.Append(RecordKind::kServerDelta, "server|0", /*commit=*/false).ok());
+  ASSERT_TRUE(wal.Append(RecordKind::kDigest, "11111111").ok());
+  ASSERT_TRUE(wal.Append(RecordKind::kServerDelta, "server|1", /*commit=*/false).ok());
+  ASSERT_TRUE(wal.Append(RecordKind::kServerDelta, "server|2", /*commit=*/false).ok());
+
+  // Flushed: a process death here would keep all five records.
+  Result<JournalScan> flushed = WriteAheadJournal::Scan(path);
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(flushed->records.size(), 5u);
+
+  ASSERT_TRUE(wal.DropUnsyncedTail().ok());
+  EXPECT_FALSE(wal.open());
+  Result<JournalScan> scan = WriteAheadJournal::Scan(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_FALSE(scan->torn()) << "the lost tail must end on a record boundary";
+  ASSERT_EQ(scan->records.size(), 3u);
+  EXPECT_EQ(scan->records[1].payload, "server|0") << "a delta before a commit is durable";
+  EXPECT_EQ(scan->records[2].kind, RecordKind::kDigest);
+  EXPECT_EQ(scan->records[2].generation, 3u);
+}
+
+TEST(WalTest, SyncWithNothingPendingIssuesNoFsync) {
+  std::string path = TestPath("idle-sync");
+  std::remove(path.c_str());
+  WriteAheadJournal wal(path);
+  ASSERT_TRUE(wal.OpenAppend(1).ok());
+  const int64_t syncs = Syncs();
+  ASSERT_TRUE(wal.Sync().ok());
+  EXPECT_EQ(Syncs(), syncs) << "nothing appended yet";
+  ASSERT_TRUE(wal.Append(RecordKind::kDigest, "11111111").ok());
+  EXPECT_EQ(Syncs(), syncs + 1);
+  ASSERT_TRUE(wal.Sync().ok());
+  EXPECT_EQ(Syncs(), syncs + 1) << "the commit already covered every byte";
+  ASSERT_TRUE(wal.Append(RecordKind::kServerDelta, "server|0", /*commit=*/false).ok());
+  ASSERT_TRUE(wal.Sync().ok());
+  EXPECT_EQ(Syncs(), syncs + 2);
+  ASSERT_TRUE(wal.Reset().ok());
+  ASSERT_TRUE(wal.Sync().ok());
+  EXPECT_EQ(Syncs(), syncs + 2) << "an emptied journal has nothing pending";
 }
 
 TEST(WalTest, KindNamesRoundTrip) {

@@ -18,6 +18,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/journal/checkpoint.h"
 #include "src/util/file_io.h"
@@ -81,6 +82,14 @@ void ExpectConservation(const RegionScenario& s) {
   }
 }
 
+std::vector<ReservationId> Bindings(const RegionScenario& s) {
+  std::vector<ReservationId> current;
+  for (ServerId id = 0; id < s.broker->num_servers(); ++id) {
+    current.push_back(s.broker->record(id).current);
+  }
+  return current;
+}
+
 std::map<ReservationId, size_t> GrantedCounts(const RegionScenario& s) {
   std::map<ReservationId, size_t> counts;
   for (const ReservationSpec* spec : s.registry.All()) {
@@ -96,6 +105,7 @@ TEST(CrashRestartTest, EveryCrashSiteRecoversToTheReferenceDigest) {
   WipeDir(ref_dir);
   uint32_t ref_persist_round2 = 0;  // Post-apply digest of round 2's batch.
   uint32_t ref_after_admit_b = 0;   // Round 1 complete + svc-b acknowledged.
+  std::vector<ReservationId> ref_reconciled_round2;  // Bindings after round 2.
   {
     RegionScenario ref(DrillScenario(ref_dir));
     ASSERT_TRUE(ref.recovery.status.ok()) << ref.recovery.status.ToString();
@@ -106,19 +116,33 @@ TEST(CrashRestartTest, EveryCrashSiteRecoversToTheReferenceDigest) {
     ASSERT_TRUE(ref.SolveRound().ok());  // Round 2.
     ref_persist_round2 = ref.durable->last_persist_digest();
     ASSERT_NE(ref_persist_round2, 0u);
+    ASSERT_NE(journal::StateDigest(*ref.broker, ref.registry), ref_persist_round2)
+        << "round 2 must reconcile moves, or the delta sites test nothing";
+    ref_reconciled_round2 = Bindings(ref);
   }
 
+  // The durable instant each site's recovery must land on.
+  enum class Lands {
+    kAdmitB,         // The intent never reached the journal (or half of it).
+    kPersistRound2,  // The intent was durable; no reconcile delta is.
+    kMidReconcile,   // Some flushed reconcile deltas survive, not all.
+  };
   struct Site {
     CrashPoint point;
-    bool round2_batch_survives;
+    Lands lands;
+    int nth = 1;
   };
   const Site kSites[] = {
-      {CrashPoint::kBeforeJournalAppend, false},
-      {CrashPoint::kTornJournalAppend, false},
-      {CrashPoint::kAfterJournalAppend, true},
-      {CrashPoint::kMidApply, true},
-      {CrashPoint::kAfterApply, true},
-      {CrashPoint::kAfterDigest, true},
+      {CrashPoint::kBeforeJournalAppend, Lands::kAdmitB},
+      {CrashPoint::kTornJournalAppend, Lands::kAdmitB},
+      {CrashPoint::kAfterJournalAppend, Lands::kPersistRound2},
+      {CrashPoint::kMidApply, Lands::kPersistRound2},
+      {CrashPoint::kAfterApply, Lands::kPersistRound2},
+      {CrashPoint::kAfterDigest, Lands::kPersistRound2},
+      // Dies at the third reconcile delta: two flushed deltas survive.
+      {CrashPoint::kMidDeltaBatch, Lands::kMidReconcile, 3},
+      // Power loss at the barrier: every reconcile delta was unsynced.
+      {CrashPoint::kLostUnsyncedTail, Lands::kPersistRound2},
   };
   std::string drill_log;
   for (const Site& site : kSites) {
@@ -129,6 +153,7 @@ TEST(CrashRestartTest, EveryCrashSiteRecoversToTheReferenceDigest) {
     CrashPointInjector injector;
     uint64_t generation_at_crash = 0;
     std::map<ReservationId, size_t> granted_round1;
+    std::vector<ReservationId> pre_reconcile;
     {
       RegionScenario s(DrillScenario(dir));
       ASSERT_TRUE(s.recovery.status.ok());
@@ -136,8 +161,11 @@ TEST(CrashRestartTest, EveryCrashSiteRecoversToTheReferenceDigest) {
       ASSERT_TRUE(s.SolveRound().ok());
       granted_round1 = GrantedCounts(s);
       ASSERT_TRUE(s.AdmitReservation(AnySpec(s, "svc-b", 12)).ok());
+      // Persisting targets moves no binding, so these are also the bindings
+      // round 2's reconcile starts from.
+      pre_reconcile = Bindings(s);
       s.durable->SetCrashInjector(&injector);
-      injector.Arm(site.point);
+      injector.Arm(site.point, site.nth);
       generation_at_crash = s.durable->generation();
       // Round 2: the control plane dies inside the persist barrier. The
       // round itself still completes in memory (the supervisor degrades),
@@ -154,18 +182,35 @@ TEST(CrashRestartTest, EveryCrashSiteRecoversToTheReferenceDigest) {
     EXPECT_GE(r.durable->generation(), generation_at_crash)
         << "broker generation moved backwards across the restart";
     uint32_t recovered = journal::StateDigest(*r.broker, r.registry);
-    if (site.round2_batch_survives) {
-      // The intent record was durable: recovery redid the round-2 apply and
-      // must land exactly on the crash-free run's post-apply state.
-      EXPECT_EQ(recovered, ref_persist_round2);
-    } else {
-      // The intent never reached the journal (or only half of it did): the
-      // durable truth is the end of round 1 plus the acknowledged admit.
-      EXPECT_EQ(recovered, ref_after_admit_b);
+    ExpectConservation(r);
+    switch (site.lands) {
+      case Lands::kAdmitB:
+        // The durable truth is the end of round 1 plus the acknowledged admit.
+        EXPECT_EQ(recovered, ref_after_admit_b);
+        break;
+      case Lands::kPersistRound2:
+        // Recovery redid the round-2 apply from its intent and must land
+        // exactly on the crash-free run's post-apply state.
+        EXPECT_EQ(recovered, ref_persist_round2);
+        break;
+      case Lands::kMidReconcile: {
+        EXPECT_NE(recovered, ref_persist_round2) << "no flushed delta survived the crash";
+        // Each server either still holds its pre-reconcile binding or has
+        // reached its target; no move is half done.
+        for (ServerId id = 0; id < r.broker->num_servers(); ++id) {
+          const ServerRecord& rec = r.broker->record(id);
+          EXPECT_TRUE(rec.current == pre_reconcile[id] || rec.current == rec.target)
+              << "server " << id << " recovered to a binding no move produced";
+        }
+        // The targets are durable, so one reconcile finishes the round.
+        r.mover->ReconcileAll();
+        EXPECT_EQ(Bindings(r), ref_reconciled_round2);
+        ExpectConservation(r);
+        break;
+      }
     }
     // No reservation lost granted capacity relative to the last durable
     // round that bound it.
-    ExpectConservation(r);
     for (const auto& [id, count] : granted_round1) {
       EXPECT_GE(r.broker->CountInReservation(id), count)
           << "reservation " << id << " lost granted servers in recovery";
@@ -178,10 +223,13 @@ TEST(CrashRestartTest, EveryCrashSiteRecoversToTheReferenceDigest) {
 TEST(CrashRestartTest, RepeatedCrashRestartLineageStaysConsistent) {
   std::string dir = ::testing::TempDir() + "/crash-lineage";
   WipeDir(dir);
+  // The delta sites come early: once the region is full, admitting another
+  // small reservation moves too few servers to die mid-batch.
   const CrashPoint kRotation[] = {
-      CrashPoint::kAfterJournalAppend, CrashPoint::kBeforeCheckpointWrite,
-      CrashPoint::kTornJournalAppend,  CrashPoint::kAfterCheckpointWrite,
-      CrashPoint::kMidApply,           CrashPoint::kAfterDigest,
+      CrashPoint::kAfterJournalAppend,    CrashPoint::kMidDeltaBatch,
+      CrashPoint::kBeforeCheckpointWrite, CrashPoint::kTornJournalAppend,
+      CrashPoint::kLostUnsyncedTail,      CrashPoint::kAfterCheckpointWrite,
+      CrashPoint::kMidApply,              CrashPoint::kAfterDigest,
   };
   uint64_t last_generation = 0;
   size_t expected_reservations = 0;
@@ -207,19 +255,29 @@ TEST(CrashRestartTest, RepeatedCrashRestartLineageStaysConsistent) {
     Result<ReservationId> id =
         s.AdmitReservation(AnySpec(s, "svc-" + std::to_string(cycle), 6 + cycle));
     ASSERT_TRUE(id.ok()) << id.status().ToString();
-    ASSERT_TRUE(s.SolveRound().ok());
     expected_reservations = s.registry.size();
-    last_generation = s.durable->generation();
     s.durable->SetCrashInjector(&injector);
-    injector.Arm(point);
-    (void)s.SolveRound();
-    if (point == CrashPoint::kBeforeCheckpointWrite ||
-        point == CrashPoint::kAfterCheckpointWrite) {
-      // Compaction sites are reached via an explicit compaction, not the
-      // persist barrier.
-      (void)s.durable->Compact();
+    if (point == CrashPoint::kMidDeltaBatch) {
+      // Only the round that places the new reservation moves servers; the
+      // re-solve after it has no reconcile delta to die at. Die at the
+      // second one, so one flushed delta survives.
+      last_generation = s.durable->generation();
+      injector.Arm(point, 2);
+    }
+    ASSERT_TRUE(s.SolveRound().ok());
+    if (!injector.crashed()) {
+      last_generation = s.durable->generation();
+      injector.Arm(point);
+      (void)s.SolveRound();
+      if (point == CrashPoint::kBeforeCheckpointWrite ||
+          point == CrashPoint::kAfterCheckpointWrite) {
+        // Compaction sites are reached via an explicit compaction, not the
+        // persist barrier.
+        (void)s.durable->Compact();
+      }
     }
     EXPECT_TRUE(injector.crashed());
+    EXPECT_EQ(injector.crashed_at(), point);
     first_cycle = false;
     ++cycle;
   }
