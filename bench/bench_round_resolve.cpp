@@ -230,8 +230,6 @@ int main(int argc, char** argv) {
         .Set("solve_skipped", inc_stats->phase1.solve_skipped)
         .Set("dual_resolves", inc_stats->dual_resolves)
         .Set("dual_iterations", inc_stats->dual_iterations)
-        .Set("presolve_rows_removed", inc_stats->presolve_rows_removed)
-        .Set("cold_presolve_rows_removed", cold_stats->presolve_rows_removed)
         .Set("cold_solver_build_s",
              cold_stats->phase1.timings.solver_build_s +
                  cold_stats->phase2.timings.solver_build_s)

@@ -91,12 +91,11 @@ void SummarizeReuse(SolveStats& stats) {
   stats.delta_servers = stats.phase1.delta_servers;
   stats.dual_resolves = stats.phase1.dual_resolves + stats.phase2.dual_resolves;
   stats.dual_iterations = stats.phase1.dual_iterations + stats.phase2.dual_iterations;
-  stats.presolve_rows_removed =
-      stats.phase1.presolve_rows_removed + stats.phase2.presolve_rows_removed;
 }
 
-// Metrics recorded once per completed solve (any mode, monolithic or
-// sharded aggregate). Record-only: nothing here is read back by the solver.
+// Metrics recorded once per completed top-level solve (any mode; a sharded
+// solve records its aggregate, never its shards). Record-only: nothing here
+// is read back by the solver.
 void RecordSolveMetrics(const SolveStats& stats) {
   obs::MetricRegistry& reg = obs::MetricRegistry::Default();
   static obs::Counter& solves =
@@ -111,8 +110,6 @@ void RecordSolveMetrics(const SolveStats& stats) {
       "ras_solver_dual_resolves_total", "Node LPs re-optimized by the dual simplex kernel.");
   static obs::Counter& dual_iterations = reg.counter(
       "ras_solver_dual_iterations_total", "Dual simplex pivots across completed solves.");
-  static obs::Counter& presolve_rows = reg.counter(
-      "ras_solver_presolve_rows_removed_total", "Rows removed by LP presolve across solves.");
   static obs::Histogram& seconds = reg.histogram(
       "ras_solver_solve_seconds", "End-to-end solve wall time.", 0.0, 30.0, 120);
   static obs::Histogram& delta = reg.histogram(
@@ -128,7 +125,6 @@ void RecordSolveMetrics(const SolveStats& stats) {
   moves.Add(static_cast<int64_t>(stats.moves_total));
   dual_resolves.Add(stats.dual_resolves);
   dual_iterations.Add(stats.dual_iterations);
-  presolve_rows.Add(stats.presolve_rows_removed);
   seconds.Observe(stats.total_seconds);
   if (stats.delta_servers >= 0) {
     delta.Observe(static_cast<double>(stats.delta_servers));
@@ -238,7 +234,6 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
     outcome.stats.nodes = mip.nodes;
     outcome.stats.dual_resolves = mip.dual_resolves;
     outcome.stats.dual_iterations = mip.lp_dual_iterations;
-    outcome.stats.presolve_rows_removed = mip.presolve_rows_removed;
     if (mip.status == MipStatus::kOptimal || mip.status == MipStatus::kFeasible) {
       local_solution = std::move(mip.x);
       solution = &local_solution;
@@ -378,14 +373,20 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
   }
 
   // Shard decomposition (src/shard): K > 1 partitions the region and solves
-  // the shards independently. shard_count == 1 resolves to 1 and falls
-  // through to the monolithic path below, bit-for-bit unchanged.
+  // the shards independently. shard_count == 1 resolves to 1 and runs
+  // SolveMonolithic, bit-for-bit unchanged.
   const int shards = EffectiveShardCount(config_.shard_count, input.servers.size(),
                                          input.topology->num_racks());
-  if (shards > 1) {
-    return SolveSharded(input, decoded_out, mode, shards);
+  Result<SolveStats> stats = shards > 1 ? SolveSharded(input, decoded_out, mode, shards)
+                                        : SolveMonolithic(input, decoded_out, mode);
+  if (stats.ok()) {
+    RecordSolveMetrics(*stats);
   }
+  return stats;
+}
 
+Result<SolveStats> AsyncSolver::SolveMonolithic(const SolveInput& input,
+                                                DecodedAssignment* decoded_out, SolveMode mode) {
   obs::SpanScope solve_span(obs::Tracer::Default(), "solve");
   double start = util::MonotonicSeconds();
   SolveStats stats;
@@ -414,7 +415,6 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
     FinishTargets(input, DecodeAssignment(input, classes, built, warm).targets, stats,
                   decoded_out);
     stats.total_seconds = util::MonotonicSeconds() - start;
-    RecordSolveMetrics(stats);
     return stats;
   }
 
@@ -435,7 +435,6 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
     FinishTargets(input, std::move(final_targets), stats, decoded_out);
     stats.total_seconds = util::MonotonicSeconds() - start;
     SummarizeReuse(stats);
-    RecordSolveMetrics(stats);
     return stats;
   }
   t0 = util::MonotonicSeconds();
@@ -504,7 +503,6 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
   FinishTargets(input, std::move(final_targets), stats, decoded_out);
   stats.total_seconds = util::MonotonicSeconds() - start;
   SummarizeReuse(stats);
-  RecordSolveMetrics(stats);
   return stats;
 }
 
@@ -520,11 +518,9 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   ShardPlan plan = PlanShards(*input.topology, plan_options);
   ShardDemand demand = SplitDemand(input, plan);
 
-  // Each shard runs this solver's monolithic path on its sub-input;
-  // shard_count = 1 terminates the recursion. The shards themselves are the
-  // parallelism axis.
-  SolverConfig sub_config = config_;
-  sub_config.shard_count = 1;
+  // Each shard runs its sub-solver's SolveMonolithic on its sub-input, so
+  // only this aggregate records the per-solve metrics. The shards themselves
+  // are the parallelism axis.
 
   // Persistent per-shard solvers: shard k's sub-solver (and the resolve cache
   // inside it) survives across rounds while the plan signature holds, so a
@@ -546,15 +542,15 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   for (int shard = 0; shard < shard_count; ++shard) {
     std::unique_ptr<AsyncSolver>& slot = shard_solvers_[shard];
     if (slot == nullptr) {
-      slot = std::make_unique<AsyncSolver>(sub_config);
+      slot = std::make_unique<AsyncSolver>(config_);
       slot->set_resolve_shard(shard);
     } else {
-      slot->mutable_config() = sub_config;
+      slot->mutable_config() = config_;
     }
   }
   ShardSolveFn solve_shard = [this, mode](int shard, const SolveInput& shard_input,
                                           DecodedAssignment* decoded) {
-    return shard_solvers_.at(shard)->SolveSnapshot(shard_input, decoded, mode);
+    return shard_solvers_.at(shard)->SolveMonolithic(shard_input, decoded, mode);
   };
   ShardSolveOptions solve_options;
   solve_options.threads = config_.shard_threads;
@@ -587,7 +583,6 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
 
   FinishTargets(input, std::move(outcome.merged.targets), stats, decoded_out);
   stats.total_seconds = util::MonotonicSeconds() - start;
-  RecordSolveMetrics(stats);
   {
     obs::MetricRegistry& reg = obs::MetricRegistry::Default();
     static obs::Counter& failed =

@@ -69,12 +69,10 @@ struct PhaseStats {
   bool model_patched = false;
   bool solve_skipped = false;
   int delta_servers = -1;
-  // Solver-layer re-optimization telemetry (presolve + dual simplex), summed
-  // over every LP the phase ran: node LPs served by the dual kernel, the
-  // dual pivots they took, and rows presolve removed from cold solves.
+  // Dual simplex telemetry, summed over every LP the phase ran: node LPs
+  // served by the dual kernel and the dual pivots they took.
   int64_t dual_resolves = 0;
   int64_t dual_iterations = 0;
-  int64_t presolve_rows_removed = 0;
 };
 
 struct SolveStats {
@@ -103,6 +101,7 @@ struct SolveStats {
   // Solver-layer re-optimization totals summed across phases (and shards).
   int64_t dual_resolves = 0;
   int64_t dual_iterations = 0;
+  // Always 0: the LP has no presolve. Kept because roundbench reads it.
   int64_t presolve_rows_removed = 0;
 };
 
@@ -149,10 +148,14 @@ class AsyncSolver {
  private:
   // Shard-decomposed solve (src/shard): plan -> split -> per-shard solves ->
   // merge -> stitch repair. Entered from SolveSnapshot when the configured
-  // shard count resolves to K > 1; each shard runs this solver's monolithic
-  // path on its sub-input.
+  // shard count resolves to K > 1; each shard runs its sub-solver's
+  // SolveMonolithic on its sub-input.
   Result<SolveStats> SolveSharded(const SolveInput& input, DecodedAssignment* decoded_out,
                                   SolveMode mode, int shard_count);
+  // The unsharded two-phase (or degraded-mode) pipeline. Records no per-solve
+  // metrics: SolveSnapshot does, once per top-level solve.
+  Result<SolveStats> SolveMonolithic(const SolveInput& input, DecodedAssignment* decoded_out,
+                                     SolveMode mode);
 
   // Runs one phase over the given classes; returns the decoded assignment.
   struct PhaseOutcome {

@@ -39,7 +39,6 @@ void AccumulatePhase(PhaseStats& into, const PhaseStats& from) {
   into.nodes += from.nodes;
   into.dual_resolves += from.dual_resolves;
   into.dual_iterations += from.dual_iterations;
-  into.presolve_rows_removed += from.presolve_rows_removed;
   // Reuse telemetry: the aggregate claims reuse only when every shard reused
   // that way; deltas sum, with any cold shard (-1) making the total unknown.
   if (into.ran) {

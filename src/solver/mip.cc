@@ -175,8 +175,6 @@ MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_s
       reg.counter("ras_mip_time_limit_hits_total", "Runs cut off by their time limit.");
   static obs::Counter& dual_resolves = reg.counter(
       "ras_mip_dual_resolves_total", "Node LPs re-optimized by the dual simplex kernel.");
-  static obs::Counter& presolve_rows = reg.counter(
-      "ras_mip_presolve_rows_removed_total", "Rows removed by presolve across node LPs.");
   static obs::Histogram& seconds =
       reg.histogram("ras_mip_solve_seconds", "Wall time of one branch-and-bound run.", 0.0, 30.0,
                     120);
@@ -184,7 +182,6 @@ MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_s
   nodes.Add(result.nodes);
   lp_iterations.Add(result.lp_iterations);
   dual_resolves.Add(result.dual_resolves);
-  presolve_rows.Add(result.presolve_rows_removed);
   if (result.hit_time_limit) {
     time_limit.Add();
   }
@@ -242,7 +239,6 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
     LpResult lp = lp_solver.ResolveWithBasis(model, node.overrides);
     result.lp_iterations += lp.iterations;
     result.lp_dual_iterations += lp.dual_iterations;
-    result.presolve_rows_removed += lp.presolve_rows_removed;
     if (lp.used_dual_simplex) {
       ++result.dual_resolves;
     }

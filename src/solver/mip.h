@@ -62,11 +62,9 @@ struct MipResult {
   double solve_seconds = 0.0;
   bool hit_time_limit = false;
   // Solver-layer re-optimization telemetry summed over every node LP: warm
-  // resolves served by the dual simplex kernel, the dual pivots they took,
-  // and rows presolve removed from cold solves.
+  // resolves served by the dual simplex kernel and the dual pivots they took.
   int64_t dual_resolves = 0;
   int64_t lp_dual_iterations = 0;
-  int64_t presolve_rows_removed = 0;
 
   double gap() const { return objective - best_bound; }
 };

@@ -6,11 +6,26 @@
 #include <cstring>
 
 #include "src/obs/metrics.h"
-#include "src/solver/presolve.h"
 #include "src/util/monotonic_time.h"
 
 namespace ras {
 namespace {
+
+// Kernel constants. LpOptions holds only the cadences tests shrink.
+constexpr double kFeasibilityTol = 1e-7;
+constexpr double kOptimalityTol = 1e-7;
+constexpr double kPivotTol = 1e-9;
+// Consecutive degenerate pivots before switching to Bland's rule.
+constexpr int kBlandTrigger = 60;
+// A pivot this small relative to its column is a numerical-drift red flag:
+// refactor early.
+constexpr double kDriftRefactorTol = 1e-8;
+// The optimality clean pass refactors to wash out eta drift before declaring
+// the optimum. A warm re-solve whose eta file holds at most this many etas
+// skips the rebuild — the same drift budget the in-loop cadence prices
+// dozens of pivots through — provided the feasibility check passes on the
+// current factor (when it does not, the full clean pass runs after all).
+constexpr int kCleanPassEtaLimit = 8;
 
 // Recorded once per LP solve (including node LPs inside branch-and-bound):
 // a handful of relaxed atomic adds against the work of the solve itself.
@@ -26,8 +41,6 @@ void RecordLpMetrics(const LpResult& result) {
       "ras_simplex_dual_resolves_total", "Warm resolves served by the dual simplex kernel.");
   static obs::Counter& dual_iterations =
       reg.counter("ras_simplex_dual_iterations_total", "Dual simplex pivots across all solves.");
-  static obs::Counter& presolve_rows = reg.counter(
-      "ras_simplex_presolve_rows_removed_total", "Rows removed by presolve across cold solves.");
   static obs::Histogram& refactor_seconds =
       reg.histogram("ras_simplex_refactor_seconds",
                     "Basis factorization wall time of one LP solve.", 0.0, 0.05, 100);
@@ -38,7 +51,6 @@ void RecordLpMetrics(const LpResult& result) {
     dual_resolves.Add();
   }
   dual_iterations.Add(result.dual_iterations);
-  presolve_rows.Add(result.presolve_rows_removed);
   refactor_seconds.Observe(result.refactor_seconds);
 }
 
@@ -217,87 +229,29 @@ void SimplexSolver::RefreshBounds(const Model& model, const std::vector<BoundOve
 
 LpResult SimplexSolver::Solve(const Model& model, const std::vector<BoundOverride>& overrides) {
   refactor_seconds_ = 0.0;
-  LpResult result;
-  bool solved = false;
-  if (options_.presolve && model.num_rows() > 0) {
-    PresolvedLp pre;
-    if (pre.Reduce(model, overrides)) {
-      if (pre.stats().infeasible) {
-        // An exact reduction (empty-row range check, crossed bounds after a
-        // fold) proved infeasibility without a single pivot.
-        basis_valid_ = false;
-        result.status = LpStatus::kInfeasible;
-        result.presolve_rows_removed = pre.stats().rows_removed;
-        result.presolve_vars_removed = pre.stats().vars_removed;
-        solved = true;
-      } else {
-        LpResult reduced = SolveDirect(pre.reduced(), {});
-        if (reduced.status == LpStatus::kInfeasible || reduced.status == LpStatus::kUnbounded) {
-          // Every reduction is feasibility- and boundedness-preserving in both
-          // directions, so the reduced verdict transfers to the full model.
-          basis_valid_ = false;
-          result = reduced;
-          result.x.clear();
-          result.duals.clear();
-          result.presolve_rows_removed = pre.stats().rows_removed;
-          result.presolve_vars_removed = pre.stats().vars_removed;
-          solved = true;
-        } else if (reduced.status == LpStatus::kOptimal) {
-          // Postsolve the reduced basis onto the full model and let the
-          // primal loop verify it (typically zero pivots plus one clean
-          // refactorization); it also produces the full-length x and duals.
-          SimplexBasis full_basis = pre.RestoreBasis(ExportBasis());
-          if (ImportBasisInternal(model, full_basis, overrides)) {
-            LpResult verified = RunSimplex(model);
-            if (verified.status == LpStatus::kOptimal) {
-              verified.iterations += reduced.iterations;
-              verified.refactorizations += reduced.refactorizations;
-              verified.adaptive_refactorizations += reduced.adaptive_refactorizations;
-              verified.eta_nonzeros += reduced.eta_nonzeros;
-              verified.full_pricing_scans += reduced.full_pricing_scans;
-              verified.presolve_rows_removed = pre.stats().rows_removed;
-              verified.presolve_vars_removed = pre.stats().vars_removed;
-              result = std::move(verified);
-              solved = true;
-            } else {
-              basis_valid_ = false;  // Fall through to the plain cold solve.
-            }
-          }
-        }
-        // Iteration-limit / numerical verdicts on the reduction fall through
-        // to the plain cold path rather than guessing.
-      }
-    }
+  basis_valid_ = false;
+  BuildColumns(model, overrides);
+  // Reject empty-range variables early (branching can create lb > ub).
+  bool empty_range = false;
+  for (int32_t j = 0; j < total_ && !empty_range; ++j) {
+    empty_range = lb_[j] > ub_[j];
   }
-  if (!solved) {
-    result = SolveDirect(model, overrides);
+  LpResult result;
+  if (empty_range) {
+    result.status = LpStatus::kInfeasible;
+  } else {
+    InitializeBasis();
+    result = RunSimplex(model);
+    if (result.status == LpStatus::kOptimal) {
+      basis_valid_ = true;
+      prepared_rows_ = model.num_rows();
+      prepared_vars_ = model.num_variables();
+      prepared_nonzeros_ = model.num_nonzeros();
+    }
   }
   result.refactor_seconds = refactor_seconds_;
   result.factor_nonzeros = factor_.nonzeros();
   RecordLpMetrics(result);
-  return result;
-}
-
-LpResult SimplexSolver::SolveDirect(const Model& model,
-                                    const std::vector<BoundOverride>& overrides) {
-  basis_valid_ = false;
-  BuildColumns(model, overrides);
-  // Reject empty-range variables early (branching can create lb > ub).
-  for (int32_t j = 0; j < total_; ++j) {
-    if (lb_[j] > ub_[j]) {
-      LpResult result;
-      result.status = LpStatus::kInfeasible;
-      return result;
-    }
-  }
-  InitializeBasis();
-  LpResult result = RunSimplex(model);
-  if (result.status == LpStatus::kOptimal) {
-    basis_valid_ = true;
-    prepared_rows_ = model.num_rows();
-    prepared_vars_ = model.num_variables();
-    prepared_nonzeros_ = model.num_nonzeros();
-  }
   return result;
 }
 
@@ -349,8 +303,7 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
   // pivots already taken.
   LpResult dual_accum;
   bool used_dual = false;
-  if (options_.dual_resolve && TotalInfeasibility() > options_.feasibility_tol &&
-      DualFeasibleBasis(options_.optimality_tol)) {
+  if (TotalInfeasibility() > kFeasibilityTol && DualFeasibleBasis(kOptimalityTol)) {
     used_dual = true;
     if (!RunDualSimplex(&dual_accum)) {
       // Basis factorization broke down mid-flight: rebuild from scratch.
@@ -370,69 +323,6 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
   return result;
 }
 
-SimplexBasis SimplexSolver::ExportBasis() const {
-  SimplexBasis out;
-  if (!basis_valid_) {
-    return out;
-  }
-  out.basic = basis_;
-  out.status.resize(status_.size());
-  for (size_t j = 0; j < status_.size(); ++j) {
-    out.status[j] = static_cast<uint8_t>(status_[j]);
-  }
-  out.rows = prepared_rows_;
-  out.vars = prepared_vars_;
-  out.nonzeros = prepared_nonzeros_;
-  return out;
-}
-
-bool SimplexSolver::ImportBasis(const Model& model, const SimplexBasis& basis) {
-  return ImportBasisInternal(model, basis, {});
-}
-
-bool SimplexSolver::ImportBasisInternal(const Model& model, const SimplexBasis& basis,
-                                        const std::vector<BoundOverride>& overrides) {
-  basis_valid_ = false;
-  if (basis.empty() || basis.rows != model.num_rows() || basis.vars != model.num_variables() ||
-      basis.nonzeros != model.num_nonzeros()) {
-    return false;
-  }
-  BuildColumns(model, overrides);
-  if (basis.basic.size() != static_cast<size_t>(m_) ||
-      basis.status.size() != static_cast<size_t>(total_)) {
-    return false;
-  }
-  status_.resize(total_);
-  for (int32_t j = 0; j < total_; ++j) {
-    if (basis.status[j] > static_cast<uint8_t>(ColStatus::kFree)) {
-      return false;
-    }
-    status_[j] = static_cast<ColStatus>(basis.status[j]);
-  }
-  basis_ = basis.basic;
-  basis_pos_.assign(total_, -1);
-  for (int32_t pos = 0; pos < m_; ++pos) {
-    int32_t col = basis_[pos];
-    if (col < 0 || col >= total_ || basis_pos_[col] != -1 || status_[col] != ColStatus::kBasic) {
-      return false;  // Out-of-range, duplicate, or status-inconsistent entry.
-    }
-    basis_pos_[col] = pos;
-  }
-  // Nonbasic columns sit on the bound their status claims (the model's
-  // bounds may have moved under the snapshot).
-  value_.assign(total_, 0.0);
-  SnapNonbasic();
-  if (!Refactorize()) {
-    return false;  // Singular against this model: stay cold, caller re-solves.
-  }
-  ComputeBasicValues();
-  basis_valid_ = true;
-  prepared_rows_ = model.num_rows();
-  prepared_vars_ = model.num_variables();
-  prepared_nonzeros_ = model.num_nonzeros();
-  return true;
-}
-
 bool SimplexSolver::NeedRefactor(double pivot, double column_max, bool* adaptive) const {
   *adaptive = false;
   if (factor_.num_etas() >= options_.refactor_interval) {
@@ -443,7 +333,7 @@ bool SimplexSolver::NeedRefactor(double pivot, double column_max, bool* adaptive
   // signals that the updates are drifting.
   *adaptive = static_cast<double>(factor_.eta_nonzeros()) >
                   options_.eta_growth_limit * static_cast<double>(m_) ||
-              std::fabs(pivot) < options_.drift_refactor_tol * (1.0 + column_max);
+              std::fabs(pivot) < kDriftRefactorTol * (1.0 + column_max);
   return *adaptive;
 }
 
@@ -489,8 +379,8 @@ bool SimplexSolver::DualFeasibleBasis(double tol) {
 
 // RASLINT-HOT: the dual simplex pivot loop — nothing here may block.
 bool SimplexSolver::RunDualSimplex(LpResult* accum) {
-  const double ftol = options_.feasibility_tol;
-  const double ptol = std::max(options_.pivot_tol, 1e-10);
+  const double ftol = kFeasibilityTol;
+  const double ptol = kPivotTol;
   // A bound-only patch perturbs few basic values, so primal feasibility is a
   // few pivots away; a conservative budget keeps a degenerate tail from ever
   // costing more than the cold solve the caller would otherwise run.
@@ -632,11 +522,9 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
 // RASLINT-HOT: the simplex inner iteration — nothing here may block.
 LpResult SimplexSolver::RunSimplex(const Model& model) {
   LpResult result;
-  const double ftol = options_.feasibility_tol;
-  const double dtol = options_.optimality_tol;
-  int64_t max_iters = options_.max_iterations > 0
-                          ? options_.max_iterations
-                          : 200 + 40LL * (static_cast<int64_t>(m_) + total_);
+  const double ftol = kFeasibilityTol;
+  const double dtol = kOptimalityTol;
+  const int64_t max_iters = 200 + 40LL * (static_cast<int64_t>(m_) + total_);
 
   std::vector<double> y(m_);        // Pricing duals.
   std::vector<double> alpha(m_);    // FTRAN result.
@@ -820,7 +708,7 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     double best_pivot_mag = 0.0;
     auto ratio_test = [&](int32_t pos) {
       double a = alpha[pos];
-      if (std::fabs(a) < options_.pivot_tol) {
+      if (std::fabs(a) < kPivotTol) {
         return;
       }
       double rate = -static_cast<double>(entering_dir) * a;
@@ -883,7 +771,7 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     double step = best_step;
     if (step < ftol) {
       ++degenerate_run;
-      if (degenerate_run > options_.bland_trigger) {
+      if (degenerate_run > kBlandTrigger) {
         bland = true;
       }
     } else {
@@ -953,9 +841,7 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
   // the refactorization is skipped when the feasibility check already passes
   // on the current factor. This is what keeps a one-pivot dual re-solve
   // cheaper than the model rebuild it avoids.
-  bool clean = options_.clean_pass_eta_limit > 0 &&
-               factor_.num_etas() <= options_.clean_pass_eta_limit &&
-               TotalInfeasibility() <= 1e-5;
+  bool clean = factor_.num_etas() <= kCleanPassEtaLimit && TotalInfeasibility() <= 1e-5;
   if (!clean) {
     ++result.refactorizations;
     if (!Refactorize()) {

@@ -17,6 +17,12 @@
 // on a drifting pivot. There is no dense-inverse path; the dense reference
 // simplex lives in tests/solver/ as the differential oracle.
 //
+// A cold solve runs on the model as given: the model arrives already shrunk
+// by the equivalence classes it is built over (Section 3.5.3), and generic
+// row reductions on top of that find almost nothing. ResolveWithBasis
+// re-optimizes the retained basis within one solver's lifetime (the
+// branch-and-bound node chain); no basis crosses solver instances.
+//
 // This is the LP engine underneath the branch-and-bound MIP solver
 // (src/solver/mip.h), which together substitute for the commercial MIP
 // solver used by the paper (Section 3.5).
@@ -42,15 +48,17 @@ enum class LpStatus {
 
 const char* LpStatusName(LpStatus status);
 
+// What a caller may tune: the refactor and pricing cadences. Everything else
+// (tolerances, the iteration cap, Bland's trigger) is a constant in
+// simplex.cc. Tests shrink these to force the refactor and pricing-refresh
+// paths on small models.
 struct LpOptions {
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-7;
-  double pivot_tol = 1e-9;
-  // 0 means "choose automatically from the problem size".
-  int64_t max_iterations = 0;
+  // Refactorization cadence: rebuild the LU once the eta file holds
+  // refactor_interval etas, or early when its nonzeros exceed
+  // eta_growth_limit * m — every FTRAN and BTRAN walks the whole file, so fill
+  // makes each solve dearer than a fresh factor.
   int refactor_interval = 256;
-  // Consecutive degenerate pivots before switching to Bland's rule.
-  int bland_trigger = 60;
+  double eta_growth_limit = 8.0;
 
   // Partial pricing: size of the candidate list kept from each full scan.
   int pricing_candidates = 64;
@@ -58,37 +66,6 @@ struct LpOptions {
   // from going stale. Optimality is only ever declared after a full scan, so
   // this is a quality knob, not a correctness one. <= 0 disables the refresh.
   int pricing_refresh_interval = 100;
-  // Refactorization cadence: rebuild the LU once the eta file holds
-  // refactor_interval etas, early when its nonzeros exceed eta_growth_limit *
-  // m — every FTRAN and BTRAN walks the whole file, so fill makes each solve
-  // dearer than a fresh factor — or when a pivot magnitude falls below
-  // drift_refactor_tol relative to its column, a numerical-drift red flag.
-  double eta_growth_limit = 8.0;
-  double drift_refactor_tol = 1e-8;
-  // The optimality clean pass refactors to wash out eta drift before
-  // declaring the optimum. A warm re-solve whose eta file holds at most this
-  // many etas skips the refactorization — the same drift budget the in-loop
-  // cadence prices dozens of pivots through — provided the feasibility check
-  // passes on the current factor (when it does not, the full clean pass runs
-  // after all). 0 restores the unconditional rebuild.
-  int clean_pass_eta_limit = 8;
-
-  // Dual simplex warm re-solve: when ResolveWithBasis holds a basis that is
-  // still dual-feasible under the current costs (exactly the case after a
-  // bound/RHS-only model patch or a branch-and-bound bound change — the
-  // costs, and therefore the duals, did not move), re-optimize with dual
-  // pivots from that basis instead of driving the primal phase-1/phase-2
-  // machinery from scratch. The primal loop still runs afterwards as the
-  // optimality verifier, so this is purely an accelerator: any dual-side
-  // stall or numerical doubt falls through to the unchanged primal path.
-  bool dual_resolve = true;
-
-  // Presolve on cold solves: reduce the model (fixed variables, empty rows,
-  // singleton-row bound folds, conservative bound tightening), solve the
-  // reduction, and postsolve the basis back onto the full model, where the
-  // primal loop verifies it. Falls back to the plain cold path whenever no
-  // reduction applies or the postsolved basis fails to import.
-  bool presolve = true;
 };
 
 struct LpResult {
@@ -105,8 +82,7 @@ struct LpResult {
   // or eta fill-in rather than the fixed pivot cadence.
   int refactorizations = 0;
   int adaptive_refactorizations = 0;
-  // Wall seconds spent factoring the basis during this call (every
-  // factorization, including the presolve path's inner solve).
+  // Wall seconds spent factoring the basis during this call.
   double refactor_seconds = 0.0;
   // Nonzeros of L, U and the eta file when the call returned: the basis
   // footprint, linear in the factor's fill rather than quadratic in rows.
@@ -116,14 +92,10 @@ struct LpResult {
   // Full Dantzig pricing scans (refresh and optimality-verification scans
   // under partial pricing; every iteration under Bland's rule).
   int64_t full_pricing_scans = 0;
-  // Dual simplex warm re-solve (LpOptions::dual_resolve): pivots taken by the
-  // dual kernel before the primal verifier ran, and whether it ran at all.
+  // Dual simplex warm re-solve (ResolveWithBasis): pivots taken by the dual
+  // kernel before the primal verifier ran, and whether it ran at all.
   int64_t dual_iterations = 0;
   bool used_dual_simplex = false;
-  // Presolve accounting (LpOptions::presolve; zero when the reduction did not
-  // apply): rows and variables removed from the model the iterations ran on.
-  int32_t presolve_rows_removed = 0;
-  int32_t presolve_vars_removed = 0;
 };
 
 // Overrides for variable bounds, used by branch-and-bound to tighten integer
@@ -135,25 +107,11 @@ struct BoundOverride {
   double ub;
 };
 
-// A portable snapshot of a simplex basis: the basic column in each row
-// position plus every column's status, with the model shape it belongs to.
-// Exported from one solver after an optimal solve and imported into another
-// (possibly freshly constructed) solver over a structurally identical model.
-// Presolve's postsolve uses it to carry the reduced model's optimal basis
-// onto the full model, which the primal loop then verifies.
-struct SimplexBasis {
-  std::vector<int32_t> basic;   // Row position -> column (structural or slack).
-  std::vector<uint8_t> status;  // Per column; values from SimplexSolver's ColStatus.
-  size_t rows = 0;
-  size_t vars = 0;
-  size_t nonzeros = 0;
-  bool empty() const { return basic.empty(); }
-};
-
 class SimplexSolver {
  public:
   explicit SimplexSolver(const LpOptions& options = LpOptions()) : options_(options) {}
 
+  // Cold solve from the all-slack basis.
   LpResult Solve(const Model& model) { return Solve(model, {}); }
   LpResult Solve(const Model& model, const std::vector<BoundOverride>& overrides);
 
@@ -162,23 +120,12 @@ class SimplexSolver {
   // matrix (and its factorization) valid; only primal values shift, and the
   // composite phase 1 drives out any new violations in a few pivots. This is
   // what makes branch-and-bound nodes cheap: each child differs from its
-  // parent by one integer bound. Falls back to a cold solve when no
-  // compatible basis is available.
+  // parent by one integer bound. When the retained basis is still
+  // dual-feasible (the costs did not move), the dual simplex restores primal
+  // feasibility first and the primal loop then verifies; otherwise the primal
+  // loop runs alone. Falls back to a cold solve when no compatible basis is
+  // available.
   LpResult ResolveWithBasis(const Model& model, const std::vector<BoundOverride>& overrides);
-
-  // Snapshot of the retained warm-start basis; empty when no valid basis is
-  // held (no solve yet, or the last solve did not end optimal).
-  SimplexBasis ExportBasis() const;
-
-  // Installs `basis` as the retained warm-start basis for `model`, as if this
-  // solver had just solved it: builds the column structure, factors the
-  // basis from scratch, and validates it. Returns false — leaving the
-  // solver cold, so the next call simply solves from scratch — when the shape
-  // fingerprint mismatches, the snapshot is malformed, or the basis matrix is
-  // singular against the current model (a stale basis must be detected here,
-  // never allowed to produce garbage). On success the next ResolveWithBasis
-  // starts warm from this basis.
-  bool ImportBasis(const Model& model, const SimplexBasis& basis);
 
  private:
   enum class ColStatus : uint8_t { kBasic, kAtLower, kAtUpper, kFree };
@@ -208,14 +155,6 @@ class SimplexSolver {
   void SnapNonbasic();
 
   LpResult RunSimplex(const Model& model);
-
-  // ImportBasis over a model viewed through bound overrides (the presolve
-  // postsolve path re-imports under the same overrides the solve ran with).
-  bool ImportBasisInternal(const Model& model, const SimplexBasis& basis,
-                           const std::vector<BoundOverride>& overrides);
-  // Cold solve without the presolve reduction (the presolve path's fallback
-  // and the reduced model's inner solve both use it).
-  LpResult SolveDirect(const Model& model, const std::vector<BoundOverride>& overrides);
 
   // True when every nonbasic column's reduced cost, priced with the true
   // objective, has the sign its status requires (within tol): the retained
@@ -255,7 +194,7 @@ class SimplexSolver {
   // LU of the basis plus the etas appended since it was factored. The eta
   // file persists across calls — a warm resolve inherits the previous
   // solve's updates — and drives the refactor cadence and the clean-pass
-  // skip (LpOptions::clean_pass_eta_limit).
+  // skip.
   LuFactor factor_;
   // Scratch for FTRAN/BTRAN right-hand sides (indexed by row or position).
   std::vector<double> solve_rhs_;

@@ -8,10 +8,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "src/core/buffer_policy.h"
 #include "src/core/solver_supervisor.h"
 #include "src/fleet/fleet_gen.h"
+#include "src/obs/metrics.h"
 #include "src/shard/stitch_repair.h"
 
 namespace ras {
@@ -135,6 +137,38 @@ TEST(ShardSolveTest, ShardedSolveIsDeterministic) {
     return decoded.targets;
   };
   EXPECT_EQ(run(), run()) << "same seed and K produced different assignments";
+}
+
+TEST(ShardSolveTest, PerSolveMetricsRecordOncePerTopLevelSolve) {
+  // A sharded solve runs K sub-solves; the ras_solver_* per-solve counters
+  // must still rise once, by the aggregate's figures, as at K = 1.
+  TestRegion region(SmallFleetOptions());
+  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "a", 50));
+  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "b", 40));
+  SolveInput input = region.Snapshot();
+
+  obs::MetricRegistry& reg = obs::MetricRegistry::Default();
+  obs::Counter& solves = reg.counter("ras_solver_solves_total", "Completed solves (all modes).");
+  obs::Counter& moves =
+      reg.counter("ras_solver_moves_total", "Server moves proposed by completed solves.");
+  obs::Counter& dual_resolves = reg.counter(
+      "ras_solver_dual_resolves_total", "Node LPs re-optimized by the dual simplex kernel.");
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("K=" + std::to_string(shards));
+    AsyncSolver solver;
+    solver.mutable_config().shard_count = shards;
+    const int64_t solves_before = solves.Value();
+    const int64_t moves_before = moves.Value();
+    const int64_t dual_before = dual_resolves.Value();
+    DecodedAssignment decoded;
+    auto stats = solver.SolveSnapshot(input, &decoded);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(stats->shard_count, shards);
+    ASSERT_GT(stats->moves_total, 0u);
+    EXPECT_EQ(solves.Value() - solves_before, 1);
+    EXPECT_EQ(moves.Value() - moves_before, static_cast<int64_t>(stats->moves_total));
+    EXPECT_EQ(dual_resolves.Value() - dual_before, stats->dual_resolves);
+  }
 }
 
 TEST(ShardSolveTest, FailedShardKeepsSnapshotBindingsAndRepairCovers) {

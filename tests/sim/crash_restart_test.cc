@@ -183,6 +183,8 @@ TEST(CrashRestartTest, EveryCrashSiteRecoversToTheReferenceDigest) {
         << "broker generation moved backwards across the restart";
     uint32_t recovered = journal::StateDigest(*r.broker, r.registry);
     ExpectConservation(r);
+    // What each reservation must still hold: by default its round-1 grant.
+    std::map<ReservationId, size_t> granted_floor = granted_round1;
     switch (site.lands) {
       case Lands::kAdmitB:
         // The durable truth is the end of round 1 plus the acknowledged admit.
@@ -202,6 +204,17 @@ TEST(CrashRestartTest, EveryCrashSiteRecoversToTheReferenceDigest) {
           EXPECT_TRUE(rec.current == pre_reconcile[id] || rec.current == rec.target)
               << "server " << id << " recovered to a binding no move produced";
         }
+        // Round 2's durable targets may shed surplus servers, and the mover
+        // reconciles in no fixed order. Only a server whose pre-reconcile
+        // binding and round-2 target are the same reservation is owed to it
+        // at every instant of the reconcile.
+        granted_floor.clear();
+        for (ServerId id = 0; id < r.broker->num_servers(); ++id) {
+          const ReservationId kept = pre_reconcile[id];
+          if (kept != kUnassigned && r.broker->record(id).target == kept) {
+            ++granted_floor[kept];
+          }
+        }
         // The targets are durable, so one reconcile finishes the round.
         r.mover->ReconcileAll();
         EXPECT_EQ(Bindings(r), ref_reconciled_round2);
@@ -211,7 +224,7 @@ TEST(CrashRestartTest, EveryCrashSiteRecoversToTheReferenceDigest) {
     }
     // No reservation lost granted capacity relative to the last durable
     // round that bound it.
-    for (const auto& [id, count] : granted_round1) {
+    for (const auto& [id, count] : granted_floor) {
       EXPECT_GE(r.broker->CountInReservation(id), count)
           << "reservation " << id << " lost granted servers in recovery";
     }

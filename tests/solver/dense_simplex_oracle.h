@@ -6,7 +6,7 @@
 // obviousness rather than speed: an explicit dense m x m basis inverse
 // rebuilt by Gauss–Jordan elimination, product-form row updates, full
 // Dantzig pricing every iteration with a Bland fallback, a fixed
-// refactorization cadence, and no presolve or warm start. It shares no
+// refactorization cadence, and no warm start. It shares no
 // kernel code with the sparse LU path, so agreement on status and objective
 // is independent evidence that both are right.
 

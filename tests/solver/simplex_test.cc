@@ -7,7 +7,6 @@
 
 #include "src/solver/lu_factor.h"
 #include "src/util/rng.h"
-#include "tests/solver/dense_simplex_oracle.h"
 
 namespace ras {
 namespace {
@@ -432,52 +431,6 @@ TEST(LuFactorTest, RankDeficientBasisReportedSingular) {
   // ...but a structural column that lives only in rows the slacks already
   // cover leaves row 2 without a pivot.
   EXPECT_FALSE(lu.Factor(3, 3, {3 + 0, 0, 3 + 1}, starts, rows, values));
-}
-
-// Imports `basic` as the warm basis of `m` (nonbasic columns at lower bound)
-// and checks the resolve lands on the dense oracle's optimum.
-void ExpectImportedBasisSolves(const Model& m, const std::vector<int32_t>& basic) {
-  SimplexBasis basis;
-  basis.basic = basic;
-  basis.status.assign(m.num_variables() + m.num_rows(), 1);  // kAtLower.
-  for (int32_t col : basic) {
-    basis.status[col] = 0;  // kBasic.
-  }
-  basis.rows = m.num_rows();
-  basis.vars = m.num_variables();
-  basis.nonzeros = m.num_nonzeros();
-  SimplexSolver solver;
-  ASSERT_TRUE(solver.ImportBasis(m, basis));
-  LpResult warm = solver.ResolveWithBasis(m, {});
-  LpResult oracle = SolveDenseReference(m);
-  ASSERT_EQ(warm.status, oracle.status);
-  ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  EXPECT_NEAR(warm.objective, oracle.objective, 1e-6);
-  EXPECT_TRUE(m.IsFeasible(warm.x, 1e-6));
-  EXPECT_GT(warm.factor_nonzeros, 0);
-}
-
-TEST(LuFactorTest, ImportedAllStructuralAndMixedBasesSolve) {
-  // Three equality rows over five variables; the basis either holds three
-  // structural columns or mixes two structurals with a slack.
-  Model m;
-  for (double cost : {1.0, -2.0, 0.5, 3.0, -1.0}) {
-    m.AddContinuous(0.0, 10.0, cost);
-  }
-  const double coeffs[3][5] = {{2, 1, 0, 1, 0}, {0, 3, 1, 0, 1}, {1, 0, 4, 1, 1}};
-  const double rhs[3] = {6.0, 9.0, 8.0};
-  for (int i = 0; i < 3; ++i) {
-    RowId r = m.AddRow(rhs[i], rhs[i] + (i == 2 ? 4.0 : 0.0));
-    for (int j = 0; j < 5; ++j) {
-      if (coeffs[i][j] != 0.0) {
-        m.AddCoefficient(r, j, coeffs[i][j]);
-      }
-    }
-  }
-  ExpectImportedBasisSolves(m, {0, 1, 2});
-  ExpectImportedBasisSolves(m, {2, 0, 1});
-  ExpectImportedBasisSolves(m, {0, 1, 5 + 2});
-  ExpectImportedBasisSolves(m, {5 + 2, 4, 3});
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -69,6 +70,55 @@ Model RandomLp(Rng& rng) {
   return m;
 }
 
+// Random LP in the shapes a generic presolve would reduce: fixed variables,
+// empty rows (some with 0 outside their range, so infeasible before a single
+// pivot), singleton rows with negative as well as positive coefficients, and
+// negative lower bounds. The kernel solves them as given; the oracle pins
+// that the slack-augmented formulation handles every one of them.
+Model RandomReducibleLp(Rng& rng) {
+  Model m;
+  const int num_vars = 4 + static_cast<int>(rng.UniformInt(0, 10));
+  for (int j = 0; j < num_vars; ++j) {
+    double lb = rng.Uniform(-4.0, 0.0);
+    if (rng.NextDouble() < 0.2) {
+      double v = rng.Uniform(lb, lb + 3.0);
+      m.AddContinuous(v, v, rng.Uniform(-5.0, 5.0));  // Fixed variable.
+    } else {
+      m.AddContinuous(lb, lb + rng.Uniform(1.0, 9.0), rng.Uniform(-5.0, 5.0));
+    }
+  }
+  const int num_rows = 3 + static_cast<int>(rng.UniformInt(0, 8));
+  for (int r = 0; r < num_rows; ++r) {
+    double roll = rng.NextDouble();
+    if (roll < 0.15) {
+      m.AddRow(-rng.Uniform(0.0, 2.0), rng.Uniform(0.0, 2.0));  // Empty row.
+      continue;
+    }
+    double a = rng.Uniform(-8.0, 8.0);
+    double b = rng.Uniform(-8.0, 12.0);
+    RowId row = m.AddRow(std::min(a, b), std::max(a, b) + 4.0);
+    if (roll < 0.4) {
+      // Singleton row (possibly negative coefficient).
+      m.AddCoefficient(row, static_cast<VarId>(rng.UniformInt(0, num_vars - 1)),
+                       rng.NextDouble() < 0.5 ? rng.Uniform(0.5, 3.0)
+                                              : rng.Uniform(-3.0, -0.5));
+      continue;
+    }
+    int entries = 0;
+    for (int j = 0; j < num_vars; ++j) {
+      if (rng.NextDouble() < 0.4) {
+        m.AddCoefficient(row, j, rng.Uniform(-3.0, 3.0));
+        ++entries;
+      }
+    }
+    if (entries == 0) {
+      m.AddCoefficient(row, static_cast<VarId>(rng.UniformInt(0, num_vars - 1)),
+                       rng.Uniform(0.5, 2.0));
+    }
+  }
+  return m;
+}
+
 TEST(SparseDenseFuzzTest, SparseKernelsMatchDenseReference) {
   Rng rng(20260806);
   int optimal = 0;
@@ -102,6 +152,34 @@ TEST(SparseDenseFuzzTest, SparseKernelsMatchDenseReference) {
   }
   // The generator should produce a healthy mix; if not, the test is vacuous.
   EXPECT_GE(optimal, 30);
+  EXPECT_GE(infeasible, 5);
+}
+
+TEST(SparseDenseFuzzTest, ReducibleShapesMatchDenseReference) {
+  Rng rng(20260807);
+  int optimal = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 140; ++trial) {
+    Model m = RandomReducibleLp(rng);
+
+    LpResult dense = SolveDenseReference(m);
+    LpResult sparse = SimplexSolver().Solve(m);
+
+    ASSERT_EQ(dense.status, sparse.status)
+        << "trial " << trial << ": dense=" << LpStatusName(dense.status)
+        << " sparse=" << LpStatusName(sparse.status);
+    if (dense.status == LpStatus::kOptimal) {
+      ++optimal;
+      EXPECT_NEAR(dense.objective, sparse.objective, 1e-6 * (1.0 + std::fabs(dense.objective)))
+          << "trial " << trial;
+      ASSERT_EQ(sparse.x.size(), m.num_variables()) << "trial " << trial;
+      EXPECT_TRUE(m.IsFeasible(sparse.x, 1e-6)) << "trial " << trial;
+    } else if (dense.status == LpStatus::kInfeasible) {
+      ++infeasible;
+    }
+  }
+  // Both outcomes must occur, or the differential is vacuous.
+  EXPECT_GE(optimal, 40);
   EXPECT_GE(infeasible, 5);
 }
 

@@ -176,89 +176,6 @@ TEST(WarmResolveTest, MatchesColdSolveAfterObjectiveChange) {
   }
 }
 
-TEST(WarmResolveTest, SingularStaleBasisDetectedOnImport) {
-  // A stale cross-round basis can be singular against the current model
-  // (e.g. coefficients changed underneath it). ImportBasis must detect this
-  // during its from-scratch refactorization and refuse — leaving the solver
-  // cold and correct — never install it and return garbage.
-  Model m;
-  m.AddContinuous(0, 10, -1.0);
-  m.AddContinuous(0, 10, -1.0);
-  RowId r0 = m.AddRow(0, 10);
-  m.AddCoefficient(r0, 0, 1.0);
-  m.AddCoefficient(r0, 1, 1.0);
-  RowId r1 = m.AddRow(0, 20);
-  m.AddCoefficient(r1, 0, 2.0);
-  m.AddCoefficient(r1, 1, 2.0);
-
-  // Both structural columns basic: (1,2) and (1,2) — a singular basis matrix
-  // with a shape fingerprint that matches the model exactly.
-  SimplexBasis stale;
-  stale.basic = {0, 1};
-  stale.status = {0, 0, 1, 1};  // kBasic, kBasic, kAtLower, kAtLower.
-  stale.rows = m.num_rows();
-  stale.vars = m.num_variables();
-  stale.nonzeros = 4;
-
-  SimplexSolver solver;
-  EXPECT_FALSE(solver.ImportBasis(m, stale));
-
-  // The refused import leaves the solver cold: the next resolve falls back
-  // to a from-scratch solve and matches an independent cold solver.
-  LpResult after = solver.ResolveWithBasis(m, {});
-  SimplexSolver cold;
-  LpResult reference = cold.Solve(m);
-  ASSERT_EQ(after.status, LpStatus::kOptimal);
-  ASSERT_EQ(reference.status, LpStatus::kOptimal);
-  EXPECT_NEAR(after.objective, reference.objective, 1e-6);
-  EXPECT_TRUE(m.IsFeasible(after.x, 1e-6));
-}
-
-TEST(WarmResolveTest, RankDeficientImportedBasesRefusedAndSolverStaysCold) {
-  // Rows: x0 + x1 + x2 <= 8, x0 + x1 + x3 <= 9, 2x0 + 2x1 + x2 + x3 <= 15.
-  // Columns x0 and x1 are copies of one another, and x2 + x3 equals x0 (and
-  // x1) on every row: both bases below are singular though each names
-  // distinct columns with consistent statuses.
-  Model m;
-  for (double cost : {-1.0, -1.5, -0.5, -0.7}) {
-    m.AddContinuous(0.0, 5.0, cost);
-  }
-  const double coeffs[3][4] = {{1, 1, 1, 0}, {1, 1, 0, 1}, {2, 2, 1, 1}};
-  const double ub[3] = {8.0, 9.0, 15.0};
-  for (int i = 0; i < 3; ++i) {
-    RowId r = m.AddRow(-kInf, ub[i]);
-    for (int j = 0; j < 4; ++j) {
-      if (coeffs[i][j] != 0.0) {
-        m.AddCoefficient(r, j, coeffs[i][j]);
-      }
-    }
-  }
-  const std::vector<std::vector<int32_t>> singular = {
-      {0, 1, 4 + 2},  // Two copies of one column, plus a slack.
-      {0, 2, 3},      // A rank-deficient structural set.
-  };
-  LpResult oracle = SolveDenseReference(m);
-  ASSERT_EQ(oracle.status, LpStatus::kOptimal);
-  for (const std::vector<int32_t>& basic : singular) {
-    SimplexBasis basis;
-    basis.basic = basic;
-    basis.status.assign(m.num_variables() + m.num_rows(), 1);  // kAtLower.
-    for (int32_t col : basic) {
-      basis.status[col] = 0;  // kBasic.
-    }
-    basis.rows = m.num_rows();
-    basis.vars = m.num_variables();
-    basis.nonzeros = m.num_nonzeros();
-
-    SimplexSolver solver;
-    EXPECT_FALSE(solver.ImportBasis(m, basis));
-    EXPECT_TRUE(solver.ExportBasis().empty());
-    LpResult after = solver.ResolveWithBasis(m, {});
-    ASSERT_EQ(after.status, LpStatus::kOptimal);
-    EXPECT_NEAR(after.objective, oracle.objective, 1e-6);
-  }
-}
-
 TEST(WarmResolveTest, LongResolveChainCarriesEtaFileAcrossCalls) {
   // A warm chain of ResolveWithBasis calls under random bound overrides,
   // run until it has taken three refactor intervals' worth of pivots: the
@@ -294,26 +211,6 @@ TEST(WarmResolveTest, LongResolveChainCarriesEtaFileAcrossCalls) {
   }
   EXPECT_GE(pivots, 3 * options.refactor_interval);
   EXPECT_GT(refactorizations, 0);
-}
-
-TEST(WarmResolveTest, ExportedBasisRoundTripsThroughImport) {
-  // The resolve cache's basis lifecycle: export after an optimal solve,
-  // import into a fresh solver over the same model, and resolve — the warm
-  // restart must reach the optimum in (nearly) zero pivots.
-  std::vector<double> ref;
-  Model m = RandomLp(7700, 24, 16, &ref);
-  SimplexSolver first;
-  LpResult base = first.Solve(m);
-  ASSERT_EQ(base.status, LpStatus::kOptimal);
-  SimplexBasis basis = first.ExportBasis();
-  ASSERT_FALSE(basis.empty());
-
-  SimplexSolver second;
-  ASSERT_TRUE(second.ImportBasis(m, basis));
-  LpResult warm = second.ResolveWithBasis(m, {});
-  ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  EXPECT_NEAR(warm.objective, base.objective, 1e-6);
-  EXPECT_LE(warm.iterations, std::max<int64_t>(base.iterations / 4, 2));
 }
 
 TEST(WarmResolveTest, ChainOfResolves) {
@@ -417,28 +314,6 @@ TEST(WarmResolveTest, DualSimplexDeclinedAfterCostChangeYetCorrect) {
   ASSERT_EQ(cold.status, LpStatus::kOptimal);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-5);
   EXPECT_TRUE(m.IsFeasible(warm.x, 1e-5));
-}
-
-TEST(WarmResolveTest, DualResolveDisabledByOption) {
-  // With the knob off the resolve must never enter the dual kernel, whatever
-  // the patch looks like — the pre-PR behavior, bit for bit.
-  std::vector<double> ref;
-  LpOptions options;
-  options.dual_resolve = false;
-  Model m = RandomLp(9400, 10, 7, &ref);
-  SimplexSolver solver(options);
-  ASSERT_EQ(solver.Solve(m).status, LpStatus::kOptimal);
-  for (size_t r = 0; r < m.num_rows(); ++r) {
-    double activity = 0.0;
-    for (const RowEntry& e : m.row_entries(r)) {
-      activity += e.coeff * ref[static_cast<size_t>(e.var)];
-    }
-    ASSERT_TRUE(m.UpdateRowBounds(static_cast<RowId>(r), activity - 0.3, activity + 0.3));
-  }
-  LpResult warm = solver.ResolveWithBasis(m, {});
-  ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  EXPECT_FALSE(warm.used_dual_simplex);
-  EXPECT_EQ(warm.dual_iterations, 0);
 }
 
 }  // namespace
