@@ -9,9 +9,8 @@
 // sees an event and the rest are quiet. Quiet rounds exercise the skip-solve
 // fast path; event rounds exercise delta computation and model patching,
 // followed by the same branch-and-bound a cold round runs. Every round's
-// snapshot is fed to TWO solvers built from the default SolverConfig (only
-// the polish patience is cut, below) —
-// one with the resolve cache on, one strictly from scratch — and the
+// snapshot is fed to TWO solvers built from the default SolverConfig — one
+// with the resolve cache on, one strictly from scratch — and the
 // per-round wall time is broken down by Figure-8 step (ras_build /
 // solver_build / initial_state / mip) for both.
 //
@@ -125,13 +124,6 @@ int main(int argc, char** argv) {
   inc_config.incremental_resolve = true;
   SolverConfig cold_config;
   cold_config.incremental_resolve = false;
-  // The greedy start is already move-minimal here — polish accepts nothing
-  // across the whole run — so its proposal budget is cut to a token
-  // patience, identically on both pipelines so the cold baseline stays
-  // honest (the speedup is never tuned vs untuned).
-  for (SolverConfig* cfg : {&inc_config, &cold_config}) {
-    cfg->polish_stall_limit = 256;
-  }
   AsyncSolver inc_solver(inc_config);
   AsyncSolver cold_solver(cold_config);
 

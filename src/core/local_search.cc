@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "src/util/monotonic_time.h"
 #include "src/util/rng.h"
@@ -16,7 +18,7 @@ class ObjectiveState {
  public:
   ObjectiveState(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                  const BuiltModel& built)
-      : input_(input), classes_(classes), built_(built) {
+      : input_(input), built_(built) {
     const size_t num_res = input.reservations.size();
     const size_t num_msbs = input.topology->num_msbs();
     const size_t num_dcs = input.topology->num_datacenters();
@@ -24,6 +26,7 @@ class ObjectiveState {
     msb_rru_.assign(num_res, std::vector<double>(num_msbs, 0.0));
     dc_rru_.assign(num_res, std::vector<double>(num_dcs, 0.0));
     used_.assign(classes.size(), 0.0);
+    cost_.assign(num_res, 0.0);
 
     // Per-reservation coefficient tables from the model's bookkeeping.
     shortfall_cost_.assign(num_res, 0.0);
@@ -61,11 +64,12 @@ class ObjectiveState {
           static_cast<int>(i));
     }
 
-    // Per-variable values V and cost coefficients.
+    // Per-variable values V, cost coefficients and aggregate coordinates.
     const size_t num_vars = built.assignment_vars.size();
     value_.assign(num_vars, 0.0);
     acquire_cost_.assign(num_vars, 0.0);
     move_cost_.assign(num_vars, 0.0);
+    slots_.resize(num_vars);
     for (size_t k = 0; k < num_vars; ++k) {
       const auto& av = built.assignment_vars[k];
       const EquivalenceClass& cls = classes[static_cast<size_t>(av.class_index)];
@@ -75,6 +79,8 @@ class ObjectiveState {
       if (built.move_vars[k] != kNoVar) {
         move_cost_[k] = built.model.variable(built.move_vars[k]).cost;
       }
+      slots_[k] = {static_cast<size_t>(av.reservation_index),
+                   static_cast<size_t>(av.class_index), cls.msb, cls.dc};
     }
   }
 
@@ -91,10 +97,19 @@ class ObjectiveState {
     for (size_t k = 0; k < counts_.size(); ++k) {
       ApplyDelta(k, counts_[k], /*into_counts=*/false);
     }
+    for (size_t r = 0; r < cost_.size(); ++r) {
+      cost_[r] = ReservationCost(r);
+    }
   }
 
   const std::vector<double>& counts() const { return counts_; }
   double used(size_t class_index) const { return used_[class_index]; }
+
+  // ReservationCost(r) as of the last Load or SetCost(r); callers keep it
+  // current by calling SetCost with the recomputed value after every
+  // accepted move that touches r.
+  double cost(size_t r) const { return cost_[r]; }
+  void SetCost(size_t r, double cost) { cost_[r] = cost; }
 
   // Objective contribution of one reservation's aggregate terms.
   double ReservationCost(size_t r) const {
@@ -146,17 +161,35 @@ class ObjectiveState {
     if (delta == 0.0) {
       return;
     }
-    const auto& av = built_.assignment_vars[k];
-    const EquivalenceClass& cls = classes_[static_cast<size_t>(av.class_index)];
-    size_t r = static_cast<size_t>(av.reservation_index);
+    const Slot& s = slots_[k];
     double rru = value_[k] * delta;
-    total_[r] += rru;
-    msb_rru_[r][cls.msb] += rru;
-    dc_rru_[r][cls.dc] += rru;
-    used_[static_cast<size_t>(av.class_index)] += delta;
+    total_[s.r] += rru;
+    msb_rru_[s.r][s.msb] += rru;
+    dc_rru_[s.r][s.dc] += rru;
+    used_[s.c] += delta;
     if (into_counts) {
       counts_[k] += delta;
     }
+  }
+
+  // Every value ApplyDelta(k, ...) writes. Restoring a Saved taken before
+  // the apply undoes it bit for bit; subtracting the delta again would leave
+  // ULP drift whenever V * delta is not exactly representable.
+  struct Saved {
+    size_t k;
+    double count, used, total, msb_rru, dc_rru;
+  };
+  Saved Save(size_t k) const {
+    const Slot& s = slots_[k];
+    return {k, counts_[k], used_[s.c], total_[s.r], msb_rru_[s.r][s.msb], dc_rru_[s.r][s.dc]};
+  }
+  void Restore(const Saved& saved) {
+    const Slot& s = slots_[saved.k];
+    counts_[saved.k] = saved.count;
+    used_[s.c] = saved.used;
+    total_[s.r] = saved.total;
+    msb_rru_[s.r][s.msb] = saved.msb_rru;
+    dc_rru_[s.r][s.dc] = saved.dc_rru;
   }
 
   double FullObjective() const {
@@ -171,8 +204,15 @@ class ObjectiveState {
   }
 
  private:
+  // Where variable k's units land: reservation, class, MSB and datacenter.
+  struct Slot {
+    size_t r;
+    size_t c;
+    MsbId msb;
+    DatacenterId dc;
+  };
+
   const SolveInput& input_;
-  const std::vector<EquivalenceClass>& classes_;
   const BuiltModel& built_;
 
   std::vector<double> counts_;
@@ -180,7 +220,9 @@ class ObjectiveState {
   std::vector<double> total_;
   std::vector<std::vector<double>> msb_rru_;
   std::vector<std::vector<double>> dc_rru_;
+  std::vector<double> cost_;
 
+  std::vector<Slot> slots_;
   std::vector<double> value_;
   std::vector<double> acquire_cost_;
   std::vector<double> move_cost_;
@@ -192,6 +234,131 @@ class ObjectiveState {
   std::vector<double> hoard_cost_;
   std::vector<std::vector<int>> affinity_of_;
   std::vector<std::vector<int>> quorum_of_;
+};
+
+// Proposal kinds on a variable k.
+enum MoveKind : uint32_t { kRelease, kAcquire, kTransfer, kRelocate };
+
+// The proposals the current state admits, weighted so one draw has exactly
+// the distribution of a uniform (variable, kind) draw followed by a uniform
+// partner draw, conditioned on the proposal being a real move:
+//  - release: 1 when k holds a unit;
+//  - acquire: 1 when k's class has a spare unit;
+//  - transfer: (s-1)/s when k holds a unit, where s counts the class's
+//    variables (the chance a uniform sibling draw is not k itself);
+//  - relocate: m/p when k holds a unit, where p counts the reservation's
+//    variables and m those, other than k, whose class has a spare unit.
+// Validity depends only on the counts and class usage, which change only on
+// an accepted move, so the table is rebuilt after each acceptance.
+class MoveTable {
+ public:
+  MoveTable(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
+            const BuiltModel& built)
+      : classes_(classes), built_(built) {
+    res_to_vars_.resize(input.reservations.size());
+    for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
+      res_to_vars_[static_cast<size_t>(built.assignment_vars[k].reservation_index)].push_back(
+          static_cast<int>(k));
+    }
+    has_spare_.assign(classes.size(), false);
+    spare_vars_.resize(res_to_vars_.size());
+  }
+
+  void Rebuild(const ObjectiveState& state) {
+    for (size_t c = 0; c < classes_.size(); ++c) {
+      has_spare_[c] = static_cast<double>(classes_[c].count()) - state.used(c) >= 1.0;
+    }
+    for (size_t r = 0; r < res_to_vars_.size(); ++r) {
+      spare_vars_[r].clear();
+      for (int k : res_to_vars_[r]) {
+        if (has_spare_[ClassOf(static_cast<size_t>(k))]) {
+          spare_vars_[r].push_back(k);
+        }
+      }
+    }
+
+    cumulative_.clear();
+    moves_.clear();
+    double total = 0.0;
+    auto add = [&](size_t k, MoveKind kind, double weight) {
+      if (weight > 0.0) {
+        total += weight;
+        cumulative_.push_back(total);
+        moves_.push_back(static_cast<uint32_t>(k) << 2 | kind);
+      }
+    };
+    for (size_t k = 0; k < built_.assignment_vars.size(); ++k) {
+      const size_t c = ClassOf(k);
+      const size_t r = static_cast<size_t>(built_.assignment_vars[k].reservation_index);
+      const bool held = state.counts()[k] >= 1.0;
+      add(k, kRelease, held ? 1.0 : 0.0);
+      add(k, kAcquire, has_spare_[c] ? 1.0 : 0.0);
+      if (held) {
+        const double s = static_cast<double>(built_.class_to_vars[c].size());
+        add(k, kTransfer, (s - 1.0) / s);
+        const size_t m = spare_vars_[r].size() - (has_spare_[c] ? 1 : 0);
+        add(k, kRelocate, static_cast<double>(m) / static_cast<double>(res_to_vars_[r].size()));
+      }
+    }
+  }
+
+  bool empty() const { return cumulative_.empty(); }
+
+  // One NextDouble, then a branch-free binary search for the first entry
+  // whose cumulative weight exceeds it (std::upper_bound's answer).
+  std::pair<size_t, MoveKind> Draw(Rng& rng) const {
+    const double u = rng.NextDouble() * cumulative_.back();
+    const double* base = cumulative_.data();
+    size_t n = cumulative_.size();
+    while (n > 1) {
+      const size_t half = n / 2;
+      base = base[half] <= u ? base + half : base;
+      n -= half;
+    }
+    size_t i = static_cast<size_t>(base - cumulative_.data()) + (*base <= u ? 1 : 0);
+    // u * total can round up to total itself.
+    i = std::min(i, cumulative_.size() - 1);
+    return {moves_[i] >> 2, static_cast<MoveKind>(moves_[i] & 3)};
+  }
+
+  // A uniform sibling of k in k's class, other than k.
+  size_t TransferPartner(size_t k, Rng& rng) const {
+    const auto& siblings = built_.class_to_vars[ClassOf(k)];
+    return UniformOther(siblings, k, rng);
+  }
+
+  // A uniform variable of k's reservation, other than k, whose class has a
+  // spare unit.
+  size_t RelocatePartner(size_t k, Rng& rng) const {
+    const auto& targets =
+        spare_vars_[static_cast<size_t>(built_.assignment_vars[k].reservation_index)];
+    if (!has_spare_[ClassOf(k)]) {
+      return static_cast<size_t>(
+          targets[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(targets.size()) - 1))]);
+    }
+    return UniformOther(targets, k, rng);
+  }
+
+ private:
+  size_t ClassOf(size_t k) const {
+    return static_cast<size_t>(built_.assignment_vars[k].class_index);
+  }
+
+  // A uniform element of `vars`, which holds k exactly once, other than k:
+  // a draw that lands on k takes the last slot, which the draw leaves out.
+  static size_t UniformOther(const std::vector<int>& vars, size_t k, Rng& rng) {
+    const size_t k2 = static_cast<size_t>(
+        vars[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(vars.size()) - 2))]);
+    return k2 == k ? static_cast<size_t>(vars.back()) : k2;
+  }
+
+  const std::vector<EquivalenceClass>& classes_;
+  const BuiltModel& built_;
+  std::vector<std::vector<int>> res_to_vars_;  // Per reservation: its variables.
+  std::vector<bool> has_spare_;                // Per class: at least one unused unit.
+  std::vector<std::vector<int>> spare_vars_;   // Per reservation: its variables with has_spare_.
+  std::vector<double> cumulative_;  // Positive-weight proposals only: running weight ...
+  std::vector<uint32_t> moves_;     // ... and (k << 2 | kind).
 };
 
 }  // namespace
@@ -215,16 +382,13 @@ LocalSearchResult LocalSearchOptimize(const SolveInput& input,
     return result;
   }
 
-  // Per-reservation variable lists for relocate proposals.
-  std::vector<std::vector<int>> res_to_vars(input.reservations.size());
-  for (size_t k = 0; k < num_vars; ++k) {
-    res_to_vars[static_cast<size_t>(built.assignment_vars[k].reservation_index)].push_back(
-        static_cast<int>(k));
-  }
+  MoveTable moves(input, classes, built);
+  moves.Rebuild(state);
 
   int64_t stall = 0;
   double current = result.initial_objective;
-  while (result.proposals < options.max_proposals && stall < options.stall_limit) {
+  while (result.proposals < options.max_proposals && stall < options.stall_limit &&
+         !moves.empty()) {
     if ((result.proposals & 1023) == 0 && util::MonotonicSeconds() - start > options.time_limit_seconds) {
       break;
     }
@@ -235,70 +399,59 @@ LocalSearchResult LocalSearchOptimize(const SolveInput& input,
     // acquire spare units of the class. Variable step sizes (1..8) cross the
     // plateaus that threshold terms (spread, hoard) create, where per-unit
     // deltas are zero but chunk deltas are not.
-    size_t k = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(num_vars) - 1));
-    const auto& av = built.assignment_vars[k];
-    size_t c = static_cast<size_t>(av.class_index);
-    double spare = static_cast<double>(classes[c].count()) - state.used(c);
-    double step = static_cast<double>(int64_t{1} << rng.UniformInt(0, 3));
-
-    int kind = static_cast<int>(rng.UniformInt(0, 3));
+    const auto [k, kind] = moves.Draw(rng);
+    const size_t c = static_cast<size_t>(built.assignment_vars[k].class_index);
+    const double step = static_cast<double>(int64_t{1} << rng.UniformInt(0, 3));
+    const double held = state.counts()[k];
     size_t k2 = k;
     double d1 = 0.0, d2 = 0.0;  // Deltas for k and k2.
-    if (kind == 0 && state.counts()[k] >= 1.0) {
-      d1 = -std::min(step, state.counts()[k]);  // Release to free pool.
-    } else if (kind == 1 && spare >= 1.0) {
-      d1 = +std::min(step, spare);  // Acquire spare units.
-    } else if (kind == 2 && state.counts()[k] >= 1.0 && built.class_to_vars[c].size() > 1) {
-      // Transfer to a random sibling of the same class (reservation change).
-      const auto& siblings = built.class_to_vars[c];
-      k2 = static_cast<size_t>(
-          siblings[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(siblings.size()) - 1))]);
-      if (k2 == k) {
-        continue;
+    switch (kind) {
+      case kRelease:
+        d1 = -std::min(step, held);
+        break;
+      case kAcquire:
+        d1 = +std::min(step, static_cast<double>(classes[c].count()) - state.used(c));
+        break;
+      case kTransfer:
+        // Transfer to a random sibling of the same class (reservation change).
+        k2 = moves.TransferPartner(k, rng);
+        d1 = -std::min(step, held);
+        d2 = -d1;
+        break;
+      case kRelocate: {
+        // Relocate within the reservation: swap capacity into another class
+        // (different MSB / SKU) that still has spare supply. This is the move
+        // that fixes spread without transiting a capacity-shortfall state.
+        k2 = moves.RelocatePartner(k, rng);
+        const size_t c2 = static_cast<size_t>(built.assignment_vars[k2].class_index);
+        d1 = -std::min({step, held, static_cast<double>(classes[c2].count()) - state.used(c2)});
+        d2 = -d1;
+        break;
       }
-      d1 = -std::min(step, state.counts()[k]);
-      d2 = -d1;
-    } else if (kind == 3 && state.counts()[k] >= 1.0) {
-      // Relocate within the reservation: swap capacity into another class
-      // (different MSB / SKU) that still has spare supply. This is the move
-      // that fixes spread without transiting a capacity-shortfall state.
-      const auto& peers = res_to_vars[static_cast<size_t>(av.reservation_index)];
-      if (peers.size() < 2) {
-        continue;
-      }
-      k2 = static_cast<size_t>(
-          peers[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(peers.size()) - 1))]);
-      if (k2 == k) {
-        continue;
-      }
-      size_t c2 = static_cast<size_t>(built.assignment_vars[k2].class_index);
-      double spare2 = static_cast<double>(classes[c2].count()) - state.used(c2);
-      if (spare2 < 1.0) {
-        continue;
-      }
-      d1 = -std::min({step, state.counts()[k], spare2});
-      d2 = -d1;
-    } else {
-      continue;
     }
 
-    size_t r1 = static_cast<size_t>(av.reservation_index);
-    size_t r2 = static_cast<size_t>(built.assignment_vars[k2].reservation_index);
-    double before = state.ReservationCost(r1) + state.VarCost(k);
+    const size_t r1 = static_cast<size_t>(built.assignment_vars[k].reservation_index);
+    const size_t r2 = static_cast<size_t>(built.assignment_vars[k2].reservation_index);
+    double before = state.cost(r1) + state.VarCost(k);
     if (k2 != k) {
       if (r2 != r1) {
-        before += state.ReservationCost(r2);
+        before += state.cost(r2);
       }
       before += state.VarCost(k2);
     }
+    const auto saved1 = state.Save(k);
+    const auto saved2 = state.Save(k2);
     state.ApplyDelta(k, d1);
     if (k2 != k) {
       state.ApplyDelta(k2, d2);
     }
-    double after = state.ReservationCost(r1) + state.VarCost(k);
+    const double cost1 = state.ReservationCost(r1);
+    double after = cost1 + state.VarCost(k);
+    double cost2 = 0.0;
     if (k2 != k) {
       if (r2 != r1) {
-        after += state.ReservationCost(r2);
+        cost2 = state.ReservationCost(r2);
+        after += cost2;
       }
       after += state.VarCost(k2);
     }
@@ -307,11 +460,14 @@ LocalSearchResult LocalSearchOptimize(const SolveInput& input,
       current += after - before;
       ++result.accepted;
       stall = 0;
-    } else {
-      state.ApplyDelta(k, -d1);  // Revert.
-      if (k2 != k) {
-        state.ApplyDelta(k2, -d2);
+      state.SetCost(r1, cost1);
+      if (r2 != r1) {
+        state.SetCost(r2, cost2);
       }
+      moves.Rebuild(state);
+    } else {
+      state.Restore(saved2);  // Exact revert, in reverse order of the applies.
+      state.Restore(saved1);
       ++stall;
     }
   }

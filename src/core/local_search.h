@@ -10,10 +10,13 @@
 // single-unit moves of equivalence-class servers between reservations (or
 // the free pool), greedily accepted on exact incremental objective deltas
 // over the same cost model the MIP optimizes (Expressions 1-7 plus the
-// repo's anti-hoarding term). It trades solution quality for strictly
-// bounded runtime. The AsyncSolver runs it as a short polish of the greedy
-// warm start before the MIP; bench/ablation_backend compares it, run to its
-// own time limit, against the MIP.
+// repo's anti-hoarding term). Every proposal is a move the current state
+// admits: it is drawn from the valid moves only, with the probabilities a
+// uniform draw conditioned on validity would give, so each one is priced.
+// A rejected move is undone exactly. It trades solution quality for
+// strictly bounded runtime. The AsyncSolver runs it as a short polish of
+// the greedy warm start before the MIP; bench/ablation_backend compares it,
+// run to its own time limit, against the MIP.
 
 #ifndef RAS_SRC_CORE_LOCAL_SEARCH_H_
 #define RAS_SRC_CORE_LOCAL_SEARCH_H_
@@ -28,10 +31,10 @@ namespace ras {
 
 struct LocalSearchOptions {
   double time_limit_seconds = 3.0;
+  // Cap on proposals. Every proposal is a valid move that gets evaluated.
   int64_t max_proposals = 1000000;
-  // Consecutive rejected proposals before giving up early. Coupled moves
-  // (specific source/destination pairs) are rare draws, so the stall limit
-  // must be large relative to the proposal space.
+  // Consecutive rejected proposals before giving up early. Each one is a
+  // valid move priced and found not to improve the objective.
   int64_t stall_limit = 150000;
   uint64_t seed = 1;
 };
@@ -40,7 +43,7 @@ struct LocalSearchResult {
   std::vector<double> counts;  // Aligned with built.assignment_vars.
   double initial_objective = 0.0;
   double final_objective = 0.0;
-  int64_t proposals = 0;
+  int64_t proposals = 0;  // Valid moves drawn and evaluated.
   int64_t accepted = 0;
   double seconds = 0.0;
 };

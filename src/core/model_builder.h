@@ -89,14 +89,6 @@ struct SolverConfig {
   // provably repeat, so disabling this changes timings, not targets.
   bool incremental_resolve = true;
 
-  // Rejected-proposal patience for the local-search polish of the greedy
-  // warm start (LocalSearchOptions::stall_limit). The greedy start is
-  // already move-minimal in the RAS cost structure, so polish acceptance is
-  // rare; the library default (150k proposals) burns tens of milliseconds
-  // per phase re-proving that. Applied identically to every pipeline (cold
-  // and incremental), so it shifts timings, never parity.
-  int64_t polish_stall_limit = 4000;
-
   // Per-phase branch-and-bound settings.
   MipOptions phase1_mip;
   MipOptions phase2_mip;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "src/core/initial_assignment.h"
 #include "src/fleet/fleet_gen.h"
@@ -29,10 +30,13 @@ struct SearchEnv {
   }
 
   ReservationId Add(const std::string& name, double capacity) {
+    return Add(name, capacity, std::vector<double>(fleet.catalog.size(), 1.0));
+  }
+  ReservationId Add(const std::string& name, double capacity, std::vector<double> rru_per_type) {
     ReservationSpec spec;
     spec.name = name;
     spec.capacity_rru = capacity;
-    spec.rru_per_type.assign(fleet.catalog.size(), 1.0);
+    spec.rru_per_type = std::move(rru_per_type);
     return *registry.Create(spec);
   }
 
@@ -114,6 +118,44 @@ TEST(LocalSearchTest, RespectsProposalBudget) {
   options.max_proposals = 100;
   LocalSearchResult result = LocalSearchOptimize(b.input, b.classes, b.built, counts, options);
   EXPECT_LE(result.proposals, 100);
+}
+
+TEST(LocalSearchTest, EveryProposalIsARealMove) {
+  SearchEnv env;
+  // Non-dyadic values: V * step is inexact, so undoing a rejected move by
+  // subtracting it again would leave the aggregates a few ULPs off.
+  std::vector<double> rru(env.fleet.catalog.size());
+  for (size_t t = 0; t < rru.size(); ++t) {
+    rru[t] = t % 2 == 0 ? 0.7 : 1.3;
+  }
+  ReservationId a = env.Add("a", 20, rru);
+  ReservationId b = env.Add("b", 14, rru);
+  // Nonzero starting aggregates: each reservation already holds servers in
+  // every MSB.
+  for (MsbId msb = 0; msb < env.fleet.topology.num_msbs(); ++msb) {
+    const auto servers = env.fleet.topology.ServersInMsb(msb);
+    for (size_t i = 0; i < 6; ++i) {
+      env.broker->SetCurrent(servers[i], i < 4 ? a : b);
+    }
+  }
+  auto built = env.Prepare();
+  // A full-patience search from the greedy start ends at a local optimum;
+  // a second search from there has nothing left to accept.
+  auto counts = LocalSearchOptimize(built.input, built.classes, built.built,
+                                    BuildInitialCounts(built.input, built.classes, built.built))
+                    .counts;
+  LocalSearchOptions options;
+  options.stall_limit = 3000;
+  options.seed = 2;
+  LocalSearchResult result =
+      LocalSearchOptimize(built.input, built.classes, built.built, counts, options);
+  ASSERT_EQ(result.accepted, 0);
+  // Every proposal was evaluated and rejected, so each one counted toward
+  // the stall limit ...
+  EXPECT_EQ(result.proposals, options.stall_limit);
+  // ... and each rejection restored the state bit for bit.
+  EXPECT_EQ(result.final_objective, result.initial_objective);
+  EXPECT_EQ(result.counts, counts);
 }
 
 }  // namespace
