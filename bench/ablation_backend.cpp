@@ -66,12 +66,13 @@ int main() {
     BuiltModel built = BuildRasModel(input, classes, config, false);
     auto counts = BuildInitialCounts(input, classes, built);
     auto warm = MakeWarmStart(input, classes, built, counts);
+    auto root_start = MakeWarmStart(input, classes, built, built.initial_counts);
     double greedy_obj = built.model.Objective(warm);
 
     MipOptions mip_options = config.phase1_mip;
     mip_options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
     double t0 = Now();
-    MipResult mip = MipSolver(mip_options).Solve(built.model, &warm);
+    MipResult mip = MipSolver(mip_options).Solve(built.model, &warm, &root_start);
     double mip_time = Now() - t0;
 
     LocalSearchOptions search_options;

@@ -66,16 +66,17 @@ int main() {
     BuiltModel built = BuildRasModel(input, classes, config, false);
     auto counts = BuildInitialCounts(input, classes, built);
     auto warm = MakeWarmStart(input, classes, built, counts);
+    auto root_start = MakeWarmStart(input, classes, built, built.initial_counts);
 
     MipOptions generic = config.phase1_mip;  // No heuristic installed.
     double t0 = Now();
-    MipResult without = MipSolver(generic).Solve(built.model, &warm);
+    MipResult without = MipSolver(generic).Solve(built.model, &warm, &root_start);
     double t_generic = Now() - t0;
 
     MipOptions guided = config.phase1_mip;
     guided.heuristic = MakeLpRoundingHeuristic(input, classes, built);
     t0 = Now();
-    MipResult with = MipSolver(guided).Solve(built.model, &warm);
+    MipResult with = MipSolver(guided).Solve(built.model, &warm, &root_start);
     double t_guided = Now() - t0;
 
     double ratio = without.objective / std::max(with.objective, 1e-9);

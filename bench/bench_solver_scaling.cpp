@@ -37,6 +37,8 @@ struct Workload {
   std::vector<EquivalenceClass> classes;
   BuiltModel built;
   std::vector<double> warm;
+  // The root LP's start: the current assignment, as the Async Solver passes.
+  std::vector<double> root_start;
 };
 
 struct ConfigResult {
@@ -57,7 +59,7 @@ ConfigResult RunConfig(const std::vector<Workload*>& workloads, const SolverConf
     options.heuristic = MakeLpRoundingHeuristic(wl.input, wl.classes, wl.built);
     MipSolver solver(options);
     double t0 = WallNow();
-    MipResult mip = solver.Solve(wl.built.model, &wl.warm);
+    MipResult mip = solver.Solve(wl.built.model, &wl.warm, &wl.root_start);
     out.wall_s += WallNow() - t0;
     out.lp_iterations += mip.lp_iterations;
     out.nodes += mip.nodes;
@@ -126,6 +128,7 @@ int main(int argc, char** argv) {
     wl.built = BuildRasModel(wl.input, wl.classes, config, /*include_rack_spread=*/false);
     auto counts = BuildInitialCounts(wl.input, wl.classes, wl.built);
     wl.warm = MakeWarmStart(wl.input, wl.classes, wl.built, counts);
+    wl.root_start = MakeWarmStart(wl.input, wl.classes, wl.built, wl.built.initial_counts);
     std::printf("workload %d: %zu rows, %zu vars, %zu nonzeros\n", t,
                 wl.built.model.num_rows(), wl.built.model.num_variables(),
                 wl.built.model.num_nonzeros());

@@ -81,13 +81,14 @@ int main() {
     BuiltModel built = BuildRasModel(input, classes, config, false);
     auto counts = BuildInitialCounts(input, classes, built);
     auto warm = MakeWarmStart(input, classes, built, counts);
+    auto root_start = MakeWarmStart(input, classes, built, built.initial_counts);
 
     MipOptions early_trial = early;
     MipOptions reference_trial = reference;
     early_trial.heuristic = MakeLpRoundingHeuristic(input, classes, built);
     reference_trial.heuristic = early_trial.heuristic;
-    MipResult quick = MipSolver(early_trial).Solve(built.model, &warm);
-    MipResult ref = MipSolver(reference_trial).Solve(built.model, &warm);
+    MipResult quick = MipSolver(early_trial).Solve(built.model, &warm, &root_start);
+    MipResult ref = MipSolver(reference_trial).Solve(built.model, &warm, &root_start);
     if (quick.x.empty() || ref.x.empty()) {
       continue;
     }

@@ -30,7 +30,8 @@ SetupMeasurement MeasureSetup(SweepRegion& region, bool solve_root_lp) {
   out.phase1_rows = built1.model.num_rows();
   out.phase1_model_bytes = built1.ModelMemoryBytes();
   if (solve_root_lp) {
-    out.phase1_basis_nonzeros = SimplexSolver().Solve(built1.model).factor_nonzeros;
+    auto root1 = MakeWarmStart(input, classes1, built1, built1.initial_counts);
+    out.phase1_basis_nonzeros = SimplexSolver().Solve(built1.model, {}, &root1).factor_nonzeros;
   }
 
   // ---- Phase 2 setup: worst 10% of reservations at rack granularity ----
@@ -53,7 +54,8 @@ SetupMeasurement MeasureSetup(SweepRegion& region, bool solve_root_lp) {
   out.phase2_vars = built2.num_assignment_variables();
   out.phase2_model_bytes = built2.ModelMemoryBytes();
   if (solve_root_lp) {
-    out.phase2_basis_nonzeros = SimplexSolver().Solve(built2.model).factor_nonzeros;
+    auto root2 = MakeWarmStart(input, classes2, built2, built2.initial_counts);
+    out.phase2_basis_nonzeros = SimplexSolver().Solve(built2.model, {}, &root2).factor_nonzeros;
   }
   (void)warm1;
   (void)warm2;

@@ -74,8 +74,9 @@ struct SetupMeasurement {
 };
 
 // Runs the phase-1 and phase-2 setup pipelines (no MIP) and measures them.
-// With `solve_root_lp`, also solves each phase's root LP relaxation (timed
-// outside the setup figures) and records its basis footprint.
+// With `solve_root_lp`, also solves each phase's root LP relaxation from the
+// current assignment, as the Async Solver does (timed outside the setup
+// figures), and records its basis footprint.
 SetupMeasurement MeasureSetup(SweepRegion& region, bool solve_root_lp = false);
 
 }  // namespace bench

@@ -231,7 +231,10 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
     MipOptions options = mip_options;
     options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
     MipSolver solver(options);
-    MipResult mip = solver.Solve(built.model, &warm);
+    // The root LP starts where the region already is: every held class at
+    // its count. Both pipelines build it from the same initial counts.
+    std::vector<double> root_start = MakeWarmStart(input, classes, built, built.initial_counts);
+    MipResult mip = solver.Solve(built.model, &warm, &root_start);
     outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
     outcome.stats.mip_status = mip.status;
     outcome.stats.nodes = mip.nodes;

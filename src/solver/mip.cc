@@ -163,8 +163,9 @@ bool TryFixAndSolve(const Model& model, const std::vector<BoundOverride>& node_o
 
 }  // namespace
 
-MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_start) {
-  MipResult result = Search(model, warm_start);
+MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_start,
+                           const std::vector<double>* root_start) {
+  MipResult result = Search(model, warm_start, root_start);
   obs::MetricRegistry& reg = obs::MetricRegistry::Default();
   static obs::Counter& solves = reg.counter("ras_mip_solves_total", "Branch-and-bound runs.");
   static obs::Counter& nodes =
@@ -189,8 +190,10 @@ MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_s
   return result;
 }
 
-MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_start) {
+MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_start,
+                            const std::vector<double>* root_start) {
   const double start_time = util::MonotonicSeconds();
+  const double deadline = start_time + options_.time_limit_seconds;
   auto elapsed = [start_time]() { return util::MonotonicSeconds() - start_time; };
 
   MipResult result;
@@ -214,13 +217,17 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
   std::vector<Node> open;
   open.push_back(Node{{}, -kInf, 0});
   // Children differ from their parent by one bound, so each node LP re-solves
-  // from the basis the previous node left; with no valid basis (the root, or
-  // after an infeasible node) it solves cold.
-  SimplexSolver lp_solver;
+  // from the basis the previous node left; with no valid basis (after an
+  // infeasible node) it solves cold. The root solves cold from `root_start`.
+  SimplexSolver lp_solver(LpOptions(), deadline);
   // Separate solver for the fix-and-solve heuristic: consecutive heuristic
   // LPs have near-identical bounds, so they warm-start each other, and the
   // node chain's basis in lp_solver is never disturbed.
-  SimplexSolver heuristic_solver;
+  SimplexSolver heuristic_solver(LpOptions(), deadline);
+  // Nodes dropped unsolved (iteration limit, numerical failure) may hide
+  // better points: the lowest parent LP value among them stays in the bound
+  // (kInf while there are none).
+  double dropped_bound = kInf;
 
   while (!open.empty() && !unbounded) {
     if (result.nodes >= options_.max_nodes || elapsed() > options_.time_limit_seconds) {
@@ -236,7 +243,8 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
     }
     const int64_t node_id = ++result.nodes;
 
-    LpResult lp = lp_solver.ResolveWithBasis(model, node.overrides);
+    LpResult lp = node.depth == 0 ? lp_solver.Solve(model, node.overrides, root_start)
+                                  : lp_solver.ResolveWithBasis(model, node.overrides);
     result.lp_iterations += lp.iterations;
     result.lp_dual_iterations += lp.dual_iterations;
     if (lp.used_dual_simplex) {
@@ -245,12 +253,22 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
     if (lp.status == LpStatus::kUnbounded) {
       unbounded = true;
     }
+    if (lp.status == LpStatus::kTimeLimit) {
+      // Cut off mid-LP: requeue the node so its parent bound prices the
+      // bound, and stop.
+      result.hit_time_limit = true;
+      open.push_back(std::move(node));
+      break;
+    }
     if (lp.status == LpStatus::kOptimal && node.depth == 0) {
       root_bound = lp.objective;
     }
-    // Infeasible nodes, and nodes with numerical trouble or an iteration
-    // limit, are dropped: the incumbent stays valid, the bound approximate.
-    // Optimal nodes are bound-pruned against the incumbent.
+    if (lp.status == LpStatus::kIterationLimit || lp.status == LpStatus::kNumericalFailure) {
+      dropped_bound = std::min(dropped_bound, node.parent_bound);
+    }
+    // Non-optimal nodes are dropped: the incumbent stays valid, and an
+    // unsolved node's parent bound stays in the bound. Optimal nodes are
+    // bound-pruned against the incumbent.
     if (lp.status != LpStatus::kOptimal ||
         (have_incumbent && lp.objective > incumbent_obj - options_.absolute_gap)) {
       continue;
@@ -306,18 +324,19 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
   }
   result.solve_seconds = elapsed();
 
-  // Derive the proven bound and the status. Queued nodes price the bound by
-  // their parent's LP value (a node that never had one inherits the root
-  // bound), and the incumbent caps it.
+  // Derive the proven bound and the status. Queued nodes and nodes dropped
+  // unsolved price the bound by their parent's LP value (a node that never
+  // had one inherits the root bound), and the incumbent caps it.
   if (unbounded) {
     result.status = MipStatus::kUnbounded;
     result.best_bound = -kInf;
     return result;
   }
-  if (open.empty()) {
+  const bool exhausted = open.empty() && dropped_bound == kInf;
+  if (exhausted) {
     result.best_bound = have_incumbent ? incumbent_obj : kInf;
   } else {
-    double open_bound = kInf;
+    double open_bound = dropped_bound;
     for (const Node& n : open) {
       open_bound = std::min(open_bound, n.parent_bound);
     }
@@ -330,14 +349,14 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
     result.x = std::move(incumbent);
     result.objective = incumbent_obj;
     const double gap = result.objective - result.best_bound;
-    const bool proven = open.empty() || gap <= options_.absolute_gap ||
+    const bool proven = exhausted || gap <= options_.absolute_gap ||
                         (std::fabs(result.objective) > 1 &&
                          gap / std::fabs(result.objective) <= options_.relative_gap);
     result.status = proven ? MipStatus::kOptimal : MipStatus::kFeasible;
     if (proven) {
       result.best_bound = result.objective;
     }
-  } else if (open.empty() && result.nodes > 0 && !result.hit_time_limit &&
+  } else if (exhausted && result.nodes > 0 && !result.hit_time_limit &&
              result.nodes < options_.max_nodes) {
     result.status = MipStatus::kInfeasible;
   } else {

@@ -6,6 +6,12 @@
 // optimality gap (Figure 9 measures solution quality in units of the model's
 // move / constraint-fix costs).
 //
+// The time limit is one absolute deadline, checked between nodes and, every
+// 16 pivots, inside each node LP, so a root LP larger than the budget is cut
+// off rather than overrunning it; the search then returns the warm start (or
+// the best incumbent since), and the cut-off node prices the bound by its
+// parent's.
+//
 // The search is a single-threaded depth-first loop, so the same model, warm
 // start and options give a bitwise-identical result on every run.
 
@@ -74,11 +80,17 @@ class MipSolver {
   explicit MipSolver(const MipOptions& options = MipOptions()) : options_(options) {}
 
   // `warm_start`, if provided and feasible for `model`, seeds the incumbent;
-  // infeasible warm starts are ignored.
-  MipResult Solve(const Model& model, const std::vector<double>* warm_start = nullptr);
+  // infeasible warm starts are ignored. `root_start`, if provided, is the
+  // root LP's start point (SimplexSolver::Solve's `start`; only which columns
+  // sit at their upper bound matters). RAS passes the region's current
+  // assignment, where every held class starts at its count. Node LPs re-solve
+  // from their parent's basis either way.
+  MipResult Solve(const Model& model, const std::vector<double>* warm_start = nullptr,
+                  const std::vector<double>* root_start = nullptr);
 
  private:
-  MipResult Search(const Model& model, const std::vector<double>* warm_start);
+  MipResult Search(const Model& model, const std::vector<double>* warm_start,
+                   const std::vector<double>* root_start);
 
   MipOptions options_;
 };

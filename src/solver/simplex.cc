@@ -26,6 +26,8 @@ constexpr double kDriftRefactorTol = 1e-8;
 // dozens of pivots through — provided the feasibility check passes on the
 // current factor (when it does not, the full clean pass runs after all).
 constexpr int kCleanPassEtaLimit = 8;
+// Pivots between deadline checks: a clock read is noise against 16 pivots.
+constexpr int64_t kDeadlineCheckInterval = 16;
 
 // Recorded once per LP solve (including node LPs inside branch-and-bound):
 // a handful of relaxed atomic adds against the work of the solve itself.
@@ -68,6 +70,8 @@ const char* LpStatusName(LpStatus status) {
       return "ITERATION_LIMIT";
     case LpStatus::kNumericalFailure:
       return "NUMERICAL_FAILURE";
+    case LpStatus::kTimeLimit:
+      return "TIME_LIMIT";
   }
   return "UNKNOWN";
 }
@@ -105,14 +109,19 @@ void SimplexSolver::BuildColumns(const Model& model, const std::vector<BoundOver
   }
 }
 
-void SimplexSolver::InitializeBasis() {
+void SimplexSolver::InitializeBasis(const std::vector<double>* start) {
+  assert(start == nullptr || start->size() == static_cast<size_t>(n_));
   basis_.resize(m_);
   status_.assign(total_, ColStatus::kAtLower);
   basis_pos_.assign(total_, -1);
   value_.assign(total_, 0.0);
 
   for (int32_t j = 0; j < total_; ++j) {
-    if (std::isfinite(lb_[j])) {
+    if (start != nullptr && j < n_ && std::isfinite(ub_[j]) && ub_[j] > lb_[j] &&
+        (*start)[j] >= ub_[j]) {
+      status_[j] = ColStatus::kAtUpper;
+      value_[j] = ub_[j];
+    } else if (std::isfinite(lb_[j])) {
       status_[j] = ColStatus::kAtLower;
       value_[j] = lb_[j];
     } else if (std::isfinite(ub_[j])) {
@@ -195,6 +204,10 @@ void SimplexSolver::TrueCostDuals(std::vector<double>& y) {
   factor_.Btran(solve_rhs_, y);
 }
 
+bool SimplexSolver::PastDeadline(int64_t iter) const {
+  return iter % kDeadlineCheckInterval == 0 && util::MonotonicSeconds() > deadline_;
+}
+
 double SimplexSolver::TotalInfeasibility() const {
   double total = 0.0;
   for (int32_t pos = 0; pos < m_; ++pos) {
@@ -227,7 +240,8 @@ void SimplexSolver::RefreshBounds(const Model& model, const std::vector<BoundOve
   }
 }
 
-LpResult SimplexSolver::Solve(const Model& model, const std::vector<BoundOverride>& overrides) {
+LpResult SimplexSolver::Solve(const Model& model, const std::vector<BoundOverride>& overrides,
+                              const std::vector<double>* start) {
   refactor_seconds_ = 0.0;
   basis_valid_ = false;
   BuildColumns(model, overrides);
@@ -240,7 +254,7 @@ LpResult SimplexSolver::Solve(const Model& model, const std::vector<BoundOverrid
   if (empty_range) {
     result.status = LpStatus::kInfeasible;
   } else {
-    InitializeBasis();
+    InitializeBasis(start);
     result = RunSimplex(model);
     if (result.status == LpStatus::kOptimal) {
       basis_valid_ = true;
@@ -393,6 +407,9 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
   alpha_nz.reserve(m_);
 
   for (int64_t iter = 0; iter < max_iters; ++iter) {
+    if (PastDeadline(iter)) {
+      return true;  // The primal verifier's first check reports the deadline.
+    }
     // --- Leaving: the most primal-violated basic position. ---
     int32_t leaving_pos = -1;
     double worst = ftol;
@@ -541,6 +558,11 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
 
   int64_t iter = 0;
   for (; iter < max_iters; ++iter) {
+    if (PastDeadline(iter)) {
+      result.status = LpStatus::kTimeLimit;
+      result.iterations = iter;
+      return result;
+    }
     // --- Phase selection: any basic bound violation => phase 1 pricing. ---
     bool phase1 = false;
     for (int32_t pos = 0; pos < m_; ++pos) {

@@ -6,9 +6,14 @@
 #include <string>
 #include <vector>
 
+#include "src/core/buffer_policy.h"
+#include "src/core/initial_assignment.h"
 #include "src/core/model_builder.h"
+#include "src/core/rru.h"
 #include "src/core/solve_input.h"
 #include "src/fleet/fleet_gen.h"
+#include "src/fleet/service_profile.h"
+#include "src/util/monotonic_time.h"
 #include "src/util/rng.h"
 
 namespace ras {
@@ -285,6 +290,94 @@ TEST(MipTest, RasPhase1ModelSolvesToProvenOptimum) {
   ASSERT_EQ(r.status, MipStatus::kOptimal);
   EXPECT_TRUE(built.model.IsFeasible(r.x, 1e-5));
   EXPECT_EQ(r.best_bound, r.objective);
+}
+
+// A 480-server region (2 datacenters x 3 MSBs x 8 racks x 10 servers) with
+// the shared buffers, eight paper-profile services asking for 70% of the
+// fleet between them, and 60% of the servers already bound round-robin:
+// bench/sweep_common.h's SweepRegion(0), rebuilt here so the solver tests do
+// not depend on the benches.
+struct PhaseOneRegion {
+  Fleet fleet;
+  SolveInput input;
+  std::vector<EquivalenceClass> classes;
+  BuiltModel built;
+
+  PhaseOneRegion() {
+    FleetOptions options;
+    options.num_datacenters = 2;
+    options.msbs_per_datacenter = 3;
+    options.racks_per_msb = 8;
+    options.servers_per_rack = 10;
+    options.seed = 5150;
+    fleet = GenerateFleet(options);
+    ResourceBroker broker(&fleet.topology);
+    ReservationRegistry registry;
+    EnsureSharedBuffers(registry, fleet.topology, fleet.catalog, 0.02);
+    Rng rng(4242);
+    std::vector<ServiceProfile> profiles = MakePaperServiceProfiles();
+    constexpr int kServices = 8;
+    const double budget = static_cast<double>(fleet.topology.num_servers()) * 0.7;
+    for (int i = 0; i < kServices; ++i) {
+      ReservationSpec spec;
+      spec.name = "svc-" + std::to_string(i);
+      spec.capacity_rru = rng.Uniform(0.5, 1.5) * budget / kServices;
+      spec.rru_per_type = BuildRruVector(fleet.catalog, profiles[i % profiles.size()]);
+      EXPECT_TRUE(registry.Create(spec).ok());
+    }
+    SolveInput probe = SnapshotSolveInput(broker, registry, fleet.catalog);
+    for (ServerId id = 0; id < broker.num_servers(); ++id) {
+      if (id % 5 < 3) {
+        broker.SetCurrent(id, probe.reservations[id % probe.reservations.size()].id);
+      }
+    }
+    input = SnapshotSolveInput(broker, registry, fleet.catalog);
+    classes = BuildEquivalenceClasses(input, Scope::kMsb);
+    built = BuildRasModel(input, classes, SolverConfig(), /*include_rack_spread=*/false);
+  }
+};
+
+// The root LP from the current assignment (every held class at its count)
+// reaches the cold solve's optimum in fewer pivots.
+TEST(MipTest, RootLpFromCurrentAssignmentTakesFewerPivots) {
+  PhaseOneRegion region;
+  const std::vector<double> start =
+      MakeWarmStart(region.input, region.classes, region.built, region.built.initial_counts);
+
+  LpResult cold = SimplexSolver().Solve(region.built.model);
+  LpResult warm = SimplexSolver().Solve(region.built.model, {}, &start);
+  ASSERT_EQ(cold.status, LpStatus::kOptimal);
+  ASSERT_EQ(warm.status, LpStatus::kOptimal);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-6 * std::fabs(cold.objective));
+  EXPECT_LT(warm.iterations, cold.iterations);
+}
+
+// With a budget far below one root LP, the LP itself stops at the deadline
+// and the MIP returns its warm start, its bound still the open root's.
+TEST(MipTest, RootLpHonoursTheDeadline) {
+  PhaseOneRegion region;
+  const Model& model = region.built.model;
+  const std::vector<double> warm = MakeWarmStart(
+      region.input, region.classes, region.built,
+      BuildInitialCounts(region.input, region.classes, region.built));
+  ASSERT_TRUE(model.IsFeasible(warm, 1e-5));
+
+  double t0 = util::MonotonicSeconds();
+  ASSERT_EQ(SimplexSolver().Solve(model).status, LpStatus::kOptimal);
+  const double cold_root_seconds = util::MonotonicSeconds() - t0;
+
+  MipOptions options;
+  options.time_limit_seconds = 1e-3;
+  t0 = util::MonotonicSeconds();
+  MipResult r = MipSolver(options).Solve(model, &warm);
+  const double mip_seconds = util::MonotonicSeconds() - t0;
+
+  EXPECT_EQ(r.status, MipStatus::kFeasible);
+  EXPECT_TRUE(r.hit_time_limit);
+  EXPECT_EQ(r.objective, model.Objective(warm));
+  EXPECT_LT(r.best_bound, r.objective);
+  EXPECT_LT(mip_seconds, 0.25 * cold_root_seconds)
+      << "MIP " << mip_seconds << " s vs cold root LP " << cold_root_seconds << " s";
 }
 
 // Property sweep: random knapsacks cross-checked against brute force.

@@ -183,6 +183,61 @@ TEST(SparseDenseFuzzTest, ReducibleShapesMatchDenseReference) {
   EXPECT_GE(infeasible, 5);
 }
 
+// A random start point for `m`: each structural at its lower bound, at its
+// upper bound, strictly inside, or above its upper bound. Only the columns
+// at or past a finite upper bound change where the solve starts.
+std::vector<double> RandomStart(const Model& m, Rng& rng) {
+  std::vector<double> start(m.num_variables());
+  for (size_t j = 0; j < start.size(); ++j) {
+    const ModelVariable& v = m.variable(j);
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        start[j] = v.lb;
+        break;
+      case 1:
+        start[j] = v.ub;
+        break;
+      case 2:
+        start[j] = v.lb + rng.Uniform(0.1, 0.9) * (v.ub - v.lb);
+        break;
+      default:
+        start[j] = v.ub + rng.Uniform(0.5, 5.0);
+        break;
+    }
+  }
+  return start;
+}
+
+// The start point moves only where the primal simplex begins, never what it
+// proves: every instance of both generators, solved again from a random
+// start, matches the dense reference.
+TEST(SparseDenseFuzzTest, StartPointsMatchDenseReference) {
+  Rng rng(20261017);
+  int optimal = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    Model m = trial % 2 == 0 ? RandomLp(rng) : RandomReducibleLp(rng);
+    const std::vector<double> start = RandomStart(m, rng);
+
+    LpResult dense = SolveDenseReference(m);
+    LpResult sparse = SimplexSolver().Solve(m, {}, &start);
+
+    ASSERT_EQ(dense.status, sparse.status)
+        << "trial " << trial << ": dense=" << LpStatusName(dense.status)
+        << " sparse=" << LpStatusName(sparse.status);
+    if (dense.status == LpStatus::kOptimal) {
+      ++optimal;
+      EXPECT_NEAR(dense.objective, sparse.objective, 1e-6 * (1.0 + std::fabs(dense.objective)))
+          << "trial " << trial;
+      EXPECT_TRUE(m.IsFeasible(sparse.x, 1e-6)) << "trial " << trial;
+    } else if (dense.status == LpStatus::kInfeasible) {
+      ++infeasible;
+    }
+  }
+  EXPECT_GE(optimal, 60);
+  EXPECT_GE(infeasible, 10);
+}
+
 TEST(SparseDenseFuzzTest, AdaptiveRefactorizationTriggersAndStaysCorrect) {
   // Force eta-fill refactorizations with a near-zero growth limit: every
   // pivot's eta exceeds the budget, so each iteration refactorizes. The
