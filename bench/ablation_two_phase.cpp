@@ -8,32 +8,13 @@
 // hypothetical unphased rack-granularity solve.
 
 #include "bench/bench_common.h"
+#include "src/core/rru_ledger.h"
 #include "src/sim/scenario.h"
 
 using namespace ras;
 using namespace ras::bench;
 
 namespace {
-
-// Total rack-level overflow RRUs across reservations for the current targets.
-double RackOverflowOfTargets(const RegionScenario& sim, const SolverConfig& config) {
-  const RegionTopology& topo = sim.fleet.topology;
-  double total_overflow = 0.0;
-  for (const ReservationSpec* spec : sim.registry.AllSolvable()) {
-    std::map<RackId, double> rack_rru;
-    for (ServerId id = 0; id < sim.broker->num_servers(); ++id) {
-      if (sim.broker->record(id).target != spec->id) {
-        continue;
-      }
-      rack_rru[topo.server(id).rack] += spec->ValueOfType(topo.server(id).type);
-    }
-    const double threshold = RackSpreadThreshold(*spec, config, topo);
-    for (const auto& [rack, rru] : rack_rru) {
-      total_overflow += std::max(0.0, rru - threshold);
-    }
-  }
-  return total_overflow;
-}
 
 ScenarioOptions MakeOptions(bool enable_phase2) {
   ScenarioOptions options;
@@ -64,7 +45,18 @@ void RunVariant(bool enable_phase2, double* overflow, size_t* p1_vars, size_t* p
     std::fprintf(stderr, "solve failed\n");
     exit(1);
   }
-  *overflow = RackOverflowOfTargets(sim, sim.solver.config());
+  // Total rack-level overflow RRUs across reservations for the targets.
+  const SolveInput input = SnapshotSolveInput(*sim.broker, sim.registry, sim.fleet.catalog);
+  std::vector<std::pair<ServerId, ReservationId>> targets;
+  for (ServerId id = 0; id < sim.broker->num_servers(); ++id) {
+    targets.emplace_back(id, sim.broker->record(id).target);
+  }
+  const RruLedger ledger = RruLedger::OfTargets(input, targets);
+  *overflow = 0.0;
+  for (size_t r = 0; r < input.reservations.size(); ++r) {
+    *overflow += ledger.RackOverflow(
+        r, RackSpreadThreshold(input.reservations[r], sim.solver.config(), sim.fleet.topology));
+  }
   *p1_vars = stats->phase1.assignment_variables;
   *p2_vars = stats->phase2.ran ? stats->phase2.assignment_variables : 0;
 }

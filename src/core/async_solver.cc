@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/core/initial_assignment.h"
 #include "src/core/local_search.h"
 #include "src/core/lp_rounding.h"
+#include "src/core/rru_ledger.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/shard/demand_splitter.h"
@@ -20,45 +20,6 @@
 
 namespace ras {
 namespace {
-
-// Capacity shortfall of the final assignment: per buffered reservation,
-// max(0, C_r - (total RRU - worst-MSB RRU)) over available servers.
-double ComputeShortfall(const SolveInput& input,
-                        const std::vector<std::pair<ServerId, ReservationId>>& targets) {
-  const RegionTopology& topo = *input.topology;
-  // Lookup-only (never iterated): hash order cannot leak into the shortfall.
-  std::unordered_map<ReservationId, int> res_index;
-  for (size_t r = 0; r < input.reservations.size(); ++r) {
-    res_index[input.reservations[r].id] = static_cast<int>(r);
-  }
-  std::vector<double> total(input.reservations.size(), 0.0);
-  std::vector<std::map<MsbId, double>> per_msb(input.reservations.size());
-  for (const auto& [server, res] : targets) {
-    if (res == kUnassigned) {
-      continue;
-    }
-    auto it = res_index.find(res);
-    if (it == res_index.end()) {
-      continue;
-    }
-    const Server& s = topo.server(server);
-    double v = input.reservations[static_cast<size_t>(it->second)].ValueOfType(s.type);
-    total[static_cast<size_t>(it->second)] += v;
-    per_msb[static_cast<size_t>(it->second)][s.msb] += v;
-  }
-  double shortfall = 0.0;
-  for (size_t r = 0; r < input.reservations.size(); ++r) {
-    const ReservationSpec& spec = input.reservations[r];
-    double worst = 0.0;
-    if (spec.needs_correlated_buffer) {
-      for (const auto& [msb, rru] : per_msb[r]) {
-        worst = std::max(worst, rru);
-      }
-    }
-    shortfall += std::max(0.0, spec.capacity_rru - (total[r] - worst));
-  }
-  return shortfall;
-}
 
 // Shared tail of every solve path: counts the moves `targets` make against
 // the snapshot into `stats`, scores the targets' shortfall, and hands them
@@ -72,7 +33,7 @@ void FinishTargets(const SolveInput& input, std::vector<std::pair<ServerId, Rese
       (before.in_use ? stats.moves_in_use : stats.moves_idle)++;
     }
   }
-  stats.total_shortfall_rru = ComputeShortfall(input, targets);
+  stats.total_shortfall_rru = RruLedger::OfTargets(input, targets).TotalShortfall();
   if (decoded_out != nullptr) {
     decoded_out->targets = std::move(targets);
     decoded_out->moves_total = stats.moves_total;
@@ -259,12 +220,6 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
   }
 
   outcome.decoded = DecodeAssignment(input, classes, built, *solution);
-  outcome.shortfall_rru = 0.0;
-  for (size_t r = 0; r < input.reservations.size(); ++r) {
-    if (built.shortfall_vars[r] != kNoVar) {
-      outcome.shortfall_rru += (*solution)[built.shortfall_vars[r]];
-    }
-  }
 
   // Persist this round's warm state for the next: the (possibly freshly
   // built) model moves into the entry, along with the incumbent's assignment
@@ -313,37 +268,6 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
     phase_span.set_value(outcome.stats.delta_servers);
   }
   return outcome;
-}
-
-std::vector<double> AsyncSolver::RackOverflow(const SolveInput& input,
-                                              const DecodedAssignment& decoded) {
-  const RegionTopology& topo = *input.topology;
-  std::unordered_map<ReservationId, int> res_index;
-  for (size_t r = 0; r < input.reservations.size(); ++r) {
-    res_index[input.reservations[r].id] = static_cast<int>(r);
-  }
-  // Per (reservation, rack) RRU.
-  std::vector<std::map<RackId, double>> rack_rru(input.reservations.size());
-  for (const auto& [server, res] : decoded.targets) {
-    if (res == kUnassigned) {
-      continue;
-    }
-    auto it = res_index.find(res);
-    if (it == res_index.end()) {
-      continue;
-    }
-    const Server& s = topo.server(server);
-    double v = input.reservations[static_cast<size_t>(it->second)].ValueOfType(s.type);
-    rack_rru[static_cast<size_t>(it->second)][s.rack] += v;
-  }
-  std::vector<double> overflow(input.reservations.size(), 0.0);
-  for (size_t r = 0; r < input.reservations.size(); ++r) {
-    const double threshold = RackSpreadThreshold(input.reservations[r], config_, topo);
-    for (const auto& [rack, rru] : rack_rru[r]) {
-      overflow[r] += std::max(0.0, rru - threshold);
-    }
-  }
-  return overflow;
 }
 
 const char* SolveModeName(SolveMode mode) {
@@ -448,7 +372,13 @@ Result<SolveStats> AsyncSolver::SolveMonolithic(const SolveInput& input,
   for (const auto& [server, res] : final_targets) {
     input2.servers[server].current = res;
   }
-  std::vector<double> overflow = RackOverflow(input2, phase1.decoded);
+  // Rank reservations by phase 1's rack overflow above phase 2's thresholds.
+  const RruLedger phase1_rru = RruLedger::OfTargets(input, final_targets);
+  std::vector<double> overflow(input.reservations.size());
+  for (size_t r = 0; r < overflow.size(); ++r) {
+    overflow[r] = phase1_rru.RackOverflow(
+        r, RackSpreadThreshold(input.reservations[r], config_, *input.topology));
+  }
   std::vector<int> order(input.reservations.size());
   for (size_t i = 0; i < order.size(); ++i) {
     order[i] = static_cast<int>(i);
@@ -576,7 +506,6 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   // Stitch repair: rounding losses and shard-local infeasibilities are fixed
   // region-wide, across shard boundaries.
   StitchRepairOptions repair_options;
-  repair_options.max_moves = config_.shard_repair_max_moves;
   // Spread rebalance uses the same Ψ_F thresholds the model charges beta
   // against, so repair moves pay down exactly the penalty the merge created.
   for (const ReservationSpec& spec : input.reservations) {

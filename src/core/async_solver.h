@@ -161,17 +161,12 @@ class AsyncSolver {
   struct PhaseOutcome {
     PhaseStats stats;
     DecodedAssignment decoded;
-    double shortfall_rru = 0.0;
   };
   // `phase` selects the resolve-cache slot (1 or 2); 0 disables caching for
   // this call (degraded modes must not leave warm state behind).
   PhaseOutcome RunPhase(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                         bool include_rack_spread, const std::vector<int>& subset,
                         const MipOptions& mip_options, double snapshot_seconds, int phase);
-
-  // Rack-overflow score per reservation index, computed from a decoded
-  // phase-1 assignment; drives phase-2 subset selection.
-  std::vector<double> RackOverflow(const SolveInput& input, const DecodedAssignment& decoded);
 
   SolverConfig config_;
   FaultHook fault_hook_;

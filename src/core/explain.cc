@@ -1,7 +1,8 @@
 #include "src/core/explain.h"
 
-#include <algorithm>
 #include <cstdio>
+
+#include "src/core/rru_ledger.h"
 
 namespace ras {
 
@@ -20,22 +21,24 @@ AssignmentExplanation ExplainAssignment(const ResourceBroker& broker,
   out.capacity_rru = spec->capacity_rru;
 
   const RegionTopology& topo = broker.topology();
+  const std::vector<ReservationSpec> specs = {*spec};
+  RruLedger ledger(specs);
   for (ServerId id : broker.ServersInReservation(reservation)) {
     const Server& s = topo.server(id);
     double v = spec->ValueOfType(s.type);
     ++out.servers;
-    out.total_rru += v;
     auto& [count, rru] = out.by_type[s.type];
     ++count;
     rru += v;
-    out.by_msb[s.msb] += v;
-    out.by_dc[s.dc] += v;
+    ledger.Add(0, s, v);
   }
-  for (const auto& [msb, rru] : out.by_msb) {
-    out.worst_msb_rru = std::max(out.worst_msb_rru, rru);
-  }
-  out.effective_rru = out.total_rru - out.worst_msb_rru;
-  out.shortfall_rru = std::max(0.0, out.capacity_rru - out.effective_rru);
+  out.total_rru = ledger.Total(0);
+  out.by_msb = ledger.ByMsb(0);
+  out.by_dc = ledger.ByDc(0);
+  out.buffered = spec->needs_correlated_buffer;
+  out.worst_msb_rru = ledger.WorstMsb(0);
+  out.effective_rru = ledger.Effective(0);
+  out.shortfall_rru = ledger.Shortfall(0);
   out.spread_threshold = MsbSpreadThreshold(*spec, config, topo);
   for (const auto& [msb, rru] : out.by_msb) {
     out.msbs_over_threshold += rru > out.spread_threshold + 1e-9 ? 1 : 0;
@@ -51,11 +54,16 @@ std::string AssignmentExplanation::ToString(const HardwareCatalog& catalog) cons
                 "RRU request\n",
                 name.c_str(), reservation, servers, total_rru, capacity_rru);
   s += line;
-  std::snprintf(line, sizeof(line),
-                "  guarantee: %.1f RRU survives any single-MSB loss (worst MSB holds %.1f "
-                "RRU, the embedded correlated-failure buffer)%s\n",
-                effective_rru, worst_msb_rru,
-                shortfall_rru > 1e-6 ? " — SHORT of the request" : "");
+  const char* short_note = shortfall_rru > 1e-6 ? " — SHORT of the request" : "";
+  if (buffered) {
+    std::snprintf(line, sizeof(line),
+                  "  guarantee: %.1f RRU survives any single-MSB loss (worst MSB holds %.1f "
+                  "RRU, the embedded correlated-failure buffer)%s\n",
+                  effective_rru, worst_msb_rru, short_note);
+  } else {
+    std::snprintf(line, sizeof(line), "  guarantee: %.1f RRU, no correlated-failure buffer%s\n",
+                  effective_rru, short_note);
+  }
   s += line;
   s += "  hardware mix (why: request's RRU table values these types; the solver picks\n"
        "  whatever mix meets the RRU total cheapest):\n";

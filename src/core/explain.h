@@ -33,8 +33,9 @@ struct AssignmentExplanation {
   // Per datacenter: RRU held there.
   std::map<DatacenterId, double> by_dc;
 
-  double worst_msb_rru = 0.0;     // The embedded buffer this placement implies.
-  double effective_rru = 0.0;     // total - worst MSB: what survives an MSB loss.
+  bool buffered = true;           // Needs a correlated-failure buffer.
+  double worst_msb_rru = 0.0;     // The embedded buffer; 0 when not buffered.
+  double effective_rru = 0.0;     // total - worst_msb_rru: the credited capacity.
   double shortfall_rru = 0.0;     // max(0, C_r - effective).
   double spread_threshold = 0.0;  // alpha_F * C_r actually applied.
   size_t msbs_over_threshold = 0;

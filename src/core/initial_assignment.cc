@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 
+#include "src/core/rru_ledger.h"
+
 namespace ras {
 
 std::vector<double> BuildInitialCounts(const SolveInput& input,
@@ -28,21 +30,8 @@ std::vector<double> RepairCounts(const SolveInput& input,
     free_in_class[static_cast<size_t>(built.assignment_vars[k].class_index)] -= counts[k];
   }
 
-  // Per (reservation, MSB) RRU sums and per-reservation totals for the
-  // current counts.
-  std::vector<std::map<uint32_t, double>> msb_rru(num_res);
-  std::vector<double> total_rru(num_res, 0.0);
-  for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
-    const auto& av = built.assignment_vars[k];
-    if (counts[k] <= 0.0) {
-      continue;
-    }
-    const EquivalenceClass& cls = classes[static_cast<size_t>(av.class_index)];
-    double rru = input.reservations[static_cast<size_t>(av.reservation_index)]
-                     .ValueOfType(cls.type) * counts[k];
-    msb_rru[av.reservation_index][cls.msb] += rru;
-    total_rru[av.reservation_index] += rru;
-  }
+  // Where each reservation's RRU sits under the current counts.
+  RruLedger ledger = RruLedger::OfCounts(input, classes, built, counts);
 
   // Assignment vars per (reservation, MSB) whose class may still have spare
   // supply: candidates the greedy fill can draw from. Sorted by descending
@@ -55,7 +44,7 @@ std::vector<double> RepairCounts(const SolveInput& input,
     size_t class_index;
     double value;
   };
-  std::vector<std::map<uint32_t, std::vector<Candidate>>> free_candidates(num_res);
+  std::vector<std::map<MsbId, std::vector<Candidate>>> free_candidates(num_res);
   for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
     const auto& av = built.assignment_vars[k];
     const EquivalenceClass& cls = classes[static_cast<size_t>(av.class_index)];
@@ -80,24 +69,14 @@ std::vector<double> RepairCounts(const SolveInput& input,
       continue;  // Not part of this build (phase-2 subset).
     }
     const ReservationSpec& spec = input.reservations[r];
-    bool buffered = spec.needs_correlated_buffer;
-    auto effective = [&]() {
-      double worst = 0.0;
-      if (buffered) {
-        for (const auto& [msb, rru] : msb_rru[r]) {
-          worst = std::max(worst, rru);
-        }
-      }
-      return total_rru[r] - worst;
-    };
 
     // Add one server at a time to the compatible MSB with the least RRU for
     // this reservation; this simultaneously fills capacity and minimizes the
     // embedded buffer (adding below the max never raises it).
     int guard = 0;
     const int max_iterations = static_cast<int>(input.servers.size()) + 1024;
-    while (effective() + 1e-9 < spec.capacity_rru && guard++ < max_iterations) {
-      uint32_t best_msb = 0;
+    while (ledger.Effective(r) + 1e-9 < spec.capacity_rru && guard++ < max_iterations) {
+      MsbId best_msb = 0;
       double best_rru = kInf;
       bool found = false;
       for (auto& [msb, cands] : free_candidates[r]) {
@@ -111,11 +90,7 @@ std::vector<double> RepairCounts(const SolveInput& input,
         if (!has_supply) {
           continue;
         }
-        double rru = 0.0;
-        auto it = msb_rru[r].find(msb);
-        if (it != msb_rru[r].end()) {
-          rru = it->second;
-        }
+        double rru = ledger.AtMsb(r, msb);
         if (rru < best_rru) {
           best_rru = rru;
           best_msb = msb;
@@ -131,8 +106,7 @@ std::vector<double> RepairCounts(const SolveInput& input,
         }
         counts[static_cast<size_t>(cand.var_index)] += 1.0;
         free_in_class[cand.class_index] -= 1.0;
-        msb_rru[r][best_msb] += cand.value;
-        total_rru[r] += cand.value;
+        ledger.Add(r, classes[cand.class_index], cand.value);
         break;
       }
     }
@@ -143,10 +117,11 @@ std::vector<double> RepairCounts(const SolveInput& input,
     // slack it avoids costs two orders of magnitude more.
     for (const auto& [dc, share] : spec.dc_affinity) {
       const double floor_rru = AffinityBand(spec, share).lo;
+      // Summed over the datacenter's MSBs, in MSB order.
       auto dc_rru = [&]() {
         double sum = 0.0;
-        for (const auto& [msb, rru] : msb_rru[r]) {
-          if (input.topology->msb_datacenter(static_cast<MsbId>(msb)) == dc) {
+        for (const auto& [msb, rru] : ledger.ByMsb(r)) {
+          if (input.topology->msb_datacenter(msb) == dc) {
             sum += rru;
           }
         }
@@ -156,7 +131,7 @@ std::vector<double> RepairCounts(const SolveInput& input,
       while (dc_rru() + 1e-9 < floor_rru && affinity_guard++ < max_iterations) {
         bool added = false;
         for (auto& [msb, cands] : free_candidates[r]) {
-          if (input.topology->msb_datacenter(static_cast<MsbId>(msb)) != dc) {
+          if (input.topology->msb_datacenter(msb) != dc) {
             continue;
           }
           for (const Candidate& cand : cands) {
@@ -165,8 +140,7 @@ std::vector<double> RepairCounts(const SolveInput& input,
             }
             counts[static_cast<size_t>(cand.var_index)] += 1.0;
             free_in_class[cand.class_index] -= 1.0;
-            msb_rru[r][msb] += cand.value;
-            total_rru[r] += cand.value;
+            ledger.Add(r, classes[cand.class_index], cand.value);
             added = true;
             break;
           }

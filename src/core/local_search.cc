@@ -14,6 +14,9 @@ namespace {
 
 // Incremental objective state. Every coefficient is extracted from the built
 // model itself, so the local search optimizes exactly what the MIP would.
+// Its dense per-(reservation, MSB/DC) arrays are the one deliberate copy of
+// the RRU ledger's effective-capacity rule (rru_ledger.h): the polish scores
+// every proposal against them in O(1) and restores them on reject.
 class ObjectiveState {
  public:
   ObjectiveState(const SolveInput& input, const std::vector<EquivalenceClass>& classes,

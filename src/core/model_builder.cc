@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 
+#include "src/core/rru_ledger.h"
+
 namespace ras {
 namespace {
 
@@ -330,49 +332,25 @@ std::vector<double> MakeWarmStart(const SolveInput& input,
   const size_t num_res = input.reservations.size();
   std::vector<double> x(built.model.num_variables(), 0.0);
 
-  // Assignment variables and per-reservation aggregates.
-  std::vector<double> total_rru(num_res, 0.0);
-  std::vector<std::map<uint32_t, double>> msb_rru(num_res);
-  std::vector<std::map<uint32_t, double>> rack_rru(num_res);
-  std::vector<std::map<uint32_t, double>> dc_rru(num_res);
+  // Assignment variables and their move-outs o = max(0, X - n).
   for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
-    const auto& av = built.assignment_vars[k];
-    const EquivalenceClass& cls = classes[static_cast<size_t>(av.class_index)];
-    const ReservationSpec& spec = input.reservations[static_cast<size_t>(av.reservation_index)];
-    double n = counts[k];
-    x[av.var] = n;
-    double rru = spec.ValueOfType(cls.type) * n;
-    total_rru[av.reservation_index] += rru;
-    msb_rru[av.reservation_index][cls.msb] += rru;
-    rack_rru[av.reservation_index][cls.group] += rru;
-    dc_rru[av.reservation_index][cls.dc] += rru;
-    // Move-out variable: o = max(0, X - n).
+    x[built.assignment_vars[k].var] = counts[k];
     if (built.move_vars[k] != kNoVar) {
-      x[built.move_vars[k]] = std::max(0.0, built.initial_counts[k] - n);
+      x[built.move_vars[k]] = std::max(0.0, built.initial_counts[k] - counts[k]);
     }
   }
+  const RruLedger ledger = RruLedger::OfCounts(input, classes, built, counts);
 
-  // Buffer variables: m_r = worst-MSB RRU.
-  std::vector<double> buffer_value(num_res, 0.0);
+  // Buffer m_r = worst-MSB RRU, capacity shortfall and hoarding slacks.
   for (size_t r = 0; r < num_res; ++r) {
-    if (built.buffer_vars[r] == kNoVar) {
-      continue;
+    if (built.buffer_vars[r] != kNoVar) {
+      x[built.buffer_vars[r]] = ledger.WorstMsb(r);
     }
-    double worst = 0.0;
-    for (const auto& [group, rru] : msb_rru[r]) {
-      worst = std::max(worst, rru);
-    }
-    buffer_value[r] = worst;
-    x[built.buffer_vars[r]] = worst;
-  }
-
-  // Capacity shortfall and hoarding slacks.
-  for (size_t r = 0; r < num_res; ++r) {
     if (built.shortfall_vars[r] == kNoVar) {
       continue;
     }
     double capacity = input.reservations[r].capacity_rru;
-    double effective = total_rru[r] - buffer_value[r];
+    double effective = ledger.Effective(r);
     x[built.shortfall_vars[r]] = std::clamp(capacity - effective, 0.0, std::max(capacity, 0.0));
     if (built.hoard_vars[r] != kNoVar) {
       // Mirrors the builder's row: h >= total - m - hoard limit.
@@ -383,31 +361,25 @@ std::vector<double> MakeWarmStart(const SolveInput& input,
 
   // Spread overflow variables.
   for (const auto& term : built.msb_spread_terms) {
-    auto it = msb_rru[static_cast<size_t>(term.reservation_index)].find(term.group);
-    double rru = it == msb_rru[static_cast<size_t>(term.reservation_index)].end() ? 0.0
-                                                                                  : it->second;
+    double rru = ledger.AtMsb(static_cast<size_t>(term.reservation_index),
+                              static_cast<MsbId>(term.group));
     x[term.var] = std::max(0.0, rru - built.model.row(term.row).ub);
   }
   for (const auto& term : built.rack_spread_terms) {
-    auto it = rack_rru[static_cast<size_t>(term.reservation_index)].find(term.group);
-    double rru = it == rack_rru[static_cast<size_t>(term.reservation_index)].end() ? 0.0
-                                                                                   : it->second;
+    double rru = ledger.AtRack(static_cast<size_t>(term.reservation_index), term.group);
     x[term.var] = std::max(0.0, rru - built.model.row(term.row).ub);
   }
 
   // Storage quorum slacks.
   for (const auto& term : built.quorum_terms) {
-    auto it = msb_rru[static_cast<size_t>(term.reservation_index)].find(term.group);
-    double rru = it == msb_rru[static_cast<size_t>(term.reservation_index)].end() ? 0.0
-                                                                                  : it->second;
+    double rru = ledger.AtMsb(static_cast<size_t>(term.reservation_index),
+                              static_cast<MsbId>(term.group));
     x[term.slack] = std::max(0.0, rru - built.model.row(term.row).ub);
   }
 
   // Affinity slacks.
   for (const auto& term : built.affinity_terms) {
-    auto it = dc_rru[static_cast<size_t>(term.reservation_index)].find(term.dc);
-    double rru = it == dc_rru[static_cast<size_t>(term.reservation_index)].end() ? 0.0
-                                                                                 : it->second;
+    double rru = ledger.AtDc(static_cast<size_t>(term.reservation_index), term.dc);
     x[term.lo_slack] = std::max(0.0, built.model.row(term.lo_row).lb - rru);
     x[term.hi_slack] = std::max(0.0, rru - built.model.row(term.hi_row).ub);
   }

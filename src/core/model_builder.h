@@ -79,8 +79,6 @@ struct SolverConfig {
   uint64_t shard_seed = 0x5A2D;
   // Fan-out threads for the shard solves; 0 = min(K, hardware concurrency).
   int shard_threads = 0;
-  // Move budget for the post-merge StitchRepair pass.
-  size_t shard_repair_max_moves = 2000;
 
   // --- Cross-round incremental re-solve (src/core/resolve_cache.h) ---
   // Patches the previous round's model in place when consecutive snapshots

@@ -3,51 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <map>
-#include <unordered_map>
+
+#include "src/core/rru_ledger.h"
 
 namespace ras {
 namespace {
 
 constexpr double kEps = 1e-9;
-
-struct Book {
-  const SolveInput* input = nullptr;
-  std::vector<double> total;                   // Per reservation index.
-  std::vector<std::map<MsbId, double>> per_msb;  // Per reservation index.
-
-  double WorstMsb(size_t r) const {
-    double worst = 0.0;
-    if (input->reservations[r].needs_correlated_buffer) {
-      for (const auto& [msb, rru] : per_msb[r]) {
-        worst = std::max(worst, rru);
-      }
-    }
-    return worst;
-  }
-
-  // Capacity shortfall net of the correlated-failure buffer — the same
-  // accounting as the solver's ComputeShortfall.
-  double Shortfall(size_t r) const {
-    return std::max(0.0, input->reservations[r].capacity_rru - (total[r] - WorstMsb(r)));
-  }
-
-  void Add(size_t r, MsbId msb, double value) {
-    total[r] += value;
-    per_msb[r][msb] += value;
-  }
-
-  void Remove(size_t r, MsbId msb, double value) {
-    total[r] -= value;
-    auto it = per_msb[r].find(msb);
-    if (it != per_msb[r].end()) {
-      it->second -= value;
-      if (it->second <= kEps) {
-        per_msb[r].erase(it);
-      }
-    }
-  }
-};
 
 }  // namespace
 
@@ -57,28 +19,9 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
   StitchRepairStats stats;
   const RegionTopology& topo = *input.topology;
 
-  // Lookup-only (never iterated): hash order cannot leak into the repair.
-  std::unordered_map<ReservationId, size_t> res_index;
-  res_index.reserve(input.reservations.size());
-  for (size_t r = 0; r < input.reservations.size(); ++r) {
-    res_index[input.reservations[r].id] = r;
-  }
-
-  Book book;
-  book.input = &input;
-  book.total.assign(input.reservations.size(), 0.0);
-  book.per_msb.resize(input.reservations.size());
-  for (const auto& [server, res] : targets) {
-    if (res == kUnassigned) {
-      continue;
-    }
-    auto it = res_index.find(res);
-    if (it == res_index.end()) {
-      continue;
-    }
-    const Server& s = topo.server(server);
-    book.Add(it->second, s.msb, input.reservations[it->second].ValueOfType(s.type));
-  }
+  // Shortfalls net of the correlated-failure buffer, on the RRU ledger the
+  // solver scores its own targets with.
+  RruLedger book = RruLedger::OfTargets(input, targets);
 
   for (size_t r = 0; r < input.reservations.size(); ++r) {
     double short_r = book.Shortfall(r);
@@ -107,8 +50,7 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
         if (spec.ValueOfType(s.type) <= 0.0) {
           continue;
         }
-        auto it = book.per_msb[r].find(s.msb);
-        double msb_rru = it == book.per_msb[r].end() ? 0.0 : it->second;
+        double msb_rru = book.AtMsb(r, s.msb);
         if (msb_rru < best_msb_rru - kEps) {
           best = i;
           best_msb_rru = msb_rru;
@@ -119,14 +61,14 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
       }
       const Server& s = topo.server(targets[best].first);
       targets[best].second = spec.id;
-      book.Add(r, s.msb, spec.ValueOfType(s.type));
+      book.Add(r, s, spec.ValueOfType(s.type));
       ++stats.moves_from_free;
       --budget;
     }
 
     // Pass 2: idle donors with surplus. Never touches in-use servers and
     // never leaves the donor short itself.
-    while (options.allow_idle_donors && budget > 0 && book.Shortfall(r) > kEps) {
+    while (budget > 0 && book.Shortfall(r) > kEps) {
       size_t best = targets.size();
       double best_msb_rru = std::numeric_limits<double>::infinity();
       for (size_t i = 0; i < targets.size(); ++i) {
@@ -135,8 +77,8 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
             input.servers[server].in_use) {
           continue;
         }
-        auto donor_it = res_index.find(res);
-        if (donor_it == res_index.end()) {
+        const int d = book.RowOf(res);
+        if (d < 0) {
           continue;
         }
         const Server& s = topo.server(server);
@@ -144,16 +86,14 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
           continue;
         }
         // Donation must keep the donor whole: simulate the removal.
-        size_t d = donor_it->second;
         double value_for_donor = input.reservations[d].ValueOfType(s.type);
-        book.Remove(d, s.msb, value_for_donor);
+        book.Remove(d, s, value_for_donor);
         bool donor_ok = book.Shortfall(d) <= kEps;
-        book.Add(d, s.msb, value_for_donor);
+        book.Add(d, s, value_for_donor);
         if (!donor_ok) {
           continue;
         }
-        auto it = book.per_msb[r].find(s.msb);
-        double msb_rru = it == book.per_msb[r].end() ? 0.0 : it->second;
+        double msb_rru = book.AtMsb(r, s.msb);
         if (msb_rru < best_msb_rru - kEps) {
           best = i;
           best_msb_rru = msb_rru;
@@ -164,10 +104,10 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
       }
       const ServerId server = targets[best].first;
       const Server& s = topo.server(server);
-      size_t d = res_index[targets[best].second];
-      book.Remove(d, s.msb, input.reservations[d].ValueOfType(s.type));
+      size_t d = static_cast<size_t>(book.RowOf(targets[best].second));
+      book.Remove(d, s, input.reservations[d].ValueOfType(s.type));
       targets[best].second = spec.id;
-      book.Add(r, s.msb, spec.ValueOfType(s.type));
+      book.Add(r, s, spec.ValueOfType(s.type));
       ++stats.moves_from_donors;
       --budget;
     }
@@ -181,11 +121,6 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
   const std::vector<double>& thresholds = options.msb_spread_thresholds;
   if (!thresholds.empty()) {
     assert(thresholds.size() == input.reservations.size());
-    for (size_t r = 0; r < input.reservations.size(); ++r) {
-      for (const auto& [msb, rru] : book.per_msb[r]) {
-        stats.spread_over_before_rru += std::max(0.0, rru - thresholds[r]);
-      }
-    }
     for (size_t r = 0; r < input.reservations.size() && budget > 0; ++r) {
       const ReservationSpec& spec = input.reservations[r];
       const double threshold = thresholds[r];
@@ -193,7 +128,7 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
         // Hottest over-threshold MSB for r (ties -> lowest MSB id).
         MsbId hot = 0;
         double worst_over = kEps;
-        for (const auto& [msb, rru] : book.per_msb[r]) {
+        for (const auto& [msb, rru] : book.ByMsb(r)) {
           if (rru - threshold > worst_over) {
             hot = msb;
             worst_over = rru - threshold;
@@ -221,7 +156,8 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
         });
         bool swapped = false;
         for (size_t donor : donors) {
-          const double donor_value = spec.ValueOfType(topo.server(targets[donor].first).type);
+          const Server& from = topo.server(targets[donor].first);
+          const double donor_value = spec.ValueOfType(from.type);
           // Receiver: a free server in the MSB where r holds the least RRU.
           // The destination must stay within threshold (each swap strictly
           // shrinks the total overage, so the pass terminates), and the
@@ -240,18 +176,17 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
             if (s.msb == hot || value <= kEps) {
               continue;
             }
-            auto it = book.per_msb[r].find(s.msb);
-            double msb_rru = it == book.per_msb[r].end() ? 0.0 : it->second;
+            double msb_rru = book.AtMsb(r, s.msb);
             if (msb_rru + value > threshold + kEps) {
               continue;
             }
             if (value + kEps < donor_value) {
               // Simulate the swap; only capacity-whole trades qualify.
-              book.Remove(r, hot, donor_value);
-              book.Add(r, s.msb, value);
+              book.Remove(r, from, donor_value);
+              book.Add(r, s, value);
               bool whole = book.Shortfall(r) <= kEps;
-              book.Remove(r, s.msb, value);
-              book.Add(r, hot, donor_value);
+              book.Remove(r, s, value);
+              book.Add(r, from, donor_value);
               if (!whole) {
                 continue;
               }
@@ -270,8 +205,8 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
           const Server& to = topo.server(targets[receiver].first);
           targets[donor].second = kUnassigned;
           targets[receiver].second = spec.id;
-          book.Remove(r, hot, donor_value);
-          book.Add(r, to.msb, spec.ValueOfType(to.type));
+          book.Remove(r, from, donor_value);
+          book.Add(r, to, spec.ValueOfType(to.type));
           ++stats.moves_spread;
           --budget;
           swapped = true;
@@ -283,15 +218,11 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
       }
     }
     for (size_t r = 0; r < input.reservations.size(); ++r) {
-      for (const auto& [msb, rru] : book.per_msb[r]) {
-        stats.spread_over_after_rru += std::max(0.0, rru - thresholds[r]);
-      }
+      stats.spread_over_after_rru += book.MsbOverflow(r, thresholds[r]);
     }
   }
 
-  for (size_t r = 0; r < input.reservations.size(); ++r) {
-    stats.shortfall_after_rru += book.Shortfall(r);
-  }
+  stats.shortfall_after_rru = book.TotalShortfall();
   return stats;
 }
 

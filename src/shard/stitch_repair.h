@@ -22,9 +22,6 @@ namespace ras {
 struct StitchRepairOptions {
   // Hard cap on total reassignments; repair is a patch, not a second solve.
   size_t max_moves = 2000;
-  // Second pass: allow taking idle servers from reservations whose capacity
-  // (net of their own buffer) stays satisfied after the donation.
-  bool allow_idle_donors = true;
   // Third pass (spread rebalance): per-shard solves cannot see each other's
   // MSB loads, so the merged assignment can pile one reservation's capacity
   // into an MSB beyond the region-wide Ψ_F threshold even though every shard
@@ -43,7 +40,6 @@ struct StitchRepairStats {
   size_t reservations_short = 0;  // Before repair.
   double shortfall_before_rru = 0.0;
   double shortfall_after_rru = 0.0;
-  double spread_over_before_rru = 0.0;
   double spread_over_after_rru = 0.0;
 
   size_t moves() const { return moves_from_free + moves_from_donors + moves_spread; }

@@ -80,5 +80,34 @@ TEST(ExplainTest, FlagsShortfall) {
   EXPECT_NE(ex.ToString(fleet.catalog).find("SHORT"), std::string::npos);
 }
 
+// A reservation without a correlated-failure buffer (a shared random buffer,
+// an elastic pool) is credited its whole allocation, as the solver scores it.
+TEST(ExplainTest, UnbufferedReservationIsCreditedItsTotal) {
+  Fleet fleet = GenerateFleet(Options());
+  ResourceBroker broker(&fleet.topology);
+  ReservationRegistry registry;
+  ReservationSpec spec;
+  spec.name = "shared-buffer";
+  spec.capacity_rru = 10;
+  spec.rru_per_type.assign(fleet.catalog.size(), 1.0);
+  spec.needs_correlated_buffer = false;
+  ReservationId id = *registry.Create(spec);
+  // All 10 RRU in one MSB.
+  for (ServerId s : fleet.topology.ServersInMsb(0)) {
+    if (broker.CountInReservation(id) >= 10) {
+      break;
+    }
+    broker.SetCurrent(s, id);
+  }
+  AssignmentExplanation ex = ExplainAssignment(broker, registry, fleet.catalog, id);
+  EXPECT_FALSE(ex.buffered);
+  EXPECT_NEAR(ex.worst_msb_rru, 0.0, 1e-9);
+  EXPECT_NEAR(ex.effective_rru, 10.0, 1e-9);
+  EXPECT_NEAR(ex.shortfall_rru, 0.0, 1e-9);
+  std::string text = ex.ToString(fleet.catalog);
+  EXPECT_EQ(text.find("SHORT"), std::string::npos);
+  EXPECT_EQ(text.find("survives any single-MSB loss"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace ras
