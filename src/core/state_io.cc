@@ -1,5 +1,6 @@
 #include "src/core/state_io.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,22 +28,48 @@ std::vector<std::string> Split(const std::string& line, char sep) {
   return fields;
 }
 
-std::string IdToText(ReservationId id) {
-  return id == kUnassigned ? "-" : std::to_string(id);
+void AppendDecimal(std::string& out, uint64_t value) {
+  char buf[20];
+  char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, end);
 }
 
-bool TextToId(const std::string& text, ReservationId* id) {
-  if (text == "-") {
-    *id = kUnassigned;
-    return true;
-  }
-  char* end = nullptr;
-  unsigned long value = std::strtoul(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || text.empty()) {
+// Strict unsigned parse: the whole field must be decimal digits that fit in
+// 32 bits. No sign, space or trailing text.
+bool ParseDecimal(std::string_view text, uint32_t* out) {
+  uint32_t value = 0;
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
     return false;
   }
-  *id = static_cast<ReservationId>(value);
+  *out = value;
   return true;
+}
+
+// A 0/1 flag field; anything else is corruption.
+bool ParseFlag(std::string_view text, bool* out) {
+  if (text != "0" && text != "1") {
+    return false;
+  }
+  *out = text == "1";
+  return true;
+}
+
+void AppendServerRecord(std::string& out, const ServerRecord& r) {
+  out.append("server|");
+  AppendServerId(out, r.server);
+  out += '|';
+  AppendReservationId(out, r.current);
+  out += '|';
+  AppendReservationId(out, r.target);
+  out += '|';
+  AppendReservationId(out, r.home);
+  out += '|';
+  out += r.elastic_loan ? '1' : '0';
+  out += '|';
+  AppendDecimal(out, static_cast<uint64_t>(r.unavailability));
+  out += '|';
+  out += r.has_containers ? '1' : '0';
 }
 
 // Strict double parse: the whole field must be a finite number.
@@ -69,6 +96,38 @@ constexpr unsigned kFlagStorage = 8u;
 constexpr unsigned kFlagExternal = 16u;
 
 }  // namespace
+
+void AppendServerId(std::string& out, ServerId id) { AppendDecimal(out, id); }
+
+void AppendReservationId(std::string& out, ReservationId id) {
+  if (id == kUnassigned) {
+    out += '-';
+  } else {
+    AppendDecimal(out, id);
+  }
+}
+
+bool ParseServerId(std::string_view text, size_t num_servers, ServerId* id) {
+  uint32_t value = 0;
+  if (!ParseDecimal(text, &value) || value >= num_servers) {
+    return false;
+  }
+  *id = value;
+  return true;
+}
+
+bool ParseReservationId(std::string_view text, ReservationId* id) {
+  if (text == "-") {
+    *id = kUnassigned;
+    return true;
+  }
+  uint32_t value = 0;
+  if (!ParseDecimal(text, &value) || value == kUnassigned) {
+    return false;
+  }
+  *id = value;
+  return true;
+}
 
 std::string EscapeStateField(const std::string& s) {
   std::string out;
@@ -149,7 +208,7 @@ Status ParseReservationRecord(const std::string& line, ReservationSpec* spec) {
   }
   ReservationSpec out;
   ReservationId id;
-  if (!TextToId(f[1], &id) || id == kUnassigned) {
+  if (!ParseReservationId(f[1], &id) || id == kUnassigned) {
     return Status::InvalidArgument("bad reservation id: " + f[1]);
   }
   out.id = id;
@@ -194,11 +253,9 @@ Status ParseReservationRecord(const std::string& line, ReservationSpec* spec) {
 }
 
 std::string SerializeServerRecord(const ServerRecord& r) {
-  std::ostringstream out;
-  out << "server|" << r.server << "|" << IdToText(r.current) << "|" << IdToText(r.target) << "|"
-      << IdToText(r.home) << "|" << (r.elastic_loan ? 1 : 0) << "|"
-      << static_cast<int>(r.unavailability) << "|" << (r.has_containers ? 1 : 0);
-  return out.str();
+  std::string out;
+  AppendServerRecord(out, r);
+  return out;
 }
 
 Status ParseServerRecord(const std::string& line, size_t num_servers, ServerStateRecord* out) {
@@ -210,22 +267,25 @@ Status ParseServerRecord(const std::string& line, size_t num_servers, ServerStat
     return Status::InvalidArgument("server record needs 8 fields");
   }
   ServerStateRecord s;
-  char* end = nullptr;
-  unsigned long sid = std::strtoul(f[1].c_str(), &end, 10);
-  if (f[1].empty() || end == nullptr || *end != '\0' || sid >= num_servers) {
+  if (!ParseServerId(f[1], num_servers, &s.id)) {
     return Status::InvalidArgument("server id out of range: " + f[1]);
   }
-  s.id = static_cast<ServerId>(sid);
-  if (!TextToId(f[2], &s.current) || !TextToId(f[3], &s.target) || !TextToId(f[4], &s.home)) {
+  if (!ParseReservationId(f[2], &s.current) || !ParseReservationId(f[3], &s.target) ||
+      !ParseReservationId(f[4], &s.home)) {
     return Status::InvalidArgument("bad binding ids");
   }
-  s.elastic_loan = f[5] == "1";
-  int unavail = std::atoi(f[6].c_str());
-  if (unavail < 0 || unavail > static_cast<int>(Unavailability::kUnplannedHardware)) {
+  if (!ParseFlag(f[5], &s.elastic_loan)) {
+    return Status::InvalidArgument("bad loan flag: " + f[5]);
+  }
+  uint32_t unavail = 0;
+  if (!ParseDecimal(f[6], &unavail) ||
+      unavail > static_cast<uint32_t>(Unavailability::kUnplannedHardware)) {
     return Status::InvalidArgument("bad unavailability code: " + f[6]);
   }
   s.unavailability = static_cast<Unavailability>(unavail);
-  s.has_containers = f[7] == "1";
+  if (!ParseFlag(f[7], &s.has_containers)) {
+    return Status::InvalidArgument("bad containers flag: " + f[7]);
+  }
   *out = s;
   return Status::Ok();
 }
@@ -240,11 +300,16 @@ void ApplyServerRecord(const ServerStateRecord& s, ResourceBroker& broker) {
 
 std::string SerializeRegionState(const ResourceBroker& broker,
                                  const ReservationRegistry& registry) {
-  std::ostringstream out;
-  out << kHeader << "\n";
-  out << "# servers=" << broker.num_servers() << "\n";
-  for (const ReservationSpec* spec : registry.All()) {
-    out << SerializeReservationRecord(*spec) << "\n";
+  std::vector<const ReservationSpec*> specs = registry.All();
+  std::string out;
+  // Room for every record at typical widths, so the common case never
+  // reallocates; a wider record only costs a doubling.
+  out.reserve(64 + 192 * specs.size() + 32 * broker.num_servers());
+  out.append(kHeader).append("\n# servers=");
+  AppendDecimal(out, broker.num_servers());
+  out += '\n';
+  for (const ReservationSpec* spec : specs) {
+    out.append(SerializeReservationRecord(*spec)) += '\n';
   }
   for (ServerId id = 0; id < broker.num_servers(); ++id) {
     const ServerRecord& r = broker.record(id);
@@ -253,9 +318,10 @@ std::string SerializeRegionState(const ResourceBroker& broker,
         r.unavailability == Unavailability::kNone && !r.has_containers) {
       continue;
     }
-    out << SerializeServerRecord(r) << "\n";
+    AppendServerRecord(out, r);
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 Status DeserializeRegionState(const std::string& text, ResourceBroker& broker,

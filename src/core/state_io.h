@@ -26,6 +26,7 @@
 #define RAS_SRC_CORE_STATE_IO_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/broker/resource_broker.h"
 #include "src/core/reservation.h"
@@ -72,7 +73,17 @@ struct ServerStateRecord {
   bool has_containers = false;
 };
 
-// One "server|..." line (no trailing newline) and its strict parser.
+// Id fields, shared with the journal's target intent. A server id is an
+// unsigned decimal below `num_servers`; a reservation id is "-" for
+// kUnassigned or an unsigned decimal below kUnassigned. The parsers accept
+// nothing else: no sign, space, overflow or trailing text.
+void AppendServerId(std::string& out, ServerId id);
+void AppendReservationId(std::string& out, ReservationId id);
+bool ParseServerId(std::string_view text, size_t num_servers, ServerId* id);
+bool ParseReservationId(std::string_view text, ReservationId* id);
+
+// One "server|..." line (no trailing newline) and its strict parser: each
+// flag must be 0 or 1 and the unavailability code a whole in-range integer.
 // `num_servers` bounds the id; pass the broker's server count.
 std::string SerializeServerRecord(const ServerRecord& record);
 Status ParseServerRecord(const std::string& line, size_t num_servers, ServerStateRecord* out);

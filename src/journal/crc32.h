@@ -1,9 +1,10 @@
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven (slicing-by-8).
 //
 // Every journal record and checkpoint body carries a CRC so recovery can
-// tell a torn or bit-flipped tail from valid history. Implemented here
-// rather than pulled from zlib: the journal must not grow a dependency for
-// 30 lines of table lookup.
+// tell a torn or bit-flipped tail from valid history, and the state digest
+// is the CRC of the whole serialized region. Implemented here rather than
+// pulled from zlib: the journal must not grow a dependency for 60 lines of
+// table lookup.
 
 #ifndef RAS_SRC_JOURNAL_CRC32_H_
 #define RAS_SRC_JOURNAL_CRC32_H_

@@ -1,10 +1,11 @@
 #include "src/journal/durable_control_plane.h"
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "src/core/state_io.h"
 #include "src/obs/metrics.h"
@@ -25,17 +26,38 @@ std::string DigestHex(uint32_t digest) {
   return buf;
 }
 
-std::string EncodeTargets(const std::vector<std::pair<ServerId, ReservationId>>& targets) {
-  std::ostringstream out;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    out << (i == 0 ? "" : ",") << targets[i].first << "=";
-    if (targets[i].second == kUnassigned) {
-      out << "-";
-    } else {
-      out << targets[i].second;
+// For each server the batch names, its final target (a later pair for the
+// same server overrides an earlier one), kept only when it differs from the
+// broker's target before the batch. Listed in batch order.
+std::vector<std::pair<ServerId, ReservationId>> ChangedTargets(
+    const ResourceBroker& broker, const std::vector<std::pair<ServerId, ReservationId>>& batch) {
+  std::vector<bool> named(broker.num_servers(), false);
+  std::vector<std::pair<ServerId, ReservationId>> changed;
+  for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+    if (named[it->first]) {
+      continue;
+    }
+    named[it->first] = true;
+    if (broker.record(it->first).target != it->second) {
+      changed.push_back(*it);
     }
   }
-  return out.str();
+  std::reverse(changed.begin(), changed.end());
+  return changed;
+}
+
+std::string EncodeTargets(const std::vector<std::pair<ServerId, ReservationId>>& targets) {
+  std::string out;
+  out.reserve(16 * targets.size());
+  for (const auto& [server, reservation] : targets) {
+    if (!out.empty()) {
+      out += ',';
+    }
+    AppendServerId(out, server);
+    out += '=';
+    AppendReservationId(out, reservation);
+  }
+  return out;
 }
 
 Status DecodeTargets(const std::string& payload, size_t num_servers,
@@ -44,35 +66,27 @@ Status DecodeTargets(const std::string& payload, size_t num_servers,
   if (payload.empty()) {
     return Status::Ok();
   }
-  size_t start = 0;
-  while (start <= payload.size()) {
-    size_t comma = payload.find(',', start);
-    std::string pair =
-        payload.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
+  std::string_view rest = payload;
+  while (true) {
+    size_t comma = rest.find(',');
+    std::string_view pair = rest.substr(0, comma);
     size_t eq = pair.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("bad target pair: " + pair);
+    if (eq == std::string_view::npos) {
+      return Status::InvalidArgument("bad target pair: " + std::string(pair));
     }
-    char* end = nullptr;
-    unsigned long server = std::strtoul(pair.c_str(), &end, 10);
-    if (end == nullptr || static_cast<size_t>(end - pair.c_str()) != eq || server >= num_servers) {
-      return Status::InvalidArgument("bad target server id: " + pair);
+    ServerId server = kInvalidServer;
+    if (!ParseServerId(pair.substr(0, eq), num_servers, &server)) {
+      return Status::InvalidArgument("bad target server id: " + std::string(pair));
     }
-    std::string res = pair.substr(eq + 1);
     ReservationId reservation = kUnassigned;
-    if (res != "-") {
-      errno = 0;
-      unsigned long value = std::strtoul(res.c_str(), &end, 10);
-      if (res.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-        return Status::InvalidArgument("bad target reservation id: " + pair);
-      }
-      reservation = static_cast<ReservationId>(value);
+    if (!ParseReservationId(pair.substr(eq + 1), &reservation)) {
+      return Status::InvalidArgument("bad target reservation id: " + std::string(pair));
     }
-    out->emplace_back(static_cast<ServerId>(server), reservation);
-    if (comma == std::string::npos) {
+    out->emplace_back(server, reservation);
+    if (comma == std::string_view::npos) {
       break;
     }
-    start = comma + 1;
+    rest.remove_prefix(comma + 1);
   }
   return Status::Ok();
 }
@@ -458,7 +472,11 @@ Status DurableControlPlane::PersistTargets(
   if (Crashed(CrashPoint::kBeforeJournalAppend, &crash_status)) {
     return crash_status;
   }
-  std::string payload = EncodeTargets(targets);
+  // The intent carries only what the batch changes. Every broker mutation
+  // since OpenOrRecover is journaled, so replay reaches this record holding
+  // the targets the broker holds now, and setting the changed ones lands on
+  // the state the full batch reaches.
+  std::string payload = EncodeTargets(ChangedTargets(broker, targets));
   if (Crashed(CrashPoint::kTornJournalAppend, &crash_status)) {
     // Crash injection: the append is *supposed* to be damaged, and the fault
     // we return is the simulated crash, not the write's own status.
@@ -474,17 +492,17 @@ Status DurableControlPlane::PersistTargets(
     return crash_status;
   }
 
-  // The intent record already carries the whole batch; per-server watcher
-  // deltas inside the apply would only duplicate it (and a rolled-back
-  // batch is handled by the abort record, not by delta replay).
+  // The intent record already carries the batch's changes; per-server
+  // watcher deltas inside the apply would only duplicate it (and a
+  // rolled-back batch is handled by the abort record, not by delta replay).
   suppress_deltas_ = true;
   if (Crashed(CrashPoint::kMidApply, &crash_status)) {
     // The process dies halfway through the broker writes: apply a prefix and
-    // leave no abort record. Recovery redoes the full batch from the intent.
+    // leave no abort record. Recovery redoes the batch from the intent.
     std::vector<std::pair<ServerId, ReservationId>> half(targets.begin(),
                                                          targets.begin() + targets.size() / 2);
     // Crash injection: the half-applied batch models a process death, so its
-    // status is intentionally unobserved — recovery redoes the full intent.
+    // status is intentionally unobserved — recovery redoes the intent.
     (void)broker.ApplyTargets(half);
     suppress_deltas_ = false;
     return crash_status;

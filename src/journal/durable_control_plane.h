@@ -12,14 +12,19 @@
 //
 // Protocols:
 //
-//  - ApplyTargets is *journal-then-apply*: the full target batch is appended
-//    (and fsynced) as an intent record before the broker sees a single
-//    write. A crash between append and apply therefore loses nothing — the
-//    continuously-optimized assignment is redone from the intent at
-//    recovery. A broker write failure after append produces an abort record
-//    so replay skips the rolled-back batch. Per-server watcher deltas are
+//  - ApplyTargets is *journal-then-apply*: the targets the batch changes —
+//    each named server's final target, where it differs from the broker's
+//    target before the batch — are appended (and fsynced) as an intent
+//    record before the broker sees a single write. Replay of that intent is
+//    exact: every earlier broker mutation is journaled, so replay reaches
+//    the intent with the same pre-batch targets, and a server the intent
+//    leaves out already holds its final target. A crash between append and
+//    apply therefore loses nothing — the continuously-optimized assignment
+//    is redone from the intent at recovery. The broker still applies the
+//    full batch; a write failure after append produces an abort record so
+//    replay skips the rolled-back batch. Per-server watcher deltas are
 //    suppressed inside the barrier (the intent record already carries the
-//    batch).
+//    batch's changes).
 //  - Registry mutations are *apply-then-journal-then-acknowledge*: the
 //    registry assigns the id, the admit record is fsynced, and only then
 //    does the caller learn the id. A crash in the window loses a mutation

@@ -43,7 +43,8 @@ enum class RecordKind : uint8_t {
   kReservationAdmit = 0,  // Payload: one state_io "reservation|..." line.
   kReservationUpdate,     // Payload: one state_io "reservation|..." line.
   kReservationRemove,     // Payload: decimal reservation id.
-  kApplyTargets,          // Payload: "<server>=<reservation>,..." intent batch.
+  kApplyTargets,          // Payload: "<server>=<reservation>,..." the targets an
+                          // intent batch changes ("-" = unassigned).
   kApplyAbort,            // Payload: generation of the rolled-back intent.
   kServerDelta,           // Payload: one state_io "server|..." line.
   kDigest,                // Payload: 8-hex CRC32 of the serialized region state.

@@ -5,6 +5,7 @@
 #include "src/core/async_solver.h"
 #include "src/core/buffer_policy.h"
 #include "src/fleet/fleet_gen.h"
+#include "src/journal/checkpoint.h"
 
 namespace ras {
 namespace {
@@ -80,6 +81,51 @@ TEST(StateIoTest, RoundTripPreservesEverything) {
   }
 }
 
+TEST(StateIoTest, SerializedBytesArePinned) {
+  // Checkpoints, digest records and the state digest are all defined by
+  // these bytes: a journal written by an older binary only recovers if the
+  // writer still produces them exactly.
+  Fleet fleet = GenerateFleet(Options());
+  ResourceBroker broker(&fleet.topology);
+  ReservationRegistry registry;
+  ReservationSpec spec;
+  spec.id = 7;
+  spec.name = "svc|a";
+  spec.capacity_rru = 22.5;
+  spec.rru_per_type = {1.0, 0.75};
+  spec.dc_affinity[1] = 0.8;
+  ASSERT_TRUE(registry.Restore(spec).ok());
+  spec.id = 12345;
+  spec.name = "elastic";
+  spec.is_elastic = true;
+  spec.dc_affinity.clear();
+  ASSERT_TRUE(registry.Restore(spec).ok());
+
+  broker.SetCurrent(0, 7);
+  broker.SetTarget(0, 7);
+  broker.SetHasContainers(0, true);
+  broker.SetTarget(1, 12345);
+  broker.SetCurrent(2, 12345);
+  broker.SetElasticLoan(2, 7, true);
+  broker.SetUnavailability(3, Unavailability::kPlannedMaintenance);
+  broker.SetUnavailability(4, Unavailability::kUnplannedSoftware);
+  broker.SetUnavailability(95, Unavailability::kUnplannedHardware);
+  // Every other server is all-default and is skipped.
+
+  EXPECT_EQ(SerializeRegionState(broker, registry),
+            "ras-state v1\n"
+            "# servers=96\n"
+            "reservation|7|svc%7Ca|22.5|1|0|0|0.05|0||1,0.75|1=0.8\n"
+            "reservation|12345|elastic|22.5|5|0|0|0.05|0||1,0.75|\n"
+            "server|0|7|7|-|0|0|1\n"
+            "server|1|-|12345|-|0|0|0\n"
+            "server|2|12345|-|7|1|0|0\n"
+            "server|3|-|-|-|0|1|0\n"
+            "server|4|-|-|-|0|2|0\n"
+            "server|95|-|-|-|0|3|0\n");
+  EXPECT_EQ(journal::StateDigest(broker, registry), 0x469466c3u);
+}
+
 TEST(StateIoTest, RestoredRegistryKeepsIdsMonotonic) {
   Fleet fleet = GenerateFleet(Options());
   ResourceBroker broker(&fleet.topology);
@@ -112,6 +158,23 @@ TEST(StateIoTest, RejectsMalformedInput) {
   EXPECT_FALSE(DeserializeRegionState("ras-state v1\nserver|99999|-|-|-|0|0|0", broker,
                                       registry)
                    .ok());
+  // Malformed flags, unavailability codes and ids: each field is parsed
+  // whole, and an id must be "-" or a decimal below kUnassigned.
+  const char* kBadServers[] = {
+      "server|1|-|-|-|x|0|0",           "server|1|-|-|-|0|2zz|0",
+      "server|1|-|-|-|0||0",            "server|1|-|-|-|0|0|yes",
+      "server|1|4294967296|-|-|0|0|0",  "server|1|-7|-|-|0|0|0",
+      "server|1|4294967295|-|-|0|0|0",  "server|1|-|+3|-|0|0|0",
+      "server|1|-|-| 3|0|0|0",          "server|+1|-|-|-|0|0|0",
+      "server|1|-|-|-|0|9|0",
+  };
+  for (const char* line : kBadServers) {
+    ServerStateRecord parsed;
+    EXPECT_FALSE(ParseServerRecord(line, broker.num_servers(), &parsed).ok()) << line;
+    EXPECT_FALSE(
+        DeserializeRegionState(std::string("ras-state v1\n") + line, broker, registry).ok())
+        << line;
+  }
   // All rejections left the broker untouched.
   for (ServerId s = 0; s < broker.num_servers(); ++s) {
     EXPECT_EQ(broker.record(s).current, kUnassigned);

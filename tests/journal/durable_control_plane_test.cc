@@ -87,6 +87,31 @@ std::vector<std::pair<ServerId, ReservationId>> Batch2(ReservationId id) {
   return {{0, kUnassigned}, {6, id}, {7, id}, {8, id}, {9, id}, {10, id}};
 }
 
+// Payload of the newest targets intent in `dir`'s journal.
+std::string LastIntent(const std::string& dir) {
+  Result<JournalScan> scan = WriteAheadJournal::Scan(dir + "/journal.wal");
+  EXPECT_TRUE(scan.ok());
+  std::string payload = "<none>";
+  if (scan.ok()) {
+    for (const JournalRecord& record : scan->records) {
+      if (record.kind == RecordKind::kApplyTargets) {
+        payload = record.payload;
+      }
+    }
+  }
+  return payload;
+}
+
+// Restarts on `dir` and checks the replay verified every digest and landed
+// on `live_digest`.
+void ExpectRecoversTo(const std::string& dir, uint32_t live_digest) {
+  Proc q(dir);
+  ASSERT_TRUE(q.report.status.ok()) << q.report.status.ToString();
+  EXPECT_TRUE(q.report.digest_verified);
+  EXPECT_GT(q.report.digests_checked, 0u);
+  EXPECT_EQ(q.Digest(), live_digest);
+}
+
 TEST(DurableControlPlaneTest, BootstrapPersistRestartRecovers) {
   std::string dir = FreshDir("bootstrap");
   uint32_t live_digest = 0;
@@ -346,6 +371,61 @@ TEST(DurableControlPlaneTest, FallsBackToOlderCheckpointWhenNewestIsCorrupt) {
   // The journal was truncated at the newer compaction, so the fallback is
   // consistent but stale: exactly the older checkpoint's state.
   EXPECT_EQ(q.Digest(), at_first_checkpoint);
+}
+
+TEST(DurableControlPlaneTest, IntentListsOnlyTheServersABatchChanges) {
+  std::string dir = FreshDir("intent-one-change");
+  uint32_t live_digest = 0;
+  {
+    Proc p(dir);
+    ReservationId id = p.Admit("svc", 10);
+    ASSERT_TRUE(p.durable->PersistTargets(*p.broker, Batch1(id)).ok());
+    std::vector<std::pair<ServerId, ReservationId>> batch = Batch1(id);
+    batch.emplace_back(6, id);
+    ASSERT_TRUE(p.durable->PersistTargets(*p.broker, batch).ok());
+    EXPECT_EQ(LastIntent(dir), "6=" + std::to_string(id));
+    live_digest = p.Digest();
+  }
+  ExpectRecoversTo(dir, live_digest);
+}
+
+TEST(DurableControlPlaneTest, UnchangedBatchJournalsAnEmptyIntent) {
+  std::string dir = FreshDir("intent-unchanged");
+  uint32_t live_digest = 0;
+  {
+    Proc p(dir);
+    ReservationId id = p.Admit("svc", 10);
+    ASSERT_TRUE(p.durable->PersistTargets(*p.broker, Batch1(id)).ok());
+    ASSERT_TRUE(p.durable->PersistTargets(*p.broker, Batch1(id)).ok());
+    EXPECT_EQ(LastIntent(dir), "");
+    live_digest = p.Digest();
+  }
+  ExpectRecoversTo(dir, live_digest);
+}
+
+TEST(DurableControlPlaneTest, RepeatedServerJournalsItsFinalTarget) {
+  std::string dir = FreshDir("intent-repeated");
+  uint32_t live_digest = 0;
+  ReservationId b = kUnassigned;
+  {
+    Proc p(dir);
+    ReservationId a = p.Admit("a", 10);
+    b = p.Admit("b", 10);
+    // Server 7 is named twice and ends on b; server 9 is named twice and
+    // ends where it started, so the intent leaves it out.
+    ASSERT_TRUE(
+        p.durable->PersistTargets(*p.broker, {{7, a}, {9, a}, {7, b}, {9, kUnassigned}}).ok());
+    EXPECT_EQ(LastIntent(dir), "7=" + std::to_string(b));
+    EXPECT_EQ(p.broker->record(7).target, b);
+    EXPECT_EQ(p.broker->record(9).target, kUnassigned);
+    live_digest = p.Digest();
+  }
+  Proc q(dir);
+  ASSERT_TRUE(q.report.status.ok()) << q.report.status.ToString();
+  EXPECT_TRUE(q.report.digest_verified);
+  EXPECT_EQ(q.Digest(), live_digest);
+  EXPECT_EQ(q.broker->record(7).target, b);
+  EXPECT_EQ(q.broker->record(9).target, kUnassigned);
 }
 
 TEST(DurableControlPlaneTest, ThresholdCompactionTruncatesTheJournal) {

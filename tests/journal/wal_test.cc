@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "src/journal/crc32.h"
 #include "src/obs/metrics.h"
 #include "src/util/file_io.h"
@@ -27,6 +30,37 @@ TEST(Crc32Test, KnownVectorAndChaining) {
   // Chaining via the seed equals hashing the concatenation.
   EXPECT_EQ(Crc32("6789", Crc32("12345")), Crc32("123456789"));
   EXPECT_NE(Crc32("123456789"), Crc32("123456780"));
+}
+
+// The bytewise table-driven CRC the sliced implementation must equal.
+uint32_t BytewiseCrc32(std::string_view data, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (unsigned char c : data) {
+    crc ^= c;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
+  std::string buffer;
+  for (int i = 0; i < 80; ++i) {
+    buffer += static_cast<char>((i * 151 + 7) & 0xFF);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      std::string_view data(buffer.data() + offset, length);
+      const uint32_t expected = BytewiseCrc32(data, 0);
+      ASSERT_EQ(Crc32(data), expected) << "offset " << offset << " length " << length;
+      // Chaining at every split point equals the one-shot CRC.
+      for (size_t split = 0; split <= length; ++split) {
+        ASSERT_EQ(Crc32(data.substr(split), Crc32(data.substr(0, split))), expected)
+            << "offset " << offset << " length " << length << " split " << split;
+      }
+    }
+  }
 }
 
 TEST(WalTest, AppendScanRoundTrip) {
