@@ -84,30 +84,6 @@ struct ReferenceModel {
       }
     }
     std::vector<double> x = MakeWarmStart(input, classes, built, counts);
-    if (std::getenv("RAS_SHARD_BENCH_DEBUG") != nullptr) {
-      auto cost_of = [&](VarId v) {
-        return v >= 0 ? built.model.variable(v).cost *
-                            x[static_cast<size_t>(v)]
-                      : 0.0;
-      };
-      double acq = 0, mv = 0, shortf = 0, buf = 0, hoard = 0, spread = 0, aff = 0, quo = 0;
-      for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
-        acq += cost_of(built.assignment_vars[k].var);
-      }
-      for (VarId v : built.move_vars) mv += cost_of(v);
-      for (VarId v : built.shortfall_vars) shortf += cost_of(v);
-      for (VarId v : built.buffer_vars) buf += cost_of(v);
-      for (VarId v : built.hoard_vars) hoard += cost_of(v);
-      for (const auto& t : built.msb_spread_terms) spread += cost_of(t.var);
-      for (const auto& t : built.rack_spread_terms) spread += cost_of(t.var);
-      for (const auto& t : built.affinity_terms) {
-        aff += cost_of(t.lo_slack) + cost_of(t.hi_slack);
-      }
-      for (const auto& t : built.quorum_terms) quo += cost_of(t.slack);
-      std::printf("  [debug] acquire=%.0f move=%.0f shortfall=%.0f buffer=%.0f hoard=%.0f "
-                  "spread=%.0f affinity=%.0f quorum=%.0f\n",
-                  acq, mv, shortf, buf, hoard, spread, aff, quo);
-    }
     return built.model.Objective(x);
   }
 };
@@ -191,14 +167,6 @@ int main(int argc, char** argv) {
       continue;
     }
     double objective = reference.Score(input, decoded);
-    if (std::getenv("RAS_SHARD_BENCH_DEBUG") != nullptr) {
-      std::printf("  [debug] p1: rows=%zu vars=%zu mip=%.3fs setup=%.3fs | p2: rows=%zu "
-                  "vars=%zu mip=%.3fs setup=%.3fs\n",
-                  stats->phase1.model_rows, stats->phase1.model_variables,
-                  stats->phase1.timings.mip_s, stats->phase1.timings.setup(),
-                  stats->phase2.model_rows, stats->phase2.model_variables,
-                  stats->phase2.timings.mip_s, stats->phase2.timings.setup());
-    }
     if (k == 1) {
       mono_wall = wall;
       mono_objective = objective;

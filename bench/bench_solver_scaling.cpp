@@ -2,11 +2,13 @@
 // Solver's MIP engine (the machinery behind Figures 7 and 10).
 //
 // Runs the phase-1 RAS MIP (the serial branch-and-bound over the sparse LU
-// simplex kernel) over a set of synthetic regions. Prints one result row and
-// writes BENCH_solver.json (via the common bench_json emitter) with wall
-// time, simplex iterations, nodes, objective and gap, so successive runs can
-// be diffed mechanically. Also verifies that the search is run-to-run
-// deterministic (bitwise-identical solution vectors).
+// simplex kernel) over a set of synthetic regions, from the initial state and
+// through the MIP step the Async Solver itself runs (MakePhaseStart,
+// SolvePhaseMip). Prints one result row and writes BENCH_solver.json (via the
+// common bench_json emitter) with wall time, simplex iterations, nodes,
+// objective and gap, so successive runs can be diffed mechanically. Also
+// verifies that the search is run-to-run deterministic (bitwise-identical
+// solution vectors).
 //
 // Usage: bench_solver_scaling [small] [output.json]
 
@@ -18,8 +20,6 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_json.h"
-#include "src/core/initial_assignment.h"
-#include "src/core/lp_rounding.h"
 
 using namespace ras;
 using namespace ras::bench;
@@ -36,9 +36,7 @@ struct Workload {
   SolveInput input;
   std::vector<EquivalenceClass> classes;
   BuiltModel built;
-  std::vector<double> warm;
-  // The root LP's start: the current assignment, as the Async Solver passes.
-  std::vector<double> root_start;
+  PhaseStart start;
 };
 
 struct ConfigResult {
@@ -55,11 +53,8 @@ ConfigResult RunConfig(const std::vector<Workload*>& workloads, const SolverConf
   ConfigResult out;
   for (size_t w = 0; w < workloads.size(); ++w) {
     Workload& wl = *workloads[w];
-    MipOptions options = config.phase1_mip;
-    options.heuristic = MakeLpRoundingHeuristic(wl.input, wl.classes, wl.built);
-    MipSolver solver(options);
     double t0 = WallNow();
-    MipResult mip = solver.Solve(wl.built.model, &wl.warm, &wl.root_start);
+    MipResult mip = SolvePhaseMip(wl.input, wl.classes, wl.built, config.phase1_mip, wl.start);
     out.wall_s += WallNow() - t0;
     out.lp_iterations += mip.lp_iterations;
     out.nodes += mip.nodes;
@@ -126,9 +121,7 @@ int main(int argc, char** argv) {
     wl.input = SnapshotSolveInput(broker, registry, fleet.catalog);
     wl.classes = BuildEquivalenceClasses(wl.input, Scope::kMsb);
     wl.built = BuildRasModel(wl.input, wl.classes, config, /*include_rack_spread=*/false);
-    auto counts = BuildInitialCounts(wl.input, wl.classes, wl.built);
-    wl.warm = MakeWarmStart(wl.input, wl.classes, wl.built, counts);
-    wl.root_start = MakeWarmStart(wl.input, wl.classes, wl.built, wl.built.initial_counts);
+    wl.start = MakePhaseStart(wl.input, wl.classes, wl.built, config.phase1_mip);
     std::printf("workload %d: %zu rows, %zu vars, %zu nonzeros\n", t,
                 wl.built.model.num_rows(), wl.built.model.num_variables(),
                 wl.built.model.num_nonzeros());

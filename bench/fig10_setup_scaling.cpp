@@ -8,8 +8,9 @@
 //
 // Uses google-benchmark: one benchmark per region scale; the per-iteration
 // time is the full setup pipeline (snapshot, symmetry reduction, model
-// build, greedy initial state) for both phases; assignment-variable counts
-// are exported as counters. Linearity shows as time/vars staying flat.
+// build, and the Async Solver's initial state: greedy + polish) for both
+// phases; assignment-variable counts are exported as counters. Linearity
+// shows as time/vars staying flat.
 
 #include <benchmark/benchmark.h>
 

@@ -23,15 +23,14 @@ SetupMeasurement MeasureSetup(SweepRegion& region, bool solve_root_lp) {
   SolveInput input = SnapshotSolveInput(*region.broker, region.registry, region.fleet.catalog);
   auto classes1 = BuildEquivalenceClasses(input, Scope::kMsb);
   BuiltModel built1 = BuildRasModel(input, classes1, config, /*include_rack_spread=*/false);
-  auto counts1 = BuildInitialCounts(input, classes1, built1);
-  auto warm1 = MakeWarmStart(input, classes1, built1, counts1);
+  PhaseStart start1 = MakePhaseStart(input, classes1, built1, config.phase1_mip);
   out.phase1_setup_s = Now() - t0;
   out.phase1_vars = built1.num_assignment_variables();
   out.phase1_rows = built1.model.num_rows();
   out.phase1_model_bytes = built1.ModelMemoryBytes();
   if (solve_root_lp) {
-    auto root1 = MakeWarmStart(input, classes1, built1, built1.initial_counts);
-    out.phase1_basis_nonzeros = SimplexSolver().Solve(built1.model, {}, &root1).factor_nonzeros;
+    out.phase1_basis_nonzeros =
+        SimplexSolver().Solve(built1.model, {}, &start1.root_start).factor_nonzeros;
   }
 
   // ---- Phase 2 setup: worst 10% of reservations at rack granularity ----
@@ -48,17 +47,14 @@ SetupMeasurement MeasureSetup(SweepRegion& region, bool solve_root_lp) {
   auto classes2 = BuildEquivalenceClasses(input, Scope::kRack, filter);
   BuiltModel built2 =
       BuildRasModel(input, classes2, config, /*include_rack_spread=*/true, subset);
-  auto counts2 = BuildInitialCounts(input, classes2, built2);
-  auto warm2 = MakeWarmStart(input, classes2, built2, counts2);
+  PhaseStart start2 = MakePhaseStart(input, classes2, built2, config.phase2_mip);
   out.phase2_setup_s = Now() - t0;
   out.phase2_vars = built2.num_assignment_variables();
   out.phase2_model_bytes = built2.ModelMemoryBytes();
   if (solve_root_lp) {
-    auto root2 = MakeWarmStart(input, classes2, built2, built2.initial_counts);
-    out.phase2_basis_nonzeros = SimplexSolver().Solve(built2.model, {}, &root2).factor_nonzeros;
+    out.phase2_basis_nonzeros =
+        SimplexSolver().Solve(built2.model, {}, &start2.root_start).factor_nonzeros;
   }
-  (void)warm1;
-  (void)warm2;
   return out;
 }
 

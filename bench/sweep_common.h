@@ -1,8 +1,9 @@
 // Shared region-size sweep for the Figure 10 / Figure 11 scaling benches:
 // builds progressively larger regions and runs the setup pipeline (snapshot,
-// equivalence classes, model build, initial state) for both phases, without
-// the MIP step. Figure 11 additionally solves each phase's root LP to read
-// the simplex basis footprint.
+// equivalence classes, model build, and the Async Solver's initial-state step
+// MakePhaseStart) for both phases, without the MIP step. Figure 11
+// additionally solves each phase's root LP to read the simplex basis
+// footprint.
 
 #ifndef RAS_BENCH_SWEEP_COMMON_H_
 #define RAS_BENCH_SWEEP_COMMON_H_
@@ -11,7 +12,6 @@
 #include <unordered_set>
 
 #include "bench/bench_common.h"
-#include "src/core/initial_assignment.h"
 
 namespace ras {
 namespace bench {

@@ -94,6 +94,34 @@ void RecordSolveMetrics(const SolveStats& stats) {
 
 }  // namespace
 
+PhaseStart MakePhaseStart(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
+                          const BuiltModel& built, const MipOptions& mip_options) {
+  // The greedy start, polished by a short local search: its relocate moves
+  // fix spread cheaply, and the MIP then starts from, and can only improve
+  // on, that incumbent.
+  std::vector<double> counts = BuildInitialCounts(input, classes, built);
+  // A polish of the greedy start accepts few moves. Every proposal is a
+  // valid move, so 4,000 consecutive rejections end a polish with nothing
+  // left to find in under a millisecond on a 576-server region; the library
+  // default (150k) would take about 25 ms.
+  constexpr int64_t kPolishStallLimit = 4000;
+  LocalSearchOptions polish;
+  polish.time_limit_seconds = std::min(1.0, mip_options.time_limit_seconds * 0.1);
+  polish.seed = 17;
+  polish.stall_limit = kPolishStallLimit;
+  counts = LocalSearchOptimize(input, classes, built, counts, polish).counts;
+  return PhaseStart{MakeWarmStart(input, classes, built, counts),
+                    MakeWarmStart(input, classes, built, built.initial_counts)};
+}
+
+MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
+                        const BuiltModel& built, const MipOptions& mip_options,
+                        const PhaseStart& start) {
+  MipOptions options = mip_options;
+  options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
+  return MipSolver(options).Solve(built.model, &start.warm, &start.root_start);
+}
+
 AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
                                                 const std::vector<EquivalenceClass>& classes,
                                                 bool include_rack_spread,
@@ -165,37 +193,16 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
   }
 
   if (solution == nullptr) {
-    // Initial state: greedy warm start, polished by a short local search (the
-    // search's relocate moves fix spread cheaply, and the MIP then starts
-    // from, and can only improve on, that incumbent). Computed identically
-    // whether the model was patched or rebuilt, and the MIP below runs
-    // exactly as if cold, so incremental and cold rounds produce identical
-    // targets.
+    // Initial state, computed identically whether the model was patched or
+    // rebuilt; the MIP below runs exactly as if cold, so incremental and cold
+    // rounds produce identical targets.
     t0 = util::MonotonicSeconds();
-    std::vector<double> counts = BuildInitialCounts(input, classes, built);
-    // A polish of the greedy start accepts few moves. Every proposal is a
-    // valid move, so 4,000 consecutive rejections end a polish with nothing
-    // left to find in under a millisecond on a 576-server region; the
-    // library default (150k) would take about 25 ms. The same on every
-    // pipeline, cold or incremental.
-    constexpr int64_t kPolishStallLimit = 4000;
-    LocalSearchOptions polish;
-    polish.time_limit_seconds = std::min(1.0, mip_options.time_limit_seconds * 0.1);
-    polish.seed = 17;
-    polish.stall_limit = kPolishStallLimit;
-    counts = LocalSearchOptimize(input, classes, built, counts, polish).counts;
-    std::vector<double> warm = MakeWarmStart(input, classes, built, counts);
-    outcome.stats.warm_start_objective = built.model.Objective(warm);
+    PhaseStart start = MakePhaseStart(input, classes, built, mip_options);
+    outcome.stats.warm_start_objective = built.model.Objective(start.warm);
     outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
 
     t0 = util::MonotonicSeconds();
-    MipOptions options = mip_options;
-    options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
-    MipSolver solver(options);
-    // The root LP starts where the region already is: every held class at
-    // its count. Both pipelines build it from the same initial counts.
-    std::vector<double> root_start = MakeWarmStart(input, classes, built, built.initial_counts);
-    MipResult mip = solver.Solve(built.model, &warm, &root_start);
+    MipResult mip = SolvePhaseMip(input, classes, built, mip_options, start);
     outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
     outcome.stats.mip_status = mip.status;
     outcome.stats.nodes = mip.nodes;
@@ -212,7 +219,7 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
       // yield a valid (possibly suboptimal) assignment.
       RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
                         << "; falling back to the greedy initial state";
-      local_solution = std::move(warm);
+      local_solution = std::move(start.warm);
       solution = &local_solution;
       outcome.stats.objective = outcome.stats.warm_start_objective;
       outcome.stats.best_bound = mip.best_bound;

@@ -105,6 +105,26 @@ struct SolveStats {
   int64_t presolve_rows_removed = 0;
 };
 
+// The initial-state step of a phase (Figure 8). `warm` is the greedy spread-
+// aware assignment polished by a short local search; it seeds the MIP's
+// incumbent. `root_start` is the region's current assignment, every held
+// class at its count; the root LP starts there.
+struct PhaseStart {
+  std::vector<double> warm;
+  std::vector<double> root_start;
+};
+
+// Builds the initial state every phase solve starts from. `mip_options` is
+// the phase's MIP budget; the polish gets a tenth of it, at most a second.
+PhaseStart MakePhaseStart(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
+                          const BuiltModel& built, const MipOptions& mip_options);
+
+// The MIP step of a phase: branch-and-bound over `built` from `start`, with
+// the LP-guided rounding heuristic (src/core/lp_rounding) installed.
+MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
+                        const BuiltModel& built, const MipOptions& mip_options,
+                        const PhaseStart& start);
+
 class AsyncSolver {
  public:
   explicit AsyncSolver(SolverConfig config = SolverConfig()) : config_(std::move(config)) {}

@@ -13,7 +13,9 @@ namespace ras {
 namespace {
 
 // Incremental objective state. Every coefficient is extracted from the built
-// model itself, so the local search optimizes exactly what the MIP would.
+// model itself, and every term of the model is scored except the rack-spread
+// terms (`rack_spread_terms`, phase 2 only): on a phase-2 model the search
+// optimizes, and reports, the objective without its rack-spread penalty.
 // Its dense per-(reservation, MSB/DC) arrays are the one deliberate copy of
 // the RRU ledger's effective-capacity rule (rru_ledger.h): the polish scores
 // every proposal against them in O(1) and restores them on reject.

@@ -9,14 +9,15 @@
 // This is that local search, specialized to the RAS assignment structure:
 // single-unit moves of equivalence-class servers between reservations (or
 // the free pool), greedily accepted on exact incremental objective deltas
-// over the same cost model the MIP optimizes (Expressions 1-7 plus the
-// repo's anti-hoarding term). Every proposal is a move the current state
-// admits: it is drawn from the valid moves only, with the probabilities a
-// uniform draw conditioned on validity would give, so each one is priced.
-// A rejected move is undone exactly. It trades solution quality for
-// strictly bounded runtime. The AsyncSolver runs it as a short polish of
-// the greedy warm start before the MIP; bench/ablation_backend compares it,
-// run to its own time limit, against the MIP.
+// over the cost model the MIP optimizes (Expressions 1-7 plus the repo's
+// anti-hoarding term), except that it does not score phase 2's rack-spread
+// terms. Every proposal is a move the current state admits: it is drawn
+// from the valid moves only, with the probabilities a uniform draw
+// conditioned on validity would give, so each one is priced. A rejected
+// move is undone exactly. It trades solution quality for strictly bounded
+// runtime. The AsyncSolver runs it as a short polish of the greedy warm
+// start before the MIP (MakePhaseStart); bench/ablation_backend compares
+// it, run to its own time limit, against the MIP.
 
 #ifndef RAS_SRC_CORE_LOCAL_SEARCH_H_
 #define RAS_SRC_CORE_LOCAL_SEARCH_H_
@@ -51,7 +52,7 @@ struct LocalSearchResult {
 // Improves `initial_counts` (must respect class supplies; typically
 // BuildInitialCounts output). The returned counts also respect supplies; the
 // objective values are the built model's objective at the corresponding
-// MakeWarmStart points.
+// MakeWarmStart points, less any rack-spread penalty (a phase-2 model's).
 LocalSearchResult LocalSearchOptimize(const SolveInput& input,
                                       const std::vector<EquivalenceClass>& classes,
                                       const BuiltModel& built,

@@ -7,9 +7,11 @@
 // (rounding can shave a fraction of a server off a reservation here and
 // there) are then repaired by the same spread-first greedy used for the
 // initial state, and auxiliary variables are recomputed to produce a fully
-// feasible candidate. Generic fix-and-solve rounding scatters capacity
-// because it rounds each variable independently; this one understands the
-// assignment structure.
+// feasible candidate. Rounding each variable independently would scatter
+// capacity; this one understands the assignment structure. From the
+// production start (the polished greedy) it improves the node-limited
+// phase-1 objective by 1.04x on average over running no heuristic
+// (bench/ablation_heuristic): the start already carries most of the quality.
 
 #ifndef RAS_SRC_CORE_LP_ROUNDING_H_
 #define RAS_SRC_CORE_LP_ROUNDING_H_

@@ -92,9 +92,11 @@ struct SolverConfig {
   MipOptions phase2_mip;
 
   SolverConfig() {
-    // The LP-rounding heuristic finds near-optimal incumbents within a few
-    // nodes (bench/fig09: the 24-node early stop matches a 200-node
-    // reference in ~100% of trials), so node budgets stay small.
+    // The polished warm start and the LP-rounding heuristic leave deeper
+    // search little to find (bench/fig09: from the production start, the
+    // 24-node early stop matches a 200-node reference in most trials and
+    // trails it by under 15 in-use moves' cost in every one), so node
+    // budgets stay small.
     phase1_mip.time_limit_seconds = 20.0;
     phase1_mip.max_nodes = 24;
     phase2_mip.time_limit_seconds = 10.0;

@@ -8,24 +8,9 @@
 namespace ras {
 namespace obs {
 
-size_t ThisThreadShard() {
-  // Round-robin stripe assignment on first use per thread. The counter only
-  // moves when a new thread first touches a metric, so the modulo pattern is
-  // stable and spreads the pool's workers evenly.
-  static std::atomic<size_t> next_slot{0};
-  thread_local size_t slot = next_slot.fetch_add(1, std::memory_order_relaxed) % kValueShards;
-  return slot;
-}
-
 // --- Histogram ---------------------------------------------------------------
 
 namespace {
-// Pads a stripe to whole cache lines so two stripes never share one.
-size_t StripeStride(size_t buckets) {
-  constexpr size_t kPerLine = 64 / sizeof(std::atomic<uint64_t>);
-  return (buckets + kPerLine - 1) / kPerLine * kPerLine;
-}
-
 [[noreturn]] void DieKindMismatch(const std::string& name, const char* requested) {
   // The write to stderr is the last thing this process does before abort();
   // "blocking on a hot path" is moot when the path ends here.
@@ -45,8 +30,7 @@ Histogram::Histogram(std::string name, std::string help, double lo, double hi, s
       hi_(hi),
       buckets_(buckets),
       enabled_(enabled),
-      counts_(StripeStride(buckets) * kValueShards),
-      stripe_stride_(StripeStride(buckets)) {
+      counts_(buckets) {
   assert(hi > lo && buckets > 0);
   width_ = (hi - lo) / static_cast<double>(buckets);
 }
@@ -64,39 +48,27 @@ void Histogram::Observe(double x) {
   if (index >= static_cast<int64_t>(buckets_)) {
     index = static_cast<int64_t>(buckets_) - 1;
   }
-  const size_t shard = ThisThreadShard();
-  counts_[shard * stripe_stride_ + static_cast<size_t>(index)].fetch_add(
-      1, std::memory_order_relaxed);
-  sums_[shard].value.fetch_add(x, std::memory_order_relaxed);
+  counts_[static_cast<size_t>(index)].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(x, std::memory_order_relaxed);
 }
 
 ras::Histogram Histogram::Snapshot() const {
-  ras::Histogram merged(lo_, hi_, buckets_);
-  for (size_t shard = 0; shard < kValueShards; ++shard) {
-    for (size_t b = 0; b < buckets_; ++b) {
-      uint64_t n = counts_[shard * stripe_stride_ + b].load(std::memory_order_relaxed);
-      if (n > 0) {
-        merged.AddCount(b, n);
-      }
+  ras::Histogram snapshot(lo_, hi_, buckets_);
+  for (size_t b = 0; b < buckets_; ++b) {
+    uint64_t n = counts_[b].load(std::memory_order_relaxed);
+    if (n > 0) {
+      snapshot.AddCount(b, n);
     }
   }
-  return merged;
+  return snapshot;
 }
 
-double Histogram::Sum() const {
-  double sum = 0.0;
-  for (const auto& cell : sums_) {
-    sum += cell.value.load(std::memory_order_relaxed);
-  }
-  return sum;
-}
+double Histogram::Sum() const { return sum_.load(std::memory_order_relaxed); }
 
 uint64_t Histogram::Count() const {
   uint64_t n = 0;
-  for (size_t shard = 0; shard < kValueShards; ++shard) {
-    for (size_t b = 0; b < buckets_; ++b) {
-      n += counts_[shard * stripe_stride_ + b].load(std::memory_order_relaxed);
-    }
+  for (const auto& c : counts_) {
+    n += c.load(std::memory_order_relaxed);
   }
   return n;
 }
@@ -105,9 +77,7 @@ void Histogram::Reset() {
   for (auto& c : counts_) {
     c.store(0, std::memory_order_relaxed);
   }
-  for (auto& s : sums_) {
-    s.value.store(0.0, std::memory_order_relaxed);
-  }
+  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 // --- MetricRegistry ----------------------------------------------------------

@@ -12,11 +12,13 @@
 //   1. *Parity-safe.* Metrics only record; nothing in this file feeds back
 //      into solver decisions, so solver targets are bitwise identical with
 //      the registry enabled or disabled (tests/obs/obs_parity_test.cc).
-//   2. *Never contend on the hot path.* Counter::Add / Histogram::Observe
-//      are one relaxed atomic add on a thread-sharded, cache-line-padded
-//      cell; solver workers (parallel branch-and-bound, shard fan-out)
-//      touching the same metric never share a cache line. The registry's
-//      util::Mutex guards only registration and snapshotting.
+//   2. *Lock-free on the hot path.* Counter::Add is one relaxed atomic add
+//      on the counter's one value; Histogram::Observe is one on its bucket
+//      and one on its sum. Each solve is single-threaded, so the only
+//      concurrent recorders are the shard fan-out's few workers, which record
+//      once per LP solve or phase, not per pivot; per-thread stripes would
+//      buy nothing.
+//      The registry's util::Mutex guards only registration and snapshotting.
 //   3. *Handles are forever.* counter()/gauge()/histogram() return stable
 //      references; ResetValues() zeroes values but never unregisters, so
 //      function-local static handles at instrumentation sites stay valid
@@ -44,22 +46,6 @@
 namespace ras {
 namespace obs {
 
-// Number of independent cells each hot metric is striped across. Power of
-// two; the per-thread slot is assigned round-robin on first use.
-inline constexpr size_t kValueShards = 8;
-
-// Index of this thread's stripe. Stable for the thread's lifetime.
-size_t ThisThreadShard();
-
-namespace internal {
-struct alignas(64) PaddedCell {
-  std::atomic<int64_t> value{0};
-};
-struct alignas(64) PaddedDoubleCell {
-  std::atomic<double> value{0.0};
-};
-}  // namespace internal
-
 class MetricRegistry;
 
 // Monotonic event counter.
@@ -70,15 +56,9 @@ class Counter {
     if (!enabled_->load(std::memory_order_relaxed)) {
       return;
     }
-    cells_[ThisThreadShard()].value.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
-  int64_t Value() const {
-    int64_t sum = 0;
-    for (const auto& cell : cells_) {
-      sum += cell.value.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
+  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
   const std::string& name() const { return name_; }
   const std::string& help() const { return help_; }
 
@@ -86,16 +66,12 @@ class Counter {
   friend class MetricRegistry;
   Counter(std::string name, std::string help, const std::atomic<bool>* enabled)
       : name_(std::move(name)), help_(std::move(help)), enabled_(enabled) {}
-  void Reset() {
-    for (auto& cell : cells_) {
-      cell.value.store(0, std::memory_order_relaxed);
-    }
-  }
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
   std::string name_;
   std::string help_;
   const std::atomic<bool>* enabled_;
-  internal::PaddedCell cells_[kValueShards];
+  std::atomic<int64_t> value_{0};
 };
 
 // Last-written value. Set() races are benign (last writer wins); gauges are
@@ -126,17 +102,16 @@ class Gauge {
 };
 
 // Fixed-bucket histogram over [lo, hi); out-of-range observations clamp into
-// the edge buckets, matching ras::Histogram. Bucket counts and the running
-// sum are striped like Counter cells.
+// the edge buckets, matching ras::Histogram.
 class Histogram {
  public:
   void Observe(double x);
 
-  // Merged snapshot of all stripes as the util::stats histogram (which then
-  // answers Percentile/Merge/ToString).
+  // Snapshot as the util::stats histogram (which then answers
+  // Percentile/Merge/ToString).
   ras::Histogram Snapshot() const;
-  // Sum and count across stripes (sum is not derivable from buckets since
-  // observations are clamped, so it is tracked exactly).
+  // Sum and count of the observations (sum is not derivable from buckets
+  // since observations are clamped, so it is tracked exactly).
   double Sum() const;
   uint64_t Count() const;
 
@@ -159,11 +134,8 @@ class Histogram {
   double width_;
   size_t buckets_;
   const std::atomic<bool>* enabled_;
-  // Stripe-major: counts_[shard * buckets_ + bucket]. Each stripe begins on
-  // its own cache line (the stripe stride is padded up to 64 bytes).
-  std::vector<std::atomic<uint64_t>> counts_;
-  size_t stripe_stride_;
-  internal::PaddedDoubleCell sums_[kValueShards];
+  std::vector<std::atomic<uint64_t>> counts_;  // One per bucket.
+  std::atomic<double> sum_{0.0};
 };
 
 // Owner of every metric. Thread-safe; see the file comment for the contract.

@@ -64,103 +64,6 @@ void EffectiveBounds(const Model& model, const std::vector<BoundOverride>& overr
   }
 }
 
-// Fix-and-solve rounding heuristic: round every integer variable of an LP
-// point to the nearest integer (within the node's bounds), fix them there,
-// and re-solve the LP over the remaining continuous variables. In models
-// whose hard constraints are softened by slack variables (like the RAS
-// model), the restricted LP is almost always feasible, which turns nearly
-// every fractional LP optimum into a genuine incumbent.
-bool TryFixAndSolve(const Model& model, const std::vector<BoundOverride>& node_overrides,
-                    const std::vector<double>& x_lp, SimplexSolver& lp_solver,
-                    std::vector<double>* candidate) {
-  const size_t n = model.num_variables();
-  std::vector<double> lo(n), hi(n);
-  for (size_t j = 0; j < n; ++j) {
-    lo[j] = model.variable(j).lb;
-    hi[j] = model.variable(j).ub;
-  }
-  for (const BoundOverride& o : node_overrides) {
-    lo[static_cast<size_t>(o.var)] = o.lb;
-    hi[static_cast<size_t>(o.var)] = o.ub;
-  }
-  std::vector<double> rounded_value(n);
-  for (size_t j = 0; j < n; ++j) {
-    rounded_value[j] = model.variable(j).is_integer
-                           ? std::clamp(std::round(x_lp[j]), lo[j], hi[j])
-                           : x_lp[j];
-  }
-
-  // Repair pass: nearest-rounding can push a row past its bound when several
-  // fractional variables share it (e.g. two 0.5s on a tight supply row both
-  // rounding up). Walk each violated row and undo the cheapest roundings —
-  // the ones that moved least from the LP value — until the row fits again.
-  for (size_t r = 0; r < model.num_rows(); ++r) {
-    const ModelRow& row = model.row(r);
-    double activity = 0.0;
-    for (const RowEntry& e : model.row_entries(r)) {
-      activity += e.coeff * rounded_value[e.var];
-    }
-    for (int direction = 0; direction < 2; ++direction) {
-      bool over = direction == 0;
-      while (over ? activity > row.ub + 1e-9 : activity < row.lb - 1e-9) {
-        // Find the integer var whose unit step toward the LP value best
-        // reduces the violation, breaking ties by smallest rounding delta.
-        VarId best = -1;
-        double best_tie = kInf;
-        int best_step = 0;
-        for (const RowEntry& e : model.row_entries(r)) {
-          if (!model.variable(e.var).is_integer || e.coeff == 0.0) {
-            continue;
-          }
-          // Step that reduces activity when over, increases when under.
-          int step = (over == (e.coeff > 0)) ? -1 : +1;
-          double next = rounded_value[e.var] + step;
-          if (next < lo[e.var] - 1e-9 || next > hi[e.var] + 1e-9) {
-            continue;
-          }
-          double tie = std::fabs(next - x_lp[e.var]);
-          if (tie < best_tie) {
-            best_tie = tie;
-            best = e.var;
-            best_step = step;
-          }
-        }
-        if (best < 0) {
-          break;  // Row not repairable by integer steps; let the LP decide.
-        }
-        double coeff = 0.0;
-        for (const RowEntry& e : model.row_entries(r)) {
-          if (e.var == best) {
-            coeff += e.coeff;
-          }
-        }
-        rounded_value[static_cast<size_t>(best)] += best_step;
-        activity += coeff * best_step;
-      }
-    }
-  }
-
-  std::vector<BoundOverride> overrides = node_overrides;
-  for (size_t j = 0; j < n; ++j) {
-    if (model.variable(j).is_integer) {
-      overrides.push_back(
-          BoundOverride{static_cast<VarId>(j), rounded_value[j], rounded_value[j]});
-    }
-  }
-  LpResult fixed = lp_solver.ResolveWithBasis(model, overrides);
-  if (fixed.status != LpStatus::kOptimal) {
-    return false;
-  }
-  *candidate = std::move(fixed.x);
-  // Snap the fixed integers exactly (the LP reports them to tolerance).
-  for (size_t j = 0; j < model.num_variables(); ++j) {
-    if (model.variable(j).is_integer) {
-      (*candidate)[j] = std::round((*candidate)[j]);
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_start,
@@ -220,10 +123,6 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
   // from the basis the previous node left; with no valid basis (after an
   // infeasible node) it solves cold. The root solves cold from `root_start`.
   SimplexSolver lp_solver(LpOptions(), deadline);
-  // Separate solver for the fix-and-solve heuristic: consecutive heuristic
-  // LPs have near-identical bounds, so they warm-start each other, and the
-  // node chain's basis in lp_solver is never disturbed.
-  SimplexSolver heuristic_solver(LpOptions(), deadline);
   // Nodes dropped unsolved (iteration limit, numerical failure) may hide
   // better points: the lowest parent LP value among them stays in the bound
   // (kInf while there are none).
@@ -288,15 +187,12 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
       continue;
     }
 
-    // Fix-and-solve heuristic at shallow depths and periodically deeper in
+    // The installed heuristic, at shallow depths and periodically deeper in
     // the tree: turns the fractional LP point into a feasible incumbent.
-    if (node.depth <= 2 || node_id % 16 == 0) {
+    if (options_.heuristic && (node.depth <= 2 || node_id % 16 == 0)) {
       std::vector<double> rounded;
-      bool produced = options_.heuristic
-                          ? options_.heuristic(model, lp.x, &rounded)
-                          : TryFixAndSolve(model, node.overrides, lp.x, heuristic_solver, &rounded);
-      produced = produced && model.IsFeasible(rounded, options_.integrality_tol * 100);
-      if (produced) {
+      if (options_.heuristic(model, lp.x, &rounded) &&
+          model.IsFeasible(rounded, options_.integrality_tol * 100)) {
         const double obj = model.Objective(rounded);
         if (!have_incumbent || obj < incumbent_obj) {
           install(std::move(rounded), obj);

@@ -51,9 +51,9 @@ struct MipOptions {
   double integrality_tol = 1e-6;
   double absolute_gap = 1e-6;
   double relative_gap = 1e-6;
-  // When set, used instead of the built-in generic fix-and-solve rounding.
-  // RAS installs an LP-guided greedy that understands the assignment
-  // structure (src/core/lp_rounding).
+  // Run on the LP point of the shallow nodes and of every 16th node; unset
+  // means no primal heuristic. RAS installs an LP-guided greedy that
+  // understands the assignment structure (src/core/lp_rounding).
   MipHeuristic heuristic;
 };
 

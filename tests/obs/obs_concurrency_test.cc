@@ -1,7 +1,7 @@
 // Hammers one MetricRegistry and one Tracer from ThreadPool workers. Run
-// under TSan (the CI tsan job includes this test) to prove the sharded
-// counter stripes, histogram stripes and span ring are race-free; the
-// assertions prove no increments are lost.
+// under TSan (the CI tsan job includes this test) to prove the counter and
+// histogram atomics and the span ring are race-free; the assertions prove no
+// increments are lost.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,7 @@ TEST(ObsConcurrencyTest, CountersLoseNothingUnderContention) {
   for (int t = 0; t < kThreads; ++t) {
     pool.Submit([&reg, &hot] {
       // Half the traffic through a shared handle, half through the registry
-      // lookup path, so both the stripe atomics and the name map see load.
+      // lookup path, so both the value atomic and the name map see load.
       for (int i = 0; i < kOpsPerThread; ++i) {
         hot.Add();
         reg.counter("ras_test_hot_total", "").Add();

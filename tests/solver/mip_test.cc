@@ -233,7 +233,10 @@ TEST(MipTest, NodeLimitStillReturnsFeasibleIncumbent) {
   Model m = RandomIp(rng);
   MipOptions options = TightOptions();
   options.max_nodes = 2;  // Trip the limit almost immediately.
-  MipResult r = MipSolver(options).Solve(m);
+  // With no heuristic installed, two nodes may not reach an integer point;
+  // the all-zero point (feasible for every RandomIp) seeds the incumbent.
+  const std::vector<double> warm(m.num_variables(), 0.0);
+  MipResult r = MipSolver(options).Solve(m, &warm);
   ASSERT_TRUE(r.status == MipStatus::kOptimal || r.status == MipStatus::kFeasible);
   ASSERT_FALSE(r.x.empty());
   EXPECT_TRUE(m.IsFeasible(r.x, 1e-6));
@@ -281,9 +284,8 @@ TEST(MipTest, RasPhase1ModelSolvesToProvenOptimum) {
   auto classes = BuildEquivalenceClasses(input, Scope::kMsb);
   BuiltModel built = BuildRasModel(input, classes, config, /*include_rack_spread=*/false);
 
-  // Tight gap and generous budgets. No warm start and no LP-guided
-  // heuristic: the built-in fix-and-solve rounding has to find the optimum
-  // that the root bound then proves.
+  // Tight gap and generous budgets. No warm start and no heuristic: the
+  // branching alone has to find the optimum that the root bound then proves.
   MipOptions options = TightOptions();
   options.absolute_gap = 1e-4;
   MipResult r = MipSolver(options).Solve(built.model);
