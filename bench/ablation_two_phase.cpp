@@ -7,6 +7,8 @@
 // phases, and (b) the variable counts of phase 1, phase 2, and a
 // hypothetical unphased rack-granularity solve.
 
+#include <memory>
+
 #include "bench/bench_common.h"
 #include "src/core/rru_ledger.h"
 #include "src/sim/scenario.h"
@@ -16,49 +18,53 @@ using namespace ras::bench;
 
 namespace {
 
-ScenarioOptions MakeOptions(bool enable_phase2) {
+// The same region and reservations for every arm: one 512-server region with
+// eight count-based services.
+std::unique_ptr<RegionScenario> MakeRegion() {
   ScenarioOptions options;
   options.fleet.num_datacenters = 2;
   options.fleet.msbs_per_datacenter = 4;
   options.fleet.racks_per_msb = 8;
   options.fleet.servers_per_rack = 8;
   options.fleet.seed = 4242;
-  if (!enable_phase2) {
-    options.solver.phase2_reservation_percent = 0.0;  // Effectively disables it...
-    options.solver.phase2_max_assignment_vars = 1;    // ...belt and braces.
-  }
-  return options;
-}
-
-void RunVariant(bool enable_phase2, double* overflow, size_t* p1_vars, size_t* p2_vars) {
-  RegionScenario sim(MakeOptions(enable_phase2));
+  auto sim = std::make_unique<RegionScenario>(options);
   Rng rng(424242);
   for (int i = 0; i < 8; ++i) {
-    ReservationSpec spec;
-    spec.name = "svc-" + std::to_string(i);
-    spec.capacity_rru = rng.Uniform(25, 50);
-    spec.rru_per_type.assign(sim.fleet.catalog.size(), 1.0);
-    (void)*sim.registry.Create(spec);
+    (void)*sim->registry.Create(
+        CountReservation(sim->fleet.catalog, "svc-" + std::to_string(i), rng.Uniform(25, 50)));
   }
-  auto stats = sim.SolveRound();
+  return sim;
+}
+
+// Solves the region in `mode` and returns the total rack-level overflow RRUs
+// of the resulting targets. Exits non-zero when the solve fails or phase 2's
+// run flag does not match the arm's mode.
+double RunArm(SolveMode mode, SolveStats* stats_out) {
+  std::unique_ptr<RegionScenario> sim = MakeRegion();
+  auto stats = sim->solver.SolveOnce(*sim->broker, sim->registry, sim->fleet.catalog, mode);
   if (!stats.ok()) {
-    std::fprintf(stderr, "solve failed\n");
+    std::fprintf(stderr, "solve failed: %s\n", stats.status().ToString().c_str());
     exit(1);
   }
-  // Total rack-level overflow RRUs across reservations for the targets.
-  const SolveInput input = SnapshotSolveInput(*sim.broker, sim.registry, sim.fleet.catalog);
+  const bool want_phase2 = mode == SolveMode::kFullTwoPhase;
+  if (stats->phase2.ran != want_phase2) {
+    std::fprintf(stderr, "%s arm reported phase2.ran = %d\n",
+                 want_phase2 ? "two-phase" : "phase-1-only", stats->phase2.ran ? 1 : 0);
+    exit(1);
+  }
+  const SolveInput input = SnapshotSolveInput(*sim->broker, sim->registry, sim->fleet.catalog);
   std::vector<std::pair<ServerId, ReservationId>> targets;
-  for (ServerId id = 0; id < sim.broker->num_servers(); ++id) {
-    targets.emplace_back(id, sim.broker->record(id).target);
+  for (ServerId id = 0; id < sim->broker->num_servers(); ++id) {
+    targets.emplace_back(id, sim->broker->record(id).target);
   }
   const RruLedger ledger = RruLedger::OfTargets(input, targets);
-  *overflow = 0.0;
+  double overflow = 0.0;
   for (size_t r = 0; r < input.reservations.size(); ++r) {
-    *overflow += ledger.RackOverflow(
-        r, RackSpreadThreshold(input.reservations[r], sim.solver.config(), sim.fleet.topology));
+    overflow += ledger.RackOverflow(
+        r, RackSpreadThreshold(input.reservations[r], sim->solver.config(), sim->fleet.topology));
   }
-  *p1_vars = stats->phase1.assignment_variables;
-  *p2_vars = stats->phase2.ran ? stats->phase2.assignment_variables : 0;
+  *stats_out = *stats;
+  return overflow;
 }
 
 }  // namespace
@@ -67,35 +73,29 @@ int main() {
   PrintHeader("Ablation: two-phase solving — rack objective and problem size",
               "phase 2 fixes the worst rack offenders; unphased rack-granularity is ~10x bigger");
 
-  double overflow_p1only = 0, overflow_both = 0;
-  size_t p1_vars = 0, p2_vars = 0, dummy1 = 0, dummy2 = 0;
-  RunVariant(false, &overflow_p1only, &p1_vars, &dummy1);
-  RunVariant(true, &overflow_both, &dummy2, &p2_vars);
+  SolveStats p1only, both;
+  const double overflow_p1only = RunArm(SolveMode::kPhase1Only, &p1only);
+  const double overflow_both = RunArm(SolveMode::kFullTwoPhase, &both);
 
-  std::printf("rack-overflow RRUs after phase 1 only:   %8.1f\n", overflow_p1only);
-  std::printf("rack-overflow RRUs after both phases:    %8.1f  (%.0f%% reduction)\n",
-              overflow_both,
+  std::printf("rack-overflow RRUs after phase 1 only:   %8.1f  (phase2.ran = %d)\n",
+              overflow_p1only, p1only.phase2.ran ? 1 : 0);
+  std::printf("rack-overflow RRUs after both phases:    %8.1f  (phase2.ran = %d)\n",
+              overflow_both, both.phase2.ran ? 1 : 0);
+  std::printf("phase 2 removes %.0f%% of phase 1's rack overflow\n",
               100.0 * (1.0 - overflow_both / std::max(overflow_p1only, 1e-9)));
 
   // Hypothetical single-phase problem: rack-granularity classes for ALL
   // reservations at once.
-  RegionScenario sim(MakeOptions(true));
-  Rng rng(424242);
-  for (int i = 0; i < 8; ++i) {
-    ReservationSpec spec;
-    spec.name = "svc-" + std::to_string(i);
-    spec.capacity_rru = rng.Uniform(25, 50);
-    spec.rru_per_type.assign(sim.fleet.catalog.size(), 1.0);
-    (void)*sim.registry.Create(spec);
-  }
-  SolveInput input = SnapshotSolveInput(*sim.broker, sim.registry, sim.fleet.catalog);
+  std::unique_ptr<RegionScenario> sim = MakeRegion();
+  SolveInput input = SnapshotSolveInput(*sim->broker, sim->registry, sim->fleet.catalog);
   auto rack_classes = BuildEquivalenceClasses(input, Scope::kRack);
-  BuiltModel unphased = BuildRasModel(input, rack_classes, sim.solver.config(),
+  BuiltModel unphased = BuildRasModel(input, rack_classes, sim->solver.config(),
                                       /*include_rack_spread=*/true);
+  const size_t p1_vars = both.phase1.assignment_variables;
   std::printf("\nassignment variables: phase 1 = %zu, phase 2 subset = %zu, hypothetical\n"
               "unphased rack-granularity = %zu (%.1fx phase 1) — the blowup two-phase\n"
               "solving avoids (paper: >=10x).\n",
-              p1_vars, p2_vars, unphased.num_assignment_variables(),
+              p1_vars, both.phase2.assignment_variables, unphased.num_assignment_variables(),
               static_cast<double>(unphased.num_assignment_variables()) /
                   static_cast<double>(std::max<size_t>(1, p1_vars)));
   return 0;

@@ -134,7 +134,7 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
   outcome.stats.timings.ras_build_s = snapshot_seconds;
 
   const bool cache_on = phase > 0 && config_.incremental_resolve;
-  ResolveEntry* entry = cache_on ? &resolve_cache_.entry(phase, resolve_shard_) : nullptr;
+  ResolveEntry* entry = cache_on ? &resolve_cache_.entry(phase) : nullptr;
 
   // Solver build: when the cached model's layout fits this round (same phase
   // shape and subset, RoundDelta::patchable), SetRoundBounds re-targets it in
@@ -277,18 +277,6 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
   return outcome;
 }
 
-const char* SolveModeName(SolveMode mode) {
-  switch (mode) {
-    case SolveMode::kFullTwoPhase:
-      return "FULL_TWO_PHASE";
-    case SolveMode::kPhase1Only:
-      return "PHASE1_ONLY";
-    case SolveMode::kIncumbentOnly:
-      return "INCUMBENT_ONLY";
-  }
-  return "UNKNOWN";
-}
-
 Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
                                               DecodedAssignment* decoded_out, SolveMode mode) {
   if (input.topology == nullptr || input.catalog == nullptr) {
@@ -328,47 +316,25 @@ Result<SolveStats> AsyncSolver::SolveMonolithic(const SolveInput& input,
   double start = util::MonotonicSeconds();
   SolveStats stats;
 
-  if (mode == SolveMode::kIncumbentOnly) {
-    // Degraded rung: skip the MIP entirely and ship the greedy spread-aware
-    // repair of the current assignment — bounded milliseconds, always
-    // produces a valid (if suboptimal) region-wide assignment.
-    double t0 = util::MonotonicSeconds();
-    std::vector<EquivalenceClass> classes = BuildEquivalenceClasses(input, Scope::kMsb);
-    BuiltModel built = BuildRasModel(input, classes, config_, /*include_rack_spread=*/false);
-    stats.phase1.timings.ras_build_s = util::MonotonicSeconds() - t0;
-    stats.phase1.assignment_variables = built.num_assignment_variables();
-    stats.phase1.model_rows = built.model.num_rows();
-    stats.phase1.model_variables = built.model.num_variables();
-    stats.phase1.memory_bytes = built.ModelMemoryBytes();
-    t0 = util::MonotonicSeconds();
-    std::vector<double> counts = BuildInitialCounts(input, classes, built);
-    std::vector<double> warm = MakeWarmStart(input, classes, built, counts);
-    stats.phase1.timings.initial_state_s = util::MonotonicSeconds() - t0;
-    stats.phase1.ran = true;
-    stats.phase1.mip_status = MipStatus::kFeasible;  // Greedy: no bound.
-    stats.phase1.objective = built.model.Objective(warm);
-    stats.phase1.warm_start_objective = stats.phase1.objective;
-    stats.phase1.best_bound = -kInf;
-    FinishTargets(input, DecodeAssignment(input, classes, built, warm).targets, stats,
-                  decoded_out);
-    stats.total_seconds = util::MonotonicSeconds() - start;
-    return stats;
-  }
-
   // ---- Phase 1: MSB granularity, region-wide ----
   double t0 = util::MonotonicSeconds();
   std::vector<EquivalenceClass> classes1 = BuildEquivalenceClasses(input, Scope::kMsb);
   double ras_build1 = util::MonotonicSeconds() - t0;
-  PhaseOutcome phase1 = RunPhase(input, classes1, /*include_rack_spread=*/false, {},
-                                 config_.phase1_mip, ras_build1,
-                                 mode == SolveMode::kFullTwoPhase ? 1 : 0);
+  // The incumbent rung is phase 1 with no search budget: the MIP returns its
+  // warm start, the polished greedy start a timed-out search would ship.
+  MipOptions phase1_mip = config_.phase1_mip;
+  if (mode == SolveMode::kIncumbentOnly) {
+    phase1_mip.max_nodes = 0;
+  }
+  PhaseOutcome phase1 = RunPhase(input, classes1, /*include_rack_spread=*/false, {}, phase1_mip,
+                                 ras_build1, mode == SolveMode::kFullTwoPhase ? 1 : 0);
   stats.phase1 = phase1.stats;
 
   // Working assignment after phase 1.
   std::vector<std::pair<ServerId, ReservationId>> final_targets = phase1.decoded.targets;
 
   // ---- Phase 2: rack granularity for the worst rack offenders ----
-  if (mode == SolveMode::kPhase1Only) {
+  if (mode != SolveMode::kFullTwoPhase) {
     FinishTargets(input, std::move(final_targets), stats, decoded_out);
     stats.total_seconds = util::MonotonicSeconds() - start;
     SummarizeReuse(stats);
@@ -379,6 +345,11 @@ Result<SolveStats> AsyncSolver::SolveMonolithic(const SolveInput& input,
   for (const auto& [server, res] : final_targets) {
     input2.servers[server].current = res;
   }
+  // Phase-2 selection (Section 3.5.2): take the reservations with the worst
+  // rack-level objective until either this percentage is covered or the
+  // assignment-variable budget is reached.
+  constexpr double kPhase2ReservationPercent = 10.0;
+  constexpr size_t kPhase2MaxAssignmentVars = 200000;
   // Rank reservations by phase 1's rack overflow above phase 2's thresholds.
   const RruLedger phase1_rru = RruLedger::OfTargets(input, final_targets);
   std::vector<double> overflow(input.reservations.size());
@@ -395,7 +366,7 @@ Result<SolveStats> AsyncSolver::SolveMonolithic(const SolveInput& input,
   std::vector<int> subset;
   size_t max_take = std::max<size_t>(
       1, static_cast<size_t>(std::ceil(static_cast<double>(input.reservations.size()) *
-                                       config_.phase2_reservation_percent / 100.0)));
+                                       kPhase2ReservationPercent / 100.0)));
   for (int r : order) {
     if (subset.size() >= max_take || overflow[static_cast<size_t>(r)] <= 1e-9) {
       break;
@@ -419,7 +390,7 @@ Result<SolveStats> AsyncSolver::SolveMonolithic(const SolveInput& input,
     // Respect the assignment-variable budget: shrink the subset if a crude
     // upper bound (classes x subset reservations) exceeds it.
     while (subset.size() > 1 &&
-           classes2.size() * subset.size() > config_.phase2_max_assignment_vars) {
+           classes2.size() * subset.size() > kPhase2MaxAssignmentVars) {
       subset.pop_back();
       subset_ids.erase(input.reservations[static_cast<size_t>(order[subset.size()])].id);
       classes2 = BuildEquivalenceClasses(input2, Scope::kRack, filter);
@@ -486,7 +457,6 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
     std::unique_ptr<AsyncSolver>& slot = shard_solvers_[shard];
     if (slot == nullptr) {
       slot = std::make_unique<AsyncSolver>(config_);
-      slot->set_resolve_shard(shard);
     } else {
       slot->mutable_config() = config_;
     }

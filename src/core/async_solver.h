@@ -34,11 +34,9 @@ namespace ras {
 enum class SolveMode : uint8_t {
   kFullTwoPhase = 0,  // Phase 1 + rack-granular phase 2 (the normal solve).
   kPhase1Only,        // MSB-granular MIP only; skip the phase-2 refinement.
-  kIncumbentOnly,     // No MIP at all: the greedy spread-aware initial
-                      // assignment (RAS's documented timeout fallback).
+  kIncumbentOnly,     // Phase 1 with no search budget: ships phase 1's
+                      // polished greedy start (RAS's timeout fallback).
 };
-
-const char* SolveModeName(SolveMode mode);
 
 struct StepTimings {
   double ras_build_s = 0.0;
@@ -152,7 +150,7 @@ class AsyncSolver {
   using FaultHook = std::function<Status(SolveMode)>;
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
-  // Drops every cached (phase, shard) resolve entry — this solver's and its
+  // Drops every cached per-phase resolve entry — this solver's and its
   // persistent per-shard sub-solvers' — so the next round cold-starts.
   // Called internally on every path that breaks round-over-round continuity
   // (degraded solve modes, injected faults, failed broker writes); exposed so
@@ -161,9 +159,6 @@ class AsyncSolver {
   void InvalidateResolveCache();
 
   const ResolveCache& resolve_cache() const { return resolve_cache_; }
-  // Tags this solver's cache entries with the shard index they serve
-  // (ShardSolveCoordinator affinity); -1 (default) is the monolithic solve.
-  void set_resolve_shard(int shard) { resolve_shard_ = shard; }
 
  private:
   // Shard-decomposed solve (src/shard): plan -> split -> per-shard solves ->
@@ -192,9 +187,8 @@ class AsyncSolver {
   FaultHook fault_hook_;
 
   // Cross-round warm state (Figure 8: the build and root-LP steps this
-  // avoids repaying every round). Keyed (phase, resolve_shard_).
+  // avoids repaying every round), one entry per phase.
   ResolveCache resolve_cache_;
-  int resolve_shard_ = -1;
 
   // Persistent per-shard sub-solvers: each shard index keeps its own
   // AsyncSolver (and thus its own resolve cache) across rounds, so warm state

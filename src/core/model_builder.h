@@ -62,12 +62,6 @@ struct SolverConfig {
   // single server anywhere. MsbSpreadThreshold / RackSpreadThreshold apply it.
   double min_spread_threshold_rru = 4.0;
 
-  // Phase-2 selection (Section 3.5.2): take the reservations with the worst
-  // rack-level objective until either this percentage is covered or the
-  // assignment-variable budget is reached.
-  double phase2_reservation_percent = 10.0;
-  size_t phase2_max_assignment_vars = 200000;
-
   // --- Shard decomposition (src/shard, paper §3.5.2) ---
   // 1 (default) runs the monolithic region-wide solve, bit-for-bit the
   // pre-shard path. K > 1 partitions the region into K rack-complete shards

@@ -1,7 +1,7 @@
 // Cross-round resolve cache: the warm state the Async Solver carries from one
 // round to the next.
 //
-// Each entry — keyed by (phase, shard) — remembers the previous round's
+// Each entry — one per phase — remembers the previous round's
 // snapshot, equivalence classes, built model, incumbent assignment counts,
 // proven bound, and MIP status. The cache does exactly two things. When the
 // next round's RoundDelta against the cached snapshot leaves the model
@@ -15,13 +15,12 @@
 // inside an AsyncSolver and survives exactly as long as consecutive healthy
 // kFullTwoPhase rounds. Degraded supervisor rungs, faults, broker write
 // rollbacks, and durable-control-plane recovery all invalidate it, so every
-// recovery path cold-starts.
+// recovery path cold-starts. A sharded solve gives each shard its own
+// persistent sub-solver, so each shard carries its own cache.
 
 #ifndef RAS_SRC_CORE_RESOLVE_CACHE_H_
 #define RAS_SRC_CORE_RESOLVE_CACHE_H_
 
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "src/core/model_builder.h"
@@ -51,18 +50,21 @@ struct ResolveEntry {
 
 class ResolveCache {
  public:
-  // Entry for a (phase, shard) slot, created invalid on first touch. Phase is
-  // 1 or 2; shard is the plan's shard index, or -1 for a monolithic solve.
-  ResolveEntry& entry(int phase, int shard) { return entries_[{phase, shard}]; }
+  // Entry for phase 1 or 2; invalid until a round fills it.
+  ResolveEntry& entry(int phase) { return entries_[phase - 1]; }
 
-  // Drops every entry: the next round of every (phase, shard) is cold.
-  void Invalidate() { entries_.clear(); }
+  // Drops both entries: the next round of either phase is cold.
+  void Invalidate() {
+    for (ResolveEntry& e : entries_) {
+      e = ResolveEntry();
+    }
+  }
 
-  bool empty() const { return entries_.empty(); }
-  size_t size() const { return entries_.size(); }
+  // True when neither phase holds a cached round.
+  bool empty() const { return !entries_[0].valid && !entries_[1].valid; }
 
  private:
-  std::map<std::pair<int, int>, ResolveEntry> entries_;
+  ResolveEntry entries_[2];
 };
 
 }  // namespace ras

@@ -5,8 +5,8 @@
 // (health / binding / in-use flips, fleet growth), reservation churn (added /
 // removed / resized / restructured) — and certifies whether the previous
 // round's model structure survives, which is what gates the incremental
-// re-solve layer: model patching (SetRoundBounds), basis + incumbent reuse
-// (ResolveCache), and the skip-solve fast path.
+// re-solve layer the ResolveCache carries: model patching (SetRoundBounds)
+// and the skip-solve fast path.
 
 #ifndef RAS_SRC_CORE_ROUND_DELTA_H_
 #define RAS_SRC_CORE_ROUND_DELTA_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -63,16 +64,16 @@ SolverSupervisor::SolverSupervisor(AsyncSolver* solver, ResourceBroker* broker,
       config_(std::move(config)),
       rng_(config_.seed) {
   // Wire the injector's solver faults through the solver's own hook so a
-  // fault plan also bites callers that bypass the supervisor. The incumbent
-  // rung runs no MIP, so timeout/crash faults do not apply to it.
+  // fault plan also bites callers that bypass the supervisor.
   solver_->SetFaultHook([this](SolveMode mode) -> Status {
     if (injector_ == nullptr) {
       return Status::Ok();
     }
-    // Timeouts bite the MIP modes only: the greedy incumbent is bounded
-    // milliseconds and cannot blow a deadline. A crash takes down any mode —
-    // the solver process is simply gone — which is why repeated crashes walk
-    // the ladder all the way to last-good and, eventually, emergency.
+    // Timeouts bite the MIP searches only: the incumbent rung explores no
+    // node, so its bounded greedy-and-polish start cannot blow a deadline. A
+    // crash takes down any mode — the solver process is simply gone — which
+    // is why repeated crashes walk the ladder all the way to last-good and,
+    // eventually, emergency.
     if (mode != SolveMode::kIncumbentOnly && injector_->Fires(FaultKind::kSolverTimeout)) {
       return Status::DeadlineExceeded("injected: MIP hit its time limit with no incumbent");
     }
@@ -196,64 +197,41 @@ SupervisedRound SolverSupervisor::RunRound() {
   // Walk the ladder. Rung 0 gets the retry budget; the degraded rungs get one
   // attempt each — by then the round is already late, and their value is
   // precisely that they are cheap and likely to succeed.
+  const struct {
+    LadderRung rung;
+    SolveMode mode;
+    int attempts;
+  } ladder[] = {
+      {LadderRung::kFullTwoPhase, SolveMode::kFullTwoPhase, 1 + config_.max_retries},
+      {LadderRung::kPhase1Only, SolveMode::kPhase1Only, 1},
+      {LadderRung::kIncumbent, SolveMode::kIncumbentOnly, 1},
+  };
   Status error;
   bool served = false;
-  for (int attempt = 0; attempt <= config_.max_retries && !served; ++attempt) {
-    if (attempt > 0) {
-      Backoff(attempt - 1);
-      ++out.retries;
-      ++stats_.total_retries;
+  for (size_t i = 0; i < std::size(ladder) && !served; ++i) {
+    const auto& step = ladder[i];
+    if (!error.ok()) {
+      RAS_LOG(kWarning) << "round " << round << ": " << LadderRungName(ladder[i - 1].rung)
+                        << " failed (" << error.ToString() << "); degrading to "
+                        << LadderRungName(step.rung);
     }
-    Status status = AttemptSolve(SolveMode::kFullTwoPhase, &out.stats);
-    if (status.ok()) {
-      out.rung = LadderRung::kFullTwoPhase;
-      served = true;
-    } else {
-      ++stats_.failed_attempts;
-      static obs::Counter& failed_attempts = obs::MetricRegistry::Default().counter(
-          "ras_supervisor_failed_attempts_total", "Failed solve attempts across all rungs.");
-      failed_attempts.Add();
-      error = status;
-    }
-  }
-  if (!served) {
-    RAS_LOG(kWarning) << "round " << round << ": full solve failed after " << out.retries
-                      << " retries (" << error.ToString() << "); degrading to phase-1-only";
-    // Degraded rungs may raise the shard count — K small MIPs are cheaper and
-    // likelier to finish than one big one. The AsyncSolver runs every
-    // degraded and per-shard solve with one branch-and-bound worker, so the
-    // rung stays deterministic either way.
-    int saved_shards = solver_->config().shard_count;
-    if (config_.degraded_shard_count > 1) {
-      solver_->mutable_config().shard_count =
-          std::max(saved_shards, config_.degraded_shard_count);
-    }
-    Status status = AttemptSolve(SolveMode::kPhase1Only, &out.stats);
-    solver_->mutable_config().shard_count = saved_shards;
-    if (status.ok()) {
-      out.rung = LadderRung::kPhase1Only;
-      served = true;
-    } else {
-      ++stats_.failed_attempts;
-      static obs::Counter& failed_attempts = obs::MetricRegistry::Default().counter(
-          "ras_supervisor_failed_attempts_total", "Failed solve attempts across all rungs.");
-      failed_attempts.Add();
-      error = status;
-    }
-  }
-  if (!served) {
-    RAS_LOG(kWarning) << "round " << round
-                      << ": phase-1-only failed; degrading to the greedy incumbent";
-    Status status = AttemptSolve(SolveMode::kIncumbentOnly, &out.stats);
-    if (status.ok()) {
-      out.rung = LadderRung::kIncumbent;
-      served = true;
-    } else {
-      ++stats_.failed_attempts;
-      static obs::Counter& failed_attempts = obs::MetricRegistry::Default().counter(
-          "ras_supervisor_failed_attempts_total", "Failed solve attempts across all rungs.");
-      failed_attempts.Add();
-      error = status;
+    for (int attempt = 0; attempt < step.attempts && !served; ++attempt) {
+      if (attempt > 0) {
+        Backoff(attempt - 1);
+        ++out.retries;
+        ++stats_.total_retries;
+      }
+      Status status = AttemptSolve(step.mode, &out.stats);
+      if (status.ok()) {
+        out.rung = step.rung;
+        served = true;
+      } else {
+        ++stats_.failed_attempts;
+        static obs::Counter& failed_attempts = obs::MetricRegistry::Default().counter(
+            "ras_supervisor_failed_attempts_total", "Failed solve attempts across all rungs.");
+        failed_attempts.Add();
+        error = status;
+      }
     }
   }
 

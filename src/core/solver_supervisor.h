@@ -16,7 +16,7 @@
 //
 //       full two-phase MIP
 //         -> phase-1-only MIP
-//           -> greedy incumbent (no MIP)
+//           -> incumbent: phase 1's start, no search
 //             -> keep the last-good assignment (no writes)
 //               -> declare the solver unhealthy and arm the
 //                  GrantImmediateCapacity emergency path.
@@ -89,11 +89,6 @@ struct SupervisorConfig {
   // Consecutive rounds without a fresh assignment before the solver is
   // declared unhealthy and the emergency path is armed.
   int unhealthy_after_failures = 3;
-  // When > 1, the phase-1-only rung re-solves with at least this many shards
-  // (src/shard): degraded rounds trade solution quality for K small, cheap
-  // MIPs that are far more likely to finish inside the deadline. 0 leaves
-  // the solver's configured shard count alone.
-  int degraded_shard_count = 0;
   uint64_t seed = 0x5EED5;
 };
 

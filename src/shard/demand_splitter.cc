@@ -77,8 +77,7 @@ std::vector<double> SplitByLargestRemainder(double total, const std::vector<doub
   return shares;
 }
 
-ShardDemand SplitDemand(const SolveInput& input, const ShardPlan& plan,
-                        const DemandSplitOptions& options) {
+ShardDemand SplitDemand(const SolveInput& input, const ShardPlan& plan) {
   ShardDemand demand;
   const size_t num_res = input.reservations.size();
   const size_t num_shards = static_cast<size_t>(plan.shard_count);
@@ -126,10 +125,10 @@ ShardDemand SplitDemand(const SolveInput& input, const ShardPlan& plan,
     }
 
     std::vector<double> weights = demand.usable_rru[r];
-    if (options.span_max_fill > 0.0 && total_usable > 0.0 && capacity > 0.0) {
-      const double target = options.span_max_fill * total_usable / static_cast<double>(num_shards);
-      size_t span_n = target > 0.0 ? static_cast<size_t>(std::ceil(capacity / target)) : num_shards;
-      span_n = std::max<size_t>(1, std::min(span_n, num_shards));
+    if (total_usable > 0.0 && capacity > 0.0) {
+      const double target = kSpanMaxFill * total_usable / static_cast<double>(num_shards);
+      const size_t span_n = std::max<size_t>(
+          1, std::min(static_cast<size_t>(std::ceil(capacity / target)), num_shards));
 
       std::vector<size_t> candidates;
       for (size_t k = 0; k < num_shards; ++k) {

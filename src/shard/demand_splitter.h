@@ -30,21 +30,17 @@ namespace ras {
 //     solve softens the resulting shortfall rather than losing the demand).
 std::vector<double> SplitByLargestRemainder(double total, const std::vector<double>& weights);
 
-struct DemandSplitOptions {
-  // POP-style span limiting. A reservation's demand is split across just
-  // enough shards (its "span") that each member carries at most
-  // `span_max_fill` of the average per-shard usable capacity for that
-  // reservation; every other shard gets a zero share. Small reservations
-  // land whole on one shard — their spread and buffer constraints then run
-  // at full C_r scale, exactly as in the monolithic model — while
-  // region-sized reservations still span all K. Span members are chosen
-  // deterministically: shards already holding the reservation's servers
-  // first, then least-loaded (ties -> lowest shard index), processing
-  // reservations in descending-demand order so big spans are placed before
-  // the load picture fills in. <= 0 disables spans: demand splits
-  // proportionally across all K shards.
-  double span_max_fill = 0.5;
-};
+// POP-style span limiting. A reservation's demand is split across just
+// enough shards (its "span") that each member carries at most kSpanMaxFill
+// of the average per-shard usable capacity for that reservation; every other
+// shard gets a zero share. Small reservations land whole on one shard —
+// their spread and buffer constraints then run at full C_r scale, exactly as
+// in the monolithic model — while region-sized reservations still span all
+// K. Span members are chosen deterministically: shards already holding the
+// reservation's servers first, then least-loaded (ties -> lowest shard
+// index), processing reservations in descending-demand order so big spans
+// are placed before the load picture fills in.
+inline constexpr double kSpanMaxFill = 0.5;
 
 struct ShardDemand {
   // usable_rru[r][k]: RRU capacity shard k can supply reservation r.
@@ -60,8 +56,7 @@ struct ShardDemand {
   std::vector<std::vector<ReservationSpec>> reservations;
 };
 
-ShardDemand SplitDemand(const SolveInput& input, const ShardPlan& plan,
-                        const DemandSplitOptions& options = {});
+ShardDemand SplitDemand(const SolveInput& input, const ShardPlan& plan);
 
 }  // namespace ras
 

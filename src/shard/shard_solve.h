@@ -3,9 +3,9 @@
 // combined SolveStats.
 //
 // The coordinator is deliberately agnostic about *how* a shard is solved —
-// the caller passes a ShardSolveFn (AsyncSolver wires in its own monolithic
-// SolveSnapshot with shard_count forced to 1), which keeps src/shard free of
-// a dependency cycle with src/core's solver while AsyncSolver drives it.
+// the caller passes a ShardSolveFn (AsyncSolver wires in each shard's
+// persistent sub-solver's SolveMonolithic), which keeps src/shard free of a
+// dependency cycle with src/core's solver while AsyncSolver drives it.
 //
 // A shard that fails (solver fault, shard-local infeasibility surfaced as an
 // error) does not sink the round: its servers keep their snapshot bindings

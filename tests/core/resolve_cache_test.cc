@@ -314,17 +314,18 @@ TEST(ResolveCacheTest, PatchRefusesStructuralMismatch) {
 TEST(ResolveCacheTest, EntriesAreKeyedAndInvalidateDropsAll) {
   ResolveCache cache;
   EXPECT_TRUE(cache.empty());
-  cache.entry(1, -1).valid = true;
-  cache.entry(2, -1).best_bound = 7.0;
-  cache.entry(1, 3).valid = true;
-  EXPECT_EQ(cache.size(), 3u);
-  // Same key returns the same entry.
-  EXPECT_TRUE(cache.entry(1, -1).valid);
-  EXPECT_EQ(cache.entry(2, -1).best_bound, 7.0);
+  cache.entry(1).valid = true;
+  cache.entry(2).best_bound = 7.0;
+  EXPECT_FALSE(cache.empty());
+  // Same phase returns the same entry; the phases are separate.
+  EXPECT_TRUE(cache.entry(1).valid);
+  EXPECT_FALSE(cache.entry(2).valid);
+  EXPECT_EQ(cache.entry(2).best_bound, 7.0);
   cache.Invalidate();
   EXPECT_TRUE(cache.empty());
   // First touch after invalidation is cold.
-  EXPECT_FALSE(cache.entry(1, -1).valid);
+  EXPECT_FALSE(cache.entry(1).valid);
+  EXPECT_EQ(cache.entry(2).best_bound, 0.0);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/core/buffer_policy.h"
+#include "src/core/initial_assignment.h"
 #include "src/fleet/fleet_gen.h"
 
 namespace ras {
@@ -127,10 +128,24 @@ TEST(SolverSupervisorTest, TimeoutRetriesWithSimTimeBackoffThenShipsIncumbent) {
   plan.AddBurst(FaultKind::kSolverTimeout, 0, 1);
   SupervisedSetup s(plan);
   ReservationId svc = s.AddService("svc", 20);
+  // The unpolished greedy start on the snapshot every attempt of the round
+  // sees (failed attempts write nothing).
+  SolveInput input = SnapshotSolveInput(*s.broker, s.registry, s.fleet.catalog);
+  std::vector<EquivalenceClass> classes = BuildEquivalenceClasses(input, Scope::kMsb);
+  BuiltModel built =
+      BuildRasModel(input, classes, s.solver.config(), /*include_rack_spread=*/false);
+  const double greedy_objective = built.model.Objective(
+      MakeWarmStart(input, classes, built, BuildInitialCounts(input, classes, built)));
 
   SimTime before = s.loop.now();
   SupervisedRound round = s.supervisor->RunRound();
   EXPECT_EQ(round.rung, LadderRung::kIncumbent);
+  // The incumbent rung is phase 1 with no search: the polished start ships,
+  // never worse than the greedy start it polished.
+  EXPECT_TRUE(round.stats.phase1.ran);
+  EXPECT_EQ(round.stats.phase1.nodes, 0);
+  EXPECT_FALSE(round.stats.phase2.ran);
+  EXPECT_LE(round.stats.phase1.objective, greedy_objective + 1e-6);
   EXPECT_EQ(round.retries, 2);
   EXPECT_EQ(round.error.code(), StatusCode::kDeadlineExceeded);
   // Two backoffs: ~30s and ~60s, each with +/-25% seeded jitter.

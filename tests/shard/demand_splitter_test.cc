@@ -214,27 +214,6 @@ TEST(SplitDemandTest, RegionSizedReservationSpansManyShards) {
   }
 }
 
-TEST(SplitDemandTest, SpanDisabledSplitsAcrossAllShards) {
-  FleetOptions fleet_opts;
-  fleet_opts.seed = 7;
-  Fleet fleet = GenerateFleet(fleet_opts);
-
-  ReservationSpec spec;
-  spec.name = "svc";
-  spec.capacity_rru = 40.0;
-  spec.rru_per_type.assign(fleet.catalog.size(), 1.0);
-  SolveInput input = MakeInput(fleet, {spec});
-
-  ShardPlanOptions plan_opts;
-  plan_opts.shard_count = 4;
-  ShardPlan plan = PlanShards(fleet.topology, plan_opts);
-  DemandSplitOptions split_opts;
-  split_opts.span_max_fill = 0.0;  // Legacy: proportional across all K.
-  ShardDemand demand = SplitDemand(input, plan, split_opts);
-  EXPECT_EQ(demand.span[0].size(), 4u);
-  EXPECT_EQ(Sum(demand.shares[0]), 40.0);
-}
-
 TEST(SplitDemandTest, SingleTypeReservationLandsWhereTheHardwareIs) {
   FleetOptions fleet_opts;
   fleet_opts.seed = 13;

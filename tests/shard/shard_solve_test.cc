@@ -1,4 +1,4 @@
-// Shard solve coordination + stitch repair + AsyncSolver/supervisor wiring.
+// Shard solve coordination + stitch repair + AsyncSolver wiring.
 
 #include "src/shard/shard_solve.h"
 
@@ -10,8 +10,8 @@
 #include <set>
 #include <string>
 
+#include "src/core/async_solver.h"
 #include "src/core/buffer_policy.h"
-#include "src/core/solver_supervisor.h"
 #include "src/fleet/fleet_gen.h"
 #include "src/obs/metrics.h"
 #include "src/shard/stitch_repair.h"
@@ -334,39 +334,6 @@ TEST(StitchRepairTest, SpreadRebalanceHonorsReservationAlpha) {
   for (const auto& [msb, rru] : per_msb[loose_id]) {
     EXPECT_EQ(rru, 12.0) << "loose rebalanced in MSB " << msb;
   }
-}
-
-TEST(SupervisorShardTest, DegradedRungRaisesShardCountAndRestoresIt) {
-  TestRegion region(SmallFleetOptions());
-  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "a", 40));
-
-  AsyncSolver solver;
-  SupervisorConfig config;
-  config.max_retries = 0;
-  config.degraded_shard_count = 3;
-  SolverSupervisor supervisor(&solver, region.broker.get(), &region.registry,
-                              &region.fleet.catalog, /*loop=*/nullptr, config);
-  // Fail only the full-two-phase rung (installed after the supervisor so it
-  // replaces the injector hook): the round must be served by the
-  // phase-1-only rung, and that rung must have run with the degraded shard
-  // count.
-  solver.SetFaultHook([](SolveMode mode) {
-    return mode == SolveMode::kFullTwoPhase
-               ? Status::DeadlineExceeded("injected: full solve too slow")
-               : Status::Ok();
-  });
-
-  SupervisedRound round = supervisor.RunRound();
-  EXPECT_EQ(round.rung, LadderRung::kPhase1Only);
-  EXPECT_EQ(round.stats.shard_count, 3) << "degraded rung did not shard the solve";
-  EXPECT_EQ(solver.config().shard_count, 1) << "shard count not restored after the rung";
-
-  // With the fault cleared the next round serves at the top rung, monolithic.
-  solver.SetFaultHook(nullptr);
-  SupervisedRound ok_round = supervisor.RunRound();
-  EXPECT_EQ(ok_round.rung, LadderRung::kFullTwoPhase);
-  EXPECT_EQ(ok_round.stats.shard_count, 1);
-  EXPECT_EQ(solver.config().shard_count, 1);
 }
 
 }  // namespace

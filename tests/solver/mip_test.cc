@@ -243,6 +243,23 @@ TEST(MipTest, NodeLimitStillReturnsFeasibleIncumbent) {
   EXPECT_LE(r.best_bound, r.objective + 1e-6);
 }
 
+TEST(MipTest, ZeroNodeBudgetReturnsTheWarmStart) {
+  // The supervisor's incumbent rung: with no node budget the search never
+  // reaches the root, so the feasible warm start ships with no bound.
+  Rng rng(808);
+  Model m = RandomIp(rng);
+  MipOptions options = TightOptions();
+  options.max_nodes = 0;
+  const std::vector<double> warm(m.num_variables(), 0.0);
+  MipResult r = MipSolver(options).Solve(m, &warm);
+  EXPECT_EQ(r.status, MipStatus::kFeasible);
+  EXPECT_EQ(r.x, warm);
+  EXPECT_EQ(r.objective, m.Objective(warm));
+  EXPECT_EQ(r.nodes, 0);
+  EXPECT_EQ(r.lp_iterations, 0);
+  EXPECT_EQ(r.best_bound, -kInf);
+}
+
 // The Figure 9 workload shape: a real phase-1 RAS model, solved to a proven
 // optimum by the generic search alone.
 TEST(MipTest, RasPhase1ModelSolvesToProvenOptimum) {
