@@ -19,8 +19,10 @@
 // mismatch fails the run. The steady-state speedup (rounds after the first,
 // which is cold for both by construction) is cold wall / incremental wall,
 // so above 1 means the cache is faster; it is reported, not gated. In small
-// mode a churn round (delta_servers > 0) whose incremental wall exceeds 1.1x
-// the cold wall also fails the run.
+// mode the run also fails when the incremental wall summed over the churn
+// rounds (delta_servers > 0) exceeds 1.1x the cold wall summed over the same
+// rounds. Small mode runs 60 rounds, about 20 of them churn rounds of ~2 ms,
+// so one slow round cannot fail the gate by itself.
 //
 // Writes BENCH_resolve.json with one record per round (both wall times, the
 // step breakdowns, and the reuse telemetry: delta_servers, model_patched,
@@ -98,7 +100,7 @@ int main(int argc, char** argv) {
         std::floor(rng.Uniform(0.5, 1.0) * budget / num_services + 0.5)));
   }
 
-  const int kRounds = small ? 9 : 12;
+  const int kRounds = small ? 60 : 12;
   // Maintenance batch: ~3% of the fleet drained or returned together. A
   // fractional accumulator schedules batches so the realized mean churn
   // equals the configured rate exactly (no arrival-seed luck): at 1% churn a
@@ -130,10 +132,13 @@ int main(int argc, char** argv) {
   std::printf("%-6s %6s %8s %8s %8s %9s %-14s\n", "round", "delta", "cold_s", "inc_s",
               "speedup", "targets", "reuse");
   bool all_match = true;
-  // Smoke-mode regression guard: on any churn round (delta_servers > 0) the
-  // incremental solver must not run slower than 1.1x the cold solver — the
-  // warm path regressing below cold on exactly the rounds it exists for.
-  bool smoke_regression = false;
+  // Smoke-mode regression guard: summed over the churn rounds
+  // (delta_servers > 0), the incremental solver must not run slower than
+  // 1.1x the cold solver — the warm path regressing below cold on exactly the
+  // rounds it exists for.
+  int churn_rounds = 0;
+  double cold_churn = 0.0;
+  double inc_churn = 0.0;
   double cold_steady = 0.0;
   double inc_steady = 0.0;
   int64_t dual_resolves_total = 0;
@@ -189,10 +194,10 @@ int main(int argc, char** argv) {
                 match ? "match" : "MISMATCH", reuse,
                 static_cast<long long>(inc_stats->dual_resolves),
                 static_cast<long long>(inc_stats->dual_iterations));
-    if (small && inc_stats->delta_servers > 0 && inc_wall > 1.1 * cold_wall) {
-      std::printf("  ^ SMOKE REGRESSION: churn round ran %.2fx the cold wall "
-                  "(limit 1.10x)\n", inc_wall / cold_wall);
-      smoke_regression = true;
+    if (inc_stats->delta_servers > 0) {
+      ++churn_rounds;
+      cold_churn += cold_wall;
+      inc_churn += inc_wall;
     }
     dual_resolves_total += inc_stats->dual_resolves;
     dual_iterations_total += inc_stats->dual_iterations;
@@ -260,6 +265,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(dual_iterations_total));
   std::printf("targets bitwise-identical across all rounds: %s\n",
               all_match ? "OK" : "MISMATCH");
+  const bool smoke_regression = small && inc_churn > 1.1 * cold_churn;
+  std::printf("churn rounds: %d, cold %.3fs, incremental %.3fs summed -> %.2fx the cold wall%s\n",
+              churn_rounds, cold_churn, inc_churn,
+              cold_churn > 0.0 ? inc_churn / cold_churn : 1.0,
+              small ? " (limit 1.10x)" : "");
 
   json.AddRecord()
       .Set("config", "steady-state")
@@ -283,7 +293,7 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
   if (smoke_regression) {
-    std::printf("FAIL: a churn round's incremental wall exceeded 1.1x cold\n");
+    std::printf("FAIL: the churn rounds' summed incremental wall exceeded 1.1x cold\n");
   }
   return (all_match && !smoke_regression) ? 0 : 1;
 }

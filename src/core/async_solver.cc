@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <thread>
 #include <unordered_set>
 
 #include "src/core/initial_assignment.h"
@@ -13,10 +14,12 @@
 #include "src/obs/trace.h"
 #include "src/shard/demand_splitter.h"
 #include "src/shard/shard_planner.h"
-#include "src/shard/shard_solve.h"
 #include "src/shard/stitch_repair.h"
 #include "src/util/logging.h"
 #include "src/util/monotonic_time.h"
+#include "src/util/mutex.h"
+#include "src/util/thread_annotations.h"
+#include "src/util/thread_pool.h"
 
 namespace ras {
 namespace {
@@ -52,6 +55,48 @@ void SummarizeReuse(SolveStats& stats) {
   stats.delta_servers = stats.phase1.delta_servers;
   stats.dual_resolves = stats.phase1.dual_resolves + stats.phase2.dual_resolves;
   stats.dual_iterations = stats.phase1.dual_iterations + stats.phase2.dual_iterations;
+}
+
+// Worst MIP status across shards: any shard stuck below feasible drags the
+// aggregate down, matching how the supervisor interprets a monolithic solve.
+MipStatus WorseOf(MipStatus a, MipStatus b) {
+  return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
+}
+
+// Folds one shard's phase stats into the sharded round's aggregate.
+void AccumulatePhase(PhaseStats& into, const PhaseStats& from) {
+  if (!from.ran) {
+    return;
+  }
+  into.timings.ras_build_s += from.timings.ras_build_s;
+  into.timings.solver_build_s += from.timings.solver_build_s;
+  into.timings.initial_state_s += from.timings.initial_state_s;
+  into.timings.mip_s += from.timings.mip_s;
+  into.assignment_variables += from.assignment_variables;
+  into.model_rows += from.model_rows;
+  into.model_variables += from.model_variables;
+  into.memory_bytes += from.memory_bytes;
+  into.mip_status = into.ran ? WorseOf(into.mip_status, from.mip_status) : from.mip_status;
+  into.objective += from.objective;
+  into.best_bound += from.best_bound;
+  into.warm_start_objective += from.warm_start_objective;
+  into.nodes += from.nodes;
+  into.dual_resolves += from.dual_resolves;
+  into.dual_iterations += from.dual_iterations;
+  // Reuse telemetry: the aggregate claims reuse only when every shard reused
+  // that way; deltas sum, with any cold shard (-1) making the total unknown.
+  if (into.ran) {
+    into.model_patched = into.model_patched && from.model_patched;
+    into.solve_skipped = into.solve_skipped && from.solve_skipped;
+    into.delta_servers = (into.delta_servers < 0 || from.delta_servers < 0)
+                             ? -1
+                             : into.delta_servers + from.delta_servers;
+  } else {
+    into.model_patched = from.model_patched;
+    into.solve_skipped = from.solve_skipped;
+    into.delta_servers = from.delta_servers;
+  }
+  into.ran = true;
 }
 
 // Metrics recorded once per completed top-level solve (any mode; a sharded
@@ -122,19 +167,19 @@ MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceCl
   return MipSolver(options).Solve(built.model, &start.warm, &start.root_start);
 }
 
-AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
+AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache& cache, const SolveInput& input,
                                                 const std::vector<EquivalenceClass>& classes,
                                                 bool include_rack_spread,
                                                 const std::vector<int>& subset,
                                                 const MipOptions& mip_options,
-                                                double snapshot_seconds, int phase) {
+                                                double snapshot_seconds, int phase) const {
   obs::SpanScope phase_span(obs::Tracer::Default(), phase == 2 ? "phase2" : "phase1");
   PhaseOutcome outcome;
   outcome.stats.ran = true;
   outcome.stats.timings.ras_build_s = snapshot_seconds;
 
   const bool cache_on = phase > 0 && config_.incremental_resolve;
-  ResolveEntry* entry = cache_on ? &resolve_cache_.entry(phase) : nullptr;
+  ResolveEntry* entry = cache_on ? &cache.entry(phase) : nullptr;
 
   // Solver build: when the cached model's layout fits this round (same phase
   // shape and subset, RoundDelta::patchable), SetRoundBounds re-targets it in
@@ -302,16 +347,14 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
   // SolveMonolithic, bit-for-bit unchanged.
   const int shards = EffectiveShardCount(config_.shard_count, input.servers.size(),
                                          input.topology->num_racks());
-  Result<SolveStats> stats = shards > 1 ? SolveSharded(input, decoded_out, mode, shards)
-                                        : SolveMonolithic(input, decoded_out, mode);
-  if (stats.ok()) {
-    RecordSolveMetrics(*stats);
-  }
+  SolveStats stats = shards > 1 ? SolveSharded(input, decoded_out, mode, shards)
+                                : SolveMonolithic(input, decoded_out, mode, resolve_cache_);
+  RecordSolveMetrics(stats);
   return stats;
 }
 
-Result<SolveStats> AsyncSolver::SolveMonolithic(const SolveInput& input,
-                                                DecodedAssignment* decoded_out, SolveMode mode) {
+SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignment* decoded_out,
+                                        SolveMode mode, ResolveCache& cache) const {
   obs::SpanScope solve_span(obs::Tracer::Default(), "solve");
   double start = util::MonotonicSeconds();
   SolveStats stats;
@@ -326,8 +369,8 @@ Result<SolveStats> AsyncSolver::SolveMonolithic(const SolveInput& input,
   if (mode == SolveMode::kIncumbentOnly) {
     phase1_mip.max_nodes = 0;
   }
-  PhaseOutcome phase1 = RunPhase(input, classes1, /*include_rack_spread=*/false, {}, phase1_mip,
-                                 ras_build1, mode == SolveMode::kFullTwoPhase ? 1 : 0);
+  PhaseOutcome phase1 = RunPhase(cache, input, classes1, /*include_rack_spread=*/false, {},
+                                 phase1_mip, ras_build1, mode == SolveMode::kFullTwoPhase ? 1 : 0);
   stats.phase1 = phase1.stats;
 
   // Working assignment after phase 1.
@@ -396,7 +439,7 @@ Result<SolveStats> AsyncSolver::SolveMonolithic(const SolveInput& input,
       classes2 = BuildEquivalenceClasses(input2, Scope::kRack, filter);
     }
 
-    PhaseOutcome phase2 = RunPhase(input2, classes2, /*include_rack_spread=*/true, subset,
+    PhaseOutcome phase2 = RunPhase(cache, input2, classes2, /*include_rack_spread=*/true, subset,
                                    config_.phase2_mip, ras_build2, /*phase=*/2);
     stats.phase2 = phase2.stats;
 
@@ -420,9 +463,9 @@ Result<SolveStats> AsyncSolver::SolveMonolithic(const SolveInput& input,
   return stats;
 }
 
-Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
-                                             DecodedAssignment* decoded_out, SolveMode mode,
-                                             int shard_count) {
+// RASLINT-HOT: the shard fan-out; shard worker bodies run inside it.
+SolveStats AsyncSolver::SolveSharded(const SolveInput& input, DecodedAssignment* decoded_out,
+                                     SolveMode mode, int shard_count) {
   obs::SpanScope fanout_span(obs::Tracer::Default(), "shard_fanout");
   fanout_span.set_value(shard_count);
   double start = util::MonotonicSeconds();
@@ -432,13 +475,8 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   ShardPlan plan = PlanShards(*input.topology, plan_options);
   ShardDemand demand = SplitDemand(input, plan);
 
-  // Each shard runs its sub-solver's SolveMonolithic on its sub-input, so
-  // only this aggregate records the per-solve metrics. The shards themselves
-  // are the parallelism axis.
-
-  // Persistent per-shard solvers: shard k's sub-solver (and the resolve cache
-  // inside it) survives across rounds while the plan signature holds, so a
-  // shard's warm state always meets the same shard's next sub-input
+  // Shard k's cache survives across rounds while the plan signature holds,
+  // so a shard's warm state always meets the same shard's next sub-input
   // (incumbent affinity — the plan itself is deterministic in the seed and
   // topology, so shard k covers the same racks round over round). Any plan
   // change redraws shard boundaries and orphans all warm state at once.
@@ -446,38 +484,89 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
       shard_plan_count_ != shard_count || shard_plan_seed_ != config_.shard_seed ||
       shard_plan_topology_ != input.topology || shard_plan_servers_ != input.servers.size();
   if (plan_changed) {
-    shard_solvers_.clear();
+    shard_caches_ = std::vector<ResolveCache>(static_cast<size_t>(shard_count));
     shard_plan_count_ = shard_count;
     shard_plan_seed_ = config_.shard_seed;
     shard_plan_topology_ = input.topology;
     shard_plan_servers_ = input.servers.size();
   }
-  // Created serially before the fan-out: pool workers only ever read the map.
-  for (int shard = 0; shard < shard_count; ++shard) {
-    std::unique_ptr<AsyncSolver>& slot = shard_solvers_[shard];
-    if (slot == nullptr) {
-      slot = std::make_unique<AsyncSolver>(config_);
-    } else {
-      slot->mutable_config() = config_;
-    }
-  }
-  ShardSolveFn solve_shard = [this, mode](int shard, const SolveInput& shard_input,
-                                          DecodedAssignment* decoded) {
-    return shard_solvers_.at(shard)->SolveMonolithic(shard_input, decoded, mode);
+
+  // One result slot per shard, written by pool workers as their shard
+  // finishes and read back in shard order (so the merge is schedule-
+  // independent) after the barrier. Workers solve outside the lock and only
+  // move their finished result into its slot under it.
+  struct ShardResult {
+    SolveStats stats;
+    DecodedAssignment decoded;
   };
-  ShardSolveOptions solve_options;
-  solve_options.threads = config_.shard_threads;
-  ShardSolveOutcome outcome = SolveShards(input, plan, demand, solve_shard, solve_options);
-  if (!outcome.status.ok()) {
-    return outcome.status;
+  struct MergeState {
+    Mutex mu;
+    std::vector<ShardResult> slots GUARDED_BY(mu);
+  } state;
+  {
+    MutexLock lock(&state.mu);  // No workers yet.
+    state.slots.resize(static_cast<size_t>(shard_count));
   }
-  if (outcome.aggregate.failed_shards > 0) {
-    RAS_LOG(kWarning) << outcome.aggregate.failed_shards << "/" << shard_count
-                      << " shards failed; their servers keep snapshot bindings pending repair";
+  // Captured before the fan-out: pool workers carry no thread-local span
+  // context, so each per-shard span names the fan-out span explicitly.
+  const uint64_t trace_parent = obs::CurrentSpanId();
+  auto run_shard = [&](int shard) {
+    SolveInput shard_input = MakeShardInput(input, plan, demand, shard);
+    if (shard_input.reservations.empty()) {
+      return;  // No span member placed demand here; the slot stays empty.
+    }
+    obs::SpanScope shard_span(obs::Tracer::Default(), "shard", trace_parent);
+    shard_span.set_value(shard);
+    const double t0 = util::MonotonicSeconds();
+    ShardResult result;
+    result.stats = SolveMonolithic(shard_input, &result.decoded, mode,
+                                   shard_caches_[static_cast<size_t>(shard)]);
+    static obs::Histogram& shard_seconds = obs::MetricRegistry::Default().histogram(
+        "ras_shard_solve_seconds", "Wall time of one shard's sub-solve.", 0.0, 30.0, 120);
+    shard_seconds.Observe(util::MonotonicSeconds() - t0);
+    MutexLock lock(&state.mu);
+    state.slots[static_cast<size_t>(shard)] = std::move(result);
+  };
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int threads = std::min(shard_count, std::max(1, hw));
+  if (threads <= 1) {
+    for (int shard = 0; shard < shard_count; ++shard) {
+      run_shard(shard);
+    }
+  } else {
+    ThreadPool pool(threads);
+    for (int shard = 0; shard < shard_count; ++shard) {
+      pool.Submit([&run_shard, shard] { run_shard(shard); });
+    }
+    pool.Wait();
   }
 
-  SolveStats stats = outcome.aggregate;
+  // Merge in shard order. The pool's Wait() barrier has passed, but the merge
+  // still reads the slots under the lock.
+  SolveStats stats;
   stats.shard_count = shard_count;
+  std::vector<std::pair<ServerId, ReservationId>> targets;
+  {
+    MutexLock lock(&state.mu);
+    for (const ShardResult& result : state.slots) {
+      AccumulatePhase(stats.phase1, result.stats.phase1);
+      AccumulatePhase(stats.phase2, result.stats.phase2);
+      targets.insert(targets.end(), result.decoded.targets.begin(),
+                     result.decoded.targets.end());
+    }
+  }
+  // Every available server no sub-solve covered — one frozen because its
+  // reservation lies outside its shard's span — keeps its snapshot binding.
+  std::vector<char> covered(input.servers.size(), 0);
+  for (const auto& target : targets) {
+    covered[target.first] = 1;
+  }
+  for (ServerId id = 0; id < input.servers.size(); ++id) {
+    if (input.servers[id].available && !covered[id]) {
+      targets.emplace_back(id, input.servers[id].current);
+    }
+  }
+  std::sort(targets.begin(), targets.end());
   SummarizeReuse(stats);
 
   // Stitch repair: rounding losses and shard-local infeasibilities are fixed
@@ -489,28 +578,22 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
     repair_options.msb_spread_thresholds.push_back(
         MsbSpreadThreshold(spec, config_, *input.topology));
   }
-  StitchRepairStats repair = RepairShortfalls(input, outcome.merged.targets, repair_options);
+  StitchRepairStats repair = RepairShortfalls(input, targets, repair_options);
   stats.repair_moves = repair.moves();
   stats.repair_shortfall_before_rru = repair.shortfall_before_rru;
 
-  FinishTargets(input, std::move(outcome.merged.targets), stats, decoded_out);
+  FinishTargets(input, std::move(targets), stats, decoded_out);
   stats.total_seconds = util::MonotonicSeconds() - start;
-  {
-    obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-    static obs::Counter& failed =
-        reg.counter("ras_shard_failed_total", "Shard solves that returned an error.");
-    static obs::Counter& repair =
-        reg.counter("ras_shard_repair_moves_total", "Moves made by cross-shard stitch repair.");
-    failed.Add(static_cast<int64_t>(stats.failed_shards));
-    repair.Add(static_cast<int64_t>(stats.repair_moves));
-  }
+  static obs::Counter& repair_moves = obs::MetricRegistry::Default().counter(
+      "ras_shard_repair_moves_total", "Moves made by cross-shard stitch repair.");
+  repair_moves.Add(static_cast<int64_t>(stats.repair_moves));
   return stats;
 }
 
 void AsyncSolver::InvalidateResolveCache() {
   resolve_cache_.Invalidate();
-  for (auto& [shard, solver] : shard_solvers_) {
-    solver->InvalidateResolveCache();
+  for (ResolveCache& cache : shard_caches_) {
+    cache.Invalidate();
   }
 }
 

@@ -15,8 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "src/broker/resource_broker.h"
@@ -86,6 +84,7 @@ struct SolveStats {
   // Shard decomposition accounting (src/shard). shard_count == 1 is the
   // monolithic solve; then the fields below stay zero.
   int shard_count = 1;
+  // Always 0: a shard solve cannot fail. Kept because roundbench reads it.
   size_t failed_shards = 0;
   size_t repair_moves = 0;
   double repair_shortfall_before_rru = 0.0;
@@ -150,8 +149,8 @@ class AsyncSolver {
   using FaultHook = std::function<Status(SolveMode)>;
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
-  // Drops every cached per-phase resolve entry — this solver's and its
-  // persistent per-shard sub-solvers' — so the next round cold-starts.
+  // Drops every cached per-phase resolve entry — the monolithic cache and
+  // every per-shard cache — so the next round cold-starts.
   // Called internally on every path that breaks round-over-round continuity
   // (degraded solve modes, injected faults, failed broker writes); exposed so
   // the supervisor and recovery drills can force the same on external
@@ -161,27 +160,29 @@ class AsyncSolver {
   const ResolveCache& resolve_cache() const { return resolve_cache_; }
 
  private:
-  // Shard-decomposed solve (src/shard): plan -> split -> per-shard solves ->
-  // merge -> stitch repair. Entered from SolveSnapshot when the configured
-  // shard count resolves to K > 1; each shard runs its sub-solver's
-  // SolveMonolithic on its sub-input.
-  Result<SolveStats> SolveSharded(const SolveInput& input, DecodedAssignment* decoded_out,
-                                  SolveMode mode, int shard_count);
-  // The unsharded two-phase (or degraded-mode) pipeline. Records no per-solve
-  // metrics: SolveSnapshot does, once per top-level solve.
-  Result<SolveStats> SolveMonolithic(const SolveInput& input, DecodedAssignment* decoded_out,
-                                     SolveMode mode);
+  // Shard-decomposed solve (src/shard, POP-style): plan -> split -> per-shard
+  // SolveMonolithic on the thread pool, each with its own shard's cache ->
+  // merge in shard order -> stitch repair. Entered from SolveSnapshot when
+  // the configured shard count resolves to K > 1.
+  SolveStats SolveSharded(const SolveInput& input, DecodedAssignment* decoded_out,
+                          SolveMode mode, int shard_count);
+  // The unsharded two-phase (or degraded-mode) pipeline over `cache`. Records
+  // no per-solve metrics: SolveSnapshot does, once per top-level solve. Const,
+  // so concurrent shard solves share nothing but their read-only config.
+  SolveStats SolveMonolithic(const SolveInput& input, DecodedAssignment* decoded_out,
+                             SolveMode mode, ResolveCache& cache) const;
 
   // Runs one phase over the given classes; returns the decoded assignment.
   struct PhaseOutcome {
     PhaseStats stats;
     DecodedAssignment decoded;
   };
-  // `phase` selects the resolve-cache slot (1 or 2); 0 disables caching for
-  // this call (degraded modes must not leave warm state behind).
-  PhaseOutcome RunPhase(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
-                        bool include_rack_spread, const std::vector<int>& subset,
-                        const MipOptions& mip_options, double snapshot_seconds, int phase);
+  // `phase` selects the slot of `cache` (1 or 2); 0 disables caching for this
+  // call (degraded modes must not leave warm state behind).
+  PhaseOutcome RunPhase(ResolveCache& cache, const SolveInput& input,
+                        const std::vector<EquivalenceClass>& classes, bool include_rack_spread,
+                        const std::vector<int>& subset, const MipOptions& mip_options,
+                        double snapshot_seconds, int phase) const;
 
   SolverConfig config_;
   FaultHook fault_hook_;
@@ -190,11 +191,10 @@ class AsyncSolver {
   // avoids repaying every round), one entry per phase.
   ResolveCache resolve_cache_;
 
-  // Persistent per-shard sub-solvers: each shard index keeps its own
-  // AsyncSolver (and thus its own resolve cache) across rounds, so warm state
-  // follows the shard it belongs to (incumbent affinity). Rebuilt whenever
-  // the plan signature below changes.
-  std::map<int, std::unique_ptr<AsyncSolver>> shard_solvers_;
+  // One cache per shard index, kept across rounds so warm state follows the
+  // shard it belongs to (incumbent affinity). Reset whenever the plan
+  // signature below changes.
+  std::vector<ResolveCache> shard_caches_;
   int shard_plan_count_ = 0;
   uint64_t shard_plan_seed_ = 0;
   const RegionTopology* shard_plan_topology_ = nullptr;

@@ -71,8 +71,6 @@ struct SolverConfig {
   // automatically from the fleet size (AutoShardCount).
   int shard_count = 1;
   uint64_t shard_seed = 0x5A2D;
-  // Fan-out threads for the shard solves; 0 = min(K, hardware concurrency).
-  int shard_threads = 0;
 
   // --- Cross-round incremental re-solve (src/core/resolve_cache.h) ---
   // Patches the previous round's model in place when consecutive snapshots

@@ -15,8 +15,8 @@
 // inside an AsyncSolver and survives exactly as long as consecutive healthy
 // kFullTwoPhase rounds. Degraded supervisor rungs, faults, broker write
 // rollbacks, and durable-control-plane recovery all invalidate it, so every
-// recovery path cold-starts. A sharded solve gives each shard its own
-// persistent sub-solver, so each shard carries its own cache.
+// recovery path cold-starts. A sharded solve keeps one cache per shard in
+// the same AsyncSolver, so each shard carries its own warm state.
 
 #ifndef RAS_SRC_CORE_RESOLVE_CACHE_H_
 #define RAS_SRC_CORE_RESOLVE_CACHE_H_

@@ -46,7 +46,6 @@ obs::RoundReport MakeRoundReport(const RoundOutcome& record, const SolveStats& s
                                        : "cold";
   report.delta_servers = stats.delta_servers;
   report.shard_count = stats.shard_count;
-  report.failed_shards = stats.failed_shards;
   report.repair_moves = stats.repair_moves;
   report.emergency_armed = record.emergency_armed;
   return report;

@@ -18,8 +18,8 @@ std::string FormatRoundReport(const RoundReport& report) {
                   report.wall_seconds);
     out += buf;
     if (report.shard_count > 1) {
-      std::snprintf(buf, sizeof(buf), " shards=%d (failed %zu, repair %zu)", report.shard_count,
-                    report.failed_shards, report.repair_moves);
+      std::snprintf(buf, sizeof(buf), " shards=%d (repair %zu)", report.shard_count,
+                    report.repair_moves);
       out += buf;
     }
   } else {

@@ -40,7 +40,6 @@ struct RoundReport {
   int delta_servers = -1;
 
   int shard_count = 1;
-  size_t failed_shards = 0;
   size_t repair_moves = 0;
 
   bool emergency_armed = false;
@@ -50,7 +49,7 @@ struct RoundReport {
 //   [round 3] rung=FULL_TWO_PHASE vars=512 moves=37 (in-use 12) shortfall=0.0
 //   reuse=patched delta=14 wall=0.021s
 // Degraded rounds append retries=N error=<...>; sharded rounds append
-// shards=K (failed F, repair R); an armed emergency appends EMERGENCY.
+// shards=K (repair R); an armed emergency appends EMERGENCY.
 std::string FormatRoundReport(const RoundReport& report);
 
 }  // namespace obs

@@ -10,7 +10,7 @@
 //
 // Nesting is implicit within a thread: SpanScope pushes itself as the
 // thread's current span, so spans opened inside it become children. Fan-out
-// onto ThreadPool workers crosses threads, so the coordinator passes the
+// onto ThreadPool workers crosses threads, so the shard fan-out passes the
 // parent span id explicitly (the SpanScope overload with `parent`).
 //
 // Determinism: wall times are nondeterministic, but span *structure* (names,

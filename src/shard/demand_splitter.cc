@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <unordered_set>
 
 namespace ras {
 
@@ -161,6 +162,37 @@ ShardDemand SplitDemand(const SolveInput& input, const ShardPlan& plan) {
     }
   }
   return demand;
+}
+
+SolveInput MakeShardInput(const SolveInput& region, const ShardPlan& plan,
+                          const ShardDemand& demand, int shard) {
+  SolveInput input = region;
+  input.reservations.clear();
+  // Lookup-only (never iterated): membership test while copying `region`,
+  // whose own order drives the shard input.
+  std::unordered_set<ReservationId> in_span;
+  for (const ReservationSpec& spec : demand.reservations[static_cast<size_t>(shard)]) {
+    if (spec.capacity_rru > 0.0) {
+      input.reservations.push_back(spec);
+      in_span.insert(spec.id);
+    }
+  }
+  for (ServerId id = 0; id < input.servers.size(); ++id) {
+    ServerSolveState& state = input.servers[id];
+    const bool in_shard = plan.shard_of_server[id] == shard;
+    const bool frozen =
+        in_shard && state.current != kUnassigned && in_span.count(state.current) == 0;
+    if (!in_shard || frozen) {
+      // Invisible to this shard's solve. The binding is cleared only in the
+      // sub-input (an unavailable server may reference a reservation this
+      // shard does not carry); the merge emits snapshot bindings for every
+      // available server the sub-solves did not cover.
+      state.available = false;
+      state.current = kUnassigned;
+      state.in_use = false;
+    }
+  }
+  return input;
 }
 
 }  // namespace ras

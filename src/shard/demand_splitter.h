@@ -58,6 +58,19 @@ struct ShardDemand {
 
 ShardDemand SplitDemand(const SolveInput& input, const ShardPlan& plan);
 
+// The sub-problem a shard solves: the region input with the reservation list
+// cut down to the shard's span members (reservations with a nonzero share
+// there, capacity replaced by the share) and every server outside the shard
+// marked unavailable (equivalence classes then simply never see them — no
+// re-indexing anywhere). In-shard servers bound to a reservation outside the
+// shard's span are frozen (unavailable) so the sub-solve can neither reuse
+// nor churn them; the merge re-emits their snapshot bindings. Cutting the
+// reservation list is where the decomposition's superlinear win comes from:
+// model rows and columns are reservation-dominated, so a shard with R/K of
+// the reservations solves far more than K× faster than the region.
+SolveInput MakeShardInput(const SolveInput& region, const ShardPlan& plan,
+                          const ShardDemand& demand, int shard);
+
 }  // namespace ras
 
 #endif  // RAS_SRC_SHARD_DEMAND_SPLITTER_H_

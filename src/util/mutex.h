@@ -5,8 +5,8 @@
 // standard-library types in libstdc++ have no annotations, so Clang's
 // `-Wthread-safety` analysis cannot see their acquisitions; everything in
 // this repository that guards shared state uses these wrappers instead
-// (ThreadPool's queue, the parallel branch-and-bound search state, the shard
-// coordinator's merge slots, the broker's generation counter).
+// (ThreadPool's queue, the shard fan-out's merge slots in
+// AsyncSolver::SolveSharded, the broker's generation counter).
 
 #ifndef RAS_SRC_UTIL_MUTEX_H_
 #define RAS_SRC_UTIL_MUTEX_H_

@@ -1,12 +1,10 @@
 // Small joinable thread pool.
 //
 // Fixed worker count, FIFO task queue, and a Wait() barrier that blocks until
-// every submitted task has finished. Used by the parallel branch-and-bound
-// (src/solver/mip) and the shard solve coordinator (src/shard/shard_solve):
-// both submit one long-running worker loop per thread and coordinate over
-// their own shared state, so the pool only needs to guarantee that all
-// submitted tasks run concurrently when their count does not exceed the pool
-// size.
+// every submitted task has finished. Used by the shard fan-out
+// (AsyncSolver::SolveSharded, src/core/async_solver.cc), which submits one
+// shard solve per task and merges their results after the barrier, and by
+// raslint's file scan.
 //
 // This is the sanctioned home for raw std::thread in the repository
 // (raslint's ras-naked-thread rule); all other concurrency rides on it.

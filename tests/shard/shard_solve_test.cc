@@ -1,6 +1,4 @@
-// Shard solve coordination + stitch repair + AsyncSolver wiring.
-
-#include "src/shard/shard_solve.h"
+// Sharded solve (AsyncSolver::SolveSharded) + stitch repair.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +12,10 @@
 #include "src/core/buffer_policy.h"
 #include "src/fleet/fleet_gen.h"
 #include "src/obs/metrics.h"
+#include "src/shard/demand_splitter.h"
+#include "src/shard/shard_planner.h"
 #include "src/shard/stitch_repair.h"
+#include "src/util/rng.h"
 
 namespace ras {
 namespace {
@@ -103,7 +104,7 @@ TEST(ShardSolveTest, ShardCountOneIsBitIdenticalToMonolithic) {
 
   // The monolithic reference: a solver predating any shard configuration
   // (default config), versus one with shard_count explicitly set to 1 plus
-  // shard knobs that must be inert at K = 1.
+  // a shard seed that must be inert at K = 1.
   AsyncSolver reference;
   DecodedAssignment ref_decoded;
   auto ref_stats = reference.SolveSnapshot(input, &ref_decoded);
@@ -112,7 +113,6 @@ TEST(ShardSolveTest, ShardCountOneIsBitIdenticalToMonolithic) {
   AsyncSolver sharded;
   sharded.mutable_config().shard_count = 1;
   sharded.mutable_config().shard_seed = 999;
-  sharded.mutable_config().shard_threads = 4;
   DecodedAssignment decoded;
   auto stats = sharded.SolveSnapshot(input, &decoded);
   ASSERT_TRUE(stats.ok());
@@ -171,49 +171,141 @@ TEST(ShardSolveTest, PerSolveMetricsRecordOncePerTopLevelSolve) {
   }
 }
 
-TEST(ShardSolveTest, FailedShardKeepsSnapshotBindingsAndRepairCovers) {
+TEST(ShardSolveTest, FrozenServersKeepTheirSnapshotBindings) {
   TestRegion region(SmallFleetOptions());
-  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "a", 30));
+  const ReservationId small =
+      *region.registry.Create(AnyTypeReservation(region.fleet.catalog, "small", 8));
+  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "b", 40));
   SolveInput input = region.Snapshot();
 
+  // "small" holds one in-use server in every shard, but its demand fits one
+  // shard, so its span is a single shard: its servers in every other shard
+  // lie outside the span and are frozen out of their shard's sub-solve.
+  AsyncSolver solver;
+  solver.mutable_config().shard_count = 4;
   ShardPlanOptions plan_opts;
-  plan_opts.shard_count = 3;
-  ShardPlan plan = PlanShards(region.fleet.topology, plan_opts);
-  ShardDemand demand = SplitDemand(input, plan);
-
-  // The first shard carrying demand "crashes"; spanless shards never invoke
-  // the solve function, so call order tracks the span in shard index order.
-  ASSERT_FALSE(demand.span[0].empty());
-  const int crashed = demand.span[0].front();
-  int calls = 0;
-  ShardSolveFn solve_shard = [&calls](int /*shard*/, const SolveInput& shard_input,
-                                      DecodedAssignment* decoded) -> Result<SolveStats> {
-    if (calls++ == 0) {
-      return Status::Internal("injected shard crash");
+  plan_opts.shard_count = 4;
+  plan_opts.seed = solver.config().shard_seed;
+  const ShardPlan plan = PlanShards(region.fleet.topology, plan_opts);
+  for (const std::vector<ServerId>& members : plan.servers) {
+    input.servers[members.front()].current = small;
+    input.servers[members.front()].in_use = true;
+  }
+  const ShardDemand demand = SplitDemand(input, plan);
+  const std::vector<int>& span = demand.span[static_cast<size_t>(input.ReservationIndex(small))];
+  std::vector<ServerId> frozen;
+  for (ServerId id = 0; id < input.servers.size(); ++id) {
+    if (input.servers[id].current == small &&
+        std::find(span.begin(), span.end(), plan.ShardOf(id)) == span.end()) {
+      frozen.push_back(id);
     }
-    AsyncSolver solver;
-    return solver.SolveSnapshot(shard_input, decoded);
+  }
+  ASSERT_FALSE(frozen.empty());
+
+  DecodedAssignment decoded;
+  auto stats = solver.SolveSnapshot(input, &decoded);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->shard_count, 4);
+  std::map<ServerId, ReservationId> targets;
+  for (const auto& [server, res] : decoded.targets) {
+    EXPECT_TRUE(targets.emplace(server, res).second) << "server " << server << " targeted twice";
+  }
+  for (ServerId id = 0; id < input.servers.size(); ++id) {
+    EXPECT_EQ(targets.count(id), input.servers[id].available ? 1u : 0u) << "server " << id;
+  }
+  for (ServerId id : frozen) {
+    EXPECT_EQ(targets[id], small) << "frozen server " << id << " lost its snapshot binding";
+  }
+}
+
+// Warm state across rounds at K = 4: each shard keeps its own resolve cache.
+TEST(ShardSolveTest, ShardedRepeatedSnapshotSkipsTheSolve) {
+  TestRegion region(SmallFleetOptions());
+  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "a", 50));
+  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "b", 40));
+  SolveInput input = region.Snapshot();
+
+  AsyncSolver solver;
+  solver.mutable_config().shard_count = 4;
+  DecodedAssignment first;
+  auto first_stats = solver.SolveSnapshot(input, &first);
+  ASSERT_TRUE(first_stats.ok()) << first_stats.status().ToString();
+  ASSERT_EQ(first_stats->shard_count, 4);
+  EXPECT_FALSE(first_stats->solve_skipped);
+  EXPECT_EQ(first_stats->delta_servers, -1);
+
+  DecodedAssignment second;
+  auto second_stats = solver.SolveSnapshot(input, &second);
+  ASSERT_TRUE(second_stats.ok()) << second_stats.status().ToString();
+  EXPECT_TRUE(second_stats->solve_skipped);
+  EXPECT_EQ(second_stats->delta_servers, 0);
+  EXPECT_EQ(second.targets, first.targets) << "a skipped round changed the targets";
+}
+
+TEST(ShardSolveTest, ShardedCacheOnMatchesCacheOffUnderChurn) {
+  TestRegion region(SmallFleetOptions());
+  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "a", 60));
+  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "b", 45));
+  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "c", 30));
+
+  SolverConfig config;
+  config.shard_count = 4;
+  AsyncSolver warm(config);
+  config.incremental_resolve = false;
+  AsyncSolver cold(config);
+  Rng rng(7);
+  const int64_t last_server = static_cast<int64_t>(region.fleet.topology.num_servers()) - 1;
+  int warm_rounds = 0;
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Availability churn on two rounds in three; the third is quiet.
+    if (round % 3 != 0) {
+      for (int k = 0; k < 4; ++k) {
+        const ServerId id = static_cast<ServerId>(rng.UniformInt(0, last_server));
+        const bool down = region.broker->record(id).unavailability != Unavailability::kNone;
+        region.broker->SetUnavailability(
+            id, down ? Unavailability::kNone : Unavailability::kUnplannedHardware);
+      }
+    }
+    SolveInput input = region.Snapshot();
+    DecodedAssignment warm_decoded;
+    DecodedAssignment cold_decoded;
+    auto warm_stats = warm.SolveSnapshot(input, &warm_decoded);
+    auto cold_stats = cold.SolveSnapshot(input, &cold_decoded);
+    ASSERT_TRUE(warm_stats.ok()) << warm_stats.status().ToString();
+    ASSERT_TRUE(cold_stats.ok()) << cold_stats.status().ToString();
+    EXPECT_EQ(warm_decoded.targets, cold_decoded.targets) << "cache changed the targets";
+    EXPECT_EQ(cold_stats->delta_servers, -1);
+    warm_rounds += warm_stats->delta_servers >= 0 ? 1 : 0;
+  }
+  // Every shard's cache diffed against its previous round on most rounds.
+  EXPECT_GE(warm_rounds, 5);
+}
+
+TEST(ShardSolveTest, InvalidationAndShardCountChangeColdStartTheNextRound) {
+  TestRegion region(SmallFleetOptions());
+  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "a", 50));
+  (void)*region.registry.Create(AnyTypeReservation(region.fleet.catalog, "b", 40));
+  SolveInput input = region.Snapshot();
+
+  AsyncSolver solver;
+  solver.mutable_config().shard_count = 4;
+  auto delta_of_next_round = [&solver, &input]() {
+    DecodedAssignment decoded;
+    auto stats = solver.SolveSnapshot(input, &decoded);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return stats.ok() ? stats->delta_servers : -2;
   };
-  ShardSolveOptions opts;
-  opts.threads = 1;  // Serial: `calls` needs no synchronization.
-  ShardSolveOutcome outcome = SolveShards(input, plan, demand, solve_shard, opts);
-  ASSERT_TRUE(outcome.status.ok());
-  EXPECT_EQ(outcome.aggregate.failed_shards, 1u);
-  EXPECT_FALSE(outcome.shards[static_cast<size_t>(crashed)].status.ok());
+  EXPECT_EQ(delta_of_next_round(), -1);
+  EXPECT_EQ(delta_of_next_round(), 0);
 
-  // The failed shard's servers are still covered (at snapshot bindings).
-  std::set<ServerId> covered;
-  for (const auto& [server, res] : outcome.merged.targets) {
-    covered.insert(server);
-  }
-  for (ServerId id : plan.servers[static_cast<size_t>(crashed)]) {
-    EXPECT_TRUE(covered.count(id)) << "failed shard's server " << id << " dropped from merge";
-  }
+  solver.InvalidateResolveCache();
+  EXPECT_EQ(delta_of_next_round(), -1) << "invalidation left warm shard state behind";
+  EXPECT_EQ(delta_of_next_round(), 0);
 
-  // The crashed shard's demand share went unserved; stitch repair must pull
-  // free servers from anywhere in the region to cover it.
-  StitchRepairStats repair = RepairShortfalls(input, outcome.merged.targets);
-  EXPECT_NEAR(repair.shortfall_after_rru, 0.0, 1e-6);
+  solver.mutable_config().shard_count = 3;
+  EXPECT_EQ(delta_of_next_round(), -1) << "a new shard plan reused the old plan's warm state";
+  EXPECT_EQ(delta_of_next_round(), 0);
 }
 
 TEST(StitchRepairTest, FillsShortReservationFromFreePool) {
