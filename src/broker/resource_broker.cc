@@ -1,6 +1,5 @@
 #include "src/broker/resource_broker.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "src/obs/metrics.h"
@@ -16,8 +15,10 @@ ResourceBroker::ResourceBroker(const RegionTopology* topology) : topology_(topol
   records_.resize(topology->num_servers());
   auto& free_pool = by_reservation_[kUnassigned];
   free_pool.reserve(records_.size());
+  slot_.resize(records_.size());
   for (ServerId id = 0; id < records_.size(); ++id) {
     records_[id].server = id;
+    slot_[id] = id;
     free_pool.push_back(id);
   }
 }
@@ -155,20 +156,21 @@ void ResourceBroker::Notify(ServerId id) {
 }
 
 void ResourceBroker::IndexRemove(ReservationId reservation, ServerId id) {
-  auto it = by_reservation_.find(reservation);
-  if (it == by_reservation_.end()) {
-    return;
-  }
-  auto& vec = it->second;
-  auto pos = std::find(vec.begin(), vec.end(), id);
-  if (pos != vec.end()) {
-    *pos = vec.back();
-    vec.pop_back();
-  }
+  // Every server sits in its current binding's list, at slot_[id]: move the
+  // last entry into that slot and drop the tail.
+  auto& vec = by_reservation_.at(reservation);
+  const size_t pos = slot_[id];
+  assert(pos < vec.size() && vec[pos] == id);
+  const ServerId moved = vec.back();
+  vec[pos] = moved;
+  slot_[moved] = pos;
+  vec.pop_back();
 }
 
 void ResourceBroker::IndexAdd(ReservationId reservation, ServerId id) {
-  by_reservation_[reservation].push_back(id);
+  auto& vec = by_reservation_[reservation];
+  slot_[id] = vec.size();
+  vec.push_back(id);
 }
 
 }  // namespace ras

@@ -126,8 +126,13 @@ class ResourceBroker {
   const RegionTopology* topology_;
   std::vector<ServerRecord> records_;
   // current-binding index; key kUnassigned holds the free pool. Lookup-only
-  // (never iterated), so hash ordering cannot leak into any output.
+  // (never iterated), so hash ordering cannot leak into any output. Each
+  // list's order is its history of appends and swap-removes, and Twine's
+  // placement tie-break reads it.
   std::unordered_map<ReservationId, std::vector<ServerId>> by_reservation_;
+  // slot_[id] is id's position in by_reservation_[records_[id].current], so
+  // IndexRemove swap-removes without searching the list.
+  std::vector<size_t> slot_;
   // Ordered by handle: Notify() walks this map, and watcher callbacks have
   // side effects (Twine allocator, Online Mover), so the walk order must be
   // deterministic.

@@ -16,20 +16,22 @@ namespace {
 // model itself, and every term of the model is scored except the rack-spread
 // terms (`rack_spread_terms`, phase 2 only): on a phase-2 model the search
 // optimizes, and reports, the objective without its rack-spread penalty.
-// Its dense per-(reservation, MSB/DC) arrays are the one deliberate copy of
+// Its flat per-(reservation, MSB/DC) arrays are the one deliberate copy of
 // the RRU ledger's effective-capacity rule (rru_ledger.h): the polish scores
-// every proposal against them in O(1) and restores them on reject.
+// every proposal against them in O(1) and restores them on reject. The
+// coefficients and bounds ReservationCost reads are copied out of the model
+// once, so scoring a proposal touches only this object's tables.
 class ObjectiveState {
  public:
   ObjectiveState(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                  const BuiltModel& built)
-      : input_(input), built_(built) {
+      : built_(built),
+        num_msbs_(input.topology->num_msbs()),
+        num_dcs_(input.topology->num_datacenters()) {
     const size_t num_res = input.reservations.size();
-    const size_t num_msbs = input.topology->num_msbs();
-    const size_t num_dcs = input.topology->num_datacenters();
     total_.assign(num_res, 0.0);
-    msb_rru_.assign(num_res, std::vector<double>(num_msbs, 0.0));
-    dc_rru_.assign(num_res, std::vector<double>(num_dcs, 0.0));
+    msb_rru_.assign(num_res * num_msbs_, 0.0);
+    dc_rru_.assign(num_res * num_dcs_, 0.0);
     used_.assign(classes.size(), 0.0);
     cost_.assign(num_res, 0.0);
 
@@ -40,7 +42,10 @@ class ObjectiveState {
     spread_beta_.assign(num_res, 0.0);
     spread_threshold_.assign(num_res, kInf);
     hoard_cost_.assign(num_res, 0.0);
+    hoard_limit_.assign(num_res, 0.0);
+    capacity_.assign(num_res, 0.0);
     for (size_t r = 0; r < num_res; ++r) {
+      capacity_[r] = input.reservations[r].capacity_rru;
       if (built.shortfall_vars[r] != kNoVar) {
         shortfall_cost_[r] = built.model.variable(built.shortfall_vars[r]).cost;
       }
@@ -51,6 +56,9 @@ class ObjectiveState {
       if (built.hoard_vars[r] != kNoVar) {
         hoard_cost_[r] = built.model.variable(built.hoard_vars[r]).cost;
       }
+      if (hoard_cost_[r] > 0.0) {
+        hoard_limit_[r] = built.model.row(built.hoard_rows[r]).ub;
+      }
     }
     for (const auto& term : built.msb_spread_terms) {
       spread_beta_[static_cast<size_t>(term.reservation_index)] =
@@ -59,14 +67,15 @@ class ObjectiveState {
           built.model.row(term.row).ub;
     }
     affinity_of_.assign(num_res, {});
-    for (size_t i = 0; i < built.affinity_terms.size(); ++i) {
-      affinity_of_[static_cast<size_t>(built.affinity_terms[i].reservation_index)].push_back(
-          static_cast<int>(i));
+    for (const auto& term : built.affinity_terms) {
+      affinity_of_[static_cast<size_t>(term.reservation_index)].push_back(
+          {term.dc, built.model.row(term.lo_row).lb, built.model.row(term.hi_row).ub,
+           built.model.variable(term.lo_slack).cost, built.model.variable(term.hi_slack).cost});
     }
     quorum_of_.assign(num_res, {});
-    for (size_t i = 0; i < built.quorum_terms.size(); ++i) {
-      quorum_of_[static_cast<size_t>(built.quorum_terms[i].reservation_index)].push_back(
-          static_cast<int>(i));
+    for (const auto& term : built.quorum_terms) {
+      quorum_of_[static_cast<size_t>(term.reservation_index)].push_back(
+          {term.group, built.model.row(term.row).ub, built.model.variable(term.slack).cost});
     }
 
     // Per-variable values V, cost coefficients and aggregate coordinates.
@@ -84,20 +93,17 @@ class ObjectiveState {
       if (built.move_vars[k] != kNoVar) {
         move_cost_[k] = built.model.variable(built.move_vars[k]).cost;
       }
-      slots_[k] = {static_cast<size_t>(av.reservation_index),
-                   static_cast<size_t>(av.class_index), cls.msb, cls.dc};
+      const size_t r = static_cast<size_t>(av.reservation_index);
+      slots_[k] = {r, static_cast<size_t>(av.class_index), r * num_msbs_ + cls.msb,
+                   r * num_dcs_ + cls.dc};
     }
   }
 
   void Load(const std::vector<double>& counts) {
     counts_ = counts;
     std::fill(used_.begin(), used_.end(), 0.0);
-    for (auto& v : msb_rru_) {
-      std::fill(v.begin(), v.end(), 0.0);
-    }
-    for (auto& v : dc_rru_) {
-      std::fill(v.begin(), v.end(), 0.0);
-    }
+    std::fill(msb_rru_.begin(), msb_rru_.end(), 0.0);
+    std::fill(dc_rru_.begin(), dc_rru_.end(), 0.0);
     std::fill(total_.begin(), total_.end(), 0.0);
     for (size_t k = 0; k < counts_.size(); ++k) {
       ApplyDelta(k, counts_[k], /*into_counts=*/false);
@@ -118,11 +124,12 @@ class ObjectiveState {
 
   // Objective contribution of one reservation's aggregate terms.
   double ReservationCost(size_t r) const {
+    const double* msb_rru = msb_rru_.data() + r * num_msbs_;
     double worst = 0.0;
-    for (double rru : msb_rru_[r]) {
-      worst = std::max(worst, rru);
+    for (size_t m = 0; m < num_msbs_; ++m) {
+      worst = std::max(worst, msb_rru[m]);
     }
-    double capacity = input_.reservations[r].capacity_rru;
+    double capacity = capacity_[r];
     double effective = total_[r] - (buffered_[r] ? worst : 0.0);
     double cost = shortfall_cost_[r] *
                   std::clamp(capacity - effective, 0.0, std::max(capacity, 0.0));
@@ -130,27 +137,20 @@ class ObjectiveState {
       cost += buffer_cost_[r] * worst;
     }
     if (spread_beta_[r] > 0.0) {
-      for (double rru : msb_rru_[r]) {
-        cost += spread_beta_[r] * std::max(0.0, rru - spread_threshold_[r]);
+      for (size_t m = 0; m < num_msbs_; ++m) {
+        cost += spread_beta_[r] * std::max(0.0, msb_rru[m] - spread_threshold_[r]);
       }
     }
     if (hoard_cost_[r] > 0.0) {
-      const double limit = built_.model.row(built_.hoard_rows[r]).ub;
-      cost += hoard_cost_[r] * std::max(0.0, effective - limit);
+      cost += hoard_cost_[r] * std::max(0.0, effective - hoard_limit_[r]);
     }
-    for (int i : affinity_of_[r]) {
-      const auto& term = built_.affinity_terms[static_cast<size_t>(i)];
-      double rru = term.dc < dc_rru_[r].size() ? dc_rru_[r][term.dc] : 0.0;
-      const double lo = built_.model.row(term.lo_row).lb;
-      const double hi = built_.model.row(term.hi_row).ub;
-      cost += built_.model.variable(term.lo_slack).cost * std::max(0.0, lo - rru);
-      cost += built_.model.variable(term.hi_slack).cost * std::max(0.0, rru - hi);
+    for (const AffinityBand& band : affinity_of_[r]) {
+      double rru = band.dc < num_dcs_ ? dc_rru_[r * num_dcs_ + band.dc] : 0.0;
+      cost += band.lo_cost * std::max(0.0, band.lo - rru);
+      cost += band.hi_cost * std::max(0.0, rru - band.hi);
     }
-    for (int i : quorum_of_[r]) {
-      const auto& term = built_.quorum_terms[static_cast<size_t>(i)];
-      double rru = msb_rru_[r][term.group];
-      const double limit = built_.model.row(term.row).ub;
-      cost += built_.model.variable(term.slack).cost * std::max(0.0, rru - limit);
+    for (const QuorumCap& cap : quorum_of_[r]) {
+      cost += cap.cost * std::max(0.0, msb_rru[cap.msb] - cap.limit);
     }
     return cost;
   }
@@ -169,8 +169,8 @@ class ObjectiveState {
     const Slot& s = slots_[k];
     double rru = value_[k] * delta;
     total_[s.r] += rru;
-    msb_rru_[s.r][s.msb] += rru;
-    dc_rru_[s.r][s.dc] += rru;
+    msb_rru_[s.msb_at] += rru;
+    dc_rru_[s.dc_at] += rru;
     used_[s.c] += delta;
     if (into_counts) {
       counts_[k] += delta;
@@ -186,20 +186,20 @@ class ObjectiveState {
   };
   Saved Save(size_t k) const {
     const Slot& s = slots_[k];
-    return {k, counts_[k], used_[s.c], total_[s.r], msb_rru_[s.r][s.msb], dc_rru_[s.r][s.dc]};
+    return {k, counts_[k], used_[s.c], total_[s.r], msb_rru_[s.msb_at], dc_rru_[s.dc_at]};
   }
   void Restore(const Saved& saved) {
     const Slot& s = slots_[saved.k];
     counts_[saved.k] = saved.count;
     used_[s.c] = saved.used;
     total_[s.r] = saved.total;
-    msb_rru_[s.r][s.msb] = saved.msb_rru;
-    dc_rru_[s.r][s.dc] = saved.dc_rru;
+    msb_rru_[s.msb_at] = saved.msb_rru;
+    dc_rru_[s.dc_at] = saved.dc_rru;
   }
 
   double FullObjective() const {
     double obj = 0.0;
-    for (size_t r = 0; r < input_.reservations.size(); ++r) {
+    for (size_t r = 0; r < cost_.size(); ++r) {
       obj += ReservationCost(r);
     }
     for (size_t k = 0; k < counts_.size(); ++k) {
@@ -209,22 +209,33 @@ class ObjectiveState {
   }
 
  private:
-  // Where variable k's units land: reservation, class, MSB and datacenter.
+  // Where variable k's units land: reservation, class, and its cells in the
+  // flat MSB and datacenter arrays.
   struct Slot {
     size_t r;
     size_t c;
-    MsbId msb;
+    size_t msb_at;
+    size_t dc_at;
+  };
+  // One affinity band's bounds and slack costs, and one quorum cap's.
+  struct AffinityBand {
     DatacenterId dc;
+    double lo, hi, lo_cost, hi_cost;
+  };
+  struct QuorumCap {
+    uint32_t msb;
+    double limit, cost;
   };
 
-  const SolveInput& input_;
   const BuiltModel& built_;
+  const size_t num_msbs_;
+  const size_t num_dcs_;
 
   std::vector<double> counts_;
   std::vector<double> used_;
   std::vector<double> total_;
-  std::vector<std::vector<double>> msb_rru_;
-  std::vector<std::vector<double>> dc_rru_;
+  std::vector<double> msb_rru_;  // [r * num_msbs_ + msb]
+  std::vector<double> dc_rru_;   // [r * num_dcs_ + dc]
   std::vector<double> cost_;
 
   std::vector<Slot> slots_;
@@ -237,8 +248,10 @@ class ObjectiveState {
   std::vector<double> spread_beta_;
   std::vector<double> spread_threshold_;
   std::vector<double> hoard_cost_;
-  std::vector<std::vector<int>> affinity_of_;
-  std::vector<std::vector<int>> quorum_of_;
+  std::vector<double> hoard_limit_;
+  std::vector<double> capacity_;
+  std::vector<std::vector<AffinityBand>> affinity_of_;
+  std::vector<std::vector<QuorumCap>> quorum_of_;
 };
 
 // Proposal kinds on a variable k.

@@ -13,6 +13,12 @@ TwineAllocator::TwineAllocator(const HardwareCatalog* catalog, ResourceBroker* b
     : catalog_(catalog), broker_(broker) {
   assert(catalog != nullptr && broker != nullptr);
   usage_.resize(broker->num_servers());
+  const RegionTopology& topo = broker->topology();
+  shape_.reserve(broker->num_servers());
+  for (ServerId id = 0; id < broker->num_servers(); ++id) {
+    const Server& server = topo.server(id);
+    shape_.push_back({server.msb, CapacityOf(catalog->type(server.type))});
+  }
 }
 
 Result<JobId> TwineAllocator::SubmitJob(const JobSpec& spec) {
@@ -28,6 +34,7 @@ Result<JobId> TwineAllocator::SubmitJob(const JobSpec& spec) {
   JobId id = next_job_++;
   JobState& state = jobs_[id];
   state.spec = spec;
+  state.replicas_per_msb.assign(broker_->topology().num_msbs(), 0);
   state.pending = spec.replicas;
   while (state.pending > 0 && PlaceOne(id, state)) {
     --state.pending;
@@ -83,41 +90,36 @@ Status TwineAllocator::ResizeJob(JobId job, int replicas) {
 bool TwineAllocator::PlaceOne(JobId id, JobState& job_state, ServerId exclude) {
   const ContainerSpec& demand = job_state.spec.container;
   const auto& candidates = broker_->ServersInReservation(job_state.spec.reservation);
-  const RegionTopology& topo = broker_->topology();
+  const std::vector<size_t>& replicas_per_msb = job_state.replicas_per_msb;
 
-  // Spread preference: replicas of this job already per MSB.
-  std::vector<size_t> replicas_per_msb(topo.num_msbs(), 0);
-  for (ContainerId cid : job_state.running) {
-    replicas_per_msb[topo.server(containers_[cid].server).msb]++;
-  }
-
+  // Prefer the least-loaded MSB (spread), then the fullest server that still
+  // fits (best-fit packing for stacking efficiency), then the first in
+  // candidate order.
   ServerId best = kInvalidServer;
   size_t best_msb_load = SIZE_MAX;
   double best_remaining_cpu = 0.0;
   for (ServerId sid : candidates) {
-    if (sid == exclude) {
+    const ServerShape& shape = shape_[sid];
+    const size_t msb_load = replicas_per_msb[shape.msb];
+    // A heavier MSB than the best so far can never win, and the best's load
+    // only falls, so skipping it first changes no choice.
+    if (msb_load > best_msb_load || sid == exclude) {
       continue;
     }
-    const ServerRecord& rec = broker_->record(sid);
     // No new placements on any unavailable server. (The solver counts
     // planned-maintenance servers as capacity — Section 3.5.1 — because the
     // embedded buffer covers the window; the real-time allocator still must
     // not land fresh containers on a host about to be worked on.)
-    if (rec.unavailability != Unavailability::kNone) {
+    if (broker_->record(sid).unavailability != Unavailability::kNone) {
       continue;
     }
-    ServerResources cap = CapacityOf(catalog_->type(topo.server(sid).type));
     const ServerUsage& u = usage_[sid];
-    double cpu_left = cap.cpu - u.cpu_used;
-    double mem_left = cap.memory_gb - u.mem_used;
+    double cpu_left = shape.capacity.cpu - u.cpu_used;
+    double mem_left = shape.capacity.memory_gb - u.mem_used;
     if (cpu_left < demand.cpu || mem_left < demand.memory_gb) {
       continue;
     }
-    size_t msb_load = replicas_per_msb[topo.server(sid).msb];
-    // Prefer the least-loaded MSB (spread), then the fullest server that
-    // still fits (best-fit packing for stacking efficiency).
-    if (msb_load < best_msb_load ||
-        (msb_load == best_msb_load && (best == kInvalidServer || cpu_left < best_remaining_cpu))) {
+    if (msb_load < best_msb_load || best == kInvalidServer || cpu_left < best_remaining_cpu) {
       best = sid;
       best_msb_load = msb_load;
       best_remaining_cpu = cpu_left;
@@ -134,6 +136,7 @@ bool TwineAllocator::PlaceOne(JobId id, JobState& job_state, ServerId exclude) {
   u.mem_used += demand.memory_gb;
   u.containers.push_back(cid);
   job_state.running.push_back(cid);
+  ++job_state.replicas_per_msb[shape_[best].msb];
   UpdateHasContainers(best);
   return true;
 }
@@ -149,6 +152,7 @@ void TwineAllocator::RemoveContainer(ContainerId cid) {
   JobState& job_state = jobs_[state.job];
   auto& running = job_state.running;
   running.erase(std::remove(running.begin(), running.end(), cid), running.end());
+  --job_state.replicas_per_msb[shape_[state.server].msb];
 
   ServerUsage& u = usage_[state.server];
   u.containers.erase(std::remove(u.containers.begin(), u.containers.end(), cid),
@@ -219,17 +223,15 @@ size_t TwineAllocator::containers_on(ServerId server) const {
   return usage_[server].containers.size();
 }
 
+ServerId TwineAllocator::server_of(ContainerId cid) const {
+  auto it = containers_.find(cid);
+  return it == containers_.end() ? kInvalidServer : it->second.server;
+}
+
 std::vector<size_t> TwineAllocator::ReplicasPerMsb(JobId id) const {
-  const RegionTopology& topo = broker_->topology();
-  std::vector<size_t> out(topo.num_msbs(), 0);
   const JobState* state = job(id);
-  if (state == nullptr) {
-    return out;
-  }
-  for (ContainerId cid : state->running) {
-    out[topo.server(containers_.at(cid).server).msb]++;
-  }
-  return out;
+  return state == nullptr ? std::vector<size_t>(broker_->topology().num_msbs(), 0)
+                          : state->replicas_per_msb;
 }
 
 void TwineAllocator::UpdateHasContainers(ServerId server) {

@@ -22,6 +22,9 @@ namespace ras {
 struct JobState {
   JobSpec spec;
   std::vector<ContainerId> running;
+  // Running replicas per MSB: placement adds one, removal takes one away,
+  // so it always equals a recount of `running` by server MSB.
+  std::vector<size_t> replicas_per_msb;
   int pending = 0;  // Replicas that could not be placed yet.
 };
 
@@ -54,6 +57,8 @@ class TwineAllocator {
   int pending_containers(JobId id) const;
   size_t total_pending() const;
   size_t containers_on(ServerId server) const;
+  // Server running container `cid`; kInvalidServer if it is not running.
+  ServerId server_of(ContainerId cid) const;
   // Replicas of `job` per MSB (spread diagnostics).
   std::vector<size_t> ReplicasPerMsb(JobId id) const;
 
@@ -67,9 +72,15 @@ class TwineAllocator {
     JobId job;
     ServerId server;
   };
+  // What placement reads of a server, fixed by its hardware and location.
+  struct ServerShape {
+    MsbId msb;
+    ServerResources capacity;
+  };
 
   // Places one replica of `job_state`; returns false if nothing fits.
-  // `exclude` is skipped as a candidate (used during eviction).
+  // `exclude` is skipped as a candidate (used during eviction). Linear in
+  // the reservation's servers; independent of the job's replica count.
   bool PlaceOne(JobId id, JobState& job_state, ServerId exclude = kInvalidServer);
   void RemoveContainer(ContainerId cid);
   void UpdateHasContainers(ServerId server);
@@ -83,6 +94,7 @@ class TwineAllocator {
   // Lookup-only (never iterated); hash ordering cannot leak.
   std::unordered_map<ContainerId, ContainerState> containers_;
   std::vector<ServerUsage> usage_;
+  std::vector<ServerShape> shape_;  // Indexed by ServerId.
   JobId next_job_ = 1;
   ContainerId next_container_ = 1;
 };

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/core/reservation.h"
+#include "src/core/state_io.h"
 #include "src/fleet/fleet_gen.h"
+#include "src/util/rng.h"
 
 namespace ras {
 namespace {
@@ -154,6 +163,117 @@ TEST_F(ResourceBrokerTest, ApplyTargetsRollsBackMidBatchFailure) {
     EXPECT_EQ(broker_.record(id).target, 100u);
   }
 }
+
+// The current-binding index as a plain linear-search model: every list is
+// the history of appends and swap-with-last removals the broker promises,
+// found by scanning, so any drift in the broker's slot bookkeeping shows up
+// as a different ServersInReservation order.
+class IndexModel {
+ public:
+  explicit IndexModel(size_t num_servers) : current_(num_servers, kUnassigned) {
+    for (ServerId id = 0; id < num_servers; ++id) {
+      lists_[kUnassigned].push_back(id);
+    }
+  }
+
+  void SetCurrent(ServerId id, ReservationId reservation) {
+    if (current_[id] == reservation) {
+      return;
+    }
+    std::vector<ServerId>& from = lists_[current_[id]];
+    auto pos = std::find(from.begin(), from.end(), id);
+    *pos = from.back();
+    from.pop_back();
+    lists_[reservation].push_back(id);
+    current_[id] = reservation;
+  }
+
+  ReservationId current(ServerId id) const { return current_[id]; }
+  const std::map<ReservationId, std::vector<ServerId>>& lists() const { return lists_; }
+
+ private:
+  std::vector<ReservationId> current_;
+  std::map<ReservationId, std::vector<ServerId>> lists_;
+};
+
+class BrokerIndexOrderTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BrokerIndexOrderTest, ServersInReservationMatchesLinearSwapRemove) {
+  FleetOptions opts;
+  opts.num_datacenters = 1;
+  opts.msbs_per_datacenter = 2;
+  opts.racks_per_msb = 3;
+  opts.servers_per_rack = 6;
+  opts.seed = 50 + static_cast<uint64_t>(GetParam());
+  Fleet fleet = GenerateFleet(opts);
+  auto broker = std::make_unique<ResourceBroker>(&fleet.topology);
+  IndexModel model(broker->num_servers());
+  Rng rng(7000 + static_cast<uint64_t>(GetParam()));
+  const int64_t last_server = static_cast<int64_t>(broker->num_servers()) - 1;
+  auto random_server = [&] { return static_cast<ServerId>(rng.UniformInt(0, last_server)); };
+  // The free pool plus four reservations.
+  auto random_binding = [&] {
+    int64_t pick = rng.UniformInt(0, 4);
+    return pick == 0 ? kUnassigned : static_cast<ReservationId>(pick);
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    switch (rng.UniformInt(0, 4)) {
+      case 0:
+      case 1: {  // A binding change, sometimes to the binding it already has.
+        ServerId id = random_server();
+        ReservationId to = random_binding();
+        broker->SetCurrent(id, to);
+        model.SetCurrent(id, to);
+        break;
+      }
+      case 2: {  // A target batch, rolled back mid-batch when a write fails.
+        std::vector<std::pair<ServerId, ReservationId>> batch;
+        for (int64_t n = rng.UniformInt(1, 8); n > 0; --n) {
+          batch.emplace_back(random_server(), random_binding());
+        }
+        int64_t fail_at = rng.UniformInt(0, static_cast<int64_t>(batch.size()));
+        int writes = 0;
+        broker->SetWriteFaultHook(
+            [&writes, fail_at](ServerId, ReservationId) { return writes++ == fail_at; });
+        Status status = broker->ApplyTargets(batch);
+        EXPECT_EQ(status.ok(), fail_at == static_cast<int64_t>(batch.size())) << step;
+        broker->SetWriteFaultHook(nullptr);
+        break;
+      }
+      case 3: {  // The mover converges every pending server to its target.
+        for (ServerId id : broker->PendingMoves()) {
+          ReservationId to = broker->record(id).target;
+          broker->SetCurrent(id, to);
+          model.SetCurrent(id, to);
+        }
+        break;
+      }
+      case 4: {  // Recovery: a fresh broker restored from a snapshot.
+        ReservationRegistry registry;
+        std::string snapshot = SerializeRegionState(*broker, registry);
+        broker = std::make_unique<ResourceBroker>(&fleet.topology);
+        ASSERT_TRUE(DeserializeRegionState(snapshot, *broker, registry).ok()) << step;
+        // The restore replays records in server-id order.
+        IndexModel restored(broker->num_servers());
+        for (ServerId id = 0; id < broker->num_servers(); ++id) {
+          restored.SetCurrent(id, model.current(id));
+        }
+        model = restored;
+        break;
+      }
+    }
+    for (const auto& [reservation, servers] : model.lists()) {
+      ASSERT_EQ(broker->ServersInReservation(reservation), servers)
+          << "reservation " << reservation << " step " << step;
+    }
+    for (ServerId id = 0; id < broker->num_servers(); ++id) {
+      ASSERT_EQ(broker->record(id).current, model.current(id)) << "server " << id;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BrokerIndexOrderTest, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace ras
