@@ -64,7 +64,7 @@ int main() {
     auto classes = BuildEquivalenceClasses(input, Scope::kMsb);
     SolverConfig config;
     BuiltModel built = BuildRasModel(input, classes, config, false);
-    PhaseStart start = MakePhaseStart(input, classes, built, config.phase1_mip);
+    PhaseStart start = MakePhaseStart(input, classes, built);
 
     double t0 = Now();
     MipResult without =

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
     wl.input = SnapshotSolveInput(broker, registry, fleet.catalog);
     wl.classes = BuildEquivalenceClasses(wl.input, Scope::kMsb);
     wl.built = BuildRasModel(wl.input, wl.classes, config, /*include_rack_spread=*/false);
-    wl.start = MakePhaseStart(wl.input, wl.classes, wl.built, config.phase1_mip);
+    wl.start = MakePhaseStart(wl.input, wl.classes, wl.built);
     std::printf("workload %d: %zu rows, %zu vars, %zu nonzeros\n", t,
                 wl.built.model.num_rows(), wl.built.model.num_variables(),
                 wl.built.model.num_nonzeros());

@@ -33,10 +33,8 @@ int main() {
   SolverConfig config;
   MipOptions early = config.phase1_mip;
   early.max_nodes = 24;  // The aggressive early timeout.
-  early.time_limit_seconds = 10;
   MipOptions reference = config.phase1_mip;
   reference.max_nodes = 200;
-  reference.time_limit_seconds = 60;
 
   Rng rng(909);
   std::vector<double> gap_in_preemptions;
@@ -79,8 +77,8 @@ int main() {
     SolveInput input = SnapshotSolveInput(broker, registry, fleet.catalog);
     auto classes = BuildEquivalenceClasses(input, Scope::kMsb);
     BuiltModel built = BuildRasModel(input, classes, config, false);
-    // Both budgets give the polish the same second, so one start serves both.
-    PhaseStart start = MakePhaseStart(input, classes, built, early);
+    // The start does not depend on the MIP budget, so one start serves both.
+    PhaseStart start = MakePhaseStart(input, classes, built);
     MipResult quick = SolvePhaseMip(input, classes, built, early, start);
     MipResult ref = SolvePhaseMip(input, classes, built, reference, start);
     if (quick.x.empty() || ref.x.empty()) {

@@ -23,7 +23,7 @@ SetupMeasurement MeasureSetup(SweepRegion& region, bool solve_root_lp) {
   SolveInput input = SnapshotSolveInput(*region.broker, region.registry, region.fleet.catalog);
   auto classes1 = BuildEquivalenceClasses(input, Scope::kMsb);
   BuiltModel built1 = BuildRasModel(input, classes1, config, /*include_rack_spread=*/false);
-  PhaseStart start1 = MakePhaseStart(input, classes1, built1, config.phase1_mip);
+  PhaseStart start1 = MakePhaseStart(input, classes1, built1);
   out.phase1_setup_s = Now() - t0;
   out.phase1_vars = built1.num_assignment_variables();
   out.phase1_rows = built1.model.num_rows();
@@ -47,7 +47,7 @@ SetupMeasurement MeasureSetup(SweepRegion& region, bool solve_root_lp) {
   auto classes2 = BuildEquivalenceClasses(input, Scope::kRack, filter);
   BuiltModel built2 =
       BuildRasModel(input, classes2, config, /*include_rack_spread=*/true, subset);
-  PhaseStart start2 = MakePhaseStart(input, classes2, built2, config.phase2_mip);
+  PhaseStart start2 = MakePhaseStart(input, classes2, built2);
   out.phase2_setup_s = Now() - t0;
   out.phase2_vars = built2.num_assignment_variables();
   out.phase2_model_bytes = built2.ModelMemoryBytes();

@@ -26,9 +26,7 @@ int main() {
   options.fleet.racks_per_msb = 6;
   options.fleet.servers_per_rack = 8;
   options.fleet.seed = 99;
-  options.solver.phase1_mip.time_limit_seconds = 5.0;
   options.solver.phase1_mip.max_nodes = 60;
-  options.solver.phase2_mip.time_limit_seconds = 2.0;
   RegionScenario sim(options);
 
   // Seed workload: three services of different shapes.

@@ -140,7 +140,7 @@ void RecordSolveMetrics(const SolveStats& stats) {
 }  // namespace
 
 PhaseStart MakePhaseStart(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
-                          const BuiltModel& built, const MipOptions& mip_options) {
+                          const BuiltModel& built) {
   // The greedy start, polished by a short local search: its relocate moves
   // fix spread cheaply, and the MIP then starts from, and can only improve
   // on, that incumbent.
@@ -151,7 +151,6 @@ PhaseStart MakePhaseStart(const SolveInput& input, const std::vector<Equivalence
   // default (150k) would take about 25 ms.
   constexpr int64_t kPolishStallLimit = 4000;
   LocalSearchOptions polish;
-  polish.time_limit_seconds = std::min(1.0, mip_options.time_limit_seconds * 0.1);
   polish.seed = 17;
   polish.stall_limit = kPolishStallLimit;
   counts = LocalSearchOptimize(input, classes, built, counts, polish).counts;
@@ -242,7 +241,7 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache& cache, const Solve
     // rebuilt; the MIP below runs exactly as if cold, so incremental and cold
     // rounds produce identical targets.
     t0 = util::MonotonicSeconds();
-    PhaseStart start = MakePhaseStart(input, classes, built, mip_options);
+    PhaseStart start = MakePhaseStart(input, classes, built);
     outcome.stats.warm_start_objective = built.model.Objective(start.warm);
     outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
 
@@ -260,7 +259,7 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache& cache, const Solve
       outcome.stats.best_bound = mip.best_bound;
     } else {
       // MIP produced nothing usable: ship the greedy initial state,
-      // exactly the paper's posture that a timed-out solve must still
+      // exactly the paper's posture that a solve stopped early must still
       // yield a valid (possibly suboptimal) assignment.
       RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
                         << "; falling back to the greedy initial state";
@@ -364,7 +363,7 @@ SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignme
   std::vector<EquivalenceClass> classes1 = BuildEquivalenceClasses(input, Scope::kMsb);
   double ras_build1 = util::MonotonicSeconds() - t0;
   // The incumbent rung is phase 1 with no search budget: the MIP returns its
-  // warm start, the polished greedy start a timed-out search would ship.
+  // warm start, the polished greedy start a search stopped early would ship.
   MipOptions phase1_mip = config_.phase1_mip;
   if (mode == SolveMode::kIncumbentOnly) {
     phase1_mip.max_nodes = 0;

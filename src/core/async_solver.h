@@ -111,10 +111,10 @@ struct PhaseStart {
   std::vector<double> root_start;
 };
 
-// Builds the initial state every phase solve starts from. `mip_options` is
-// the phase's MIP budget; the polish gets a tenth of it, at most a second.
+// Builds the initial state every phase solve starts from; the polish runs to
+// LocalSearchOptions' default work limits.
 PhaseStart MakePhaseStart(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
-                          const BuiltModel& built, const MipOptions& mip_options);
+                          const BuiltModel& built);
 
 // The MIP step of a phase: branch-and-bound over `built` from `start`, with
 // the LP-guided rounding heuristic (src/core/lp_rounding) installed.

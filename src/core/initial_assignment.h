@@ -4,8 +4,8 @@
 // capacity deficits from the free pool, always adding to the MSB where the
 // reservation currently holds the least capacity.
 //
-// This is also RAS's fallback allocator: if the MIP hits its time limit with
-// no better incumbent, the greedy solution is what ships.
+// This is also RAS's fallback allocator: if the MIP stops at its work limit
+// with no better incumbent, the greedy solution is what ships.
 
 #ifndef RAS_SRC_CORE_INITIAL_ASSIGNMENT_H_
 #define RAS_SRC_CORE_INITIAL_ASSIGNMENT_H_

@@ -14,10 +14,10 @@
 // terms. Every proposal is a move the current state admits: it is drawn
 // from the valid moves only, with the probabilities a uniform draw
 // conditioned on validity would give, so each one is priced. A rejected
-// move is undone exactly. It trades solution quality for strictly bounded
-// runtime. The AsyncSolver runs it as a short polish of the greedy warm
-// start before the MIP (MakePhaseStart); bench/ablation_backend compares
-// it, run to its own time limit, against the MIP.
+// move is undone exactly. It trades solution quality for bounded work, all
+// of it counted, never timed. The AsyncSolver runs it as a short polish of
+// the greedy warm start before the MIP (MakePhaseStart); bench/ablation_backend
+// compares it, run to its own limits, against the MIP.
 
 #ifndef RAS_SRC_CORE_LOCAL_SEARCH_H_
 #define RAS_SRC_CORE_LOCAL_SEARCH_H_
@@ -31,7 +31,10 @@
 namespace ras {
 
 struct LocalSearchOptions {
-  double time_limit_seconds = 3.0;
+  // Cap on accepted moves x assignment variables: each accepted move
+  // rebuilds the move table over every variable, the polish's dominant cost.
+  // The default is about 1 s on a 4-vCPU VM at 108k-491k variables.
+  int64_t max_rebuild_work = 80'000'000;
   // Cap on proposals. Every proposal is a valid move that gets evaluated.
   int64_t max_proposals = 1000000;
   // Consecutive rejected proposals before giving up early. Each one is a
@@ -46,7 +49,6 @@ struct LocalSearchResult {
   double final_objective = 0.0;
   int64_t proposals = 0;  // Valid moves drawn and evaluated.
   int64_t accepted = 0;
-  double seconds = 0.0;
 };
 
 // Improves `initial_counts` (must respect class supplies; typically

@@ -89,9 +89,11 @@ struct SolverConfig {
     // 24-node early stop matches a 200-node reference in most trials and
     // trails it by under 15 in-use moves' cost in every one), so node
     // budgets stay small.
-    phase1_mip.time_limit_seconds = 20.0;
+    // The work limits stand in for the paper's timeouts: about 20 s and
+    // 10 s of search on a 4-vCPU VM (DESIGN.md, "one stopping rule").
+    phase1_mip.max_lp_work = 4'000'000'000;
     phase1_mip.max_nodes = 24;
-    phase2_mip.time_limit_seconds = 10.0;
+    phase2_mip.max_lp_work = 2'000'000'000;
     phase2_mip.max_nodes = 16;
     // Gaps below half an idle server move are operationally meaningless;
     // pruning at this tolerance saves most of the branch-and-bound tail.

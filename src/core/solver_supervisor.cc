@@ -74,7 +74,7 @@ SolverSupervisor::SolverSupervisor(AsyncSolver* solver, ResourceBroker* broker,
     // is why repeated crashes walk the ladder all the way to last-good and,
     // eventually, emergency.
     if (mode != SolveMode::kIncumbentOnly && injector_->Fires(FaultKind::kSolverTimeout)) {
-      return Status::DeadlineExceeded("injected: MIP hit its time limit with no incumbent");
+      return Status::DeadlineExceeded("injected: MIP search overran the solve deadline");
     }
     if (injector_->Fires(FaultKind::kSolverCrash)) {
       return Status::Internal("injected: solver process crashed mid-solve");

@@ -2,12 +2,13 @@
 //
 // The paper's stance (Section 5.4) is that region-wide re-optimization runs
 // off the critical path and the system must stay safe when the solver is
-// slow, wrong, or down: time limits bound each solve, the greedy incumbent is
-// what ships on timeout, and the out-of-band emergency path is "the back-up
-// when the Async Solver is unavailable". The SolverSupervisor packages that
-// posture into one component wrapped around AsyncSolver:
+// slow, wrong, or down: work limits bound each solve, the greedy incumbent is
+// what ships when the search stops early, and the out-of-band emergency path
+// is "the back-up when the Async Solver is unavailable". The SolverSupervisor
+// packages that posture into one component wrapped around AsyncSolver:
 //
-//   - deadline enforcement on every attempt;
+//   - deadline enforcement on every attempt, the one wall clock acting on a
+//     solve: it discards a late answer but never shapes one;
 //   - bounded retry with exponential backoff + jitter, in *simulated* time
 //     (driven through the EventLoop — no wall-clock sleeps anywhere);
 //   - snapshot validation before a solve and a broker-generation check

@@ -20,8 +20,8 @@
 namespace ras {
 
 enum class FaultKind : uint8_t {
-  // The MIP never returns within its deadline; the attempt yields
-  // DEADLINE_EXCEEDED and no assignment.
+  // The MIP search overruns the supervisor's solve deadline; the attempt
+  // yields DEADLINE_EXCEEDED and no assignment.
   kSolverTimeout = 0,
   // The solver process dies mid-solve; the attempt yields INTERNAL.
   kSolverCrash,

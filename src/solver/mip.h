@@ -1,19 +1,19 @@
 // Branch-and-bound mixed-integer solver on top of the bounded simplex.
 //
 // Features used by RAS (Section 3.5): warm starting from a known feasible
-// assignment (the "initial state" step), a hard time limit with best-incumbent
-// return (the paper's phase-1 timeout), and reporting of the remaining
-// optimality gap (Figure 9 measures solution quality in units of the model's
-// move / constraint-fix costs).
+// assignment (the "initial state" step), a hard work limit with
+// best-incumbent return (the paper's phase-1 timeout), and reporting of the
+// remaining optimality gap (Figure 9 measures solution quality in units of
+// the model's move / constraint-fix costs).
 //
-// The time limit is one absolute deadline, checked between nodes and, every
-// 16 pivots, inside each node LP, so a root LP larger than the budget is cut
-// off rather than overrunning it; the search then returns the warm start (or
-// the best incumbent since), and the cut-off node prices the bound by its
-// parent's.
+// The work limit is LP work, pivots x (rows + columns): one pivot budget,
+// derived from the model's width, covers every node LP, so a root LP larger
+// than the budget is cut off rather than overrunning it; the search then
+// returns the warm start (or the best incumbent since), and the cut-off node
+// prices the bound by its parent's.
 //
-// The search is a single-threaded depth-first loop, so the same model, warm
-// start and options give a bitwise-identical result on every run.
+// The search is a single-threaded depth-first loop with no clock in it, so
+// the same inputs give a bitwise-identical result on every run and host.
 
 #ifndef RAS_SRC_SOLVER_MIP_H_
 #define RAS_SRC_SOLVER_MIP_H_
@@ -29,7 +29,7 @@ namespace ras {
 
 enum class MipStatus {
   kOptimal,          // Incumbent proven optimal within gap tolerances.
-  kFeasible,         // Incumbent found but search stopped early (time/nodes).
+  kFeasible,         // Incumbent found but search stopped early (work/nodes).
   kInfeasible,       // No integer-feasible point exists.
   kUnbounded,
   kNoSolutionFound,  // Search stopped early with no incumbent.
@@ -46,7 +46,9 @@ using MipHeuristic =
                        std::vector<double>* candidate)>;
 
 struct MipOptions {
-  double time_limit_seconds = 120.0;
+  // LP work across all node LPs, in pivots x (rows + columns). One unit
+  // cost 4.5-6.4 ns of search time on a 4-vCPU VM at 23k-503k columns.
+  int64_t max_lp_work = 24'000'000'000;
   int64_t max_nodes = 200000;
   double integrality_tol = 1e-6;
   double absolute_gap = 1e-6;
@@ -65,8 +67,8 @@ struct MipResult {
   int64_t nodes = 0;
   // Simplex iterations summed over every node LP.
   int64_t lp_iterations = 0;
-  double solve_seconds = 0.0;
-  bool hit_time_limit = false;
+  // The search stopped because a node LP ran out of pivots.
+  bool hit_work_limit = false;
   // Solver-layer re-optimization telemetry summed over every node LP: warm
   // resolves served by the dual simplex kernel and the dual pivots they took.
   int64_t dual_resolves = 0;

@@ -26,8 +26,6 @@ constexpr double kDriftRefactorTol = 1e-8;
 // dozens of pivots through — provided the feasibility check passes on the
 // current factor (when it does not, the full clean pass runs after all).
 constexpr int kCleanPassEtaLimit = 8;
-// Pivots between deadline checks: a clock read is noise against 16 pivots.
-constexpr int64_t kDeadlineCheckInterval = 16;
 
 // Recorded once per LP solve (including node LPs inside branch-and-bound):
 // a handful of relaxed atomic adds against the work of the solve itself.
@@ -70,8 +68,6 @@ const char* LpStatusName(LpStatus status) {
       return "ITERATION_LIMIT";
     case LpStatus::kNumericalFailure:
       return "NUMERICAL_FAILURE";
-    case LpStatus::kTimeLimit:
-      return "TIME_LIMIT";
   }
   return "UNKNOWN";
 }
@@ -204,10 +200,6 @@ void SimplexSolver::TrueCostDuals(std::vector<double>& y) {
   factor_.Btran(solve_rhs_, y);
 }
 
-bool SimplexSolver::PastDeadline(int64_t iter) const {
-  return iter % kDeadlineCheckInterval == 0 && util::MonotonicSeconds() > deadline_;
-}
-
 double SimplexSolver::TotalInfeasibility() const {
   double total = 0.0;
   for (int32_t pos = 0; pos < m_; ++pos) {
@@ -256,6 +248,7 @@ LpResult SimplexSolver::Solve(const Model& model, const std::vector<BoundOverrid
   } else {
     InitializeBasis(start);
     result = RunSimplex(model);
+    pivots_left_ -= result.iterations;
     if (result.status == LpStatus::kOptimal) {
       basis_valid_ = true;
       prepared_rows_ = model.num_rows();
@@ -319,12 +312,15 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
   bool used_dual = false;
   if (TotalInfeasibility() > kFeasibilityTol && DualFeasibleBasis(kOptimalityTol)) {
     used_dual = true;
-    if (!RunDualSimplex(&dual_accum)) {
+    const bool factor_ok = RunDualSimplex(&dual_accum);
+    pivots_left_ -= dual_accum.dual_iterations;
+    if (!factor_ok) {
       // Basis factorization broke down mid-flight: rebuild from scratch.
       return Solve(model, overrides);
     }
   }
   LpResult result = RunSimplex(model);
+  pivots_left_ -= result.iterations;
   result.used_dual_simplex = used_dual;
   result.dual_iterations += dual_accum.dual_iterations;
   result.refactorizations += dual_accum.refactorizations;
@@ -398,7 +394,7 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
   // A bound-only patch perturbs few basic values, so primal feasibility is a
   // few pivots away; a conservative budget keeps a degenerate tail from ever
   // costing more than the cold solve the caller would otherwise run.
-  const int64_t max_iters = 50 + 2LL * m_;
+  const int64_t max_iters = std::min<int64_t>(50 + 2LL * m_, pivots_left_);
 
   std::vector<double> y(m_);
   std::vector<double> rho_row(m_);
@@ -407,9 +403,6 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
   alpha_nz.reserve(m_);
 
   for (int64_t iter = 0; iter < max_iters; ++iter) {
-    if (PastDeadline(iter)) {
-      return true;  // The primal verifier's first check reports the deadline.
-    }
     // --- Leaving: the most primal-violated basic position. ---
     int32_t leaving_pos = -1;
     double worst = ftol;
@@ -541,7 +534,8 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
   LpResult result;
   const double ftol = kFeasibilityTol;
   const double dtol = kOptimalityTol;
-  const int64_t max_iters = 200 + 40LL * (static_cast<int64_t>(m_) + total_);
+  const int64_t max_iters =
+      std::min<int64_t>(200 + 40LL * (static_cast<int64_t>(m_) + total_), pivots_left_);
 
   std::vector<double> y(m_);        // Pricing duals.
   std::vector<double> alpha(m_);    // FTRAN result.
@@ -558,11 +552,6 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
 
   int64_t iter = 0;
   for (; iter < max_iters; ++iter) {
-    if (PastDeadline(iter)) {
-      result.status = LpStatus::kTimeLimit;
-      result.iterations = iter;
-      return result;
-    }
     // --- Phase selection: any basic bound violation => phase 1 pricing. ---
     bool phase1 = false;
     for (int32_t pos = 0; pos < m_; ++pos) {

@@ -50,10 +50,9 @@ enum class LpStatus {
   kOptimal,
   kInfeasible,
   kUnbounded,
+  // The kernel's own per-solve cap or the solver's pivot budget ran out.
   kIterationLimit,
   kNumericalFailure,
-  // The solver's deadline passed mid-solve (checked every 16 pivots).
-  kTimeLimit,
 };
 
 const char* LpStatusName(LpStatus status);
@@ -119,11 +118,11 @@ struct BoundOverride {
 
 class SimplexSolver {
  public:
-  // `deadline` is an absolute util::MonotonicSeconds() time; a solve still
-  // pivoting past it returns kTimeLimit. The MIP passes its own deadline, so
-  // one time limit covers the node LPs as well as the gaps between them.
-  explicit SimplexSolver(const LpOptions& options = LpOptions(), double deadline = kInf)
-      : options_(options), deadline_(deadline) {}
+  // `max_pivots` caps the pivots, primal and dual, over the solver's
+  // lifetime; a solve that reaches it returns kIterationLimit. The MIP passes
+  // its search's budget, so one count, not a clock, covers every node LP.
+  explicit SimplexSolver(const LpOptions& options = LpOptions(), int64_t max_pivots = INT64_MAX)
+      : options_(options), pivots_left_(max_pivots) {}
 
   // Cold solve from the all-slack basis. `start`, if given, holds one value
   // per structural: a column j with finite ub_j > lb_j and start[j] >= ub_j
@@ -169,8 +168,6 @@ class SimplexSolver {
   // *adaptive) its fill or the pivot's drift calls for an early rebuild.
   bool NeedRefactor(double pivot, double column_max, bool* adaptive) const;
   double TotalInfeasibility() const;
-  // True on every 16th pivot once the deadline has passed.
-  bool PastDeadline(int64_t iter) const;
   // Puts every nonbasic column on the bound its status names; a status that
   // points at an infinite bound moves to the other bound, or to free at 0
   // when both are infinite. Basic and free columns are untouched.
@@ -185,15 +182,15 @@ class SimplexSolver {
   // Bounded-variable dual simplex from the current (dual-feasible) basis:
   // picks the most-violated basic variable, prices its BTRAN row against all
   // nonbasic columns with the dual ratio test, and pivots until primal
-  // feasibility, a conservative iteration budget or the deadline. Counters
+  // feasibility or an iteration budget (its own or the pivots left). Counters
   // accumulate into `accum`. Returns false only when the basis factorization
   // broke down mid-flight (the caller must fall back to a cold solve); early
-  // exits for budget/stall/deadline reasons return true and leave a valid
-  // basis for the primal verifier to finish from (or to report the deadline).
+  // exits for budget/stall reasons return true and leave a valid basis for
+  // the primal verifier to finish from (or to report the spent budget).
   bool RunDualSimplex(LpResult* accum);
 
   LpOptions options_;
-  double deadline_;
+  int64_t pivots_left_;  // Of the constructor's `max_pivots`.
 
   // Problem dimensions: m_ rows, n_ structural columns, total_ = n_ + m_.
   int32_t m_ = 0;

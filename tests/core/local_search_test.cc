@@ -120,6 +120,35 @@ TEST(LocalSearchTest, RespectsProposalBudget) {
   EXPECT_LE(result.proposals, 100);
 }
 
+// The rebuild-work limit stops the polish after the accepted move that
+// spends it, at the same proposal on every run.
+TEST(LocalSearchTest, RebuildWorkLimitStopsThePolish) {
+  SearchEnv env;
+  ReservationId a = env.Add("a", 30);
+  for (ServerId id : env.fleet.topology.ServersInMsb(0)) {
+    env.broker->SetCurrent(id, a);
+  }
+  auto b = env.Prepare();
+  auto counts = BuildInitialCounts(b.input, b.classes, b.built);
+  const LocalSearchResult full = LocalSearchOptimize(b.input, b.classes, b.built, counts);
+  ASSERT_GE(full.accepted, 4);
+
+  LocalSearchOptions options;
+  const int64_t accepts = full.accepted / 2;
+  options.max_rebuild_work = accepts * static_cast<int64_t>(b.built.assignment_vars.size());
+  const LocalSearchResult cut = LocalSearchOptimize(b.input, b.classes, b.built, counts, options);
+  EXPECT_EQ(cut.accepted, accepts);
+  EXPECT_LT(cut.proposals, full.proposals);
+  EXPECT_GT(cut.final_objective, full.final_objective);
+
+  const LocalSearchResult again =
+      LocalSearchOptimize(b.input, b.classes, b.built, counts, options);
+  EXPECT_EQ(again.proposals, cut.proposals);
+  EXPECT_EQ(again.accepted, cut.accepted);
+  EXPECT_EQ(again.counts, cut.counts);
+  EXPECT_EQ(again.final_objective, cut.final_objective);
+}
+
 TEST(LocalSearchTest, EveryProposalIsARealMove) {
   SearchEnv env;
   // Non-dyadic values: V * step is inexact, so undoing a rejected move by

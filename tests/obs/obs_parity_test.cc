@@ -34,8 +34,6 @@ ScenarioRun RunDeterministicScenario(bool obs_enabled) {
   options.fleet.servers_per_rack = 6;
   options.fleet.seed = 1234;
   options.seed = 77;
-  options.solver.phase1_mip.time_limit_seconds = 5.0;
-  options.solver.phase2_mip.time_limit_seconds = 2.0;
   ScenarioRun run;
   {
     RegionScenario sim(options);

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "src/core/assignment_decoder.h"
+#include "src/core/async_solver.h"
 #include "src/core/buffer_policy.h"
 #include "src/core/initial_assignment.h"
 #include "src/core/model_builder.h"
@@ -211,7 +213,6 @@ MipOptions TightOptions() {
   options.absolute_gap = 1e-6;
   options.relative_gap = 1e-9;
   options.max_nodes = 200000;
-  options.time_limit_seconds = 120.0;
   return options;
 }
 
@@ -371,9 +372,10 @@ TEST(MipTest, RootLpFromCurrentAssignmentTakesFewerPivots) {
   EXPECT_LT(warm.iterations, cold.iterations);
 }
 
-// With a budget far below one root LP, the LP itself stops at the deadline
-// and the MIP returns its warm start, its bound still the open root's.
-TEST(MipTest, RootLpHonoursTheDeadline) {
+// With a work limit worth a quarter of the root LP's pivots, the LP stops
+// there and the MIP returns its warm start, its bound still the open root's;
+// a second run stops at the same pivot with the same result.
+TEST(MipTest, RootLpStopsAtTheWorkLimit) {
   PhaseOneRegion region;
   const Model& model = region.built.model;
   const std::vector<double> warm = MakeWarmStart(
@@ -381,22 +383,71 @@ TEST(MipTest, RootLpHonoursTheDeadline) {
       BuildInitialCounts(region.input, region.classes, region.built));
   ASSERT_TRUE(model.IsFeasible(warm, 1e-5));
 
-  double t0 = util::MonotonicSeconds();
-  ASSERT_EQ(SimplexSolver().Solve(model).status, LpStatus::kOptimal);
-  const double cold_root_seconds = util::MonotonicSeconds() - t0;
-
+  const LpResult root = SimplexSolver().Solve(model);
+  ASSERT_EQ(root.status, LpStatus::kOptimal);
+  const int64_t pivots = root.iterations / 4;
+  ASSERT_GT(pivots, 0);
   MipOptions options;
-  options.time_limit_seconds = 1e-3;
-  t0 = util::MonotonicSeconds();
-  MipResult r = MipSolver(options).Solve(model, &warm);
-  const double mip_seconds = util::MonotonicSeconds() - t0;
+  options.max_lp_work =
+      pivots * static_cast<int64_t>(model.num_rows() + model.num_variables());
+  const MipResult r = MipSolver(options).Solve(model, &warm);
 
   EXPECT_EQ(r.status, MipStatus::kFeasible);
-  EXPECT_TRUE(r.hit_time_limit);
+  EXPECT_TRUE(r.hit_work_limit);
+  EXPECT_EQ(r.nodes, 1);
+  EXPECT_EQ(r.lp_iterations, pivots);
+  EXPECT_EQ(r.x, warm);
   EXPECT_EQ(r.objective, model.Objective(warm));
   EXPECT_LT(r.best_bound, r.objective);
-  EXPECT_LT(mip_seconds, 0.25 * cold_root_seconds)
-      << "MIP " << mip_seconds << " s vs cold root LP " << cold_root_seconds << " s";
+
+  const MipResult again = MipSolver(options).Solve(model, &warm);
+  EXPECT_EQ(again.status, r.status);
+  EXPECT_EQ(again.x, r.x);
+  EXPECT_EQ(again.objective, r.objective);
+  EXPECT_EQ(again.best_bound, r.best_bound);
+  EXPECT_EQ(again.lp_iterations, r.lp_iterations);
+}
+
+// The production phase-1 steps, the polished start and the MIP, give the
+// same answer with the clock running 1000x fast: every solver loop stops on
+// a count of its work, never on the clock.
+TEST(MipTest, PhaseOneAnswerIgnoresTheClock) {
+  struct Answer {
+    PhaseStart start;
+    MipResult mip;
+    DecodedAssignment decoded;
+  };
+  auto solve = [](const PhaseOneRegion& region) {
+    const MipOptions options = SolverConfig().phase1_mip;
+    Answer a;
+    a.start = MakePhaseStart(region.input, region.classes, region.built);
+    a.mip = SolvePhaseMip(region.input, region.classes, region.built, options, a.start);
+    a.decoded = DecodeAssignment(region.input, region.classes, region.built, a.mip.x);
+    return a;
+  };
+  struct ClockScale {
+    explicit ClockScale(double scale) { util::SetClockScaleForTesting(scale); }
+    ~ClockScale() { util::SetClockScaleForTesting(1.0); }
+  };
+
+  PhaseOneRegion region;
+  const Answer normal = solve(region);
+  Answer fast;
+  {
+    ClockScale scale(1000.0);
+    fast = solve(region);
+  }
+  ASSERT_EQ(normal.mip.status, MipStatus::kFeasible);
+  EXPECT_EQ(fast.start.warm, normal.start.warm);
+  EXPECT_EQ(fast.start.root_start, normal.start.root_start);
+  EXPECT_EQ(fast.mip.status, normal.mip.status);
+  EXPECT_EQ(fast.mip.x, normal.mip.x);
+  EXPECT_EQ(fast.mip.objective, normal.mip.objective);
+  EXPECT_EQ(fast.mip.best_bound, normal.mip.best_bound);
+  EXPECT_EQ(fast.mip.nodes, normal.mip.nodes);
+  EXPECT_EQ(fast.mip.lp_iterations, normal.mip.lp_iterations);
+  EXPECT_EQ(fast.mip.hit_work_limit, normal.mip.hit_work_limit);
+  EXPECT_EQ(fast.decoded.targets, normal.decoded.targets);
 }
 
 // Property sweep: random knapsacks cross-checked against brute force.

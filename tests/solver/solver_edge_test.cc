@@ -101,15 +101,17 @@ TEST(SolverEdgeTest, IntegerBoundsExcludeAllIntegers) {
   EXPECT_EQ(r.status, MipStatus::kInfeasible);
 }
 
-TEST(SolverEdgeTest, ZeroTimeLimitStillReturnsWarmStart) {
+TEST(SolverEdgeTest, ZeroWorkLimitStillReturnsWarmStart) {
   Model m;
   VarId x = m.AddInteger(0, 10, -1.0);
   (void)x;
   MipOptions options;
-  options.time_limit_seconds = 0.0;
+  options.max_lp_work = 0;
   std::vector<double> warm = {4.0};
   MipResult r = MipSolver(options).Solve(m, &warm);
   EXPECT_EQ(r.status, MipStatus::kFeasible);
+  EXPECT_TRUE(r.hit_work_limit);
+  EXPECT_EQ(r.lp_iterations, 0);
   EXPECT_DOUBLE_EQ(r.objective, -4.0);
 }
 
