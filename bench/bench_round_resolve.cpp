@@ -6,9 +6,9 @@
 // 1%). Churn arrives the way it does in production — batched: maintenance
 // drains and returns rack groups together (Section 5.3's maintenance flow),
 // so at a 1% mean rate with ~3%-of-fleet batches roughly every third round
-// sees an event and the rest are quiet. Quiet rounds exercise the skip-solve
-// fast path; event rounds exercise delta computation and model patching,
-// followed by the same branch-and-bound a cold round runs. Every round's
+// sees an event and the rest are quiet. Quiet rounds exercise the round
+// memo; event rounds exercise phase 1's model patching, followed by the same
+// branch-and-bound a cold round runs. Every round's
 // snapshot is fed to TWO solvers built from the default SolverConfig — one
 // with the resolve cache on, one strictly from scratch — and the
 // per-round wall time is broken down by Figure-8 step (ras_build /
@@ -182,12 +182,11 @@ int main(int argc, char** argv) {
     }
     const bool match = inc_decoded.targets == cold_decoded.targets;
     all_match = all_match && match;
-    // Phase-1 telemetry: phase 2 re-selects its worst-offender subset every
-    // round, so its cache entry legitimately misses under churn; phase 1 is
-    // where the region-wide reuse story lives.
-    const char* reuse = inc_stats->phase1.solve_skipped   ? "skipped"
-                        : inc_stats->phase1.model_patched ? "patched"
-                                                          : "cold";
+    // Round-level reuse: "skipped" is a round-memo replay, "patched" means
+    // phase 1 re-bounded its cached model (phase 2 always builds).
+    const char* reuse = inc_stats->solve_skipped   ? "skipped"
+                        : inc_stats->model_patched ? "patched"
+                                                   : "cold";
     double speedup = inc_wall > 0.0 ? cold_wall / inc_wall : 1.0;
     std::printf("%-6d %6d %8.3f %8.3f %7.2fx %9s %-14s dual=%lld/%lld\n", round,
                 inc_stats->delta_servers, cold_wall, inc_wall, speedup,
@@ -223,8 +222,8 @@ int main(int argc, char** argv) {
         .Set("speedup", speedup)
         .Set("targets_match", match)
         .Set("delta_servers", inc_stats->delta_servers)
-        .Set("model_patched", inc_stats->phase1.model_patched)
-        .Set("solve_skipped", inc_stats->phase1.solve_skipped)
+        .Set("model_patched", inc_stats->model_patched)
+        .Set("solve_skipped", inc_stats->solve_skipped)
         .Set("dual_resolves", inc_stats->dual_resolves)
         .Set("dual_iterations", inc_stats->dual_iterations)
         .Set("cold_solver_build_s",
@@ -240,8 +239,7 @@ int main(int argc, char** argv) {
         .Set("cold_nodes", cold_stats->phase1.nodes + cold_stats->phase2.nodes)
         .Set("incremental_nodes", inc_stats->phase1.nodes + inc_stats->phase2.nodes)
         .Set("incremental_p1_mip_s", inc_stats->phase1.timings.mip_s)
-        .Set("incremental_p2_mip_s", inc_stats->phase2.timings.mip_s)
-        .Set("p2_model_patched", inc_stats->phase2.model_patched);
+        .Set("incremental_p2_mip_s", inc_stats->phase2.timings.mip_s);
   }
 
   const int steady_rounds = kRounds - 1;

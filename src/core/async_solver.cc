@@ -9,6 +9,7 @@
 #include "src/core/initial_assignment.h"
 #include "src/core/local_search.h"
 #include "src/core/lp_rounding.h"
+#include "src/core/round_delta.h"
 #include "src/core/rru_ledger.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -45,13 +46,17 @@ void FinishTargets(const SolveInput& input, std::vector<std::pair<ServerId, Rese
   }
 }
 
-// Round-level reuse summary: reuse "held" for the round when every phase that
-// ran reused that way; the delta is phase 1's (region-wide) server delta.
+// A MIP status whose incumbent a later round may reuse.
+bool Usable(MipStatus status) {
+  return status == MipStatus::kOptimal || status == MipStatus::kFeasible;
+}
+
+// Round-level reuse summary, read off phase 1: only phase 1 reuses a model,
+// and the round memo skips every phase at once. The delta is phase 1's (region-wide)
+// server delta.
 void SummarizeReuse(SolveStats& stats) {
-  stats.model_patched = stats.phase1.ran && stats.phase1.model_patched &&
-                        (!stats.phase2.ran || stats.phase2.model_patched);
-  stats.solve_skipped = stats.phase1.ran && stats.phase1.solve_skipped &&
-                        (!stats.phase2.ran || stats.phase2.solve_skipped);
+  stats.model_patched = stats.phase1.ran && stats.phase1.model_patched;
+  stats.solve_skipped = stats.phase1.ran && stats.phase1.solve_skipped;
   stats.delta_servers = stats.phase1.delta_servers;
   stats.dual_resolves = stats.phase1.dual_resolves + stats.phase2.dual_resolves;
   stats.dual_iterations = stats.phase1.dual_iterations + stats.phase2.dual_iterations;
@@ -107,9 +112,10 @@ void RecordSolveMetrics(const SolveStats& stats) {
   static obs::Counter& solves =
       reg.counter("ras_solver_solves_total", "Completed solves (all modes).");
   static obs::Counter& patched =
-      reg.counter("ras_solver_model_patched_total", "Rounds that patched the cached model.");
+      reg.counter("ras_solver_model_patched_total",
+                  "Rounds whose phase 1 reused the cached model (re-bounded or replayed).");
   static obs::Counter& skipped =
-      reg.counter("ras_solver_solves_skipped_total", "Rounds served by the skip-solve fast path.");
+      reg.counter("ras_solver_solves_skipped_total", "Rounds replayed by the round memo.");
   static obs::Counter& moves =
       reg.counter("ras_solver_moves_total", "Server moves proposed by completed solves.");
   static obs::Counter& dual_resolves = reg.counter(
@@ -166,141 +172,79 @@ MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceCl
   return MipSolver(options).Solve(built.model, &start.warm, &start.root_start);
 }
 
-AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache& cache, const SolveInput& input,
+AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache* cache, const SolveInput& input,
                                                 const std::vector<EquivalenceClass>& classes,
                                                 bool include_rack_spread,
                                                 const std::vector<int>& subset,
                                                 const MipOptions& mip_options,
-                                                double snapshot_seconds, int phase) const {
-  obs::SpanScope phase_span(obs::Tracer::Default(), phase == 2 ? "phase2" : "phase1");
+                                                double snapshot_seconds) const {
+  obs::SpanScope phase_span(obs::Tracer::Default(), include_rack_spread ? "phase2" : "phase1");
   PhaseOutcome outcome;
   outcome.stats.ran = true;
   outcome.stats.timings.ras_build_s = snapshot_seconds;
 
-  const bool cache_on = phase > 0 && config_.incremental_resolve;
-  ResolveEntry* entry = cache_on ? &cache.entry(phase) : nullptr;
-
-  // Solver build: when the cached model's layout fits this round (same phase
-  // shape and subset, RoundDelta::patchable), SetRoundBounds re-targets it in
-  // place; else, or when it refuses a bound, full symmetry-reduced
-  // construction (the Figure-8 solver_build step the patch path eliminates).
+  // Solver build: SetRoundBounds re-targets the cached model in place when
+  // its layout fits this round; else, or with no cached model, full
+  // symmetry-reduced construction (the Figure-8 solver_build step the patch
+  // path eliminates).
   double t0 = util::MonotonicSeconds();
-  RoundDelta delta;
-  bool have_delta = false;
   bool patched = false;
-  if (entry != nullptr && entry->valid && entry->include_rack_spread == include_rack_spread &&
-      entry->subset == subset) {
-    delta = ComputeRoundDelta(entry->input, input);
-    delta.classes_structurally_equal =
-        delta.reservations_structurally_equal && ClassStructureEqual(entry->classes, classes);
-    have_delta = true;
-    patched = delta.patchable() && SetRoundBounds(entry->built, input, classes, config_);
+  if (cache != nullptr && cache->valid) {
+    outcome.stats.delta_servers = DeltaServers(cache->input, input);
+    patched =
+        SetRoundBounds(cache->phase1, input, classes, config_, include_rack_spread, subset);
   }
   BuiltModel fresh;
   if (!patched) {
     fresh = BuildRasModel(input, classes, config_, include_rack_spread, subset);
   }
-  BuiltModel& built = patched ? entry->built : fresh;
+  const BuiltModel& built = patched ? cache->phase1 : fresh;
   outcome.stats.timings.solver_build_s = util::MonotonicSeconds() - t0;
   outcome.stats.model_patched = patched;
-  outcome.stats.delta_servers = have_delta ? delta.delta_servers() : -1;
   outcome.stats.assignment_variables = built.num_assignment_variables();
   outcome.stats.model_rows = built.model.num_rows();
   outcome.stats.model_variables = built.model.num_variables();
   outcome.stats.memory_bytes = built.ModelMemoryBytes();
 
-  std::vector<double> local_solution;
-  const std::vector<double>* solution = nullptr;
+  // Initial state, computed identically whether the model was patched or
+  // rebuilt; the MIP below runs exactly as if cold, so incremental and cold
+  // rounds produce identical targets.
+  t0 = util::MonotonicSeconds();
+  PhaseStart start = MakePhaseStart(input, classes, built);
+  outcome.stats.warm_start_objective = built.model.Objective(start.warm);
+  outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
 
-  // Skip-solve fast path, checked before the greedy initial state so a
-  // skipped round pays for neither the greedy construction nor the MIP. An
-  // empty delta means the input is bitwise the cached round's input, and the
-  // cold pipeline is deterministic — re-solving would recompute exactly the
-  // cached incumbent. Returning it is parity-exact with no proof needed, even
-  // when the cached solve was node-limited (kFeasible); the round reports the
-  // cached round's true MIP status.
-  if (patched && delta.empty()) {
-    t0 = util::MonotonicSeconds();
-    std::vector<double> cached = MakeWarmStart(input, classes, built, entry->counts);
-    if (built.model.IsFeasible(cached, mip_options.integrality_tol * 10)) {
-      const double cached_obj = built.model.Objective(cached);
-      local_solution = std::move(cached);
-      solution = &local_solution;
-      outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
-      outcome.stats.mip_status = entry->mip_status;
-      outcome.stats.nodes = 0;
-      outcome.stats.objective = cached_obj;
-      outcome.stats.warm_start_objective = cached_obj;
-      outcome.stats.best_bound = entry->best_bound;
-      outcome.stats.solve_skipped = true;
-    }
+  t0 = util::MonotonicSeconds();
+  MipResult mip = SolvePhaseMip(input, classes, built, mip_options, start);
+  outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
+  outcome.stats.mip_status = mip.status;
+  outcome.stats.nodes = mip.nodes;
+  outcome.stats.dual_resolves = mip.dual_resolves;
+  outcome.stats.dual_iterations = mip.lp_dual_iterations;
+  outcome.stats.best_bound = mip.best_bound;
+  const bool usable = Usable(mip.status);
+  if (usable) {
+    outcome.stats.objective = mip.objective;
+    outcome.decoded = DecodeAssignment(input, classes, built, mip.x);
+  } else {
+    // MIP produced nothing usable: ship the greedy initial state, exactly
+    // the paper's posture that a solve stopped early must still yield a
+    // valid (possibly suboptimal) assignment.
+    RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
+                      << "; falling back to the greedy initial state";
+    outcome.stats.objective = outcome.stats.warm_start_objective;
+    outcome.decoded = DecodeAssignment(input, classes, built, start.warm);
   }
 
-  if (solution == nullptr) {
-    // Initial state, computed identically whether the model was patched or
-    // rebuilt; the MIP below runs exactly as if cold, so incremental and cold
-    // rounds produce identical targets.
-    t0 = util::MonotonicSeconds();
-    PhaseStart start = MakePhaseStart(input, classes, built);
-    outcome.stats.warm_start_objective = built.model.Objective(start.warm);
-    outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
-
-    t0 = util::MonotonicSeconds();
-    MipResult mip = SolvePhaseMip(input, classes, built, mip_options, start);
-    outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
-    outcome.stats.mip_status = mip.status;
-    outcome.stats.nodes = mip.nodes;
-    outcome.stats.dual_resolves = mip.dual_resolves;
-    outcome.stats.dual_iterations = mip.lp_dual_iterations;
-    if (mip.status == MipStatus::kOptimal || mip.status == MipStatus::kFeasible) {
-      local_solution = std::move(mip.x);
-      solution = &local_solution;
-      outcome.stats.objective = mip.objective;
-      outcome.stats.best_bound = mip.best_bound;
-    } else {
-      // MIP produced nothing usable: ship the greedy initial state,
-      // exactly the paper's posture that a solve stopped early must still
-      // yield a valid (possibly suboptimal) assignment.
-      RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
-                        << "; falling back to the greedy initial state";
-      local_solution = std::move(start.warm);
-      solution = &local_solution;
-      outcome.stats.objective = outcome.stats.warm_start_objective;
-      outcome.stats.best_bound = mip.best_bound;
-    }
-  }
-
-  outcome.decoded = DecodeAssignment(input, classes, built, *solution);
-
-  // Persist this round's warm state for the next: the (possibly freshly
-  // built) model moves into the entry, along with the incumbent's assignment
-  // counts, its bound, and its MIP status. A round whose MIP produced nothing
-  // trustworthy leaves the entry invalid — the fallback greedy answer carries
-  // no bound worth reusing.
-  if (entry != nullptr) {
-    const bool usable = outcome.stats.mip_status == MipStatus::kOptimal ||
-                        outcome.stats.mip_status == MipStatus::kFeasible;
-    if (!usable) {
-      entry->valid = false;
-    } else {
-      // A skipped round keeps the cached counts (the model is unchanged);
-      // every other round replaces them.
-      if (!outcome.stats.solve_skipped) {
-        entry->counts.resize(built.assignment_vars.size());
-        for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
-          entry->counts[k] = (*solution)[static_cast<size_t>(built.assignment_vars[k].var)];
-        }
-      }
-      entry->input = input;
-      entry->classes = classes;
-      entry->include_rack_spread = include_rack_spread;
-      entry->subset = subset;
+  // Keep this round's model for the next. A round whose MIP produced nothing
+  // trustworthy leaves the cache invalid.
+  if (cache != nullptr) {
+    cache->valid = usable;
+    if (usable) {
+      cache->input = input;
       if (!patched) {
-        entry->built = std::move(fresh);
+        cache->phase1 = std::move(fresh);
       }
-      entry->best_bound = outcome.stats.best_bound;
-      entry->mip_status = outcome.stats.mip_status;
-      entry->valid = true;
     }
   }
 
@@ -356,6 +300,40 @@ SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignme
                                         SolveMode mode, ResolveCache& cache) const {
   obs::SpanScope solve_span(obs::Tracer::Default(), "solve");
   double start = util::MonotonicSeconds();
+
+  // Warm state lives only across full rounds: SolveSnapshot has already
+  // dropped it before a degraded one.
+  const bool reuse = mode == SolveMode::kFullTwoPhase && config_.incremental_resolve;
+  if (reuse) {
+    // Round memo: the snapshot equals the cached round's, and the cold
+    // pipeline is deterministic, so a re-solve would recompute that round's
+    // targets and stats exactly. Replay them; the timings and search work
+    // read zero because none ran, and phase 1 counts as reusing its model.
+    if (cache.memo_valid && cache.input == input) {
+      SolveStats stats = cache.stats;
+      for (PhaseStats* phase : {&stats.phase1, &stats.phase2}) {
+        if (phase->ran) {
+          phase->timings = StepTimings();
+          phase->nodes = 0;
+          phase->dual_resolves = 0;
+          phase->dual_iterations = 0;
+          phase->solve_skipped = true;
+        }
+      }
+      stats.phase1.model_patched = true;
+      stats.phase1.delta_servers = 0;
+      SummarizeReuse(stats);
+      if (decoded_out != nullptr) {
+        decoded_out->targets = cache.targets;
+        decoded_out->moves_total = stats.moves_total;
+        decoded_out->moves_in_use = stats.moves_in_use;
+        decoded_out->moves_idle = stats.moves_idle;
+      }
+      stats.total_seconds = util::MonotonicSeconds() - start;
+      return stats;
+    }
+    cache.memo_valid = false;
+  }
   SolveStats stats;
 
   // ---- Phase 1: MSB granularity, region-wide ----
@@ -368,8 +346,8 @@ SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignme
   if (mode == SolveMode::kIncumbentOnly) {
     phase1_mip.max_nodes = 0;
   }
-  PhaseOutcome phase1 = RunPhase(cache, input, classes1, /*include_rack_spread=*/false, {},
-                                 phase1_mip, ras_build1, mode == SolveMode::kFullTwoPhase ? 1 : 0);
+  PhaseOutcome phase1 = RunPhase(reuse ? &cache : nullptr, input, classes1,
+                                 /*include_rack_spread=*/false, {}, phase1_mip, ras_build1);
   stats.phase1 = phase1.stats;
 
   // Working assignment after phase 1.
@@ -438,8 +416,8 @@ SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignme
       classes2 = BuildEquivalenceClasses(input2, Scope::kRack, filter);
     }
 
-    PhaseOutcome phase2 = RunPhase(cache, input2, classes2, /*include_rack_spread=*/true, subset,
-                                   config_.phase2_mip, ras_build2, /*phase=*/2);
+    PhaseOutcome phase2 = RunPhase(nullptr, input2, classes2, /*include_rack_spread=*/true,
+                                   subset, config_.phase2_mip, ras_build2);
     stats.phase2 = phase2.stats;
 
     // Merge: phase-2 targets override phase-1 for the servers it touched.
@@ -455,10 +433,21 @@ SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignme
     final_targets.assign(merged.begin(), merged.end());
   }
 
+  // The round becomes the memo when every phase that ran was usable (phase
+  // 1's usability is the cache's validity).
+  const bool memo = reuse && cache.valid && (!stats.phase2.ran || Usable(stats.phase2.mip_status));
+  if (memo) {
+    cache.targets = final_targets;
+  }
+
   // ---- Final accounting against the original snapshot ----
   FinishTargets(input, std::move(final_targets), stats, decoded_out);
   stats.total_seconds = util::MonotonicSeconds() - start;
   SummarizeReuse(stats);
+  if (memo) {
+    cache.stats = stats;
+    cache.memo_valid = true;
+  }
   return stats;
 }
 
@@ -476,16 +465,12 @@ SolveStats AsyncSolver::SolveSharded(const SolveInput& input, DecodedAssignment*
 
   // Shard k's cache survives across rounds while the plan signature holds,
   // so a shard's warm state always meets the same shard's next sub-input
-  // (incumbent affinity — the plan itself is deterministic in the seed and
-  // topology, so shard k covers the same racks round over round). Any plan
-  // change redraws shard boundaries and orphans all warm state at once.
-  const bool plan_changed =
-      shard_plan_count_ != shard_count || shard_plan_seed_ != config_.shard_seed ||
-      shard_plan_topology_ != input.topology || shard_plan_servers_ != input.servers.size();
-  if (plan_changed) {
+  // (incumbent affinity — the plan is deterministic in the fixed config, the
+  // topology and the server count, so shard k covers the same racks round
+  // over round). Any plan change redraws shard boundaries and orphans all
+  // warm state at once.
+  if (shard_plan_topology_ != input.topology || shard_plan_servers_ != input.servers.size()) {
     shard_caches_ = std::vector<ResolveCache>(static_cast<size_t>(shard_count));
-    shard_plan_count_ = shard_count;
-    shard_plan_seed_ = config_.shard_seed;
     shard_plan_topology_ = input.topology;
     shard_plan_servers_ = input.servers.size();
   }

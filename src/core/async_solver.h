@@ -23,6 +23,7 @@
 #include "src/core/reservation.h"
 #include "src/core/resolve_cache.h"
 #include "src/core/solve_input.h"
+#include "src/core/solve_stats.h"
 
 namespace ras {
 
@@ -34,72 +35,6 @@ enum class SolveMode : uint8_t {
   kPhase1Only,        // MSB-granular MIP only; skip the phase-2 refinement.
   kIncumbentOnly,     // Phase 1 with no search budget: ships phase 1's
                       // polished greedy start (RAS's timeout fallback).
-};
-
-struct StepTimings {
-  double ras_build_s = 0.0;
-  double solver_build_s = 0.0;
-  double initial_state_s = 0.0;
-  double mip_s = 0.0;
-
-  double total() const { return ras_build_s + solver_build_s + initial_state_s + mip_s; }
-  double setup() const { return ras_build_s + solver_build_s + initial_state_s; }
-};
-
-struct PhaseStats {
-  StepTimings timings;
-  size_t assignment_variables = 0;
-  size_t model_rows = 0;
-  size_t model_variables = 0;
-  size_t memory_bytes = 0;
-  MipStatus mip_status = MipStatus::kError;
-  double objective = 0.0;
-  double best_bound = 0.0;
-  double warm_start_objective = 0.0;
-  int64_t nodes = 0;
-  bool ran = false;
-
-  // Cross-round reuse telemetry (resolve cache, SolverConfig::
-  // incremental_resolve). delta_servers is the server-state delta against the
-  // cached round, or -1 when there was no cached round to diff against.
-  bool model_patched = false;
-  bool solve_skipped = false;
-  int delta_servers = -1;
-  // Dual simplex telemetry, summed over every LP the phase ran: node LPs
-  // served by the dual kernel and the dual pivots they took.
-  int64_t dual_resolves = 0;
-  int64_t dual_iterations = 0;
-};
-
-struct SolveStats {
-  PhaseStats phase1;
-  PhaseStats phase2;
-  size_t moves_total = 0;
-  size_t moves_in_use = 0;
-  size_t moves_idle = 0;
-  // Capacity shortfall (softened-constraint residue) after the solve, RRUs.
-  double total_shortfall_rru = 0.0;
-  double total_seconds = 0.0;
-
-  // Shard decomposition accounting (src/shard). shard_count == 1 is the
-  // monolithic solve; then the fields below stay zero.
-  int shard_count = 1;
-  // Always 0: a shard solve cannot fail. Kept because roundbench reads it.
-  size_t failed_shards = 0;
-  size_t repair_moves = 0;
-  double repair_shortfall_before_rru = 0.0;
-
-  // Round-level reuse summary: the booleans hold when every phase (and, when
-  // sharded, every shard) that ran reused that way; delta_servers is phase
-  // 1's region-wide delta (summed across shards), -1 on a cold round.
-  bool model_patched = false;
-  bool solve_skipped = false;
-  int delta_servers = -1;
-  // Solver-layer re-optimization totals summed across phases (and shards).
-  int64_t dual_resolves = 0;
-  int64_t dual_iterations = 0;
-  // Always 0: the LP has no presolve. Kept because roundbench reads it.
-  int64_t presolve_rows_removed = 0;
 };
 
 // The initial-state step of a phase (Figure 8). `warm` is the greedy spread-
@@ -126,8 +61,9 @@ class AsyncSolver {
  public:
   explicit AsyncSolver(SolverConfig config = SolverConfig()) : config_(std::move(config)) {}
 
+  // Fixed for the solver's life: the cached phase-1 model carries the costs
+  // it was laid out with.
   const SolverConfig& config() const { return config_; }
-  SolverConfig& mutable_config() { return config_; }
 
   // One full solve (Figure 6, steps 2-3): snapshot broker + registry, run the
   // two phases, and persist the resulting targets to the broker. The persist
@@ -149,8 +85,8 @@ class AsyncSolver {
   using FaultHook = std::function<Status(SolveMode)>;
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
-  // Drops every cached per-phase resolve entry — the monolithic cache and
-  // every per-shard cache — so the next round cold-starts.
+  // Drops the monolithic resolve cache and every per-shard cache, so the
+  // next round cold-starts.
   // Called internally on every path that breaks round-over-round continuity
   // (degraded solve modes, injected faults, failed broker writes); exposed so
   // the supervisor and recovery drills can force the same on external
@@ -177,26 +113,26 @@ class AsyncSolver {
     PhaseStats stats;
     DecodedAssignment decoded;
   };
-  // `phase` selects the slot of `cache` (1 or 2); 0 disables caching for this
-  // call (degraded modes must not leave warm state behind).
-  PhaseOutcome RunPhase(ResolveCache& cache, const SolveInput& input,
+  // `cache` is phase 1's in a full round, whose model SetRoundBounds may
+  // re-bound and which the phase refills; null builds and keeps nothing
+  // (phase 2, and degraded modes, which must not leave warm state behind).
+  PhaseOutcome RunPhase(ResolveCache* cache, const SolveInput& input,
                         const std::vector<EquivalenceClass>& classes, bool include_rack_spread,
                         const std::vector<int>& subset, const MipOptions& mip_options,
-                        double snapshot_seconds, int phase) const;
+                        double snapshot_seconds) const;
 
-  SolverConfig config_;
+  const SolverConfig config_;
   FaultHook fault_hook_;
 
-  // Cross-round warm state (Figure 8: the build and root-LP steps this
-  // avoids repaying every round), one entry per phase.
+  // Cross-round warm state (Figure 8: the steps this avoids repaying every
+  // round).
   ResolveCache resolve_cache_;
 
   // One cache per shard index, kept across rounds so warm state follows the
   // shard it belongs to (incumbent affinity). Reset whenever the plan
-  // signature below changes.
+  // signature below changes; with the config fixed, the topology and server
+  // count determine K and the plan.
   std::vector<ResolveCache> shard_caches_;
-  int shard_plan_count_ = 0;
-  uint64_t shard_plan_seed_ = 0;
   const RegionTopology* shard_plan_topology_ = nullptr;
   size_t shard_plan_servers_ = 0;
 };

@@ -17,6 +17,100 @@ struct GroupedVars {
   std::map<uint32_t, std::vector<std::pair<VarId, double>>> by_group;
 };
 
+ModelLayout LayoutOf(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
+                     bool include_rack_spread, const std::vector<int>& reservation_subset) {
+  ModelLayout layout;
+  layout.topology = input.topology;
+  layout.catalog = input.catalog;
+  layout.classes.reserve(classes.size());
+  for (const EquivalenceClass& cls : classes) {
+    layout.classes.push_back({cls.group, cls.msb, cls.dc, cls.type, cls.current, cls.in_use});
+  }
+  layout.reservations.reserve(input.reservations.size());
+  for (const ReservationSpec& spec : input.reservations) {
+    ModelLayout::ReservationShape shape{spec.id, spec.rru_per_type, spec.needs_correlated_buffer,
+                                        spec.max_msb_fraction_hard > 0.0, {}};
+    for (const auto& [dc, share] : spec.dc_affinity) {
+      shape.affinity_dcs.push_back(dc);
+    }
+    layout.reservations.push_back(std::move(shape));
+  }
+  layout.include_rack_spread = include_rack_spread;
+  layout.reservation_subset = reservation_subset;
+  return layout;
+}
+
+// The bound pass, run by every build and, behind the layout check, by every
+// patch. Assumes `built`'s layout matches (input, classes).
+bool WriteRoundBounds(BuiltModel& built, const SolveInput& input,
+                      const std::vector<EquivalenceClass>& classes, const SolverConfig& config) {
+  assert(input.topology != nullptr);
+  const RegionTopology& topo = *input.topology;
+  Model& model = built.model;
+  // Every write is attempted; any refusal fails the whole pass.
+  bool ok = true;
+  auto row = [&](RowId id, double lb, double ub) { ok = model.UpdateRowBounds(id, lb, ub) && ok; };
+  auto var = [&](VarId id, double lb, double ub) {
+    ok = model.UpdateVariableBounds(id, lb, ub) && ok;
+  };
+  auto spec_of = [&input](int reservation_index) -> const ReservationSpec& {
+    return input.reservations[static_cast<size_t>(reservation_index)];
+  };
+
+  // Expression (5) supply, n <= |class|, and X = |class| where the class sits
+  // in r, with Expression (1)'s move-out o <= X and n + o >= X.
+  for (size_t c = 0; c < classes.size(); ++c) {
+    row(built.supply_rows[c], -kInf, static_cast<double>(classes[c].count()));
+  }
+  built.initial_counts.resize(built.assignment_vars.size());
+  for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
+    const BuiltModel::AssignmentVar& av = built.assignment_vars[k];
+    const EquivalenceClass& cls = classes[static_cast<size_t>(av.class_index)];
+    const double count = static_cast<double>(cls.count());
+    var(av.var, 0, count);
+    const double initial = cls.current == spec_of(av.reservation_index).id ? count : 0.0;
+    built.initial_counts[k] = initial;
+    if (built.move_vars[k] != kNoVar) {
+      var(built.move_vars[k], 0, initial);
+      row(built.move_rows[k], initial, kInf);
+    }
+  }
+
+  // Capacity (6), its shortfall slack, and the anti-hoarding limit.
+  for (size_t r = 0; r < input.reservations.size(); ++r) {
+    if (built.shortfall_vars[r] == kNoVar) {
+      continue;  // Outside the subset.
+    }
+    const double capacity = input.reservations[r].capacity_rru;
+    var(built.shortfall_vars[r], 0, std::max(capacity, 0.0));
+    row(built.capacity_rows[r], capacity, kInf);
+    row(built.hoard_rows[r], -kInf, (1.0 + config.hoarding_allowance) * capacity);
+  }
+
+  for (const auto& term : built.msb_spread_terms) {
+    row(term.row, -kInf, MsbSpreadThreshold(spec_of(term.reservation_index), config, topo));
+  }
+  for (const auto& term : built.rack_spread_terms) {
+    row(term.row, -kInf, RackSpreadThreshold(spec_of(term.reservation_index), config, topo));
+  }
+  for (const auto& term : built.quorum_terms) {
+    const ReservationSpec& spec = spec_of(term.reservation_index);
+    row(term.row, -kInf, spec.max_msb_fraction_hard * spec.capacity_rru);
+  }
+  for (const auto& term : built.affinity_terms) {
+    const ReservationSpec& spec = spec_of(term.reservation_index);
+    // The layout holds the spec's affinity keys, so the term's key is there.
+    const RruBand band = AffinityBand(spec, spec.dc_affinity.at(term.dc));
+    // A crossed band comes only from a negative theta or C_r, which no
+    // registry write accepts. Each row alone takes it, but no assignment
+    // meets both rows without paying slack.
+    ok = ok && band.lo <= band.hi;
+    row(term.lo_row, band.lo, kInf);
+    row(term.hi_row, -kInf, band.hi);
+  }
+  return ok;
+}
+
 }  // namespace
 
 size_t BuiltModel::ModelMemoryBytes() const {
@@ -53,9 +147,10 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
   assert(input.topology != nullptr && input.catalog != nullptr);
   const size_t num_res = input.reservations.size();
 
-  // Layout pass. Every bound SetRoundBounds owns is added open here: rows as
+  // Layout pass. Every bound the bound pass owns is added open here: rows as
   // (-inf, inf), variables as [0, inf).
   BuiltModel built;
+  built.layout = LayoutOf(input, classes, include_rack_spread, reservation_subset);
   Model& model = built.model;
   built.shortfall_vars.assign(num_res, kNoVar);
   built.buffer_vars.assign(num_res, kNoVar);
@@ -98,7 +193,7 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
           BuiltModel::AssignmentVar{n, static_cast<int>(c), static_cast<int>(r)});
       built.class_to_vars[c].push_back(var_index);
 
-      if (holds && cls.count() > 0) {
+      if (holds) {
         // o >= X - n, at Ms per server (Expression 1).
         double ms = cls.in_use ? config.move_cost_in_use : config.move_cost_idle;
         VarId o = model.AddContinuous(0, kInf, ms);
@@ -240,7 +335,7 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
   // Bound pass. On a fresh layout it can only refuse a crossed affinity band,
   // from a spec no registry write path accepts; it still writes that band as
   // given, so the build goes ahead.
-  (void)SetRoundBounds(built, input, classes, config);
+  (void)WriteRoundBounds(built, input, classes, config);
 
   // Warm the compressed-column cache: every LP solver over this model now
   // copies the cached form instead of rebuilding it, and SetRoundBounds'
@@ -250,79 +345,12 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
 }
 
 bool SetRoundBounds(BuiltModel& built, const SolveInput& input,
-                    const std::vector<EquivalenceClass>& classes, const SolverConfig& config) {
-  assert(input.topology != nullptr);
-  const RegionTopology& topo = *input.topology;
-  if (built.supply_rows.size() != classes.size() ||
-      built.shortfall_vars.size() != input.reservations.size()) {
+                    const std::vector<EquivalenceClass>& classes, const SolverConfig& config,
+                    bool include_rack_spread, const std::vector<int>& reservation_subset) {
+  if (built.layout != LayoutOf(input, classes, include_rack_spread, reservation_subset)) {
     return false;
   }
-  Model& model = built.model;
-  // Every write is attempted; any refusal fails the whole pass.
-  bool ok = true;
-  auto row = [&](RowId id, double lb, double ub) { ok = model.UpdateRowBounds(id, lb, ub) && ok; };
-  auto var = [&](VarId id, double lb, double ub) {
-    ok = model.UpdateVariableBounds(id, lb, ub) && ok;
-  };
-  auto spec_of = [&input](int reservation_index) -> const ReservationSpec& {
-    return input.reservations[static_cast<size_t>(reservation_index)];
-  };
-
-  // Expression (5) supply, n <= |class|, and X = |class| where the class sits
-  // in r, with Expression (1)'s move-out o <= X and n + o >= X.
-  for (size_t c = 0; c < classes.size(); ++c) {
-    row(built.supply_rows[c], -kInf, static_cast<double>(classes[c].count()));
-  }
-  built.initial_counts.resize(built.assignment_vars.size());
-  for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
-    const BuiltModel::AssignmentVar& av = built.assignment_vars[k];
-    const EquivalenceClass& cls = classes[static_cast<size_t>(av.class_index)];
-    const double count = static_cast<double>(cls.count());
-    var(av.var, 0, count);
-    const double initial = cls.current == spec_of(av.reservation_index).id ? count : 0.0;
-    built.initial_counts[k] = initial;
-    if (built.move_vars[k] != kNoVar) {
-      var(built.move_vars[k], 0, initial);
-      row(built.move_rows[k], initial, kInf);
-    }
-  }
-
-  // Capacity (6), its shortfall slack, and the anti-hoarding limit.
-  for (size_t r = 0; r < input.reservations.size(); ++r) {
-    if (built.shortfall_vars[r] == kNoVar) {
-      continue;  // Outside the subset.
-    }
-    const double capacity = input.reservations[r].capacity_rru;
-    var(built.shortfall_vars[r], 0, std::max(capacity, 0.0));
-    row(built.capacity_rows[r], capacity, kInf);
-    row(built.hoard_rows[r], -kInf, (1.0 + config.hoarding_allowance) * capacity);
-  }
-
-  for (const auto& term : built.msb_spread_terms) {
-    row(term.row, -kInf, MsbSpreadThreshold(spec_of(term.reservation_index), config, topo));
-  }
-  for (const auto& term : built.rack_spread_terms) {
-    row(term.row, -kInf, RackSpreadThreshold(spec_of(term.reservation_index), config, topo));
-  }
-  for (const auto& term : built.quorum_terms) {
-    const ReservationSpec& spec = spec_of(term.reservation_index);
-    row(term.row, -kInf, spec.max_msb_fraction_hard * spec.capacity_rru);
-  }
-  for (const auto& term : built.affinity_terms) {
-    const ReservationSpec& spec = spec_of(term.reservation_index);
-    auto it = spec.dc_affinity.find(term.dc);
-    if (it == spec.dc_affinity.end()) {
-      return false;
-    }
-    const RruBand band = AffinityBand(spec, it->second);
-    // A crossed band comes only from a negative theta or C_r, which no
-    // registry write accepts. Each row alone takes it, but no assignment
-    // meets both rows without paying slack.
-    ok = ok && band.lo <= band.hi;
-    row(term.lo_row, band.lo, kInf);
-    row(term.hi_row, -kInf, band.hi);
-  }
-  return ok;
+  return WriteRoundBounds(built, input, classes, config);
 }
 
 std::vector<double> MakeWarmStart(const SolveInput& input,

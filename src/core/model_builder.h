@@ -73,10 +73,10 @@ struct SolverConfig {
   uint64_t shard_seed = 0x5A2D;
 
   // --- Cross-round incremental re-solve (src/core/resolve_cache.h) ---
-  // Patches the previous round's model in place when consecutive snapshots
-  // are structurally equal, and returns the cached incumbent without a solve
-  // when the snapshot is unchanged. Both only skip work a cold solve would
-  // provably repeat, so disabling this changes timings, not targets.
+  // Replays the previous round when the snapshot is unchanged, and re-bounds
+  // the previous round's phase-1 model in place when its layout fits. Both
+  // only skip work a cold solve would provably repeat, so disabling this
+  // changes timings, not targets.
   bool incremental_resolve = true;
 
   // Per-phase branch-and-bound settings.
@@ -102,9 +102,49 @@ struct SolverConfig {
   }
 };
 
+// Everything BuildRasModel's layout pass reads: the region objects, each
+// class's key in order, each reservation's structural fields, and the phase
+// shape. Equal layouts give equal variables, rows, coefficients and costs
+// (under one SolverConfig); only bounds can differ, and SetRoundBounds writes
+// those.
+struct ModelLayout {
+  struct ClassKey {
+    uint32_t group = 0;
+    MsbId msb = 0;
+    DatacenterId dc = 0;
+    HardwareTypeId type = kInvalidHardwareType;
+    ReservationId current = kUnassigned;
+    bool in_use = false;
+
+    bool operator==(const ClassKey&) const = default;
+  };
+  // Size-only fields (capacity, alphas, theta, affinity shares, the quorum
+  // cap's magnitude) are bounds and stay out.
+  struct ReservationShape {
+    ReservationId id = kUnassigned;
+    std::vector<double> rru_per_type;
+    bool needs_correlated_buffer = false;
+    bool has_quorum_cap = false;
+    std::vector<DatacenterId> affinity_dcs;
+
+    bool operator==(const ReservationShape&) const = default;
+  };
+
+  const RegionTopology* topology = nullptr;
+  const HardwareCatalog* catalog = nullptr;
+  std::vector<ClassKey> classes;
+  std::vector<ReservationShape> reservations;
+  bool include_rack_spread = false;
+  std::vector<int> reservation_subset;
+
+  bool operator==(const ModelLayout&) const = default;
+};
+
 // A built model plus the bookkeeping needed to decode a solution.
 struct BuiltModel {
   Model model;
+  // The layout the model was built from; SetRoundBounds checks it.
+  ModelLayout layout;
 
   // Assignment variables: n_vars[k] is the k-th (class, reservation) pair.
   struct AssignmentVar {
@@ -176,9 +216,9 @@ inline constexpr VarId kNoVar = -1;
 inline constexpr RowId kNoRow = -1;
 
 // Builds the model over `classes` in two passes: a layout pass adds every
-// variable, row, coefficient and objective cost (all fixed by the class keys,
-// the reservation structure and `config`), then SetRoundBounds writes the
-// bounds that depend on the round.
+// variable, row, coefficient and objective cost (all fixed by the ModelLayout
+// it records and `config`), then the bound pass writes the bounds that depend
+// on the round.
 //  - include_rack_spread: phase 2 adds Expression (2); requires rack classes.
 //  - reservation_subset: when non-empty (phase 2), capacity/spread/buffer
 //    constraints are emitted only for these reservation indices; classes are
@@ -187,20 +227,21 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
                          const SolverConfig& config, bool include_rack_spread,
                          const std::vector<int>& reservation_subset = {});
 
-// Writes every round-dependent bound of `built` from (input, classes): class
-// supply and n upper bounds, initial counts X with the move-out bounds, the
-// shortfall bound, capacity and hoard rows, spread thresholds, quorum caps
-// and affinity bands. It walks the recorded bookkeeping and touches only
-// bounds, through the Model's cache-preserving Update mutators, so it is
-// both the last step of BuildRasModel and the whole cross-round patch: on a
-// model whose layout matches this round (RoundDelta::patchable) the result is
-// identical to a fresh build by construction. Returns false when the class or
-// reservation count disagrees with the layout, an affinity key is missing, an
-// affinity band is crossed (lo > hi), or an Update call refuses its range;
-// `built` must then be rebuilt for this round.
+// The cross-round patch, and its only gate. Returns false, with `built`
+// untouched, when the round's layout (same arguments as BuildRasModel)
+// differs from the one `built` records. Otherwise runs the build's own bound
+// pass over `built`: class supply and n upper bounds, initial counts X with
+// the move-out bounds, the shortfall bound, capacity and hoard rows, spread
+// thresholds, quorum caps and affinity bands, written through the Model's
+// cache-preserving Update mutators. The result is then identical to a fresh
+// build by construction. It still returns false when an affinity band is
+// crossed (lo > hi) or an Update call refuses its range; `built` is then
+// partly re-bounded and must be rebuilt for this round. Costs stay those of
+// the build's `config`.
 [[nodiscard]] bool SetRoundBounds(BuiltModel& built, const SolveInput& input,
                                   const std::vector<EquivalenceClass>& classes,
-                                  const SolverConfig& config);
+                                  const SolverConfig& config, bool include_rack_spread,
+                                  const std::vector<int>& reservation_subset = {});
 
 // Spread thresholds in RRUs, shared by the model and every caller that scores
 // spread against them: the reservation's own alpha (msb_spread_alpha for

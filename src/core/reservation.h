@@ -82,6 +82,8 @@ struct ReservationSpec {
   double ValueOfType(HardwareTypeId type) const {
     return type < rru_per_type.size() ? rru_per_type[type] : 0.0;
   }
+
+  bool operator==(const ReservationSpec&) const = default;
 };
 
 // All capacity-request state, keyed by reservation id. Ids are stable for the

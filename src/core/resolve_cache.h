@@ -1,15 +1,19 @@
 // Cross-round resolve cache: the warm state the Async Solver carries from one
-// round to the next.
+// round to the next, under two reuse rules.
 //
-// Each entry — one per phase — remembers the previous round's
-// snapshot, equivalence classes, built model, incumbent assignment counts,
-// proven bound, and MIP status. The cache does exactly two things. When the
-// next round's RoundDelta against the cached snapshot leaves the model
-// structure intact (RoundDelta::patchable), it re-targets the cached model in
-// place (SetRoundBounds, the same bound pass every fresh build ends with)
-// instead of rebuilding it. When the delta is also empty, it skips the solve
-// and returns the cached incumbent. Every solve that does run is the cold
-// branch-and-bound, so incremental and cold rounds produce identical targets.
+// Round memo. In kFullTwoPhase, a snapshot equal to the cached round's
+// (SolveInput::operator==: same region objects, field-for-field the same
+// reservations and servers) replays that round's final targets and stats.
+// The cold pipeline is deterministic, so a re-solve would recompute exactly
+// them; the memo builds no classes and runs no phase. It is stored only when
+// every phase that ran returned a usable MIP status.
+//
+// Phase-1 patch. Phase 1 keeps its BuiltModel, and the next round hands it to
+// SetRoundBounds, which re-bounds it in place when the layout it records fits
+// the round and refuses otherwise; the round then builds. Phase 2 always
+// builds: its subset and rack classes follow phase 1's targets. Every solve
+// that does run is the cold branch-and-bound, so incremental and cold rounds
+// produce identical targets.
 //
 // Lifetime rules (see DESIGN.md "Incremental re-solve"): the cache lives
 // inside an AsyncSolver and survives exactly as long as consecutive healthy
@@ -21,50 +25,32 @@
 #ifndef RAS_SRC_CORE_RESOLVE_CACHE_H_
 #define RAS_SRC_CORE_RESOLVE_CACHE_H_
 
+#include <utility>
 #include <vector>
 
 #include "src/core/model_builder.h"
-#include "src/core/round_delta.h"
 #include "src/core/solve_input.h"
+#include "src/core/solve_stats.h"
 
 namespace ras {
 
-struct ResolveEntry {
+struct ResolveCache {
+  // True once a phase 1 returned a usable status; `input` is that round's
+  // snapshot and `phase1` its model.
   bool valid = false;
-  // The round this entry was produced by.
   SolveInput input;
-  std::vector<EquivalenceClass> classes;
-  // The built (and since patched-forward) model for that round's structure.
-  BuiltModel built;
-  bool include_rack_spread = false;
-  std::vector<int> subset;
-  // Final incumbent as assignment counts (aligned with
-  // built.assignment_vars), the best proven bound, and how the producing
-  // solve terminated (kOptimal vs node-limited kFeasible — a
-  // skipped round must report the cached round's true status, not invent an
-  // optimality proof).
-  std::vector<double> counts;
-  double best_bound = 0.0;
-  MipStatus mip_status = MipStatus::kError;
-};
+  BuiltModel phase1;
 
-class ResolveCache {
- public:
-  // Entry for phase 1 or 2; invalid until a round fills it.
-  ResolveEntry& entry(int phase) { return entries_[phase - 1]; }
+  // The round memo, set when every phase of that round returned a usable
+  // status: the round's final targets and stats.
+  bool memo_valid = false;
+  std::vector<std::pair<ServerId, ReservationId>> targets;
+  SolveStats stats;
 
-  // Drops both entries: the next round of either phase is cold.
-  void Invalidate() {
-    for (ResolveEntry& e : entries_) {
-      e = ResolveEntry();
-    }
-  }
+  // Drops everything: the next round is cold.
+  void Invalidate() { *this = ResolveCache(); }
 
-  // True when neither phase holds a cached round.
-  bool empty() const { return !entries_[0].valid && !entries_[1].valid; }
-
- private:
-  ResolveEntry entries_[2];
+  bool empty() const { return !valid; }
 };
 
 }  // namespace ras

@@ -4,109 +4,16 @@
 #include <cstddef>
 
 namespace ras {
-namespace {
 
-// Bound-affecting fields the model patcher re-targets in place.
-bool SameSize(const ReservationSpec& a, const ReservationSpec& b) {
-  return a.capacity_rru == b.capacity_rru && a.msb_spread_alpha == b.msb_spread_alpha &&
-         a.rack_spread_alpha == b.rack_spread_alpha && a.affinity_theta == b.affinity_theta &&
-         a.max_msb_fraction_hard == b.max_msb_fraction_hard && a.dc_affinity == b.dc_affinity;
-}
-
-bool SameServerState(const ServerSolveState& a, const ServerSolveState& b) {
-  return a.current == b.current && a.in_use == b.in_use && a.available == b.available;
-}
-
-}  // namespace
-
-bool ReservationStructureEqual(const ReservationSpec& a, const ReservationSpec& b) {
-  if (a.id != b.id || a.rru_per_type != b.rru_per_type ||
-      a.needs_correlated_buffer != b.needs_correlated_buffer ||
-      a.is_shared_random_buffer != b.is_shared_random_buffer || a.is_elastic != b.is_elastic ||
-      a.externally_managed != b.externally_managed) {
-    return false;
-  }
-  // The quorum cap toggling on or off adds/removes rows; magnitude-only
-  // changes patch.
-  if ((a.max_msb_fraction_hard > 0.0) != (b.max_msb_fraction_hard > 0.0)) {
-    return false;
-  }
-  // Affinity rows exist per key; values patch as bounds.
-  if (a.dc_affinity.size() != b.dc_affinity.size()) {
-    return false;
-  }
-  auto ita = a.dc_affinity.begin();
-  auto itb = b.dc_affinity.begin();
-  for (; ita != a.dc_affinity.end(); ++ita, ++itb) {
-    if (ita->first != itb->first) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ClassStructureEqual(const std::vector<EquivalenceClass>& a,
-                         const std::vector<EquivalenceClass>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].group != b[i].group || a[i].msb != b[i].msb || a[i].dc != b[i].dc ||
-        a[i].type != b[i].type || a[i].current != b[i].current || a[i].in_use != b[i].in_use) {
-      return false;
-    }
-  }
-  return true;
-}
-
-RoundDelta ComputeRoundDelta(const SolveInput& prev, const SolveInput& next) {
-  RoundDelta delta;
-  delta.same_region = prev.topology == next.topology && prev.catalog == next.catalog &&
-                      prev.topology != nullptr && prev.catalog != nullptr;
-
-  // --- Servers (indexed by ServerId in both snapshots) ---
+int DeltaServers(const SolveInput& prev, const SolveInput& next) {
   const size_t common = std::min(prev.servers.size(), next.servers.size());
+  int delta = 0;
   for (size_t i = 0; i < common; ++i) {
-    if (!SameServerState(prev.servers[i], next.servers[i])) {
-      ++delta.servers_changed;
+    if (prev.servers[i] != next.servers[i]) {
+      ++delta;
     }
   }
-  delta.servers_added = static_cast<int>(next.servers.size() - common);
-  delta.servers_removed = static_cast<int>(prev.servers.size() - common);
-
-  // --- Reservations (id-ordered in both snapshots; merge walk) ---
-  bool order_preserved = true;
-  size_t ia = 0;
-  size_t ib = 0;
-  while (ia < prev.reservations.size() && ib < next.reservations.size()) {
-    const ReservationSpec& a = prev.reservations[ia];
-    const ReservationSpec& b = next.reservations[ib];
-    if (a.id == b.id) {
-      if (!ReservationStructureEqual(a, b)) {
-        ++delta.reservations_restructured;
-      } else if (!SameSize(a, b)) {
-        ++delta.reservations_resized;
-      }
-      ++ia;
-      ++ib;
-    } else if (a.id < b.id) {
-      ++delta.reservations_removed;
-      order_preserved = false;
-      ++ia;
-    } else {
-      ++delta.reservations_added;
-      order_preserved = false;
-      ++ib;
-    }
-  }
-  delta.reservations_removed += static_cast<int>(prev.reservations.size() - ia);
-  delta.reservations_added += static_cast<int>(next.reservations.size() - ib);
-  if (delta.reservations_added > 0 || delta.reservations_removed > 0) {
-    order_preserved = false;
-  }
-  delta.reservations_structurally_equal =
-      order_preserved && delta.reservations_restructured == 0;
-  return delta;
+  return delta + static_cast<int>(prev.servers.size() + next.servers.size() - 2 * common);
 }
 
 }  // namespace ras

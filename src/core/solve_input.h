@@ -21,6 +21,8 @@ struct ServerSolveState {
   ReservationId current = kUnassigned;  // Elastic loans resolve to home.
   bool in_use = false;                  // Containers running => high move cost.
   bool available = true;                // False on unplanned unavailability.
+
+  bool operator==(const ServerSolveState&) const = default;
 };
 
 struct SolveInput {
@@ -32,6 +34,10 @@ struct SolveInput {
 
   // Index of a reservation id in `reservations`, or -1.
   int ReservationIndex(ReservationId id) const;
+
+  // Same region objects and field-for-field the same reservations and
+  // servers: the round memo's key (src/core/resolve_cache.h).
+  bool operator==(const SolveInput&) const = default;
 };
 
 // Snapshots broker + registry. Servers loaned to elastic reservations are

@@ -7,7 +7,7 @@
 namespace ras {
 
 RegionScenario::RegionScenario(const ScenarioOptions& options)
-    : fleet(GenerateFleet(options.fleet)), rng(options.seed) {
+    : fleet(GenerateFleet(options.fleet)), solver(options.solver), rng(options.seed) {
   // Solve-pipeline spans record the simulated instant they opened at,
   // alongside wall time. Last scenario constructed wins the global tracer;
   // the destructor unwires it.
@@ -17,7 +17,6 @@ RegionScenario::RegionScenario(const ScenarioOptions& options)
   mover = std::make_unique<OnlineMover>(broker.get(), &registry, twine.get());
   greedy = std::make_unique<GreedyAssigner>(&fleet.catalog, broker.get());
   health = std::make_unique<HealthCheckService>(broker.get());
-  solver.mutable_config() = options.solver;
   supervisor = std::make_unique<SolverSupervisor>(&solver, broker.get(), &registry,
                                                   &fleet.catalog, &loop, options.supervisor);
   if (!options.faults.empty()) {

@@ -1,14 +1,17 @@
 // Resolve cache: the patch path (SetRoundBounds on a cached model) must
-// reproduce a fresh build field-for-field, and cache entries are keyed by
-// (phase, shard).
+// reproduce a fresh build field-for-field, SetRoundBounds must refuse, with
+// the model untouched, every round whose model layout differs, and the round
+// memo keys on the whole snapshot.
 
 #include "src/core/resolve_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "src/fleet/fleet_gen.h"
 
@@ -92,6 +95,7 @@ bool SameBounds(const Model& a, const Model& b) {
 // and the next patch read.
 void ExpectBuiltModelsEqual(const BuiltModel& a, const BuiltModel& b) {
   ExpectModelsEqual(a.model, b.model);
+  EXPECT_TRUE(a.layout == b.layout);
   ASSERT_EQ(a.assignment_vars.size(), b.assignment_vars.size());
   for (size_t k = 0; k < a.assignment_vars.size(); ++k) {
     EXPECT_EQ(a.assignment_vars[k].var, b.assignment_vars[k].var);
@@ -198,8 +202,21 @@ const std::vector<PhaseShape>& Phases() {
   return phases;
 }
 
-// One round-over-round edit that RoundDelta certifies patchable. `classes`
-// are the previous round's, for edits that pick a server.
+// Re-bounds a copy of `built` for `next` under `phase`. A refusal must leave
+// the copy bitwise the model it was.
+bool Patches(const BuiltModel& built, const SolveInput& next, const PhaseShape& phase) {
+  BuiltModel copy = built;
+  const bool patched = SetRoundBounds(copy, next, phase.Classes(next), SolverConfig(),
+                                      phase.include_rack_spread, phase.subset);
+  if (!patched) {
+    ExpectBuiltModelsEqual(copy, built);
+    EXPECT_TRUE(copy.model.compressed_cache_valid());
+  }
+  return patched;
+}
+
+// One round-over-round edit that keeps the model layout. `classes` are the
+// previous round's, for edits that pick a server.
 struct BoundEdit {
   const char* name;
   std::function<void(SolveInput&, const std::vector<EquivalenceClass>&)> apply;
@@ -260,11 +277,9 @@ TEST(ResolveCacheTest, PatchedModelEqualsFreshRebuildForEveryBound) {
       SolveInput next = prev;
       edit.apply(next, classes);
       std::vector<EquivalenceClass> next_classes = phase.Classes(next);
-      RoundDelta delta = ComputeRoundDelta(prev, next);
-      delta.classes_structurally_equal = ClassStructureEqual(classes, next_classes);
-      ASSERT_TRUE(delta.patchable());
 
-      ASSERT_TRUE(SetRoundBounds(patched, next, next_classes, config));
+      ASSERT_TRUE(SetRoundBounds(patched, next, next_classes, config, phase.include_rack_spread,
+                                 phase.subset));
       // Patching goes exclusively through the Update* mutators: the CSC
       // cache built with the model must still be valid.
       EXPECT_TRUE(patched.model.compressed_cache_valid());
@@ -288,11 +303,12 @@ TEST(ResolveCacheTest, PatchRefusesCrossedAffinityBand) {
         BuildRasModel(region.base, classes, config, phase.include_rack_spread, phase.subset);
 
     // A negative theta crosses "aff"'s band: (0.5 + 0.1) * 8 > (0.5 - 0.1) * 8.
-    // The delta calls it a resize, so only the bound pass can catch it.
+    // It is a size change, so the layout passes and only the bound pass can
+    // catch it.
     SolveInput next = region.base;
     next.reservations[1].affinity_theta = -0.1;
-    ASSERT_TRUE(ComputeRoundDelta(region.base, next).reservations_structurally_equal);
-    EXPECT_FALSE(SetRoundBounds(built, next, phase.Classes(next), config));
+    EXPECT_FALSE(SetRoundBounds(built, next, phase.Classes(next), config,
+                                phase.include_rack_spread, phase.subset));
   }
 }
 
@@ -308,24 +324,200 @@ TEST(ResolveCacheTest, PatchRefusesStructuralMismatch) {
   ASSERT_TRUE(region.registry.Create(AnyTypeReservation(region.fleet.catalog, "extra", 4)).ok());
   SolveInput next = region.Snapshot();
   std::vector<EquivalenceClass> next_classes = BuildEquivalenceClasses(next, Scope::kMsb);
-  EXPECT_FALSE(SetRoundBounds(built, next, next_classes, config));
+  EXPECT_FALSE(SetRoundBounds(built, next, next_classes, config, /*include_rack_spread=*/false));
 }
 
-TEST(ResolveCacheTest, EntriesAreKeyedAndInvalidateDropsAll) {
+// Keys change while the class count does not: every server of the idle "aff"
+// MSB goes in use (a tier swap) or is rebound to "svc" (a binding swap).
+// Counting rows and reservations cannot see either.
+TEST(ResolveCacheTest, PatchRefusesSameCountClassKeySwap) {
+  PatchRegion region;
+  const RegionTopology& topo = region.region.fleet.topology;
+  const std::vector<std::pair<const char*, std::function<void(ServerSolveState&)>>> swaps = {
+      {"in_use tier", [](ServerSolveState& server) { server.in_use = true; }},
+      {"binding", [&region](ServerSolveState& server) {
+         server.current = region.base.reservations[0].id;
+       }},
+  };
+  const PhaseShape& phase1 = Phases()[0];
+  const BuiltModel built = BuildRasModel(region.base, phase1.Classes(region.base), SolverConfig(),
+                                         phase1.include_rack_spread, phase1.subset);
+  for (const auto& [name, swap] : swaps) {
+    SCOPED_TRACE(name);
+    SolveInput next = region.base;
+    for (size_t s = 0; s < next.servers.size(); ++s) {
+      if (topo.server(static_cast<ServerId>(s)).msb == 1) {
+        swap(next.servers[s]);
+      }
+    }
+    ASSERT_EQ(phase1.Classes(next).size(), phase1.Classes(region.base).size());
+    EXPECT_FALSE(Patches(built, next, phase1));
+  }
+}
+
+// Phase-2 shape: the same classes and reservations, another subset of the
+// same size. The subset decides which reservations have rows at all.
+TEST(ResolveCacheTest, PatchRefusesAnotherSubsetOfEqualSize) {
+  PatchRegion region;
+  const PhaseShape& phase2 = Phases()[1];
+  const std::vector<EquivalenceClass> classes = phase2.Classes(region.base);
+  BuiltModel built = BuildRasModel(region.base, classes, SolverConfig(),
+                                   phase2.include_rack_spread, phase2.subset);
+  const BuiltModel before = built;
+  const std::vector<int> other = {0, 2};
+  ASSERT_EQ(other.size(), phase2.subset.size());
+  EXPECT_FALSE(SetRoundBounds(built, region.base, classes, SolverConfig(),
+                              phase2.include_rack_spread, other));
+  ExpectBuiltModelsEqual(built, before);
+  EXPECT_TRUE(SetRoundBounds(built, region.base, classes, SolverConfig(),
+                             phase2.include_rack_spread, phase2.subset));
+}
+
+// Unchanged snapshots patch, and they are the only ones the round memo
+// replays: its key compares every field, not only those that shape the model.
+TEST(ResolveCacheTest, IdenticalSnapshotPatchesAndKeysTheMemo) {
+  PatchRegion region;
+  for (const PhaseShape& phase : Phases()) {
+    SCOPED_TRACE(phase.name);
+    const BuiltModel built = BuildRasModel(region.base, phase.Classes(region.base), SolverConfig(),
+                                           phase.include_rack_spread, phase.subset);
+    EXPECT_TRUE(Patches(built, region.base, phase));
+  }
+  SolveInput next = region.base;
+  EXPECT_TRUE(next == region.base);
+  next.reservations[0].name = "renamed";  // Invisible to the model.
+  EXPECT_FALSE(next == region.base);
+  next = region.base;
+  next.servers[0].in_use = !next.servers[0].in_use;
+  EXPECT_FALSE(next == region.base);
+}
+
+// Sizes patch; a value-table change alters coefficients and is refused.
+TEST(ResolveCacheTest, ResizePatchesRestructureIsRefused) {
+  PatchRegion region;
+  for (const PhaseShape& phase : Phases()) {
+    SCOPED_TRACE(phase.name);
+    const BuiltModel built = BuildRasModel(region.base, phase.Classes(region.base), SolverConfig(),
+                                           phase.include_rack_spread, phase.subset);
+    SolveInput resized = region.base;
+    resized.reservations[1].capacity_rru = 14;
+    EXPECT_TRUE(Patches(built, resized, phase));
+    SolveInput restructured = region.base;
+    restructured.reservations[1].rru_per_type[0] = 2.0;
+    EXPECT_FALSE(Patches(built, restructured, phase));
+  }
+}
+
+// Adding or removing a reservation changes the layout either way round.
+TEST(ResolveCacheTest, ReservationChurnIsRefused) {
+  TestRegion region;
+  ASSERT_TRUE(region.registry.Create(AnyTypeReservation(region.fleet.catalog, "a", 10)).ok());
+  SolveInput fewer = region.Snapshot();
+  ASSERT_TRUE(region.registry.Create(AnyTypeReservation(region.fleet.catalog, "b", 5)).ok());
+  SolveInput more = region.Snapshot();
+  const PhaseShape& phase1 = Phases()[0];
+  const SolverConfig config;
+  EXPECT_FALSE(Patches(BuildRasModel(fewer, phase1.Classes(fewer), config, false), more, phase1));
+  EXPECT_FALSE(Patches(BuildRasModel(more, phase1.Classes(more), config, false), fewer, phase1));
+}
+
+// A snapshot of another region object is refused even when its contents are
+// identical.
+TEST(ResolveCacheTest, DifferentRegionObjectsAreRefused) {
+  TestRegion a;
+  TestRegion b;
+  const SolveInput input_a = a.Snapshot();
+  const SolveInput input_b = b.Snapshot();
+  EXPECT_FALSE(input_a == input_b);
+  const PhaseShape& phase1 = Phases()[0];
+  const BuiltModel built = BuildRasModel(input_a, phase1.Classes(input_a), SolverConfig(), false);
+  EXPECT_TRUE(Patches(built, input_a, phase1));
+  EXPECT_FALSE(Patches(built, input_b, phase1));
+}
+
+// Which reservation fields are layout and which are bounds.
+TEST(ResolveCacheTest, ReservationStructureSemantics) {
+  PatchRegion region;
+  const PhaseShape& phase1 = Phases()[0];
+  const BuiltModel built = BuildRasModel(region.base, phase1.Classes(region.base), SolverConfig(),
+                                         phase1.include_rack_spread, phase1.subset);
+  const BoundEdit cases[] = {
+      // Size-only changes keep the layout.
+      {"capacity_and_theta",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         in.reservations[1].capacity_rru = 20;
+         in.reservations[1].affinity_theta = 0.1;
+       }},
+      {"quorum_magnitude",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         in.reservations[2].max_msb_fraction_hard = 0.5;
+       }},
+      {"affinity_share",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         in.reservations[1].dc_affinity[0] = 0.4;
+       }},
+      // Row-adding changes do not.
+      {"quorum_cap_appears",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         in.reservations[0].max_msb_fraction_hard = 0.33;
+       }},
+      {"affinity_key_appears",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         in.reservations[0].dc_affinity[0] = 0.6;
+       }},
+      {"buffer_flag_flips",
+       [](SolveInput& in, const std::vector<EquivalenceClass>&) {
+         in.reservations[0].needs_correlated_buffer = false;
+       }},
+  };
+  const bool expected[] = {true, true, true, false, false, false};
+  for (size_t k = 0; k < std::size(cases); ++k) {
+    SCOPED_TRACE(cases[k].name);
+    SolveInput next = region.base;
+    cases[k].apply(next, {});
+    EXPECT_EQ(Patches(built, next, phase1), expected[k]);
+  }
+}
+
+// Class membership is bounds: a class that shrinks keeps its key. A class
+// that vanishes changes the layout.
+TEST(ResolveCacheTest, ClassLayoutIgnoresMembership) {
+  TestRegion region;
+  const SolveInput prev = region.Snapshot();
+  const PhaseShape& phase1 = Phases()[0];
+  const std::vector<EquivalenceClass> classes = phase1.Classes(prev);
+  const BuiltModel built = BuildRasModel(prev, classes, SolverConfig(), false);
+
+  const EquivalenceClass* populous = nullptr;
+  const EquivalenceClass* singleton = nullptr;
+  for (const EquivalenceClass& cls : classes) {
+    (cls.count() >= 2 ? populous : singleton) = &cls;
+  }
+  ASSERT_NE(populous, nullptr);
+  SolveInput shrunk = prev;
+  shrunk.servers[populous->servers[0]].available = false;
+  EXPECT_TRUE(Patches(built, shrunk, phase1));
+
+  SolveInput vanished = prev;
+  for (ServerId id : (singleton != nullptr ? singleton : populous)->servers) {
+    vanished.servers[id].available = false;
+  }
+  EXPECT_FALSE(Patches(built, vanished, phase1));
+}
+
+TEST(ResolveCacheTest, InvalidateDropsTheModelAndTheMemo) {
   ResolveCache cache;
   EXPECT_TRUE(cache.empty());
-  cache.entry(1).valid = true;
-  cache.entry(2).best_bound = 7.0;
+  cache.valid = true;
+  cache.memo_valid = true;
+  cache.targets = {{0, 1}};
+  cache.stats.moves_total = 3;
   EXPECT_FALSE(cache.empty());
-  // Same phase returns the same entry; the phases are separate.
-  EXPECT_TRUE(cache.entry(1).valid);
-  EXPECT_FALSE(cache.entry(2).valid);
-  EXPECT_EQ(cache.entry(2).best_bound, 7.0);
   cache.Invalidate();
   EXPECT_TRUE(cache.empty());
-  // First touch after invalidation is cold.
-  EXPECT_FALSE(cache.entry(1).valid);
-  EXPECT_EQ(cache.entry(2).best_bound, 0.0);
+  EXPECT_FALSE(cache.memo_valid);
+  EXPECT_TRUE(cache.targets.empty());
+  EXPECT_EQ(cache.stats.moves_total, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Round deltas: classification of what changed between consecutive SolveInput
-// snapshots, and the structural-equality certificates that gate the
-// incremental re-solve layer (model patching / basis reuse / skip-solve).
+// Round deltas: the server-state count the resolve cache reports as
+// delta_servers. The layout and memo-key cases live in resolve_cache_test.
 
 #include "src/core/round_delta.h"
 
@@ -44,23 +43,10 @@ struct TestRegion {
   }
 };
 
-TEST(RoundDeltaTest, IdenticalSnapshotsAreEmptyAndPatchable) {
+TEST(RoundDeltaTest, IdenticalSnapshotsHaveNoDelta) {
   TestRegion region;
   ASSERT_TRUE(region.registry.Create(AnyTypeReservation(region.fleet.catalog, "svc", 10)).ok());
-  SolveInput prev = region.Snapshot();
-  SolveInput next = region.Snapshot();
-
-  RoundDelta delta = ComputeRoundDelta(prev, next);
-  EXPECT_TRUE(delta.same_region);
-  EXPECT_TRUE(delta.reservations_structurally_equal);
-  EXPECT_TRUE(delta.empty());
-  EXPECT_EQ(delta.delta_servers(), 0);
-
-  // The caller certifies class structure; with it, the round is patchable.
-  std::vector<EquivalenceClass> a = BuildEquivalenceClasses(prev, Scope::kMsb);
-  std::vector<EquivalenceClass> b = BuildEquivalenceClasses(next, Scope::kMsb);
-  delta.classes_structurally_equal = ClassStructureEqual(a, b);
-  EXPECT_TRUE(delta.patchable());
+  EXPECT_EQ(DeltaServers(region.Snapshot(), region.Snapshot()), 0);
 }
 
 TEST(RoundDeltaTest, ServerStateFlipsAreCountedPerServer) {
@@ -73,12 +59,7 @@ TEST(RoundDeltaTest, ServerStateFlipsAreCountedPerServer) {
   next.servers[7].current = *id;           // Binding change.
   next.servers[7].in_use = true;           // Same server: still one change.
 
-  RoundDelta delta = ComputeRoundDelta(prev, next);
-  EXPECT_EQ(delta.servers_changed, 2);
-  EXPECT_EQ(delta.delta_servers(), 2);
-  EXPECT_FALSE(delta.empty());
-  // Server churn alone never breaks reservation structure.
-  EXPECT_TRUE(delta.reservations_structurally_equal);
+  EXPECT_EQ(DeltaServers(prev, next), 2);
 }
 
 TEST(RoundDeltaTest, FleetGrowthCountsAddedServers) {
@@ -88,128 +69,10 @@ TEST(RoundDeltaTest, FleetGrowthCountsAddedServers) {
   next.servers.push_back(ServerSolveState{});
   next.servers.push_back(ServerSolveState{});
 
-  RoundDelta delta = ComputeRoundDelta(prev, next);
-  EXPECT_EQ(delta.servers_added, 2);
-  EXPECT_EQ(delta.servers_changed, 0);
-  EXPECT_EQ(delta.delta_servers(), 2);
+  EXPECT_EQ(DeltaServers(prev, next), 2);
 
   // Shrink is the mirror image.
-  RoundDelta shrink = ComputeRoundDelta(next, prev);
-  EXPECT_EQ(shrink.servers_removed, 2);
-}
-
-TEST(RoundDeltaTest, ResizeIsPatchableRestructureIsNot) {
-  TestRegion region;
-  ASSERT_TRUE(region.registry.Create(AnyTypeReservation(region.fleet.catalog, "svc", 10)).ok());
-  SolveInput prev = region.Snapshot();
-
-  // Capacity / alpha / theta / quorum-magnitude changes only move bounds.
-  SolveInput resized = prev;
-  resized.reservations[0].capacity_rru = 14;
-  RoundDelta delta = ComputeRoundDelta(prev, resized);
-  EXPECT_EQ(delta.reservations_resized, 1);
-  EXPECT_EQ(delta.reservations_restructured, 0);
-  EXPECT_TRUE(delta.reservations_structurally_equal);
-  EXPECT_FALSE(delta.empty());
-
-  // A value-table change alters constraint coefficients: restructured.
-  SolveInput restructured = prev;
-  restructured.reservations[0].rru_per_type[0] = 2.0;
-  delta = ComputeRoundDelta(prev, restructured);
-  EXPECT_EQ(delta.reservations_restructured, 1);
-  EXPECT_FALSE(delta.reservations_structurally_equal);
-}
-
-TEST(RoundDeltaTest, ReservationChurnBreaksStructuralEquality) {
-  TestRegion region;
-  ASSERT_TRUE(region.registry.Create(AnyTypeReservation(region.fleet.catalog, "a", 10)).ok());
-  SolveInput prev = region.Snapshot();
-  ASSERT_TRUE(region.registry.Create(AnyTypeReservation(region.fleet.catalog, "b", 5)).ok());
-  SolveInput next = region.Snapshot();
-
-  RoundDelta delta = ComputeRoundDelta(prev, next);
-  EXPECT_EQ(delta.reservations_added, 1);
-  EXPECT_FALSE(delta.reservations_structurally_equal);
-
-  RoundDelta removal = ComputeRoundDelta(next, prev);
-  EXPECT_EQ(removal.reservations_removed, 1);
-  EXPECT_FALSE(removal.reservations_structurally_equal);
-}
-
-TEST(RoundDeltaTest, DifferentRegionObjectsVoidEverything) {
-  TestRegion a;
-  TestRegion b;
-  RoundDelta delta = ComputeRoundDelta(a.Snapshot(), b.Snapshot());
-  EXPECT_FALSE(delta.same_region);
-  EXPECT_FALSE(delta.empty());
-  delta.classes_structurally_equal = true;  // Even a (bogus) certificate
-  EXPECT_FALSE(delta.patchable());          // cannot rescue a region swap.
-}
-
-TEST(RoundDeltaTest, ReservationStructureEqualitySemantics) {
-  TestRegion region;
-  ReservationSpec a = AnyTypeReservation(region.fleet.catalog, "svc", 10);
-  a.id = 1;
-
-  // Size-only changes keep structure.
-  ReservationSpec b = a;
-  b.capacity_rru = 20;
-  b.affinity_theta = 0.1;
-  EXPECT_TRUE(ReservationStructureEqual(a, b));
-
-  // The quorum cap appearing adds rows.
-  ReservationSpec quorum = a;
-  quorum.max_msb_fraction_hard = 0.33;
-  EXPECT_FALSE(ReservationStructureEqual(a, quorum));
-  // Magnitude-only quorum changes patch.
-  ReservationSpec quorum2 = quorum;
-  quorum2.max_msb_fraction_hard = 0.5;
-  EXPECT_TRUE(ReservationStructureEqual(quorum, quorum2));
-
-  // Affinity keys define rows; values are bounds.
-  ReservationSpec aff = a;
-  aff.dc_affinity[0] = 0.6;
-  EXPECT_FALSE(ReservationStructureEqual(a, aff));
-  ReservationSpec aff2 = aff;
-  aff2.dc_affinity[0] = 0.4;
-  EXPECT_TRUE(ReservationStructureEqual(aff, aff2));
-
-  // Flag flips rebuild.
-  ReservationSpec buf = a;
-  buf.needs_correlated_buffer = false;
-  EXPECT_FALSE(ReservationStructureEqual(a, buf));
-}
-
-TEST(RoundDeltaTest, ClassStructureEqualityIgnoresMembership) {
-  TestRegion region;
-  SolveInput prev = region.Snapshot();
-  std::vector<EquivalenceClass> a = BuildEquivalenceClasses(prev, Scope::kMsb);
-  ASSERT_FALSE(a.empty());
-
-  // Killing one server of a populous class shrinks the class but keeps every
-  // key: still equal. (A singleton class would vanish and break equality.)
-  ServerId victim = 0;
-  bool found = false;
-  for (const EquivalenceClass& cls : a) {
-    if (cls.count() >= 2) {
-      victim = cls.servers[0];
-      found = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found);
-  SolveInput next = prev;
-  next.servers[victim].available = false;
-  std::vector<EquivalenceClass> b = BuildEquivalenceClasses(next, Scope::kMsb);
-  EXPECT_TRUE(ClassStructureEqual(a, b));
-
-  // A key change at any index breaks equality.
-  std::vector<EquivalenceClass> c = a;
-  c[0].in_use = !c[0].in_use;
-  EXPECT_FALSE(ClassStructureEqual(a, c));
-  std::vector<EquivalenceClass> d = a;
-  d.pop_back();
-  EXPECT_FALSE(ClassStructureEqual(a, d));
+  EXPECT_EQ(DeltaServers(next, prev), 2);
 }
 
 }  // namespace

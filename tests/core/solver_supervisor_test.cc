@@ -32,7 +32,7 @@ struct SupervisedSetup {
 
   explicit SupervisedSetup(const FaultPlan& plan = FaultPlan(),
                            SupervisorConfig config = FastConfig())
-      : fleet(GenerateFleet(Options())) {
+      : fleet(GenerateFleet(Options())), solver(FastSolverConfig()) {
     broker = std::make_unique<ResourceBroker>(&fleet.topology);
     buffers = EnsureSharedBuffers(registry, fleet.topology, fleet.catalog, 0.04);
     // Materialize the shared buffers (bind current, as the Online Mover
@@ -48,14 +48,19 @@ struct SupervisedSetup {
         }
       }
     }
-    solver.mutable_config().phase1_mip.max_nodes = 8;  // Keep solves fast.
-    solver.mutable_config().phase2_mip.max_nodes = 4;
     supervisor = std::make_unique<SolverSupervisor>(&solver, broker.get(), &registry,
                                                     &fleet.catalog, &loop, config);
     if (!plan.empty()) {
       injector = std::make_unique<FaultInjector>(plan);
       supervisor->SetFaultInjector(injector.get());
     }
+  }
+
+  static SolverConfig FastSolverConfig() {
+    SolverConfig config;
+    config.phase1_mip.max_nodes = 8;  // Keep solves fast.
+    config.phase2_mip.max_nodes = 4;
+    return config;
   }
 
   static FleetOptions Options() {
