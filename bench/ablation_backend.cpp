@@ -67,9 +67,8 @@ int main() {
     SolverConfig config;
     BuiltModel built = BuildRasModel(input, classes, config, false);
     auto counts = BuildInitialCounts(input, classes, built);
-    PhaseStart greedy{MakeWarmStart(input, classes, built, counts),
-                      MakeWarmStart(input, classes, built, built.initial_counts)};
-    double greedy_obj = built.model.Objective(greedy.warm);
+    const std::vector<double> greedy = MakeWarmStart(input, classes, built, counts);
+    double greedy_obj = built.model.Objective(greedy);
 
     double t0 = Now();
     MipResult mip = SolvePhaseMip(input, classes, built, config.phase1_mip, greedy);

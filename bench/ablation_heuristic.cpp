@@ -64,11 +64,11 @@ int main() {
     auto classes = BuildEquivalenceClasses(input, Scope::kMsb);
     SolverConfig config;
     BuiltModel built = BuildRasModel(input, classes, config, false);
-    PhaseStart start = MakePhaseStart(input, classes, built);
+    const std::vector<double> start = MakePhaseStart(input, classes, built);
+    const std::vector<double> root_start = MakeRootStart(input, classes, built);
 
     double t0 = Now();
-    MipResult without =
-        MipSolver(config.phase1_mip).Solve(built.model, &start.warm, &start.root_start);
+    MipResult without = MipSolver(config.phase1_mip).Solve(built.model, &start, &root_start);
     double t_plain = (Now() - t0) * 1e3;
 
     t0 = Now();

@@ -36,7 +36,7 @@ struct Workload {
   SolveInput input;
   std::vector<EquivalenceClass> classes;
   BuiltModel built;
-  PhaseStart start;
+  std::vector<double> start;
 };
 
 struct ConfigResult {

@@ -78,7 +78,7 @@ int main() {
     auto classes = BuildEquivalenceClasses(input, Scope::kMsb);
     BuiltModel built = BuildRasModel(input, classes, config, false);
     // The start does not depend on the MIP budget, so one start serves both.
-    PhaseStart start = MakePhaseStart(input, classes, built);
+    const std::vector<double> start = MakePhaseStart(input, classes, built);
     MipResult quick = SolvePhaseMip(input, classes, built, early, start);
     MipResult ref = SolvePhaseMip(input, classes, built, reference, start);
     if (quick.x.empty() || ref.x.empty()) {

@@ -145,8 +145,9 @@ void RecordSolveMetrics(const SolveStats& stats) {
 
 }  // namespace
 
-PhaseStart MakePhaseStart(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
-                          const BuiltModel& built) {
+std::vector<double> MakePhaseStart(const SolveInput& input,
+                                   const std::vector<EquivalenceClass>& classes,
+                                   const BuiltModel& built) {
   // The greedy start, polished by a short local search: its relocate moves
   // fix spread cheaply, and the MIP then starts from, and can only improve
   // on, that incumbent.
@@ -160,17 +161,33 @@ PhaseStart MakePhaseStart(const SolveInput& input, const std::vector<Equivalence
   polish.seed = 17;
   polish.stall_limit = kPolishStallLimit;
   counts = LocalSearchOptimize(input, classes, built, counts, polish).counts;
-  return PhaseStart{MakeWarmStart(input, classes, built, counts),
-                    MakeWarmStart(input, classes, built, built.initial_counts)};
+  return MakeWarmStart(input, classes, built, counts);
+}
+
+std::vector<double> MakeRootStart(const SolveInput& input,
+                                  const std::vector<EquivalenceClass>& classes,
+                                  const BuiltModel& built) {
+  return MakeWarmStart(input, classes, built, built.initial_counts);
 }
 
 MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                         const BuiltModel& built, const MipOptions& mip_options,
-                        const PhaseStart& start) {
+                        const MipSolver::WarmStartSource& warm_start) {
   MipOptions options = mip_options;
   options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
-  return MipSolver(options).Solve(built.model, &start.warm, &start.root_start);
+  const std::vector<double> root_start = MakeRootStart(input, classes, built);
+  return MipSolver(options).Solve(built.model, warm_start, &root_start);
 }
+
+MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
+                        const BuiltModel& built, const MipOptions& mip_options,
+                        const std::vector<double>& warm_start) {
+  return SolvePhaseMip(input, classes, built, mip_options, [&warm_start] { return &warm_start; });
+}
+
+AsyncSolver::AsyncSolver(SolverConfig config)
+    : config_(std::move(config)),
+      pool_(static_cast<int>(std::thread::hardware_concurrency()) - 1) {}
 
 AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache* cache, const SolveInput& input,
                                                 const std::vector<EquivalenceClass>& classes,
@@ -207,16 +224,31 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache* cache, const Solve
   outcome.stats.memory_bytes = built.ModelMemoryBytes();
 
   // Initial state, computed identically whether the model was patched or
-  // rebuilt; the MIP below runs exactly as if cold, so incremental and cold
-  // rounds produce identical targets.
+  // rebuilt, on a pool worker while this thread solves the root LP. The MIP
+  // first reads it after the root LP and it is a pure function of (input,
+  // classes, built), so where it runs cannot change the answer; the MIP runs
+  // exactly as if cold, so incremental and cold rounds produce identical
+  // targets.
+  std::vector<double> warm;
+  double warm_objective = 0.0;
+  ThreadPool::JoinHandle start = pool_.SubmitClaimable([&] {
+    warm = MakePhaseStart(input, classes, built);
+    warm_objective = built.model.Objective(warm);
+  });
+  // Figure 8's initial-state step is what the phase still waits for its
+  // start once the root LP is done (0 when the root LP hid it); the MIP step
+  // is the rest of the MIP's wall, so the steps still sum to the phase.
+  double waited = 0.0;
   t0 = util::MonotonicSeconds();
-  PhaseStart start = MakePhaseStart(input, classes, built);
-  outcome.stats.warm_start_objective = built.model.Objective(start.warm);
-  outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
-
-  t0 = util::MonotonicSeconds();
-  MipResult mip = SolvePhaseMip(input, classes, built, mip_options, start);
-  outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
+  MipResult mip = SolvePhaseMip(input, classes, built, mip_options, [&] {
+    const double wait_start = util::MonotonicSeconds();
+    start.Join();
+    waited = util::MonotonicSeconds() - wait_start;
+    return &warm;
+  });
+  outcome.stats.timings.initial_state_s = waited;
+  outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0 - waited;
+  outcome.stats.warm_start_objective = warm_objective;
   outcome.stats.mip_status = mip.status;
   outcome.stats.nodes = mip.nodes;
   outcome.stats.dual_resolves = mip.dual_resolves;
@@ -233,7 +265,7 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache* cache, const Solve
     RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
                       << "; falling back to the greedy initial state";
     outcome.stats.objective = outcome.stats.warm_start_objective;
-    outcome.decoded = DecodeAssignment(input, classes, built, start.warm);
+    outcome.decoded = DecodeAssignment(input, classes, built, warm);
   }
 
   // Keep this round's model for the next. A round whose MIP produced nothing
@@ -475,9 +507,9 @@ SolveStats AsyncSolver::SolveSharded(const SolveInput& input, DecodedAssignment*
     shard_plan_servers_ = input.servers.size();
   }
 
-  // One result slot per shard, written by pool workers as their shard
-  // finishes and read back in shard order (so the merge is schedule-
-  // independent) after the barrier. Workers solve outside the lock and only
+  // One result slot per shard, written by whichever thread ran the shard as
+  // it finishes and read back in shard order (so the merge is schedule-
+  // independent) after the joins. Workers solve outside the lock and only
   // move their finished result into its slot under it.
   struct ShardResult {
     SolveStats stats;
@@ -511,22 +543,22 @@ SolveStats AsyncSolver::SolveSharded(const SolveInput& input, DecodedAssignment*
     MutexLock lock(&state.mu);
     state.slots[static_cast<size_t>(shard)] = std::move(result);
   };
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int threads = std::min(shard_count, std::max(1, hw));
-  if (threads <= 1) {
-    for (int shard = 0; shard < shard_count; ++shard) {
-      run_shard(shard);
-    }
-  } else {
-    ThreadPool pool(threads);
-    for (int shard = 0; shard < shard_count; ++shard) {
-      pool.Submit([&run_shard, shard] { run_shard(shard); });
-    }
-    pool.Wait();
+  std::vector<ThreadPool::JoinHandle> shard_solves;
+  shard_solves.reserve(static_cast<size_t>(shard_count));
+  for (int shard = 0; shard < shard_count; ++shard) {
+    shard_solves.push_back(pool_.SubmitClaimable([&run_shard, shard] { run_shard(shard); }));
+  }
+  // Joined last to first: the workers take shards in queue order, so the
+  // last one is the likeliest still unclaimed, and this thread runs it
+  // rather than wait with a shard queued. A shard's phase starts run on any
+  // free worker, else inline in the shard. The merge reads the slots in
+  // shard order whoever ran them.
+  for (auto solve = shard_solves.rbegin(); solve != shard_solves.rend(); ++solve) {
+    solve->Join();
   }
 
-  // Merge in shard order. The pool's Wait() barrier has passed, but the merge
-  // still reads the slots under the lock.
+  // Merge in shard order. Every shard has been joined, but the merge still
+  // reads the slots under the lock.
   SolveStats stats;
   stats.shard_count = shard_count;
   std::vector<std::pair<ServerId, ReservationId>> targets;

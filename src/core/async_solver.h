@@ -9,6 +9,9 @@
 //
 // Each phase is instrumented with the four steps of Figure 8:
 //   RAS build -> solver build -> initial state -> MIP.
+// The initial state runs on the solver's pool while the MIP's root LP runs
+// on the calling thread; the initial-state timing is what the phase then
+// still waits for it.
 
 #ifndef RAS_SRC_CORE_ASYNC_SOLVER_H_
 #define RAS_SRC_CORE_ASYNC_SOLVER_H_
@@ -24,6 +27,8 @@
 #include "src/core/resolve_cache.h"
 #include "src/core/solve_input.h"
 #include "src/core/solve_stats.h"
+#include "src/solver/mip.h"
+#include "src/util/thread_pool.h"
 
 namespace ras {
 
@@ -37,29 +42,37 @@ enum class SolveMode : uint8_t {
                       // polished greedy start (RAS's timeout fallback).
 };
 
-// The initial-state step of a phase (Figure 8). `warm` is the greedy spread-
-// aware assignment polished by a short local search; it seeds the MIP's
-// incumbent. `root_start` is the region's current assignment, every held
-// class at its count; the root LP starts there.
-struct PhaseStart {
-  std::vector<double> warm;
-  std::vector<double> root_start;
-};
+// The initial-state step of a phase (Figure 8): the greedy spread-aware
+// assignment polished by a short local search, run to LocalSearchOptions'
+// default work limits. It seeds the MIP's incumbent. A pure function of its
+// arguments, so RunPhase runs it on a pool worker beside the root LP.
+std::vector<double> MakePhaseStart(const SolveInput& input,
+                                   const std::vector<EquivalenceClass>& classes,
+                                   const BuiltModel& built);
 
-// Builds the initial state every phase solve starts from; the polish runs to
-// LocalSearchOptions' default work limits.
-PhaseStart MakePhaseStart(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
-                          const BuiltModel& built);
+// The root LP's start: the region's current assignment, every held class at
+// its count.
+std::vector<double> MakeRootStart(const SolveInput& input,
+                                  const std::vector<EquivalenceClass>& classes,
+                                  const BuiltModel& built);
 
-// The MIP step of a phase: branch-and-bound over `built` from `start`, with
-// the LP-guided rounding heuristic (src/core/lp_rounding) installed.
+// The MIP step of a phase: branch-and-bound over `built` with the LP-guided
+// rounding heuristic (src/core/lp_rounding) installed, its root LP started
+// from MakeRootStart. `warm_start` is asked for the phase start only after
+// the root LP (MipSolver::WarmStartSource), so it may still be computing.
 MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                         const BuiltModel& built, const MipOptions& mip_options,
-                        const PhaseStart& start);
+                        const MipSolver::WarmStartSource& warm_start);
+// The same with the start in hand.
+MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
+                        const BuiltModel& built, const MipOptions& mip_options,
+                        const std::vector<double>& warm_start);
 
 class AsyncSolver {
  public:
-  explicit AsyncSolver(SolverConfig config = SolverConfig()) : config_(std::move(config)) {}
+  // Starts the solver's pool: one worker fewer than the hardware threads (at
+  // least one); the solving thread is the last.
+  explicit AsyncSolver(SolverConfig config = SolverConfig());
 
   // Fixed for the solver's life: the cached phase-1 model carries the costs
   // it was laid out with.
@@ -95,16 +108,23 @@ class AsyncSolver {
 
   const ResolveCache& resolve_cache() const { return resolve_cache_; }
 
+  // The pool every solve runs its parallel steps on as claimable tasks: the
+  // shard fan-out and each phase's start. A caller may run its own work on
+  // it; while that work holds every worker, each solve step runs inline on
+  // the solving thread, with the same answer.
+  ThreadPool& pool() { return pool_; }
+
  private:
   // Shard-decomposed solve (src/shard, POP-style): plan -> split -> per-shard
-  // SolveMonolithic on the thread pool, each with its own shard's cache ->
+  // SolveMonolithic on the pool, each with its own shard's cache -> join and
   // merge in shard order -> stitch repair. Entered from SolveSnapshot when
   // the configured shard count resolves to K > 1.
   SolveStats SolveSharded(const SolveInput& input, DecodedAssignment* decoded_out,
                           SolveMode mode, int shard_count);
   // The unsharded two-phase (or degraded-mode) pipeline over `cache`. Records
   // no per-solve metrics: SolveSnapshot does, once per top-level solve. Const,
-  // so concurrent shard solves share nothing but their read-only config.
+  // so concurrent shard solves share nothing but their read-only config and
+  // the thread-safe pool.
   SolveStats SolveMonolithic(const SolveInput& input, DecodedAssignment* decoded_out,
                              SolveMode mode, ResolveCache& cache) const;
 
@@ -135,6 +155,12 @@ class AsyncSolver {
   std::vector<ResolveCache> shard_caches_;
   const RegionTopology* shard_plan_topology_ = nullptr;
   size_t shard_plan_servers_ = 0;
+
+  // Lives as long as the solver, so no round pays for thread start-up. The
+  // solving thread joins what it submits and runs what no worker claimed, so
+  // it is the last of the hardware threads. Mutable because const shard
+  // solves submit their phase starts to it.
+  mutable ThreadPool pool_;
 };
 
 }  // namespace ras

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <set>
+#include <utility>
 
 #include "src/core/rru_ledger.h"
 
@@ -154,6 +156,25 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
           return spec.ValueOfType(topo.server(targets[a].first).type) >
                  spec.ValueOfType(topo.server(targets[b].first).type);
         });
+        // Receiver candidates: free servers outside the hot MSB that r
+        // values, the first of each (MSB, type) in server order. Servers of
+        // one (MSB, type) score alike, and a later one must beat the
+        // incumbent by more than kEps, so only the first can ever be picked.
+        // Nothing below changes the ledger until a swap ends this MSB's
+        // pass, so the list serves every donor.
+        std::vector<size_t> receivers;
+        std::set<std::pair<MsbId, HardwareTypeId>> seen;
+        for (size_t i = 0; i < targets.size(); ++i) {
+          const auto& [server, res] = targets[i];
+          if (res != kUnassigned || !input.servers[server].available) {
+            continue;
+          }
+          const Server& s = topo.server(server);
+          if (s.msb != hot && spec.ValueOfType(s.type) > kEps &&
+              seen.insert({s.msb, s.type}).second) {
+            receivers.push_back(i);
+          }
+        }
         bool swapped = false;
         for (size_t donor : donors) {
           const Server& from = topo.server(targets[donor].first);
@@ -166,16 +187,9 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
           size_t receiver = targets.size();
           double receiver_msb_rru = std::numeric_limits<double>::infinity();
           double receiver_value = std::numeric_limits<double>::infinity();
-          for (size_t i = 0; i < targets.size(); ++i) {
-            const auto& [server, res] = targets[i];
-            if (res != kUnassigned || !input.servers[server].available) {
-              continue;
-            }
-            const Server& s = topo.server(server);
+          for (size_t i : receivers) {
+            const Server& s = topo.server(targets[i].first);
             double value = spec.ValueOfType(s.type);
-            if (s.msb == hot || value <= kEps) {
-              continue;
-            }
             double msb_rru = book.AtMsb(r, s.msb);
             if (msb_rru + value > threshold + kEps) {
               continue;

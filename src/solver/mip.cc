@@ -66,7 +66,7 @@ void EffectiveBounds(const Model& model, const std::vector<BoundOverride>& overr
 
 }  // namespace
 
-MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_start,
+MipResult MipSolver::Solve(const Model& model, const WarmStartSource& warm_start,
                            const std::vector<double>* root_start) {
   const double start = util::MonotonicSeconds();
   MipResult result = Search(model, warm_start, root_start);
@@ -95,7 +95,7 @@ MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_s
   return result;
 }
 
-MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_start,
+MipResult MipSolver::Search(const Model& model, const WarmStartSource& warm_start,
                             const std::vector<double>* root_start) {
   MipResult result;
   bool unbounded = false;
@@ -108,9 +108,19 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
     incumbent_obj = obj;
     have_incumbent = true;
   };
-  if (warm_start != nullptr && model.IsFeasible(*warm_start, options_.integrality_tol * 10)) {
-    install(*warm_start, model.Objective(*warm_start));
-  }
+  // The root node is never pruned (its parent bound is -inf), so the warm
+  // start is first needed by the bound prune after the root LP.
+  bool warm_taken = false;
+  auto take_warm_start = [&] {
+    if (warm_taken) {
+      return;
+    }
+    warm_taken = true;
+    const std::vector<double>* warm = warm_start();
+    if (warm != nullptr && model.IsFeasible(*warm, options_.integrality_tol * 10)) {
+      install(*warm, model.Objective(*warm));
+    }
+  };
 
   // Depth-first: children of the most recent node are explored first (good
   // for finding incumbents fast), while `parent_bound` prunes against the
@@ -145,6 +155,7 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
     if (lp.used_dual_simplex) {
       ++result.dual_resolves;
     }
+    take_warm_start();
     if (lp.status == LpStatus::kUnbounded) {
       unbounded = true;
     }
@@ -214,6 +225,8 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
       open.push_back(std::move(down));
     }
   }
+
+  take_warm_start();  // Still untaken when the search ran no node.
 
   // Derive the proven bound and the status. Queued nodes and nodes dropped
   // unsolved price the bound by their parent's LP value (a node that never

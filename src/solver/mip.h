@@ -81,6 +81,13 @@ class MipSolver {
  public:
   explicit MipSolver(const MipOptions& options = MipOptions()) : options_(options) {}
 
+  // Supplies the warm start. Solve calls it exactly once: after the root LP
+  // and before anything is pruned against an incumbent (with max_nodes = 0,
+  // before returning). Nothing earlier reads an incumbent, so the caller may
+  // still be computing the start while the root LP runs, and the result is
+  // the same as with the start in hand. A null return means no warm start.
+  using WarmStartSource = std::function<const std::vector<double>*()>;
+
   // `warm_start`, if provided and feasible for `model`, seeds the incumbent;
   // infeasible warm starts are ignored. `root_start`, if provided, is the
   // root LP's start point (SimplexSolver::Solve's `start`; only which columns
@@ -88,10 +95,14 @@ class MipSolver {
   // assignment, where every held class starts at its count. Node LPs re-solve
   // from their parent's basis either way.
   MipResult Solve(const Model& model, const std::vector<double>* warm_start = nullptr,
-                  const std::vector<double>* root_start = nullptr);
+                  const std::vector<double>* root_start = nullptr) {
+    return Solve(model, [warm_start] { return warm_start; }, root_start);
+  }
+  MipResult Solve(const Model& model, const WarmStartSource& warm_start,
+                  const std::vector<double>* root_start);
 
  private:
-  MipResult Search(const Model& model, const std::vector<double>* warm_start,
+  MipResult Search(const Model& model, const WarmStartSource& warm_start,
                    const std::vector<double>* root_start);
 
   MipOptions options_;

@@ -5,14 +5,13 @@
 
 namespace ras {
 
-VarId Model::AddVariable(double lb, double ub, double cost, bool is_integer, std::string name) {
+VarId Model::AddVariable(double lb, double ub, double cost, bool is_integer) {
   assert(lb <= ub);
   ModelVariable v;
   v.lb = lb;
   v.ub = ub;
   v.cost = cost;
   v.is_integer = is_integer;
-  v.name = std::move(name);
   variables_.push_back(std::move(v));
   if (is_integer) {
     ++num_integers_;
@@ -21,12 +20,11 @@ VarId Model::AddVariable(double lb, double ub, double cost, bool is_integer, std
   return static_cast<VarId>(variables_.size() - 1);
 }
 
-RowId Model::AddRow(double lb, double ub, std::string name) {
+RowId Model::AddRow(double lb, double ub) {
   assert(lb <= ub);
   ModelRow r;
   r.lb = lb;
   r.ub = ub;
-  r.name = std::move(name);
   rows_.push_back(std::move(r));
   entries_.emplace_back();
   csc_cache_valid_ = false;
@@ -168,12 +166,6 @@ size_t Model::MemoryBytes() const {
                  entries_.capacity() * sizeof(std::vector<RowEntry>);
   for (const auto& row : entries_) {
     bytes += row.capacity() * sizeof(RowEntry);
-  }
-  for (const auto& v : variables_) {
-    bytes += v.name.capacity();
-  }
-  for (const auto& r : rows_) {
-    bytes += r.name.capacity();
   }
   return bytes;
 }

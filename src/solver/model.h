@@ -8,9 +8,9 @@
 #ifndef RAS_SRC_SOLVER_MODEL_H_
 #define RAS_SRC_SOLVER_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace ras {
@@ -25,13 +25,11 @@ struct ModelVariable {
   double ub = kInf;
   double cost = 0.0;
   bool is_integer = false;
-  std::string name;
 };
 
 struct ModelRow {
   double lb = -kInf;
   double ub = kInf;
-  std::string name;
 };
 
 struct RowEntry {
@@ -54,16 +52,16 @@ struct CscMatrix {
 
 class Model {
  public:
-  VarId AddVariable(double lb, double ub, double cost, bool is_integer, std::string name = "");
+  VarId AddVariable(double lb, double ub, double cost, bool is_integer);
   // Convenience wrappers.
-  VarId AddContinuous(double lb, double ub, double cost, std::string name = "") {
-    return AddVariable(lb, ub, cost, /*is_integer=*/false, std::move(name));
+  VarId AddContinuous(double lb, double ub, double cost) {
+    return AddVariable(lb, ub, cost, /*is_integer=*/false);
   }
-  VarId AddInteger(double lb, double ub, double cost, std::string name = "") {
-    return AddVariable(lb, ub, cost, /*is_integer=*/true, std::move(name));
+  VarId AddInteger(double lb, double ub, double cost) {
+    return AddVariable(lb, ub, cost, /*is_integer=*/true);
   }
 
-  RowId AddRow(double lb, double ub, std::string name = "");
+  RowId AddRow(double lb, double ub);
   // Appends a coefficient to a row. Duplicate (row, var) pairs are summed
   // when the column-major form is built.
   void AddCoefficient(RowId row, VarId var, double coeff);
@@ -113,6 +111,10 @@ class Model {
   // EnsureCompressedCache); otherwise computes it fresh without caching, so
   // concurrent callers on a shared const Model never race.
   CscMatrix CompressedColumns() const;
+  // The cached form itself, or null when there is none. Read-only, so
+  // solvers sharing the model read it without a copy; valid until the next
+  // structural edit or EnsureCompressedCache call.
+  const CscMatrix* compressed_cache() const { return csc_cache_valid_ ? &csc_cache_ : nullptr; }
 
   // Builds (or rebuilds) the cached CSC form. Structural edits (AddVariable /
   // AddRow / AddCoefficient) drop the cache; the Update* mutators keep it

@@ -78,11 +78,15 @@ void SimplexSolver::BuildColumns(const Model& model, const std::vector<BoundOver
   total_ = n_ + m_;
 
   // Column-major structural matrix; duplicate (row, var) entries are summed
-  // by the CSC build.
-  CscMatrix csc = model.CompressedColumns();
-  csc_starts_ = std::move(csc.col_starts);
-  csc_rows_ = std::move(csc.rows);
-  csc_values_ = std::move(csc.values);
+  // by the CSC build. A model that caches its CSC form (every RAS model does)
+  // is read in place; only an uncached one is compressed into an owned copy.
+  csc_ = model.compressed_cache();
+  if (csc_ == nullptr) {
+    owned_csc_ = model.CompressedColumns();
+    csc_ = &owned_csc_;
+  } else {
+    owned_csc_ = CscMatrix();
+  }
 
   lb_.resize(total_);
   ub_.resize(total_);
@@ -141,7 +145,7 @@ void SimplexSolver::InitializeBasis(const std::vector<double>* start) {
 
 bool SimplexSolver::Refactorize() {
   double start = util::MonotonicSeconds();
-  bool ok = factor_.Factor(m_, n_, basis_, csc_starts_, csc_rows_, csc_values_);
+  bool ok = factor_.Factor(m_, n_, basis_, csc_->col_starts, csc_->rows, csc_->values);
   refactor_seconds_ += util::MonotonicSeconds() - start;
   return ok;
 }
@@ -156,8 +160,8 @@ void SimplexSolver::ComputeBasicValues() {
       continue;
     }
     double xj = value_[j];
-    for (int32_t k = csc_starts_[j]; k < csc_starts_[j + 1]; ++k) {
-      r[csc_rows_[k]] -= csc_values_[k] * xj;
+    for (int32_t k = csc_->col_starts[j]; k < csc_->col_starts[j + 1]; ++k) {
+      r[csc_->rows[k]] -= csc_->values[k] * xj;
     }
   }
   for (int32_t i = 0; i < m_; ++i) {
@@ -179,8 +183,8 @@ void SimplexSolver::Ftran(int32_t col, std::vector<double>& alpha, std::vector<i
   if (col >= n_) {
     solve_rhs_[col - n_] = -1.0;
   } else {
-    for (int32_t k = csc_starts_[col]; k < csc_starts_[col + 1]; ++k) {
-      solve_rhs_[csc_rows_[k]] = csc_values_[k];
+    for (int32_t k = csc_->col_starts[col]; k < csc_->col_starts[col + 1]; ++k) {
+      solve_rhs_[csc_->rows[k]] = csc_->values[k];
     }
   }
   factor_.Ftran(solve_rhs_, alpha);
@@ -284,8 +288,13 @@ void SimplexSolver::SnapNonbasic() {
 
 LpResult SimplexSolver::ResolveWithBasis(const Model& model,
                                          const std::vector<BoundOverride>& overrides) {
+  // The columns read are the model's cached CSC or an owned copy of its
+  // uncached matrix; a model that now offers a different cache (another
+  // model, or a rebuilt cache) gets a cold solve instead.
+  const CscMatrix* cache = model.compressed_cache();
   if (!basis_valid_ || prepared_rows_ != model.num_rows() ||
-      prepared_vars_ != model.num_variables() || prepared_nonzeros_ != model.num_nonzeros()) {
+      prepared_vars_ != model.num_variables() || prepared_nonzeros_ != model.num_nonzeros() ||
+      cache != (csc_ == &owned_csc_ ? nullptr : csc_)) {
     return Solve(model, overrides);
   }
   refactor_seconds_ = 0.0;
@@ -359,8 +368,8 @@ bool SimplexSolver::DualFeasibleBasis(double tol) {
       yaj = -y[j - n_];
     } else {
       yaj = 0.0;
-      for (int32_t k = csc_starts_[j]; k < csc_starts_[j + 1]; ++k) {
-        yaj += y[csc_rows_[k]] * csc_values_[k];
+      for (int32_t k = csc_->col_starts[j]; k < csc_->col_starts[j + 1]; ++k) {
+        yaj += y[csc_->rows[k]] * csc_->values[k];
       }
     }
     double d = cost_[j] - yaj;
@@ -453,9 +462,9 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
       } else {
         arj = 0.0;
         yaj = 0.0;
-        for (int32_t k = csc_starts_[j]; k < csc_starts_[j + 1]; ++k) {
-          int32_t r = csc_rows_[k];
-          double v = csc_values_[k];
+        for (int32_t k = csc_->col_starts[j]; k < csc_->col_starts[j + 1]; ++k) {
+          int32_t r = csc_->rows[k];
+          double v = csc_->values[k];
           arj += rho_row[r] * v;
           yaj += y[r] * v;
         }
@@ -597,8 +606,8 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
         yaj = -y[j - n_];
       } else {
         yaj = 0.0;
-        for (int32_t k = csc_starts_[j]; k < csc_starts_[j + 1]; ++k) {
-          yaj += y[csc_rows_[k]] * csc_values_[k];
+        for (int32_t k = csc_->col_starts[j]; k < csc_->col_starts[j + 1]; ++k) {
+          yaj += y[csc_->rows[k]] * csc_->values[k];
         }
       }
       double d = cj - yaj;

@@ -198,10 +198,10 @@ class SimplexSolver {
   int32_t total_ = 0;
 
   // Structural columns in CSC form (slacks implicit): column j's nonzeros
-  // live in csc_rows_/csc_values_[csc_starts_[j] .. csc_starts_[j+1]).
-  std::vector<int32_t> csc_starts_;
-  std::vector<int32_t> csc_rows_;
-  std::vector<double> csc_values_;
+  // live in csc_->rows/values[col_starts[j] .. col_starts[j+1]). Points at
+  // the model's cached form, or at owned_csc_ when the model has none.
+  const CscMatrix* csc_ = nullptr;
+  CscMatrix owned_csc_;
 
   std::vector<double> lb_;             // Per column (structural + slack).
   std::vector<double> ub_;

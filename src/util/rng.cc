@@ -14,8 +14,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -23,38 +21,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& lane : s_) {
     lane = SplitMix64(sm);
   }
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> [0, 1).
-  return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0);
-}
-
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
-  if (range == 0) {  // Full 64-bit range.
-    return static_cast<int64_t>(Next());
-  }
-  // Rejection sampling to avoid modulo bias.
-  uint64_t limit = UINT64_MAX - UINT64_MAX % range;
-  uint64_t draw;
-  do {
-    draw = Next();
-  } while (draw >= limit);
-  return lo + static_cast<int64_t>(draw % range);
 }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }

@@ -7,6 +7,7 @@
 #ifndef RAS_SRC_UTIL_RNG_H_
 #define RAS_SRC_UTIL_RNG_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -21,14 +22,43 @@ class Rng {
  public:
   explicit Rng(uint64_t seed);
 
+  // The three draws below are inline: the local-search polish makes
+  // millions of them per solve.
+
   // Uniform 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> [0, 1).
+    return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0);
+  }
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
+  int64_t UniformInt(int64_t lo, int64_t hi) {
+    assert(lo <= hi);
+    const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+    if (range == 0) {  // Full 64-bit range.
+      return static_cast<int64_t>(Next());
+    }
+    // Rejection sampling to avoid modulo bias.
+    const uint64_t limit = UINT64_MAX - UINT64_MAX % range;
+    uint64_t draw;
+    do {
+      draw = Next();
+    } while (draw >= limit);
+    return lo + static_cast<int64_t>(draw % range);
+  }
 
   // Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -69,6 +99,8 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
 };
 

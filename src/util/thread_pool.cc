@@ -39,6 +39,63 @@ void ThreadPool::Wait() {
   }
 }
 
+class ThreadPool::ClaimableTask {
+ public:
+  explicit ClaimableTask(std::function<void()> fn) : fn_(std::move(fn)) {}
+
+  // Runs the task if this caller is the first to claim it; returns false
+  // (having run nothing) when another thread already has.
+  bool RunIfUnclaimed() {
+    std::function<void()> fn;
+    {
+      MutexLock lock(&mu_);
+      if (claimed_) {
+        return false;
+      }
+      claimed_ = true;
+      fn = std::move(fn_);
+    }
+    fn();
+    fn = nullptr;  // Drop the captures before a joiner may return.
+    MutexLock lock(&mu_);
+    done_ = true;
+    done_cv_.NotifyAll();
+    return true;
+  }
+
+  void AwaitDone() {
+    MutexLock lock(&mu_);
+    while (!done_) {
+      done_cv_.Wait(mu_);
+    }
+  }
+
+ private:
+  Mutex mu_;
+  CondVar done_cv_;
+  std::function<void()> fn_ GUARDED_BY(mu_);
+  bool claimed_ GUARDED_BY(mu_) = false;
+  bool done_ GUARDED_BY(mu_) = false;
+};
+
+ThreadPool::JoinHandle ThreadPool::SubmitClaimable(std::function<void()> task) {
+  auto claimable = std::make_shared<ClaimableTask>(std::move(task));
+  // The queued entry holds its own reference: a worker may reach it after
+  // the joiner ran the task and dropped the handle.
+  Submit([claimable] { claimable->RunIfUnclaimed(); });
+  return JoinHandle(std::move(claimable));
+}
+
+void ThreadPool::JoinHandle::Join() {
+  if (task_ == nullptr) {
+    return;
+  }
+  if (!task_->RunIfUnclaimed()) {
+    task_->AwaitDone();
+  }
+  task_ = nullptr;
+}
+
 void ThreadPool::WorkerLoop() {
   mu_.Lock();
   for (;;) {

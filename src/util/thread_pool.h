@@ -1,10 +1,13 @@
 // Small joinable thread pool.
 //
 // Fixed worker count, FIFO task queue, and a Wait() barrier that blocks until
-// every submitted task has finished. Used by the shard fan-out
-// (AsyncSolver::SolveSharded, src/core/async_solver.cc), which submits one
-// shard solve per task and merges their results after the barrier, and by
-// raslint's file scan.
+// every submitted task has finished. Beside plain tasks it runs claimable
+// ones (SubmitClaimable): each runs exactly once, on the first worker that
+// reaches it or, when none has by the time it is joined, inline on the
+// joining thread. The Async Solver (src/core/async_solver.cc) keeps one pool
+// for its life and runs both its parallel steps on it as claimable tasks: the
+// shard fan-out and each phase's initial state beside its root LP. raslint's
+// file scan uses plain tasks.
 //
 // This is the sanctioned home for raw std::thread in the repository
 // (raslint's ras-naked-thread rule); all other concurrency rides on it.
@@ -14,7 +17,9 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/util/mutex.h"
@@ -23,6 +28,8 @@
 namespace ras {
 
 class ThreadPool {
+  class ClaimableTask;  // Defined in thread_pool.cc.
+
  public:
   // Spawns `num_threads` workers (clamped to >= 1).
   explicit ThreadPool(int num_threads);
@@ -40,6 +47,30 @@ class ThreadPool {
   void Wait();
 
   int size() const { return static_cast<int>(workers_.size()); }
+
+  // A claimable task's one claim: the worker that dequeues it or the thread
+  // that joins it, whichever comes first, runs it; the other does nothing
+  // (the worker) or waits for it to finish (the joiner). A join therefore
+  // never waits on a task still in the queue, so a task may submit and join
+  // its own claimable tasks even on a one-worker pool, and a joiner whose
+  // task no worker was free for runs it itself instead of idling.
+  class JoinHandle {
+   public:
+    JoinHandle(JoinHandle&&) = default;
+    JoinHandle& operator=(JoinHandle&&) = delete;
+    // Joins, so the task never outlives what it captured by reference.
+    ~JoinHandle() { Join(); }
+
+    // Runs the task here if no worker has claimed it, else blocks until the
+    // worker that did has finished it. Later calls return at once.
+    void Join();
+
+   private:
+    friend class ThreadPool;
+    explicit JoinHandle(std::shared_ptr<ClaimableTask> task) : task_(std::move(task)) {}
+    std::shared_ptr<ClaimableTask> task_;
+  };
+  [[nodiscard]] JoinHandle SubmitClaimable(std::function<void()> task);
 
  private:
   void WorkerLoop();

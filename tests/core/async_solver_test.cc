@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <thread>
 
 #include "src/core/buffer_policy.h"
 #include "src/core/rru.h"
 #include "src/fleet/fleet_gen.h"
+#include "tests/util/pool_blocker.h"
 
 namespace ras {
 namespace {
@@ -345,6 +348,145 @@ TEST(AsyncSolverTest, SolveStatsTimingsPopulated) {
   EXPECT_GT(stats->phase1.memory_bytes, 0u);
   EXPECT_GE(stats->phase1.timings.total(), 0.0);
   EXPECT_GT(stats->total_seconds, 0.0);
+}
+
+// A region whose phase starts have work to do: three reservations, the first
+// two pre-bound to concentrated servers.
+void FillStartRegion(TestRegion& region) {
+  const HardwareCatalog& catalog = region.fleet.catalog;
+  for (const auto& [name, capacity] :
+       std::vector<std::pair<std::string, double>>{{"a", 40}, {"b", 30}, {"c", 20}}) {
+    ASSERT_TRUE(region.registry.Create(AnyTypeReservation(catalog, name, capacity)).ok());
+  }
+  SolveInput probe = SnapshotSolveInput(*region.broker, region.registry, catalog);
+  for (size_t r = 0; r < 2; ++r) {
+    for (ServerId id = static_cast<ServerId>(r * 24); id < (r + 1) * 24; ++id) {
+      region.broker->SetCurrent(id, probe.reservations[r].id);
+    }
+  }
+}
+
+void ExpectSameMip(const MipResult& a, const MipResult& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.x, b.x);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.best_bound, b.best_bound);
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.lp_iterations, b.lp_iterations);
+  EXPECT_EQ(a.hit_work_limit, b.hit_work_limit);
+  EXPECT_EQ(a.dual_resolves, b.dual_resolves);
+  EXPECT_EQ(a.lp_dual_iterations, b.lp_dual_iterations);
+}
+
+// Every PhaseStats field except the step timings, which are wall clock.
+void ExpectSamePhase(const PhaseStats& a, const PhaseStats& b) {
+  EXPECT_EQ(a.ran, b.ran);
+  EXPECT_EQ(a.assignment_variables, b.assignment_variables);
+  EXPECT_EQ(a.model_rows, b.model_rows);
+  EXPECT_EQ(a.model_variables, b.model_variables);
+  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
+  EXPECT_EQ(a.mip_status, b.mip_status);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.best_bound, b.best_bound);
+  EXPECT_EQ(a.warm_start_objective, b.warm_start_objective);
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.model_patched, b.model_patched);
+  EXPECT_EQ(a.solve_skipped, b.solve_skipped);
+  EXPECT_EQ(a.delta_servers, b.delta_servers);
+  EXPECT_EQ(a.dual_resolves, b.dual_resolves);
+  EXPECT_EQ(a.dual_iterations, b.dual_iterations);
+}
+
+// Every SolveStats field except total_seconds and the step timings.
+void ExpectSameStats(const SolveStats& a, const SolveStats& b) {
+  ExpectSamePhase(a.phase1, b.phase1);
+  ExpectSamePhase(a.phase2, b.phase2);
+  EXPECT_EQ(a.moves_total, b.moves_total);
+  EXPECT_EQ(a.moves_in_use, b.moves_in_use);
+  EXPECT_EQ(a.moves_idle, b.moves_idle);
+  EXPECT_EQ(a.total_shortfall_rru, b.total_shortfall_rru);
+  EXPECT_EQ(a.shard_count, b.shard_count);
+  EXPECT_EQ(a.failed_shards, b.failed_shards);
+  EXPECT_EQ(a.repair_moves, b.repair_moves);
+  EXPECT_EQ(a.repair_shortfall_before_rru, b.repair_shortfall_before_rru);
+  EXPECT_EQ(a.model_patched, b.model_patched);
+  EXPECT_EQ(a.solve_skipped, b.solve_skipped);
+  EXPECT_EQ(a.delta_servers, b.delta_servers);
+  EXPECT_EQ(a.dual_resolves, b.dual_resolves);
+  EXPECT_EQ(a.dual_iterations, b.dual_iterations);
+  EXPECT_EQ(a.presolve_rows_removed, b.presolve_rows_removed);
+}
+
+// The MIP reads its warm start only after the root LP, so a start still
+// being computed on a worker meanwhile gives the answer a start in hand
+// gives.
+TEST(AsyncSolverTest, MipIsTheSameWithItsStartOnAWorker) {
+  TestRegion region(SmallFleetOptions());
+  FillStartRegion(region);
+  const SolveInput input = SnapshotSolveInput(*region.broker, region.registry,
+                                              region.fleet.catalog);
+  const std::vector<EquivalenceClass> classes = BuildEquivalenceClasses(input, Scope::kMsb);
+  const SolverConfig config;
+  const BuiltModel built = BuildRasModel(input, classes, config, false);
+
+  const std::vector<double> in_hand = MakePhaseStart(input, classes, built);
+  const MipResult inline_mip = SolvePhaseMip(input, classes, built, config.phase1_mip, in_hand);
+
+  ThreadPool pool(1);
+  std::vector<double> on_worker;
+  std::atomic<bool> claimed{false};
+  std::thread::id ran_on;
+  ThreadPool::JoinHandle start = pool.SubmitClaimable([&] {
+    claimed = true;
+    ran_on = std::this_thread::get_id();
+    on_worker = MakePhaseStart(input, classes, built);
+  });
+  while (!claimed) {
+    std::this_thread::yield();
+  }
+  const MipResult worker_mip = SolvePhaseMip(input, classes, built, config.phase1_mip, [&] {
+    start.Join();
+    return &on_worker;
+  });
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(on_worker, in_hand);
+  ExpectSameMip(worker_mip, inline_mip);
+}
+
+// A solve whose pool is free runs its phase starts (and at K = 4 its shards)
+// on workers; one whose every worker is held runs all of them inline on the
+// solving thread. Targets and every non-timing stat agree bit for bit.
+TEST(AsyncSolverTest, SolveIsTheSameWithStartsInlineOrOnWorkers) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    TestRegion region(SmallFleetOptions());
+    FillStartRegion(region);
+    const SolveInput input = SnapshotSolveInput(*region.broker, region.registry,
+                                                region.fleet.catalog);
+    SolverConfig config;
+    config.shard_count = shards;
+
+    AsyncSolver on_workers(config);
+    DecodedAssignment worker_targets;
+    Result<SolveStats> worker_stats = on_workers.SolveSnapshot(input, &worker_targets);
+
+    AsyncSolver in_line(config);
+    DecodedAssignment inline_targets;
+    Result<SolveStats> inline_stats = Status::Internal("not run");
+    {
+      PoolBlocker held(in_line.pool());
+      inline_stats = in_line.SolveSnapshot(input, &inline_targets);
+    }
+
+    ASSERT_TRUE(worker_stats.ok());
+    ASSERT_TRUE(inline_stats.ok());
+    EXPECT_EQ(worker_stats->shard_count, shards);
+    EXPECT_TRUE(worker_stats->phase1.mip_status == MipStatus::kOptimal ||
+                worker_stats->phase1.mip_status == MipStatus::kFeasible);
+    EXPECT_EQ(worker_targets.targets, inline_targets.targets);
+    EXPECT_EQ(worker_targets.moves_total, inline_targets.moves_total);
+    ExpectSameStats(*worker_stats, *inline_stats);
+  }
 }
 
 

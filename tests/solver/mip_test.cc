@@ -261,6 +261,36 @@ TEST(MipTest, ZeroNodeBudgetReturnsTheWarmStart) {
   EXPECT_EQ(r.best_bound, -kInf);
 }
 
+// A deferred warm start (the Async Solver computes it beside the root LP) is
+// asked for exactly once, with or without a search, and gives the result the
+// same start in hand gives.
+TEST(MipTest, WarmStartSourceIsAskedExactlyOnce) {
+  Rng rng(808);
+  Model m = RandomIp(rng);
+  const std::vector<double> warm(m.num_variables(), 0.0);
+  for (int64_t max_nodes : {int64_t{0}, int64_t{1}, int64_t{200}}) {
+    SCOPED_TRACE(max_nodes);
+    MipOptions options = TightOptions();
+    options.max_nodes = max_nodes;
+    int calls = 0;
+    const MipResult deferred = MipSolver(options).Solve(
+        m,
+        [&] {
+          ++calls;
+          return &warm;
+        },
+        nullptr);
+    const MipResult in_hand = MipSolver(options).Solve(m, &warm);
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(deferred.status, in_hand.status);
+    EXPECT_EQ(deferred.x, in_hand.x);
+    EXPECT_EQ(deferred.objective, in_hand.objective);
+    EXPECT_EQ(deferred.best_bound, in_hand.best_bound);
+    EXPECT_EQ(deferred.nodes, in_hand.nodes);
+    EXPECT_EQ(deferred.lp_iterations, in_hand.lp_iterations);
+  }
+}
+
 // The Figure 9 workload shape: a real phase-1 RAS model, solved to a proven
 // optimum by the generic search alone.
 TEST(MipTest, RasPhase1ModelSolvesToProvenOptimum) {
@@ -413,7 +443,8 @@ TEST(MipTest, RootLpStopsAtTheWorkLimit) {
 // a count of its work, never on the clock.
 TEST(MipTest, PhaseOneAnswerIgnoresTheClock) {
   struct Answer {
-    PhaseStart start;
+    std::vector<double> start;
+    std::vector<double> root_start;
     MipResult mip;
     DecodedAssignment decoded;
   };
@@ -421,6 +452,7 @@ TEST(MipTest, PhaseOneAnswerIgnoresTheClock) {
     const MipOptions options = SolverConfig().phase1_mip;
     Answer a;
     a.start = MakePhaseStart(region.input, region.classes, region.built);
+    a.root_start = MakeRootStart(region.input, region.classes, region.built);
     a.mip = SolvePhaseMip(region.input, region.classes, region.built, options, a.start);
     a.decoded = DecodeAssignment(region.input, region.classes, region.built, a.mip.x);
     return a;
@@ -438,8 +470,8 @@ TEST(MipTest, PhaseOneAnswerIgnoresTheClock) {
     fast = solve(region);
   }
   ASSERT_EQ(normal.mip.status, MipStatus::kFeasible);
-  EXPECT_EQ(fast.start.warm, normal.start.warm);
-  EXPECT_EQ(fast.start.root_start, normal.start.root_start);
+  EXPECT_EQ(fast.start, normal.start);
+  EXPECT_EQ(fast.root_start, normal.root_start);
   EXPECT_EQ(fast.mip.status, normal.mip.status);
   EXPECT_EQ(fast.mip.x, normal.mip.x);
   EXPECT_EQ(fast.mip.objective, normal.mip.objective);

@@ -10,9 +10,9 @@ namespace {
 
 TEST(ModelTest, AddVariablesAndRows) {
   Model m;
-  VarId x = m.AddContinuous(0, 10, 1.5, "x");
-  VarId y = m.AddInteger(0, 5, -2.0, "y");
-  RowId r = m.AddRow(-kInf, 8, "cap");
+  VarId x = m.AddContinuous(0, 10, 1.5);
+  VarId y = m.AddInteger(0, 5, -2.0);
+  RowId r = m.AddRow(-kInf, 8);
   m.AddCoefficient(r, x, 1.0);
   m.AddCoefficient(r, y, 2.0);
 
@@ -22,7 +22,6 @@ TEST(ModelTest, AddVariablesAndRows) {
   EXPECT_EQ(m.num_integer_variables(), 1u);
   EXPECT_FALSE(m.variable(x).is_integer);
   EXPECT_TRUE(m.variable(y).is_integer);
-  EXPECT_EQ(m.variable(y).name, "y");
   EXPECT_EQ(m.row(r).ub, 8.0);
 }
 

@@ -16,8 +16,8 @@ constexpr double kTol = 1e-6;
 TEST(SimplexTest, UnconstrainedBoxMinimum) {
   // min 2x - 3y, x in [1,4], y in [0,5]: x=1, y=5, obj=-13.
   Model m;
-  m.AddContinuous(1, 4, 2.0, "x");
-  m.AddContinuous(0, 5, -3.0, "y");
+  m.AddContinuous(1, 4, 2.0);
+  m.AddContinuous(0, 5, -3.0);
   LpResult r = SimplexSolver().Solve(m);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.x[0], 1.0, kTol);
@@ -29,8 +29,8 @@ TEST(SimplexTest, ClassicTwoVariableLp) {
   // max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18  (Hillier-Lieberman).
   // Optimal: x=2, y=6, obj=36. We minimize the negation.
   Model m;
-  VarId x = m.AddContinuous(0, kInf, -3.0, "x");
-  VarId y = m.AddContinuous(0, kInf, -5.0, "y");
+  VarId x = m.AddContinuous(0, kInf, -3.0);
+  VarId y = m.AddContinuous(0, kInf, -5.0);
   RowId r1 = m.AddRow(-kInf, 4);
   m.AddCoefficient(r1, x, 1);
   RowId r2 = m.AddRow(-kInf, 12);
@@ -113,8 +113,8 @@ TEST(SimplexTest, FreeVariable) {
   // min (x - 3)^ via |.|-free proxy: min y st y >= x - 3, y >= 3 - x, x free.
   // Optimal y = 0 at x = 3.
   Model m;
-  VarId x = m.AddContinuous(-kInf, kInf, 0.0, "x");
-  VarId y = m.AddContinuous(0, kInf, 1.0, "y");
+  VarId x = m.AddContinuous(-kInf, kInf, 0.0);
+  VarId y = m.AddContinuous(0, kInf, 1.0);
   RowId r1 = m.AddRow(-3, kInf);  // y - x >= -3.
   m.AddCoefficient(r1, y, 1);
   m.AddCoefficient(r1, x, -1);

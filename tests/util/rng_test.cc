@@ -17,6 +17,26 @@ TEST(RngTest, DeterministicForSameSeed) {
   }
 }
 
+// The stream is part of every seeded result in the repository (fleets,
+// request streams, the local-search polish), so its values are pinned: these
+// are the generator's outputs for one seed, recorded before the hot draws
+// moved inline into the header.
+TEST(RngTest, StreamIsPinned) {
+  Rng rng(20211026);
+  EXPECT_EQ(rng.Next(), 0x4fa476cc6f42599dULL);
+  EXPECT_EQ(rng.Next(), 0x726c16c401cd26afULL);
+  EXPECT_EQ(rng.Next(), 0x659b7e3c4a5f6e87ULL);
+  EXPECT_EQ(rng.Next(), 0x47f4d3f96a01d7e1ULL);
+  EXPECT_EQ(rng.NextDouble(), 0.0077832751521077492);
+  EXPECT_EQ(rng.NextDouble(), 0.94422545391421697);
+  EXPECT_EQ(rng.NextDouble(), 0.42577290973813198);
+  EXPECT_EQ(rng.UniformInt(-5, 1000), 961);
+  EXPECT_EQ(rng.UniformInt(-5, 1000), 918);
+  EXPECT_EQ(rng.UniformInt(-5, 1000), 749);
+  EXPECT_EQ(rng.UniformInt(-5, 1000), 31);
+  EXPECT_EQ(rng.Next(), 0x0fb735b61a3b42e5ULL);
+}
+
 TEST(RngTest, DifferentSeedsDiffer) {
   Rng a(1);
   Rng b(2);

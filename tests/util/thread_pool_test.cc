@@ -6,7 +6,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 #include <vector>
+
+#include "tests/util/pool_blocker.h"
 
 namespace ras {
 namespace {
@@ -86,6 +89,72 @@ TEST(ThreadPoolTest, TasksRunConcurrentlyUpToPoolSize) {
   }
   pool.Wait();
   EXPECT_EQ(arrived, kThreads);
+}
+
+TEST(ThreadPoolTest, JoinRunsAnUnclaimedTaskInline) {
+  ThreadPool pool(2);
+  PoolBlocker blocker(pool);
+  std::thread::id ran_on;
+  ThreadPool::JoinHandle task = pool.SubmitClaimable([&ran_on] {
+    ran_on = std::this_thread::get_id();
+  });
+  task.Join();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolTest, JoinWaitsForATaskAWorkerClaimed) {
+  ThreadPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};
+  std::thread::id ran_on;
+  ThreadPool::JoinHandle task = pool.SubmitClaimable([&] {
+    ran_on = std::this_thread::get_id();
+    started = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    finished = true;
+  });
+  while (!started) {
+    std::this_thread::yield();
+  }
+  task.Join();
+  EXPECT_TRUE(finished.load());
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolTest, WorkerSkipsATaskItsJoinerAlreadyRan) {
+  ThreadPool pool(1);
+  std::atomic<int> runs{0};
+  {
+    PoolBlocker blocker(pool);
+    ThreadPool::JoinHandle task = pool.SubmitClaimable([&runs] { ++runs; });
+    task.Join();
+    EXPECT_EQ(runs.load(), 1);
+  }
+  // The worker now reaches the queued entry of the task already run.
+  pool.Wait();
+  EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(ThreadPoolTest, NestedJoinOnAOneWorkerPoolDoesNotDeadlock) {
+  ThreadPool pool(1);
+  std::atomic<bool> outer_started{false};
+  std::thread::id outer_on;
+  std::thread::id inner_on;
+  ThreadPool::JoinHandle outer = pool.SubmitClaimable([&] {
+    outer_on = std::this_thread::get_id();
+    outer_started = true;
+    // The only worker is running this task, so nothing else can claim the
+    // inner one: its join must run it here.
+    ThreadPool::JoinHandle inner =
+        pool.SubmitClaimable([&inner_on] { inner_on = std::this_thread::get_id(); });
+    inner.Join();
+  });
+  while (!outer_started) {
+    std::this_thread::yield();
+  }
+  outer.Join();
+  EXPECT_NE(outer_on, std::this_thread::get_id());
+  EXPECT_EQ(inner_on, outer_on);
 }
 
 }  // namespace
