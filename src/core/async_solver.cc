@@ -46,7 +46,7 @@ void FinishTargets(const SolveInput& input, std::vector<std::pair<ServerId, Rese
   }
 }
 
-// A MIP status whose incumbent a later round may reuse.
+// A MIP status with an incumbent to decode.
 bool Usable(MipStatus status) {
   return status == MipStatus::kOptimal || status == MipStatus::kFeasible;
 }
@@ -254,8 +254,7 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache* cache, const Solve
   outcome.stats.dual_resolves = mip.dual_resolves;
   outcome.stats.dual_iterations = mip.lp_dual_iterations;
   outcome.stats.best_bound = mip.best_bound;
-  const bool usable = Usable(mip.status);
-  if (usable) {
+  if (Usable(mip.status)) {
     outcome.stats.objective = mip.objective;
     outcome.decoded = DecodeAssignment(input, classes, built, mip.x);
   } else {
@@ -268,16 +267,10 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache* cache, const Solve
     outcome.decoded = DecodeAssignment(input, classes, built, warm);
   }
 
-  // Keep this round's model for the next. A round whose MIP produced nothing
-  // trustworthy leaves the cache invalid.
-  if (cache != nullptr) {
-    cache->valid = usable;
-    if (usable) {
-      cache->input = input;
-      if (!patched) {
-        cache->phase1 = std::move(fresh);
-      }
-    }
+  // Keep this round's model for the next; SolveMonolithic records the rest
+  // of the round.
+  if (cache != nullptr && !patched) {
+    cache->phase1 = std::move(fresh);
   }
 
   {
@@ -305,16 +298,8 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
   if (fault_hook_) {
     Status injected = fault_hook_(mode);
     if (!injected.ok()) {
-      // A faulted round leaves no trustworthy continuity to diff against;
-      // whatever happens next must cold-start.
-      InvalidateResolveCache();
       return injected;
     }
-  }
-  if (mode != SolveMode::kFullTwoPhase) {
-    // Degraded ladder rungs run reduced pipelines whose outputs the
-    // incremental machinery must never treat as a previous full round.
-    InvalidateResolveCache();
   }
 
   // Shard decomposition (src/shard): K > 1 partitions the region and solves
@@ -333,15 +318,15 @@ SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignme
   obs::SpanScope solve_span(obs::Tracer::Default(), "solve");
   double start = util::MonotonicSeconds();
 
-  // Warm state lives only across full rounds: SolveSnapshot has already
-  // dropped it before a degraded one.
+  // Only full rounds read or write warm state: a degraded mode's reduced
+  // pipeline is not a previous full round, and leaves the cache as it was.
   const bool reuse = mode == SolveMode::kFullTwoPhase && config_.incremental_resolve;
   if (reuse) {
     // Round memo: the snapshot equals the cached round's, and the cold
     // pipeline is deterministic, so a re-solve would recompute that round's
     // targets and stats exactly. Replay them; the timings and search work
     // read zero because none ran, and phase 1 counts as reusing its model.
-    if (cache.memo_valid && cache.input == input) {
+    if (cache.valid && cache.input == input) {
       SolveStats stats = cache.stats;
       for (PhaseStats* phase : {&stats.phase1, &stats.phase2}) {
         if (phase->ran) {
@@ -364,7 +349,6 @@ SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignme
       stats.total_seconds = util::MonotonicSeconds() - start;
       return stats;
     }
-    cache.memo_valid = false;
   }
   SolveStats stats;
 
@@ -465,10 +449,9 @@ SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignme
     final_targets.assign(merged.begin(), merged.end());
   }
 
-  // The round becomes the memo when every phase that ran was usable (phase
-  // 1's usability is the cache's validity).
-  const bool memo = reuse && cache.valid && (!stats.phase2.ran || Usable(stats.phase2.mip_status));
-  if (memo) {
+  // Every full round becomes the memo, whatever its MIP statuses: a cold
+  // re-solve of the same snapshot reproduces them.
+  if (reuse) {
     cache.targets = final_targets;
   }
 
@@ -476,9 +459,10 @@ SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignme
   FinishTargets(input, std::move(final_targets), stats, decoded_out);
   stats.total_seconds = util::MonotonicSeconds() - start;
   SummarizeReuse(stats);
-  if (memo) {
+  if (reuse) {
+    cache.valid = true;
+    cache.input = input;
     cache.stats = stats;
-    cache.memo_valid = true;
   }
   return stats;
 }
@@ -491,21 +475,14 @@ SolveStats AsyncSolver::SolveSharded(const SolveInput& input, DecodedAssignment*
   double start = util::MonotonicSeconds();
   ShardPlanOptions plan_options;
   plan_options.shard_count = shard_count;
-  plan_options.seed = config_.shard_seed;
   ShardPlan plan = PlanShards(*input.topology, plan_options);
   ShardDemand demand = SplitDemand(input, plan);
 
-  // Shard k's cache survives across rounds while the plan signature holds,
-  // so a shard's warm state always meets the same shard's next sub-input
-  // (incumbent affinity — the plan is deterministic in the fixed config, the
-  // topology and the server count, so shard k covers the same racks round
-  // over round). Any plan change redraws shard boundaries and orphans all
-  // warm state at once.
-  if (shard_plan_topology_ != input.topology || shard_plan_servers_ != input.servers.size()) {
-    shard_caches_ = std::vector<ResolveCache>(static_cast<size_t>(shard_count));
-    shard_plan_topology_ = input.topology;
-    shard_plan_servers_ = input.servers.size();
-  }
+  // Shard k keeps its own cache across rounds (incumbent affinity: the plan
+  // is deterministic in the topology and K, so shard k covers the same racks
+  // round over round). A redrawn plan needs no reset: the caches key on
+  // content, so a shard whose slice changed only misses.
+  shard_caches_.resize(static_cast<size_t>(shard_count));
 
   // One result slot per shard, written by whichever thread ran the shard as
   // it finishes and read back in shard order (so the merge is schedule-
@@ -606,13 +583,6 @@ SolveStats AsyncSolver::SolveSharded(const SolveInput& input, DecodedAssignment*
   return stats;
 }
 
-void AsyncSolver::InvalidateResolveCache() {
-  resolve_cache_.Invalidate();
-  for (ResolveCache& cache : shard_caches_) {
-    cache.Invalidate();
-  }
-}
-
 Result<SolveStats> AsyncSolver::SolveOnce(ResourceBroker& broker,
                                           const ReservationRegistry& registry,
                                           const HardwareCatalog& catalog, SolveMode mode) {
@@ -632,9 +602,6 @@ Result<SolveStats> AsyncSolver::SolveOnce(ResourceBroker& broker,
   // broker write failure cannot strand a half-applied target set.
   Status persisted = broker.ApplyTargets(decoded.targets);
   if (!persisted.ok()) {
-    // The rolled-back broker no longer matches the round the cache just
-    // recorded as "previous"; the next round must re-derive from scratch.
-    InvalidateResolveCache();
     return persisted;
   }
   return stats;

@@ -98,16 +98,6 @@ class AsyncSolver {
   using FaultHook = std::function<Status(SolveMode)>;
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
-  // Drops the monolithic resolve cache and every per-shard cache, so the
-  // next round cold-starts.
-  // Called internally on every path that breaks round-over-round continuity
-  // (degraded solve modes, injected faults, failed broker writes); exposed so
-  // the supervisor and recovery drills can force the same on external
-  // evidence of divergence.
-  void InvalidateResolveCache();
-
-  const ResolveCache& resolve_cache() const { return resolve_cache_; }
-
   // The pool every solve runs its parallel steps on as claimable tasks: the
   // shard fan-out and each phase's start. A caller may run its own work on
   // it; while that work holds every worker, each solve step runs inline on
@@ -135,7 +125,7 @@ class AsyncSolver {
   };
   // `cache` is phase 1's in a full round, whose model SetRoundBounds may
   // re-bound and which the phase refills; null builds and keeps nothing
-  // (phase 2, and degraded modes, which must not leave warm state behind).
+  // (phase 2, and degraded modes, which leave the cache as it was).
   PhaseOutcome RunPhase(ResolveCache* cache, const SolveInput& input,
                         const std::vector<EquivalenceClass>& classes, bool include_rack_spread,
                         const std::vector<int>& subset, const MipOptions& mip_options,
@@ -145,16 +135,13 @@ class AsyncSolver {
   FaultHook fault_hook_;
 
   // Cross-round warm state (Figure 8: the steps this avoids repaying every
-  // round).
+  // round), keyed on content: a miss costs time, never an answer, so no
+  // fault path clears it (src/core/resolve_cache.h).
   ResolveCache resolve_cache_;
 
   // One cache per shard index, kept across rounds so warm state follows the
-  // shard it belongs to (incumbent affinity). Reset whenever the plan
-  // signature below changes; with the config fixed, the topology and server
-  // count determine K and the plan.
+  // shard it belongs to (incumbent affinity).
   std::vector<ResolveCache> shard_caches_;
-  const RegionTopology* shard_plan_topology_ = nullptr;
-  size_t shard_plan_servers_ = 0;
 
   // Lives as long as the solver, so no round pays for thread start-up. The
   // solving thread joins what it submits and runs what no worker claimed, so

@@ -65,12 +65,12 @@ struct SolverConfig {
   // --- Shard decomposition (src/shard, paper §3.5.2) ---
   // 1 (default) runs the monolithic region-wide solve, bit-for-bit the
   // pre-shard path. K > 1 partitions the region into K rack-complete shards
-  // (seeded, deterministic), splits every reservation's demand across them
-  // proportionally to usable capacity, solves the shards independently, and
-  // stitches the results with a bounded cross-shard repair. 0 picks K
-  // automatically from the fleet size (AutoShardCount).
+  // (deterministic, under ShardPlanOptions' fixed seed), splits every
+  // reservation's demand across them proportionally to usable capacity,
+  // solves the shards independently, and stitches the results with a bounded
+  // cross-shard repair. 0 picks K automatically from the fleet size
+  // (AutoShardCount).
   int shard_count = 1;
-  uint64_t shard_seed = 0x5A2D;
 
   // --- Cross-round incremental re-solve (src/core/resolve_cache.h) ---
   // Replays the previous round when the snapshot is unchanged, and re-bounds

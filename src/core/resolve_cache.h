@@ -1,12 +1,13 @@
 // Cross-round resolve cache: the warm state the Async Solver carries from one
-// round to the next, under two reuse rules.
+// round to the next, keyed only on content.
 //
 // Round memo. In kFullTwoPhase, a snapshot equal to the cached round's
 // (SolveInput::operator==: same region objects, field-for-field the same
 // reservations and servers) replays that round's final targets and stats.
-// The cold pipeline is deterministic, so a re-solve would recompute exactly
-// them; the memo builds no classes and runs no phase. It is stored only when
-// every phase that ran returned a usable MIP status.
+// The cold pipeline is a pure function of the snapshot (every solver loop
+// stops on work counts), so a re-solve would recompute exactly them,
+// whatever MIP status they came with; the memo builds no classes and runs no
+// phase.
 //
 // Phase-1 patch. Phase 1 keeps its BuiltModel, and the next round hands it to
 // SetRoundBounds, which re-bounds it in place when the layout it records fits
@@ -15,12 +16,12 @@
 // that does run is the cold branch-and-bound, so incremental and cold rounds
 // produce identical targets.
 //
-// Lifetime rules (see DESIGN.md "Incremental re-solve"): the cache lives
-// inside an AsyncSolver and survives exactly as long as consecutive healthy
-// kFullTwoPhase rounds. Degraded supervisor rungs, faults, broker write
-// rollbacks, and durable-control-plane recovery all invalidate it, so every
-// recovery path cold-starts. A sharded solve keeps one cache per shard in
-// the same AsyncSolver, so each shard carries its own warm state.
+// No lifetime rules (see DESIGN.md "Incremental re-solve"): every full round
+// overwrites the cache, and nothing else clears it. An entry describing a
+// round that was never applied (a failed persist, a stale snapshot, a missed
+// deadline) or that a degraded rung followed can only miss or replay what a
+// cold solve would compute. The cache lives inside an AsyncSolver and is
+// private to it; a sharded solve keeps one per shard index.
 
 #ifndef RAS_SRC_CORE_RESOLVE_CACHE_H_
 #define RAS_SRC_CORE_RESOLVE_CACHE_H_
@@ -35,22 +36,13 @@
 namespace ras {
 
 struct ResolveCache {
-  // True once a phase 1 returned a usable status; `input` is that round's
-  // snapshot and `phase1` its model.
+  // True once a full round ran: `input` is its snapshot, `phase1` its phase-1
+  // model, and `targets` and `stats` its final targets and stats.
   bool valid = false;
   SolveInput input;
   BuiltModel phase1;
-
-  // The round memo, set when every phase of that round returned a usable
-  // status: the round's final targets and stats.
-  bool memo_valid = false;
   std::vector<std::pair<ServerId, ReservationId>> targets;
   SolveStats stats;
-
-  // Drops everything: the next round is cold.
-  void Invalidate() { *this = ResolveCache(); }
-
-  bool empty() const { return !valid; }
 };
 
 }  // namespace ras

@@ -134,9 +134,6 @@ Status SolverSupervisor::AttemptSolve(SolveMode mode, SolveStats* stats) {
     return solved.status();
   }
   if (solved->total_seconds > config_.solve_deadline_seconds) {
-    // The solve finished but its targets will never be applied; the resolve
-    // cache now describes a round the world never saw. Start the retry cold.
-    solver_->InvalidateResolveCache();
     static obs::Counter& misses = obs::MetricRegistry::Default().counter(
         "ras_supervisor_deadline_misses_total", "Solves discarded for blowing the deadline.");
     misses.Add();
@@ -156,7 +153,6 @@ Status SolverSupervisor::AttemptSolve(SolveMode mode, SolveStats* stats) {
     static obs::Counter& stale = obs::MetricRegistry::Default().counter(
         "ras_supervisor_stale_snapshots_total", "Results dropped because the broker moved.");
     stale.Add();
-    solver_->InvalidateResolveCache();
     return Status::FailedPrecondition("broker generation moved during the solve (snapshot " +
                                       std::to_string(snapshot_generation) + ", now " +
                                       std::to_string(broker_->generation()) + ")");
@@ -170,9 +166,6 @@ Status SolverSupervisor::AttemptSolve(SolveMode mode, SolveStats* stats) {
     static obs::Counter& persist_failed = obs::MetricRegistry::Default().counter(
         "ras_supervisor_persist_failures_total", "Solve results whose persist rolled back.");
     persist_failed.Add();
-    // A failed (and rolled-back) broker write means the cached round was never
-    // applied: any delta the next round computed against it would be fiction.
-    solver_->InvalidateResolveCache();
     return persisted;
   }
   last_good_targets_ = std::move(decoded.targets);
@@ -276,11 +269,7 @@ SupervisedRound SolverSupervisor::RunRound() {
   record.rung = out.rung;
   record.retries = out.retries;
   record.error = out.error;
-  record.shortfall_rru = out.stats.total_shortfall_rru;
   record.emergency_armed = emergency_armed_;
-  record.model_patched = out.stats.model_patched;
-  record.solve_skipped = out.stats.solve_skipped;
-  record.delta_servers = out.stats.delta_servers;
   ++stats_.rung_counts[static_cast<int>(out.rung)];
   stats_.rounds.push_back(std::move(record));
 

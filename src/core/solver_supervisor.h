@@ -100,15 +100,7 @@ struct RoundOutcome {
   int retries = 0;
   // Why the round degraded (OK when the full two-phase solve succeeded).
   Status error;
-  double shortfall_rru = 0.0;
   bool emergency_armed = false;
-  // Cross-round reuse, copied from the serving solve's SolveStats: whether the
-  // round patched the cached model / skipped the MIP, and how many servers the
-  // delta touched (-1 when the round ran cold). All false/-1 for rungs that
-  // produced no fresh assignment.
-  bool model_patched = false;
-  bool solve_skipped = false;
-  int delta_servers = -1;
 };
 
 // Builds the operator-facing per-round report (src/obs) from a round's
@@ -190,10 +182,10 @@ class SolverSupervisor {
  private:
   // One attempt: snapshot -> validate -> solve(mode) -> deadline check ->
   // staleness check -> atomic persist. OK iff the broker holds the fresh
-  // assignment afterwards. Any failure after the solve ran (deadline, stale
-  // snapshot, persist rollback) also invalidates the solver's resolve cache:
-  // the cached round was never applied, so the next round must start cold.
-  // (Degraded-mode solves and in-solve faults invalidate inside AsyncSolver.)
+  // assignment afterwards. A failure after the solve ran (deadline, stale
+  // snapshot, persist rollback) leaves the solver's warm state alone: it is
+  // keyed on the snapshot, so a retry on the same snapshot replays exactly
+  // what a cold solve would compute, and any other snapshot misses.
   Status AttemptSolve(SolveMode mode, SolveStats* stats);
   // Backoff before retry `attempt` (0-based), advancing simulated time.
   void Backoff(int attempt);

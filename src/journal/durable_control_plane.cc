@@ -19,6 +19,9 @@ namespace {
 
 constexpr char kJournalFile[] = "journal.wal";
 constexpr char kRecoveryLogFile[] = "recovery.log";
+// Checkpoints retained after compaction; older ones are pruned. Two, so a
+// corrupt newest checkpoint still leaves a fallback.
+constexpr size_t kCheckpointsToKeep = 2;
 
 std::string DigestHex(uint32_t digest) {
   char buf[16];
@@ -100,11 +103,7 @@ bool Commits(RecordKind kind) { return kind != RecordKind::kServerDelta; }
 }  // namespace
 
 DurableControlPlane::DurableControlPlane(std::string dir, DurableOptions options)
-    : dir_(std::move(dir)), options_(options) {
-  if (options_.checkpoints_to_keep < 2) {
-    options_.checkpoints_to_keep = 2;  // Never prune away the only fallback.
-  }
-}
+    : dir_(std::move(dir)), options_(options) {}
 
 DurableControlPlane::~DurableControlPlane() {
   if (watcher_handle_ >= 0 && broker_ != nullptr) {
@@ -594,7 +593,7 @@ Status DurableControlPlane::Compact() {
   if (Crashed(CrashPoint::kAfterJournalTruncate, &crash_status)) {
     return crash_status;
   }
-  return PruneCheckpoints(dir_, options_.checkpoints_to_keep);
+  return PruneCheckpoints(dir_, kCheckpointsToKeep);
 }
 
 }  // namespace journal

@@ -78,9 +78,6 @@ struct DurableOptions {
   // Checkpoint + truncate the journal once this many records accumulate
   // since the last compaction (checked at round barriers).
   size_t compact_every_records = 512;
-  // Checkpoints retained after compaction; older ones are pruned. At least
-  // 2, so a corrupt newest checkpoint still leaves a fallback.
-  size_t checkpoints_to_keep = 2;
 };
 
 struct RecoveryReport {

@@ -28,6 +28,9 @@ const char* MipStatusName(MipStatus status) {
 
 namespace {
 
+// An LP value this close to an integer counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+
 struct Node {
   std::vector<BoundOverride> overrides;
   double parent_bound;  // LP objective of the parent; used for best-bound pruning.
@@ -117,7 +120,7 @@ MipResult MipSolver::Search(const Model& model, const WarmStartSource& warm_star
     }
     warm_taken = true;
     const std::vector<double>* warm = warm_start();
-    if (warm != nullptr && model.IsFeasible(*warm, options_.integrality_tol * 10)) {
+    if (warm != nullptr && model.IsFeasible(*warm, kIntegralityTol * 10)) {
       install(*warm, model.Objective(*warm));
     }
   };
@@ -179,7 +182,7 @@ MipResult MipSolver::Search(const Model& model, const WarmStartSource& warm_star
         (have_incumbent && lp.objective > incumbent_obj - options_.absolute_gap)) {
       continue;
     }
-    const int32_t branch_var = MostFractional(model, lp.x, options_.integrality_tol);
+    const int32_t branch_var = MostFractional(model, lp.x, kIntegralityTol);
     if (branch_var < 0) {
       // Integer feasible: snap the integers exactly.
       if (!have_incumbent || lp.objective < incumbent_obj) {
@@ -199,7 +202,7 @@ MipResult MipSolver::Search(const Model& model, const WarmStartSource& warm_star
     if (options_.heuristic && (node.depth <= 2 || node_id % 16 == 0)) {
       std::vector<double> rounded;
       if (options_.heuristic(model, lp.x, &rounded) &&
-          model.IsFeasible(rounded, options_.integrality_tol * 100)) {
+          model.IsFeasible(rounded, kIntegralityTol * 100)) {
         const double obj = model.Objective(rounded);
         if (!have_incumbent || obj < incumbent_obj) {
           install(std::move(rounded), obj);

@@ -50,7 +50,6 @@ struct MipOptions {
   // cost 4.5-6.4 ns of search time on a 4-vCPU VM at 23k-503k columns.
   int64_t max_lp_work = 24'000'000'000;
   int64_t max_nodes = 200000;
-  double integrality_tol = 1e-6;
   double absolute_gap = 1e-6;
   double relative_gap = 1e-6;
   // Run on the LP point of the shallow nodes and of every 16th node; unset

@@ -505,20 +505,5 @@ TEST(ResolveCacheTest, ClassLayoutIgnoresMembership) {
   EXPECT_FALSE(Patches(built, vanished, phase1));
 }
 
-TEST(ResolveCacheTest, InvalidateDropsTheModelAndTheMemo) {
-  ResolveCache cache;
-  EXPECT_TRUE(cache.empty());
-  cache.valid = true;
-  cache.memo_valid = true;
-  cache.targets = {{0, 1}};
-  cache.stats.moves_total = 3;
-  EXPECT_FALSE(cache.empty());
-  cache.Invalidate();
-  EXPECT_TRUE(cache.empty());
-  EXPECT_FALSE(cache.memo_valid);
-  EXPECT_TRUE(cache.targets.empty());
-  EXPECT_EQ(cache.stats.moves_total, 0u);
-}
-
 }  // namespace
 }  // namespace ras

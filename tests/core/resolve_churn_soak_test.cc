@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/async_solver.h"
@@ -178,31 +179,71 @@ TEST(ResolveChurnSoakTest, FiftyRoundsOfChurnMatchFromScratchBitForBit) {
   EXPECT_GT(warm_rounds, patched_rounds / 2);
 }
 
-TEST(ResolveChurnSoakTest, RollbackFailedPersistForcesNextRoundCold) {
-  // A broker write fault rolls the whole target batch back; the resolve cache
-  // must not let the next round diff against the round that never landed.
+// What a fresh cold solver computes for the region as it stands.
+std::vector<std::pair<ServerId, ReservationId>> FreshColdTargets(const SoakRegion& region) {
+  AsyncSolver cold(SoakConfig(/*incremental=*/false));
+  DecodedAssignment decoded;
+  EXPECT_TRUE(
+      cold.SolveSnapshot(SnapshotSolveInput(*region.broker, region.registry, region.fleet.catalog),
+                         &decoded)
+          .ok());
+  return decoded.targets;
+}
+
+// The broker holds `targets` (a solve's decoded list) for every server they
+// name.
+void ExpectBrokerHolds(const SoakRegion& region,
+                       const std::vector<std::pair<ServerId, ReservationId>>& targets) {
+  ASSERT_FALSE(targets.empty());
+  for (const auto& [server, res] : targets) {
+    ASSERT_EQ(region.broker->record(server).target, res) << "server " << server;
+  }
+}
+
+void Resize(SoakRegion& region, size_t service, double delta) {
+  ReservationSpec spec = *region.registry.Find(region.services[service]);
+  spec.capacity_rru += delta;
+  ASSERT_TRUE(region.registry.Update(spec).ok());
+}
+
+TEST(ResolveChurnSoakTest, RoundAfterARolledBackPersistMatchesAColdSolve) {
+  // A broker write fault rolls the whole target batch back, and the cache
+  // keeps the round that never landed. The next round sees that round's
+  // snapshot again, so it replays the round: exactly what a cold solve of
+  // the same snapshot computes.
   SoakRegion region;
   AsyncSolver solver(SoakConfig(/*incremental=*/true));
   ASSERT_TRUE(
       solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog).ok());
-  EXPECT_FALSE(solver.resolve_cache().empty());
 
-  ReservationSpec spec = *region.registry.Find(region.services[0]);
-  spec.capacity_rru += 6;
-  ASSERT_TRUE(region.registry.Update(spec).ok());
+  Resize(region, 0, 6);
   region.broker->SetWriteFaultHook([](ServerId, ReservationId) { return true; });
   EXPECT_FALSE(
       solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog).ok());
   region.broker->SetWriteFaultHook(nullptr);
-  EXPECT_TRUE(solver.resolve_cache().empty()) << "rollback left warm state behind";
 
-  auto stats = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->delta_servers, -1) << "round after a rollback was not cold";
-  EXPECT_FALSE(stats->model_patched);
+  const auto cold = FreshColdTargets(region);
+  auto replayed = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_TRUE(replayed->solve_skipped) << "the unchanged snapshot did not replay the memo";
+  ExpectBrokerHolds(region, cold);
+
+  // A changed snapshot after a rollback misses the memo and still ships the
+  // cold answer.
+  Resize(region, 1, 5);
+  region.broker->SetWriteFaultHook([](ServerId, ReservationId) { return true; });
+  EXPECT_FALSE(
+      solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog).ok());
+  region.broker->SetWriteFaultHook(nullptr);
+  Resize(region, 2, 4);
+  const auto cold_changed = FreshColdTargets(region);
+  auto changed = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
+  ASSERT_TRUE(changed.ok());
+  EXPECT_FALSE(changed->solve_skipped);
+  ExpectBrokerHolds(region, cold_changed);
 }
 
-TEST(ResolveChurnSoakTest, DegradedModeSolveForcesNextRoundCold) {
+TEST(ResolveChurnSoakTest, RoundAfterADegradedModeSolveMatchesAColdSolve) {
   SoakRegion region;
   AsyncSolver solver(SoakConfig(/*incremental=*/true));
   ASSERT_TRUE(
@@ -214,20 +255,33 @@ TEST(ResolveChurnSoakTest, DegradedModeSolveForcesNextRoundCold) {
   EXPECT_GE(warm->delta_servers, 0);
   EXPECT_TRUE(warm->phase1.solve_skipped);
 
-  // A degraded-mode solve (supervisor ladder rung) drops every entry...
-  ASSERT_TRUE(solver
-                  .SolveOnce(*region.broker, region.registry, region.fleet.catalog,
-                             SolveMode::kPhase1Only)
-                  .ok());
-  EXPECT_TRUE(solver.resolve_cache().empty());
+  // A degraded-mode solve (supervisor ladder rung) on a resized region reads
+  // no warm state and leaves the cache as it was...
+  Resize(region, 0, 6);
+  auto degraded = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog,
+                                   SolveMode::kPhase1Only);
+  ASSERT_TRUE(degraded.ok());
+  EXPECT_EQ(degraded->delta_servers, -1);
 
-  // ...so the next full round is cold, then warms back up.
+  // ...so the next full round re-bounds the model of the last full round and
+  // ships the cold answer.
+  const auto cold = FreshColdTargets(region);
   auto after = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->delta_servers, -1);
-  auto rewarmed = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
-  ASSERT_TRUE(rewarmed.ok());
-  EXPECT_GE(rewarmed->delta_servers, 0);
+  EXPECT_TRUE(after->model_patched) << "the degraded round dropped the warm state";
+  EXPECT_FALSE(after->solve_skipped);
+  ExpectBrokerHolds(region, cold);
+
+  // A degraded round on an unchanged snapshot: the next full round replays.
+  ASSERT_TRUE(solver
+                  .SolveOnce(*region.broker, region.registry, region.fleet.catalog,
+                             SolveMode::kIncumbentOnly)
+                  .ok());
+  const auto cold_again = FreshColdTargets(region);
+  auto replayed = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_TRUE(replayed->solve_skipped);
+  ExpectBrokerHolds(region, cold_again);
 }
 
 }  // namespace

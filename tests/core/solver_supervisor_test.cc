@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/buffer_policy.h"
@@ -99,6 +100,23 @@ struct SupervisedSetup {
       count += broker->record(id).target == reservation;
     }
     return count;
+  }
+
+  void Resize(ReservationId reservation, double capacity) {
+    ReservationSpec spec = *registry.Find(reservation);
+    spec.capacity_rru = capacity;
+    ASSERT_TRUE(registry.Update(spec).ok());
+  }
+
+  // What a fresh cold solver computes for the region as it stands.
+  std::vector<std::pair<ServerId, ReservationId>> FreshColdTargets() const {
+    SolverConfig config = FastSolverConfig();
+    config.incremental_resolve = false;
+    AsyncSolver cold(config);
+    DecodedAssignment decoded;
+    EXPECT_TRUE(
+        cold.SolveSnapshot(SnapshotSolveInput(*broker, registry, fleet.catalog), &decoded).ok());
+    return decoded.targets;
   }
 
   std::map<ServerId, ReservationId> TargetsNow() const {
@@ -378,57 +396,69 @@ TEST(SolverSupervisorTest, FullyDeterministicUnderFaults) {
   EXPECT_EQ(a.second, b.second);
 }
 
-TEST(SolverSupervisorTest, DegradedRungForcesNextRoundCold) {
-  // Cache lifetime across the ladder: healthy consecutive full rounds ride
-  // the resolve cache; a degraded rung drops it; the round after the solver
-  // recovers is cold and then warms back up.
+TEST(SolverSupervisorTest, RoundAfterADegradedRungMatchesAColdSolve) {
+  // Warm state across the ladder: a degraded rung reads none and leaves the
+  // cache as it was, so the next full round re-bounds the last full round's
+  // model, or replays it on an unchanged snapshot, and ships exactly what a
+  // fresh cold solver computes.
   SupervisedSetup s;
-  s.AddService("svc", 20);
+  const ReservationId svc = s.AddService("svc", 20);
   ASSERT_EQ(s.supervisor->RunRound().rung, LadderRung::kFullTwoPhase);
-  EXPECT_FALSE(s.solver.resolve_cache().empty());
 
   // The supervisor persists targets (current bindings never move here), so
-  // the second snapshot is identical and the round reuses the cached model.
+  // the second snapshot is identical and the round replays the first.
   SupervisedRound warm = s.supervisor->RunRound();
   EXPECT_EQ(warm.rung, LadderRung::kFullTwoPhase);
-  EXPECT_GE(warm.stats.delta_servers, 0);
-  EXPECT_TRUE(warm.stats.phase1.model_patched);
+  EXPECT_TRUE(warm.stats.solve_skipped);
 
-  s.solver.SetFaultHook([](SolveMode mode) {
+  const auto full_rung_too_slow = [](SolveMode mode) {
     return mode == SolveMode::kFullTwoPhase ? Status::DeadlineExceeded("two-phase too slow")
                                             : Status::Ok();
-  });
+  };
+  s.Resize(svc, 24);
+  s.solver.SetFaultHook(full_rung_too_slow);
   SupervisedRound degraded = s.supervisor->RunRound();
   EXPECT_EQ(degraded.rung, LadderRung::kPhase1Only);
   EXPECT_EQ(degraded.stats.delta_servers, -1) << "a degraded rung must never reuse warm state";
-  EXPECT_TRUE(s.solver.resolve_cache().empty()) << "degraded solve left warm state behind";
 
   s.solver.SetFaultHook(nullptr);
+  const auto cold = s.FreshColdTargets();
   SupervisedRound after = s.supervisor->RunRound();
   EXPECT_EQ(after.rung, LadderRung::kFullTwoPhase);
-  EXPECT_EQ(after.stats.delta_servers, -1) << "round after degradation was not cold";
-  SupervisedRound rewarmed = s.supervisor->RunRound();
-  EXPECT_GE(rewarmed.stats.delta_servers, 0);
+  EXPECT_TRUE(after.stats.model_patched) << "the degraded rung dropped the warm state";
+  EXPECT_EQ(s.supervisor->last_good_targets(), cold);
+
+  // The same snapshot again after another degraded round: a replay.
+  s.solver.SetFaultHook(full_rung_too_slow);
+  EXPECT_EQ(s.supervisor->RunRound().rung, LadderRung::kPhase1Only);
+  s.solver.SetFaultHook(nullptr);
+  SupervisedRound replayed = s.supervisor->RunRound();
+  EXPECT_EQ(replayed.rung, LadderRung::kFullTwoPhase);
+  EXPECT_TRUE(replayed.stats.solve_skipped);
+  EXPECT_EQ(s.supervisor->last_good_targets(), cold);
 }
 
-TEST(SolverSupervisorTest, PersistRollbackInvalidatesResolveCache) {
-  // The supervisor's own persist path (not AsyncSolver::SolveOnce): a rolled
-  // back broker write must also cold-start the next round.
+TEST(SolverSupervisorTest, RoundAfterAPersistRollbackMatchesAColdSolve) {
+  // The supervisor's own persist path (not AsyncSolver::SolveOnce): every
+  // attempt of round 1 rolls back, so the round the cache keeps never
+  // landed. Round 2 sees its snapshot again and replays it, which is exactly
+  // what a fresh cold solver computes.
   FaultPlan plan;
   plan.AddBurst(FaultKind::kBrokerWriteFailure, 1, 1);
   SupervisedSetup s(plan);
-  s.AddService("svc", 20);
+  const ReservationId svc = s.AddService("svc", 20);
   ASSERT_EQ(s.supervisor->RunRound().rung, LadderRung::kFullTwoPhase);
-  EXPECT_FALSE(s.solver.resolve_cache().empty());
 
+  s.Resize(svc, 24);
   SupervisedRound rolled_back = s.supervisor->RunRound();
   EXPECT_EQ(rolled_back.rung, LadderRung::kLastGood);
   EXPECT_GT(s.supervisor->stats().persist_failures, 0u);
-  EXPECT_TRUE(s.solver.resolve_cache().empty()) << "rollback left warm state behind";
 
+  const auto cold = s.FreshColdTargets();
   SupervisedRound after = s.supervisor->RunRound();
   EXPECT_EQ(after.rung, LadderRung::kFullTwoPhase);
-  EXPECT_EQ(after.stats.delta_servers, -1) << "round after a rollback was not cold";
+  EXPECT_TRUE(after.stats.solve_skipped) << "the unchanged snapshot did not replay the memo";
+  EXPECT_EQ(s.supervisor->last_good_targets(), cold);
 }
 
 TEST(SolverSupervisorTest, DeadlineEnforcementRejectsOverlongSolves) {

@@ -24,7 +24,14 @@ namespace {
 constexpr int kOutageFirstRound = 30;
 constexpr int kOutageRounds = 5;
 
-ScenarioOptions ChaosOptions() {
+// Broker write failures fire per server write, and a persist is
+// all-or-nothing, so at the week's rate of 0.05 nearly every persist of a
+// fresh assignment rolls back until the weather ends. At this rate a persist
+// of ~100 writes rolls back about a quarter of the time, so most rounds ship
+// and the full rung meets warm state after every kind of fault.
+constexpr double kRareWriteFailureRate = 0.003;
+
+ScenarioOptions ChaosOptions(double write_failure_rate = 0.05) {
   ScenarioOptions opts;
   opts.fleet.num_datacenters = 2;
   opts.fleet.msbs_per_datacenter = 3;
@@ -42,7 +49,7 @@ ScenarioOptions ChaosOptions() {
   opts.faults.AddBurst(FaultKind::kSolverCrash, 0, 40, 0.10);
   opts.faults.AddBurst(FaultKind::kSnapshotStale, 0, 40, 0.08);
   opts.faults.AddBurst(FaultKind::kSnapshotCorruption, 0, 40, 0.05);
-  opts.faults.AddBurst(FaultKind::kBrokerWriteFailure, 0, 40, 0.05);
+  opts.faults.AddBurst(FaultKind::kBrokerWriteFailure, 0, 40, write_failure_rate);
   // ...plus one certain crash storm to force the bottom of the ladder.
   opts.faults.AddBurst(FaultKind::kSolverCrash, kOutageFirstRound, kOutageRounds);
   return opts;  // 192 servers.
@@ -72,26 +79,34 @@ void CheckBrokerConsistent(const RegionScenario& sim) {
   }
 }
 
-TEST(ChaosSoakTest, SimulatedWeekUnderFaultWeather) {
-  RegionScenario sim(ChaosOptions());
-
-  double total_demand = 0.0;
+// The week, one simulated hour at a time: health, capacity churn, and every
+// fourth hour a supervised solve round (with the emergency path exercised
+// whenever the storm has armed it); the other hours reconcile.
+struct ChaosWeek {
+  RegionScenario sim;
   std::vector<ReservationId> services;
-  for (int i = 0; i < 3; ++i) {
-    ReservationSpec spec;
-    spec.name = "svc-" + std::to_string(i);
-    spec.capacity_rru = 20 + 5 * i;
-    spec.rru_per_type.assign(sim.fleet.catalog.size(), 1.0);
-    services.push_back(*sim.registry.Create(spec));
-    total_demand += spec.capacity_rru;
-  }
-
-  sim.ArmHealth(Days(7));
-
+  double total_demand = 0.0;
   int solve_round = 0;
   size_t emergency_grants = 0;
   double worst_shortfall = 0.0;
-  for (int hour = 0; hour < 7 * 24; ++hour) {
+  // The last solve round's serving stats; zero when it served no assignment.
+  SolveStats last_stats;
+
+  explicit ChaosWeek(const ScenarioOptions& options) : sim(options) {
+    for (int i = 0; i < 3; ++i) {
+      ReservationSpec spec;
+      spec.name = "svc-" + std::to_string(i);
+      spec.capacity_rru = 20 + 5 * i;
+      spec.rru_per_type.assign(sim.fleet.catalog.size(), 1.0);
+      services.push_back(*sim.registry.Create(spec));
+      total_demand += spec.capacity_rru;
+    }
+    sim.ArmHealth(Days(7));
+  }
+
+  static bool SolvesAt(int hour) { return hour % 4 == 0; }
+
+  void RunHour(int hour) {
     SimTime tick{static_cast<int64_t>(hour) * 3600};
     // Backoffs may already have pushed simulated time past this tick.
     if (tick > sim.loop.now()) {
@@ -107,10 +122,11 @@ TEST(ChaosSoakTest, SimulatedWeekUnderFaultWeather) {
       ASSERT_TRUE(sim.registry.Update(spec).ok());
     }
 
-    if (hour % 4 == 0) {
+    if (SolvesAt(hour)) {
       auto before = TargetsNow(sim);
       Result<SolveStats> result = sim.SolveRound();
       const RoundOutcome& outcome = sim.supervisor->stats().rounds.back();
+      last_stats = result.ok() ? *result : SolveStats();
       if (ProducedAssignment(outcome.rung)) {
         ASSERT_TRUE(result.ok()) << "hour " << hour;
         worst_shortfall = std::max(worst_shortfall, result->total_shortfall_rru);
@@ -133,9 +149,18 @@ TEST(ChaosSoakTest, SimulatedWeekUnderFaultWeather) {
     }
     CheckBrokerConsistent(sim);
   }
+};
+
+TEST(ChaosSoakTest, SimulatedWeekUnderFaultWeather) {
+  ChaosWeek week(ChaosOptions());
+  for (int hour = 0; hour < 7 * 24; ++hour) {
+    week.RunHour(hour);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "hour " << hour;
+  }
+  RegionScenario& sim = week.sim;
 
   const SupervisorStats& stats = sim.supervisor->stats();
-  ASSERT_EQ(stats.rounds.size(), static_cast<size_t>(solve_round));
+  ASSERT_EQ(stats.rounds.size(), static_cast<size_t>(week.solve_round));
   // The week was genuinely chaotic: degraded rungs served, the crash storm
   // reached the emergency rung, and the supervisor recovered afterwards.
   EXPECT_GT(stats.failed_attempts, 0u);
@@ -143,18 +168,18 @@ TEST(ChaosSoakTest, SimulatedWeekUnderFaultWeather) {
             0u);
   EXPECT_GE(stats.RungCount(LadderRung::kEmergency), 1u);
   EXPECT_GE(stats.recovery_times.size(), 1u);
-  EXPECT_GT(emergency_grants, 0u);
+  EXPECT_GT(week.emergency_grants, 0u);
   EXPECT_TRUE(sim.supervisor->solver_healthy());
   EXPECT_FALSE(sim.supervisor->emergency_armed());
   // Shortfall stayed bounded on every round that produced an assignment: the
   // region has ample capacity, so even the greedy incumbent covers most of
   // the demand.
-  EXPECT_LE(worst_shortfall, 0.25 * total_demand);
+  EXPECT_LE(week.worst_shortfall, 0.25 * week.total_demand);
 
   // With the weather over (all round windows exhausted), a clean solve
   // restores the full guarantee for every service.
   ASSERT_TRUE(sim.SolveRound().ok());
-  for (ReservationId svc : services) {
+  for (ReservationId svc : week.services) {
     const ReservationSpec* spec = sim.registry.Find(svc);
     size_t targeted = 0;
     for (ServerId id = 0; id < sim.broker->num_servers(); ++id) {
@@ -163,6 +188,54 @@ TEST(ChaosSoakTest, SimulatedWeekUnderFaultWeather) {
     EXPECT_GE(static_cast<double>(targeted) + 1.0, spec->capacity_rru)
         << spec->name << " under-provisioned after the chaos cleared";
   }
+}
+
+TEST(ChaosSoakTest, ResolveCacheOnAndOffShipTheSameRoundsUnderFaultWeather) {
+  // The same week twice in lockstep, once with the resolve cache and once
+  // solving every round cold, under the week's own weather and under one
+  // whose persists mostly land. Faults leave the cache alone (it keys on the
+  // snapshot), so every round must serve on the same rung and leave
+  // bitwise-identical broker targets on both sides.
+  int reused_rounds = 0;
+  int reused_after_degraded = 0;
+  for (double write_failure_rate : {0.05, kRareWriteFailureRate}) {
+    SCOPED_TRACE("write failure rate " + std::to_string(write_failure_rate));
+    ScenarioOptions cold_options = ChaosOptions(write_failure_rate);
+    cold_options.solver.incremental_resolve = false;
+    ChaosWeek warm(ChaosOptions(write_failure_rate));
+    ChaosWeek cold(cold_options);
+    ASSERT_TRUE(warm.sim.solver.config().incremental_resolve);
+
+    LadderRung previous = LadderRung::kFullTwoPhase;
+    for (int hour = 0; hour < 7 * 24; ++hour) {
+      warm.RunHour(hour);
+      cold.RunHour(hour);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "hour " << hour;
+      if (!ChaosWeek::SolvesAt(hour)) {
+        continue;
+      }
+      const int round = warm.solve_round - 1;
+      const LadderRung rung = warm.sim.supervisor->stats().rounds.back().rung;
+      ASSERT_EQ(rung, cold.sim.supervisor->stats().rounds.back().rung) << "round " << round;
+      ASSERT_EQ(TargetsNow(warm.sim), TargetsNow(cold.sim)) << "round " << round;
+      ASSERT_EQ(warm.sim.supervisor->last_good_targets(),
+                cold.sim.supervisor->last_good_targets())
+          << "round " << round;
+      EXPECT_EQ(cold.last_stats.delta_servers, -1) << "round " << round;
+
+      const bool reused = warm.last_stats.model_patched || warm.last_stats.solve_skipped;
+      reused_rounds += reused;
+      reused_after_degraded += reused && previous != LadderRung::kFullTwoPhase;
+      previous = rung;
+    }
+    EXPECT_EQ(warm.solve_round, cold.solve_round);
+    EXPECT_EQ(warm.sim.supervisor->stats().failed_attempts,
+              cold.sim.supervisor->stats().failed_attempts);
+  }
+  // Parity only means something if the warm side reused state, including
+  // on a full round right after a degraded, last-good or emergency one.
+  EXPECT_GT(reused_rounds, 0);
+  EXPECT_GT(reused_after_degraded, 0);
 }
 
 }  // namespace
