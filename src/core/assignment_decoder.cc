@@ -1,5 +1,6 @@
 #include "src/core/assignment_decoder.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -13,41 +14,66 @@ DecodedAssignment DecodeAssignment(const SolveInput& input,
 
   for (size_t c = 0; c < classes.size(); ++c) {
     const EquivalenceClass& cls = classes[c];
-    // Quotas for this class: (reservation id, rounded count).
-    std::vector<std::pair<ReservationId, long>> quotas;
-    long keep_in_place = 0;
-    for (int var_index : built.class_to_vars[c]) {
-      const auto& av = built.assignment_vars[static_cast<size_t>(var_index)];
-      long n = std::lround(solution[av.var]);
-      if (n <= 0) {
-        continue;
-      }
-      ReservationId res = input.reservations[static_cast<size_t>(av.reservation_index)].id;
-      if (res == cls.current) {
-        keep_in_place = n;
+    const std::vector<int>& pairs = built.class_to_vars[c];
+    std::vector<ReservationId> res_of;  // Each pair's reservation.
+    for (int k : pairs) {
+      const auto& av = built.assignment_vars[static_cast<size_t>(k)];
+      res_of.push_back(input.reservations[static_cast<size_t>(av.reservation_index)].id);
+    }
+
+    // Positions in cls.servers: each pair's holdings (in-use first, then idle,
+    // each in server order), then the servers no pair holds — those bound to
+    // a reservation outside the model, and the free ones.
+    std::vector<std::vector<size_t>> in_use(pairs.size());
+    std::vector<std::vector<size_t>> idle(pairs.size());
+    std::vector<size_t> displaced;  // Bound, to be moved unless a quota takes them.
+    std::vector<size_t> free;
+    for (size_t i = 0; i < cls.servers.size(); ++i) {
+      const ServerSolveState& state = input.servers[cls.servers[i]];
+      const auto held = std::find(res_of.begin(), res_of.end(), state.current);
+      if (held != res_of.end()) {
+        (state.in_use ? in_use : idle)[static_cast<size_t>(held - res_of.begin())].push_back(i);
       } else {
-        quotas.push_back({res, n});
+        (state.current == kUnassigned ? free : displaced).push_back(i);
       }
     }
 
-    // Stable walk over the class's servers: the first `keep_in_place` stay,
-    // the rest drain into other quotas, leftovers return to the free pool.
-    size_t next = 0;
-    for (; next < cls.servers.size() && keep_in_place > 0; ++next, --keep_in_place) {
-      out.targets.push_back({cls.servers[next], cls.current});
+    // Keep min(n, X) of each pair's servers, in-use first; the rest are
+    // released. Quotas above X are filled below.
+    std::vector<ReservationId> target(cls.servers.size(), kUnassigned);
+    std::vector<long> want(pairs.size(), 0);
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      long n = std::max(
+          0L, std::lround(solution[built.assignment_vars[static_cast<size_t>(pairs[p])].var]));
+      for (const std::vector<size_t>* tier : {&in_use[p], &idle[p]}) {
+        for (size_t i : *tier) {
+          if (n > 0) {
+            target[i] = res_of[p];
+            --n;
+          } else {
+            displaced.push_back(i);
+          }
+        }
+      }
+      want[p] = n;
     }
-    for (auto& [res, quota] : quotas) {
-      for (; next < cls.servers.size() && quota > 0; ++next, --quota) {
-        out.targets.push_back({cls.servers[next], res});
-        ++out.moves_total;
-        (cls.in_use ? out.moves_in_use : out.moves_idle)++;
+
+    // Acquisitions draw released and foreign servers first, then free ones;
+    // whatever stays undrawn is (or becomes) free.
+    displaced.insert(displaced.end(), free.begin(), free.end());
+    size_t next = 0;
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      for (; next < displaced.size() && want[p] > 0; ++next, --want[p]) {
+        target[displaced[next]] = res_of[p];
       }
     }
-    for (; next < cls.servers.size(); ++next) {
-      out.targets.push_back({cls.servers[next], kUnassigned});
-      if (cls.current != kUnassigned) {
+
+    for (size_t i = 0; i < cls.servers.size(); ++i) {
+      const ServerSolveState& state = input.servers[cls.servers[i]];
+      out.targets.push_back({cls.servers[i], target[i]});
+      if (target[i] != state.current) {
         ++out.moves_total;
-        (cls.in_use ? out.moves_in_use : out.moves_idle)++;
+        (state.in_use ? out.moves_in_use : out.moves_idle)++;
       }
     }
   }

@@ -2,10 +2,12 @@
 // per-server target bindings (Figure 6, step 3: the solve result persisted to
 // the Resource Broker's target field).
 //
-// Within an equivalence class every server is interchangeable by
-// construction, so the decoder's only job is to minimize churn: servers whose
-// current binding matches a quota stay put; surplus servers are handed to
-// other quotas or freed.
+// Within an equivalence class every server is interchangeable in the
+// model's constraints, so the decoder's only job is to minimize churn, in the
+// order Expression (1) prices it: each reservation keeps its in-use servers
+// first and releases its idle ones first; released servers go to the
+// reservations that acquire in the same class before any free server does;
+// released servers nobody takes return to the free pool.
 
 #ifndef RAS_SRC_CORE_ASSIGNMENT_DECODER_H_
 #define RAS_SRC_CORE_ASSIGNMENT_DECODER_H_

@@ -58,6 +58,7 @@ void SummarizeReuse(SolveStats& stats) {
   stats.model_patched = stats.phase1.ran && stats.phase1.model_patched;
   stats.solve_skipped = stats.phase1.ran && stats.phase1.solve_skipped;
   stats.delta_servers = stats.phase1.delta_servers;
+  stats.reuse_miss = stats.phase1.reuse_miss;
   stats.dual_resolves = stats.phase1.dual_resolves + stats.phase2.dual_resolves;
   stats.dual_iterations = stats.phase1.dual_iterations + stats.phase2.dual_iterations;
 }
@@ -96,10 +97,12 @@ void AccumulatePhase(PhaseStats& into, const PhaseStats& from) {
     into.delta_servers = (into.delta_servers < 0 || from.delta_servers < 0)
                              ? -1
                              : into.delta_servers + from.delta_servers;
+    into.reuse_miss = std::max(into.reuse_miss, from.reuse_miss);
   } else {
     into.model_patched = from.model_patched;
     into.solve_skipped = from.solve_skipped;
     into.delta_servers = from.delta_servers;
+    into.reuse_miss = from.reuse_miss;
   }
   into.ran = true;
 }
@@ -210,6 +213,8 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache* cache, const Solve
     outcome.stats.delta_servers = DeltaServers(cache->input, input);
     patched =
         SetRoundBounds(cache->phase1, input, classes, config_, include_rack_spread, subset);
+    outcome.stats.reuse_miss =
+        patched ? ReuseMiss::kSnapshotChanged : ReuseMiss::kLayoutRefused;
   }
   BuiltModel fresh;
   if (!patched) {
@@ -339,6 +344,7 @@ SolveStats AsyncSolver::SolveMonolithic(const SolveInput& input, DecodedAssignme
       }
       stats.phase1.model_patched = true;
       stats.phase1.delta_servers = 0;
+      stats.phase1.reuse_miss = ReuseMiss::kNone;
       SummarizeReuse(stats);
       if (decoded_out != nullptr) {
         decoded_out->targets = cache.targets;

@@ -50,8 +50,8 @@ std::vector<double> MakePhaseStart(const SolveInput& input,
                                    const std::vector<EquivalenceClass>& classes,
                                    const BuiltModel& built);
 
-// The root LP's start: the region's current assignment, every held class at
-// its count.
+// The root LP's start: the region's current assignment, every pair at its
+// count X.
 std::vector<double> MakeRootStart(const SolveInput& input,
                                   const std::vector<EquivalenceClass>& classes,
                                   const BuiltModel& built);

@@ -31,6 +31,10 @@ AssignmentExplanation ExplainAssignment(const ResourceBroker& broker,
     ++count;
     rru += v;
     ledger.Add(0, s, v);
+    const ServerRecord& rec = broker.record(id);
+    const bool in_use = rec.has_containers && !rec.elastic_loan;
+    out.in_use_servers += in_use ? 1 : 0;
+    out.move_out_cost += in_use ? config.move_cost_in_use : config.move_cost_idle;
   }
   out.total_rru = ledger.Total(0);
   out.by_msb = ledger.ByMsb(0);
@@ -77,6 +81,12 @@ std::string AssignmentExplanation::ToString(const HardwareCatalog& catalog) cons
                 "(why: Expression 3 penalizes concentration; the worst MSB bounds the "
                 "embedded buffer)\n",
                 by_msb.size(), spread_threshold, msbs_over_threshold);
+  s += line;
+  std::snprintf(line, sizeof(line),
+                "  stability: %zu in use, %zu idle; moving all out costs %.0f (why: "
+                "Expression 1 prices in-use moves above idle ones, so the solver releases "
+                "idle servers first)\n",
+                in_use_servers, servers - in_use_servers, move_out_cost);
   s += line;
   s += "  datacenter placement (why: affinity constraints, if any, pin shares; "
        "otherwise spread decides):\n";

@@ -40,6 +40,12 @@ struct AssignmentExplanation {
   double spread_threshold = 0.0;  // alpha_F * C_r actually applied.
   size_t msbs_over_threshold = 0;
 
+  // Expression (1)'s tiers: servers running containers (loans count idle,
+  // as the solver sees them) and what moving every server out would cost,
+  // in-use ones at move_cost_in_use and idle ones at move_cost_idle.
+  size_t in_use_servers = 0;
+  double move_out_cost = 0.0;
+
   // Human-readable multi-line report.
   std::string ToString(const HardwareCatalog& catalog) const;
 };

@@ -77,21 +77,15 @@ class ObjectiveState {
           {term.group, built.model.row(term.row).ub, built.model.variable(term.slack).cost});
     }
 
-    // Per-variable values V, cost coefficients and aggregate coordinates.
+    // Per-variable values V and aggregate coordinates.
     const size_t num_vars = built.assignment_vars.size();
     value_.assign(num_vars, 0.0);
-    acquire_cost_.assign(num_vars, 0.0);
-    move_cost_.assign(num_vars, 0.0);
     slots_.resize(num_vars);
     for (size_t k = 0; k < num_vars; ++k) {
       const auto& av = built.assignment_vars[k];
       const EquivalenceClass& cls = classes[static_cast<size_t>(av.class_index)];
       value_[k] = input.reservations[static_cast<size_t>(av.reservation_index)]
                       .ValueOfType(cls.type);
-      acquire_cost_[k] = built.model.variable(av.var).cost;
-      if (built.move_vars[k] != kNoVar) {
-        move_cost_[k] = built.model.variable(built.move_vars[k]).cost;
-      }
       const size_t r = static_cast<size_t>(av.reservation_index);
       slots_[k] = {r, static_cast<size_t>(av.class_index), r * num_msbs_ + cls.msb,
                    r * num_dcs_ + cls.dc};
@@ -154,11 +148,9 @@ class ObjectiveState {
     return cost;
   }
 
-  // Objective contribution of one assignment variable's own costs.
-  double VarCost(size_t k) const {
-    return acquire_cost_[k] * counts_[k] +
-           move_cost_[k] * std::max(0.0, built_.initial_counts[k] - counts_[k]);
-  }
+  // Objective contribution of one assignment variable's own costs: its
+  // tiered move-outs and acquisitions (Expression 1).
+  double VarCost(size_t k) const { return built_.MoveCost(k, counts_[k]); }
 
   // Applies `delta` units to variable k (class supply and aggregates).
   void ApplyDelta(size_t k, double delta, bool into_counts = true) {
@@ -239,8 +231,6 @@ class ObjectiveState {
 
   std::vector<Slot> slots_;
   std::vector<double> value_;
-  std::vector<double> acquire_cost_;
-  std::vector<double> move_cost_;
   std::vector<double> shortfall_cost_;
   std::vector<double> buffer_cost_;
   std::vector<bool> buffered_;

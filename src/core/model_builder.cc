@@ -24,7 +24,7 @@ ModelLayout LayoutOf(const SolveInput& input, const std::vector<EquivalenceClass
   layout.catalog = input.catalog;
   layout.classes.reserve(classes.size());
   for (const EquivalenceClass& cls : classes) {
-    layout.classes.push_back({cls.group, cls.msb, cls.dc, cls.type, cls.current, cls.in_use});
+    layout.classes.push_back({cls.group, cls.msb, cls.dc, cls.type});
   }
   layout.reservations.reserve(input.reservations.size());
   for (const ReservationSpec& spec : input.reservations) {
@@ -57,24 +57,29 @@ bool WriteRoundBounds(BuiltModel& built, const SolveInput& input,
     return input.reservations[static_cast<size_t>(reservation_index)];
   };
 
-  // Expression (5) supply, n <= |class|, and X = |class| where the class sits
-  // in r, with Expression (1)'s move-out o <= X and n + o >= X.
+  // Expression (5) supply and n <= |class|; Expression (1)'s X per pair, with
+  // o_idle <= X_idle, o_in_use <= X_in_use, n + o_idle + o_in_use >= X, and
+  // the constant column at sum X.
   for (size_t c = 0; c < classes.size(); ++c) {
     row(built.supply_rows[c], -kInf, static_cast<double>(classes[c].count()));
   }
   built.initial_counts.resize(built.assignment_vars.size());
+  built.initial_in_use.resize(built.assignment_vars.size());
+  double held_total = 0.0;
   for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
     const BuiltModel::AssignmentVar& av = built.assignment_vars[k];
     const EquivalenceClass& cls = classes[static_cast<size_t>(av.class_index)];
-    const double count = static_cast<double>(cls.count());
-    var(av.var, 0, count);
-    const double initial = cls.current == spec_of(av.reservation_index).id ? count : 0.0;
+    var(av.var, 0, static_cast<double>(cls.count()));
+    const EquivalenceClass::Held held = cls.HeldBy(spec_of(av.reservation_index).id);
+    const double initial = static_cast<double>(held.count());
     built.initial_counts[k] = initial;
-    if (built.move_vars[k] != kNoVar) {
-      var(built.move_vars[k], 0, initial);
-      row(built.move_rows[k], initial, kInf);
-    }
+    built.initial_in_use[k] = static_cast<double>(held.in_use);
+    held_total += initial;
+    var(built.move_idle_vars[k], 0, static_cast<double>(held.idle));
+    var(built.move_in_use_vars[k], 0, static_cast<double>(held.in_use));
+    row(built.move_rows[k], initial, kInf);
   }
+  var(built.held_var, held_total, held_total);
 
   // Capacity (6), its shortfall slack, and the anti-hoarding limit.
   for (size_t r = 0; r < input.reservations.size(); ++r) {
@@ -167,7 +172,7 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
   }
 
   // --- Assignment variables n[c][r] with Expression (5) supply rows, plus
-  // Expression (1) move-out variables where the class currently sits in r ---
+  // Expression (1)'s tiered move-outs for every pair ---
   std::vector<GroupedVars> msb_groups(num_res);
   std::vector<GroupedVars> rack_groups(num_res);
   std::vector<GroupedVars> dc_groups(num_res);
@@ -185,27 +190,24 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
       if (value <= 0.0) {
         continue;
       }
-      const bool holds = cls.current == spec.id;
-      VarId n = model.AddInteger(0, kInf, holds ? 0.0 : config.acquire_cost);
+      VarId n = model.AddInteger(0, kInf, config.acquire_cost);
       model.AddCoefficient(supply, n, 1.0);
       int var_index = static_cast<int>(built.assignment_vars.size());
       built.assignment_vars.push_back(
           BuiltModel::AssignmentVar{n, static_cast<int>(c), static_cast<int>(r)});
       built.class_to_vars[c].push_back(var_index);
 
-      if (holds) {
-        // o >= X - n, at Ms per server (Expression 1).
-        double ms = cls.in_use ? config.move_cost_in_use : config.move_cost_idle;
-        VarId o = model.AddContinuous(0, kInf, ms);
-        RowId move_row = model.AddRow(-kInf, kInf);
-        model.AddCoefficient(move_row, n, 1.0);
-        model.AddCoefficient(move_row, o, 1.0);
-        built.move_vars.push_back(o);
-        built.move_rows.push_back(move_row);
-      } else {
-        built.move_vars.push_back(kNoVar);
-        built.move_rows.push_back(kNoRow);
-      }
+      // n + o_idle + o_in_use >= X, each tier at Ms plus the acquire cost
+      // its release refunds (Expression 1; see the header).
+      VarId idle = model.AddContinuous(0, kInf, config.move_cost_idle + config.acquire_cost);
+      VarId in_use = model.AddContinuous(0, kInf, config.move_cost_in_use + config.acquire_cost);
+      RowId move_row = model.AddRow(-kInf, kInf);
+      model.AddCoefficient(move_row, n, 1.0);
+      model.AddCoefficient(move_row, idle, 1.0);
+      model.AddCoefficient(move_row, in_use, 1.0);
+      built.move_idle_vars.push_back(idle);
+      built.move_in_use_vars.push_back(in_use);
+      built.move_rows.push_back(move_row);
 
       msb_groups[r].by_group[cls.msb].push_back({n, value});
       if (include_rack_spread) {
@@ -332,6 +334,13 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
     }
   }
 
+  // Expression (1)'s constant, -acquire_cost * sum X; the bound pass fixes
+  // the column at sum X.
+  built.held_var = model.AddContinuous(0, kInf, -config.acquire_cost);
+  built.acquire_cost = config.acquire_cost;
+  built.move_cost_idle = config.move_cost_idle;
+  built.move_cost_in_use = config.move_cost_in_use;
+
   // Bound pass. On a fresh layout it can only refuse a crossed affinity band,
   // from a spec no registry write path accepts; it still writes that band as
   // given, so the build goes ahead.
@@ -360,13 +369,14 @@ std::vector<double> MakeWarmStart(const SolveInput& input,
   const size_t num_res = input.reservations.size();
   std::vector<double> x(built.model.num_variables(), 0.0);
 
-  // Assignment variables and their move-outs o = max(0, X - n).
+  // Assignment variables and their move-outs max(0, X - n), idle first.
   for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
     x[built.assignment_vars[k].var] = counts[k];
-    if (built.move_vars[k] != kNoVar) {
-      x[built.move_vars[k]] = std::max(0.0, built.initial_counts[k] - counts[k]);
-    }
+    const BuiltModel::Release out = built.ReleaseAt(k, counts[k]);
+    x[built.move_idle_vars[k]] = out.idle;
+    x[built.move_in_use_vars[k]] = out.in_use;
   }
+  x[built.held_var] = built.model.variable(built.held_var).lb;
   const RruLedger ledger = RruLedger::OfCounts(input, classes, built, counts);
 
   // Buffer m_r = worst-MSB RRU, capacity shortfall and hoarding slacks.

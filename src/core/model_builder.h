@@ -10,7 +10,16 @@
 //        sum V*n - max_msb(...) >= C_r                (6) embedded buffer
 //        |dc share - A_{r,dc}| <= theta               (7) network affinity
 //
-// max() terms are linearized with auxiliary continuous variables. Following
+// max() terms are linearized with auxiliary continuous variables. Classes
+// are keyed by (location, hardware type) alone, so one n per (class,
+// reservation) pair carries Expression (1) for every server the reservation
+// holds in the class: move-outs o_idle <= X_idle and o_in_use <= X_in_use
+// with n + o_idle + o_in_use >= X, and acquire_cost per server of n above X.
+// Since max(0, n - X) = n - X + max(0, X - n), the acquire cost rides on n
+// and on both move-outs, and one column fixed at sum X carries the constant
+// -acquire_cost * sum X; no per-pair acquire column or row is needed. Any
+// target set that releases a reservation's idle servers before its in-use
+// ones scores exactly what a binding-keyed model gives it. Following
 // Section 3.5.1, constraints (6) and (7) are *softened* with high-priority
 // slack variables so the model is always feasible; the slacks' costs dominate
 // every ordinary objective, so the solver fixes as many constraints as it
@@ -19,6 +28,7 @@
 #ifndef RAS_SRC_CORE_MODEL_BUILDER_H_
 #define RAS_SRC_CORE_MODEL_BUILDER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -103,18 +113,17 @@ struct SolverConfig {
 };
 
 // Everything BuildRasModel's layout pass reads: the region objects, each
-// class's key in order, each reservation's structural fields, and the phase
-// shape. Equal layouts give equal variables, rows, coefficients and costs
-// (under one SolverConfig); only bounds can differ, and SetRoundBounds writes
-// those.
+// class's (location, type) key in order, each reservation's structural
+// fields, and the phase shape. Equal layouts give equal variables, rows,
+// coefficients and costs (under one SolverConfig); only bounds can differ,
+// and SetRoundBounds writes those. Bindings and in-use flags are bounds (the
+// X counts), so moves and flips keep the layout.
 struct ModelLayout {
   struct ClassKey {
     uint32_t group = 0;
     MsbId msb = 0;
     DatacenterId dc = 0;
     HardwareTypeId type = kInvalidHardwareType;
-    ReservationId current = kUnassigned;
-    bool in_use = false;
 
     bool operator==(const ClassKey&) const = default;
   };
@@ -140,6 +149,9 @@ struct ModelLayout {
   bool operator==(const ModelLayout&) const = default;
 };
 
+inline constexpr VarId kNoVar = -1;
+inline constexpr RowId kNoRow = -1;
+
 // A built model plus the bookkeeping needed to decode a solution.
 struct BuiltModel {
   Model model;
@@ -162,11 +174,20 @@ struct BuiltModel {
   std::vector<VarId> buffer_vars;
   // Per reservation index: hoarding overflow variable, or kNoVar.
   std::vector<VarId> hoard_vars;
-  // X values (initial counts) aligned with assignment_vars.
+  // Expression (1)'s X per pair, aligned with assignment_vars: the class's
+  // servers the reservation holds, and how many of those are in use.
   std::vector<double> initial_counts;
-  // Move-out variables o (Expression 1), aligned with assignment_vars; kNoVar
-  // where X == 0.
-  std::vector<VarId> move_vars;
+  std::vector<double> initial_in_use;
+  // Move-out variables per pair by tier, aligned with assignment_vars:
+  // o_idle <= X_idle, o_in_use <= X_in_use. Every pair has both.
+  std::vector<VarId> move_idle_vars;
+  std::vector<VarId> move_in_use_vars;
+  // Fixed at sum X, at -acquire_cost: the linearization's constant.
+  VarId held_var = kNoVar;
+  // Expression (1)'s prices, the build config's.
+  double acquire_cost = 0.0;
+  double move_cost_idle = 0.0;
+  double move_cost_in_use = 0.0;
 
   // Bookkeeping for warm-start construction. Each term's round-dependent
   // bound (spread threshold, quorum cap, affinity band) lives only in the
@@ -198,12 +219,30 @@ struct BuiltModel {
   std::vector<QuorumTerm> quorum_terms;
 
   // Row bookkeeping for SetRoundBounds: every row whose bounds depend on
-  // class counts or reservation sizes. Rows not present in this build (no
-  // move-out, reservation outside the subset) hold kNoRow.
+  // class counts or reservation sizes. Rows not present in this build
+  // (reservation outside the subset) hold kNoRow.
   std::vector<RowId> supply_rows;    // Per class: sum_r n <= |class|.
-  std::vector<RowId> move_rows;      // Aligned with assignment_vars: n + o >= X.
+  std::vector<RowId> move_rows;      // Per pair: n + o_idle + o_in_use >= X.
   std::vector<RowId> capacity_rows;  // Per reservation index: Expression (6).
   std::vector<RowId> hoard_rows;     // Per reservation index: h >= RRU - m_r - limit.
+
+  // Pair k's move-outs at n servers, idle servers released first.
+  struct Release {
+    double idle = 0.0;
+    double in_use = 0.0;
+  };
+  Release ReleaseAt(size_t k, double n) const {
+    const double release = std::max(0.0, initial_counts[k] - n);
+    const double idle = std::min(release, initial_counts[k] - initial_in_use[k]);
+    return {idle, release - idle};
+  }
+  // Expression (1) for pair k at n servers: the tiered move-outs, plus
+  // acquire_cost per server above X.
+  double MoveCost(size_t k, double n) const {
+    const Release out = ReleaseAt(k, n);
+    return acquire_cost * std::max(0.0, n - initial_counts[k]) + move_cost_idle * out.idle +
+           move_cost_in_use * out.in_use;
+  }
 
   size_t num_assignment_variables() const { return assignment_vars.size(); }
   // Model-build memory (variables, rows, nonzeros, decode bookkeeping):
@@ -211,9 +250,6 @@ struct BuiltModel {
   // the paper's Figure 11.
   size_t ModelMemoryBytes() const;
 };
-
-inline constexpr VarId kNoVar = -1;
-inline constexpr RowId kNoRow = -1;
 
 // Builds the model over `classes` in two passes: a layout pass adds every
 // variable, row, coefficient and objective cost (all fixed by the ModelLayout
@@ -229,9 +265,11 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
 
 // The cross-round patch, and its only gate. Returns false, with `built`
 // untouched, when the round's layout (same arguments as BuildRasModel)
-// differs from the one `built` records. Otherwise runs the build's own bound
-// pass over `built`: class supply and n upper bounds, initial counts X with
-// the move-out bounds, the shortfall bound, capacity and hoard rows, spread
+// differs from the one `built` records: a class appears or vanishes, a
+// reservation is added, removed or restructured, or the phase shape differs.
+// Otherwise runs the build's own bound pass over `built`: class supply and n
+// upper bounds, X with the tiered move-out bounds and sum X, the shortfall
+// bound, capacity and hoard rows, spread
 // thresholds, quorum caps and affinity bands, written through the Model's
 // cache-preserving Update mutators. The result is then identical to a fresh
 // build by construction. It still returns false when an affinity band is

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <tuple>
+#include <utility>
 
 namespace ras {
 
@@ -93,11 +93,17 @@ Status ValidateSolveInput(const SolveInput& input) {
   return Status::Ok();
 }
 
+EquivalenceClass::Held EquivalenceClass::HeldBy(ReservationId id) const {
+  auto it = std::lower_bound(held.begin(), held.end(), id,
+                             [](const Held& h, ReservationId r) { return h.reservation < r; });
+  return it != held.end() && it->reservation == id ? *it : Held{id, 0, 0};
+}
+
 std::vector<EquivalenceClass> BuildEquivalenceClasses(const SolveInput& input, Scope granularity,
                                                       const ClassFilter& filter) {
   assert(input.topology != nullptr);
   const RegionTopology& topo = *input.topology;
-  using Key = std::tuple<uint32_t, HardwareTypeId, ReservationId, bool>;
+  using Key = std::pair<uint32_t, HardwareTypeId>;
   std::map<Key, EquivalenceClass> classes;  // Ordered => deterministic output.
 
   for (ServerId id = 0; id < input.servers.size(); ++id) {
@@ -111,23 +117,30 @@ std::vector<EquivalenceClass> BuildEquivalenceClasses(const SolveInput& input, S
     }
     const Server& s = topo.server(id);
     uint32_t group = topo.GroupOf(granularity, id);
-    Key key{group, s.type, state.current, state.in_use};
-    auto [it, inserted] = classes.try_emplace(key);
+    auto [it, inserted] = classes.try_emplace(Key{group, s.type});
     EquivalenceClass& cls = it->second;
     if (inserted) {
       cls.group = group;
       cls.msb = s.msb;
       cls.dc = s.dc;
       cls.type = s.type;
-      cls.current = state.current;
-      cls.in_use = state.in_use;
     }
     cls.servers.push_back(id);
+    if (state.current != kUnassigned) {
+      auto held = std::find_if(cls.held.begin(), cls.held.end(),
+                               [&state](const auto& h) { return h.reservation == state.current; });
+      if (held == cls.held.end()) {
+        held = cls.held.insert(cls.held.end(), {state.current, 0, 0});
+      }
+      ++(state.in_use ? held->in_use : held->idle);
+    }
   }
 
   std::vector<EquivalenceClass> out;
   out.reserve(classes.size());
   for (auto& [key, cls] : classes) {
+    std::sort(cls.held.begin(), cls.held.end(),
+              [](const auto& a, const auto& b) { return a.reservation < b.reservation; });
     out.push_back(std::move(cls));
   }
   return out;

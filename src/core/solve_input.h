@@ -54,20 +54,35 @@ SolveInput SnapshotSolveInput(const ResourceBroker& broker, const ReservationReg
 // corrupted or torn snapshot does not.
 Status ValidateSolveInput(const SolveInput& input);
 
-// One equivalence class: servers that are interchangeable in the MIP —
-// identical location group (MSB in phase 1, rack in phase 2), hardware type,
-// current assignment, and movement-cost tier. Merging them turns |class|
-// boolean x_{s,r} variables into a single integer variable per reservation.
+// One equivalence class: servers that are interchangeable in the MIP's
+// constraints — identical location group (MSB in phase 1, rack in phase 2)
+// and hardware type. Bindings are not part of the key: the class carries, per
+// reservation, how many of its servers that reservation holds in each
+// movement tier (Expression 1's X), and the model prices moves against those
+// counts. Merging turns |class| boolean x_{s,r} variables into a single
+// integer variable per reservation.
 struct EquivalenceClass {
   uint32_t group = 0;  // MSB id or rack id depending on granularity.
   MsbId msb = 0;
   DatacenterId dc = 0;
   HardwareTypeId type = kInvalidHardwareType;
-  ReservationId current = kUnassigned;
-  bool in_use = false;
-  std::vector<ServerId> servers;
+  std::vector<ServerId> servers;  // Ascending id.
+
+  // Servers of the class one reservation holds, by movement tier.
+  struct Held {
+    ReservationId reservation = kUnassigned;
+    size_t idle = 0;
+    size_t in_use = 0;
+
+    size_t count() const { return idle + in_use; }
+  };
+  // Every reservation holding servers here, ascending id; free servers are
+  // in no entry.
+  std::vector<Held> held;
 
   size_t count() const { return servers.size(); }
+  // What reservation `id` holds here: zero counts when it holds nothing.
+  Held HeldBy(ReservationId id) const;
 };
 
 struct ClassFilter {
@@ -77,8 +92,9 @@ struct ClassFilter {
   const std::unordered_set<ReservationId>* reservations = nullptr;
 };
 
-// Groups available servers into equivalence classes at the given location
-// granularity (Scope::kMsb for phase 1, Scope::kRack for phase 2).
+// Groups available servers into equivalence classes keyed by (location group,
+// hardware type) at the given granularity (Scope::kMsb for phase 1,
+// Scope::kRack for phase 2), with each class's per-reservation holdings.
 // Unplanned-unavailable servers are excluded entirely: the availability
 // constraint of Section 3.5.1. Deterministic order.
 std::vector<EquivalenceClass> BuildEquivalenceClasses(const SolveInput& input, Scope granularity,

@@ -23,6 +23,30 @@ struct StepTimings {
   double setup() const { return ras_build_s + solver_build_s + initial_state_s; }
 };
 
+// Why a round took no cheaper reuse path than the one it took (resolve
+// cache): the round memo replays, else SetRoundBounds patches, else phase 1
+// builds cold.
+enum class ReuseMiss {
+  kNone,             // The round memo replayed the round.
+  kSnapshotChanged,  // Patched: the memo missed, the cached model was re-bounded.
+  kLayoutRefused,    // Cold: SetRoundBounds refused the cached model's layout.
+  kNoCachedModel,    // Cold: no full round cached, reuse off, or a degraded rung.
+};
+
+inline const char* ReuseMissName(ReuseMiss miss) {
+  switch (miss) {
+    case ReuseMiss::kNone:
+      return "";
+    case ReuseMiss::kSnapshotChanged:
+      return "snapshot changed";
+    case ReuseMiss::kLayoutRefused:
+      return "layout refused";
+    case ReuseMiss::kNoCachedModel:
+      return "no cached model";
+  }
+  return "";
+}
+
 struct PhaseStats {
   StepTimings timings;
   size_t assignment_variables = 0;
@@ -46,6 +70,7 @@ struct PhaseStats {
   bool model_patched = false;
   bool solve_skipped = false;
   int delta_servers = -1;
+  ReuseMiss reuse_miss = ReuseMiss::kNoCachedModel;
   // Dual simplex telemetry, summed over every LP the phase ran: node LPs
   // served by the dual kernel and the dual pivots they took.
   int64_t dual_resolves = 0;
@@ -74,9 +99,12 @@ struct SolveStats {
   // every shard): model_patched when phase 1 built no model, solve_skipped
   // when the round memo replayed the round; delta_servers is phase 1's
   // region-wide delta (summed across shards), -1 on a cold round.
+  // reuse_miss is phase 1's (when sharded, the last in ReuseMiss order
+  // across shards, which explains the round's reuse).
   bool model_patched = false;
   bool solve_skipped = false;
   int delta_servers = -1;
+  ReuseMiss reuse_miss = ReuseMiss::kNoCachedModel;
   // Solver-layer re-optimization totals summed across phases (and shards).
   int64_t dual_resolves = 0;
   int64_t dual_iterations = 0;

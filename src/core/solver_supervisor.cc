@@ -44,6 +44,7 @@ obs::RoundReport MakeRoundReport(const RoundOutcome& record, const SolveStats& s
   report.reuse = stats.solve_skipped   ? "skipped"
                  : stats.model_patched ? "patched"
                                        : "cold";
+  report.reuse_reason = ReuseMissName(stats.reuse_miss);
   report.delta_servers = stats.delta_servers;
   report.shard_count = stats.shard_count;
   report.repair_moves = stats.repair_moves;

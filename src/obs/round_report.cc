@@ -11,10 +11,16 @@ std::string FormatRoundReport(const RoundReport& report) {
   std::string out = buf;
 
   if (report.produced_assignment) {
-    std::snprintf(buf, sizeof(buf),
-                  " vars=%zu moves=%zu (in-use %zu) shortfall=%.1f reuse=%s delta=%d wall=%.3fs",
+    std::snprintf(buf, sizeof(buf), " vars=%zu moves=%zu (in-use %zu) shortfall=%.1f reuse=%s",
                   report.assignment_variables, report.moves_total, report.moves_in_use,
-                  report.shortfall_rru, report.reuse.c_str(), report.delta_servers,
+                  report.shortfall_rru, report.reuse.c_str());
+    out += buf;
+    if (!report.reuse_reason.empty()) {
+      out += " (";
+      out += report.reuse_reason;
+      out += ")";
+    }
+    std::snprintf(buf, sizeof(buf), " delta=%d wall=%.3fs", report.delta_servers,
                   report.wall_seconds);
     out += buf;
     if (report.shard_count > 1) {

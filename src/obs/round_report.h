@@ -35,8 +35,11 @@ struct RoundReport {
   double shortfall_rru = 0.0;
   double wall_seconds = 0.0;
 
-  // Cross-round reuse: "cold", "patched", or "skipped".
+  // Cross-round reuse: "cold", "patched", or "skipped", and why the round
+  // took no cheaper path: "no cached model" or "layout refused" (cold),
+  // "snapshot changed" (patched), empty (skipped).
   std::string reuse = "cold";
+  std::string reuse_reason;
   int delta_servers = -1;
 
   int shard_count = 1;
@@ -47,7 +50,7 @@ struct RoundReport {
 
 // One line, no trailing newline:
 //   [round 3] rung=FULL_TWO_PHASE vars=512 moves=37 (in-use 12) shortfall=0.0
-//   reuse=patched delta=14 wall=0.021s
+//   reuse=patched (snapshot changed) delta=14 wall=0.021s
 // Degraded rounds append retries=N error=<...>; sharded rounds append
 // shards=K (repair R); an armed emergency appends EMERGENCY.
 std::string FormatRoundReport(const RoundReport& report);

@@ -65,6 +65,7 @@ bool LuFactor::Factor(int32_t m, int32_t n, const std::vector<int32_t>& basis,
       }
     }
   }
+  slack_steps_ = static_cast<int32_t>(step_row_.size());
   std::sort(structural.begin(), structural.end());
 
   for (size_t s = 0; s < structural.size(); ++s) {
@@ -193,7 +194,7 @@ void LuFactor::Ftran(std::vector<double>& rhs, std::vector<double>& x) const {
       rhs[l_index_[e]] -= l_value_[e] * v;
     }
   }
-  for (int32_t k = m_ - 1; k >= 0; --k) {
+  for (int32_t k = m_ - 1; k >= slack_steps_; --k) {
     double v = rhs[step_row_[k]];
     if (v != 0.0) {
       v /= u_diag_[k];
@@ -202,6 +203,10 @@ void LuFactor::Ftran(std::vector<double>& rhs, std::vector<double>& x) const {
       }
     }
     x[step_pos_[k]] = v;
+  }
+  for (int32_t k = slack_steps_ - 1; k >= 0; --k) {
+    const double v = rhs[step_row_[k]];
+    x[step_pos_[k]] = v != 0.0 ? -v : v;
   }
   for (size_t t = 0; t < eta_pos_.size(); ++t) {
     double v = x[eta_pos_[t]];
@@ -225,7 +230,10 @@ void LuFactor::Btran(std::vector<double>& c, std::vector<double>& y) const {
     }
     c[eta_pos_[t]] = s / eta_pivot_[t];
   }
-  for (int32_t k = 0; k < m_; ++k) {
+  for (int32_t k = 0; k < slack_steps_; ++k) {
+    y[step_row_[k]] = -c[step_pos_[k]];
+  }
+  for (int32_t k = slack_steps_; k < m_; ++k) {
     double s = c[step_pos_[k]];
     for (int32_t e = u_start_[k]; e < u_start_[k + 1]; ++e) {
       s -= u_value_[e] * y[u_index_[e]];

@@ -76,6 +76,10 @@ class LuFactor {
   std::vector<int32_t> step_row_;
   std::vector<int32_t> step_pos_;
   std::vector<double> u_diag_;
+  // Steps [0, slack_steps_) are the basic slacks: diagonal -1, no U entries.
+  // The solves negate them instead of dividing, which is the same IEEE
+  // result, and skip their empty U columns.
+  int32_t slack_steps_ = 0;
   std::vector<int32_t> u_start_;
   std::vector<int32_t> u_index_;
   std::vector<double> u_value_;

@@ -89,10 +89,11 @@ class MipSolver {
 
   // `warm_start`, if provided and feasible for `model`, seeds the incumbent;
   // infeasible warm starts are ignored. `root_start`, if provided, is the
-  // root LP's start point (SimplexSolver::Solve's `start`; only which columns
-  // sit at their upper bound matters). RAS passes the region's current
-  // assignment, where every held class starts at its count. Node LPs re-solve
-  // from their parent's basis either way.
+  // root LP's start point (SimplexSolver::Solve's `start`: which columns sit
+  // at their upper bound, and which strictly inside their bounds get crashed
+  // into the basis). RAS passes the region's current assignment, where every
+  // pair starts at its count X. Node LPs re-solve from their parent's basis
+  // either way.
   MipResult Solve(const Model& model, const std::vector<double>* warm_start = nullptr,
                   const std::vector<double>* root_start = nullptr) {
     return Solve(model, [warm_start] { return warm_start; }, root_start);

@@ -139,8 +139,71 @@ void SimplexSolver::InitializeBasis(const std::vector<double>* start) {
     basis_pos_[col] = i;
     status_[col] = ColStatus::kBasic;
   }
-  Refactorize();
+  if (start != nullptr) {
+    CrashInteriorColumns(*start);
+  }
+  if (!Refactorize()) {
+    InitializeBasis(nullptr);  // The all-slack basis always factors.
+    return;
+  }
   ComputeBasicValues();
+}
+
+void SimplexSolver::CrashInteriorColumns(const std::vector<double>& start) {
+  auto interior = [&](int32_t j) { return start[j] > lb_[j] && start[j] < ub_[j]; };
+  // Row activities at the start (interior columns at their start values,
+  // every other column where InitializeBasis placed it) and row lengths.
+  std::vector<double> activity(m_, 0.0);
+  std::vector<int32_t> length(m_, 0);
+  for (int32_t j = 0; j < n_; ++j) {
+    const double xj = interior(j) ? start[j] : value_[j];
+    for (int32_t k = csc_->col_starts[j]; k < csc_->col_starts[j + 1]; ++k) {
+      activity[csc_->rows[k]] += csc_->values[k] * xj;
+      ++length[csc_->rows[k]];
+    }
+  }
+  std::vector<char> crashed(m_, 0);
+  for (int32_t j = 0; j < n_; ++j) {
+    if (!interior(j)) {
+      continue;
+    }
+    double column_max = 0.0;
+    for (int32_t k = csc_->col_starts[j]; k < csc_->col_starts[j + 1]; ++k) {
+      column_max = std::max(column_max, std::fabs(csc_->values[k]));
+    }
+    int32_t best = -1;
+    double best_bound = 0.0;
+    bool blocked = false;
+    for (int32_t k = csc_->col_starts[j]; k < csc_->col_starts[j + 1]; ++k) {
+      const int32_t i = csc_->rows[k];
+      if (crashed[i] != 0) {
+        blocked = true;  // An entry above an earlier column's pivot.
+        break;
+      }
+      if (std::fabs(csc_->values[k]) < 0.01 * column_max) {
+        continue;  // Too small a pivot to anchor the column on.
+      }
+      const double tol = 1e-9 * (1.0 + std::fabs(activity[i]));
+      for (const double bound : {lb_[n_ + i], ub_[n_ + i]}) {
+        if (std::isfinite(bound) && std::fabs(activity[i] - bound) <= tol &&
+            (best < 0 || length[i] < length[best])) {
+          best = i;
+          best_bound = bound;
+        }
+      }
+    }
+    if (blocked || best < 0) {
+      continue;
+    }
+    crashed[best] = 1;
+    const int32_t slack = n_ + best;
+    status_[slack] = best_bound == lb_[slack] ? ColStatus::kAtLower : ColStatus::kAtUpper;
+    value_[slack] = best_bound;
+    basis_pos_[slack] = -1;
+    basis_[best] = j;
+    basis_pos_[j] = best;
+    status_[j] = ColStatus::kBasic;
+  }
 }
 
 bool SimplexSolver::Refactorize() {

@@ -19,11 +19,13 @@
 //
 // A cold solve starts from the all-slack basis. Given a start point, a
 // structural the point puts at (or past) its finite upper bound starts
-// nonbasic at that bound instead of at its lower bound; the basis is still
-// all-slack, so the first factorization cannot fail, and phase 1 drives out
-// whatever row violations the start leaves. For the RAS model, starting from
-// the region's current assignment ("nothing moves": each held class at its
-// count X) saves about a fifth of the root LP's pivots.
+// nonbasic at that bound instead of at its lower bound, and one the point
+// puts strictly inside its bounds is crashed into the basis in place of the
+// slack of a row the point holds at a bound (a triangular crash, so the
+// first factorization cannot fail); phase 1 drives out whatever row
+// violations the start leaves. For the RAS model, starting from the region's
+// current assignment ("nothing moves": each pair's n at its X, basic on its
+// move-out row) saves pivots over the all-slack start.
 //
 // The solve runs on the model as given: the model arrives already shrunk
 // by the equivalence classes it is built over (Section 3.5.3), and generic
@@ -126,8 +128,10 @@ class SimplexSolver {
 
   // Cold solve from the all-slack basis. `start`, if given, holds one value
   // per structural: a column j with finite ub_j > lb_j and start[j] >= ub_j
-  // starts nonbasic at ub_j; every other column starts at its lower bound
-  // (or its finite upper bound, or free at 0) as without a start.
+  // starts nonbasic at ub_j; a column with lb_j < start[j] < ub_j starts
+  // basic when CrashInteriorColumns finds it a row; every other column
+  // starts at its lower bound (or its finite upper bound, or free at 0) as
+  // without a start.
   LpResult Solve(const Model& model) { return Solve(model, {}); }
   LpResult Solve(const Model& model, const std::vector<BoundOverride>& overrides,
                  const std::vector<double>* start = nullptr);
@@ -155,6 +159,13 @@ class SimplexSolver {
   // All-slack basis with every structural nonbasic, placed per `start` (see
   // Solve).
   void InitializeBasis(const std::vector<double>* start);
+  // Triangular crash of the start's interior columns, in column order: each
+  // replaces the slack of its shortest row that the start holds at a finite
+  // bound (the slack goes nonbasic there), unless it has an entry in a row an
+  // earlier column took. The crashed columns restricted to their rows are
+  // then triangular with a nonzero diagonal, so the basis is nonsingular, and
+  // a start that is tight on every taken row is reproduced exactly.
+  void CrashInteriorColumns(const std::vector<double>& start);
   // Factors basis_ from scratch (clearing the eta file); false if singular.
   bool Refactorize();
   void ComputeBasicValues();

@@ -129,6 +129,53 @@ TEST(DecoderTest, MoveTiersFollowClassInUse) {
   EXPECT_EQ(decoded.moves_idle, 4u);
 }
 
+// The decode releases in the order Expression (1) prices: a reservation
+// giving up part of a class keeps its in-use servers and releases idle ones,
+// and a reservation acquiring in the same class takes those released servers
+// before any free one.
+TEST(DecoderTest, KeepsInUseFirstAndHandsReleasedServersToAcquirers) {
+  DecoderEnv env;
+  ReservationId a = env.Add("a", 5);
+  ReservationId b = env.Add("b", 5);
+  const SolveInput unbound = SnapshotSolveInput(*env.broker, env.registry, env.fleet.catalog);
+  const auto unbound_classes = BuildEquivalenceClasses(unbound, Scope::kMsb);
+  const auto big = std::max_element(
+      unbound_classes.begin(), unbound_classes.end(),
+      [](const auto& x, const auto& y) { return x.count() < y.count(); });
+  ASSERT_GE(big->count(), 6u);
+  // a holds the class's first four servers: two idle, then two in use.
+  const std::vector<ServerId> members = big->servers;
+  for (size_t i = 0; i < 4; ++i) {
+    env.broker->SetCurrent(members[i], a);
+    env.broker->SetHasContainers(members[i], i >= 2);
+  }
+  SolveInput input = SnapshotSolveInput(*env.broker, env.registry, env.fleet.catalog);
+  auto classes = BuildEquivalenceClasses(input, Scope::kMsb);
+  BuiltModel built = BuildRasModel(input, classes, SolverConfig(), false);
+  std::vector<double> counts = built.initial_counts;
+  for (size_t k = 0; k < counts.size(); ++k) {
+    const auto& av = built.assignment_vars[k];
+    if (classes[static_cast<size_t>(av.class_index)].servers != members) {
+      continue;
+    }
+    const ReservationId res = input.reservations[static_cast<size_t>(av.reservation_index)].id;
+    ASSERT_EQ(built.initial_counts[k], res == a ? 4.0 : 0.0);
+    counts[k] = 2.0;  // a gives up two servers, b acquires two.
+  }
+  DecodedAssignment decoded =
+      DecodeAssignment(input, classes, built, MakeWarmStart(input, classes, built, counts));
+  std::map<ServerId, ReservationId> target(decoded.targets.begin(), decoded.targets.end());
+  EXPECT_EQ(target[members[2]], a);
+  EXPECT_EQ(target[members[3]], a);
+  EXPECT_EQ(target[members[0]], b);
+  EXPECT_EQ(target[members[1]], b);
+  for (size_t i = 4; i < members.size(); ++i) {
+    EXPECT_EQ(target[members[i]], kUnassigned) << "a free server moved";
+  }
+  EXPECT_EQ(decoded.moves_total, 2u);
+  EXPECT_EQ(decoded.moves_in_use, 0u);
+}
+
 // Property sweep: random integral count vectors decode into consistent
 // targets: per-class totals respected, every class member assigned.
 class DecoderPropertyTest : public ::testing::TestWithParam<int> {};

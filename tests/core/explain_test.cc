@@ -33,8 +33,21 @@ TEST(ExplainTest, SummarizesSolvedReservation) {
     broker.SetCurrent(s, broker.record(s).target);
   }
 
+  // Two of its servers run containers: Expression (1)'s in-use tier.
+  size_t marked = 0;
+  for (ServerId s = 0; s < broker.num_servers() && marked < 2; ++s) {
+    if (broker.record(s).current == id) {
+      broker.SetHasContainers(s, true);
+      ++marked;
+    }
+  }
+
   AssignmentExplanation ex = ExplainAssignment(broker, registry, fleet.catalog, id);
   EXPECT_EQ(ex.name, "svc");
+  const SolverConfig config;
+  EXPECT_EQ(ex.in_use_servers, 2u);
+  EXPECT_EQ(ex.move_out_cost, 2 * config.move_cost_in_use +
+                                  static_cast<double>(ex.servers - 2) * config.move_cost_idle);
   EXPECT_GT(ex.servers, 40u);  // Capacity + buffer.
   EXPECT_NEAR(ex.total_rru, static_cast<double>(ex.servers), 1e-9);  // Count-based.
   EXPECT_GE(ex.effective_rru, 40.0 - 1e-6);
@@ -46,6 +59,7 @@ TEST(ExplainTest, SummarizesSolvedReservation) {
   EXPECT_NE(text.find("svc"), std::string::npos);
   EXPECT_NE(text.find("survives any single-MSB loss"), std::string::npos);
   EXPECT_NE(text.find("hardware mix"), std::string::npos);
+  EXPECT_NE(text.find("stability: 2 in use"), std::string::npos);
   EXPECT_EQ(text.find("SHORT"), std::string::npos);  // Fully granted.
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <unordered_set>
 #include <utility>
 
 #include "src/core/initial_assignment.h"
@@ -54,24 +56,120 @@ struct SearchEnv {
   }
 };
 
+// The polish's incremental objective equals the model's objective at the
+// corresponding MakeWarmStart point: on a greedy start and after a search;
+// on a (class, reservation) pair holding both movement tiers, with partial
+// release and acquisition; and on a phase-2 model, less exactly the model's
+// rack-spread penalty, which the polish does not score.
 TEST(LocalSearchTest, ObjectiveMatchesModelEvaluation) {
-  SearchEnv env;
-  env.Add("a", 25);
-  env.Add("b", 20);
-  auto b = env.Prepare();
-  auto counts = BuildInitialCounts(b.input, b.classes, b.built);
-  LocalSearchOptions options;
-  options.max_proposals = 20000;
-  LocalSearchResult result = LocalSearchOptimize(b.input, b.classes, b.built, counts, options);
-
-  // The incremental objective must equal the model's objective at the
-  // corresponding full point, both before and after the search.
-  auto warm0 = MakeWarmStart(b.input, b.classes, b.built, counts);
-  EXPECT_NEAR(result.initial_objective, b.built.model.Objective(warm0),
-              1e-6 * (1 + std::fabs(result.initial_objective)));
-  auto warm1 = MakeWarmStart(b.input, b.classes, b.built, result.counts);
-  EXPECT_NEAR(result.final_objective, b.built.model.Objective(warm1),
-              1e-6 * (1 + std::fabs(result.final_objective)));
+  auto expect_objective = [](const SearchEnv::Built& b, const std::vector<double>& counts,
+                             double objective) {
+    const double model =
+        b.built.model.Objective(MakeWarmStart(b.input, b.classes, b.built, counts));
+    EXPECT_NEAR(objective, model, 1e-6 * (1 + std::fabs(model)));
+  };
+  {
+    SCOPED_TRACE("greedy start and search");
+    SearchEnv env;
+    env.Add("a", 25);
+    env.Add("b", 20);
+    auto b = env.Prepare();
+    auto counts = BuildInitialCounts(b.input, b.classes, b.built);
+    LocalSearchOptions options;
+    options.max_proposals = 20000;
+    LocalSearchResult result = LocalSearchOptimize(b.input, b.classes, b.built, counts, options);
+    expect_objective(b, counts, result.initial_objective);
+    expect_objective(b, result.counts, result.final_objective);
+  }
+  {
+    SCOPED_TRACE("both tiers, partial release and acquisition");
+    SearchEnv env;
+    ReservationId a = env.Add("a", 25);
+    env.Add("b", 20);
+    const auto unbound = env.Prepare();
+    const EquivalenceClass& big = *std::max_element(
+        unbound.classes.begin(), unbound.classes.end(),
+        [](const auto& x, const auto& y) { return x.count() < y.count(); });
+    ASSERT_GE(big.count(), 8u);
+    // a holds five servers of the class: three idle, two in use.
+    const std::vector<ServerId> members = big.servers;
+    for (size_t i = 0; i < 5; ++i) {
+      env.broker->SetCurrent(members[i], a);
+      env.broker->SetHasContainers(members[i], i >= 3);
+    }
+    auto b = env.Prepare();
+    std::vector<double> counts = b.built.initial_counts;
+    const SolverConfig config;
+    int pairs = 0;
+    for (size_t k = 0; k < counts.size(); ++k) {
+      const auto& av = b.built.assignment_vars[k];
+      if (b.classes[static_cast<size_t>(av.class_index)].servers != members) {
+        continue;
+      }
+      ++pairs;
+      if (b.input.reservations[static_cast<size_t>(av.reservation_index)].id == a) {
+        ASSERT_EQ(b.built.initial_counts[k], 5.0);
+        ASSERT_EQ(b.built.initial_in_use[k], 2.0);
+        counts[k] = 1.0;  // Releases all three idle servers and one in use.
+        EXPECT_EQ(b.built.MoveCost(k, 1.0),
+                  3 * config.move_cost_idle + 1 * config.move_cost_in_use);
+      } else {
+        counts[k] = 3.0;  // Acquires three.
+        EXPECT_EQ(b.built.MoveCost(k, 3.0), 3 * config.acquire_cost);
+      }
+    }
+    ASSERT_EQ(pairs, 2);
+    LocalSearchOptions options;
+    options.max_proposals = 0;
+    expect_objective(b, counts,
+                     LocalSearchOptimize(b.input, b.classes, b.built, counts, options)
+                         .initial_objective);
+    options.max_proposals = 20000;
+    LocalSearchResult result = LocalSearchOptimize(b.input, b.classes, b.built, counts, options);
+    expect_objective(b, result.counts, result.final_objective);
+  }
+  {
+    SCOPED_TRACE("phase 2: the rack-spread penalty is the documented gap");
+    SearchEnv env;
+    ReservationId a = env.Add("a", 30);
+    env.Add("b", 20);
+    // a crowds one rack, far above its rack-spread threshold.
+    const RegionTopology& topo = env.fleet.topology;
+    for (ServerId id = 0; id < topo.num_servers(); ++id) {
+      if (topo.server(id).rack == 0) {
+        env.broker->SetCurrent(id, a);
+      }
+    }
+    SearchEnv::Built b;
+    b.input = SnapshotSolveInput(*env.broker, env.registry, env.fleet.catalog);
+    const std::unordered_set<ReservationId> subset_ids = {a};
+    ClassFilter filter;
+    filter.reservations = &subset_ids;
+    b.classes = BuildEquivalenceClasses(b.input, Scope::kRack, filter);
+    b.built = BuildRasModel(b.input, b.classes, SolverConfig(), /*include_rack_spread=*/true,
+                            {b.input.ReservationIndex(a)});
+    ASSERT_FALSE(b.built.rack_spread_terms.empty());
+    auto rack_penalty = [&b](const std::vector<double>& counts) {
+      const std::vector<double> x = MakeWarmStart(b.input, b.classes, b.built, counts);
+      double penalty = 0.0;
+      for (const auto& term : b.built.rack_spread_terms) {
+        penalty += b.built.model.variable(term.var).cost * x[term.var];
+      }
+      return penalty;
+    };
+    const std::vector<double> counts = BuildInitialCounts(b.input, b.classes, b.built);
+    LocalSearchOptions options;
+    options.max_proposals = 2000;
+    LocalSearchResult result = LocalSearchOptimize(b.input, b.classes, b.built, counts, options);
+    EXPECT_GT(rack_penalty(counts), 0.0);
+    for (const auto& [point, objective] :
+         {std::pair{counts, result.initial_objective},
+          std::pair{result.counts, result.final_objective}}) {
+      const double model =
+          b.built.model.Objective(MakeWarmStart(b.input, b.classes, b.built, point));
+      EXPECT_NEAR(objective, model - rack_penalty(point), 1e-6 * (1 + std::fabs(model)));
+    }
+  }
 }
 
 TEST(LocalSearchTest, NeverWorsensAndUsuallyImproves) {

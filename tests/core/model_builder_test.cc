@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "src/core/assignment_decoder.h"
+#include "src/core/buffer_policy.h"
 #include "src/core/initial_assignment.h"
+#include "src/core/rru.h"
+#include "src/core/rru_ledger.h"
 #include "src/fleet/fleet_gen.h"
+#include "src/fleet/service_profile.h"
+#include "src/util/rng.h"
 
 namespace ras {
 namespace {
@@ -187,6 +198,124 @@ TEST(ModelBuilderTest, SharedBufferReservationHasNoBufferVar) {
   auto classes = BuildEquivalenceClasses(input, Scope::kMsb);
   BuiltModel built = BuildRasModel(input, classes, SolverConfig(), false);
   EXPECT_EQ(built.buffer_vars[0], kNoVar);
+}
+
+// Expression (1) on (location, type) classes: any target set that releases
+// a reservation's idle servers before its in-use ones scores, under
+// MakeWarmStart + Model::Objective, exactly the independent per-server sum
+// a binding-keyed model gives it — the RruLedger terms of the targets plus
+// each moved server's move-out cost by tier and acquire cost. The region is
+// bench/sweep_common.h's SweepRegion(0) (480 servers, shared buffers, eight
+// paper-profile services, 60% of servers bound round-robin), with 40% of the
+// bound servers in use, an affinity and a quorum cap; the target sets are
+// random class counts, decoded (the decoder releases idle servers first).
+TEST(ModelBuilderTest, IdleFirstTargetsScoreTheirIndependentSum) {
+  FleetOptions options;
+  options.num_datacenters = 2;
+  options.msbs_per_datacenter = 3;
+  options.racks_per_msb = 8;
+  options.servers_per_rack = 10;
+  options.seed = 5150;
+  Fleet fleet = GenerateFleet(options);
+  ResourceBroker broker(&fleet.topology);
+  ReservationRegistry registry;
+  EnsureSharedBuffers(registry, fleet.topology, fleet.catalog, 0.02);
+  Rng rng(4242);
+  const std::vector<ServiceProfile> profiles = MakePaperServiceProfiles();
+  constexpr int kServices = 8;
+  const double budget = static_cast<double>(fleet.topology.num_servers()) * 0.7;
+  for (int i = 0; i < kServices; ++i) {
+    ReservationSpec spec;
+    spec.name = "svc-" + std::to_string(i);
+    spec.capacity_rru = rng.Uniform(0.5, 1.5) * budget / kServices;
+    spec.rru_per_type = BuildRruVector(fleet.catalog, profiles[i % profiles.size()]);
+    if (i == 0) {
+      spec.dc_affinity[0] = 0.6;
+      spec.dc_affinity[1] = 0.4;
+    } else if (i == 1) {
+      spec.is_storage = true;
+      spec.max_msb_fraction_hard = 0.3;
+    }
+    ASSERT_TRUE(registry.Create(spec).ok());
+  }
+  const SolveInput probe = SnapshotSolveInput(broker, registry, fleet.catalog);
+  for (ServerId id = 0; id < broker.num_servers(); ++id) {
+    if (id % 5 < 3) {
+      broker.SetCurrent(id, probe.reservations[id % probe.reservations.size()].id);
+      broker.SetHasContainers(id, rng.Bernoulli(0.4));
+    }
+  }
+  const SolveInput input = SnapshotSolveInput(broker, registry, fleet.catalog);
+  const RegionTopology& topo = fleet.topology;
+  const SolverConfig config;
+  const auto classes = BuildEquivalenceClasses(input, Scope::kMsb);
+  const BuiltModel built = BuildRasModel(input, classes, config, false);
+
+  auto independent_sum = [&](const std::vector<std::pair<ServerId, ReservationId>>& targets) {
+    const RruLedger ledger = RruLedger::OfTargets(input, targets);
+    double sum = 0.0;
+    for (size_t r = 0; r < input.reservations.size(); ++r) {
+      const ReservationSpec& spec = input.reservations[r];
+      const double capacity = spec.capacity_rru;
+      sum += config.capacity_soften_cost *
+             std::clamp(capacity - ledger.Effective(r), 0.0, std::max(capacity, 0.0));
+      sum += config.buffer_cost_tau * ledger.WorstMsb(r);
+      sum += config.spread_penalty_beta *
+             ledger.MsbOverflow(r, MsbSpreadThreshold(spec, config, topo));
+      sum += config.hoarding_cost *
+             std::max(0.0, ledger.Effective(r) - (1.0 + config.hoarding_allowance) * capacity);
+      if (spec.max_msb_fraction_hard > 0.0) {
+        sum += config.quorum_soften_cost *
+               ledger.MsbOverflow(r, spec.max_msb_fraction_hard * capacity);
+      }
+      for (const auto& [dc, share] : spec.dc_affinity) {
+        const RruBand band = AffinityBand(spec, share);
+        const double rru = ledger.AtDc(r, dc);
+        sum += config.affinity_soften_cost *
+               (std::max(0.0, band.lo - rru) + std::max(0.0, rru - band.hi));
+      }
+    }
+    for (const auto& [server, target] : targets) {
+      const ServerSolveState& state = input.servers[server];
+      if (target == state.current) {
+        continue;
+      }
+      const HardwareTypeId type = topo.server(server).type;
+      const int from = input.ReservationIndex(state.current);
+      if (from >= 0 && input.reservations[static_cast<size_t>(from)].ValueOfType(type) > 0.0) {
+        sum += state.in_use ? config.move_cost_in_use : config.move_cost_idle;
+      }
+      if (target != kUnassigned) {
+        sum += config.acquire_cost;
+      }
+    }
+    return sum;
+  };
+
+  Rng draw(77);
+  int moved_in_use = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Random counts within each class's supply, around the current ones.
+    std::vector<double> counts(built.assignment_vars.size(), 0.0);
+    for (size_t c = 0; c < classes.size(); ++c) {
+      double left = static_cast<double>(classes[c].count());
+      for (int k : built.class_to_vars[c]) {
+        const double x = built.initial_counts[static_cast<size_t>(k)];
+        const double n = std::min(left, std::max(0.0, x + static_cast<double>(
+                                                              draw.UniformInt(-4, 3))));
+        counts[static_cast<size_t>(k)] = n;
+        left -= n;
+      }
+    }
+    const std::vector<double> x = MakeWarmStart(input, classes, built, counts);
+    ASSERT_TRUE(built.model.IsFeasible(x, 1e-9));
+    const DecodedAssignment decoded = DecodeAssignment(input, classes, built, x);
+    moved_in_use += static_cast<int>(decoded.moves_in_use);
+    const double model = built.model.Objective(x);
+    EXPECT_NEAR(model, independent_sum(decoded.targets), 1e-9 * std::fabs(model));
+  }
+  EXPECT_GT(moved_in_use, 0) << "no trial released an in-use server";
 }
 
 // Property sweep: random fleets, random reservation mixes (including

@@ -1,7 +1,8 @@
 // Resolve cache: the patch path (SetRoundBounds on a cached model) must
-// reproduce a fresh build field-for-field, SetRoundBounds must refuse, with
-// the model untouched, every round whose model layout differs, and the round
-// memo keys on the whole snapshot.
+// reproduce a fresh build field-for-field, for size changes and binding
+// moves alike; SetRoundBounds must refuse, with the model untouched, every
+// round whose model layout differs; and the round memo keys on the whole
+// snapshot.
 
 #include "src/core/resolve_cache.h"
 
@@ -107,7 +108,13 @@ void ExpectBuiltModelsEqual(const BuiltModel& a, const BuiltModel& b) {
   EXPECT_EQ(a.buffer_vars, b.buffer_vars);
   EXPECT_EQ(a.hoard_vars, b.hoard_vars);
   EXPECT_EQ(a.initial_counts, b.initial_counts);
-  EXPECT_EQ(a.move_vars, b.move_vars);
+  EXPECT_EQ(a.initial_in_use, b.initial_in_use);
+  EXPECT_EQ(a.move_idle_vars, b.move_idle_vars);
+  EXPECT_EQ(a.move_in_use_vars, b.move_in_use_vars);
+  EXPECT_EQ(a.held_var, b.held_var);
+  EXPECT_EQ(a.acquire_cost, b.acquire_cost);
+  EXPECT_EQ(a.move_cost_idle, b.move_cost_idle);
+  EXPECT_EQ(a.move_cost_in_use, b.move_cost_in_use);
   EXPECT_EQ(a.supply_rows, b.supply_rows);
   EXPECT_EQ(a.move_rows, b.move_rows);
   EXPECT_EQ(a.capacity_rows, b.capacity_rows);
@@ -254,7 +261,8 @@ TEST(ResolveCacheTest, PatchedModelEqualsFreshRebuildForEveryBound) {
          // Kill one server of a populous bound class: its supply, n bound,
          // X and move-out bounds all shrink, the class survives.
          for (const EquivalenceClass& cls : classes) {
-           if (cls.count() >= 2 && cls.current != kUnassigned) {
+           if (cls.count() >= 2 && !cls.held.empty() &&
+               in.servers[cls.servers[0]].current != kUnassigned) {
              in.servers[cls.servers[0]].available = false;
              return;
            }
@@ -327,31 +335,43 @@ TEST(ResolveCacheTest, PatchRefusesStructuralMismatch) {
   EXPECT_FALSE(SetRoundBounds(built, next, next_classes, config, /*include_rack_spread=*/false));
 }
 
-// Keys change while the class count does not: every server of the idle "aff"
-// MSB goes in use (a tier swap) or is rebound to "svc" (a binding swap).
-// Counting rows and reservations cannot see either.
-TEST(ResolveCacheTest, PatchRefusesSameCountClassKeySwap) {
+// Bindings and in-use flags are bounds, not layout: every server of the idle
+// "aff" MSB goes in use (a tier flip), is rebound to "quorum" (a binding move
+// inside phase 2's subset too), or is freed, and the cached model re-bounds
+// to exactly a fresh build.
+TEST(ResolveCacheTest, PatchAcceptsBindingMoveAndTierFlip) {
   PatchRegion region;
   const RegionTopology& topo = region.region.fleet.topology;
-  const std::vector<std::pair<const char*, std::function<void(ServerSolveState&)>>> swaps = {
+  const std::vector<std::pair<const char*, std::function<void(ServerSolveState&)>>> edits = {
       {"in_use tier", [](ServerSolveState& server) { server.in_use = true; }},
       {"binding", [&region](ServerSolveState& server) {
-         server.current = region.base.reservations[0].id;
+         server.current = region.base.reservations[2].id;
        }},
+      {"release", [](ServerSolveState& server) { server.current = kUnassigned; }},
   };
-  const PhaseShape& phase1 = Phases()[0];
-  const BuiltModel built = BuildRasModel(region.base, phase1.Classes(region.base), SolverConfig(),
-                                         phase1.include_rack_spread, phase1.subset);
-  for (const auto& [name, swap] : swaps) {
-    SCOPED_TRACE(name);
-    SolveInput next = region.base;
-    for (size_t s = 0; s < next.servers.size(); ++s) {
-      if (topo.server(static_cast<ServerId>(s)).msb == 1) {
-        swap(next.servers[s]);
+  const SolverConfig config;
+  for (const PhaseShape& phase : Phases()) {
+    const std::vector<EquivalenceClass> classes = phase.Classes(region.base);
+    const BuiltModel built =
+        BuildRasModel(region.base, classes, config, phase.include_rack_spread, phase.subset);
+    for (const auto& [name, edit] : edits) {
+      SCOPED_TRACE(std::string(phase.name) + " / " + name);
+      SolveInput next = region.base;
+      for (size_t s = 0; s < next.servers.size(); ++s) {
+        if (topo.server(static_cast<ServerId>(s)).msb == 1) {
+          edit(next.servers[s]);
+        }
       }
+      const std::vector<EquivalenceClass> next_classes = phase.Classes(next);
+      BuiltModel patched = built;
+      ASSERT_TRUE(SetRoundBounds(patched, next, next_classes, config, phase.include_rack_spread,
+                                 phase.subset));
+      EXPECT_TRUE(patched.model.compressed_cache_valid());
+      ExpectBuiltModelsEqual(
+          patched,
+          BuildRasModel(next, next_classes, config, phase.include_rack_spread, phase.subset));
+      EXPECT_FALSE(SameBounds(built.model, patched.model));
     }
-    ASSERT_EQ(phase1.Classes(next).size(), phase1.Classes(region.base).size());
-    EXPECT_FALSE(Patches(built, next, phase1));
   }
 }
 
@@ -480,7 +500,7 @@ TEST(ResolveCacheTest, ReservationStructureSemantics) {
 }
 
 // Class membership is bounds: a class that shrinks keeps its key. A class
-// that vanishes changes the layout.
+// that vanishes, or appears, changes the layout.
 TEST(ResolveCacheTest, ClassLayoutIgnoresMembership) {
   TestRegion region;
   const SolveInput prev = region.Snapshot();
@@ -503,6 +523,9 @@ TEST(ResolveCacheTest, ClassLayoutIgnoresMembership) {
     vanished.servers[id].available = false;
   }
   EXPECT_FALSE(Patches(built, vanished, phase1));
+  const BuiltModel without = BuildRasModel(vanished, phase1.Classes(vanished), SolverConfig(),
+                                           false);
+  EXPECT_FALSE(Patches(without, prev, phase1));
 }
 
 }  // namespace

@@ -144,8 +144,8 @@ TEST(ResolveChurnSoakTest, FiftyRoundsOfChurnMatchFromScratchBitForBit) {
     ApplyChurn(incremental, inc_rng, round);
     ApplyChurn(cold, cold_rng, round);
     if (round == 17 || round == 34) {
-      // Binding materialization reshapes every equivalence class at once —
-      // the hardest structural churn the cache must survive (by rebuilding).
+      // Binding materialization moves every class's X at once: with classes
+      // keyed by (location, type), a bound update the cache patches.
       MaterializeTargets(incremental);
       MaterializeTargets(cold);
     }
@@ -241,6 +241,49 @@ TEST(ResolveChurnSoakTest, RoundAfterARolledBackPersistMatchesAColdSolve) {
   ASSERT_TRUE(changed.ok());
   EXPECT_FALSE(changed->solve_skipped);
   ExpectBrokerHolds(region, cold_changed);
+}
+
+// Churn that changes no reservation — the mover applying the last targets,
+// containers starting and stopping, a server failing and coming back — moves
+// only the classes' X and supplies. Every such round patches the cached
+// phase-1 model and ships what a fresh cold solver computes.
+TEST(ResolveChurnSoakTest, ChurnOnlyRoundsPatchAndMatchAColdSolve) {
+  SoakRegion region;
+  AsyncSolver solver(SoakConfig(/*incremental=*/true));
+  auto first = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->reuse_miss, ReuseMiss::kNoCachedModel);
+
+  Rng rng(99);
+  ServerId failed = 0;
+  bool down = false;
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    MaterializeTargets(region);
+    for (int flips = 0; flips < 4; ++flips) {
+      const ServerId id = static_cast<ServerId>(
+          rng.UniformInt(0, static_cast<int64_t>(region.broker->num_servers()) - 1));
+      if (region.broker->record(id).current != kUnassigned) {
+        region.broker->SetHasContainers(id, !region.broker->record(id).has_containers);
+      }
+    }
+    if (down) {
+      region.broker->SetUnavailability(failed, Unavailability::kNone);
+    } else {
+      failed = static_cast<ServerId>(
+          rng.UniformInt(0, static_cast<int64_t>(region.broker->num_servers()) - 1));
+      region.broker->SetUnavailability(failed, Unavailability::kUnplannedHardware);
+    }
+    down = !down;
+
+    const auto cold = FreshColdTargets(region);
+    auto stats = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_TRUE(stats->model_patched) << "a churn-only round rebuilt phase 1's model";
+    EXPECT_FALSE(stats->solve_skipped);
+    EXPECT_EQ(stats->reuse_miss, ReuseMiss::kSnapshotChanged);
+    ExpectBrokerHolds(region, cold);
+  }
 }
 
 TEST(ResolveChurnSoakTest, RoundAfterADegradedModeSolveMatchesAColdSolve) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "src/fleet/fleet_gen.h"
 
@@ -122,7 +125,9 @@ TEST(EquivalenceTest, ClassesPartitionAvailableServers) {
   EXPECT_EQ(seen.count(0), 0u);
 }
 
-TEST(EquivalenceTest, MembersShareKeyFields) {
+// The key is (location, type); bindings are per-reservation tier counts
+// that add up the members' snapshot states.
+TEST(EquivalenceTest, MembersShareKeyFieldsAndHoldingsCountBindings) {
   Fleet fleet = GenerateFleet(Options());
   ResourceBroker broker(&fleet.topology);
   ReservationRegistry registry;
@@ -130,17 +135,34 @@ TEST(EquivalenceTest, MembersShareKeyFields) {
   ASSERT_TRUE(id.ok());
   broker.SetCurrent(4, *id);
   broker.SetCurrent(5, *id);
+  broker.SetHasContainers(5, true);
   SolveInput input = SnapshotSolveInput(broker, registry, fleet.catalog);
   auto classes = BuildEquivalenceClasses(input, Scope::kMsb);
+  std::set<std::pair<MsbId, HardwareTypeId>> keys;
+  size_t idle = 0, in_use = 0;
   for (const auto& cls : classes) {
+    EXPECT_TRUE(keys.insert({cls.msb, cls.type}).second) << "two classes share a key";
+    EXPECT_TRUE(std::is_sorted(cls.servers.begin(), cls.servers.end()));
+    std::map<ReservationId, EquivalenceClass::Held> expected;
     for (ServerId sid : cls.servers) {
       const Server& s = fleet.topology.server(sid);
       EXPECT_EQ(s.msb, cls.msb);
       EXPECT_EQ(s.type, cls.type);
-      EXPECT_EQ(input.servers[sid].current, cls.current);
-      EXPECT_EQ(input.servers[sid].in_use, cls.in_use);
+      const ServerSolveState& state = input.servers[sid];
+      if (state.current != kUnassigned) {
+        ++(state.in_use ? expected[state.current].in_use : expected[state.current].idle);
+      }
     }
+    ASSERT_EQ(cls.held.size(), expected.size());
+    for (const EquivalenceClass::Held& held : cls.held) {
+      EXPECT_EQ(held.idle, expected[held.reservation].idle);
+      EXPECT_EQ(held.in_use, expected[held.reservation].in_use);
+    }
+    idle += cls.HeldBy(*id).idle;
+    in_use += cls.HeldBy(*id).in_use;
   }
+  EXPECT_EQ(idle, 1u);
+  EXPECT_EQ(in_use, 1u);
 }
 
 TEST(EquivalenceTest, RackGranularityIsFiner) {
@@ -178,9 +200,10 @@ TEST(EquivalenceTest, FilterRestrictsToSubsetPlusFree) {
   auto classes = BuildEquivalenceClasses(input, Scope::kMsb, filter);
   bool saw_a = false;
   for (const auto& cls : classes) {
-    EXPECT_NE(cls.current, *b);
-    if (cls.current == *a) {
-      saw_a = true;
+    EXPECT_EQ(cls.HeldBy(*b).count(), 0u);
+    saw_a = saw_a || cls.HeldBy(*a).count() > 0;
+    for (ServerId id : cls.servers) {
+      EXPECT_NE(id, 2u);
     }
   }
   EXPECT_TRUE(saw_a);

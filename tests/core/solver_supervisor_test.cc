@@ -438,6 +438,40 @@ TEST(SolverSupervisorTest, RoundAfterADegradedRungMatchesAColdSolve) {
   EXPECT_EQ(s.supervisor->last_good_targets(), cold);
 }
 
+// The round report names why phase 1 took no cheaper reuse path: a first
+// round has no cached model; an unchanged snapshot replays with no reason; a
+// resize misses the memo but patches ("snapshot changed"); a new
+// reservation changes the layout, which SetRoundBounds refuses.
+TEST(SolverSupervisorTest, RoundReportSaysWhyPhaseOneDidNotReuse) {
+  SupervisedSetup s;
+  const ReservationId svc = s.AddService("svc", 20);
+  auto report = [&s] {
+    const SupervisedRound round = s.supervisor->RunRound();
+    EXPECT_EQ(round.rung, LadderRung::kFullTwoPhase);
+    RoundOutcome record;
+    record.rung = round.rung;
+    return MakeRoundReport(record, round.stats);
+  };
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"cold", "no cached model"}, {"skipped", ""}, {"patched", "snapshot changed"},
+      {"cold", "layout refused"}};
+  std::vector<std::pair<std::string, std::string>> seen;
+  obs::RoundReport first = report();
+  seen.emplace_back(first.reuse, first.reuse_reason);
+  EXPECT_NE(obs::FormatRoundReport(first).find("reuse=cold (no cached model) delta="),
+            std::string::npos);
+  obs::RoundReport replayed = report();
+  seen.emplace_back(replayed.reuse, replayed.reuse_reason);
+  EXPECT_NE(obs::FormatRoundReport(replayed).find("reuse=skipped delta="), std::string::npos);
+  s.Resize(svc, 24);
+  obs::RoundReport patched = report();
+  seen.emplace_back(patched.reuse, patched.reuse_reason);
+  s.AddService("extra", 6);
+  obs::RoundReport refused = report();
+  seen.emplace_back(refused.reuse, refused.reuse_reason);
+  EXPECT_EQ(seen, expected);
+}
+
 TEST(SolverSupervisorTest, RoundAfterAPersistRollbackMatchesAColdSolve) {
   // The supervisor's own persist path (not AsyncSolver::SolveOnce): every
   // attempt of round 1 rolls back, so the round the cache keeps never
