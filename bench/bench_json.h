@@ -12,13 +12,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include <sys/utsname.h>
 
 #include "src/util/file_io.h"
+#include "src/util/thread_pool.h"
 
 namespace ras {
 namespace bench {
@@ -85,7 +85,7 @@ class BenchJsonWriter {
  public:
   explicit BenchJsonWriter(std::string bench_name) : bench_(std::move(bench_name)) {}
 
-  // Top-level fields alongside "bench" — the shared schema (host, threads,
+  // Top-level fields alongside "bench" — the shared schema (host, CPUs,
   // build) lives here so every BENCH_*.json is mechanically comparable.
   JsonRecord& Meta() { return meta_; }
 
@@ -124,7 +124,7 @@ class BenchJsonWriter {
 
 // --- Shared schema, used by every trajectory bench ---
 
-// Host, thread, and build-type fields common to every BENCH_*.json.
+// Host, CPU and build-type fields common to every BENCH_*.json.
 inline void AddStandardMeta(BenchJsonWriter& writer) {
   struct utsname un;
   const char* host = "unknown";
@@ -136,7 +136,7 @@ inline void AddStandardMeta(BenchJsonWriter& writer) {
   writer.Meta()
       .Set("host", host)
       .Set("machine", machine)
-      .Set("hardware_threads", static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .Set("usable_cpus", static_cast<int64_t>(UsableCpus()))
 #ifdef NDEBUG
       .Set("build", "release");
 #else

@@ -4,8 +4,8 @@
 // in the MIP step; Phase 2 spends only ~19% in MIP, with ~70% split between
 // the two build steps (its problems are smaller but rack granularity makes
 // building relatively expensive). Steps: RAS build, solver build, initial
-// state, MIP. The initial state runs beside the MIP's root LP, so its share
-// is what the phase still waited for it after the root LP.
+// state, MIP. The initial state runs beside the MIP's search, so its share
+// is what the phase still waited for it after the search.
 
 #include "bench/bench_common.h"
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <thread>
 #include <unordered_set>
 
 #include "src/core/initial_assignment.h"
@@ -189,8 +188,7 @@ MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceCl
 }
 
 AsyncSolver::AsyncSolver(SolverConfig config)
-    : config_(std::move(config)),
-      pool_(static_cast<int>(std::thread::hardware_concurrency()) - 1) {}
+    : config_(std::move(config)), pool_(UsableCpus() - 1) {}
 
 AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache* cache, const SolveInput& input,
                                                 const std::vector<EquivalenceClass>& classes,
@@ -229,22 +227,24 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(ResolveCache* cache, const Solve
   outcome.stats.memory_bytes = built.ModelMemoryBytes();
 
   // Initial state, computed identically whether the model was patched or
-  // rebuilt, on a pool worker while this thread solves the root LP. The MIP
-  // first reads it after the root LP and it is a pure function of (input,
-  // classes, built), so where it runs cannot change the answer; the MIP runs
-  // exactly as if cold, so incremental and cold rounds produce identical
-  // targets.
+  // rebuilt, on a pool worker while this thread runs the search. The MIP
+  // reads it only after the search, as its last incumbent candidate, and it
+  // is a pure function of (input, classes, built), so where it runs cannot
+  // change the answer; the MIP runs exactly as if cold, so incremental and
+  // cold rounds produce identical targets.
+  //
+  // Figure 8's initial-state step is what the phase still waits for its
+  // start once the search is done (0 when the search hid it); the MIP step is
+  // the rest of this block, handing the start to the pool included, so the
+  // steps sum to the phase.
+  t0 = util::MonotonicSeconds();
   std::vector<double> warm;
   double warm_objective = 0.0;
   ThreadPool::JoinHandle start = pool_.SubmitClaimable([&] {
     warm = MakePhaseStart(input, classes, built);
     warm_objective = built.model.Objective(warm);
   });
-  // Figure 8's initial-state step is what the phase still waits for its
-  // start once the root LP is done (0 when the root LP hid it); the MIP step
-  // is the rest of the MIP's wall, so the steps still sum to the phase.
   double waited = 0.0;
-  t0 = util::MonotonicSeconds();
   MipResult mip = SolvePhaseMip(input, classes, built, mip_options, [&] {
     const double wait_start = util::MonotonicSeconds();
     start.Join();

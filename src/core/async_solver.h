@@ -9,7 +9,7 @@
 //
 // Each phase is instrumented with the four steps of Figure 8:
 //   RAS build -> solver build -> initial state -> MIP.
-// The initial state runs on the solver's pool while the MIP's root LP runs
+// The initial state runs on the solver's pool while the MIP's search runs
 // on the calling thread; the initial-state timing is what the phase then
 // still waits for it.
 
@@ -45,7 +45,7 @@ enum class SolveMode : uint8_t {
 // The initial-state step of a phase (Figure 8): the greedy spread-aware
 // assignment polished by a short local search, run to LocalSearchOptions'
 // default work limits. It seeds the MIP's incumbent. A pure function of its
-// arguments, so RunPhase runs it on a pool worker beside the root LP.
+// arguments, so RunPhase runs it on a pool worker beside the search.
 std::vector<double> MakePhaseStart(const SolveInput& input,
                                    const std::vector<EquivalenceClass>& classes,
                                    const BuiltModel& built);
@@ -59,7 +59,7 @@ std::vector<double> MakeRootStart(const SolveInput& input,
 // The MIP step of a phase: branch-and-bound over `built` with the LP-guided
 // rounding heuristic (src/core/lp_rounding) installed, its root LP started
 // from MakeRootStart. `warm_start` is asked for the phase start only after
-// the root LP (MipSolver::WarmStartSource), so it may still be computing.
+// the search (MipSolver::WarmStartSource), so it may still be computing.
 MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                         const BuiltModel& built, const MipOptions& mip_options,
                         const MipSolver::WarmStartSource& warm_start);
@@ -70,8 +70,8 @@ MipResult SolvePhaseMip(const SolveInput& input, const std::vector<EquivalenceCl
 
 class AsyncSolver {
  public:
-  // Starts the solver's pool: one worker fewer than the hardware threads (at
-  // least one); the solving thread is the last.
+  // Starts the solver's pool: one worker fewer than the CPUs the process may
+  // run on (UsableCpus, at least one worker); the solving thread is the last.
   explicit AsyncSolver(SolverConfig config = SolverConfig());
 
   // Fixed for the solver's life: the cached phase-1 model carries the costs
@@ -145,7 +145,7 @@ class AsyncSolver {
 
   // Lives as long as the solver, so no round pays for thread start-up. The
   // solving thread joins what it submits and runs what no worker claimed, so
-  // it is the last of the hardware threads. Mutable because const shard
+  // it is the last of the usable CPUs. Mutable because const shard
   // solves submit their phase starts to it.
   mutable ThreadPool pool_;
 };

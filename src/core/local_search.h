@@ -16,7 +16,7 @@
 // conditioned on validity would give, so each one is priced. A rejected
 // move is undone exactly. It trades solution quality for bounded work, all
 // of it counted, never timed. The AsyncSolver runs it as a short polish of
-// the greedy warm start (MakePhaseStart), beside the MIP's root LP;
+// the greedy warm start (MakePhaseStart), beside the MIP's search;
 // bench/ablation_backend compares it, run to its own limits, against the MIP.
 
 #ifndef RAS_SRC_CORE_LOCAL_SEARCH_H_

@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <thread>
 
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace ras {
 
 int AutoShardCount(size_t num_servers, size_t target_servers_per_shard, int max_shards,
-                   int hardware_threads) {
+                   int cpus) {
   if (target_servers_per_shard == 0) {
     return 1;
   }
@@ -22,10 +22,8 @@ int AutoShardCount(size_t num_servers, size_t target_servers_per_shard, int max_
   // queueing, and each extra shard adds split/merge/stitch overhead — the
   // measured knee on a 1-thread host sits at K=4 (bench/bench_shard_scaling:
   // 2.41x at K=4 vs 1.70x at K=8), so auto-K never over-decomposes past
-  // 4 shards per hardware thread. Explicitly configured K is not clamped.
-  int hw = hardware_threads > 0 ? hardware_threads
-                                : static_cast<int>(std::thread::hardware_concurrency());
-  size_t knee = static_cast<size_t>(4 * std::max(1, hw));
+  // 4 shards per usable CPU. Explicitly configured K is not clamped.
+  size_t knee = static_cast<size_t>(4 * (cpus > 0 ? cpus : UsableCpus()));
   k = std::min(k, knee);
   return static_cast<int>(std::min<size_t>(k, static_cast<size_t>(std::max(1, max_shards))));
 }

@@ -49,11 +49,11 @@ ShardPlan PlanShards(const RegionTopology& topology, const ShardPlanOptions& opt
 // Auto-K heuristic: one shard per `target_servers_per_shard` servers, but
 // never sharding a region small enough that the monolithic solve is already
 // cheap (below 2x the target), never beyond `max_shards`, and never past the
-// host's measured over-decomposition knee of 4 shards per hardware thread
-// (`hardware_threads` <= 0 queries std::thread::hardware_concurrency; the
-// parameter exists so tests can pin it).
+// host's measured over-decomposition knee of 4 shards per usable CPU
+// (`cpus` <= 0 queries UsableCpus(); the parameter exists so tests can pin
+// it).
 int AutoShardCount(size_t num_servers, size_t target_servers_per_shard = 2500,
-                   int max_shards = 16, int hardware_threads = 0);
+                   int max_shards = 16, int cpus = 0);
 
 // Resolves SolverConfig::shard_count into the K actually used:
 //   1  -> monolithic (the pre-shard solve path, bit-for-bit),

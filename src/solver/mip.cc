@@ -111,20 +111,6 @@ MipResult MipSolver::Search(const Model& model, const WarmStartSource& warm_star
     incumbent_obj = obj;
     have_incumbent = true;
   };
-  // The root node is never pruned (its parent bound is -inf), so the warm
-  // start is first needed by the bound prune after the root LP.
-  bool warm_taken = false;
-  auto take_warm_start = [&] {
-    if (warm_taken) {
-      return;
-    }
-    warm_taken = true;
-    const std::vector<double>* warm = warm_start();
-    if (warm != nullptr && model.IsFeasible(*warm, kIntegralityTol * 10)) {
-      install(*warm, model.Objective(*warm));
-    }
-  };
-
   // Depth-first: children of the most recent node are explored first (good
   // for finding incumbents fast), while `parent_bound` prunes against the
   // incumbent. The root node has no overrides.
@@ -158,7 +144,6 @@ MipResult MipSolver::Search(const Model& model, const WarmStartSource& warm_star
     if (lp.used_dual_simplex) {
       ++result.dual_resolves;
     }
-    take_warm_start();
     if (lp.status == LpStatus::kUnbounded) {
       unbounded = true;
     }
@@ -229,7 +214,16 @@ MipResult MipSolver::Search(const Model& model, const WarmStartSource& warm_star
     }
   }
 
-  take_warm_start();  // Still untaken when the search ran no node.
+  // The warm start is the last candidate: nothing in the search reads it, so
+  // the caller may still be computing it while the root LP and the dive run.
+  // It replaces the search's incumbent only if it beats it.
+  if (const std::vector<double>* warm = warm_start();
+      warm != nullptr && model.IsFeasible(*warm, kIntegralityTol * 10)) {
+    const double obj = model.Objective(*warm);
+    if (!have_incumbent || obj < incumbent_obj) {
+      install(*warm, obj);
+    }
+  }
 
   // Derive the proven bound and the status. Queued nodes and nodes dropped
   // unsolved price the bound by their parent's LP value (a node that never

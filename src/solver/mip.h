@@ -9,8 +9,8 @@
 // The work limit is LP work, pivots x (rows + columns): one pivot budget,
 // derived from the model's width, covers every node LP, so a root LP larger
 // than the budget is cut off rather than overrunning it; the search then
-// returns the warm start (or the best incumbent since), and the cut-off node
-// prices the bound by its parent's.
+// returns the better of its own incumbent and the warm start, and the cut-off
+// node prices the bound by its parent's.
 //
 // The search is a single-threaded depth-first loop with no clock in it, so
 // the same inputs give a bitwise-identical result on every run and host.
@@ -80,16 +80,19 @@ class MipSolver {
  public:
   explicit MipSolver(const MipOptions& options = MipOptions()) : options_(options) {}
 
-  // Supplies the warm start. Solve calls it exactly once: after the root LP
-  // and before anything is pruned against an incumbent (with max_nodes = 0,
-  // before returning). Nothing earlier reads an incumbent, so the caller may
-  // still be computing the start while the root LP runs, and the result is
-  // the same as with the start in hand. A null return means no warm start.
+  // Supplies the warm start. Solve calls it exactly once, after the search
+  // and before deriving the bound and status. The search never reads it, so
+  // the caller may still be computing the start while the root LP and every
+  // node LP run, and the result is the same as with the start in hand. A null
+  // return means no warm start.
   using WarmStartSource = std::function<const std::vector<double>*()>;
 
-  // `warm_start`, if provided and feasible for `model`, seeds the incumbent;
-  // infeasible warm starts are ignored. `root_start`, if provided, is the
-  // root LP's start point (SimplexSolver::Solve's `start`: which columns sit
+  // `warm_start`, if provided and feasible for `model`, is the last incumbent
+  // candidate: it replaces the search's incumbent only if its objective is
+  // strictly lower, so the result is the better of the two and the search's
+  // nodes, pivots and open bounds are those of a solve without it. Infeasible
+  // warm starts are ignored. `root_start`, if provided, is the root LP's
+  // start point (SimplexSolver::Solve's `start`: which columns sit
   // at their upper bound, and which strictly inside their bounds get crashed
   // into the basis). RAS passes the region's current assignment, where every
   // pair starts at its count X. Node LPs re-solve from their parent's basis

@@ -3,13 +3,70 @@
 #include <algorithm>
 #include <utility>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
+#endif
+
 namespace ras {
+namespace {
+
+#if defined(__linux__)
+// The CPUs this process may run on, ascending.
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(getpid(), sizeof(set), &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+  return cpus;
+}
+
+int CurrentCpu() { return sched_getcpu(); }
+
+// Best effort: a failed call leaves the worker unpinned.
+void PinToCpu(std::thread& worker, int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  pthread_setaffinity_np(worker.native_handle(), sizeof(set), &set);
+}
+#else
+// No affinity calls: the mask is unknown, so nothing is pinned.
+std::vector<int> AllowedCpus() { return {}; }
+int CurrentCpu() { return -1; }
+void PinToCpu(std::thread&, int) {}
+#endif
+
+}  // namespace
+
+int UsableCpus() {
+  const std::vector<int> cpus = AllowedCpus();
+  if (!cpus.empty()) {
+    return static_cast<int>(cpus.size());
+  }
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
 
 ThreadPool::ThreadPool(int num_threads) {
-  int count = std::max(1, num_threads);
+  const int count = std::max(1, num_threads);
+  const std::vector<int> cpus = AllowedCpus();
+  // Worker i takes the i-th CPU after the constructing thread's (the first
+  // CPU when that one is not in the mask).
+  const auto here = std::find(cpus.begin(), cpus.end(), CurrentCpu());
+  const size_t first = here == cpus.end() ? 0 : static_cast<size_t>(here - cpus.begin()) + 1;
   workers_.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
+    if (cpus.size() > 1) {
+      PinToCpu(workers_.back(), cpus[(first + static_cast<size_t>(i)) % cpus.size()]);
+    }
   }
 }
 

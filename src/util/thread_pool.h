@@ -6,8 +6,14 @@
 // reaches it or, when none has by the time it is joined, inline on the
 // joining thread. The Async Solver (src/core/async_solver.cc) keeps one pool
 // for its life and runs both its parallel steps on it as claimable tasks: the
-// shard fan-out and each phase's initial state beside its root LP. raslint's
+// shard fan-out and each phase's initial state beside its search. raslint's
 // file scan uses plain tasks.
+//
+// Each worker is pinned to a CPU of its own, where the platform allows it
+// (see the constructor): some hosts never move a thread between CPUs, and
+// there a woken worker runs on the CPU of the thread that woke it, taking
+// turns with it instead of running beside it. Placement is scheduling only;
+// no task can observe it, so it never feeds into an answer.
 //
 // This is the sanctioned home for raw std::thread in the repository
 // (raslint's ras-naked-thread rule); all other concurrency rides on it.
@@ -27,11 +33,21 @@
 
 namespace ras {
 
+// The CPUs this process may run on: its affinity mask (sched_getaffinity)
+// where the platform has one, else std::thread::hardware_concurrency(); at
+// least 1.
+int UsableCpus();
+
 class ThreadPool {
   class ClaimableTask;  // Defined in thread_pool.cc.
 
  public:
-  // Spawns `num_threads` workers (clamped to >= 1).
+  // Spawns `num_threads` workers (clamped to >= 1). When the process may
+  // run on more than one CPU and the platform can pin threads, worker i is
+  // pinned to the i-th usable CPU counting from the one after the
+  // constructing thread's: up to UsableCpus() - 1 workers each get a CPU of
+  // their own and leave the constructing thread's free; more wrap around.
+  // Otherwise the workers stay unpinned.
   explicit ThreadPool(int num_threads);
   // Drains the queue, then joins every worker.
   ~ThreadPool();

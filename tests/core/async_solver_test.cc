@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <thread>
@@ -417,7 +418,7 @@ void ExpectSameStats(const SolveStats& a, const SolveStats& b) {
   EXPECT_EQ(a.presolve_rows_removed, b.presolve_rows_removed);
 }
 
-// The MIP reads its warm start only after the root LP, so a start still
+// The MIP reads its warm start only after its search, so a start still
 // being computed on a worker meanwhile gives the answer a start in hand
 // gives.
 TEST(AsyncSolverTest, MipIsTheSameWithItsStartOnAWorker) {
@@ -489,6 +490,12 @@ TEST(AsyncSolverTest, SolveIsTheSameWithStartsInlineOrOnWorkers) {
   }
 }
 
+// The solving thread is the last usable CPU: the pool has one worker for
+// each of the others, and one even when there are none.
+TEST(AsyncSolverTest, PoolHasAWorkerForEveryOtherUsableCpu) {
+  AsyncSolver solver;
+  EXPECT_EQ(solver.pool().size(), std::max(1, UsableCpus() - 1));
+}
 
 }  // namespace
 }  // namespace ras

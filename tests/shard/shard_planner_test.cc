@@ -121,7 +121,7 @@ TEST(ShardPlannerTest, ShardCountClampedToRacks) {
 
 TEST(ShardPlannerTest, AutoShardCountHeuristic) {
   // Small regions stay monolithic; big ones get ~one shard per target chunk,
-  // capped. Hardware threads pinned to 8 so the parallelism knee (below)
+  // capped. Usable CPUs pinned to 8 so the parallelism knee (below)
   // never bites here regardless of the host running the test.
   EXPECT_EQ(AutoShardCount(288, 2500, 16, 8), 1);
   EXPECT_EQ(AutoShardCount(4999, 2500, 16, 8), 1);
@@ -134,7 +134,7 @@ TEST(ShardPlannerTest, AutoShardCountHeuristic) {
 TEST(ShardPlannerTest, AutoShardCountClampedByHardwareThreads) {
   // The measured over-decomposition knee (bench_shard_scaling: K=8 regresses
   // to 1.70x where K=4 reaches 2.41x on a 1-thread host): auto-K stops at 4
-  // shards per hardware thread, however large the fleet.
+  // shards per usable CPU, however large the fleet.
   EXPECT_EQ(AutoShardCount(1000000, 2500, 16, 1), 4);
   EXPECT_EQ(AutoShardCount(1000000, 2500, 16, 2), 8);
   EXPECT_EQ(AutoShardCount(1000000, 2500, 16, 4), 16);  // Knee past the cap.

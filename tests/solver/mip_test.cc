@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -261,7 +262,7 @@ TEST(MipTest, ZeroNodeBudgetReturnsTheWarmStart) {
   EXPECT_EQ(r.best_bound, -kInf);
 }
 
-// A deferred warm start (the Async Solver computes it beside the root LP) is
+// A deferred warm start (the Async Solver computes it beside the search) is
 // asked for exactly once, with or without a search, and gives the result the
 // same start in hand gives.
 TEST(MipTest, WarmStartSourceIsAskedExactlyOnce) {
@@ -288,6 +289,61 @@ TEST(MipTest, WarmStartSourceIsAskedExactlyOnce) {
     EXPECT_EQ(deferred.best_bound, in_hand.best_bound);
     EXPECT_EQ(deferred.nodes, in_hand.nodes);
     EXPECT_EQ(deferred.lp_iterations, in_hand.lp_iterations);
+  }
+}
+
+// The warm start is the search's last incumbent candidate: the search runs
+// as if there were none, and the start replaces its incumbent only when
+// strictly better. Status and bound follow from the result: proven optimal
+// with the bound at the objective, or feasible with the search's open bound
+// capped by the objective.
+TEST(MipTest, WarmStartIsTheLastCandidate) {
+  Rng rng(909);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE(trial);
+    const Model m = RandomIp(rng);
+    const MipResult optimum = MipSolver(TightOptions()).Solve(m);
+    ASSERT_EQ(optimum.status, MipStatus::kOptimal);
+    std::vector<double> at_upper(m.num_variables());
+    for (size_t j = 0; j < m.num_variables(); ++j) {
+      at_upper[j] = m.variable(j).ub;
+    }
+    // The worst feasible point, the best one, and (almost always) an
+    // infeasible one.
+    const std::vector<std::vector<double>> starts = {
+        std::vector<double>(m.num_variables(), 0.0), optimum.x, at_upper};
+    for (int64_t max_nodes : {int64_t{0}, int64_t{1}, int64_t{24}, int64_t{200}}) {
+      SCOPED_TRACE(max_nodes);
+      MipOptions options = TightOptions();
+      options.max_nodes = max_nodes;
+      const MipResult alone = MipSolver(options).Solve(m, nullptr);
+      for (size_t s = 0; s < starts.size(); ++s) {
+        SCOPED_TRACE(s);
+        const std::vector<double>& warm = starts[s];
+        const MipResult r = MipSolver(options).Solve(m, &warm);
+        const bool warm_wins = m.IsFeasible(warm, 1e-5) &&
+                               (alone.x.empty() || m.Objective(warm) < alone.objective);
+        EXPECT_EQ(r.x, warm_wins ? warm : alone.x);
+        EXPECT_EQ(r.nodes, alone.nodes);
+        EXPECT_EQ(r.lp_iterations, alone.lp_iterations);
+        if (r.x.empty()) {
+          EXPECT_EQ(r.status, alone.status);
+          EXPECT_EQ(r.best_bound, alone.best_bound);
+          continue;
+        }
+        EXPECT_EQ(r.objective, m.Objective(r.x));
+        if (r.status == MipStatus::kOptimal) {
+          EXPECT_EQ(r.best_bound, r.objective);
+        } else {
+          ASSERT_EQ(r.status, MipStatus::kFeasible);
+          EXPECT_GT(r.gap(), options.absolute_gap);
+          EXPECT_EQ(r.best_bound, std::min(alone.best_bound, r.objective));
+        }
+        if (alone.status == MipStatus::kOptimal) {
+          EXPECT_EQ(r.status, MipStatus::kOptimal);
+        }
+      }
+    }
   }
 }
 

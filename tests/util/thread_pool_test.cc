@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
+#endif
 
 #include "tests/util/pool_blocker.h"
 
@@ -155,6 +162,73 @@ TEST(ThreadPoolTest, NestedJoinOnAOneWorkerPoolDoesNotDeadlock) {
   outer.Join();
   EXPECT_NE(outer_on, std::this_thread::get_id());
   EXPECT_EQ(inner_on, outer_on);
+}
+
+// Each worker runs on a CPU of its own from the process's allowed set, and
+// the constructing thread's CPU stays free for it. The pool under test is
+// built on a helper pool's worker held on the last allowed CPU, so the
+// constructing thread cannot move while the placement is checked.
+TEST(ThreadPoolTest, WorkersRunOnDistinctCpusOfTheAllowedSet) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "CPU placement is only implemented on Linux";
+#else
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(getpid(), sizeof(allowed), &allowed), 0);
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) {
+      cpus.push_back(cpu);
+    }
+  }
+  ASSERT_EQ(UsableCpus(), static_cast<int>(cpus.size()));
+  if (cpus.size() < 2) {
+    GTEST_SKIP() << "one usable CPU: the workers stay unpinned";
+  }
+  const int home = cpus.back();
+  int built_on = -1;
+  int workers = 0;
+  std::vector<int> seen;
+  ThreadPool helper(1);
+  helper.Submit([&] {
+    cpu_set_t only_home;
+    CPU_ZERO(&only_home);
+    CPU_SET(home, &only_home);
+    if (pthread_setaffinity_np(pthread_self(), sizeof(only_home), &only_home) != 0) {
+      return;
+    }
+    built_on = sched_getcpu();
+    ThreadPool pool(UsableCpus() - 1);
+    workers = pool.size();
+    // Every worker reports its CPU while all of them are held, so none can
+    // report for another.
+    std::mutex mu;
+    std::condition_variable cv;
+    for (int i = 0; i < workers; ++i) {
+      pool.Submit([&] {
+        std::unique_lock<std::mutex> lock(mu);
+        seen.push_back(sched_getcpu());
+        if (static_cast<int>(seen.size()) == workers) {
+          cv.notify_all();
+        } else {
+          cv.wait(lock, [&] { return static_cast<int>(seen.size()) == workers; });
+        }
+      });
+    }
+    pool.Wait();
+  });
+  helper.Wait();
+
+  ASSERT_EQ(built_on, home);
+  ASSERT_EQ(workers, static_cast<int>(cpus.size()) - 1);
+  ASSERT_EQ(seen.size(), cpus.size() - 1);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end()) << "two workers share a CPU";
+  for (int cpu : seen) {
+    EXPECT_TRUE(CPU_ISSET(cpu, &allowed)) << "worker on CPU " << cpu;
+    EXPECT_NE(cpu, home) << "a worker took the constructing thread's CPU";
+  }
+#endif
 }
 
 }  // namespace
