@@ -1,6 +1,7 @@
 #include "src/core/async_solver.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <map>
 #include <unordered_set>
@@ -481,7 +482,7 @@ SolveStats AsyncSolver::SolveSharded(const SolveInput& input, DecodedAssignment*
   double start = util::MonotonicSeconds();
   ShardPlanOptions plan_options;
   plan_options.shard_count = shard_count;
-  ShardPlan plan = PlanShards(*input.topology, plan_options);
+  const ShardPlan& plan = plan_cache_.Get(*input.topology, plan_options);
   ShardDemand demand = SplitDemand(input, plan);
 
   // Shard k keeps its own cache across rounds (incumbent affinity: the plan
@@ -541,31 +542,36 @@ SolveStats AsyncSolver::SolveSharded(const SolveInput& input, DecodedAssignment*
   }
 
   // Merge in shard order. Every shard has been joined, but the merge still
-  // reads the slots under the lock.
+  // reads the slots under the lock. The plan puts each server in one shard,
+  // so each gets at most one target, placed by server id.
+  obs::SpanScope merge_span(obs::Tracer::Default(), "shard_merge");
   SolveStats stats;
   stats.shard_count = shard_count;
-  std::vector<std::pair<ServerId, ReservationId>> targets;
+  std::vector<ReservationId> merged(input.servers.size(), kUnassigned);
+  std::vector<char> covered(input.servers.size(), 0);
   {
     MutexLock lock(&state.mu);
     for (const ShardResult& result : state.slots) {
       AccumulatePhase(stats.phase1, result.stats.phase1);
       AccumulatePhase(stats.phase2, result.stats.phase2);
-      targets.insert(targets.end(), result.decoded.targets.begin(),
-                     result.decoded.targets.end());
+      for (const auto& [server, res] : result.decoded.targets) {
+        assert(!covered[server] && "shards overlap");
+        covered[server] = 1;
+        merged[server] = res;
+      }
     }
   }
   // Every available server no sub-solve covered — one frozen because its
   // reservation lies outside its shard's span — keeps its snapshot binding.
-  std::vector<char> covered(input.servers.size(), 0);
-  for (const auto& target : targets) {
-    covered[target.first] = 1;
-  }
+  std::vector<std::pair<ServerId, ReservationId>> targets;
+  targets.reserve(input.servers.size());
   for (ServerId id = 0; id < input.servers.size(); ++id) {
-    if (input.servers[id].available && !covered[id]) {
+    if (covered[id]) {
+      targets.emplace_back(id, merged[id]);
+    } else if (input.servers[id].available) {
       targets.emplace_back(id, input.servers[id].current);
     }
   }
-  std::sort(targets.begin(), targets.end());
   SummarizeReuse(stats);
 
   // Stitch repair: rounding losses and shard-local infeasibilities are fixed

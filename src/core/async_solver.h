@@ -27,6 +27,7 @@
 #include "src/core/resolve_cache.h"
 #include "src/core/solve_input.h"
 #include "src/core/solve_stats.h"
+#include "src/shard/shard_planner.h"
 #include "src/solver/mip.h"
 #include "src/util/thread_pool.h"
 
@@ -142,6 +143,9 @@ class AsyncSolver {
   // One cache per shard index, kept across rounds so warm state follows the
   // shard it belongs to (incumbent affinity).
   std::vector<ResolveCache> shard_caches_;
+
+  // The shard plan, keyed on what PlanShards reads (src/shard/shard_planner.h).
+  ShardPlanCache plan_cache_;
 
   // Lives as long as the solver, so no round pays for thread start-up. The
   // solving thread joins what it submits and runs what no worker claimed, so

@@ -49,6 +49,7 @@ Result<ReservationId> ReservationRegistry::Create(ReservationSpec spec) {
   ReservationId id = next_id_++;
   spec.id = id;
   specs_[id] = std::move(spec);
+  ++mutations_;
   return id;
 }
 
@@ -68,6 +69,7 @@ Result<ReservationId> ReservationRegistry::Restore(ReservationSpec spec) {
   if (id >= next_id_) {
     next_id_ = id + 1;
   }
+  ++mutations_;
   return id;
 }
 
@@ -81,6 +83,7 @@ Status ReservationRegistry::Update(const ReservationSpec& spec) {
     return valid;
   }
   it->second = spec;
+  ++mutations_;
   return Status::Ok();
 }
 
@@ -88,6 +91,7 @@ Status ReservationRegistry::Remove(ReservationId id) {
   if (specs_.erase(id) == 0) {
     return Status::NotFound("no reservation with id " + std::to_string(id));
   }
+  ++mutations_;
   return Status::Ok();
 }
 

@@ -104,6 +104,9 @@ class ReservationRegistry {
 
   const ReservationSpec* Find(ReservationId id) const;
   size_t size() const { return specs_.size(); }
+  // Bumped by every successful Create/Restore/Update/Remove: the state
+  // digest re-serializes the reservation lines only when it moved.
+  uint64_t mutations() const { return mutations_; }
 
   // Specs in id order. Stable iteration order keeps solves deterministic.
   std::vector<const ReservationSpec*> All() const;
@@ -115,6 +118,7 @@ class ReservationRegistry {
  private:
   std::map<ReservationId, ReservationSpec> specs_;  // Ordered for determinism.
   ReservationId next_id_ = 1;
+  uint64_t mutations_ = 0;
 };
 
 }  // namespace ras

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <vector>
 
+#include "src/obs/metrics.h"
+
 namespace ras {
 namespace {
 
@@ -298,28 +300,39 @@ void ApplyServerRecord(const ServerStateRecord& s, ResourceBroker& broker) {
   broker.SetHasContainers(s.id, s.has_containers);
 }
 
+void AppendRegionHeader(std::string& out, size_t num_servers,
+                        const ReservationRegistry& registry) {
+  out.append(kHeader).append("\n# servers=");
+  AppendDecimal(out, num_servers);
+  out += '\n';
+  for (const ReservationSpec* spec : registry.All()) {
+    out.append(SerializeReservationRecord(*spec)) += '\n';
+  }
+}
+
+void AppendServerLine(std::string& out, const ServerRecord& r) {
+  // Skip all-default records to keep snapshots proportional to usage.
+  if (r.current == kUnassigned && r.target == kUnassigned && !r.elastic_loan &&
+      r.unavailability == Unavailability::kNone && !r.has_containers) {
+    return;
+  }
+  AppendServerRecord(out, r);
+  out += '\n';
+}
+
 std::string SerializeRegionState(const ResourceBroker& broker,
                                  const ReservationRegistry& registry) {
-  std::vector<const ReservationSpec*> specs = registry.All();
+  static obs::Counter& serializations = obs::MetricRegistry::Default().counter(
+      "ras_state_serializations_total",
+      "Whole-region state serializations (checkpoints and from-scratch digests).");
+  serializations.Add();
   std::string out;
   // Room for every record at typical widths, so the common case never
   // reallocates; a wider record only costs a doubling.
-  out.reserve(64 + 192 * specs.size() + 32 * broker.num_servers());
-  out.append(kHeader).append("\n# servers=");
-  AppendDecimal(out, broker.num_servers());
-  out += '\n';
-  for (const ReservationSpec* spec : specs) {
-    out.append(SerializeReservationRecord(*spec)) += '\n';
-  }
+  out.reserve(64 + 192 * registry.size() + 32 * broker.num_servers());
+  AppendRegionHeader(out, broker.num_servers(), registry);
   for (ServerId id = 0; id < broker.num_servers(); ++id) {
-    const ServerRecord& r = broker.record(id);
-    // Skip all-default records to keep snapshots proportional to usage.
-    if (r.current == kUnassigned && r.target == kUnassigned && !r.elastic_loan &&
-        r.unavailability == Unavailability::kNone && !r.has_containers) {
-      continue;
-    }
-    AppendServerRecord(out, r);
-    out += '\n';
+    AppendServerLine(out, broker.record(id));
   }
   return out;
 }

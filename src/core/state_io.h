@@ -33,9 +33,17 @@
 
 namespace ras {
 
-// Serializes registry + broker bindings.
+// Serializes registry + broker bindings: AppendRegionHeader, then
+// AppendServerLine for every server in id order.
 std::string SerializeRegionState(const ResourceBroker& broker,
                                  const ReservationRegistry& registry);
+
+// The two pieces of that text, for a digest that re-serializes only what
+// changed: the header, server count and reservation lines; and one server's
+// line, newline included, or nothing for an all-default record.
+void AppendRegionHeader(std::string& out, size_t num_servers,
+                        const ReservationRegistry& registry);
+void AppendServerLine(std::string& out, const ServerRecord& record);
 
 // Restores into an empty registry and a freshly-constructed broker over the
 // same topology. Fails without partial effects on malformed input, duplicate

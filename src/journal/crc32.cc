@@ -39,7 +39,72 @@ uint32_t Load32(const unsigned char* p) {
          (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
 }
 
+// Product of two polynomials modulo the CRC polynomial, both in the
+// reflected bit order (zlib's multmodp). Bounded to 32 steps, so a zero
+// factor yields zero rather than spinning.
+constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) {
+      product ^= b;
+      if ((a & (m - 1)) == 0) {
+        break;
+      }
+    }
+    b = (b & 1u) != 0 ? (b >> 1) ^ kPolynomial : b >> 1;
+  }
+  return product;
+}
+
+// kPow2Bits[k] = x^(2^k) mod P, for every bit of a byte length times 8;
+// kByteShift[n] = x^(8n) mod P for the short lengths a state line has.
+using PowTable = std::array<uint32_t, 3 + 64>;
+constexpr PowTable BuildPow2Bits() {
+  PowTable table{};
+  table[0] = 1u << 30;  // x^1.
+  for (size_t k = 1; k < table.size(); ++k) {
+    table[k] = MultModP(table[k - 1], table[k - 1]);
+  }
+  return table;
+}
+constexpr PowTable kPow2Bits = BuildPow2Bits();
+
+using ShiftTable = std::array<uint32_t, 256>;
+constexpr ShiftTable BuildByteShift() {
+  ShiftTable table{};
+  table[0] = 1u << 31;
+  for (size_t n = 1; n < table.size(); ++n) {
+    table[n] = MultModP(table[n - 1], kPow2Bits[3]);  // One more byte: x^8.
+  }
+  return table;
+}
+constexpr ShiftTable kByteShift = BuildByteShift();
+
+// x^(8·len) mod P (zlib's x2nmodp(len, 3)).
+uint32_t ByteShift(size_t len) {
+  if (len < kByteShift.size()) {
+    return kByteShift[len];
+  }
+  uint32_t shift = 1u << 31;
+  for (size_t k = 3; len != 0; len >>= 1, ++k) {
+    if ((len & 1u) != 0) {
+      shift = MultModP(kPow2Bits[k], shift);
+    }
+  }
+  return shift;
+}
+
 }  // namespace
+
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t len_b) {
+  return MultModP(ByteShift(len_b), crc_a) ^ crc_b;
+}
+
+Crc32Run Crc32RunOf(std::string_view data) { return {Crc32(data), ByteShift(data.size())}; }
+
+Crc32Run Crc32Combine(const Crc32Run& a, const Crc32Run& b) {
+  return {MultModP(b.shift, a.crc) ^ b.crc, MultModP(a.shift, b.shift)};
+}
 
 uint32_t Crc32(std::string_view data, uint32_t seed) {
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());

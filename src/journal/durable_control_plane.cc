@@ -161,6 +161,9 @@ Status DurableControlPlane::Append(RecordKind kind, const std::string& payload) 
 }
 
 void DurableControlPlane::OnBrokerChange(const ServerRecord& record) {
+  // Every write reaches the digest, journaled or not: deltas, the batch a
+  // persist suppresses, its rollback, and replay.
+  digest_.MarkDirty(record.server);
   if (!opened_ || dead_ || suppress_deltas_) {
     return;
   }
@@ -204,6 +207,7 @@ RecoveryReport DurableControlPlane::OpenOrRecover() {
     }
     if (report.status.ok()) {
       opened_ = true;
+      digest_.Build(*broker_, *registry_);
       report.next_generation = wal_->next_generation();
       log << "bootstrap: new durable dir, checkpoint 0 written\n";
       report.log = log.str();
@@ -307,8 +311,9 @@ RecoveryReport DurableControlPlane::OpenOrRecover() {
     return report;
   }
   report.next_generation = wal_->next_generation();
+  digest_.Build(*broker_, *registry_);
   log << "recovered to generation " << report.next_generation << ", state digest "
-      << DigestHex(StateDigest(*broker_, *registry_)) << "\n";
+      << DigestHex(digest_.Digest(*broker_, *registry_)) << "\n";
   report.log = log.str();
   // Best-effort, as in the bootstrap path: recovery already committed; a
   // failed breadcrumb write is not a recovery failure.
@@ -467,6 +472,9 @@ Status DurableControlPlane::PersistTargets(
   if (!live.ok()) {
     return live;
   }
+  if (&broker != broker_) {
+    return Status::InvalidArgument("persist to a broker the control plane is not attached to");
+  }
   Status crash_status;
   if (Crashed(CrashPoint::kBeforeJournalAppend, &crash_status)) {
     return crash_status;
@@ -518,7 +526,7 @@ Status DurableControlPlane::PersistTargets(
   if (Crashed(CrashPoint::kAfterApply, &crash_status)) {
     return crash_status;
   }
-  uint32_t digest = StateDigest(broker, *registry_);
+  uint32_t digest = digest_.Digest(*broker_, *registry_);
   Status digested = Append(RecordKind::kDigest, DigestHex(digest));
   if (!digested.ok()) {
     return digested;
@@ -547,8 +555,7 @@ Status DurableControlPlane::RoundBarrier() {
     (void)wal_->DropUnsyncedTail();
     return crash_status;
   }
-  Status appended =
-      Append(RecordKind::kDigest, DigestHex(StateDigest(*broker_, *registry_)));
+  Status appended = Append(RecordKind::kDigest, DigestHex(digest_.Digest(*broker_, *registry_)));
   if (!appended.ok()) {
     return appended;
   }

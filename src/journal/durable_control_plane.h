@@ -32,8 +32,11 @@
 //  - Every other broker mutation is captured post-hoc as a server-delta
 //    record through a broker watcher.
 //  - A digest record (CRC32 of the canonical serialized state) is appended
-//    after every applied batch and at every round barrier; recovery verifies
-//    each one against the replayed state.
+//    after every applied batch and at every round barrier. The live process
+//    keeps that CRC in a tree over server ids (digest_tree.h), updated from
+//    the broker watcher and the registry's mutation count, so a digest costs
+//    O(changes); recovery verifies each record against StateDigest of the
+//    replayed state, computed from scratch.
 //  - Group commit: server deltas are written and flushed but not fsynced.
 //    Every other record (admit/update/remove, targets/abort, digest) is a
 //    commit record, fsynced before its call returns; since the journal is one
@@ -69,6 +72,7 @@
 #include "src/core/solver_supervisor.h"
 #include "src/faults/crash_points.h"
 #include "src/journal/checkpoint.h"
+#include "src/journal/digest_tree.h"
 #include "src/journal/wal.h"
 
 namespace ras {
@@ -125,7 +129,8 @@ class DurableControlPlane final : public TargetPersistence {
   Status RemoveReservation(ReservationId id);
 
   // TargetPersistence: the journal-then-apply barrier used by the
-  // SolverSupervisor in place of a bare broker ApplyTargets.
+  // SolverSupervisor in place of a bare broker ApplyTargets. `broker` must
+  // be the attached one: its watcher journals and digests the writes.
   Status PersistTargets(ResourceBroker& broker,
                         const std::vector<std::pair<ServerId, ReservationId>>& targets) override;
 
@@ -147,6 +152,9 @@ class DurableControlPlane final : public TargetPersistence {
   uint64_t generation() const { return wal_ != nullptr ? wal_->next_generation() : 0; }
   // Digest appended by the most recent successful PersistTargets.
   uint32_t last_persist_digest() const { return last_persist_digest_; }
+  // The attached state's digest from the maintained tree: equal to
+  // StateDigest(broker, registry). Valid once OpenOrRecover succeeded.
+  uint32_t MaintainedDigest() { return digest_.Digest(*broker_, *registry_); }
   size_t records_since_compact() const { return records_since_compact_; }
 
  private:
@@ -177,6 +185,9 @@ class DurableControlPlane final : public TargetPersistence {
   bool suppress_deltas_ = false;
   size_t records_since_compact_ = 0;
   uint32_t last_persist_digest_ = 0;
+  // The state digest, kept current from every broker write (OnBrokerChange)
+  // and rebuilt from scratch by OpenOrRecover.
+  StateDigestTree digest_;
 };
 
 }  // namespace journal

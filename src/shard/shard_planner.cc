@@ -85,4 +85,43 @@ ShardPlan PlanShards(const RegionTopology& topology, const ShardPlanOptions& opt
   return plan;
 }
 
+const ShardPlan& ShardPlanCache::Get(const RegionTopology& topology,
+                                     const ShardPlanOptions& options) {
+  if (!Matches(topology, options)) {
+    plan_ = PlanShards(topology, options);
+    options_ = options;
+    num_msbs_ = topology.num_msbs();
+    rack_msb_.resize(topology.num_racks());
+    for (RackId rack = 0; rack < rack_msb_.size(); ++rack) {
+      rack_msb_[rack] = topology.rack_msb(rack);
+    }
+    server_rack_.resize(topology.num_servers());
+    for (ServerId id = 0; id < server_rack_.size(); ++id) {
+      server_rack_[id] = topology.server(id).rack;
+    }
+    valid_ = true;
+  }
+  return plan_;
+}
+
+bool ShardPlanCache::Matches(const RegionTopology& topology,
+                             const ShardPlanOptions& options) const {
+  if (!valid_ || options.shard_count != options_.shard_count || options.seed != options_.seed ||
+      topology.num_msbs() != num_msbs_ || topology.num_racks() != rack_msb_.size() ||
+      topology.num_servers() != server_rack_.size()) {
+    return false;
+  }
+  for (RackId rack = 0; rack < rack_msb_.size(); ++rack) {
+    if (topology.rack_msb(rack) != rack_msb_[rack]) {
+      return false;
+    }
+  }
+  for (ServerId id = 0; id < server_rack_.size(); ++id) {
+    if (topology.server(id).rack != server_rack_[id]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace ras

@@ -37,6 +37,7 @@ struct ShardPlan {
   std::vector<std::vector<ServerId>> servers;  // Per shard, ascending ids.
 
   int ShardOf(ServerId id) const { return shard_of_server[id]; }
+  bool operator==(const ShardPlan&) const = default;
 };
 
 // Partitions the region's racks into `shard_count` shards: seeded shuffle of
@@ -45,6 +46,26 @@ struct ShardPlan {
 // composition, rack-complete by construction. shard_count is clamped to
 // [1, num_racks].
 ShardPlan PlanShards(const RegionTopology& topology, const ShardPlanOptions& options);
+
+// PlanShards memoized on what it reads: the options, the MSB of every rack
+// and the rack of every server. A solver plans every sharded round over the
+// same topology and K, so it plans once; a layout that differs in any of
+// these gets a fresh plan. Keyed on content, never on the topology's
+// address, so nothing invalidates it.
+class ShardPlanCache {
+ public:
+  const ShardPlan& Get(const RegionTopology& topology, const ShardPlanOptions& options);
+
+ private:
+  bool Matches(const RegionTopology& topology, const ShardPlanOptions& options) const;
+
+  bool valid_ = false;
+  ShardPlanOptions options_;
+  size_t num_msbs_ = 0;
+  std::vector<MsbId> rack_msb_;
+  std::vector<RackId> server_rack_;
+  ShardPlan plan_;
+};
 
 // Auto-K heuristic: one shard per `target_servers_per_shard` servers, but
 // never sharding a region small enough that the monolithic solve is already

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "src/core/rru_ledger.h"
@@ -12,6 +11,44 @@ namespace ras {
 namespace {
 
 constexpr double kEps = 1e-9;
+
+// What pass 3 looks up in the targets, gathered in one pass over them.
+// Only a swap changes the targets, so it is rebuilt only after one.
+struct SpreadIndex {
+  // Per reservation row: the targets that bind a server to it fresh this
+  // round (snapshot current differs), in server order.
+  std::vector<std::vector<size_t>> fresh;
+  // The first free server of each (MSB, type), in server order.
+  std::vector<size_t> first_free;
+};
+
+void IndexTargets(const SolveInput& input, const RruLedger& book,
+                  const std::vector<std::pair<ServerId, ReservationId>>& targets,
+                  SpreadIndex& index) {
+  index.fresh.resize(input.reservations.size());
+  for (std::vector<size_t>& list : index.fresh) {
+    list.clear();
+  }
+  index.first_free.clear();
+  const size_t num_types = input.catalog->size();
+  std::vector<char> seen(input.topology->num_msbs() * num_types, 0);
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const auto& [server, res] = targets[i];
+    if (res == kUnassigned) {
+      const Server& s = input.topology->server(server);
+      char& cell = seen[s.msb * num_types + s.type];
+      if (input.servers[server].available && cell == 0) {
+        cell = 1;
+        index.first_free.push_back(i);
+      }
+    } else if (input.servers[server].current != res) {
+      const int row = book.RowOf(res);
+      if (row >= 0) {
+        index.fresh[static_cast<size_t>(row)].push_back(i);
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -123,6 +160,8 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
   const std::vector<double>& thresholds = options.msb_spread_thresholds;
   if (!thresholds.empty()) {
     assert(thresholds.size() == input.reservations.size());
+    SpreadIndex index;
+    bool index_stale = true;
     for (size_t r = 0; r < input.reservations.size() && budget > 0; ++r) {
       const ReservationSpec& spec = input.reservations[r];
       const double threshold = thresholds[r];
@@ -139,16 +178,18 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
         if (worst_over <= kEps) {
           break;
         }
+        if (index_stale) {
+          IndexTargets(input, book, targets, index);
+          index_stale = false;
+        }
         // Donors: servers of r in the hot MSB this round acquired fresh —
         // relocating one changes which server is acquired, not stability.
         // Largest value first (sheds the overage fastest), falling through to
         // smaller donors when no receiver fits the bigger ones.
         std::vector<size_t> donors;
-        for (size_t i = 0; i < targets.size(); ++i) {
-          const auto& [server, res] = targets[i];
-          if (res == spec.id && topo.server(server).msb == hot &&
-              input.servers[server].current != spec.id &&
-              spec.ValueOfType(topo.server(server).type) > kEps) {
+        for (size_t i : index.fresh[r]) {
+          const Server& s = topo.server(targets[i].first);
+          if (s.msb == hot && spec.ValueOfType(s.type) > kEps) {
             donors.push_back(i);
           }
         }
@@ -163,15 +204,9 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
         // Nothing below changes the ledger until a swap ends this MSB's
         // pass, so the list serves every donor.
         std::vector<size_t> receivers;
-        std::set<std::pair<MsbId, HardwareTypeId>> seen;
-        for (size_t i = 0; i < targets.size(); ++i) {
-          const auto& [server, res] = targets[i];
-          if (res != kUnassigned || !input.servers[server].available) {
-            continue;
-          }
-          const Server& s = topo.server(server);
-          if (s.msb != hot && spec.ValueOfType(s.type) > kEps &&
-              seen.insert({s.msb, s.type}).second) {
+        for (size_t i : index.first_free) {
+          const Server& s = topo.server(targets[i].first);
+          if (s.msb != hot && spec.ValueOfType(s.type) > kEps) {
             receivers.push_back(i);
           }
         }
@@ -224,6 +259,7 @@ StitchRepairStats RepairShortfalls(const SolveInput& input,
           ++stats.moves_spread;
           --budget;
           swapped = true;
+          index_stale = true;
           break;
         }
         if (!swapped) {

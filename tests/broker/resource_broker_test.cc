@@ -164,6 +164,41 @@ TEST_F(ResourceBrokerTest, ApplyTargetsRollsBackMidBatchFailure) {
   }
 }
 
+TEST_F(ResourceBrokerTest, WatchersSeeEveryWriteIncludingRollbacks) {
+  // The journal's state digest is kept from these notifications alone, so
+  // every record change, a rolled-back batch included, must reach a
+  // watcher after the change: the last record a watcher saw for a server is
+  // the record it holds.
+  std::map<ServerId, std::string> seen;
+  broker_.Subscribe(
+      [&seen](const ServerRecord& rec) { seen[rec.server] = SerializeServerRecord(rec); });
+  broker_.SetTarget(0, 200);
+  broker_.SetCurrent(1, 100);
+  broker_.SetElasticLoan(2, 100, true);
+  broker_.SetUnavailability(3, Unavailability::kUnplannedSoftware);
+  broker_.SetHasContainers(1, true);
+  EXPECT_TRUE(broker_.TrySetTarget(4, 100).ok());
+  int writes = 0;
+  broker_.SetWriteFaultHook([&writes](ServerId, ReservationId) { return ++writes == 4; });
+  EXPECT_FALSE(broker_.ApplyTargets({{0, 100}, {5, 100}, {6, 100}, {7, 100}}).ok());
+  broker_.SetWriteFaultHook(nullptr);
+  EXPECT_TRUE(broker_.ApplyTargets({{8, 100}, {0, kUnassigned}}).ok());
+
+  for (ServerId id = 0; id < broker_.num_servers(); ++id) {
+    const std::string now = SerializeServerRecord(broker_.record(id));
+    auto it = seen.find(id);
+    if (it == seen.end()) {
+      ServerRecord untouched;
+      untouched.server = id;
+      EXPECT_EQ(now, SerializeServerRecord(untouched)) << "unnotified change to server " << id;
+    } else {
+      EXPECT_EQ(it->second, now) << "server " << id;
+    }
+  }
+  EXPECT_EQ(seen.count(5), 1u) << "the rolled-back write was never seen";
+  EXPECT_EQ(seen.at(5), SerializeServerRecord(broker_.record(5)));
+}
+
 // The current-binding index as a plain linear-search model: every list is
 // the history of appends and swap-with-last removals the broker promises,
 // found by scanning, so any drift in the broker's slot bookkeeping shows up

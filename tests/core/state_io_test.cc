@@ -6,6 +6,7 @@
 #include "src/core/buffer_policy.h"
 #include "src/fleet/fleet_gen.h"
 #include "src/journal/checkpoint.h"
+#include "src/journal/digest_tree.h"
 
 namespace ras {
 namespace {
@@ -124,6 +125,46 @@ TEST(StateIoTest, SerializedBytesArePinned) {
             "server|4|-|-|-|0|2|0\n"
             "server|95|-|-|-|0|3|0\n");
   EXPECT_EQ(journal::StateDigest(broker, registry), 0x469466c3u);
+}
+
+TEST(StateIoTest, MaintainedDigestIsPinned) {
+  // The journal's live digest is kept in a tree over server ids; it must
+  // land on the from-scratch digest of the pinned bytes above, whether
+  // built over the final state or updated one write at a time.
+  Fleet fleet = GenerateFleet(Options());
+  ResourceBroker broker(&fleet.topology);
+  ReservationRegistry registry;
+  journal::StateDigestTree tree;
+  tree.Build(broker, registry);
+  EXPECT_EQ(tree.Digest(broker, registry), journal::StateDigest(broker, registry));
+  broker.Subscribe([&tree](const ServerRecord& record) { tree.MarkDirty(record.server); });
+
+  ReservationSpec spec;
+  spec.id = 7;
+  spec.name = "svc|a";
+  spec.capacity_rru = 22.5;
+  spec.rru_per_type = {1.0, 0.75};
+  spec.dc_affinity[1] = 0.8;
+  ASSERT_TRUE(registry.Restore(spec).ok());
+  spec.id = 12345;
+  spec.name = "elastic";
+  spec.is_elastic = true;
+  spec.dc_affinity.clear();
+  ASSERT_TRUE(registry.Restore(spec).ok());
+  broker.SetCurrent(0, 7);
+  broker.SetTarget(0, 7);
+  broker.SetHasContainers(0, true);
+  broker.SetTarget(1, 12345);
+  broker.SetCurrent(2, 12345);
+  broker.SetElasticLoan(2, 7, true);
+  broker.SetUnavailability(3, Unavailability::kPlannedMaintenance);
+  broker.SetUnavailability(4, Unavailability::kUnplannedSoftware);
+  broker.SetUnavailability(95, Unavailability::kUnplannedHardware);
+  EXPECT_EQ(tree.Digest(broker, registry), 0x469466c3u);
+
+  journal::StateDigestTree rebuilt;
+  rebuilt.Build(broker, registry);
+  EXPECT_EQ(rebuilt.Digest(broker, registry), 0x469466c3u);
 }
 
 TEST(StateIoTest, RestoredRegistryKeepsIdsMonotonic) {

@@ -12,6 +12,7 @@
 #include "src/fleet/fleet_gen.h"
 #include "src/obs/metrics.h"
 #include "src/util/file_io.h"
+#include "src/util/rng.h"
 
 namespace ras {
 namespace journal {
@@ -443,6 +444,201 @@ TEST(DurableControlPlaneTest, ThresholdCompactionTruncatesTheJournal) {
   Result<JournalScan> scan = WriteAheadJournal::Scan(dir + "/journal.wal");
   ASSERT_TRUE(scan.ok());
   EXPECT_LT(scan->records.size(), 12u) << "journal never truncated";
+}
+
+TEST(DurableControlPlaneTest, UnjournaledRegistryEditFailsDigestVerification) {
+  // The digest covers the live registry, not just what was journaled: an
+  // edit that bypasses the control plane shows up as a replay mismatch.
+  std::string dir = FreshDir("unjournaled-edit");
+  {
+    Proc p(dir);
+    ReservationId id = p.Admit("svc", 10);
+    ASSERT_TRUE(p.durable->PersistTargets(*p.broker, Batch1(id)).ok());
+    ReservationSpec resized = *p.registry.Find(id);
+    resized.capacity_rru = 20;
+    ASSERT_TRUE(p.registry.Update(resized).ok());
+    ASSERT_TRUE(p.durable->RoundBarrier().ok());
+  }
+  Proc q(dir);
+  EXPECT_FALSE(q.report.status.ok());
+  EXPECT_FALSE(q.report.digest_verified);
+}
+
+// Whole-region serializations so far in this process.
+int64_t Serializations() {
+  return obs::MetricRegistry::Default().counter("ras_state_serializations_total", "").Value();
+}
+
+TEST(DurableControlPlaneTest, LiveDigestsSerializeNothing) {
+  std::string dir = FreshDir("live-digests");
+  DurableOptions options;
+  options.compact_every_records = 1000000;  // Compaction out of reach.
+  {
+    Proc p(dir, options);
+    ReservationId id = p.Admit("svc", 10);
+    const int64_t before = Serializations();
+    for (int round = 0; round < 20; ++round) {
+      ASSERT_TRUE(
+          p.durable->PersistTargets(*p.broker, round % 2 == 0 ? Batch1(id) : Batch2(id)).ok());
+      p.broker->SetCurrent(static_cast<ServerId>(round % 12), id);
+      ASSERT_TRUE(p.durable->RoundBarrier().ok());
+    }
+    EXPECT_EQ(Serializations(), before) << "a live digest re-serialized the region";
+  }
+  // Recovery still checks every digest record against a from-scratch
+  // digest, plus one serialization for its closing checkpoint.
+  const int64_t before = Serializations();
+  Proc q(dir, options);
+  ASSERT_TRUE(q.report.status.ok()) << q.report.status.ToString();
+  EXPECT_TRUE(q.report.digest_verified);
+  EXPECT_EQ(q.report.digests_checked, 40u);
+  EXPECT_EQ(Serializations() - before, static_cast<int64_t>(q.report.digests_checked) + 1);
+}
+
+TEST(DurableControlPlaneTest, MaintainedDigestEqualsStateDigestAfterEveryStep) {
+  std::string dir = FreshDir("maintained-digest");
+  DurableOptions options;
+  options.compact_every_records = 1000000;  // Compaction only when drawn.
+  auto p = std::make_unique<Proc>(dir, options);
+  ASSERT_EQ(p->durable->MaintainedDigest(), p->Digest());
+  Rng rng(34);
+  // Registry edits made behind the journal's back: recovery can only see
+  // them through a checkpoint, so a drawn restart compacts first.
+  bool unjournaled = false;
+  size_t recoveries = 0;
+  size_t rollbacks = 0;
+  const ServerId num_servers = static_cast<ServerId>(p->broker->num_servers());
+  auto any_server = [&] { return static_cast<ServerId>(rng.UniformInt(0, num_servers - 1)); };
+  auto any_binding = [&] {
+    std::vector<const ReservationSpec*> all = p->registry.All();
+    size_t pick = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(all.size())));
+    return pick == all.size() ? kUnassigned : all[pick]->id;
+  };
+  auto any_spec = [&]() -> const ReservationSpec* {
+    std::vector<const ReservationSpec*> all = p->registry.All();
+    return all.empty() ? nullptr : all[static_cast<size_t>(rng.UniformInt(0, all.size() - 1))];
+  };
+  auto batch = [&] {
+    std::vector<std::pair<ServerId, ReservationId>> out;
+    for (int64_t n = rng.UniformInt(1, 8); n > 0; --n) {
+      out.emplace_back(any_server(), any_binding());
+    }
+    return out;
+  };
+  // A write-fault hook that rejects the k-th write from now, if k > 0.
+  auto fail_at = [&](int64_t k) {
+    auto writes = std::make_shared<int64_t>(0);
+    p->broker->SetWriteFaultHook(
+        [writes, k](ServerId, ReservationId) { return k > 0 && ++*writes == k; });
+  };
+  for (int step = 0; step < 600; ++step) {
+    const int64_t kind = rng.UniformInt(0, 15);
+    SCOPED_TRACE("step " + std::to_string(step) + " kind " + std::to_string(kind));
+    switch (kind) {
+      case 0:
+        p->broker->SetTarget(any_server(), any_binding());
+        break;
+      case 1:
+        p->broker->SetCurrent(any_server(), any_binding());
+        break;
+      case 2:
+        p->broker->SetElasticLoan(any_server(), any_binding(), rng.Bernoulli(0.5));
+        break;
+      case 3:
+        p->broker->SetUnavailability(any_server(),
+                                     static_cast<Unavailability>(rng.UniformInt(0, 3)));
+        break;
+      case 4:
+        p->broker->SetHasContainers(any_server(), rng.Bernoulli(0.5));
+        break;
+      case 5: {  // Straight to the broker; a rejected write rolls the batch back.
+        std::vector<std::pair<ServerId, ReservationId>> targets = batch();
+        fail_at(rng.Bernoulli(0.5) ? rng.UniformInt(1, static_cast<int64_t>(targets.size())) : 0);
+        rollbacks += p->broker->ApplyTargets(targets).ok() ? 0 : 1;
+        p->broker->SetWriteFaultHook(nullptr);
+        break;
+      }
+      case 6: {  // Through the journal; a rejected write leaves an abort record.
+        std::vector<std::pair<ServerId, ReservationId>> targets = batch();
+        fail_at(rng.Bernoulli(0.3) ? rng.UniformInt(1, static_cast<int64_t>(targets.size())) : 0);
+        Status persisted = p->durable->PersistTargets(*p->broker, targets);
+        rollbacks += persisted.ok() ? 0 : 1;
+        p->broker->SetWriteFaultHook(nullptr);
+        break;
+      }
+      case 7: {
+        ReservationSpec spec;
+        spec.name = "r" + std::to_string(step);
+        spec.capacity_rru = static_cast<double>(rng.UniformInt(1, 30));
+        spec.rru_per_type.assign(p->fleet.catalog.size(), 1.0);
+        if (rng.Bernoulli(0.5)) {
+          ASSERT_TRUE(p->durable->AdmitReservation(spec).ok());
+        } else {
+          ASSERT_TRUE(p->registry.Create(spec).ok());
+          unjournaled = true;
+        }
+        break;
+      }
+      case 8:
+        if (const ReservationSpec* found = any_spec()) {
+          ReservationSpec spec = *found;
+          spec.capacity_rru += 1.0;
+          if (rng.Bernoulli(0.5)) {
+            ASSERT_TRUE(p->durable->UpdateReservation(spec).ok());
+          } else {
+            ASSERT_TRUE(p->registry.Update(spec).ok());
+            unjournaled = true;
+          }
+        }
+        break;
+      case 9:
+        if (const ReservationSpec* found = any_spec()) {
+          const ReservationId id = found->id;
+          if (rng.Bernoulli(0.5)) {
+            ASSERT_TRUE(p->durable->RemoveReservation(id).ok());
+          } else {
+            ASSERT_TRUE(p->registry.Remove(id).ok());
+            unjournaled = true;
+          }
+        }
+        break;
+      case 10: {
+        ReservationSpec spec;
+        spec.id = static_cast<ReservationId>(1000 + step);
+        spec.name = "restored";
+        spec.capacity_rru = 5.0;
+        spec.rru_per_type.assign(p->fleet.catalog.size(), 1.0);
+        ASSERT_TRUE(p->registry.Restore(spec).ok());
+        unjournaled = true;
+        break;
+      }
+      case 11:
+      case 12:
+        ASSERT_TRUE(p->durable->RoundBarrier().ok());
+        break;
+      case 13:
+        ASSERT_TRUE(p->durable->Compact().ok());
+        unjournaled = false;
+        break;
+      default: {  // Restart on the same directory.
+        if (unjournaled) {
+          ASSERT_TRUE(p->durable->Compact().ok());
+          unjournaled = false;
+        }
+        const uint32_t live = p->Digest();
+        p.reset();
+        p = std::make_unique<Proc>(dir, options);
+        ASSERT_TRUE(p->report.status.ok()) << p->report.status.ToString();
+        EXPECT_TRUE(p->report.digest_verified);
+        EXPECT_EQ(p->Digest(), live);
+        ++recoveries;
+        break;
+      }
+    }
+    ASSERT_EQ(p->durable->MaintainedDigest(), p->Digest());
+  }
+  EXPECT_GT(recoveries, 0u);
+  EXPECT_GT(rollbacks, 0u);
 }
 
 }  // namespace

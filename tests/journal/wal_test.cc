@@ -8,6 +8,7 @@
 #include "src/journal/crc32.h"
 #include "src/obs/metrics.h"
 #include "src/util/file_io.h"
+#include "src/util/rng.h"
 
 namespace ras {
 namespace journal {
@@ -61,6 +62,46 @@ TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
       }
     }
   }
+}
+
+TEST(Crc32Test, CombineEqualsTheCrcOfTheConcatenation) {
+  Rng rng(34);
+  for (size_t length = 0; length <= 300; ++length) {
+    std::string data;
+    for (size_t i = 0; i < length; ++i) {
+      data += static_cast<char>(rng.UniformInt(0, 255));
+    }
+    const uint32_t expected = Crc32(data);
+    ASSERT_EQ(Crc32RunOf(data).crc, expected);
+    for (size_t split = 0; split <= length; ++split) {
+      const std::string_view a = std::string_view(data).substr(0, split);
+      const std::string_view b = std::string_view(data).substr(split);
+      ASSERT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), expected)
+          << "length " << length << " split " << split;
+      const Crc32Run joined = Crc32Combine(Crc32RunOf(a), Crc32RunOf(b));
+      ASSERT_EQ(joined.crc, expected) << "length " << length << " split " << split;
+      ASSERT_EQ(joined.shift, Crc32RunOf(data).shift) << "length " << length;
+    }
+  }
+  // Lengths far past the short-line table, and runs that join in any grouping.
+  std::string big(70000, '\0');
+  for (char& c : big) {
+    c = static_cast<char>(rng.UniformInt(0, 255));
+  }
+  const std::string_view view(big);
+  for (size_t split : {size_t{1}, size_t{4096}, size_t{65537}}) {
+    EXPECT_EQ(Crc32Combine(Crc32(view.substr(0, split)), Crc32(view.substr(split)),
+                           big.size() - split),
+              Crc32(big));
+  }
+  const Crc32Run x = Crc32RunOf(view.substr(0, 300));
+  const Crc32Run y = Crc32RunOf(view.substr(300, 5000));
+  const Crc32Run z = Crc32RunOf(view.substr(5300));
+  const Crc32Run left = Crc32Combine(Crc32Combine(x, y), z);
+  const Crc32Run right = Crc32Combine(x, Crc32Combine(y, z));
+  EXPECT_EQ(left.crc, Crc32(big));
+  EXPECT_EQ(right.crc, Crc32(big));
+  EXPECT_EQ(left.shift, right.shift);
 }
 
 TEST(WalTest, AppendScanRoundTrip) {

@@ -157,5 +157,34 @@ TEST(ShardPlannerTest, EffectiveShardCountResolution) {
   EXPECT_EQ(EffectiveShardCount(0, 288, 36), 1);  // Auto-K, small region.
 }
 
+TEST(ShardPlannerTest, CachedPlanEqualsAFreshOne) {
+  Fleet fleet = TestFleet();
+  ShardPlanOptions opts;
+  opts.shard_count = 4;
+  ShardPlanCache cache;
+  const ShardPlan& first = cache.Get(fleet.topology, opts);
+  EXPECT_EQ(first, PlanShards(fleet.topology, opts));
+  const ShardPlan* cached = &cache.Get(fleet.topology, opts);
+  EXPECT_EQ(cached, &first) << "an unchanged key must not re-plan";
+  EXPECT_EQ(*cached, PlanShards(fleet.topology, opts));
+
+  // The same layout in another topology object keys the same.
+  Fleet twin = TestFleet();
+  EXPECT_EQ(cache.Get(twin.topology, opts), PlanShards(twin.topology, opts));
+
+  // A new K, and a new layout, each get their own fresh plan.
+  opts.shard_count = 3;
+  EXPECT_EQ(cache.Get(fleet.topology, opts), PlanShards(fleet.topology, opts));
+  FleetOptions other;
+  other.num_datacenters = 2;
+  other.msbs_per_datacenter = 2;
+  other.racks_per_msb = 7;
+  other.servers_per_rack = 6;
+  Fleet reshaped = GenerateFleet(other);
+  const ShardPlan fresh = PlanShards(reshaped.topology, opts);
+  EXPECT_EQ(cache.Get(reshaped.topology, opts), fresh);
+  EXPECT_NE(fresh, PlanShards(fleet.topology, opts));
+}
+
 }  // namespace
 }  // namespace ras

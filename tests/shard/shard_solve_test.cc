@@ -450,5 +450,54 @@ TEST(StitchRepairTest, SpreadRebalanceHonorsReservationAlpha) {
   }
 }
 
+TEST(StitchRepairTest, SpreadSwapFreesTheFirstFreeServerOfItsCell) {
+  // "first" freshly holds six servers of MSB 0 and "second" six of MSB 1,
+  // both over a 4-RRU threshold; every other server of those MSBs is out of
+  // service, and MSBs 2-5 are free. Shedding "first" frees servers in MSB 0,
+  // where nothing was free before: the first freed one becomes its cell's
+  // first free server, and "second", which holds nothing there, takes it.
+  TestRegion region(SmallFleetOptions());
+  ReservationSpec first = AnyTypeReservation(region.fleet.catalog, "first", 6);
+  first.needs_correlated_buffer = false;
+  ReservationSpec second = AnyTypeReservation(region.fleet.catalog, "second", 6);
+  second.needs_correlated_buffer = false;
+  const ReservationId a = *region.registry.Create(first);
+  const ReservationId b = *region.registry.Create(second);
+  SolveInput input = region.Snapshot();
+  const RegionTopology& topo = region.fleet.topology;
+
+  std::vector<std::pair<ServerId, ReservationId>> targets;
+  std::map<MsbId, int> held;
+  for (ServerId id = 0; id < input.servers.size(); ++id) {
+    const MsbId msb = topo.server(id).msb;
+    if (msb >= 2) {
+      targets.emplace_back(id, kUnassigned);
+    } else if (held[msb] < 6) {
+      ++held[msb];
+      targets.emplace_back(id, msb == 0 ? a : b);
+    } else {
+      input.servers[id].available = false;
+    }
+  }
+  const std::vector<std::pair<ServerId, ReservationId>> before = targets;
+  StitchRepairOptions opts;
+  opts.msb_spread_thresholds = {4.0, 4.0};
+  StitchRepairStats stats = RepairShortfalls(input, targets, opts);
+  EXPECT_EQ(stats.moves_spread, 4u);
+  EXPECT_NEAR(stats.spread_over_after_rru, 0.0, 1e-9);
+
+  std::map<ServerId, ReservationId> changed;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i] != before[i]) {
+      changed[targets[i].first] = targets[i].second;
+    }
+  }
+  // MSB 0 is servers 0-47, MSB 1 48-95, MSB 2 96-143, MSB 3 144-191.
+  const std::map<ServerId, ReservationId> expected = {
+      {0, b}, {1, kUnassigned}, {48, kUnassigned}, {49, kUnassigned},
+      {96, a}, {97, b}, {144, a}};
+  EXPECT_EQ(changed, expected);
+}
+
 }  // namespace
 }  // namespace ras
