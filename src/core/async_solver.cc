@@ -151,19 +151,11 @@ void RecordSolveMetrics(const SolveStats& stats) {
 std::vector<double> MakePhaseStart(const SolveInput& input,
                                    const std::vector<EquivalenceClass>& classes,
                                    const BuiltModel& built) {
-  // The greedy start, polished by a short local search: its relocate moves
-  // fix spread cheaply, and the MIP then starts from, and can only improve
-  // on, that incumbent.
+  // The greedy start, polished by the local-search descent: its relocate
+  // moves fix spread cheaply, and the MIP ships it unless its own search
+  // finds a better incumbent.
   std::vector<double> counts = BuildInitialCounts(input, classes, built);
-  // A polish of the greedy start accepts few moves. Every proposal is a
-  // valid move, so 4,000 consecutive rejections end a polish with nothing
-  // left to find in under a millisecond on a 576-server region; the library
-  // default (150k) would take about 25 ms.
-  constexpr int64_t kPolishStallLimit = 4000;
-  LocalSearchOptions polish;
-  polish.seed = 17;
-  polish.stall_limit = kPolishStallLimit;
-  counts = LocalSearchOptimize(input, classes, built, counts, polish).counts;
+  counts = LocalSearchOptimize(input, classes, built, counts).counts;
   return MakeWarmStart(input, classes, built, counts);
 }
 

@@ -44,8 +44,9 @@ enum class SolveMode : uint8_t {
 };
 
 // The initial-state step of a phase (Figure 8): the greedy spread-aware
-// assignment polished by a short local search, run to LocalSearchOptions'
-// default work limits. It seeds the MIP's incumbent. A pure function of its
+// assignment polished by the local-search descent, run to a local optimum of
+// its move set or to LocalSearchOptions' default cap. It seeds the MIP's
+// incumbent. A pure function of its
 // arguments, so RunPhase runs it on a pool worker beside the search.
 std::vector<double> MakePhaseStart(const SolveInput& input,
                                    const std::vector<EquivalenceClass>& classes,

@@ -1,12 +1,8 @@
 #include "src/core/local_search.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <cstdint>
-#include <utility>
-
-#include "src/util/rng.h"
+#include <limits>
 
 namespace ras {
 namespace {
@@ -16,10 +12,10 @@ namespace {
 // terms (`rack_spread_terms`, phase 2 only): on a phase-2 model the search
 // optimizes, and reports, the objective without its rack-spread penalty.
 // Its flat per-(reservation, MSB/DC) arrays are the one deliberate copy of
-// the RRU ledger's effective-capacity rule (rru_ledger.h): the polish scores
-// every proposal against them in O(1) and restores them on reject. The
+// the RRU ledger's effective-capacity rule (rru_ledger.h): the descent prices
+// every move against them in O(1) and restores them unless it keeps it. The
 // coefficients and bounds ReservationCost reads are copied out of the model
-// once, so scoring a proposal touches only this object's tables.
+// once, so pricing a move touches only this object's tables.
 class ObjectiveState {
  public:
   ObjectiveState(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
@@ -243,129 +239,229 @@ class ObjectiveState {
   std::vector<std::vector<QuorumCap>> quorum_of_;
 };
 
-// Proposal kinds on a variable k.
-enum MoveKind : uint32_t { kRelease, kAcquire, kTransfer, kRelocate };
+// One move of the descent's move set, owned by variable k. Release and
+// acquire change k alone; a transfer hands units to k2, a sibling in k's
+// class; a relocate hands them to k2, a variable of k's reservation in a
+// class with a spare unit. `step` is 1, 2, 4 or 8: chunk moves cross the
+// plateaus that threshold terms (spread, hoard) create, where per-unit
+// deltas are zero but chunk deltas are not.
+enum class MoveKind : uint8_t { kRelease, kAcquire, kTransfer, kRelocate };
+struct Move {
+  uint32_t k, k2;
+  MoveKind kind;
+  double step;
+};
 
-// The proposals the current state admits, weighted so one draw has exactly
-// the distribution of a uniform (variable, kind) draw followed by a uniform
-// partner draw, conditioned on the proposal being a real move:
-//  - release: 1 when k holds a unit;
-//  - acquire: 1 when k's class has a spare unit;
-//  - transfer: (s-1)/s when k holds a unit, where s counts the class's
-//    variables (the chance a uniform sibling draw is not k itself);
-//  - relocate: m/p when k holds a unit, where p counts the reservation's
-//    variables and m those, other than k, whose class has a spare unit.
-// Validity depends only on the counts and class usage, which change only on
-// an accepted move, so the table is rebuilt after each acceptance.
-class MoveTable {
+// Best-first descent over the move set, priced on an ObjectiveState. Every
+// variable keeps exactly one heap entry: its best improving move, or none,
+// as of its last pricing. Accepting a move marks stale every variable of the
+// move's reservations and classes; a stale entry is priced again when it
+// reaches the top. Staleness is a cheap approximation of which prices an
+// accepted move changed, so once no fresh entry improves, a full pricing
+// pass runs, and only a pass that finds nothing ends the descent.
+class Descent {
  public:
-  MoveTable(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
-            const BuiltModel& built)
-      : classes_(classes), built_(built) {
+  Descent(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
+          const BuiltModel& built, ObjectiveState* state, int64_t max_priced_moves)
+      : classes_(classes), built_(built), state_(*state), max_priced_(max_priced_moves) {
     res_to_vars_.resize(input.reservations.size());
     for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
-      res_to_vars_[static_cast<size_t>(built.assignment_vars[k].reservation_index)].push_back(
-          static_cast<int>(k));
+      res_to_vars_[ResOf(k)].push_back(static_cast<int>(k));
     }
-    has_spare_.assign(classes.size(), false);
-    spare_vars_.resize(res_to_vars_.size());
+    stale_.assign(built.assignment_vars.size(), false);
   }
 
-  void Rebuild(const ObjectiveState& state) {
-    for (size_t c = 0; c < classes_.size(); ++c) {
-      has_spare_[c] = static_cast<double>(classes_[c].count()) - state.used(c) >= 1.0;
-    }
-    for (size_t r = 0; r < res_to_vars_.size(); ++r) {
-      spare_vars_[r].clear();
-      for (int k : res_to_vars_[r]) {
-        if (has_spare_[ClassOf(static_cast<size_t>(k))]) {
-          spare_vars_[r].push_back(k);
+  // Runs to a certified local optimum or to the work cap.
+  void Run(LocalSearchResult* result) {
+    const size_t num_vars = built_.assignment_vars.size();
+    while (true) {
+      heap_.clear();
+      bool found = false;
+      for (size_t k = 0; k < num_vars && !OutOfWork(); ++k) {
+        found |= Reprice(k);
+      }
+      if (OutOfWork()) {
+        break;
+      }
+      if (!found) {
+        result->local_optimum = true;
+        break;
+      }
+      while (!OutOfWork()) {
+        std::pop_heap(heap_.begin(), heap_.end(), Later);
+        const Entry top = heap_.back();
+        heap_.pop_back();
+        if (stale_[top.move.k]) {
+          Reprice(top.move.k);
+        } else if (top.delta == kNone) {
+          break;  // Nothing fresh improves; certify with a full pass.
+        } else if (Price(top.move, /*keep=*/true)) {
+          ++result->accepted;
+          MarkStale(top.move);
+          heap_.push_back(top);  // Stale now: priced again when it surfaces.
+          std::push_heap(heap_.begin(), heap_.end(), Later);
+        } else {
+          Reprice(top.move.k);
         }
       }
     }
-
-    cumulative_.clear();
-    moves_.clear();
-    double total = 0.0;
-    auto add = [&](size_t k, MoveKind kind, double weight) {
-      if (weight > 0.0) {
-        total += weight;
-        cumulative_.push_back(total);
-        moves_.push_back(static_cast<uint32_t>(k) << 2 | kind);
-      }
-    };
-    for (size_t k = 0; k < built_.assignment_vars.size(); ++k) {
-      const size_t c = ClassOf(k);
-      const size_t r = static_cast<size_t>(built_.assignment_vars[k].reservation_index);
-      const bool held = state.counts()[k] >= 1.0;
-      add(k, kRelease, held ? 1.0 : 0.0);
-      add(k, kAcquire, has_spare_[c] ? 1.0 : 0.0);
-      if (held) {
-        const double s = static_cast<double>(built_.class_to_vars[c].size());
-        add(k, kTransfer, (s - 1.0) / s);
-        const size_t m = spare_vars_[r].size() - (has_spare_[c] ? 1 : 0);
-        add(k, kRelocate, static_cast<double>(m) / static_cast<double>(res_to_vars_[r].size()));
-      }
-    }
-  }
-
-  bool empty() const { return cumulative_.empty(); }
-
-  // One NextDouble, then a branch-free binary search for the first entry
-  // whose cumulative weight exceeds it (std::upper_bound's answer).
-  std::pair<size_t, MoveKind> Draw(Rng& rng) const {
-    const double u = rng.NextDouble() * cumulative_.back();
-    const double* base = cumulative_.data();
-    size_t n = cumulative_.size();
-    while (n > 1) {
-      const size_t half = n / 2;
-      base = base[half] <= u ? base + half : base;
-      n -= half;
-    }
-    size_t i = static_cast<size_t>(base - cumulative_.data()) + (*base <= u ? 1 : 0);
-    // u * total can round up to total itself.
-    i = std::min(i, cumulative_.size() - 1);
-    return {moves_[i] >> 2, static_cast<MoveKind>(moves_[i] & 3)};
-  }
-
-  // A uniform sibling of k in k's class, other than k.
-  size_t TransferPartner(size_t k, Rng& rng) const {
-    const auto& siblings = built_.class_to_vars[ClassOf(k)];
-    return UniformOther(siblings, k, rng);
-  }
-
-  // A uniform variable of k's reservation, other than k, whose class has a
-  // spare unit.
-  size_t RelocatePartner(size_t k, Rng& rng) const {
-    const auto& targets =
-        spare_vars_[static_cast<size_t>(built_.assignment_vars[k].reservation_index)];
-    if (!has_spare_[ClassOf(k)]) {
-      return static_cast<size_t>(
-          targets[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(targets.size()) - 1))]);
-    }
-    return UniformOther(targets, k, rng);
+    result->priced_moves = priced_;
   }
 
  private:
+  // A variable's entry: its best improving move and that move's delta, or
+  // kNone when it has none.
+  struct Entry {
+    double delta;
+    Move move;
+  };
+  static constexpr double kNone = std::numeric_limits<double>::infinity();
+  // Heap order: lowest delta first, then lowest variable.
+  static bool Later(const Entry& a, const Entry& b) {
+    return a.delta != b.delta ? a.delta > b.delta : a.move.k > b.move.k;
+  }
+
   size_t ClassOf(size_t k) const {
     return static_cast<size_t>(built_.assignment_vars[k].class_index);
   }
-
-  // A uniform element of `vars`, which holds k exactly once, other than k:
-  // a draw that lands on k takes the last slot, which the draw leaves out.
-  static size_t UniformOther(const std::vector<int>& vars, size_t k, Rng& rng) {
-    const size_t k2 = static_cast<size_t>(
-        vars[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(vars.size()) - 2))]);
-    return k2 == k ? static_cast<size_t>(vars.back()) : k2;
+  size_t ResOf(size_t k) const {
+    return static_cast<size_t>(built_.assignment_vars[k].reservation_index);
   }
+  double Spare(size_t c) const {
+    return static_cast<double>(classes_[c].count()) - state_.used(c);
+  }
+  bool OutOfWork() const { return priced_ >= max_priced_; }
+
+  // The units m moves into k under the current state (negative when k gives
+  // them up), or 0 when m is not a move now.
+  double Amount(const Move& m) const {
+    const double held = state_.counts()[m.k];
+    switch (m.kind) {
+      case MoveKind::kAcquire: {
+        const double spare = Spare(ClassOf(m.k));
+        return spare >= 1.0 ? std::min(m.step, spare) : 0.0;
+      }
+      case MoveKind::kRelocate: {
+        const double spare = Spare(ClassOf(m.k2));
+        return held >= 1.0 && spare >= 1.0 ? -std::min({m.step, held, spare}) : 0.0;
+      }
+      case MoveKind::kRelease:
+      case MoveKind::kTransfer:
+        break;
+    }
+    return held >= 1.0 ? -std::min(m.step, held) : 0.0;
+  }
+
+  // Prices m on the current state: applies it, scores the terms it touches,
+  // and restores the state exactly unless `keep` and m improves. Returns
+  // whether m improves; *delta gets the change in objective.
+  bool Price(const Move& m, bool keep, double* delta = nullptr) {
+    const double d1 = Amount(m);
+    if (d1 == 0.0) {
+      return false;
+    }
+    ++priced_;
+    const size_t k = m.k;
+    const size_t k2 = m.k2;
+    const size_t r1 = ResOf(k);
+    const size_t r2 = ResOf(k2);
+    double before = state_.cost(r1) + state_.VarCost(k);
+    if (k2 != k) {
+      before += (r2 != r1 ? state_.cost(r2) : 0.0) + state_.VarCost(k2);
+    }
+    const auto saved1 = state_.Save(k);
+    const auto saved2 = state_.Save(k2);
+    state_.ApplyDelta(k, d1);
+    if (k2 != k) {
+      state_.ApplyDelta(k2, -d1);
+    }
+    const double cost1 = state_.ReservationCost(r1);
+    double after = cost1 + state_.VarCost(k);
+    double cost2 = 0.0;
+    if (k2 != k) {
+      cost2 = r2 != r1 ? state_.ReservationCost(r2) : 0.0;
+      after += cost2 + state_.VarCost(k2);
+    }
+    // Every compared term is non-negative, so `before` bounds their
+    // rounding noise; a gain inside it is not a gain.
+    const bool improves = after < before - kRelativeTolerance * before;
+    if (delta != nullptr) {
+      *delta = after - before;
+    }
+    if (keep && improves) {
+      state_.SetCost(r1, cost1);
+      if (r2 != r1) {
+        state_.SetCost(r2, cost2);
+      }
+    } else {
+      state_.Restore(saved2);  // Exact revert, in reverse order of the applies.
+      state_.Restore(saved1);
+    }
+    return improves;
+  }
+
+  // Prices every move of k at every step, in a fixed order, and pushes k's
+  // entry. Returns whether k has an improving move.
+  bool Reprice(size_t k) {
+    stale_[k] = false;
+    Entry best{kNone, {}};
+    auto consider = [&](MoveKind kind, size_t k2) {
+      double last = 0.0;
+      for (double step : {1.0, 2.0, 4.0, 8.0}) {
+        const Move m{static_cast<uint32_t>(k), static_cast<uint32_t>(k2), kind, step};
+        const double amount = Amount(m);
+        if (amount == last || OutOfWork()) {
+          return;  // Not a move, or larger steps clamp to the one just priced.
+        }
+        last = amount;
+        double delta = 0.0;
+        if (Price(m, /*keep=*/false, &delta) && delta < best.delta) {
+          best = {delta, m};
+        }
+      }
+    };
+    consider(MoveKind::kRelease, k);
+    consider(MoveKind::kAcquire, k);
+    if (state_.counts()[k] >= 1.0) {
+      for (int k2 : built_.class_to_vars[ClassOf(k)]) {
+        if (static_cast<size_t>(k2) != k) {
+          consider(MoveKind::kTransfer, static_cast<size_t>(k2));
+        }
+      }
+      for (int k2 : res_to_vars_[ResOf(k)]) {
+        if (static_cast<size_t>(k2) != k) {
+          consider(MoveKind::kRelocate, static_cast<size_t>(k2));
+        }
+      }
+    }
+    best.move.k = static_cast<uint32_t>(k);
+    heap_.push_back(best);
+    std::push_heap(heap_.begin(), heap_.end(), Later);
+    return best.delta != kNone;
+  }
+
+  void MarkStale(const Move& m) {
+    const std::vector<int>* touched[] = {
+        &res_to_vars_[ResOf(m.k)], &res_to_vars_[ResOf(m.k2)],
+        &built_.class_to_vars[ClassOf(m.k)], &built_.class_to_vars[ClassOf(m.k2)]};
+    for (const std::vector<int>* vars : touched) {
+      for (int k : *vars) {
+        stale_[static_cast<size_t>(k)] = true;
+      }
+    }
+  }
+
+  // Relative threshold below which a priced gain counts as rounding noise.
+  static constexpr double kRelativeTolerance = 1e-12;
 
   const std::vector<EquivalenceClass>& classes_;
   const BuiltModel& built_;
+  ObjectiveState& state_;
+  const int64_t max_priced_;
+  int64_t priced_ = 0;
   std::vector<std::vector<int>> res_to_vars_;  // Per reservation: its variables.
-  std::vector<bool> has_spare_;                // Per class: at least one unused unit.
-  std::vector<std::vector<int>> spare_vars_;   // Per reservation: its variables with has_spare_.
-  std::vector<double> cumulative_;  // Positive-weight proposals only: running weight ...
-  std::vector<uint32_t> moves_;     // ... and (k << 2 | kind).
+  std::vector<bool> stale_;
+  std::vector<Entry> heap_;
 };
 
 }  // namespace
@@ -379,109 +475,9 @@ LocalSearchResult LocalSearchOptimize(const SolveInput& input,
   ObjectiveState state(input, classes, built);
   state.Load(initial_counts);
   result.initial_objective = state.FullObjective();
-
-  Rng rng(options.seed);
-  const size_t num_vars = built.assignment_vars.size();
-  if (num_vars == 0) {
-    result.counts = initial_counts;
-    result.final_objective = result.initial_objective;
-    return result;
-  }
-
-  MoveTable moves(input, classes, built);
-  moves.Rebuild(state);
-
-  int64_t stall = 0;
-  double current = result.initial_objective;
-  while (result.proposals < options.max_proposals && stall < options.stall_limit &&
-         result.accepted * static_cast<int64_t>(num_vars) < options.max_rebuild_work &&
-         !moves.empty()) {
-    ++result.proposals;
-
-    // Proposal: move a chunk of servers on variable k — either release to
-    // the free pool, transfer to a sibling variable of the same class, or
-    // acquire spare units of the class. Variable step sizes (1..8) cross the
-    // plateaus that threshold terms (spread, hoard) create, where per-unit
-    // deltas are zero but chunk deltas are not.
-    const auto [k, kind] = moves.Draw(rng);
-    const size_t c = static_cast<size_t>(built.assignment_vars[k].class_index);
-    const double step = static_cast<double>(int64_t{1} << rng.UniformInt(0, 3));
-    const double held = state.counts()[k];
-    size_t k2 = k;
-    double d1 = 0.0, d2 = 0.0;  // Deltas for k and k2.
-    switch (kind) {
-      case kRelease:
-        d1 = -std::min(step, held);
-        break;
-      case kAcquire:
-        d1 = +std::min(step, static_cast<double>(classes[c].count()) - state.used(c));
-        break;
-      case kTransfer:
-        // Transfer to a random sibling of the same class (reservation change).
-        k2 = moves.TransferPartner(k, rng);
-        d1 = -std::min(step, held);
-        d2 = -d1;
-        break;
-      case kRelocate: {
-        // Relocate within the reservation: swap capacity into another class
-        // (different MSB / SKU) that still has spare supply. This is the move
-        // that fixes spread without transiting a capacity-shortfall state.
-        k2 = moves.RelocatePartner(k, rng);
-        const size_t c2 = static_cast<size_t>(built.assignment_vars[k2].class_index);
-        d1 = -std::min({step, held, static_cast<double>(classes[c2].count()) - state.used(c2)});
-        d2 = -d1;
-        break;
-      }
-    }
-
-    const size_t r1 = static_cast<size_t>(built.assignment_vars[k].reservation_index);
-    const size_t r2 = static_cast<size_t>(built.assignment_vars[k2].reservation_index);
-    double before = state.cost(r1) + state.VarCost(k);
-    if (k2 != k) {
-      if (r2 != r1) {
-        before += state.cost(r2);
-      }
-      before += state.VarCost(k2);
-    }
-    const auto saved1 = state.Save(k);
-    const auto saved2 = state.Save(k2);
-    state.ApplyDelta(k, d1);
-    if (k2 != k) {
-      state.ApplyDelta(k2, d2);
-    }
-    const double cost1 = state.ReservationCost(r1);
-    double after = cost1 + state.VarCost(k);
-    double cost2 = 0.0;
-    if (k2 != k) {
-      if (r2 != r1) {
-        cost2 = state.ReservationCost(r2);
-        after += cost2;
-      }
-      after += state.VarCost(k2);
-    }
-
-    if (after < before - 1e-9) {
-      current += after - before;
-      ++result.accepted;
-      stall = 0;
-      state.SetCost(r1, cost1);
-      if (r2 != r1) {
-        state.SetCost(r2, cost2);
-      }
-      moves.Rebuild(state);
-    } else {
-      state.Restore(saved2);  // Exact revert, in reverse order of the applies.
-      state.Restore(saved1);
-      ++stall;
-    }
-  }
-
+  Descent(input, classes, built, &state, options.max_priced_moves).Run(&result);
   result.counts = state.counts();
   result.final_objective = state.FullObjective();
-  // Incremental bookkeeping must agree with the from-scratch evaluation.
-  assert(std::fabs(result.final_objective - current) <
-         1e-6 * (1.0 + std::fabs(result.final_objective)));
-  (void)current;
   return result;
 }
 

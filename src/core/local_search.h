@@ -7,17 +7,18 @@
 // needs to perform near-realtime allocation in seconds."
 //
 // This is that local search, specialized to the RAS assignment structure:
-// single-unit moves of equivalence-class servers between reservations (or
-// the free pool), greedily accepted on exact incremental objective deltas
+// moves of equivalence-class servers between reservations (or the free pool)
+// in chunks of 1, 2, 4 or 8, priced on exact incremental objective deltas
 // over the cost model the MIP optimizes (Expressions 1-7 plus the repo's
 // anti-hoarding term), except that it does not score phase 2's rack-spread
-// terms. Every proposal is a move the current state admits: it is drawn
-// from the valid moves only, with the probabilities a uniform draw
-// conditioned on validity would give, so each one is priced. A rejected
-// move is undone exactly. It trades solution quality for bounded work, all
-// of it counted, never timed. The AsyncSolver runs it as a short polish of
-// the greedy warm start (MakePhaseStart), beside the MIP's search;
-// bench/ablation_backend compares it, run to its own limits, against the MIP.
+// terms. It is a deterministic best-first descent: every variable's best
+// improving move waits in a heap, the best of them all is applied, and the
+// variables that move touched are priced again when they reach the top. It
+// stops only when a full pricing pass finds no improving move, so its answer
+// is a local optimum of the move set, or at a cap on priced moves; all its
+// work is counted, never timed. The AsyncSolver runs it as the polish of the
+// greedy warm start (MakePhaseStart), beside the MIP's search;
+// bench/ablation_backend compares it against the MIP.
 
 #ifndef RAS_SRC_CORE_LOCAL_SEARCH_H_
 #define RAS_SRC_CORE_LOCAL_SEARCH_H_
@@ -31,24 +32,22 @@
 namespace ras {
 
 struct LocalSearchOptions {
-  // Cap on accepted moves x assignment variables: each accepted move
-  // rebuilds the move table over every variable, the polish's dominant cost.
-  // The default is about 1 s on a 4-vCPU VM at 108k-491k variables.
-  int64_t max_rebuild_work = 80'000'000;
-  // Cap on proposals. Every proposal is a valid move that gets evaluated.
-  int64_t max_proposals = 1000000;
-  // Consecutive rejected proposals before giving up early. Each one is a
-  // valid move priced and found not to improve the objective.
-  int64_t stall_limit = 150000;
-  uint64_t seed = 1;
+  // Cap on priced moves. Each one applies a move to the incremental state,
+  // scores the terms it touches and restores them. A cap inside the first
+  // full pricing pass returns the start unchanged; the default is about five
+  // first passes of the largest phase 1 the scaling benches build (22.5k
+  // variables, 3.5-4M priced moves, SweepRegion scale 8).
+  int64_t max_priced_moves = 20'000'000;
 };
 
 struct LocalSearchResult {
   std::vector<double> counts;  // Aligned with built.assignment_vars.
   double initial_objective = 0.0;
   double final_objective = 0.0;
-  int64_t proposals = 0;  // Valid moves drawn and evaluated.
+  int64_t priced_moves = 0;
   int64_t accepted = 0;
+  // A full pricing pass over `counts` found no improving move.
+  bool local_optimum = false;
 };
 
 // Improves `initial_counts` (must respect class supplies; typically

@@ -22,9 +22,6 @@ class Rng {
  public:
   explicit Rng(uint64_t seed);
 
-  // The three draws below are inline: the local-search polish makes
-  // millions of them per solve.
-
   // Uniform 64-bit value.
   uint64_t Next() {
     const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
